@@ -27,7 +27,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use parallax_compiler::{compile_module, parse_module, Module};
-use parallax_core::{protect, protect_binary_traced, ChainMode, FaultPlan, ProtectConfig};
+use parallax_core::{protect, protect_with, ChainMode, Ctx, ProtectConfig};
 use parallax_engine::{hash128, ArtifactCache, CacheHooks};
 use parallax_image::format;
 use parallax_trace::Tracer;
@@ -136,7 +136,7 @@ struct IncrementalRow {
 }
 
 /// Protects `module` through the instrumented cached pipeline
-/// (`protect_binary_traced` + [`CacheHooks`]): the machinery both the
+/// (`protect_with` + [`CacheHooks`] + a tracer): the machinery both the
 /// populate and warm runs share, so timing either measures the cache's
 /// effect and not the instrumentation's.
 fn protect_cached(module: &Module, cache: &ArtifactCache) -> Result<(Vec<u8>, u64, u64), String> {
@@ -148,16 +148,13 @@ fn protect_cached(module: &Module, cache: &ArtifactCache) -> Result<(Vec<u8>, u6
         ..ProtectConfig::default()
     };
     let tracer = Tracer::new();
-    let hooks = CacheHooks::new(0, cache, None);
-    let p = protect_binary_traced(
-        prog,
-        &[vf],
-        &cfg,
-        &FaultPlan::default(),
-        &hooks,
-        Some(&tracer),
-    )
-    .map_err(|e| e.to_string())?;
+    let store = CacheHooks::new(0, cache, None);
+    let ctx = Ctx {
+        store: &store,
+        tracer: Some(&tracer),
+        ..Ctx::default()
+    };
+    let p = protect_with(prog, &[vf], &cfg, &ctx).map_err(|e| e.to_string())?;
     Ok((
         format::save(&p.image),
         tracer.counter("cache.func.rewritten.hit"),

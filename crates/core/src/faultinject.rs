@@ -9,12 +9,12 @@
 //!
 //! Two layers of perturbation:
 //!
-//! * **Pipeline faults** ([`FaultPlan`], consumed by
-//!   [`protect_binary_faulted`]) — applied to the [`Program`] between
-//!   pipeline stages, before the image exists: undecodable function
-//!   bodies (→ `Rewrite`), dropped chain frames and corrupted
-//!   relocation records (→ `Link`), emptied gadget scans
-//!   (→ `GadgetScan`).
+//! * **Pipeline faults** ([`FaultPlan`], passed to
+//!   [`protect_with`](crate::protect_with) in its [`Ctx`](crate::Ctx))
+//!   — applied to the [`Program`] between pipeline stages, before the
+//!   image exists: undecodable function bodies (→ `Rewrite`), dropped
+//!   chain frames and corrupted relocation records (→ `Link`), emptied
+//!   gadget scans (→ `GadgetScan`).
 //! * **Image faults** ([`truncate_chain`], [`flip_byte`]) — applied to
 //!   the final [`LinkedImage`], modelling an adversary or bit-rot;
 //!   their effect is observed at run time and classified by the
@@ -33,15 +33,11 @@ use std::collections::HashSet;
 use parallax_image::{format, LinkedImage, Program};
 use parallax_x86::decode;
 
-use crate::hooks::NoHooks;
-use crate::protect::{protect_binary_hooked, ProtectConfig, ProtectError, Protected};
-use parallax_compiler::Function;
-
 /// A deterministic set of perturbations applied at stage boundaries.
 ///
-/// The default plan injects nothing; [`protect_binary`](crate::protect_binary)
-/// runs every build through the same code path with an empty plan, so
-/// the injection seams are always exercised.
+/// The default plan injects nothing; every build without one runs
+/// through the same code path with an empty plan, so the injection
+/// seams are always exercised.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     undecodable_funcs: Vec<String>,
@@ -53,8 +49,14 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan that injects nothing.
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
+    pub const fn none() -> FaultPlan {
+        FaultPlan {
+            undecodable_funcs: Vec::new(),
+            dropped_frames: Vec::new(),
+            corrupt_reloc: None,
+            empty_gadget_scan: false,
+            poison_scan_cache: false,
+        }
     }
 
     /// Overwrites `func`'s body with undecodable bytes before the
@@ -158,16 +160,6 @@ impl FaultPlan {
             }
         }
     }
-}
-
-/// [`crate::protect_binary`] under a fault plan (test entry point).
-pub fn protect_binary_faulted(
-    prog: Program,
-    verify_impls: &[Function],
-    cfg: &ProtectConfig,
-    plan: &FaultPlan,
-) -> Result<Protected, ProtectError> {
-    protect_binary_hooked(prog, verify_impls, cfg, plan, &NoHooks)
 }
 
 /// Flips one bit in the middle of a serialized cache artifact —

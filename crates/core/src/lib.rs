@@ -5,7 +5,9 @@
 //! gadgets and translate the selected functions into ROP chains
 //! ([`mod@protect`]), optionally hardening the chains by encryption or
 //! probabilistic generation ([`dynamic`]), and exercise attacks against
-//! the result ([`tamper`]).
+//! the result ([`tamper`]). One function, [`protect_with`], runs the
+//! pipeline; its [`Ctx`] carries the [`ArtifactStore`], the tracer and
+//! the fault plan.
 //!
 //! ```
 //! use parallax_compiler::ir::build::*;
@@ -30,30 +32,28 @@
 
 pub mod dynamic;
 pub mod faultinject;
-pub mod hooks;
 pub mod loadcheck;
 pub mod microchain;
 pub mod protect;
 pub mod select;
+pub mod store;
 pub mod tamper;
 pub mod trace;
 
 pub use dynamic::{Basis, ChainMode};
 pub use faultinject::{
-    apply_image_fault, flip_byte, poison_cache_blob, protect_binary_faulted, truncate_chain,
-    FaultPlan, ImageFault,
+    apply_image_fault, flip_byte, poison_cache_blob, truncate_chain, FaultPlan, ImageFault,
 };
-pub use hooks::{ChainArtifact, NoHooks, PipelineHooks};
 pub use loadcheck::{load_verified_image, load_verified_image_strict};
 pub use microchain::split_for_microchains;
 pub use protect::{
-    protect, protect_binary, protect_binary_hooked, protect_binary_traced, protect_hooked_traced,
-    protect_traced, protect_with_hooks, ChainInfo, DegradationReport, ErrorKind, ProtectConfig,
-    ProtectError, ProtectReport, Protected, Stage,
+    protect, protect_traced, protect_with, ChainInfo, Ctx, DegradationReport, ErrorKind,
+    ProtectConfig, ProtectError, ProtectReport, Protected, Stage,
 };
 pub use select::{select_verification_functions, SelectionConfig};
+pub use store::{ArtifactStore, ChainArtifact, NoStore};
 pub use tamper::{
     classify, classify_outcome, nop_instruction, nop_range, patch_bytes, run_baseline, Baseline,
     Verdict,
 };
-pub use trace::{chain_tracer_for, chain_tracer_for_image, effect_kind, TracingHooks};
+pub use trace::{chain_tracer_for, chain_tracer_for_image, effect_kind};

@@ -29,9 +29,17 @@
 //! alternate immediate-rule body rotations and finally falls back to
 //! appending the standard gadget set (the paper's §III escape hatch),
 //! recording each fallback in a [`DegradationReport`].
+//!
+//! # Entry points
+//!
+//! [`protect`] and [`protect_traced`] take an IR module. [`protect_with`]
+//! takes an already-built [`Program`] plus a [`Ctx`]: the artifact
+//! store, the tracer and the fault plan. The run's telemetry goes only
+//! to that tracer; the store only stores.
 
+use std::cell::RefCell;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parallax_compiler::{compile_module, CompileError, Function, Module};
 use parallax_gadgets::{serialize_gadgets, GadgetMap, RangeSet, ValidationCache};
@@ -44,14 +52,13 @@ use parallax_ropc::{
     compile_chain_traced, fnv1a, frame_size, install_runtime, make_chain_checker, make_stub_full,
     ChainError, Policy,
 };
-use parallax_trace::Tracer;
+use parallax_trace::{SpanGuard, Tracer};
 
 use crate::dynamic::{
     build_index_blob, install_generator_binary, rc4_crypt, xor_crypt, Basis, ChainMode,
 };
 use crate::faultinject::FaultPlan;
-use crate::hooks::{ChainArtifact, NoHooks, PipelineHooks};
-use crate::trace::TracingHooks;
+use crate::store::{ArtifactStore, ChainArtifact, NoStore};
 
 /// Configuration for [`protect`].
 #[derive(Debug, Clone)]
@@ -114,6 +121,20 @@ impl ProtectConfig {
         let mut c = self.clone();
         c.jobs = 0;
         c
+    }
+
+    /// The IR of each function in `verify_funcs`, taken from `module`
+    /// — what [`protect_with`] needs besides the compiled program.
+    pub fn verify_impls(&self, module: &Module) -> Result<Vec<Function>, ProtectError> {
+        self.verify_funcs
+            .iter()
+            .map(|f| {
+                module
+                    .get_func(f)
+                    .cloned()
+                    .ok_or_else(|| ProtectError::no_such_function(f))
+            })
+            .collect()
     }
 }
 
@@ -249,12 +270,23 @@ pub struct ProtectError {
     pub stage: Stage,
     /// What went wrong.
     pub kind: ErrorKind,
+    /// Fallbacks the degradation ladder took before giving up. (This
+    /// and the stage log are boxed slices to keep errors small.)
+    pub degradations: Box<[DegradationReport]>,
+    /// The stage blocks that ran before the failure (see
+    /// [`ProtectReport::stage_log`]).
+    pub stage_log: Box<[(Stage, Duration)]>,
 }
 
 impl ProtectError {
     /// Creates an error with explicit stage provenance.
     pub fn new(stage: Stage, kind: ErrorKind) -> ProtectError {
-        ProtectError { stage, kind }
+        ProtectError {
+            stage,
+            kind,
+            degradations: Box::default(),
+            stage_log: Box::default(),
+        }
     }
 
     /// A [`Stage::Select`] error for a missing verification function.
@@ -396,6 +428,9 @@ pub struct ProtectReport {
     /// Fallbacks the degradation ladder took (empty when the first
     /// attempt succeeded).
     pub degradations: Vec<DegradationReport>,
+    /// Wall time of every stage block, in completion order. Stages
+    /// repeat across fixpoint passes and degradation retries.
+    pub stage_log: Vec<(Stage, Duration)>,
 }
 
 /// A protected binary plus its report.
@@ -411,20 +446,38 @@ pub struct Protected {
 /// [`ChainMode::Probabilistic`] requests `variants: 0`.
 pub const DEFAULT_VARIANTS: usize = 8;
 
+/// What a pipeline run consults besides its input and configuration.
+/// `Ctx::default()` stores nothing, traces nothing and injects no
+/// faults.
+#[derive(Clone, Copy)]
+pub struct Ctx<'a> {
+    /// Where reusable artifacts are looked up and offered.
+    pub store: &'a dyn ArtifactStore,
+    /// Receives every span, counter and instant of the run: one span
+    /// per stage block under a root `protect` span, the layers'
+    /// sub-spans, `degraded` instants and `cache.func.*` traffic.
+    pub tracer: Option<&'a Tracer>,
+    /// Perturbations for the robustness harness (see
+    /// [`crate::faultinject`]).
+    pub faults: &'a FaultPlan,
+}
+
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+
+impl Default for Ctx<'_> {
+    fn default() -> Self {
+        Ctx {
+            store: &NoStore,
+            tracer: None,
+            faults: &NO_FAULTS,
+        }
+    }
+}
+
 /// Runs the full protection pipeline on an IR module (the common,
 /// "source available" path).
 pub fn protect(module: &Module, cfg: &ProtectConfig) -> Result<Protected, ProtectError> {
-    protect_with_hooks(module, cfg, &NoHooks)
-}
-
-/// [`protect`] with [`PipelineHooks`] for artifact reuse and stage
-/// telemetry (the batch engine's entry point).
-pub fn protect_with_hooks(
-    module: &Module,
-    cfg: &ProtectConfig,
-    hooks: &dyn PipelineHooks,
-) -> Result<Protected, ProtectError> {
-    protect_full(module, cfg, hooks, None)
+    protect_module(module, cfg, &Ctx::default())
 }
 
 /// [`protect`] recording hierarchical spans, counters and histograms
@@ -435,104 +488,76 @@ pub fn protect_traced(
     cfg: &ProtectConfig,
     tracer: &Tracer,
 ) -> Result<Protected, ProtectError> {
-    protect_full(module, cfg, &NoHooks, Some(tracer))
+    let ctx = Ctx {
+        tracer: Some(tracer),
+        ..Ctx::default()
+    };
+    protect_module(module, cfg, &ctx)
 }
 
-/// [`protect`] with both [`PipelineHooks`] and optional tracing — for
-/// callers that need artifact fingerprints *and* telemetry from a
-/// single run (e.g. the CLI's provenance recorder).
-pub fn protect_hooked_traced(
+fn protect_module(
     module: &Module,
     cfg: &ProtectConfig,
-    hooks: &dyn PipelineHooks,
-    tracer: Option<&Tracer>,
+    ctx: &Ctx<'_>,
 ) -> Result<Protected, ProtectError> {
-    protect_full(module, cfg, hooks, tracer)
+    let verify_impls = cfg.verify_impls(module)?;
+    protect_with(compile_module(module)?, &verify_impls, cfg, ctx)
 }
 
-fn protect_full(
-    module: &Module,
-    cfg: &ProtectConfig,
-    hooks: &dyn PipelineHooks,
-    trace: Option<&Tracer>,
-) -> Result<Protected, ProtectError> {
-    let mut verify_impls = Vec::new();
-    for f in &cfg.verify_funcs {
-        let func = module
-            .get_func(f)
-            .ok_or_else(|| ProtectError::no_such_function(f))?;
-        verify_impls.push(func.clone());
-    }
-    let prog = compile_module(module)?;
-    protect_binary_traced(
-        prog,
-        &verify_impls,
-        cfg,
-        &FaultPlan::default(),
-        hooks,
-        trace,
-    )
-}
-
-/// The binary-level pipeline (paper §I advantage 5: "our approach lends
-/// itself to binary-level implementation, and does not inherently
-/// require source"). Takes an already-built [`Program`] — any
-/// relinkable binary, however it was produced — plus the IR of each
-/// verification function named in `cfg.verify_funcs` (which must exist
-/// as functions in `prog`; their bodies are replaced by loader stubs
-/// and re-expressed as ROP chains). Everything else — gadget crafting,
-/// rewriting, linking — operates purely on the machine code.
-pub fn protect_binary(
+/// The pipeline over an already-built [`Program`] (paper §I advantage
+/// 5: "our approach lends itself to binary-level implementation, and
+/// does not inherently require source"). `prog` is any relinkable
+/// binary, however it was produced; `verify_impls` carries the IR of
+/// each verification function named in `cfg.verify_funcs` (which must
+/// exist as functions in `prog`; their bodies are replaced by loader
+/// stubs and re-expressed as ROP chains). Everything else — gadget
+/// crafting, rewriting, linking — operates purely on the machine code.
+///
+/// `ctx` supplies the artifact store, the tracer and the fault plan.
+/// The stage log and degradations come back on both outcomes: in the
+/// [`ProtectReport`] or in the [`ProtectError`].
+pub fn protect_with(
     prog: Program,
     verify_impls: &[Function],
     cfg: &ProtectConfig,
+    ctx: &Ctx<'_>,
 ) -> Result<Protected, ProtectError> {
-    protect_binary_hooked(prog, verify_impls, cfg, &FaultPlan::default(), &NoHooks)
-}
-
-/// [`protect_binary`] with a fault-injection plan (see
-/// [`crate::faultinject`]) and [`PipelineHooks`] — the fully general
-/// entry point the batch engine and the fault harness share.
-pub fn protect_binary_hooked(
-    prog: Program,
-    verify_impls: &[Function],
-    cfg: &ProtectConfig,
-    plan: &FaultPlan,
-    hooks: &dyn PipelineHooks,
-) -> Result<Protected, ProtectError> {
-    protect_binary_impl(prog, verify_impls, cfg, plan, hooks, None)
-}
-
-/// [`protect_binary_hooked`] with optional span tracing: the whole run
-/// nests under a root `protect` span, each stage block becomes a child
-/// span (via [`TracingHooks`]), and the rewrite/chain-compiler layers
-/// add their own sub-spans, counters and histograms.
-pub fn protect_binary_traced(
-    prog: Program,
-    verify_impls: &[Function],
-    cfg: &ProtectConfig,
-    plan: &FaultPlan,
-    hooks: &dyn PipelineHooks,
-    trace: Option<&Tracer>,
-) -> Result<Protected, ProtectError> {
-    match trace {
-        Some(t) => {
-            let _root = t.span("protect", "pipeline");
-            let tracing = TracingHooks::new(hooks, t);
-            protect_binary_impl(prog, verify_impls, cfg, plan, &tracing, Some(t))
+    let _root = ctx.tracer.map(|t| t.span("protect", "pipeline"));
+    let run = Run {
+        ctx: *ctx,
+        log: RefCell::new(Vec::new()),
+    };
+    let mut degradations = Vec::new();
+    let out = run_ladder(prog, verify_impls, cfg, &run, &mut degradations);
+    let stage_log = run.log.into_inner();
+    match out {
+        Ok(mut protected) => {
+            protected.report.degradations = degradations;
+            protected.report.stage_log = stage_log;
+            Ok(protected)
         }
-        None => protect_binary_impl(prog, verify_impls, cfg, plan, hooks, None),
+        Err(mut e) => {
+            e.degradations = degradations.into();
+            e.stage_log = stage_log.into();
+            Err(e)
+        }
     }
 }
 
-fn protect_binary_impl(
+/// One pipeline run's context plus the stage log its blocks fill.
+struct Run<'a> {
+    ctx: Ctx<'a>,
+    log: RefCell<Vec<(Stage, Duration)>>,
+}
+
+fn run_ladder(
     prog: Program,
     verify_impls: &[Function],
     cfg: &ProtectConfig,
-    plan: &FaultPlan,
-    hooks: &dyn PipelineHooks,
-    trace: Option<&Tracer>,
+    run: &Run<'_>,
+    degradations: &mut Vec<DegradationReport>,
 ) -> Result<Protected, ProtectError> {
+    let store = run.ctx.store;
     // Stage: Select — the requested functions must exist both in the
     // program and among the supplied IR implementations.
     for f in &cfg.verify_funcs {
@@ -543,15 +568,15 @@ fn protect_binary_impl(
 
     // Figure-6 coverage is measured on the unprotected image — shared
     // by every job protecting the same program, so it is offered to the
-    // hooks for reuse. Attributed to the Select stage: it is part of
+    // store for reuse. Attributed to the Select stage: it is part of
     // sizing up the pristine input before the pipeline mutates it.
-    let coverage = timed(hooks, Stage::Select, || -> Result<_, ProtectError> {
+    let coverage = run.timed(Stage::Select, || -> Result<_, ProtectError> {
         let base = prog.link()?;
-        Ok(match hooks.cached_coverage(&base) {
+        Ok(match store.cached_coverage(&base) {
             Some(c) => c,
             None => {
-                let c = analyze_traced(&base, trace);
-                hooks.store_coverage(&base, &c);
+                let c = analyze_traced(&base, run.ctx.tracer);
+                store.store_coverage(&base, &c);
                 c
             }
         })
@@ -575,10 +600,9 @@ fn protect_binary_impl(
         }
     }
 
-    let mut degradations: Vec<DegradationReport> = Vec::new();
     let last = attempts.len() - 1;
     for (i, (rw_cfg, _)) in attempts.iter().enumerate() {
-        match run_pipeline(prog.clone(), verify_impls, cfg, rw_cfg, plan, hooks, trace) {
+        match run_pipeline(prog.clone(), verify_impls, cfg, rw_cfg, run) {
             Ok((image, rewrites, chains, gadget_count)) => {
                 return Ok(Protected {
                     image,
@@ -587,7 +611,8 @@ fn protect_binary_impl(
                         coverage,
                         chains,
                         gadget_count,
-                        degradations,
+                        degradations: Vec::new(),
+                        stage_log: Vec::new(),
                     },
                 });
             }
@@ -605,7 +630,25 @@ fn protect_binary_impl(
                         retry_rotation: next_cfg.body_rotation,
                         stdset_forced: *next_forced,
                     };
-                    hooks.degraded(&report);
+                    if let Some(t) = run.ctx.tracer {
+                        t.instant(
+                            "degraded",
+                            "pipeline",
+                            vec![
+                                ("func".to_string(), report.func.as_str().into()),
+                                ("missing".to_string(), report.missing.as_str().into()),
+                                (
+                                    "retry_rotation".to_string(),
+                                    (report.retry_rotation as u64).into(),
+                                ),
+                                (
+                                    "stdset_forced".to_string(),
+                                    u64::from(report.stdset_forced).into(),
+                                ),
+                            ],
+                        );
+                        t.count("pipeline.degradations", 1);
+                    }
                     degradations.push(report);
                 }
             }
@@ -616,16 +659,16 @@ fn protect_binary_impl(
 
 /// One end-to-end pipeline attempt (steps 1–5 of the module docs).
 /// Returns the final image plus report ingredients.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+#[allow(clippy::type_complexity)]
 fn run_pipeline(
     mut prog: Program,
     verify_impls: &[Function],
     cfg: &ProtectConfig,
     rw_cfg: &RewriteConfig,
-    plan: &FaultPlan,
-    hooks: &dyn PipelineHooks,
-    trace: Option<&Tracer>,
+    run: &Run<'_>,
 ) -> Result<(LinkedImage, RewriteReport, Vec<ChainInfo>, usize), ProtectError> {
+    let ctx = run.ctx;
+    let (store, trace, plan) = (ctx.store, ctx.tracer, ctx.faults);
     let get_impl = |name: &str| -> Result<&Function, ProtectError> {
         verify_impls
             .iter()
@@ -634,7 +677,7 @@ fn run_pipeline(
     };
 
     // 1. Install chain generators for dynamic modes (stage: Load).
-    let gens = timed(hooks, Stage::Load, || -> Result<_, ProtectError> {
+    let gens = run.timed(Stage::Load, || -> Result<_, ProtectError> {
         let mut gens = Vec::new();
         for f in cfg.verify_funcs.clone() {
             let gen = install_generator_binary(&mut prog, &f, &cfg.mode)?;
@@ -654,16 +697,16 @@ fn run_pipeline(
     };
     plan.apply_pre_rewrite(&mut prog);
     let jobs = cfg.resolved_jobs();
-    let use_func_cache = hooks.has_func_cache();
-    let func_cache = HookFuncCache { hooks };
+    let use_func_cache = store.has_func_cache();
+    let func_store = FuncStore(&ctx);
     let rw_cache: Option<&dyn FuncRewriteCache> =
-        use_func_cache.then_some(&func_cache as &dyn FuncRewriteCache);
-    let rewrites = timed(hooks, Stage::Rewrite, || {
+        use_func_cache.then_some(&func_store as &dyn FuncRewriteCache);
+    let rewrites = run.timed(Stage::Rewrite, || {
         protect_program_parallel(&mut prog, &targets, rw_cfg, jobs, rw_cache, trace)
     })?;
 
     // 3. Runtime, frames, stubs, placeholders (stage: Load).
-    let load_block = StageBlock::begin(hooks, Stage::Load);
+    let load_block = run.stage(Stage::Load);
     install_runtime(&mut prog);
     prog.add_bss("__plx_scratch", 4096);
     for (f, gen) in &gens {
@@ -732,10 +775,10 @@ fn run_pipeline(
 
     // 4. Fixpoint pass 1: discover chain sizes (stages: Link,
     // GadgetScan, Map, ChainCompile).
-    let img1 = timed(hooks, Stage::Link, || prog.link())?;
-    let map1 = scan_gadgets(&img1, plan, hooks, jobs, trace)?;
+    let img1 = run.timed(Stage::Link, || prog.link())?;
+    let map1 = scan_gadgets(&img1, run, jobs)?;
     let ranges1 = target_ranges(&img1, &targets);
-    let chain1_block = StageBlock::begin(hooks, Stage::ChainCompile);
+    let chain1_block = run.stage(Stage::ChainCompile);
     let scratch1 = symbol_vaddr(&img1, "__plx_scratch")?;
     let guards1 = guard_addrs(&img1, &map1, &cfg.guard_funcs);
     let ctx1 = use_func_cache.then(|| chain_ctx_material(&map1, &img1, scratch1, &guards1));
@@ -747,7 +790,7 @@ fn run_pipeline(
         let fp = ctx1
             .as_ref()
             .map(|c| chain_fingerprint(c, func, frame, &policy));
-        let words = match fp.as_ref().and_then(|fp| hooks.cached_chain(fp)) {
+        let words = match fp.as_ref().and_then(|fp| func_store.cached_chain(fp)) {
             Some(art) => art.words,
             None => {
                 let compiled = compile_chain_traced(
@@ -757,7 +800,7 @@ fn run_pipeline(
                 if let Some(fp) = &fp {
                     // Sizing artifact: no final layout exists yet, so
                     // the serialized form stays empty.
-                    hooks.store_chain(
+                    store.store_chain(
                         fp,
                         &ChainArtifact {
                             words: compiled.chain.len(),
@@ -779,7 +822,7 @@ fn run_pipeline(
     drop(chain1_block);
 
     // Size the per-chain data objects (stage: Map).
-    let map_block = StageBlock::begin(hooks, Stage::Map);
+    let map_block = run.stage(Stage::Map);
     for ((f, _gen), (words, blob_cap)) in gens.iter().zip(&sizes) {
         let bytes = words * 4;
         match &cfg.mode {
@@ -799,11 +842,11 @@ fn run_pipeline(
     drop(map_block);
 
     // 5. Fixpoint pass 2: final layout; recompile, serialize, install.
-    let img2 = timed(hooks, Stage::Link, || prog.link())?;
-    let map2 = scan_gadgets(&img2, plan, hooks, jobs, trace)?;
+    let img2 = run.timed(Stage::Link, || prog.link())?;
+    let map2 = scan_gadgets(&img2, run, jobs)?;
     let ranges2 = target_ranges(&img2, &targets);
     let range_index = RangeSet::new(&ranges2);
-    let chain2_block = StageBlock::begin(hooks, Stage::ChainCompile);
+    let chain2_block = run.stage(Stage::ChainCompile);
     let scratch2 = symbol_vaddr(&img2, "__plx_scratch")?;
     let guards2 = guard_addrs(&img2, &map2, &cfg.guard_funcs);
     let ctx2 = use_func_cache.then(|| chain_ctx_material(&map2, &img2, scratch2, &guards2));
@@ -847,8 +890,7 @@ fn run_pipeline(
             &ranges2,
             &guards2,
             ctx2.as_deref(),
-            hooks,
-            trace,
+            &ctx,
         );
         (out, t0.elapsed().as_micros() as u64)
     });
@@ -980,7 +1022,7 @@ fn run_pipeline(
     }
     drop(chain2_block);
 
-    let image = timed(hooks, Stage::Link, || prog.link())?;
+    let image = run.timed(Stage::Link, || prog.link())?;
     debug_assert_eq!(image.text, img2.text, "text stable across final fill");
 
     // Post-link self-check: the final image must satisfy every
@@ -990,7 +1032,7 @@ fn run_pipeline(
     let mut gadget_vaddrs: Vec<u32> = map2.gadgets().iter().map(|g| g.vaddr).collect();
     gadget_vaddrs.sort_unstable();
     gadget_vaddrs.dedup();
-    timed(hooks, Stage::Verify, || {
+    run.timed(Stage::Verify, || {
         verify_image_strict(&image, &gadget_vaddrs)
     })
     .map_err(|e| ProtectError::new(Stage::Verify, ErrorKind::Verify(e)))?;
@@ -998,20 +1040,57 @@ fn run_pipeline(
     Ok((image, rewrites, chains, map2.gadgets().len()))
 }
 
-/// Adapts the pipeline's hook seam to the rewrite crate's
-/// [`FuncRewriteCache`] trait, so pass-1 artifacts flow through
-/// whatever store the hooks provide.
-struct HookFuncCache<'a> {
-    hooks: &'a dyn PipelineHooks,
+/// The artifact store's per-function seams as the pipeline and the
+/// rewrite and gadget crates query them, each lookup counted on the
+/// tracer. Rewrite and chain lookups also add to the
+/// `cache.func.{hit,miss}` totals; verdict lookups, hundreds per scan,
+/// are kept apart.
+struct FuncStore<'a>(&'a Ctx<'a>);
+
+impl FuncStore<'_> {
+    fn count(&self, kind: &str, hit: bool) {
+        let Some(t) = self.0.tracer else { return };
+        let names: &[&str] = match (kind, hit) {
+            ("rewritten", true) => &["cache.func.hit", "cache.func.rewritten.hit"],
+            ("rewritten", false) => &["cache.func.miss", "cache.func.rewritten.miss"],
+            ("chain", true) => &["cache.func.hit", "cache.func.chain.hit"],
+            ("chain", false) => &["cache.func.miss", "cache.func.chain.miss"],
+            (_, true) => &["cache.func.verdict.hit"],
+            (_, false) => &["cache.func.verdict.miss"],
+        };
+        for name in names {
+            t.count(name, 1);
+        }
+    }
+
+    fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
+        let art = self.0.store.cached_chain(fingerprint);
+        self.count("chain", art.is_some());
+        art
+    }
 }
 
-impl FuncRewriteCache for HookFuncCache<'_> {
+impl FuncRewriteCache for FuncStore<'_> {
     fn fetch_rewritten(&self, fingerprint: &[u8]) -> Option<FuncRewriteOutcome> {
-        self.hooks.cached_rewritten_func(fingerprint)
+        let out = self.0.store.cached_rewritten_func(fingerprint);
+        self.count("rewritten", out.is_some());
+        out
     }
 
     fn store_rewritten(&self, fingerprint: &[u8], outcome: &FuncRewriteOutcome) {
-        self.hooks.store_rewritten_func(fingerprint, outcome)
+        self.0.store.store_rewritten_func(fingerprint, outcome)
+    }
+}
+
+impl ValidationCache for FuncStore<'_> {
+    fn fetch_verdict(&self, key: &[u8]) -> Option<Option<parallax_gadgets::Gadget>> {
+        let out = self.0.store.cached_verdict(key);
+        self.count("verdict", out.is_some());
+        out
+    }
+
+    fn store_verdict(&self, key: &[u8], verdict: &Option<parallax_gadgets::Gadget>) {
+        self.0.store.store_verdict(key, verdict)
     }
 }
 
@@ -1082,12 +1161,11 @@ fn compile_variant(
     ranges: &[(u32, u32)],
     guards: &[u32],
     ctx_material: Option<&[u8]>,
-    hooks: &dyn PipelineHooks,
-    trace: Option<&Tracer>,
+    ctx: &Ctx<'_>,
 ) -> Result<ChainArtifact, ProtectError> {
     let policy = policy_for(cfg, ranges, i as u64, v as u64);
     let fp = ctx_material.map(|c| chain_fingerprint(c, gctx.func, gctx.frame, &policy));
-    if let Some(art) = fp.as_ref().and_then(|fp| hooks.cached_chain(fp)) {
+    if let Some(art) = fp.as_ref().and_then(|fp| FuncStore(ctx).cached_chain(fp)) {
         if !art.bytes.is_empty() {
             if art.words != gctx.words {
                 return Err(ProtectError::new(
@@ -1099,7 +1177,7 @@ fn compile_variant(
         }
     }
     let compiled = compile_chain_traced(
-        gctx.func, map, img, gctx.frame, scratch, policy, guards, trace,
+        gctx.func, map, img, gctx.frame, scratch, policy, guards, ctx.tracer,
     )
     .map_err(|e| ProtectError::chain_for(gctx.name, e))?;
     if compiled.chain.len() != gctx.words {
@@ -1119,77 +1197,74 @@ fn compile_variant(
         bytes,
     };
     if let Some(fp) = &fp {
-        hooks.store_chain(fp, &art);
+        ctx.store.store_chain(fp, &art);
     }
     Ok(art)
 }
 
-/// An in-flight pipeline stage block. [`StageBlock::begin`] fires
-/// [`PipelineHooks::stage_started`]; dropping the guard fires
-/// [`PipelineHooks::stage_completed`] with the elapsed wall time —
-/// including on early (`?`) exits, so span-building hooks never see an
-/// unmatched start.
-struct StageBlock<'a> {
-    hooks: &'a dyn PipelineHooks,
+/// An in-flight pipeline stage block: a `stage` span on the tracer
+/// while it runs, one stage-log entry when it drops — including on
+/// early (`?`) exits, so every span is closed.
+struct StageBlock<'r> {
+    log: &'r RefCell<Vec<(Stage, Duration)>>,
     stage: Stage,
     t0: Instant,
-}
-
-impl<'a> StageBlock<'a> {
-    fn begin(hooks: &'a dyn PipelineHooks, stage: Stage) -> StageBlock<'a> {
-        hooks.stage_started(stage);
-        StageBlock {
-            hooks,
-            stage,
-            t0: Instant::now(),
-        }
-    }
+    _span: Option<SpanGuard<'r>>,
 }
 
 impl Drop for StageBlock<'_> {
     fn drop(&mut self) {
-        self.hooks.stage_completed(self.stage, self.t0.elapsed());
+        self.log.borrow_mut().push((self.stage, self.t0.elapsed()));
     }
 }
 
-/// Times one stage block and reports it to the hooks.
-fn timed<T>(hooks: &dyn PipelineHooks, stage: Stage, f: impl FnOnce() -> T) -> T {
-    let block = StageBlock::begin(hooks, stage);
-    let out = f();
-    drop(block);
-    out
+impl Run<'_> {
+    fn stage(&self, stage: Stage) -> StageBlock<'_> {
+        let span = self.ctx.tracer.map(|t| t.span(&stage.to_string(), "stage"));
+        StageBlock {
+            log: &self.log,
+            stage,
+            t0: Instant::now(),
+            _span: span,
+        }
+    }
+
+    /// Runs `f` as one stage block.
+    fn timed<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let _block = self.stage(stage);
+        f()
+    }
 }
 
 /// Gadget discovery with a typed [`Stage::GadgetScan`] error when the
 /// image yields nothing usable (or the fault plan empties the scan).
-/// Consults the hooks' content-addressed scan cache first — two jobs
+/// Consults the store's content-addressed scan cache first — two jobs
 /// whose pipelines link a byte-identical intermediate image (e.g. the
 /// same program protected under different seeds) share one scan.
-fn scan_gadgets(
-    img: &LinkedImage,
-    plan: &FaultPlan,
-    hooks: &dyn PipelineHooks,
-    jobs: usize,
-    trace: Option<&Tracer>,
-) -> Result<GadgetMap, ProtectError> {
-    let block = StageBlock::begin(hooks, Stage::GadgetScan);
-    let gadgets = if plan.empties_gadget_scan() {
+fn scan_gadgets(img: &LinkedImage, run: &Run<'_>, jobs: usize) -> Result<GadgetMap, ProtectError> {
+    let ctx = &run.ctx;
+    let block = run.stage(Stage::GadgetScan);
+    let gadgets = if ctx.faults.empties_gadget_scan() {
         Vec::new()
     } else {
-        match hooks.cached_scan(img) {
+        match ctx.store.cached_scan(img) {
             Some(cached) if !cached.is_empty() => cached,
             _ => {
                 // Whole-image scan missed (e.g. one function edited):
-                // fall back to the hooks' per-candidate verdict memo so
+                // fall back to the store's per-candidate verdict memo so
                 // only candidates whose bytes changed are revalidated.
-                let vcache = HookVerdictCache { hooks };
-                let vc = hooks
+                let vcache = FuncStore(ctx);
+                let vc = ctx
+                    .store
                     .has_func_cache()
                     .then_some(&vcache as &dyn ValidationCache);
                 let (fresh, stats, vstats) =
                     parallax_gadgets::find_gadgets_instrumented(img, jobs, vc);
-                hooks.scan_stats(&stats);
-                if let Some(t) = trace {
+                if let Some(t) = ctx.tracer {
+                    // Cache hits never report: no decoding happened.
+                    t.count("scan.decode.offsets", stats.offsets);
+                    t.count("scan.decode.once", stats.decoded);
+                    t.count("scan.decode.memo_hit", stats.memo_hits);
                     // Per-chunk probe-VM construction is pure setup
                     // cost that fan-out multiplies — attribute it so
                     // `plx profile` can rank it against real work.
@@ -1208,7 +1283,7 @@ fn scan_gadgets(
                         vstats.pool.export_to(t, "scan");
                     }
                 }
-                hooks.store_scan(img, &fresh);
+                ctx.store.store_scan(img, &fresh);
                 fresh
             }
         }
@@ -1221,22 +1296,6 @@ fn scan_gadgets(
         ));
     }
     Ok(GadgetMap::new(gadgets))
-}
-
-/// Routes the gadget scanner's per-candidate [`ValidationCache`]
-/// queries to the pipeline hooks' verdict store.
-struct HookVerdictCache<'a> {
-    hooks: &'a dyn PipelineHooks,
-}
-
-impl ValidationCache for HookVerdictCache<'_> {
-    fn fetch_verdict(&self, key: &[u8]) -> Option<Option<parallax_gadgets::Gadget>> {
-        self.hooks.cached_verdict(key)
-    }
-
-    fn store_verdict(&self, key: &[u8], verdict: &Option<parallax_gadgets::Gadget>) {
-        self.hooks.store_verdict(key, verdict)
-    }
 }
 
 /// The static data item that carries a chain's verification material.

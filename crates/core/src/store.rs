@@ -1,38 +1,31 @@
-//! Pipeline instrumentation and artifact-reuse seams.
+//! The pipeline's artifact store.
 //!
 //! The batch-protection engine (`parallax-engine`) runs many
-//! [`protect`](crate::protect) jobs concurrently and wants to (a) reuse
+//! [`protect_with`](crate::protect_with) jobs concurrently and reuses
 //! expensive intermediate artifacts across jobs that share an input
-//! image and (b) attribute wall time to pipeline [`Stage`]s. Rather
-//! than threading an engine type through the pipeline, the pipeline
-//! calls out through the [`PipelineHooks`] trait at well-defined seams:
+//! image. Rather than threading an engine type through the pipeline,
+//! the pipeline offers every such artifact to an [`ArtifactStore`]
+//! before computing it and after computing it:
 //!
-//! * **gadget scans** — before scanning a linked image the pipeline
-//!   offers the image to [`PipelineHooks::cached_scan`]; a `Some`
-//!   answer skips [`find_gadgets`](parallax_gadgets::find_gadgets)
-//!   entirely. Implementations key their store by a *content hash of
-//!   the image bytes*, so a stale or cross-wired entry can never be
-//!   returned for the wrong image.
-//! * **Figure-6 coverage** — the per-rule protectability analysis runs
-//!   on the *unprotected* image, which is shared by every job that
-//!   protects the same program (whatever the chain mode or seed).
-//! * **stage timing** — [`PipelineHooks::stage_completed`] receives
-//!   the wall time of each stage block as it finishes, including
-//!   repeats across degradation-ladder retries.
-//! * **degradations** — surfaced as they happen, so a live progress
-//!   display can show them before the job finishes.
+//! * **gadget scans** — keyed by the *content* of the linked image, so
+//!   a stale or cross-wired entry can never be returned for the wrong
+//!   image; a hit skips [`find_gadgets`](parallax_gadgets::find_gadgets)
+//!   entirely.
+//! * **Figure-6 coverage** — measured on the *unprotected* image, which
+//!   is shared by every job that protects the same program (whatever
+//!   the chain mode or seed).
+//! * **per-function artifacts** — pass-1 rewrites, compiled chains and
+//!   per-candidate validation verdicts, keyed by fingerprints that pin
+//!   everything the artifact depends on.
 //!
-//! All hook methods default to no-ops; [`NoHooks`] is the pipeline's
-//! default implementation, and `protect`/`protect_binary` route through
-//! it so the hooked and unhooked paths are the same code.
+//! The store only stores. Stage timing, degradations and cache
+//! hit/miss counts go to the run's tracer (see [`crate::Ctx`]).
+//! [`NoStore`] caches nothing and is what [`protect`](crate::protect())
+//! uses.
 
-use std::time::Duration;
-
-use parallax_gadgets::{Gadget, ScanStats};
+use parallax_gadgets::Gadget;
 use parallax_image::LinkedImage;
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
-
-use crate::protect::{DegradationReport, Stage};
 
 /// A cached compiled-chain artifact: what one `(function, variant)`
 /// chain compilation produced, detached from the image it was compiled
@@ -54,10 +47,11 @@ pub struct ChainArtifact {
     pub bytes: Vec<u8>,
 }
 
-/// Observation and artifact-reuse callbacks for the protection
-/// pipeline. Implementations must be `Send + Sync`: one hooks value may
-/// be shared by many concurrent pipeline runs.
-pub trait PipelineHooks: Send + Sync {
+/// Get/put access to reusable pipeline artifacts. Implementations must
+/// be `Send + Sync`: one store may be shared by many concurrent
+/// pipeline runs, and chain compilation queries it from pool workers.
+/// Every method defaults to "not stored".
+pub trait ArtifactStore: Send + Sync {
     /// A previously computed gadget scan for an image with identical
     /// content, or `None` to run the scanner. Returning an empty vector
     /// is treated as a miss (an empty scan is an error condition the
@@ -69,11 +63,6 @@ pub trait PipelineHooks: Send + Sync {
     /// Offers a freshly computed gadget scan for reuse.
     fn store_scan(&self, _img: &LinkedImage, _gadgets: &[Gadget]) {}
 
-    /// Statistics from a fresh (non-cached) gadget scan. Tracing
-    /// implementations export these as `scan.decode.*` counters;
-    /// cache hits never report, since no decoding happened.
-    fn scan_stats(&self, _stats: &ScanStats) {}
-
     /// A previously computed Figure-6 coverage analysis for an image
     /// with identical content, or `None` to run the analysis.
     fn cached_coverage(&self, _img: &LinkedImage) -> Option<Coverage> {
@@ -83,25 +72,10 @@ pub trait PipelineHooks: Send + Sync {
     /// Offers a freshly computed coverage analysis for reuse.
     fn store_coverage(&self, _img: &LinkedImage, _coverage: &Coverage) {}
 
-    /// A pipeline stage block is starting. Every call is paired with a
-    /// later [`PipelineHooks::stage_completed`] for the same stage on
-    /// the same thread; stage blocks do not nest. Span-building
-    /// implementations (see `TracingHooks`) open a span here.
-    fn stage_started(&self, _stage: Stage) {}
-
-    /// A pipeline stage block finished after `elapsed` wall time.
-    /// Stages repeat across fixpoint passes and degradation retries;
-    /// implementations should accumulate.
-    fn stage_completed(&self, _stage: Stage, _elapsed: Duration) {}
-
-    /// The degradation ladder took a fallback.
-    fn degraded(&self, _report: &DegradationReport) {}
-
-    /// Whether this implementation actually backs the per-function
-    /// artifact methods below with a store. The pipeline skips
-    /// fingerprint computation (and tracing adapters skip hit/miss
-    /// counting) when this is `false`, so cacheless runs pay nothing
-    /// and report no misleading all-miss counters.
+    /// Whether this store backs the per-function artifact methods
+    /// below. The pipeline computes no fingerprints (and counts no
+    /// `cache.func.*` traffic) when this is `false`, so storeless runs
+    /// pay nothing and report no misleading all-miss counters.
     fn has_func_cache(&self) -> bool {
         false
     }
@@ -138,8 +112,8 @@ pub trait PipelineHooks: Send + Sync {
     fn store_verdict(&self, _key: &[u8], _verdict: &Option<Gadget>) {}
 }
 
-/// The default hooks: observe nothing, cache nothing.
+/// The store that stores nothing.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NoHooks;
+pub struct NoStore;
 
-impl PipelineHooks for NoHooks {}
+impl ArtifactStore for NoStore {}

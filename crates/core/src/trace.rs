@@ -1,185 +1,16 @@
-//! Pipeline tracing: turns [`PipelineHooks`] stage callbacks into
-//! hierarchical [`parallax_trace`] spans.
-//!
-//! The pipeline itself only knows about hooks; [`TracingHooks`] is the
-//! adapter that listens on the `stage_started`/`stage_completed` seam
-//! and opens/closes one span per stage block (named after the
-//! [`Stage`], in the `stage` category lane). Because the span is
-//! opened on the pipeline's own thread, any spans the inner layers
-//! open while the stage runs — rewrite passes, per-chain compiles —
-//! nest under it automatically.
-//!
-//! All other hook methods delegate to a wrapped inner implementation,
-//! so tracing composes with the batch engine's cache hooks.
+//! VM-side chain telemetry: [`ChainTracer`] builders that attribute
+//! gadget dispatches in a protected image to their verification
+//! functions. Pipeline-side telemetry needs no adapter — the pipeline
+//! writes spans and counters straight to the run's tracer (see
+//! [`crate::Ctx`]).
 
 use std::collections::HashMap;
-use std::sync::Mutex;
-use std::time::Duration;
 
-use parallax_gadgets::{find_gadgets, Effect, Gadget, ScanStats};
+use parallax_gadgets::{find_gadgets, Effect};
 use parallax_image::LinkedImage;
-use parallax_rewrite::Coverage;
-use parallax_trace::{SpanId, Tracer};
 use parallax_vm::ChainTracer;
 
-use crate::hooks::{ChainArtifact, PipelineHooks};
-use crate::protect::{DegradationReport, Protected, Stage};
-use parallax_rewrite::FuncRewriteOutcome;
-
-/// [`PipelineHooks`] adapter that records each stage block as a span
-/// on a [`Tracer`], delegating everything to an inner hooks value.
-pub struct TracingHooks<'a> {
-    inner: &'a dyn PipelineHooks,
-    tracer: &'a Tracer,
-    open: Mutex<Vec<(Stage, SpanId)>>,
-}
-
-impl std::fmt::Debug for TracingHooks<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TracingHooks").finish_non_exhaustive()
-    }
-}
-
-impl<'a> TracingHooks<'a> {
-    /// Wraps `inner` so stage blocks also become spans on `tracer`.
-    pub fn new(inner: &'a dyn PipelineHooks, tracer: &'a Tracer) -> TracingHooks<'a> {
-        TracingHooks {
-            inner,
-            tracer,
-            open: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn open_spans(&self) -> std::sync::MutexGuard<'_, Vec<(Stage, SpanId)>> {
-        self.open.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl PipelineHooks for TracingHooks<'_> {
-    fn cached_scan(&self, img: &LinkedImage) -> Option<Vec<Gadget>> {
-        self.inner.cached_scan(img)
-    }
-
-    fn store_scan(&self, img: &LinkedImage, gadgets: &[Gadget]) {
-        self.inner.store_scan(img, gadgets)
-    }
-
-    fn scan_stats(&self, stats: &ScanStats) {
-        self.tracer.count("scan.decode.offsets", stats.offsets);
-        self.tracer.count("scan.decode.once", stats.decoded);
-        self.tracer.count("scan.decode.memo_hit", stats.memo_hits);
-        self.inner.scan_stats(stats)
-    }
-
-    fn cached_coverage(&self, img: &LinkedImage) -> Option<Coverage> {
-        self.inner.cached_coverage(img)
-    }
-
-    fn store_coverage(&self, img: &LinkedImage, coverage: &Coverage) {
-        self.inner.store_coverage(img, coverage)
-    }
-
-    fn stage_started(&self, stage: Stage) {
-        self.inner.stage_started(stage);
-        let id = self.tracer.enter(&stage.to_string(), "stage");
-        self.open_spans().push((stage, id));
-    }
-
-    fn stage_completed(&self, stage: Stage, elapsed: Duration) {
-        let id = {
-            let mut open = self.open_spans();
-            open.iter()
-                .rposition(|(s, _)| *s == stage)
-                .map(|pos| open.remove(pos).1)
-        };
-        if let Some(id) = id {
-            self.tracer.exit(id);
-        }
-        self.inner.stage_completed(stage, elapsed);
-    }
-
-    fn has_func_cache(&self) -> bool {
-        self.inner.has_func_cache()
-    }
-
-    fn cached_rewritten_func(&self, fingerprint: &[u8]) -> Option<FuncRewriteOutcome> {
-        let out = self.inner.cached_rewritten_func(fingerprint);
-        if self.inner.has_func_cache() {
-            match out {
-                Some(_) => {
-                    self.tracer.count("cache.func.hit", 1);
-                    self.tracer.count("cache.func.rewritten.hit", 1);
-                }
-                None => {
-                    self.tracer.count("cache.func.miss", 1);
-                    self.tracer.count("cache.func.rewritten.miss", 1);
-                }
-            }
-        }
-        out
-    }
-
-    fn store_rewritten_func(&self, fingerprint: &[u8], outcome: &FuncRewriteOutcome) {
-        self.inner.store_rewritten_func(fingerprint, outcome)
-    }
-
-    fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
-        let out = self.inner.cached_chain(fingerprint);
-        if self.inner.has_func_cache() {
-            match out {
-                Some(_) => {
-                    self.tracer.count("cache.func.hit", 1);
-                    self.tracer.count("cache.func.chain.hit", 1);
-                }
-                None => {
-                    self.tracer.count("cache.func.miss", 1);
-                    self.tracer.count("cache.func.chain.miss", 1);
-                }
-            }
-        }
-        out
-    }
-
-    fn store_chain(&self, fingerprint: &[u8], artifact: &ChainArtifact) {
-        self.inner.store_chain(fingerprint, artifact)
-    }
-
-    fn cached_verdict(&self, key: &[u8]) -> Option<Option<Gadget>> {
-        let out = self.inner.cached_verdict(key);
-        if self.inner.has_func_cache() {
-            match out {
-                Some(_) => self.tracer.count("cache.func.verdict.hit", 1),
-                None => self.tracer.count("cache.func.verdict.miss", 1),
-            }
-        }
-        out
-    }
-
-    fn store_verdict(&self, key: &[u8], verdict: &Option<Gadget>) {
-        self.inner.store_verdict(key, verdict)
-    }
-
-    fn degraded(&self, report: &DegradationReport) {
-        self.tracer.instant(
-            "degraded",
-            "pipeline",
-            vec![
-                ("func".to_string(), report.func.as_str().into()),
-                ("missing".to_string(), report.missing.as_str().into()),
-                (
-                    "retry_rotation".to_string(),
-                    (report.retry_rotation as u64).into(),
-                ),
-                (
-                    "stdset_forced".to_string(),
-                    u64::from(report.stdset_forced).into(),
-                ),
-            ],
-        );
-        self.tracer.count("pipeline.degradations", 1);
-        self.inner.degraded(report)
-    }
-}
+use crate::protect::Protected;
 
 /// The short kind label a gadget dispatch is tagged with (its primary
 /// effect's variant name, or `"Nop"` for pure filler).
@@ -253,38 +84,4 @@ pub fn chain_tracer_for_image(img: &LinkedImage) -> ChainTracer {
         }
     }
     ct
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hooks::NoHooks;
-
-    #[test]
-    fn stage_blocks_become_spans() {
-        let tracer = Tracer::new();
-        let hooks = TracingHooks::new(&NoHooks, &tracer);
-        hooks.stage_started(Stage::Select);
-        hooks.stage_completed(Stage::Select, Duration::from_micros(5));
-        hooks.stage_started(Stage::Link);
-        hooks.stage_completed(Stage::Link, Duration::from_micros(5));
-        let snap = tracer.snapshot();
-        let names: Vec<&str> = snap
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                parallax_trace::Event::Span { name, .. } => Some(name.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(names, vec!["select", "link"]);
-    }
-
-    #[test]
-    fn unmatched_completion_is_ignored() {
-        let tracer = Tracer::new();
-        let hooks = TracingHooks::new(&NoHooks, &tracer);
-        hooks.stage_completed(Stage::Map, Duration::ZERO);
-        assert!(tracer.snapshot().events.is_empty());
-    }
 }

@@ -5,7 +5,7 @@
 use parallax_compiler::ir::build::*;
 use parallax_compiler::{Function, Module};
 use parallax_core::{protect_traced, ProtectConfig};
-use parallax_trace::{chrome_json, Event, TraceFile, Tracer};
+use parallax_trace::{chrome_json, ArgValue, Event, TraceFile, Tracer};
 
 fn sample_module() -> Module {
     let mut m = Module::new();
@@ -152,4 +152,95 @@ fn traced_and_untraced_protect_agree() {
         "tracing must not perturb the protected image"
     );
     assert_eq!(plain.image.data, traced.image.data);
+}
+
+#[test]
+fn fresh_scans_count_decode_work() {
+    let tracer = Tracer::new();
+    let cfg = ProtectConfig {
+        verify_funcs: vec!["vf".into()],
+        ..ProtectConfig::default()
+    };
+    protect_traced(&sample_module(), &cfg, &tracer).expect("protect succeeds");
+    let tf = TraceFile::parse(&chrome_json(&tracer.snapshot())).expect("trace parses");
+    for name in [
+        "scan.decode.offsets",
+        "scan.decode.once",
+        "scan.decode.memo_hit",
+    ] {
+        assert!(tf.counters.contains_key(name), "missing counter {name:?}");
+    }
+    assert!(tf.counters["scan.decode.offsets"] >= 1);
+    assert!(tf.counters["scan.decode.once"] >= 1);
+}
+
+/// The starved configuration of the fault-injection suite: no gadget
+/// crafting and no standard set, so the degradation ladder must fall
+/// back at least once.
+fn starved() -> (Module, ProtectConfig) {
+    let mut m = Module::new();
+    m.func(Function::new("licensed", [], vec![ret(c(0))]));
+    m.func(Function::new(
+        "dead",
+        ["x"],
+        vec![ret(mul(add(l("x"), c(7)), c(3)))],
+    ));
+    m.func(Function::new(
+        "vf",
+        ["x"],
+        vec![ret(add(mul(l("x"), c(3)), c(1)))],
+    ));
+    m.func(Function::new(
+        "main",
+        [],
+        vec![ret(add(
+            call("vf", vec![c(5)]),
+            mul(call("licensed", vec![]), c(100)),
+        ))],
+    ));
+    m.entry("main");
+    let mut cfg = ProtectConfig {
+        verify_funcs: vec!["vf".into()],
+        guard_funcs: vec!["licensed".into()],
+        ..ProtectConfig::default()
+    };
+    cfg.rewrite.imm_rule = false;
+    cfg.rewrite.jump_rule = false;
+    cfg.rewrite.internal_jump_rule = false;
+    cfg.rewrite.stdset = false;
+    (m, cfg)
+}
+
+#[test]
+fn every_degradation_is_one_instant_and_one_count() {
+    let (m, cfg) = starved();
+    let tracer = Tracer::new();
+    let protected = protect_traced(&m, &cfg, &tracer).expect("ladder recovers");
+    let degr = &protected.report.degradations;
+    assert!(!degr.is_empty(), "starved build must degrade");
+
+    let tf = TraceFile::parse(&chrome_json(&tracer.snapshot())).expect("trace parses");
+    let instants: Vec<_> = tf
+        .instants
+        .iter()
+        .filter(|i| i.name == "degraded")
+        .collect();
+    assert_eq!(instants.len(), degr.len());
+    for (inst, d) in instants.iter().zip(degr) {
+        let arg = |k: &str| {
+            inst.args
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.clone())
+                .unwrap_or_else(|| panic!("degraded instant missing arg {k:?}"))
+        };
+        assert_eq!(arg("func"), ArgValue::from(d.func.as_str()));
+        assert_eq!(arg("missing"), ArgValue::from(d.missing.as_str()));
+        assert_eq!(arg("retry_rotation"), ArgValue::from(d.retry_rotation));
+        assert_eq!(
+            arg("stdset_forced"),
+            ArgValue::from(u64::from(d.stdset_forced))
+        );
+    }
+    assert_eq!(tf.counters["pipeline.degradations"], degr.len() as u64);
 }

@@ -23,6 +23,8 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use parallax_image::{format, LinkedImage};
+
 use crate::hash::hash128;
 
 /// What kind of artifact a cache entry holds (part of the key: the
@@ -77,6 +79,21 @@ pub struct Key {
 }
 
 impl Key {
+    /// The key of an artifact determined by the bytes of `input` (a
+    /// function fingerprint, a candidate's verdict key, ...).
+    pub fn of(kind: ArtifactKind, input: &[u8]) -> Key {
+        Key {
+            kind,
+            hash: hash128(input),
+        }
+    }
+
+    /// The key of a whole-image artifact (scan, coverage): the hash of
+    /// the image's container bytes.
+    pub fn of_image(kind: ArtifactKind, img: &LinkedImage) -> Key {
+        Key::of(kind, &format::save(img))
+    }
+
     fn file_name(&self) -> String {
         format!("{}-{:032x}.plxc", self.kind.name(), self.hash)
     }

@@ -17,12 +17,12 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parallax_compiler::{compile_module, Module};
 use parallax_core::{
-    classify_outcome, load_verified_image, protect_binary_traced, run_baseline, Baseline,
-    ChainArtifact, DegradationReport, FaultPlan, PipelineHooks, ProtectConfig, Stage, Verdict,
+    classify_outcome, load_verified_image, protect_with, run_baseline, ArtifactStore, Baseline,
+    ChainArtifact, Ctx, FaultPlan, ProtectConfig, Verdict,
 };
 use parallax_corpus::by_name;
 use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget};
@@ -39,7 +39,9 @@ use crate::cache::{ArtifactCache, ArtifactKind, Fetch, Key};
 use crate::events::{EngineEvent, EventSink, ShedReason};
 use crate::hash::{hash128, hash128_pair};
 use crate::metrics::MetricsSnapshot;
-use crate::provenance::{toolchain_id, Ledger, ProvenanceHooks, ProvenanceRecord, RECORD_VERSION};
+use crate::provenance::{
+    toolchain_id, Digests, Ledger, ProvenanceRecord, StageDigest, RECORD_VERSION,
+};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -350,14 +352,7 @@ impl Engine {
         };
         let input = job.input.clone().unwrap_or(default_input);
 
-        let mut verify_impls = Vec::new();
-        for f in &cfg.verify_funcs {
-            let func = module
-                .get_func(f)
-                .cloned()
-                .ok_or_else(|| format!("no such function '{f}'"))?;
-            verify_impls.push(func);
-        }
+        let verify_impls = cfg.verify_impls(&module).map_err(|e| e.to_string())?;
         let prog = compile_module(&module).map_err(|e| format!("compile: {e:?}"))?;
         let base_img = prog.link().map_err(|e| format!("link: {e:?}"))?;
         let base_bytes = format::save(&base_img);
@@ -433,17 +428,35 @@ impl Engine {
         let (image_bytes, gadget_count, chains, degradations, cached) = match fetched {
             Some(a) => (a.image, a.gadget_count, a.chains, a.degradations, true),
             None => {
-                let hooks = CacheHooks::new(idx, &self.cache, Some(sink));
-                let phooks = ProvenanceHooks::new(&hooks);
-                let protected = protect_binary_traced(
-                    prog,
-                    &verify_impls,
-                    &cfg,
-                    &job.plan,
-                    &phooks,
-                    self.opts.trace.as_deref(),
-                )
-                .map_err(|e| e.to_string())?;
+                let store = CacheHooks::new(idx, &self.cache, Some(sink));
+                let ctx = Ctx {
+                    store: &store,
+                    tracer: self.opts.trace.as_deref(),
+                    faults: &job.plan,
+                };
+                let run = protect_with(prog, &verify_impls, &cfg, &ctx);
+                // Stage times and fallbacks come back with the run,
+                // failed or not.
+                let (stage_log, degradations) = match &run {
+                    Ok(p) => (&p.report.stage_log[..], &p.report.degradations[..]),
+                    Err(e) => (&e.stage_log[..], &e.degradations[..]),
+                };
+                for &(stage, elapsed) in stage_log {
+                    sink.emit(&EngineEvent::StageCompleted {
+                        job: idx,
+                        stage,
+                        micros: elapsed.as_micros() as u64,
+                    });
+                }
+                for d in degradations {
+                    sink.emit(&EngineEvent::Degraded {
+                        job: idx,
+                        func: d.func.clone(),
+                        missing: d.missing.clone(),
+                        stdset_forced: d.stdset_forced,
+                    });
+                }
+                let protected = run.map_err(|e| e.to_string())?;
                 let image_bytes = format::save(&protected.image);
                 self.cache
                     .store(pkey, encode_protected(&image_bytes, &protected.report));
@@ -457,7 +470,7 @@ impl Engine {
                             cfg.key_normalized(),
                             job.plan.without_cache_faults()
                         ),
-                        stages: phooks.stage_digests(),
+                        stages: store.stage_digests(),
                         image_hash: hash128(&image_bytes),
                     };
                     // A failed ledger write never fails the job: the
@@ -575,55 +588,67 @@ impl Engine {
     }
 }
 
-/// Per-job [`PipelineHooks`] backed by the shared [`ArtifactCache`]:
+/// Per-job [`ArtifactStore`] backed by the shared [`ArtifactCache`]:
 /// routes the pipeline's artifact seams — whole-image scans and
 /// coverage plus function-grained rewrite and chain artifacts — to the
-/// cache and, when an event sink is attached, its telemetry seams to
-/// [`EngineEvent`]s.
+/// cache, reports cache traffic to an event sink when one is attached,
+/// and digests every artifact it serves or stores for the job's
+/// provenance record.
 pub struct CacheHooks<'a, 'cb> {
     job: usize,
     cache: &'a ArtifactCache,
     sink: Option<&'a EventSink<'cb>>,
+    digests: Digests,
 }
 
 impl<'a, 'cb> CacheHooks<'a, 'cb> {
-    /// Hooks for job `job` backed by `cache`; cache traffic is reported
+    /// Store for job `job` backed by `cache`; cache traffic is reported
     /// to `sink` when one is given.
     pub fn new(job: usize, cache: &'a ArtifactCache, sink: Option<&'a EventSink<'cb>>) -> Self {
-        CacheHooks { job, cache, sink }
-    }
-
-    fn key_for(&self, kind: ArtifactKind, img: &LinkedImage) -> Key {
-        Key {
-            kind,
-            hash: hash128(&format::save(img)),
+        CacheHooks {
+            job,
+            cache,
+            sink,
+            digests: Digests::default(),
         }
     }
 
-    fn fetch(&self, key: Key) -> Option<Vec<u8>> {
-        match self.cache.fetch(key) {
+    /// Digests of every artifact served or stored so far, sorted by
+    /// kind (see [`Digests`]).
+    pub fn stage_digests(&self) -> Vec<StageDigest> {
+        self.digests.stage_digests()
+    }
+
+    /// Fetches `key`, digesting the artifact when `decode` accepts it.
+    fn fetch<T>(&self, key: Key, decode: impl FnOnce(&[u8]) -> Option<T>) -> Option<T> {
+        let ev = match self.cache.fetch(key) {
             Fetch::Hit(payload) => {
                 self.emit(&EngineEvent::CacheHit {
                     job: self.job,
                     kind: key.kind,
                 });
-                Some(payload)
+                let out = decode(&payload);
+                if out.is_some() {
+                    self.digests.absorb(key);
+                }
+                return out;
             }
-            Fetch::Poisoned => {
-                self.emit(&EngineEvent::CachePoisoned {
-                    job: self.job,
-                    kind: key.kind,
-                });
-                None
-            }
-            Fetch::Miss => {
-                self.emit(&EngineEvent::CacheMiss {
-                    job: self.job,
-                    kind: key.kind,
-                });
-                None
-            }
-        }
+            Fetch::Poisoned => EngineEvent::CachePoisoned {
+                job: self.job,
+                kind: key.kind,
+            },
+            Fetch::Miss => EngineEvent::CacheMiss {
+                job: self.job,
+                kind: key.kind,
+            },
+        };
+        self.emit(&ev);
+        None
+    }
+
+    fn store(&self, key: Key, payload: Vec<u8>) {
+        self.digests.absorb(key);
+        self.cache.store(key, payload);
     }
 
     fn emit(&self, ev: &EngineEvent) {
@@ -633,27 +658,27 @@ impl<'a, 'cb> CacheHooks<'a, 'cb> {
     }
 }
 
-impl PipelineHooks for CacheHooks<'_, '_> {
+impl ArtifactStore for CacheHooks<'_, '_> {
     fn cached_scan(&self, img: &LinkedImage) -> Option<Vec<Gadget>> {
-        let payload = self.fetch(self.key_for(ArtifactKind::Scan, img))?;
-        deserialize_gadgets(&payload).filter(|g| !g.is_empty())
+        self.fetch(Key::of_image(ArtifactKind::Scan, img), |p| {
+            deserialize_gadgets(p).filter(|g| !g.is_empty())
+        })
     }
 
     fn store_scan(&self, img: &LinkedImage, gadgets: &[Gadget]) {
-        self.cache.store(
-            self.key_for(ArtifactKind::Scan, img),
+        self.store(
+            Key::of_image(ArtifactKind::Scan, img),
             serialize_gadgets(gadgets),
         );
     }
 
     fn cached_coverage(&self, img: &LinkedImage) -> Option<Coverage> {
-        let payload = self.fetch(self.key_for(ArtifactKind::Coverage, img))?;
-        decode_coverage(&payload)
+        self.fetch(Key::of_image(ArtifactKind::Coverage, img), decode_coverage)
     }
 
     fn store_coverage(&self, img: &LinkedImage, coverage: &Coverage) {
-        self.cache.store(
-            self.key_for(ArtifactKind::Coverage, img),
+        self.store(
+            Key::of_image(ArtifactKind::Coverage, img),
             encode_coverage(coverage),
         );
     }
@@ -663,37 +688,29 @@ impl PipelineHooks for CacheHooks<'_, '_> {
     }
 
     fn cached_rewritten_func(&self, fingerprint: &[u8]) -> Option<FuncRewriteOutcome> {
-        let payload = self.fetch(Key {
-            kind: ArtifactKind::RewrittenFunc,
-            hash: hash128(fingerprint),
-        })?;
-        decode_rewritten_func(&payload)
+        self.fetch(
+            Key::of(ArtifactKind::RewrittenFunc, fingerprint),
+            decode_rewritten_func,
+        )
     }
 
     fn store_rewritten_func(&self, fingerprint: &[u8], outcome: &FuncRewriteOutcome) {
-        self.cache.store(
-            Key {
-                kind: ArtifactKind::RewrittenFunc,
-                hash: hash128(fingerprint),
-            },
+        self.store(
+            Key::of(ArtifactKind::RewrittenFunc, fingerprint),
             encode_rewritten_func(outcome),
         );
     }
 
     fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
-        let payload = self.fetch(Key {
-            kind: ArtifactKind::CompiledChain,
-            hash: hash128(fingerprint),
-        })?;
-        decode_chain(&payload)
+        self.fetch(
+            Key::of(ArtifactKind::CompiledChain, fingerprint),
+            decode_chain,
+        )
     }
 
     fn store_chain(&self, fingerprint: &[u8], artifact: &ChainArtifact) {
-        self.cache.store(
-            Key {
-                kind: ArtifactKind::CompiledChain,
-                hash: hash128(fingerprint),
-            },
+        self.store(
+            Key::of(ArtifactKind::CompiledChain, fingerprint),
             encode_chain(artifact),
         );
     }
@@ -701,16 +718,14 @@ impl PipelineHooks for CacheHooks<'_, '_> {
     // Verdicts bypass `self.fetch` on purpose: there are hundreds of
     // candidates per scan, and emitting a cache event for each would
     // drown the sink. Their traffic shows up as `cache.func.verdict.*`
-    // counters via the tracing adapter instead. A rejected candidate is
-    // cached as an empty gadget list, distinct from a miss.
+    // counters on the pipeline's tracer instead. A rejected candidate
+    // is cached as an empty gadget list, distinct from a miss.
     fn cached_verdict(&self, key: &[u8]) -> Option<Option<Gadget>> {
-        let vkey = Key {
-            kind: ArtifactKind::GadgetVerdict,
-            hash: hash128(key),
-        };
+        let vkey = Key::of(ArtifactKind::GadgetVerdict, key);
         match self.cache.fetch(vkey) {
             Fetch::Hit(payload) => {
                 let gadgets = deserialize_gadgets(&payload)?;
+                self.digests.absorb(vkey);
                 Some(gadgets.into_iter().next())
             }
             Fetch::Poisoned | Fetch::Miss => None,
@@ -719,29 +734,9 @@ impl PipelineHooks for CacheHooks<'_, '_> {
 
     fn store_verdict(&self, key: &[u8], verdict: &Option<Gadget>) {
         let gadgets: Vec<Gadget> = verdict.iter().cloned().collect();
-        self.cache.store(
-            Key {
-                kind: ArtifactKind::GadgetVerdict,
-                hash: hash128(key),
-            },
+        self.store(
+            Key::of(ArtifactKind::GadgetVerdict, key),
             serialize_gadgets(&gadgets),
         );
-    }
-
-    fn stage_completed(&self, stage: Stage, elapsed: Duration) {
-        self.emit(&EngineEvent::StageCompleted {
-            job: self.job,
-            stage,
-            micros: elapsed.as_micros() as u64,
-        });
-    }
-
-    fn degraded(&self, report: &DegradationReport) {
-        self.emit(&EngineEvent::Degraded {
-            job: self.job,
-            func: report.func.clone(),
-            missing: report.missing.clone(),
-            stdset_forced: report.stdset_forced,
-        });
     }
 }

@@ -46,5 +46,5 @@ pub use hash::{hash128, hash128_pair};
 pub use manifest::{chain_mode_for, parse_manifest, ALL_MODES};
 pub use metrics::{Metrics, MetricsSnapshot, StageTime, ALL_STAGES};
 pub use provenance::{
-    toolchain_id, Ledger, ProvenanceHooks, ProvenanceRecord, StageDigest, RECORD_VERSION,
+    toolchain_id, Digests, Ledger, ProvenanceRecord, StageDigest, RECORD_VERSION,
 };

@@ -23,14 +23,13 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Duration;
 
-use parallax_core::{ChainArtifact, DegradationReport, PipelineHooks, Stage};
-use parallax_gadgets::{Gadget, ScanStats};
+use parallax_core::{ArtifactStore, ChainArtifact};
+use parallax_gadgets::Gadget;
 use parallax_image::{format, LinkedImage};
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
 
-use crate::hash::hash128;
+use crate::cache::{ArtifactKind, Key};
 
 /// Version of the record schema (bumped when fields change).
 pub const RECORD_VERSION: u32 = 1;
@@ -198,47 +197,36 @@ impl Ledger {
     }
 }
 
-/// [`PipelineHooks`] decorator that accumulates per-stage artifact
-/// digests while forwarding every call to an inner implementation.
+/// Per-kind digests of every artifact that flowed through one build.
 ///
-/// Each artifact that flows through the build — whether freshly
-/// computed (`store_*`) or reused from the inner cache (`cached_*`
-/// returning `Some`) — contributes its 128-bit cache fingerprint to
-/// its kind's digest via a wrapping sum, so the result is independent
-/// of worker scheduling. The digests therefore describe the artifacts
-/// *this particular build* consumed; a warm rebuild that reuses a
-/// whole-image scan legitimately reports fewer per-candidate verdicts
-/// than the cold build did.
-pub struct ProvenanceHooks<'a> {
-    inner: &'a dyn PipelineHooks,
+/// Each artifact — whether freshly computed (stored) or reused (a
+/// cache hit) — adds its cache [`Key`]'s 128-bit hash to its kind's
+/// digest via a wrapping sum, so the result is independent of worker
+/// scheduling. The digests therefore describe the artifacts *this
+/// particular build* consumed; a warm rebuild that reuses a whole-image
+/// scan legitimately reports fewer per-candidate verdicts than the
+/// cold build did.
+///
+/// On its own, `Digests` is the digest-only [`ArtifactStore`]: it
+/// caches nothing and digests everything the pipeline offers it, for
+/// builds that keep a paper trail but no cache.
+#[derive(Debug, Default)]
+pub struct Digests {
     acc: Mutex<HashMap<&'static str, (u64, u128)>>,
 }
 
-impl<'a> ProvenanceHooks<'a> {
-    /// Wraps `inner`, starting with empty digests.
-    pub fn new(inner: &'a dyn PipelineHooks) -> ProvenanceHooks<'a> {
-        ProvenanceHooks {
-            inner,
-            acc: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn absorb(&self, kind: &'static str, fingerprint_hash: u128) {
-        let mut acc = match self.acc.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        let entry = acc.entry(kind).or_insert((0, 0));
+impl Digests {
+    /// Adds one artifact to its kind's digest.
+    pub fn absorb(&self, key: Key) {
+        let mut acc = self.acc.lock().unwrap_or_else(|p| p.into_inner());
+        let entry = acc.entry(key.kind.name()).or_insert((0, 0));
         entry.0 += 1;
-        entry.1 = entry.1.wrapping_add(fingerprint_hash);
+        entry.1 = entry.1.wrapping_add(key.hash);
     }
 
     /// The accumulated digests, sorted by kind name.
     pub fn stage_digests(&self) -> Vec<StageDigest> {
-        let acc = match self.acc.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let acc = self.acc.lock().unwrap_or_else(|p| p.into_inner());
         let mut out: Vec<StageDigest> = acc
             .iter()
             .map(|(kind, (count, digest))| StageDigest {
@@ -252,93 +240,31 @@ impl<'a> ProvenanceHooks<'a> {
     }
 }
 
-impl PipelineHooks for ProvenanceHooks<'_> {
-    fn cached_scan(&self, img: &LinkedImage) -> Option<Vec<Gadget>> {
-        let r = self.inner.cached_scan(img);
-        if r.is_some() {
-            self.absorb("scan", hash128(&format::save(img)));
-        }
-        r
+impl ArtifactStore for Digests {
+    fn store_scan(&self, img: &LinkedImage, _gadgets: &[Gadget]) {
+        self.absorb(Key::of_image(ArtifactKind::Scan, img));
     }
 
-    fn store_scan(&self, img: &LinkedImage, gadgets: &[Gadget]) {
-        self.absorb("scan", hash128(&format::save(img)));
-        self.inner.store_scan(img, gadgets);
+    fn store_coverage(&self, img: &LinkedImage, _coverage: &Coverage) {
+        self.absorb(Key::of_image(ArtifactKind::Coverage, img));
     }
 
-    fn scan_stats(&self, stats: &ScanStats) {
-        self.inner.scan_stats(stats);
-    }
-
-    fn cached_coverage(&self, img: &LinkedImage) -> Option<Coverage> {
-        let r = self.inner.cached_coverage(img);
-        if r.is_some() {
-            self.absorb("coverage", hash128(&format::save(img)));
-        }
-        r
-    }
-
-    fn store_coverage(&self, img: &LinkedImage, coverage: &Coverage) {
-        self.absorb("coverage", hash128(&format::save(img)));
-        self.inner.store_coverage(img, coverage);
-    }
-
-    fn stage_started(&self, stage: Stage) {
-        self.inner.stage_started(stage);
-    }
-
-    fn stage_completed(&self, stage: Stage, elapsed: Duration) {
-        self.inner.stage_completed(stage, elapsed);
-    }
-
-    fn degraded(&self, report: &DegradationReport) {
-        self.inner.degraded(report);
-    }
-
-    // Always enable the per-function seams: even over `NoHooks` (the
-    // CLI path, no cache) the fingerprints must be computed so the
-    // record can digest them.
+    // The per-function fingerprints must be computed for the record to
+    // digest them, so the per-function seams are on.
     fn has_func_cache(&self) -> bool {
         true
     }
 
-    fn cached_rewritten_func(&self, fingerprint: &[u8]) -> Option<FuncRewriteOutcome> {
-        let r = self.inner.cached_rewritten_func(fingerprint);
-        if r.is_some() {
-            self.absorb("rewritten-func", hash128(fingerprint));
-        }
-        r
+    fn store_rewritten_func(&self, fingerprint: &[u8], _outcome: &FuncRewriteOutcome) {
+        self.absorb(Key::of(ArtifactKind::RewrittenFunc, fingerprint));
     }
 
-    fn store_rewritten_func(&self, fingerprint: &[u8], outcome: &FuncRewriteOutcome) {
-        self.absorb("rewritten-func", hash128(fingerprint));
-        self.inner.store_rewritten_func(fingerprint, outcome);
+    fn store_chain(&self, fingerprint: &[u8], _artifact: &ChainArtifact) {
+        self.absorb(Key::of(ArtifactKind::CompiledChain, fingerprint));
     }
 
-    fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
-        let r = self.inner.cached_chain(fingerprint);
-        if r.is_some() {
-            self.absorb("compiled-chain", hash128(fingerprint));
-        }
-        r
-    }
-
-    fn store_chain(&self, fingerprint: &[u8], artifact: &ChainArtifact) {
-        self.absorb("compiled-chain", hash128(fingerprint));
-        self.inner.store_chain(fingerprint, artifact);
-    }
-
-    fn cached_verdict(&self, key: &[u8]) -> Option<Option<Gadget>> {
-        let r = self.inner.cached_verdict(key);
-        if r.is_some() {
-            self.absorb("gadget-verdict", hash128(key));
-        }
-        r
-    }
-
-    fn store_verdict(&self, key: &[u8], verdict: &Option<Gadget>) {
-        self.absorb("gadget-verdict", hash128(key));
-        self.inner.store_verdict(key, verdict);
+    fn store_verdict(&self, key: &[u8], _verdict: &Option<Gadget>) {
+        self.absorb(Key::of(ArtifactKind::GadgetVerdict, key));
     }
 }
 
@@ -401,12 +327,16 @@ mod tests {
 
     #[test]
     fn digests_are_order_independent() {
-        let a = ProvenanceHooks::new(&parallax_core::NoHooks);
-        a.absorb("compiled-chain", 10);
-        a.absorb("compiled-chain", 32);
-        let b = ProvenanceHooks::new(&parallax_core::NoHooks);
-        b.absorb("compiled-chain", 32);
-        b.absorb("compiled-chain", 10);
+        let key = |hash| Key {
+            kind: ArtifactKind::CompiledChain,
+            hash,
+        };
+        let a = Digests::default();
+        a.absorb(key(10));
+        a.absorb(key(32));
+        let b = Digests::default();
+        b.absorb(key(32));
+        b.absorb(key(10));
         assert_eq!(a.stage_digests(), b.stage_digests());
         assert_eq!(a.stage_digests()[0].count, 2);
     }

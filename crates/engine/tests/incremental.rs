@@ -4,7 +4,7 @@
 //! the cold path.
 
 use parallax_compiler::{compile_module, parse_module};
-use parallax_core::{protect_binary_traced, FaultPlan, ProtectConfig, Protected};
+use parallax_core::{protect_with, Ctx, ProtectConfig, Protected};
 use parallax_engine::{ArtifactCache, CacheHooks};
 use parallax_image::format;
 use parallax_trace::Tracer;
@@ -59,16 +59,13 @@ fn protect_through(src: &str, cache: &ArtifactCache) -> (Protected, FuncCacheCou
         ..ProtectConfig::default()
     };
     let tracer = Tracer::new();
-    let hooks = CacheHooks::new(0, cache, None);
-    let protected = protect_binary_traced(
-        prog,
-        &[vf],
-        &cfg,
-        &FaultPlan::default(),
-        &hooks,
-        Some(&tracer),
-    )
-    .expect("protect succeeds");
+    let store = CacheHooks::new(0, cache, None);
+    let ctx = Ctx {
+        store: &store,
+        tracer: Some(&tracer),
+        ..Ctx::default()
+    };
+    let protected = protect_with(prog, &[vf], &cfg, &ctx).expect("protect succeeds");
     let counts = FuncCacheCounts {
         rw_hit: tracer.counter("cache.func.rewritten.hit"),
         rw_miss: tracer.counter("cache.func.rewritten.miss"),

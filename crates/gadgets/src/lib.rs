@@ -52,25 +52,7 @@ use parallax_image::LinkedImage;
 /// Runs the full pipeline over an image's text section: scan, classify,
 /// and concretely validate. Returns only usable gadgets.
 pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
-    find_gadgets_with_stats(img).0
-}
-
-/// Like [`find_gadgets`], also returning the scanner's [`ScanStats`]
-/// so callers can export `scan.decode.*` counters.
-pub fn find_gadgets_with_stats(img: &LinkedImage) -> (Vec<Gadget>, ScanStats) {
-    find_gadgets_with_stats_jobs(img, 1)
-}
-
-/// [`find_gadgets_with_stats`] fanning the classify/validate pass over
-/// `jobs` workers. Concrete validation dominates scanning cost (each
-/// proposal runs in a probe VM), and each validation is a pure function
-/// of the proposal — every worker's [`ProbeVm`] rolls back to a
-/// pristine snapshot before each proposal, and the probe PRNG derives
-/// only from the candidate's vaddr — so chunks of candidates validate
-/// independently on per-worker probe VMs and concatenate into the
-/// exact sequential gadget order.
-pub fn find_gadgets_with_stats_jobs(img: &LinkedImage, jobs: usize) -> (Vec<Gadget>, ScanStats) {
-    find_gadgets_with_stats_cached(img, jobs, None)
+    find_gadgets_instrumented(img, 1, None).0
 }
 
 /// Cross-run memo for concrete validation verdicts, keyed by the exact
@@ -132,20 +114,20 @@ pub struct ValidateStats {
     pub probe: ProbeStats,
 }
 
-/// [`find_gadgets_with_stats_jobs`] consulting (and populating) a
-/// [`ValidationCache`] for each classified candidate.
-pub fn find_gadgets_with_stats_cached(
-    img: &LinkedImage,
-    jobs: usize,
-    cache: Option<&dyn ValidationCache>,
-) -> (Vec<Gadget>, ScanStats) {
-    let (gadgets, stats, _) = find_gadgets_instrumented(img, jobs, cache);
-    (gadgets, stats)
-}
-
-/// [`find_gadgets_with_stats_cached`] also returning [`ValidateStats`]:
-/// probe-VM construction time (`vm.probe.build_ns` in traces), the
-/// serial merge cost, and the validation pool's scheduling counters.
+/// [`find_gadgets`] with the scanner's [`ScanStats`] (exported as
+/// `scan.decode.*` counters) and [`ValidateStats`]: probe-VM
+/// construction time (`vm.probe.build_ns` in traces), the serial merge
+/// cost, and the validation pool's scheduling counters.
+///
+/// The classify/validate pass fans over `jobs` workers. Concrete
+/// validation dominates scanning cost (each proposal runs in a probe
+/// VM), and each validation is a pure function of the proposal — every
+/// worker's [`ProbeVm`] rolls back to a pristine snapshot before each
+/// proposal, and the probe PRNG derives only from the candidate's
+/// vaddr — so chunks of candidates validate independently on
+/// per-worker probe VMs and concatenate into the exact sequential
+/// gadget order. With a [`ValidationCache`], each classified
+/// candidate's verdict is looked up there first and stored after.
 pub fn find_gadgets_instrumented(
     img: &LinkedImage,
     jobs: usize,

@@ -38,11 +38,11 @@ use std::sync::Arc;
 
 use parallax_core::{
     chain_tracer_for, chain_tracer_for_image, load_verified_image, load_verified_image_strict,
-    protect_hooked_traced, ChainMode, NoHooks, ProtectConfig,
+    protect_with, ChainMode, Ctx, ProtectConfig, ProtectError,
 };
 use parallax_engine::{
-    hash128, toolchain_id, Engine, EngineEvent, EngineOptions, Ledger, ProvenanceHooks,
-    ProvenanceRecord, RECORD_VERSION,
+    hash128, toolchain_id, Digests, Engine, EngineEvent, EngineOptions, Ledger, ProvenanceRecord,
+    RECORD_VERSION,
 };
 use parallax_image::{format, LinkedImage};
 use parallax_trace::{chrome_json, TraceFile, Tracer};
@@ -370,18 +370,31 @@ pub fn cmd_protect(args: &Args) -> Result<String> {
         ..ProtectConfig::default()
     };
     let trace_out = args.flag("trace-out");
-    // Every protect leaves a paper trail: the pipeline runs under
-    // provenance hooks that digest each artifact it consumes, and the
+    // Every protect leaves a paper trail: the pipeline runs over a
+    // digest-only store that digests each artifact it consumes, and the
     // record lands in the ledger beside the engine's disk cache (or
-    // under --provenance-dir; `none` disables it).
-    let phooks = ProvenanceHooks::new(&NoHooks);
+    // under --provenance-dir; `none` disables it, and with it all
+    // fingerprinting).
+    let prov_dir = args
+        .flag("provenance-dir")
+        .unwrap_or("target/plx-cache/provenance");
+    let digests = (prov_dir != "none").then(Digests::default);
+    let verify_impls = cfg.verify_impls(&source.module)?;
+    let prog = parallax_compiler::compile_module(&source.module).map_err(ProtectError::from)?;
+    let mut ctx = Ctx::default();
+    let mut input_hash = 0;
+    if let Some(d) = &digests {
+        ctx.store = d;
+        input_hash = hash128(&format::save(&prog.link()?));
+    }
     let (protected, trace_note) = match trace_out {
         Some(path) => {
             // Traced protect, then a validation run with the chain
             // tracer installed so pipeline spans and per-gadget
             // dispatch telemetry land on one timeline.
             let tracer = Tracer::new();
-            let protected = protect_hooked_traced(&source.module, &cfg, &phooks, Some(&tracer))?;
+            ctx.tracer = Some(&tracer);
+            let protected = protect_with(prog, &verify_impls, &cfg, &ctx)?;
             let mut vm = Vm::new(&protected.image);
             vm.set_input(&input);
             vm.set_chain_tracer(chain_tracer_for(&protected));
@@ -402,35 +415,29 @@ pub fn cmd_protect(args: &Args) -> Result<String> {
             );
             (protected, Some(note))
         }
-        None => (
-            protect_hooked_traced(&source.module, &cfg, &phooks, None)?,
-            None,
-        ),
+        None => (protect_with(prog, &verify_impls, &cfg, &ctx)?, None),
     };
     let bytes = format::save(&protected.image);
     std::fs::write(out, &bytes).map_err(|e| bail(format!("{out}: {e}")))?;
 
-    let prov_dir = args
-        .flag("provenance-dir")
-        .unwrap_or("target/plx-cache/provenance");
-    let prov_note = if prov_dir == "none" {
-        None
-    } else {
-        let base = parallax_compiler::compile_module(&source.module)?.link()?;
-        let record = ProvenanceRecord {
-            version: RECORD_VERSION,
-            toolchain: toolchain_id(),
-            input_hash: hash128(&format::save(&base)),
-            config: format!(
-                "cfg={:?};plan={:?}",
-                cfg.key_normalized(),
-                parallax_core::FaultPlan::default().without_cache_faults()
-            ),
-            stages: phooks.stage_digests(),
-            image_hash: hash128(&bytes),
-        };
-        let path = Ledger::new(prov_dir.into()).store(&record)?;
-        Some(format!("  provenance: {}", path.display()))
+    let prov_note = match digests {
+        Some(digests) => {
+            let record = ProvenanceRecord {
+                version: RECORD_VERSION,
+                toolchain: toolchain_id(),
+                input_hash,
+                config: format!(
+                    "cfg={:?};plan={:?}",
+                    cfg.key_normalized(),
+                    parallax_core::FaultPlan::default().without_cache_faults()
+                ),
+                stages: digests.stage_digests(),
+                image_hash: hash128(&bytes),
+            };
+            let path = Ledger::new(prov_dir.into()).store(&record)?;
+            Some(format!("  provenance: {}", path.display()))
+        }
+        None => None,
     };
 
     let mut msg = String::new();

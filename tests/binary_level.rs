@@ -2,7 +2,7 @@
 //! to protect is hand-assembled machine code — no IR module exists for
 //! it — and only the verification function is supplied as IR.
 
-use parallax::core::{protect_binary, ChainMode, ProtectConfig};
+use parallax::core::{protect_with, ChainMode, Ctx, ProtectConfig};
 use parallax::vm::{Exit, Vm};
 use parallax_compiler::ir::build::*;
 use parallax_compiler::Function;
@@ -65,7 +65,7 @@ fn binary_only_protection_round_trip() {
     // The protection engineer supplies ONLY vf's semantics as IR.
     let vf_ir = Function::new("vf", ["x"], vec![ret(add(add(l("x"), l("x")), c(3)))]);
 
-    let protected = protect_binary(
+    let protected = protect_with(
         legacy_binary(),
         &[vf_ir],
         &ProtectConfig {
@@ -78,6 +78,7 @@ fn binary_only_protection_round_trip() {
             mode: ChainMode::XorEncrypted { key: 0xbeef },
             ..ProtectConfig::default()
         },
+        &Ctx::default(),
     )
     .unwrap();
 
@@ -111,13 +112,14 @@ fn binary_only_protection_round_trip() {
 #[test]
 fn binary_path_rejects_unknown_verify_funcs() {
     let vf_ir = Function::new("nope", [], vec![ret(c(0))]);
-    let err = protect_binary(
+    let err = protect_with(
         legacy_binary(),
         &[vf_ir],
         &ProtectConfig {
             verify_funcs: vec!["nope".into()],
             ..ProtectConfig::default()
         },
+        &Ctx::default(),
     )
     .unwrap_err();
     assert_eq!(err.stage, parallax::core::Stage::Select);

@@ -5,8 +5,8 @@
 
 use parallax::core::{
     apply_image_fault, classify, load_verified_image, load_verified_image_strict, protect,
-    protect_binary, protect_binary_faulted, run_baseline, truncate_chain, Baseline, ChainMode,
-    ErrorKind, FaultPlan, ImageFault, ProtectConfig, Stage, Verdict,
+    protect_with, run_baseline, truncate_chain, Baseline, ChainMode, Ctx, ErrorKind, FaultPlan,
+    ImageFault, ProtectConfig, ProtectError, Protected, Stage, Verdict,
 };
 use parallax::vm::{Exit, Vm, VmOptions};
 use parallax::x86::{Asm, Reg32};
@@ -76,19 +76,21 @@ fn starved_cfg() -> ProtectConfig {
 // Pipeline-stage faults → typed errors with correct stage provenance.
 // ---------------------------------------------------------------------
 
-#[test]
-fn corrupted_relocation_fails_in_link_stage() {
+/// Protects [`module`] under the fault plan `faults`.
+fn protect_faulted(cfg: &ProtectConfig, faults: &FaultPlan) -> Result<Protected, ProtectError> {
     let m = module();
     let vf_ir = m.get_func("vf").unwrap().clone();
+    let ctx = Ctx {
+        faults,
+        ..Ctx::default()
+    };
+    protect_with(compile_module(&m).unwrap(), &[vf_ir], cfg, &ctx)
+}
+
+#[test]
+fn corrupted_relocation_fails_in_link_stage() {
     for nth in [0usize, 1, 5] {
-        let prog = compile_module(&m).unwrap();
-        let err = protect_binary_faulted(
-            prog,
-            std::slice::from_ref(&vf_ir),
-            &cfg(),
-            &FaultPlan::none().corrupt_reloc(nth),
-        )
-        .unwrap_err();
+        let err = protect_faulted(&cfg(), &FaultPlan::none().corrupt_reloc(nth)).unwrap_err();
         assert_eq!(err.stage, Stage::Link, "reloc {nth}: {err}");
         assert!(matches!(err.kind, ErrorKind::Link(_)), "reloc {nth}: {err}");
         // Stage provenance is part of the message.
@@ -98,50 +100,23 @@ fn corrupted_relocation_fails_in_link_stage() {
 
 #[test]
 fn dropped_frame_fails_in_link_stage() {
-    let m = module();
-    let vf_ir = m.get_func("vf").unwrap().clone();
-    let prog = compile_module(&m).unwrap();
-    let err = protect_binary_faulted(
-        prog,
-        std::slice::from_ref(&vf_ir),
-        &cfg(),
-        &FaultPlan::none().drop_frame("vf"),
-    )
-    .unwrap_err();
+    let err = protect_faulted(&cfg(), &FaultPlan::none().drop_frame("vf")).unwrap_err();
     assert_eq!(err.stage, Stage::Link, "{err}");
     assert!(matches!(err.kind, ErrorKind::Link(_)), "{err}");
 }
 
 #[test]
 fn undecodable_function_fails_in_rewrite_stage() {
-    let m = module();
-    let vf_ir = m.get_func("vf").unwrap().clone();
-    let prog = compile_module(&m).unwrap();
-    let err = protect_binary_faulted(
-        prog,
-        std::slice::from_ref(&vf_ir),
-        &cfg(),
-        &FaultPlan::none().undecodable_func("licensed"),
-    )
-    .unwrap_err();
+    let err = protect_faulted(&cfg(), &FaultPlan::none().undecodable_func("licensed")).unwrap_err();
     assert_eq!(err.stage, Stage::Rewrite, "{err}");
     assert!(matches!(err.kind, ErrorKind::Rewrite(_)), "{err}");
 }
 
 #[test]
 fn emptied_gadget_scan_fails_in_scan_stage() {
-    let m = module();
-    let vf_ir = m.get_func("vf").unwrap().clone();
-    let prog = compile_module(&m).unwrap();
     let mut cfg = cfg();
     cfg.degrade = false; // surface the raw scan error
-    let err = protect_binary_faulted(
-        prog,
-        std::slice::from_ref(&vf_ir),
-        &cfg,
-        &FaultPlan::none().empty_gadget_scan(),
-    )
-    .unwrap_err();
+    let err = protect_faulted(&cfg, &FaultPlan::none().empty_gadget_scan()).unwrap_err();
     assert_eq!(err.stage, Stage::GadgetScan, "{err}");
     assert!(matches!(err.kind, ErrorKind::NoUsableGadgets), "{err}");
     assert!(err.is_gadget_starvation());
@@ -255,7 +230,7 @@ fn flips_outside_protected_ranges_stay_clean() {
     // Only `licensed` is protected; `dead` and `slack` are outside
     // every protected range.
     cfg.protect_targets = Some(vec!["licensed".into()]);
-    let protected = protect_binary(prog, std::slice::from_ref(&vf_ir), &cfg).unwrap();
+    let protected = protect_with(prog, &[vf_ir], &cfg, &Ctx::default()).unwrap();
     let base = run_baseline(&protected.image, &[], &bounded());
     assert_eq!(base.exit, Exit::Exited(HONEST_EXIT));
 
