@@ -42,7 +42,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use parallax_compiler::{compile_module, CompileError, Function, Module};
-use parallax_gadgets::{serialize_gadgets, GadgetMap, RangeSet, ValidationCache};
+use parallax_gadgets::{serialize_gadgets, GadgetMap, PassMemo, RangeSet, ValidationCache};
 use parallax_image::{verify_image_strict, ImageVerifyError, LinkError, LinkedImage, Program};
 use parallax_rewrite::{
     analyze_traced, protect_program_parallel, Coverage, FuncRewriteCache, FuncRewriteOutcome,
@@ -217,6 +217,9 @@ pub enum ErrorKind {
     NoSuchFunction(String),
     /// The chain size changed between fixpoint passes.
     UnstableChain(String),
+    /// Filling in the final chain data changed the text that pass 2
+    /// scanned for gadgets.
+    TextChanged,
     /// A pipeline-managed symbol vanished between passes.
     MissingSymbol(String),
     /// A pipeline-managed data item vanished between passes.
@@ -247,6 +250,7 @@ impl fmt::Display for ErrorKind {
             ErrorKind::Chain { func: None, err } => write!(f, "chain: {err}"),
             ErrorKind::NoSuchFunction(n) => write!(f, "no such function `{n}`"),
             ErrorKind::UnstableChain(n) => write!(f, "chain for `{n}` unstable"),
+            ErrorKind::TextChanged => write!(f, "final fill changed the scanned text"),
             ErrorKind::MissingSymbol(s) => write!(f, "missing symbol `{s}`"),
             ErrorKind::MissingDataItem(s) => write!(f, "missing data item `{s}`"),
             ErrorKind::ChainTooLarge {
@@ -776,7 +780,7 @@ fn run_pipeline(
     // 4. Fixpoint pass 1: discover chain sizes (stages: Link,
     // GadgetScan, Map, ChainCompile).
     let img1 = run.timed(Stage::Link, || prog.link())?;
-    let map1 = scan_gadgets(&img1, run, jobs)?;
+    let (map1, memo1) = scan_gadgets(&img1, run, jobs, None)?;
     let ranges1 = target_ranges(&img1, &targets);
     let chain1_block = run.stage(Stage::ChainCompile);
     let scratch1 = symbol_vaddr(&img1, "__plx_scratch")?;
@@ -842,8 +846,10 @@ fn run_pipeline(
     drop(map_block);
 
     // 5. Fixpoint pass 2: final layout; recompile, serialize, install.
+    // Only data sizes changed, so the text differs from pass 1's in its
+    // relocated fields: the scan rescans incrementally from pass 1's memo.
     let img2 = run.timed(Stage::Link, || prog.link())?;
-    let map2 = scan_gadgets(&img2, run, jobs)?;
+    let (map2, _) = scan_gadgets(&img2, run, jobs, memo1)?;
     let ranges2 = target_ranges(&img2, &targets);
     let range_index = RangeSet::new(&ranges2);
     let chain2_block = run.stage(Stage::ChainCompile);
@@ -1022,8 +1028,12 @@ fn run_pipeline(
     }
     drop(chain2_block);
 
+    // The final fill writes data only. `map2` and the self-check below
+    // describe pass 2's text, so they hold only if the text is untouched.
     let image = run.timed(Stage::Link, || prog.link())?;
-    debug_assert_eq!(image.text, img2.text, "text stable across final fill");
+    if image.text != img2.text {
+        return Err(ProtectError::new(Stage::Link, ErrorKind::TextChanged));
+    }
 
     // Post-link self-check: the final image must satisfy every
     // structural invariant the fail-closed loader enforces, with
@@ -1240,10 +1250,18 @@ impl Run<'_> {
 /// image yields nothing usable (or the fault plan empties the scan).
 /// Consults the store's content-addressed scan cache first — two jobs
 /// whose pipelines link a byte-identical intermediate image (e.g. the
-/// same program protected under different seeds) share one scan.
-fn scan_gadgets(img: &LinkedImage, run: &Run<'_>, jobs: usize) -> Result<GadgetMap, ProtectError> {
+/// same program protected under different seeds) share one scan. A
+/// fresh scan reuses `prev`, the previous pass's memo, and returns its
+/// own; a cached one returns none.
+fn scan_gadgets(
+    img: &LinkedImage,
+    run: &Run<'_>,
+    jobs: usize,
+    prev: Option<PassMemo>,
+) -> Result<(GadgetMap, Option<PassMemo>), ProtectError> {
     let ctx = &run.ctx;
     let block = run.stage(Stage::GadgetScan);
+    let mut memo = None;
     let gadgets = if ctx.faults.empties_gadget_scan() {
         Vec::new()
     } else {
@@ -1258,12 +1276,16 @@ fn scan_gadgets(img: &LinkedImage, run: &Run<'_>, jobs: usize) -> Result<GadgetM
                     .store
                     .has_func_cache()
                     .then_some(&vcache as &dyn ValidationCache);
-                let (fresh, stats, vstats) =
-                    parallax_gadgets::find_gadgets_instrumented(img, jobs, vc);
+                let (fresh, stats, vstats, next) =
+                    parallax_gadgets::find_gadgets_reusing(img, jobs, vc, prev);
+                memo = Some(next);
                 if let Some(t) = ctx.tracer {
                     // Cache hits never report: no decoding happened.
+                    // `once` counts decodes performed, `reused` those
+                    // carried over from the previous pass.
                     t.count("scan.decode.offsets", stats.offsets);
                     t.count("scan.decode.once", stats.decoded);
+                    t.count("scan.decode.reused", stats.reused);
                     t.count("scan.decode.memo_hit", stats.memo_hits);
                     // Per-chunk probe-VM construction is pure setup
                     // cost that fan-out multiplies — attribute it so
@@ -1276,6 +1298,9 @@ fn scan_gadgets(img: &LinkedImage, run: &Run<'_>, jobs: usize) -> Result<GadgetM
                     // `plx report` prints under "gadget validation".
                     t.count("vm.probe.proposals", vstats.probe.proposals);
                     t.count("vm.probe.runs", vstats.probe.runs);
+                    // Verdicts served from the previous pass's memo:
+                    // no probe ran, so `proposals`/`runs` omit them.
+                    t.count("vm.probe.reused", vstats.reused);
                     t.count("vm.probe.runs_saved", vstats.probe.runs_saved);
                     t.count("vm.probe.reseed_words", vstats.probe.reseed_words);
                     t.count("pool.scan.merge_ns", vstats.merge_ns);
@@ -1295,7 +1320,7 @@ fn scan_gadgets(img: &LinkedImage, run: &Run<'_>, jobs: usize) -> Result<GadgetM
             ErrorKind::NoUsableGadgets,
         ));
     }
-    Ok(GadgetMap::new(gadgets))
+    Ok((GadgetMap::new(gadgets), memo))
 }
 
 /// The static data item that carries a chain's verification material.

@@ -174,6 +174,29 @@ fn fresh_scans_count_decode_work() {
     assert!(tf.counters["scan.decode.once"] >= 1);
 }
 
+/// Pass 2 rescans pass 1's text incrementally: most decodes and some
+/// probe verdicts carry over, and the counters keep work performed
+/// apart from work reused.
+#[test]
+fn second_pass_reuses_decodes_and_verdicts() {
+    let tracer = Tracer::new();
+    let cfg = ProtectConfig {
+        verify_funcs: vec!["vf".into()],
+        ..ProtectConfig::default()
+    };
+    protect_traced(&sample_module(), &cfg, &tracer).expect("protect succeeds");
+    let tf = TraceFile::parse(&chrome_json(&tracer.snapshot())).expect("trace parses");
+    let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
+    assert!(get("scan.decode.reused") > 0);
+    assert!(get("vm.probe.reused") > 0);
+    assert_eq!(
+        get("scan.decode.once") + get("scan.decode.reused"),
+        get("scan.decode.offsets")
+    );
+    // Offsets count both passes: pass 2 reuses most of its half.
+    assert!(get("scan.decode.reused") > get("scan.decode.offsets") / 4);
+}
+
 /// The starved configuration of the fault-injection suite: no gadget
 /// crafting and no standard set, so the degradation ladder must fall
 /// back at least once.

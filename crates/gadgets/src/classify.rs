@@ -88,6 +88,52 @@ pub struct Proposal {
     pub mem_preconditions: Vec<Reg32>,
 }
 
+/// Largest `[esp+disp]` displacement or `add|sub esp, imm` immediate a
+/// layout-independent proposal may use. Six instructions then keep
+/// every access within a few pages of the probe's stack pointer, inside
+/// the stack region, whose place never depends on the image.
+const STACK_REACH: i64 = 0x1000;
+
+impl Proposal {
+    /// True when the probe's verdict cannot depend on where the image's
+    /// data and heap sit: no instruction can make the probe touch memory
+    /// outside its fixed stack window (DESIGN.md §17). Such a verdict is
+    /// a function of the candidate's bytes and vaddr alone, so a relink
+    /// that leaves those bytes in place may reuse it.
+    pub fn layout_independent(&self) -> bool {
+        self.mem_preconditions.is_empty() && self.cand.insns.iter().all(stack_confined)
+    }
+}
+
+/// No `int` or `leave`; every explicit memory operand `[esp+disp]`
+/// (`lea` touches no memory); esp written only by a push or pop of
+/// another register, a return, or `add|sub esp, imm`.
+fn stack_confined(insn: &Insn) -> bool {
+    use Mnemonic as M;
+    let is_esp = |op: &Operand| matches!(op, Operand::Reg(Reg::R32(Reg32::Esp)));
+    let dst_esp = insn.ops.first().is_some_and(is_esp);
+    let esp_ok = match insn.mnemonic {
+        // `popad` pops into esp's slot, even if the value is dropped.
+        M::Int | M::Leave | M::Popad => false,
+        M::Alu(AluOp::Add | AluOp::Sub) if dst_esp => {
+            matches!(insn.ops.get(1), Some(Operand::Imm(v)) if v.abs() <= STACK_REACH)
+        }
+        M::Alu(AluOp::Cmp) | M::Test => true,
+        M::Xchg => !insn.ops.iter().any(is_esp),
+        _ => !dst_esp,
+    };
+    esp_ok
+        && (insn.mnemonic == M::Lea
+            || insn.ops.iter().all(|op| match op {
+                Operand::Mem(m) => {
+                    m.base == Some(Reg32::Esp)
+                        && m.index.is_none()
+                        && i64::from(m.disp).abs() <= STACK_REACH
+                }
+                _ => true,
+            }))
+}
+
 struct St {
     regs: [V; 8],
     /// Stack contents written by the gadget itself, keyed by byte
@@ -1255,5 +1301,56 @@ mod tests {
     fn bare_ret_is_nop() {
         let props = classify_bytes(&[0xc3]);
         assert!(find_effect(&props, |e| matches!(e, Effect::Nop)));
+    }
+
+    /// The proposal for the whole of `bytes` (which must end in a
+    /// return). Sequences the classifier drops get a bare proposal with
+    /// no preconditions, so the instruction rule is what gets judged.
+    fn whole(bytes: &[u8]) -> Proposal {
+        let cand = scan(bytes, 0x1000)
+            .into_iter()
+            .find(|c| c.vaddr == 0x1000 && c.len as usize == bytes.len())
+            .expect("whole sequence is a candidate");
+        classify(&cand).unwrap_or(Proposal {
+            cand,
+            slots: 0,
+            effects: Vec::new(),
+            clobbers: Vec::new(),
+            mem_preconditions: Vec::new(),
+        })
+    }
+
+    #[test]
+    fn layout_dependent_proposals() {
+        for (bytes, what) in [
+            (&[0x58, 0x94, 0xc3][..], "pop eax; xchg eax, esp; ret"),
+            (&[0x5d, 0xc9, 0xc3], "pop ebp; leave; ret"),
+            (
+                &[0x8b, 0x81, 0x00, 0x00, 0x00, 0x07, 0xc3],
+                "mov eax, [ecx+0x07000000]; ret",
+            ),
+            (
+                &[0x8b, 0x05, 0x00, 0xa0, 0x04, 0x08, 0xc3],
+                "mov eax, [0x0804a000]; ret",
+            ),
+            (&[0xcd, 0x80, 0xc3], "int 0x80; ret"),
+            (&[0x5c, 0xc3], "pop esp; ret"),
+            (&[0x00, 0x00, 0xc3], "add [eax], al; ret"),
+        ] {
+            assert!(!whole(bytes).layout_independent(), "{what}");
+        }
+    }
+
+    #[test]
+    fn layout_independent_proposals() {
+        for (bytes, what) in [
+            (&[0x58, 0xc3][..], "pop eax; ret"),
+            (&[0x01, 0xd8, 0xc3], "add eax, ebx; ret"),
+            (&[0x8b, 0x44, 0x24, 0x04, 0xc3], "mov eax, [esp+4]; ret"),
+            (&[0x83, 0xc4, 0x08, 0xc3], "add esp, 8; ret"),
+        ] {
+            let p = whole(bytes);
+            assert!(p.layout_independent(), "{what}: {}", p.cand.disasm());
+        }
     }
 }

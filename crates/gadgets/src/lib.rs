@@ -47,6 +47,8 @@ pub use serialize::{deserialize_gadgets, serialize_gadgets};
 pub use types::{Effect, GBinOp, Gadget};
 pub use validate::{validate, validate_with, ProbeStats, ProbeVm};
 
+use std::collections::HashMap;
+
 use parallax_image::LinkedImage;
 
 /// Runs the full pipeline over an image's text section: scan, classify,
@@ -61,6 +63,11 @@ pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
 /// base. Re-protecting an edited binary revalidates only candidates
 /// whose underlying bytes (or layout) actually changed; everything
 /// else — typically all but one function — is served from the memo.
+///
+/// Within one `protect()` run a [`PassMemo`] sits beneath this cache:
+/// the cache is asked first and offered every verdict, and only a miss
+/// falls through to the pass memo before the probe runs. So what the
+/// cache holds and sees does not depend on whether a pass memo was used.
 pub trait ValidationCache: Sync {
     /// `Some(verdict)` when the key was validated before (the verdict
     /// itself may be `None`: "candidate rejected" is cached too).
@@ -91,6 +98,20 @@ fn verdict_key(
     key
 }
 
+/// What one gadget pass leaves for a rescan of the same image relinked
+/// with other data sizes (the second pass of `protect()`'s fixpoint):
+/// the text it scanned, that text's decode table, and the probe
+/// verdicts of its [layout-independent](Proposal::layout_independent)
+/// proposals keyed by `(vaddr, len)`. A pass given the memo decodes
+/// only near changed bytes and probes only candidates whose bytes
+/// changed or whose verdict may depend on the layout.
+pub struct PassMemo {
+    text_base: u32,
+    text: Vec<u8>,
+    slots: Vec<scan::Slot>,
+    verdicts: HashMap<(u32, u32), Option<Gadget>>,
+}
+
 /// Telemetry from the classify/validate fan-out of one
 /// [`find_gadgets_instrumented`] run — the attribution `plx profile`
 /// uses to explain where a flat parallel speedup went.
@@ -112,12 +133,40 @@ pub struct ValidateStats {
     /// (proposals, probe runs, runs the shared-trial path avoided,
     /// scratch words reseeded).
     pub probe: ProbeStats,
+    /// Verdicts served from the previous pass's [`PassMemo`] instead
+    /// of the probe.
+    pub reused: u64,
 }
 
 /// [`find_gadgets`] with the scanner's [`ScanStats`] (exported as
 /// `scan.decode.*` counters) and [`ValidateStats`]: probe-VM
 /// construction time (`vm.probe.build_ns` in traces), the serial merge
-/// cost, and the validation pool's scheduling counters.
+/// cost, and the validation pool's scheduling counters. It is
+/// [`find_gadgets_reusing`] without a previous pass.
+pub fn find_gadgets_instrumented(
+    img: &LinkedImage,
+    jobs: usize,
+    cache: Option<&dyn ValidationCache>,
+) -> (Vec<Gadget>, ScanStats, ValidateStats) {
+    let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, jobs, cache, None);
+    (gadgets, stats, vstats)
+}
+
+/// One chunk's share of a validation pass.
+#[derive(Default)]
+struct ChunkOut {
+    gadgets: Vec<Gadget>,
+    /// Probe verdicts of layout-independent proposals, for the memo.
+    verdicts: Vec<((u32, u32), Option<Gadget>)>,
+    /// Keys of the verdicts served from the previous pass's memo.
+    reused: Vec<(u32, u32)>,
+}
+
+/// Runs the full pipeline, reusing `prev` — the [`PassMemo`] of an
+/// earlier pass over the same text base and length — and returns this
+/// pass's memo. The gadget list is the one a fresh
+/// [`find_gadgets_instrumented`] would return; a `prev` for another
+/// text base or length is ignored.
 ///
 /// The classify/validate pass fans over `jobs` workers. Concrete
 /// validation dominates scanning cost (each proposal runs in a probe
@@ -127,14 +176,34 @@ pub struct ValidateStats {
 /// vaddr — so chunks of candidates validate independently on
 /// per-worker probe VMs and concatenate into the exact sequential
 /// gadget order. With a [`ValidationCache`], each classified
-/// candidate's verdict is looked up there first and stored after.
-pub fn find_gadgets_instrumented(
+/// candidate's verdict is looked up there first and offered to it
+/// after; the pass memo serves only what the cache misses.
+pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
     cache: Option<&dyn ValidationCache>,
-) -> (Vec<Gadget>, ScanStats, ValidateStats) {
+    prev: Option<PassMemo>,
+) -> (Vec<Gadget>, ScanStats, ValidateStats, PassMemo) {
     use std::sync::atomic::{AtomicU64, Ordering};
-    let (cands, stats) = scan_with_stats(&img.text, img.text_base);
+    let prev = prev.filter(|m| m.text_base == img.text_base && m.text.len() == img.text.len());
+    let (old_text, old_slots, mut old_verdicts) = match prev {
+        Some(m) => (m.text, Some(m.slots), m.verdicts),
+        None => (Vec::new(), None, HashMap::new()),
+    };
+    let (cands, stats, slots) = scan::scan_reusing(
+        &img.text,
+        img.text_base,
+        old_slots.map(|s| (&old_text[..], s)),
+    );
+    // A pass-1 verdict stands for a candidate whose bytes are unchanged
+    // (and so is its proposal, a function of bytes and vaddr).
+    let memoized = |cand: &Candidate| {
+        let off = (cand.vaddr - img.text_base) as usize;
+        let span = off..off + cand.len as usize;
+        old_verdicts
+            .get(&(cand.vaddr, cand.len))
+            .filter(|_| old_text[span.clone()] == img.text[span])
+    };
     let probe_builds = AtomicU64::new(0);
     let probe_build_ns = AtomicU64::new(0);
     let probe_stats = std::sync::Mutex::new(ProbeStats::default());
@@ -153,7 +222,7 @@ pub fn find_gadgets_instrumented(
     };
     let validate_chunk = |probe: &mut ProbeVm, chunk: &[Candidate]| {
         let heap_base = probe.heap_base();
-        let mut out = Vec::new();
+        let mut out = ChunkOut::default();
         for cand in chunk {
             let Some(proposal) = classify(cand) else {
                 continue;
@@ -161,15 +230,28 @@ pub fn find_gadgets_instrumented(
             let key = cache.map(|_| verdict_key(img, heap_base, cand, &proposal));
             if let (Some(c), Some(k)) = (cache, &key) {
                 if let Some(verdict) = c.fetch_verdict(k) {
-                    out.extend(verdict);
+                    out.gadgets.extend(verdict);
                     continue;
                 }
             }
-            let g = probe.validate(&proposal);
+            let independent = proposal.layout_independent();
+            let g = match independent.then(|| memoized(cand)).flatten() {
+                Some(verdict) => {
+                    out.reused.push((cand.vaddr, cand.len));
+                    verdict.clone()
+                }
+                None => {
+                    let g = probe.validate(&proposal);
+                    if independent && !probe.strayed() {
+                        out.verdicts.push(((cand.vaddr, cand.len), g.clone()));
+                    }
+                    g
+                }
+            };
             if let (Some(c), Some(k)) = (cache, &key) {
                 c.store_verdict(k, &g);
             }
-            out.extend(g);
+            out.gadgets.extend(g);
         }
         // Drain this chunk's probe counters into the shared total (a
         // handful of lock acquisitions per scan — uncontended).
@@ -179,40 +261,59 @@ pub fn find_gadgets_instrumented(
     // 64 candidates per worker at minimum (the cost of building each
     // worker's probe VM needs that much validation work to pay off).
     let workers = parallax_pool::effective_workers_for(jobs, cands.len(), 64);
-    if workers == 1 {
+    let (parts, pool) = if workers == 1 {
         let mut probe = build_probe();
-        let gadgets = validate_chunk(&mut probe, &cands);
-        let vstats = ValidateStats {
-            probe_builds: probe_builds.into_inner(),
-            probe_build_ns: probe_build_ns.into_inner(),
-            merge_ns: 0,
-            pool: parallax_pool::PoolStats::default(),
-            probe: probe_stats.into_inner().unwrap(),
-        };
-        return (gadgets, stats, vstats);
-    }
-    // Adaptive granularity: ~CHUNKS_PER_WORKER chunks per worker so a
-    // chunk dense in expensive proposals can be balanced by stealing,
-    // with a floor that keeps scheduling from dominating tiny runs.
-    let chunk = parallax_pool::adaptive_chunk_size(cands.len(), workers, 16);
-    let chunks: Vec<&[Candidate]> = cands.chunks(chunk).collect();
-    let workers = parallax_pool::effective_workers(workers, chunks.len());
-    let (parts, pool) = parallax_pool::scoped_map_init(
-        workers,
-        chunks.len(),
-        |_w| build_probe(),
-        |probe, i, _w| validate_chunk(probe, chunks[i]),
-    );
+        (
+            vec![validate_chunk(&mut probe, &cands)],
+            parallax_pool::PoolStats::default(),
+        )
+    } else {
+        // Adaptive granularity: ~CHUNKS_PER_WORKER chunks per worker so
+        // a chunk dense in expensive proposals can be balanced by
+        // stealing, with a floor that keeps scheduling from dominating
+        // tiny runs.
+        let chunk = parallax_pool::adaptive_chunk_size(cands.len(), workers, 16);
+        let chunks: Vec<&[Candidate]> = cands.chunks(chunk).collect();
+        let workers = parallax_pool::effective_workers(workers, chunks.len());
+        parallax_pool::scoped_map_init(
+            workers,
+            chunks.len(),
+            |_w| build_probe(),
+            |probe, i, _w| validate_chunk(probe, chunks[i]),
+        )
+    };
     let t0 = std::time::Instant::now();
-    let gadgets: Vec<Gadget> = parts.into_iter().flatten().collect();
+    let mut gadgets = Vec::new();
+    let mut verdicts = HashMap::new();
+    let mut reused = 0;
+    for part in parts {
+        gadgets.extend(part.gadgets);
+        verdicts.extend(part.verdicts);
+        // Reused verdicts still hold for this pass's text: carry them.
+        reused += part.reused.len() as u64;
+        for k in part.reused {
+            verdicts.extend(old_verdicts.remove_entry(&k));
+        }
+    }
     let vstats = ValidateStats {
         probe_builds: probe_builds.into_inner(),
         probe_build_ns: probe_build_ns.into_inner(),
-        merge_ns: t0.elapsed().as_nanos() as u64,
+        merge_ns: if workers == 1 {
+            0
+        } else {
+            t0.elapsed().as_nanos() as u64
+        },
         pool,
         probe: probe_stats.into_inner().unwrap(),
+        reused,
     };
-    (gadgets, stats, vstats)
+    let memo = PassMemo {
+        text_base: img.text_base,
+        text: img.text.clone(),
+        slots,
+        verdicts,
+    };
+    (gadgets, stats, vstats, memo)
 }
 
 /// Like [`find_gadgets`], but returns the typed mapping directly.

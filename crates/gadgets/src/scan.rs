@@ -8,9 +8,11 @@
 //! sequences containing control flow before the final return.
 //!
 //! The scan is a **single forward pass**: every text offset is decoded
-//! exactly once into a memoized successor table (length, interior
+//! at most once into a memoized successor table (length, interior
 //! eligibility, return kind), and the backward candidate enumeration
-//! from each return byte is pure table lookups. The naive
+//! from each return byte is pure table lookups. A rescan of a text
+//! that differs in a few bytes takes the previous table and decodes
+//! only near the changes (DESIGN.md §17). The naive
 //! decode-per-walk-step scanner is retained as
 //! [`scan_reference`] — a differential oracle proving the memoized
 //! scanner emits an identical candidate stream.
@@ -75,14 +77,17 @@ fn is_plain_ret(insn: &Insn) -> Option<bool> {
 }
 
 /// Statistics from one scan pass, exported as `scan.decode.*` trace
-/// counters. `decoded` never exceeds `offsets`: the memoized scanner
+/// counters. `decoded + reused == offsets`: the memoized scanner
 /// decodes each text offset at most once.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Text offsets considered (one potential decode start per byte).
     pub offsets: u64,
-    /// `decode()` invocations performed — exactly one per offset.
+    /// `decode()` invocations performed: at most one decode per offset;
+    /// offsets reused from the previous pass are not decoded.
     pub decoded: u64,
+    /// Offsets whose decode was carried over from the previous pass.
+    pub reused: u64,
     /// Successor-table lookups served from the memo during candidate
     /// walks; under the naive scanner each would have been a decode.
     pub memo_hits: u64,
@@ -92,9 +97,14 @@ pub struct ScanStats {
     pub candidates: u64,
 }
 
+/// Bytes a decode at one offset may read: x86 caps an instruction at
+/// 15 bytes, so a change at byte `c` can only alter the decodes at
+/// offsets `c - 14 ..= c`.
+const DECODE_WINDOW: usize = 15;
+
 /// One memoized decode: everything a candidate walk needs to know
 /// about the instruction starting at this offset.
-struct Slot {
+pub(crate) struct Slot {
     insn: Option<Insn>,
     len: u8,
     interior_ok: bool,
@@ -113,30 +123,73 @@ pub fn scan(text: &[u8], base: u32) -> Vec<Candidate> {
 
 /// [`scan`], also returning the pass's [`ScanStats`].
 pub fn scan_with_stats(text: &[u8], base: u32) -> (Vec<Candidate>, ScanStats) {
+    let (cands, stats, _) = scan_reusing(text, base, None);
+    (cands, stats)
+}
+
+fn decode_slot(text: &[u8], i: usize) -> Slot {
+    match decode(&text[i..]) {
+        Ok(insn) => Slot {
+            len: insn.len,
+            interior_ok: allowed_interior(&insn),
+            ret: is_plain_ret(&insn),
+            insn: Some(insn),
+        },
+        Err(_) => Slot {
+            insn: None,
+            len: 0,
+            interior_ok: false,
+            ret: None,
+        },
+    }
+}
+
+/// [`scan_with_stats`], also returning the pass's decode table. With
+/// `prev` — the previous pass's text, of the same length, and its
+/// decode table — only offsets whose [`DECODE_WINDOW`] holds a changed
+/// byte are decoded again; every other slot moves over as is. A `prev`
+/// of another length is ignored.
+pub(crate) fn scan_reusing(
+    text: &[u8],
+    base: u32,
+    prev: Option<(&[u8], Vec<Slot>)>,
+) -> (Vec<Candidate>, ScanStats, Vec<Slot>) {
     let mut stats = ScanStats {
         offsets: text.len() as u64,
         ..ScanStats::default()
     };
-    // Forward pass: decode once at every offset.
-    let table: Vec<Slot> = (0..text.len())
-        .map(|i| {
-            stats.decoded += 1;
-            match decode(&text[i..]) {
-                Ok(insn) => Slot {
-                    len: insn.len,
-                    interior_ok: allowed_interior(&insn),
-                    ret: is_plain_ret(&insn),
-                    insn: Some(insn),
-                },
-                Err(_) => Slot {
-                    insn: None,
-                    len: 0,
-                    interior_ok: false,
-                    ret: None,
-                },
+    // Forward pass: decode once at every offset not carried over.
+    let table: Vec<Slot> = match prev {
+        Some((old, slots)) if old.len() == text.len() && slots.len() == text.len() => {
+            let mut stale = vec![false; text.len()];
+            for (c, _) in old
+                .iter()
+                .zip(text)
+                .enumerate()
+                .filter(|(_, (a, b))| a != b)
+            {
+                stale[c.saturating_sub(DECODE_WINDOW - 1)..=c].fill(true);
             }
-        })
-        .collect();
+            slots
+                .into_iter()
+                .zip(stale)
+                .enumerate()
+                .map(|(i, (slot, stale))| {
+                    if stale {
+                        stats.decoded += 1;
+                        decode_slot(text, i)
+                    } else {
+                        stats.reused += 1;
+                        slot
+                    }
+                })
+                .collect()
+        }
+        _ => {
+            stats.decoded = text.len() as u64;
+            (0..text.len()).map(|i| decode_slot(text, i)).collect()
+        }
+    };
     let mut out = Vec::new();
     for (i, &b) in text.iter().enumerate() {
         if b != 0xc3 && b != 0xcb {
@@ -158,11 +211,14 @@ pub fn scan_with_stats(text: &[u8], base: u32) -> (Vec<Candidate>, ScanStats) {
         }
     }
     stats.candidates = out.len() as u64;
-    (out, stats)
+    (out, stats, table)
 }
 
 /// Table-driven equivalent of [`try_sequence`]: identical rejection
-/// rules and candidate shape, but each step is a memo lookup.
+/// rules and candidate shape, but each step is a memo lookup. The walk
+/// records slot offsets and clones instructions only once it has
+/// landed on the return: most walks fail, and cloning at every step
+/// would cost many times the decodes themselves.
 fn walk_table(
     table: &[Slot],
     base: u32,
@@ -170,26 +226,31 @@ fn walk_table(
     ret_at: usize,
     stats: &mut ScanStats,
 ) -> Option<Candidate> {
-    let mut insns = Vec::new();
+    let mut path = [0usize; MAX_GADGET_INSNS];
+    let mut n = 0;
     let mut pos = start;
     while pos <= ret_at {
         stats.memo_hits += 1;
         let slot = &table[pos];
-        let insn = slot.insn.as_ref()?;
+        slot.insn.as_ref()?;
+        if n == MAX_GADGET_INSNS {
+            return None;
+        }
+        path[n] = pos;
+        n += 1;
         if pos == ret_at {
             let far = slot.ret?;
-            insns.push(insn.clone());
-            if insns.len() > MAX_GADGET_INSNS {
-                return None;
-            }
             return Some(Candidate {
                 vaddr: base + start as u32,
-                insns,
+                insns: path[..n]
+                    .iter()
+                    .filter_map(|&p| table[p].insn.clone())
+                    .collect(),
                 len: (ret_at + 1 - start) as u32,
                 far,
             });
         }
-        if !slot.interior_ok || insns.len() + 1 > MAX_GADGET_INSNS {
+        if !slot.interior_ok {
             return None;
         }
         // The sequence must land exactly on the return byte.
@@ -197,7 +258,6 @@ fn walk_table(
         if next > ret_at {
             return None;
         }
-        insns.push(insn.clone());
         pos = next;
     }
     None
@@ -354,6 +414,36 @@ mod tests {
             })
             .collect();
         assert_equivalent(&soup, 0x1000);
+    }
+
+    /// Byte soup dense in unaligned returns.
+    fn soup(len: usize, mut x: u32) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rescan_reuses_decodes_away_from_changed_bytes() {
+        let old = soup(4096, 0x1234_5678);
+        let (_, _, table) = scan_reusing(&old, 0x1000, None);
+        let mut new = old.clone();
+        for at in [0, 17, 2000, 2001, 4095] {
+            new[at] ^= 0x5a;
+        }
+        let (cands, stats, _) = scan_reusing(&new, 0x1000, Some((&old, table)));
+        let fresh = scan_reference(&new, 0x1000);
+        assert_eq!(format!("{cands:?}"), format!("{fresh:?}"));
+        // 1 + 15 + 15 + 1 + 15 offsets lie within 14 bytes before a change.
+        assert_eq!(stats.decoded, 47);
+        assert_eq!(stats.decoded + stats.reused, stats.offsets);
+        // A table for another length is ignored.
+        let (_, _, table) = scan_reusing(&old, 0x1000, None);
+        let (_, stats, _) = scan_reusing(&new[1..], 0x1000, Some((&old, table)));
+        assert_eq!((stats.decoded, stats.reused), (4095, 0));
     }
 
     #[test]

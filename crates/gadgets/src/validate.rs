@@ -125,6 +125,9 @@ struct ProbeBufs {
     /// Staging for the dirtied ranges (the log cannot be borrowed
     /// while restoring through it).
     dirty: Vec<(u32, u32)>,
+    /// Set when the current proposal's probe executed an instruction
+    /// outside the candidate's own bytes.
+    strayed: bool,
 }
 
 impl ProbeBufs {
@@ -135,6 +138,7 @@ impl ProbeBufs {
             pre: ScratchPre::empty(),
             log_mark: 0,
             dirty: Vec::new(),
+            strayed: false,
         }
     }
 }
@@ -332,10 +336,12 @@ fn run_probe(
     vm.cpu.set_esp(esp0);
     vm.cpu.eip = p.cand.vaddr;
 
+    let own = p.cand.vaddr..p.cand.vaddr + p.cand.len;
     for _ in 0..PROBE_STEPS {
         if vm.cpu.eip == CALL_SENTINEL {
             return Some((esp0, init_regs));
         }
+        bufs.strayed |= !own.contains(&vm.cpu.eip);
         match vm.step() {
             Ok(None) => {}
             _ => return None,
@@ -456,11 +462,14 @@ fn validate_shared(
     stats: &mut ProbeStats,
 ) -> Option<Gadget> {
     stats.proposals += 1;
+    bufs.strayed = false;
     let ne = p.effects.len();
     if ne == 0 {
         return None;
     }
     if ne > MAX_SHARED_EFFECTS {
+        // The legacy path does not watch where the probe goes.
+        bufs.strayed = true;
         return legacy::validate_with(vm, p);
     }
 
@@ -618,6 +627,14 @@ impl ProbeVm {
         self.vm
             .reset_to_skipping(&self.pristine, &self.scratch_windows);
         validate_shared(&mut self.vm, p, &mut self.bufs, &mut self.stats)
+    }
+
+    /// Whether the last [`ProbeVm::validate`] executed an instruction
+    /// outside the candidate's own bytes (a return that missed the
+    /// probe's sentinel). That verdict also depends on the other text
+    /// it ran, so it is never reused across passes.
+    pub fn strayed(&self) -> bool {
+        self.bufs.strayed
     }
 }
 

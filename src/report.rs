@@ -330,6 +330,11 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
             "  gadget scan: {decoded} decodes over {offsets} text offsets, \
              {memo} memoized walk steps ({amort:.1}x amortization)"
         );
+        let _ = writeln!(
+            out,
+            "  decodes reused from the previous pass: {}",
+            get("scan.decode.reused")
+        );
     }
 }
 
@@ -341,7 +346,8 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
     let proposals = get("vm.probe.proposals");
     let runs = get("vm.probe.runs");
-    if proposals + runs == 0 {
+    let reused = get("vm.probe.reused");
+    if proposals + runs + reused == 0 {
         return;
     }
     let per = if proposals == 0 {
@@ -355,6 +361,10 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
         out,
         "  proposals: {proposals}   probe runs: {runs} ({per:.2} per proposal)   runs saved: {saved} ({:.1}%)",
         pct(saved, runs + saved)
+    );
+    let _ = writeln!(
+        out,
+        "  verdicts reused from the previous pass: {reused} (no probe run)"
     );
     let _ = writeln!(
         out,
@@ -611,6 +621,26 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
         }
     }
 
+    // Gadget-pass work: decodes and probe runs performed, and what the
+    // incremental second pass reused instead.
+    let work = [
+        ("decodes", "scan.decode.once"),
+        ("decodes reused", "scan.decode.reused"),
+        ("probe runs", "vm.probe.runs"),
+        ("verdicts reused", "vm.probe.reused"),
+    ];
+    if work.iter().any(|(_, k)| par(a, k) + par(b, k) > 0) {
+        let _ = writeln!(out, "\ngadget work (b - a):");
+        for (name, k) in work {
+            let (wa, wb) = (par(a, k), par(b, k));
+            let _ = writeln!(
+                out,
+                "  {name:<16} {wa:>9} -> {wb:>9} ({:+})",
+                wb as i64 - wa as i64
+            );
+        }
+    }
+
     let (rows_a, rows_b) = (vf_rows(a), vf_rows(b));
     let (tot_a, tot_b) = (total_run_cycles(a), total_run_cycles(b));
     let mut funcs: BTreeSet<&str> = rows_a.iter().map(|r| r.func.as_str()).collect();
@@ -781,11 +811,13 @@ mod tests {
         t.count("vm.block.hit", 900);
         t.count("vm.block.miss", 100);
         t.count("vm.block.invalidate", 3);
-        t.count("scan.decode.offsets", 5000);
+        t.count("scan.decode.offsets", 8000);
         t.count("scan.decode.once", 5000);
+        t.count("scan.decode.reused", 3000);
         t.count("scan.decode.memo_hit", 20000);
         t.count("vm.probe.proposals", 486);
         t.count("vm.probe.runs", 941);
+        t.count("vm.probe.reused", 120);
         t.count("vm.probe.runs_saved", 59);
         t.count("vm.probe.reseed_words", 12800);
         t.count("vm.probe.builds", 2);
@@ -832,10 +864,12 @@ mod tests {
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "rewritten-func: 2 hits / 1 misses",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
-            "5000 decodes over 5000 text offsets",
+            "5000 decodes over 8000 text offsets",
             "4.0x amortization",
+            "decodes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
             "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)",
+            "verdicts reused from the previous pass: 120 (no probe run)",
             "scratch reseed: 12800 words   probe VMs: 2 built (1.500 ms)",
             "verification:",
             "image loads:  5 verified, 1 refused (2.000 ms total)",
@@ -876,6 +910,15 @@ mod tests {
         assert!(diff.contains("speedup 4.00x -> 4.00x"), "{diff}");
         assert!(
             diff.contains("func cache     75.0% -> 75.0% hit rate (3 -> 3 hits)"),
+            "{diff}"
+        );
+        assert!(diff.contains("gadget work (b - a):"), "{diff}");
+        assert!(
+            diff.contains("decodes reused        3000 ->      3000 (+0)"),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("verdicts reused        120 ->       120 (+0)"),
             "{diff}"
         );
         assert!(diff.contains("verification (b - a):"), "{diff}");
