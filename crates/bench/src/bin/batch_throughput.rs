@@ -1,5 +1,5 @@
 //! Batch-protection throughput: jobs/sec of the `parallax-engine`
-//! work-stealing pool across worker counts, cold cache vs warm cache.
+//! worker pool across worker counts, cold cache vs warm cache.
 //!
 //! Two modes:
 //!

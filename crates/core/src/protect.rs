@@ -876,7 +876,6 @@ fn run_pipeline(
     // derive from (chain index, variant), never from shared state — so
     // merging results back in task order makes both the compiled
     // output and any error independent of the worker count.
-    let wall = Instant::now();
     // Cap the fan-out to what the task count can feed: spawning more
     // workers than (bounded) tasks only adds join overhead — the
     // measured jobs8-slower-than-jobs1 regression. Two tasks per
@@ -884,8 +883,7 @@ fn run_pipeline(
     let jobs = parallax_pool::effective_workers_for(jobs, gen_ctx.len() * nvariants, 2);
     let (compiled, pstats) = parallax_pool::scoped_map(jobs, gen_ctx.len() * nvariants, |t, _w| {
         let (i, v) = (t / nvariants, t % nvariants);
-        let t0 = Instant::now();
-        let out = compile_variant(
+        compile_variant(
             &gen_ctx[i],
             i,
             v,
@@ -897,23 +895,13 @@ fn run_pipeline(
             &guards2,
             ctx2.as_deref(),
             &ctx,
-        );
-        (out, t0.elapsed().as_micros() as u64)
+        )
     });
-    let wall_us = wall.elapsed().as_micros() as u64;
-    let cpu_us: u64 = compiled.iter().map(|(_, d)| *d).sum();
     if let Some(t) = trace {
-        t.count("protect.par.chain.wall_us", wall_us);
-        t.count("protect.par.chain.cpu_us", cpu_us);
-        t.record("protect.par.workers", pstats.workers as u64);
-        t.count("protect.par.steals", pstats.steals);
         pstats.export_to(t, "chain");
     }
     // First error in task order, so failures are deterministic too.
-    let mut arts = Vec::with_capacity(compiled.len());
-    for (r, _) in compiled {
-        arts.push(r?);
-    }
+    let arts = compiled.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let mut chains = Vec::new();
     for (i, gctx) in gen_ctx.iter().enumerate() {
@@ -1287,7 +1275,7 @@ fn scan_gadgets(
                     t.count("scan.decode.once", stats.decoded);
                     t.count("scan.decode.reused", stats.reused);
                     t.count("scan.decode.memo_hit", stats.memo_hits);
-                    // Per-chunk probe-VM construction is pure setup
+                    // Per-worker probe-VM construction is pure setup
                     // cost that fan-out multiplies — attribute it so
                     // `plx profile` can rank it against real work.
                     t.count("vm.probe.builds", vstats.probe_builds);
@@ -1304,9 +1292,7 @@ fn scan_gadgets(
                     t.count("vm.probe.runs_saved", vstats.probe.runs_saved);
                     t.count("vm.probe.reseed_words", vstats.probe.reseed_words);
                     t.count("pool.scan.merge_ns", vstats.merge_ns);
-                    if vstats.pool.workers > 0 {
-                        vstats.pool.export_to(t, "scan");
-                    }
+                    vstats.pool.export_to(t, "scan");
                 }
                 ctx.store.store_scan(img, &fresh);
                 fresh

@@ -1,10 +1,11 @@
 //! The batch-protection engine.
 //!
 //! An [`Engine`] executes a queue of [`Job`]s — each a (program,
-//! [`ProtectConfig`], seed) triple — on a work-stealing pool of OS
-//! threads, sharing one content-addressed [`ArtifactCache`] so jobs
-//! that protect the same base image reuse each other's gadget scans,
-//! coverage analyses, and (on repeat runs) whole protected results.
+//! [`ProtectConfig`], seed) triple — on a pool of OS threads that
+//! claim jobs from one shared cursor, sharing one content-addressed
+//! [`ArtifactCache`] so jobs that protect the same base image reuse
+//! each other's gadget scans, coverage analyses, and (on repeat runs)
+//! whole protected results.
 //! Every observable step is published as an [`EngineEvent`] through an
 //! [`EventSink`].
 //!
@@ -46,8 +47,8 @@ use crate::provenance::{
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
-    /// Worker threads (clamped to at least 1 and at most the job
-    /// count).
+    /// Worker threads: `0` means one per core, and the count is capped
+    /// by the job count and the machine's parallelism.
     pub workers: usize,
     /// In-memory cache capacity, in entries. Sized for per-candidate
     /// gadget-verdict entries (hundreds per image version), not just
@@ -252,7 +253,7 @@ impl Engine {
         }
 
         let t0 = Instant::now();
-        let n_workers = parallax_pool::effective_workers(self.opts.workers, jobs.len());
+        let n_workers = parallax_pool::effective_workers_for(self.opts.workers, jobs.len(), 1);
         let (results, pool_stats) = {
             let jobs = &jobs;
             let sink = &sink;

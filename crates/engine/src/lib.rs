@@ -6,10 +6,10 @@
 //! and several seeds (the paper's Table III sweep). This crate turns
 //! that sweep into a first-class *batch*:
 //!
-//! * [`Engine`] executes a queue of [`Job`]s on a work-stealing pool
-//!   of OS threads (`std::thread` + mutex-guarded deques; no external
-//!   runtime), pipelining jobs so slow programs don't serialize fast
-//!   ones.
+//! * [`Engine`] executes a queue of [`Job`]s on a pool of OS threads
+//!   (`std::thread` and one atomic claim cursor; no external runtime),
+//!   so a worker that finishes a fast program claims the next job
+//!   instead of waiting behind a slow one.
 //! * The [`ArtifactCache`] is content-addressed: gadget scans,
 //!   coverage analyses, and whole protected results are keyed by a
 //!   128-bit hash of the exact bytes that determine them, stored in a

@@ -171,6 +171,31 @@ fn poisoned_cache_is_detected_evicted_and_recomputed() {
     assert_eq!(first.results[0].image, third.results[0].image);
 }
 
+/// `workers: 0` means one worker per core, the same rule `plx protect
+/// --jobs 0` follows, not a serial batch.
+#[test]
+fn zero_workers_means_one_per_core() {
+    let tracer = std::sync::Arc::new(parallax_trace::Tracer::new());
+    let engine = Engine::new(EngineOptions {
+        workers: 0,
+        trace: Some(std::sync::Arc::clone(&tracer)),
+        ..EngineOptions::default()
+    });
+    let mut jobs = test_jobs();
+    jobs.truncate(4);
+    let n = jobs.len();
+    let report = engine.run(jobs, |_| {}).expect("batch runs");
+    assert!(report.all_clean());
+    let snap = tracer.snapshot();
+    let workers = snap
+        .hists
+        .get("pool.jobs.workers")
+        .expect("pool.jobs recorded");
+    let auto = parallax_pool::effective_workers_for(parallax_pool::auto_workers(), n, 1);
+    assert_eq!(workers.max, auto as u64);
+    assert_eq!(workers.count, 1, "one pool run per batch");
+}
+
 #[test]
 fn traced_batch_lands_jobs_stages_and_events_on_one_timeline() {
     let tracer = std::sync::Arc::new(parallax_trace::Tracer::new());

@@ -117,17 +117,15 @@ pub struct PassMemo {
 /// uses to explain where a flat parallel speedup went.
 #[derive(Debug, Clone, Default)]
 pub struct ValidateStats {
-    /// Probe VMs constructed (one per chunk; one total when the run
-    /// stayed inline).
+    /// Probe VMs constructed: one per worker that validated anything.
     pub probe_builds: u64,
-    /// Total nanoseconds spent constructing probe VMs — per-chunk
+    /// Total nanoseconds spent constructing probe VMs — per-worker
     /// setup cost that parallelism multiplies instead of amortizing.
     pub probe_build_ns: u64,
     /// Nanoseconds spent concatenating per-chunk gadget vectors back
     /// into sequential order (serial, on the caller's thread).
     pub merge_ns: u64,
-    /// Scheduling statistics of the validation pool run. Defaulted
-    /// (zero workers) when the run stayed inline.
+    /// Scheduling statistics of the validation pool run.
     pub pool: parallax_pool::PoolStats,
     /// Probe-work counters summed over every worker's [`ProbeVm`]
     /// (proposals, probe runs, runs the shared-trial path avoided,
@@ -211,8 +209,8 @@ pub fn find_gadgets_reusing(
     // ~1.5 MiB of VM memory) measured as a top blocker, so workers
     // amortize one build over every chunk they execute and reset the
     // VM from a pristine snapshot between proposals. The reset makes
-    // each verdict a pure function of the proposal, so the inline and
-    // parallel paths — and any job count — agree byte-for-byte.
+    // each verdict a pure function of the proposal, so any job count
+    // agrees byte-for-byte.
     let build_probe = || {
         let t0 = std::time::Instant::now();
         let probe = ProbeVm::new(img);
@@ -258,30 +256,17 @@ pub fn find_gadgets_reusing(
         probe_stats.lock().unwrap().merge(&probe.take_stats());
         out
     };
-    // 64 candidates per worker at minimum (the cost of building each
-    // worker's probe VM needs that much validation work to pay off).
-    let workers = parallax_pool::effective_workers_for(jobs, cands.len(), 64);
-    let (parts, pool) = if workers == 1 {
-        let mut probe = build_probe();
-        (
-            vec![validate_chunk(&mut probe, &cands)],
-            parallax_pool::PoolStats::default(),
-        )
-    } else {
-        // Adaptive granularity: ~CHUNKS_PER_WORKER chunks per worker so
-        // a chunk dense in expensive proposals can be balanced by
-        // stealing, with a floor that keeps scheduling from dominating
-        // tiny runs.
-        let chunk = parallax_pool::adaptive_chunk_size(cands.len(), workers, 16);
-        let chunks: Vec<&[Candidate]> = cands.chunks(chunk).collect();
-        let workers = parallax_pool::effective_workers(workers, chunks.len());
-        parallax_pool::scoped_map_init(
-            workers,
-            chunks.len(),
-            |_w| build_probe(),
-            |probe, i, _w| validate_chunk(probe, chunks[i]),
-        )
-    };
+    // Fixed-size chunks, and CHUNK candidates per worker at minimum:
+    // building each worker's probe VM needs that much validation work
+    // to pay off.
+    const CHUNK: usize = 64;
+    let chunks: Vec<&[Candidate]> = cands.chunks(CHUNK).collect();
+    let (parts, pool) = parallax_pool::scoped_map_init(
+        parallax_pool::effective_workers_for(jobs, cands.len(), CHUNK),
+        chunks.len(),
+        |_w| build_probe(),
+        |probe, i, _w| validate_chunk(probe, chunks[i]),
+    );
     let t0 = std::time::Instant::now();
     let mut gadgets = Vec::new();
     let mut verdicts = HashMap::new();
@@ -298,11 +283,7 @@ pub fn find_gadgets_reusing(
     let vstats = ValidateStats {
         probe_builds: probe_builds.into_inner(),
         probe_build_ns: probe_build_ns.into_inner(),
-        merge_ns: if workers == 1 {
-            0
-        } else {
-            t0.elapsed().as_nanos() as u64
-        },
+        merge_ns: t0.elapsed().as_nanos() as u64,
         pool,
         probe: probe_stats.into_inner().unwrap(),
         reused,

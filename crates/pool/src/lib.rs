@@ -1,38 +1,26 @@
-//! A std-only work-stealing worker pool shared by the batch engine and
-//! the protection pipeline.
+//! A std-only worker pool shared by the batch engine and the
+//! protection pipeline. It lives in its own crate so `parallax-core`
+//! and `parallax-rewrite` can fan per-function work over the same
+//! scheduler without a dependency cycle (engine depends on core).
 //!
-//! The pool was born inside `parallax-engine`'s batch loop; it lives in
-//! its own crate so `parallax-core` and `parallax-rewrite` can fan
-//! per-function pipeline work over the same scheduler without a
-//! dependency cycle (engine depends on core, not the other way around).
-//!
-//! The scheduling discipline is lock-free: items are dealt round-robin
-//! into per-worker *sharded deques* with atomic owner/stealer ends
-//! (the bounded Chase-Lev shape — the item set is known up front, so
-//! the buffer never grows and never recycles slots). Each worker pops
-//! its own shard from the owner end and steals from the opposite end
-//! of its neighbors' shards when idle; the only synchronization on the
-//! hot path is one atomic op per item plus a CAS on a shard's final
-//! element. Results and [`WorkerStats`] accumulate in per-worker
-//! locals handed back through the join handles and are merged **once**
-//! at join, by item index — so the output order is always the input
-//! order and callers get a deterministic merge for free, whatever the
+//! Every call site hands the pool a fixed set of independent items
+//! known up front, so scheduling is one shared atomic *claim cursor*:
+//! each worker `fetch_add`s the next item index until the cursor passes
+//! the end. A worker that finishes early simply claims more, which
+//! balances uneven items as well as work stealing would, with one
+//! atomic op per item and no steal path. Results and [`WorkerStats`]
+//! stay in per-worker locals and are merged **once** at join, by item
+//! index — so the output order is always the input order, whatever the
 //! interleaving was.
 //!
-//! Every run is also *instrumented*: [`PoolStats`] carries per-worker
-//! lock-wait time, steal attempts vs. successes, contended lock
-//! acquisitions, idle sweeps and per-item execute timestamps, and
-//! [`PoolStats::export_to`] turns one run into `pool.*` counters,
-//! histograms and per-worker utilization lanes on a
-//! [`parallax_trace::Tracer`] — the raw material `plx profile` uses to
-//! explain a flat parallel speedup. (The deques themselves no longer
-//! take locks; the `lock.*` counters remain fed by [`timed_lock`],
-//! which callers with mutex-guarded shared state still route through.)
+//! [`PoolStats::export_to`] turns one run's per-worker item counts,
+//! busy time and per-item execute windows into `pool.*` counters,
+//! histograms and utilization lanes on a [`parallax_trace::Tracer`] —
+//! the raw material `plx profile` and `plx report` read.
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use parallax_trace::Tracer;
@@ -51,81 +39,48 @@ pub struct ItemSpan {
 /// What one worker thread did during a [`scoped_map`] run.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
-    /// Items this worker executed (own-shard pops plus steals).
+    /// Items this worker claimed and executed.
     pub items: u64,
     /// Nanoseconds spent inside the mapped closure.
     pub busy_ns: u64,
-    /// Nanoseconds blocked acquiring contended (or poisoned) locks via
-    /// [`timed_lock`]. The pool's own deques are lock-free; this moves
-    /// only when a caller's closure routes its own mutexes through
-    /// [`timed_lock`].
-    pub lock_wait_ns: u64,
-    /// [`timed_lock`] acquisitions that found the lock already held
-    /// (or poisoned by a holder's panic).
-    pub lock_contended: u64,
-    /// Successful steals (items taken from a neighbor's shard).
-    pub steals: u64,
-    /// Steal attempts that found the neighbor's shard empty.
-    pub failed_steals: u64,
-    /// Full sweeps over every shard that yielded nothing (one per
-    /// worker at exit in the current fixed-batch discipline; more
-    /// would indicate a retry loop spinning on empty shards).
-    pub idle_spins: u64,
     /// Per-item execute windows, in execution order on this worker.
     pub spans: Vec<ItemSpan>,
 }
 
-/// What one [`scoped_map`] run did, including the contention telemetry
-/// behind the `pool.*` trace namespace.
+/// What one [`scoped_map`] run did, behind the `pool.*` trace namespace.
 #[derive(Debug, Clone, Default)]
 pub struct PoolStats {
-    /// Worker threads actually used (1 means the caller's thread ran
-    /// everything inline).
+    /// Workers used (1: everything ran inline on the caller's thread).
     pub workers: usize,
-    /// Items a worker took from a neighbor's shard instead of its own.
+    /// Always 0: workers claim items from one shared cursor, so there
+    /// is nothing to steal. Kept for readers of per-layer reports.
     pub steals: u64,
-    /// Total attempts to take an item from a neighbor's shard
-    /// (`steals + failed_steals`).
-    pub steal_attempts: u64,
-    /// Steal attempts that found the neighbor's shard empty.
-    pub failed_steals: u64,
-    /// [`timed_lock`] acquisitions that found the lock already held.
-    pub lock_contended: u64,
-    /// Total nanoseconds workers spent blocked on contended locks.
-    pub lock_wait_ns: u64,
-    /// Full empty sweeps over every shard (idle-spin iterations).
+    /// Claims that found the cursor exhausted: one per worker, at exit.
     pub idle_spins: u64,
-    /// Nanoseconds spent in the serial result merge (scattering the
-    /// per-worker result vectors back into item order).
+    /// Nanoseconds of the serial merge of results back into item order.
     pub merge_ns: u64,
-    /// Wall-clock nanoseconds for the whole run (distribution,
-    /// execution and merge).
+    /// Wall-clock nanoseconds for the whole run (execution and merge).
     pub run_ns: u64,
     /// Per-worker breakdown, indexed by worker id.
     pub per_worker: Vec<WorkerStats>,
-    /// When the run started (drives timeline re-basing in
-    /// [`PoolStats::export_to`]); `None` only for `Default` values.
+    /// Run start, for re-basing lanes; `None` only for `Default`.
     started: Option<Instant>,
 }
 
 impl PoolStats {
-    /// Sum of closure-execution nanoseconds across all workers — the
-    /// "useful work" against which `run_ns` measures scheduling and
-    /// merge overhead.
+    /// Closure-execution nanoseconds summed over workers — the useful
+    /// work against which `run_ns` measures scheduling and merge cost.
     pub fn busy_ns(&self) -> u64 {
         self.per_worker.iter().map(|w| w.busy_ns).sum()
     }
 
-    /// Exports this run onto `tracer` under the `pool.<site>.*`
-    /// namespace: counters for steals (ok/fail), contended lock
-    /// acquisitions, lock-wait and merge nanoseconds; histograms of
-    /// per-item and per-worker-busy microseconds; and — when the run
-    /// actually spawned workers — one virtual timeline lane per worker
-    /// (`pool.<site>.w<k>`) carrying the per-item execute windows,
-    /// re-based onto the tracer's epoch. Inline (single-worker) runs
-    /// skip the lanes: their items already execute under the calling
-    /// thread's open spans, and a duplicate lane would double-count
-    /// concurrency in parallax-trace's critical-path analyzer.
+    /// Exports this run onto `tracer` under `pool.<site>.*`: the
+    /// records of [`PoolStats::export_counters_to`] plus, when the run
+    /// spawned workers, one timeline lane per worker
+    /// (`pool.<site>.w<k>`) carrying its item windows. Inline runs skip
+    /// the lanes: their items already run under the caller's open
+    /// spans, and a duplicate lane would double-count concurrency in
+    /// parallax-trace's critical-path analyzer.
     pub fn export_to(&self, tracer: &Tracer, site: &str) {
         self.export_counters_to(tracer, site);
         if self.workers <= 1 {
@@ -133,14 +88,10 @@ impl PoolStats {
         }
         // Re-base item windows (relative to the run start) onto the
         // tracer's epoch so the lanes line up with real-thread spans.
-        let base_us = self.started.map_or_else(
-            || tracer.elapsed_us().saturating_sub(self.run_ns / 1_000),
-            |t0| {
-                tracer
-                    .elapsed_us()
-                    .saturating_sub(t0.elapsed().as_micros() as u64)
-            },
-        );
+        let since_start = self
+            .started
+            .map_or(self.run_ns / 1_000, |t0| t0.elapsed().as_micros() as u64);
+        let base_us = tracer.elapsed_us().saturating_sub(since_start);
         for (k, w) in self.per_worker.iter().enumerate() {
             let lane = tracer.lane(&format!("pool.{site}.w{k}"));
             for span in &w.spans {
@@ -155,19 +106,13 @@ impl PoolStats {
         }
     }
 
-    /// The counter/histogram half of [`PoolStats::export_to`], without
-    /// the per-worker timeline lanes. Use this when the pool's items
-    /// already appear as spans on real threads (the batch engine's
-    /// per-job spans), where extra lanes would double-count
-    /// concurrency.
+    /// The `runs`/`items`/`run_ns`/`merge_ns` counters and the
+    /// `workers`/`worker_busy_us`/`item_us` histograms, without lanes:
+    /// for sites whose items already appear as spans on real threads
+    /// (the batch engine's per-job spans).
     pub fn export_counters_to(&self, tracer: &Tracer, site: &str) {
         let p = |suffix: &str| format!("pool.{site}.{suffix}");
         tracer.count(&p("runs"), 1);
-        tracer.count(&p("steal.ok"), self.steals);
-        tracer.count(&p("steal.fail"), self.failed_steals);
-        tracer.count(&p("lock.contended"), self.lock_contended);
-        tracer.count(&p("lock.wait_ns"), self.lock_wait_ns);
-        tracer.count(&p("idle.spins"), self.idle_spins);
         tracer.count(&p("merge_ns"), self.merge_ns);
         tracer.count(&p("run_ns"), self.run_ns);
         tracer.record(&p("workers"), self.workers as u64);
@@ -189,158 +134,28 @@ pub fn auto_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Target chunks per worker for [`adaptive_chunk_size`]: enough
-/// oversplit that one chunk dense in expensive items can be balanced
-/// by stealing, few enough that per-chunk setup stays amortized.
-pub const CHUNKS_PER_WORKER: usize = 3;
-
-/// Caps a requested fan-out to what can actually help: never more
-/// workers than items, and never more than the machine's available
-/// parallelism. `--jobs 8` on a dual-core runner used to spawn eight
-/// threads thrashing two cores — the jobs8 regression in
-/// `BENCH_protect.json` — without ever finishing sooner than four; the
-/// looser 2× cap that replaced it still let `--jobs 2` on a one-core
-/// host pay thread spawns and duplicated per-worker setup (a probe VM
-/// each) only to time-slice a single core, which is where the gcc
-/// `jobs2 > jobs1` inversion came from.
-pub fn effective_workers(requested: usize, items: usize) -> usize {
-    effective_workers_for(requested, items, 1)
-}
-
-/// [`effective_workers`] with a minimum-work threshold: every worker
-/// must have at least `min_per_worker` items, so tiny fan-outs fall
-/// back toward serial instead of paying pool setup that the work can
-/// never amortize. `min_per_worker` of 0 or 1 disables the threshold.
+/// The one sizing rule for every fan-out: `requested` workers (0 means
+/// [`auto_workers`]), capped so each has at least `min_per_worker`
+/// items (0 or 1 disables the floor) and by the machine's parallelism.
+/// Oversubscribed cores only time-slice while multiplying per-worker
+/// setup (a probe VM each), and tiny fan-outs cannot amortize setup.
 pub fn effective_workers_for(requested: usize, items: usize, min_per_worker: usize) -> usize {
-    let by_work = items / min_per_worker.max(1);
+    let cores = auto_workers();
+    let requested = if requested == 0 { cores } else { requested };
     requested
-        .clamp(1, items.max(1))
-        .min(by_work.max(1))
-        .min(auto_workers().max(1))
+        .min(items / min_per_worker.max(1))
+        .min(cores)
+        .max(1)
 }
 
-/// Adaptive chunk granularity: sizes chunks so `items` splits into
-/// roughly [`CHUNKS_PER_WORKER`] × `workers` chunks, but never below
-/// `min_chunk` items per chunk (tiny chunks make per-chunk setup and
-/// scheduling the dominant cost).
-pub fn adaptive_chunk_size(items: usize, workers: usize, min_chunk: usize) -> usize {
-    items
-        .div_ceil(workers.max(1) * CHUNKS_PER_WORKER)
-        .max(min_chunk.max(1))
-}
-
-/// Locks `m`, counting the acquisition as contended (and timing the
-/// blocked wait) when a `try_lock` probe finds it already held. A
-/// poisoned lock is recovered — and *also* counted, with its recovery
-/// timed: the panic that poisoned it happened while the lock was held,
-/// so skipping the counters would understate contention in
-/// `plx profile`. The pool's own deques are lock-free; this helper
-/// remains for callers whose mapped closures guard shared state with
-/// mutexes and want that time attributed in the `pool.*` namespace.
-pub fn timed_lock<'m, T>(m: &'m Mutex<T>, w: &mut WorkerStats) -> MutexGuard<'m, T> {
-    match m.try_lock() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(p)) => {
-            w.lock_contended += 1;
-            let t0 = Instant::now();
-            let g = p.into_inner();
-            w.lock_wait_ns += t0.elapsed().as_nanos() as u64;
-            g
-        }
-        Err(TryLockError::WouldBlock) => {
-            w.lock_contended += 1;
-            let t0 = Instant::now();
-            let g = m.lock().unwrap_or_else(|e| e.into_inner());
-            w.lock_wait_ns += t0.elapsed().as_nanos() as u64;
-            g
-        }
-    }
-}
-
-/// One worker's shard: a bounded Chase-Lev deque preloaded with the
-/// worker's item indices. The buffer is immutable after construction
-/// (items are known up front and slots are never recycled), so the
-/// usual growth/ABA hazards of the general algorithm do not arise;
-/// `top`/`bottom` alone arbitrate ownership. `buf` holds the indices
-/// in *descending* order so the owner pops ascending item order from
-/// the bottom end while stealers take the largest-index items from the
-/// top — the same two ends the old mutexed deque exposed.
-struct Shard {
-    buf: Box<[usize]>,
-    /// Steal end: slot of the next stealable item.
-    top: AtomicIsize,
-    /// Owner end: one past the last owned slot.
-    bottom: AtomicIsize,
-}
-
-impl Shard {
-    fn new(mut items: Vec<usize>) -> Shard {
-        items.reverse();
-        let len = items.len() as isize;
-        Shard {
-            buf: items.into_boxed_slice(),
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(len),
-        }
-    }
-
-    /// Owner-end pop. Returns `None` when the shard is empty (or the
-    /// final element was lost to a concurrent stealer).
-    fn take(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::SeqCst) - 1;
-        self.bottom.store(b, Ordering::SeqCst);
-        let t = self.top.load(Ordering::SeqCst);
-        if t > b {
-            // Empty: undo the speculative decrement.
-            self.bottom.store(b + 1, Ordering::SeqCst);
-            return None;
-        }
-        let item = self.buf[b as usize];
-        if t == b {
-            // Final element: race any stealer for it with a CAS on the
-            // steal end; exactly one side advances `top` past it.
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::SeqCst);
-            return won.then_some(item);
-        }
-        Some(item)
-    }
-
-    /// Steal-end pop. Retries internally on CAS losses (another thief
-    /// — or the owner taking the final element — moved `top`); returns
-    /// `None` only after observing the shard empty, so a sweep that
-    /// comes back `None` from every shard really found no work.
-    fn steal(&self) -> Option<usize> {
-        loop {
-            let t = self.top.load(Ordering::SeqCst);
-            let b = self.bottom.load(Ordering::SeqCst);
-            if t >= b {
-                return None;
-            }
-            let item = self.buf[t as usize];
-            if self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                return Some(item);
-            }
-        }
-    }
-}
-
-/// Runs `f(item_index, worker_index)` for every item in `0..n` on a
-/// work-stealing pool of `workers` threads (clamped to `[1, n]`) and
-/// returns the results **in item order** plus scheduling statistics.
+/// Runs `f(item_index, worker_index)` for every item in `0..n` on
+/// `workers` threads (clamped to `[1, n]`) and returns the results
+/// **in item order** plus scheduling statistics.
 ///
 /// With one worker (or one item) everything runs inline on the calling
-/// thread — no threads are spawned, and `worker_index` is always 0.
-/// `f` must produce the same result for an item regardless of which
-/// worker runs it; under that contract the returned vector is
-/// bit-identical across worker counts.
+/// thread and `worker_index` is always 0. If `f`'s result for an item
+/// does not depend on the worker, the output is bit-identical across
+/// worker counts.
 ///
 /// Panics in `f` propagate to the caller.
 pub fn scoped_map<T, F>(workers: usize, n: usize, f: F) -> (Vec<T>, PoolStats)
@@ -351,19 +166,15 @@ where
     scoped_map_init(workers, n, |_| (), |(), i, w| f(i, w))
 }
 
-/// [`scoped_map`] with per-worker state: `init(worker_index)` is
-/// called lazily — on the worker's own thread, the first time that
-/// worker actually executes an item — and the resulting state is
-/// passed by `&mut` to every item the worker runs. The state type `S`
-/// needs no `Send`/`Sync` bound (it is created, used, and dropped
-/// entirely on one thread), which is exactly what per-worker probe-VM
-/// reuse needs: a `Vm` holds `Rc`s and cannot cross threads.
+/// [`scoped_map`] with per-worker state: `init(worker_index)` runs
+/// lazily on the worker's own thread, before its first item, and the
+/// state is passed by `&mut` to every item that worker runs. `S` needs
+/// no `Send`/`Sync` bound (it never leaves its thread), which is what
+/// per-worker probe VMs need: a `Vm` holds `Rc`s.
 ///
-/// Determinism contract: `f(&mut s, i, w)` must produce the same
-/// result for item `i` regardless of the worker, the state's history,
-/// or the interleaving — reusable state must be reset to a canonical
-/// point per item (the probe VM's reseed). Under that contract the
-/// output is bit-identical across worker counts.
+/// Determinism contract: `f(&mut s, i, w)` must not depend on the
+/// worker, the state's history or the interleaving — reusable state is
+/// reset to a canonical point per item (the probe VM's reseed).
 pub fn scoped_map_init<S, T, I, F>(workers: usize, n: usize, init: I, f: F) -> (Vec<T>, PoolStats)
 where
     T: Send,
@@ -372,103 +183,46 @@ where
 {
     let run_start = Instant::now();
     let workers = workers.clamp(1, n.max(1));
-    if workers <= 1 {
+    let cursor = AtomicUsize::new(0);
+    // Every worker's claim loop: take the next index until it passes `n`.
+    let work = |w: usize| {
         let mut ws = WorkerStats::default();
+        let mut results = Vec::new();
         let mut state: Option<S> = None;
-        let out = (0..n)
-            .map(|i| {
-                let st = state.get_or_insert_with(|| init(0));
-                let t0 = Instant::now();
-                let r = f(st, i, 0);
-                ws.items += 1;
-                let dur = t0.elapsed().as_nanos() as u64;
-                ws.busy_ns += dur;
-                ws.spans.push(ItemSpan {
-                    item: i,
-                    start_ns: (t0 - run_start).as_nanos() as u64,
-                    dur_ns: dur,
-                });
-                r
-            })
-            .collect();
-        let mut stats = PoolStats {
-            workers: 1,
-            run_ns: run_start.elapsed().as_nanos() as u64,
-            per_worker: vec![ws],
-            started: Some(run_start),
-            ..PoolStats::default()
-        };
-        aggregate(&mut stats);
-        return (out, stats);
-    }
-
-    // Deal round-robin into per-worker shards; idle workers steal from
-    // the opposite end of their neighbors' shards.
-    let shards: Vec<Shard> = (0..workers)
-        .map(|w| Shard::new((w..n).step_by(workers).collect()))
-        .collect();
-
-    let joined: Vec<(WorkerStats, Vec<(usize, T)>)> = {
-        let shards = &shards;
-        let init = &init;
-        let f = &f;
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let st = state.get_or_insert_with(|| init(w));
+            let t0 = Instant::now();
+            results.push((i, f(st, i, w)));
+            let dur = t0.elapsed().as_nanos() as u64;
+            ws.items += 1;
+            ws.busy_ns += dur;
+            ws.spans.push(ItemSpan {
+                item: i,
+                start_ns: (t0 - run_start).as_nanos() as u64,
+                dur_ns: dur,
+            });
+        }
+        (ws, results)
+    };
+    let joined: Vec<(WorkerStats, Vec<(usize, T)>)> = if workers == 1 {
+        vec![work(0)]
+    } else {
+        let work = &work;
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    s.spawn(move || {
-                        let mut ws = WorkerStats::default();
-                        let mut results: Vec<(usize, T)> = Vec::new();
-                        let mut state: Option<S> = None;
-                        loop {
-                            let mut got = shards[w].take();
-                            if got.is_none() {
-                                for off in 1..workers {
-                                    match shards[(w + off) % workers].steal() {
-                                        Some(i) => {
-                                            ws.steals += 1;
-                                            got = Some(i);
-                                            break;
-                                        }
-                                        None => ws.failed_steals += 1,
-                                    }
-                                }
-                            }
-                            let Some(i) = got else {
-                                // A full sweep over every shard came
-                                // back empty: the batch is drained.
-                                ws.idle_spins += 1;
-                                break;
-                            };
-                            let st = state.get_or_insert_with(|| init(w));
-                            let t0 = Instant::now();
-                            let out = f(st, i, w);
-                            ws.items += 1;
-                            let dur = t0.elapsed().as_nanos() as u64;
-                            ws.busy_ns += dur;
-                            ws.spans.push(ItemSpan {
-                                item: i,
-                                start_ns: (t0 - run_start).as_nanos() as u64,
-                                dur_ns: dur,
-                            });
-                            results.push((i, out));
-                        }
-                        (ws, results)
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         })
     };
 
     let merge_start = Instant::now();
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
+    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let mut per_worker = Vec::with_capacity(workers);
     for (ws, results) in joined {
         for (i, v) in results {
@@ -480,29 +234,16 @@ where
         .into_iter()
         .map(|slot| slot.expect("scoped_map: every item executed exactly once"))
         .collect();
-    let merge_ns = merge_start.elapsed().as_nanos() as u64;
-    let mut stats = PoolStats {
+    let stats = PoolStats {
         workers,
-        merge_ns,
+        steals: 0,
+        idle_spins: workers as u64,
+        merge_ns: merge_start.elapsed().as_nanos() as u64,
         run_ns: run_start.elapsed().as_nanos() as u64,
         per_worker,
         started: Some(run_start),
-        ..PoolStats::default()
     };
-    aggregate(&mut stats);
     (out, stats)
-}
-
-/// Rolls the per-worker numbers up into the run-level totals.
-fn aggregate(stats: &mut PoolStats) {
-    for w in &stats.per_worker {
-        stats.steals += w.steals;
-        stats.failed_steals += w.failed_steals;
-        stats.lock_contended += w.lock_contended;
-        stats.lock_wait_ns += w.lock_wait_ns;
-        stats.idle_spins += w.idle_spins;
-    }
-    stats.steal_attempts = stats.steals + stats.failed_steals;
 }
 
 #[cfg(test)]
@@ -527,8 +268,8 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped_to_items() {
-        // 16 workers over 3 items must not spawn 16 threads' worth of
-        // shards with most permanently empty — and must still finish.
+        // 16 workers over 3 items must not spawn 16 threads with most
+        // claiming nothing — and must still finish.
         let (out, stats) = scoped_map(16, 3, |i, _w| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
         assert!(stats.workers <= 3);
@@ -539,7 +280,7 @@ mod tests {
         // The determinism contract: same closure, same items, any
         // worker count — same output vector.
         let slow = |i: usize, _w: usize| {
-            // Uneven per-item work so stealing actually happens.
+            // Uneven per-item work so fast workers claim more items.
             let mut acc = i as u64;
             for k in 0..(i % 7) * 1000 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k as u64);
@@ -561,9 +302,12 @@ mod tests {
         assert_eq!(items, 57, "every item executed exactly once");
         let spans: usize = stats.per_worker.iter().map(|w| w.spans.len()).sum();
         assert_eq!(spans, 57, "every item has an execute window");
-        assert_eq!(stats.steal_attempts, stats.steals + stats.failed_steals);
         assert!(stats.run_ns > 0);
         assert_eq!(stats.per_worker.len(), stats.workers);
+        assert_eq!(
+            stats.idle_spins, stats.workers as u64,
+            "one exit claim each"
+        );
     }
 
     #[test]
@@ -574,7 +318,6 @@ mod tests {
         assert_eq!(stats.per_worker.len(), 1);
         assert_eq!(stats.per_worker[0].spans.len(), 5);
         assert_eq!(stats.steals, 0);
-        assert_eq!(stats.lock_contended, 0);
     }
 
     #[test]
@@ -625,109 +368,10 @@ mod tests {
         assert_eq!(out, (0..16).map(|i| i + 7).collect::<Vec<_>>());
     }
 
-    /// Forces a contended acquisition deterministically: a second
-    /// thread takes the mutex and holds it across a rendezvous, so
-    /// [`timed_lock`]'s `try_lock` probe *must* fail and the blocked
-    /// wait *must* be timed. This pins the accounting path even on a
-    /// single-CPU machine, where scheduler-race contention is
-    /// vanishingly rare.
-    #[test]
-    fn contended_lock_acquisitions_are_counted_and_timed() {
-        use std::sync::{Arc, Barrier};
-        let m = Arc::new(Mutex::new(0u32));
-        let gate = Arc::new(Barrier::new(2));
-        let holder = {
-            let m = Arc::clone(&m);
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                let mut g = m.lock().expect("holder locks first");
-                gate.wait(); // main thread may now try (and fail) to lock
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                *g = 1;
-            })
-        };
-        gate.wait();
-        let mut ws = WorkerStats::default();
-        let g = timed_lock(&m, &mut ws);
-        assert_eq!(*g, 1, "timed_lock waited for the holder to finish");
-        drop(g);
-        assert_eq!(ws.lock_contended, 1, "the blocked acquisition is counted");
-        assert!(
-            ws.lock_wait_ns >= 10_000_000,
-            "the blocked wait is timed (waited {} ns across a 20 ms hold)",
-            ws.lock_wait_ns
-        );
-        // An uncontended acquisition stays free of both counters.
-        let before = (ws.lock_contended, ws.lock_wait_ns);
-        drop(timed_lock(&m, &mut ws));
-        assert_eq!((ws.lock_contended, ws.lock_wait_ns), before);
-        holder.join().expect("holder exits");
-    }
-
-    /// The poisoned-recovery path must record the acquisition too: the
-    /// panic that poisoned the lock happened while it was held, so an
-    /// unrecorded recovery would understate contention in `plx
-    /// profile` (the satellite fix this test pins).
-    #[test]
-    fn poisoned_lock_recovery_is_counted_and_timed() {
-        use std::sync::Arc;
-        let m = Arc::new(Mutex::new(7u32));
-        let poisoner = {
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || {
-                let _g = m.lock().expect("first lock succeeds");
-                panic!("poison the mutex");
-            })
-        };
-        assert!(poisoner.join().is_err(), "the holder panicked");
-        assert!(m.is_poisoned());
-        let mut ws = WorkerStats::default();
-        let g = timed_lock(&m, &mut ws);
-        assert_eq!(*g, 7, "the poisoned value is recovered intact");
-        drop(g);
-        assert_eq!(
-            ws.lock_contended, 1,
-            "poisoned recovery counts as a contended acquisition"
-        );
-    }
-
-    /// Forces stealing (and the failed steal attempts every exit
-    /// sweep produces) by making worker 0's own items slow while all
-    /// other workers' items are free, so idle workers drain their own
-    /// shards instantly and pile onto worker 0's shard.
-    #[test]
-    fn steal_attempts_and_failures_are_counted() {
-        let spin = |iters: u64| {
-            let mut acc = 1u64;
-            for k in 0..iters {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            std::hint::black_box(acc)
-        };
-        let workers = 4;
-        let (_, stats) = scoped_map(workers, 256, |i, _w| {
-            if i % workers == 0 {
-                spin(20_000);
-            }
-            i
-        });
-        assert_eq!(stats.steal_attempts, stats.steals + stats.failed_steals);
-        assert!(
-            stats.failed_steals > 0,
-            "exit sweeps over drained shards must count as failed steals"
-        );
-        assert!(stats.steals > 0, "idle workers must have stolen slow items");
-        assert!(stats.idle_spins >= stats.workers as u64 - 1);
-        let per_worker_steals: u64 = stats.per_worker.iter().map(|w| w.steals).sum();
-        assert_eq!(per_worker_steals, stats.steals);
-        let per_worker_contended: u64 = stats.per_worker.iter().map(|w| w.lock_contended).sum();
-        assert_eq!(per_worker_contended, stats.lock_contended);
-    }
-
-    /// The shard protocol under adversarial interleaving: many rounds
-    /// of tiny batches maximize last-element races between the owner's
-    /// `take` and concurrent `steal`s; every item must be executed
-    /// exactly once every round.
+    /// The claim cursor under adversarial interleaving: many rounds of
+    /// tiny batches maximize races on the last items and on the exit
+    /// claims past the end; every item must be executed exactly once
+    /// every round.
     #[test]
     fn shard_races_never_lose_or_duplicate_items() {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -749,15 +393,16 @@ mod tests {
     fn effective_workers_caps_fanout() {
         let cap = auto_workers().max(1);
         // Never more workers than items (independent of the core cap).
-        assert!(effective_workers(8, 3) <= 3);
-        assert_eq!(effective_workers(8, 3), 3.min(cap));
-        assert_eq!(effective_workers(0, 10), 1);
-        assert_eq!(effective_workers(1, 0), 1);
+        assert!(effective_workers_for(8, 3, 1) <= 3);
+        assert_eq!(effective_workers_for(8, 3, 1), 3.min(cap));
+        // 0 means one worker per core, still capped by the item count.
+        assert_eq!(effective_workers_for(0, 10, 1), cap.min(10));
+        assert_eq!(effective_workers_for(1, 0, 1), 1);
         // Never more than the machine's parallelism — oversubscription
         // only time-slices cores while multiplying per-worker setup.
-        assert!(effective_workers(1024, 4096) <= cap);
+        assert!(effective_workers_for(1024, 4096, 1) <= cap);
         // Small requests under both caps pass through unchanged.
-        assert_eq!(effective_workers(1, 100), 1);
+        assert_eq!(effective_workers_for(1, 100, 1), 1);
     }
 
     #[test]
@@ -771,22 +416,23 @@ mod tests {
         // ...and plentiful work leaves the request alone.
         assert_eq!(effective_workers_for(2, 4096, 64), 2.min(cap));
         // 0/1 disables the threshold.
-        assert_eq!(effective_workers_for(2, 2, 0), effective_workers(2, 2));
+        assert_eq!(
+            effective_workers_for(2, 2, 0),
+            effective_workers_for(2, 2, 1)
+        );
     }
 
     #[test]
-    fn adaptive_chunk_size_targets_chunks_per_worker() {
-        // Large inputs: ~CHUNKS_PER_WORKER chunks per worker.
-        let cs = adaptive_chunk_size(3000, 4, 16);
-        let chunks = 3000usize.div_ceil(cs);
-        assert!(
-            (4..=4 * CHUNKS_PER_WORKER + 1).contains(&chunks),
-            "3000 items / 4 workers gave {chunks} chunks of {cs}"
-        );
-        // Small inputs: the floor wins, capping the chunk count.
-        assert_eq!(adaptive_chunk_size(40, 8, 16), 16);
-        // Degenerate inputs stay sane.
-        assert_eq!(adaptive_chunk_size(0, 0, 0), 1);
+    #[should_panic(expected = "item 3 failed")]
+    fn panics_propagate_from_inline_run() {
+        scoped_map(1, 8, |i, _w| assert!(i != 3, "item 3 failed"));
+    }
+
+    #[test]
+    #[should_panic(expected = "item 3 failed")]
+    fn panics_propagate_from_threaded_run() {
+        let (_, stats) = scoped_map(4, 8, |i, _w| assert!(i != 3, "item 3 failed"));
+        unreachable!("a 4-worker run with a panicking item returned: {stats:?}");
     }
 
     #[test]
@@ -796,10 +442,7 @@ mod tests {
         stats.export_to(&t, "test");
         assert_eq!(t.counter("pool.test.runs"), 1);
         assert_eq!(t.counter("pool.test.items"), 32);
-        assert_eq!(
-            t.counter("pool.test.steal.ok") + t.counter("pool.test.steal.fail"),
-            stats.steal_attempts
-        );
+        assert!(t.counter("pool.test.run_ns") > 0);
         let snap = t.snapshot();
         let lanes = snap
             .thread_names

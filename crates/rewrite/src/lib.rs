@@ -290,8 +290,7 @@ pub fn protect_program_traced(
 /// config), results are merged back **in target order** and the output
 /// program is bit-identical whatever `jobs` is. Passes 2 (cross-
 /// function alignment) and 3 (standard set) are inherently global and
-/// stay sequential. Callers resolve `jobs == 0` (auto) beforehand;
-/// here it is clamped to at least 1.
+/// stay sequential. `jobs == 0` means one worker per core.
 pub fn protect_program_parallel(
     prog: &mut Program,
     targets: &[String],
@@ -309,27 +308,17 @@ pub fn protect_program_parallel(
     let imm_span = trace.map(|t| t.span("imm", "rewrite"));
     let inputs: Vec<&FuncItem> = targets.iter().filter_map(|name| prog.func(name)).collect();
     let names: Vec<String> = inputs.iter().map(|f| f.name.clone()).collect();
-    let wall = std::time::Instant::now();
     // Two functions per worker at minimum: a fan-out that hands each
     // worker a single body pays thread spawns without amortizing them.
     let (results, stats) = parallax_pool::scoped_map(
         parallax_pool::effective_workers_for(jobs, inputs.len(), 2),
         inputs.len(),
-        |i, _w| {
-            let t0 = std::time::Instant::now();
-            let out = rewrite_function_cached(inputs[i], cfg, &bodies, cache);
-            (out, t0.elapsed().as_micros() as u64)
-        },
+        |i, _w| rewrite_function_cached(inputs[i], cfg, &bodies, cache),
     );
-    let wall_us = wall.elapsed().as_micros() as u64;
     drop(inputs);
-    let cpu_us: u64 = results.iter().map(|(_, d)| *d).sum();
     // Surface the first error in *item order*, so failures are as
     // deterministic as successes.
-    let mut outcomes = Vec::with_capacity(results.len());
-    for (r, _) in results {
-        outcomes.push(r?);
-    }
+    let outcomes = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     for (name, out) in names.iter().zip(outcomes) {
         for rewrite in out.imm {
             report.imm_rewrites.push((name.clone(), rewrite));
@@ -343,10 +332,6 @@ pub fn protect_program_parallel(
     }
     drop(imm_span);
     if let Some(t) = trace {
-        t.count("protect.par.rewrite.wall_us", wall_us);
-        t.count("protect.par.rewrite.cpu_us", cpu_us);
-        t.record("protect.par.workers", stats.workers as u64);
-        t.count("protect.par.steals", stats.steals);
         stats.export_to(t, "rewrite");
     }
 

@@ -848,9 +848,10 @@ pub fn cmd_batch(args: &Args) -> Result<String> {
     let jobs = parallax_engine::parse_manifest(&text).map_err(bail)?;
     let n = jobs.len();
 
+    // 0 (the default) = one worker per core, as for `plx protect`.
     let workers = match args.flag("jobs") {
         Some(v) => v.parse().map_err(|e| bail(format!("bad --jobs: {e}")))?,
-        None => std::thread::available_parallelism().map_or(1, usize::from),
+        None => 0,
     };
     let cache_dir = match args.flag("cache-dir") {
         Some("none") => None,
@@ -1101,7 +1102,8 @@ USAGE:
 
 <src> may be a .px file or corpus:NAME (wget, nginx, bzip2, gzip, gcc,
 lame); corpus workloads default --verify and --input to the workload's
-designated verification function and packaged input.";
+designated verification function and packaged input. --jobs 0 means one
+worker per core, for protect and batch alike (batch's default).";
 
 const COMMANDS: [&str; 14] = [
     "build", "protect", "run", "verify", "inspect", "disasm", "gadgets", "coverage", "chain",

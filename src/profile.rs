@@ -9,9 +9,9 @@
 //! * per-**stage** wall/serial splits (which pipeline stages are
 //!   single-laned);
 //! * a ranked **bottlenecks** list combining serial-span attribution
-//!   with the `pool.*` contention counters (lock-wait, failed steals,
-//!   serial merge) and `vm.probe.*` probe-VM construction cost; and
-//! * a per-site **pool** table (steals, contention, merge).
+//!   with the `pool.*` serial merges and `vm.probe.*` probe-VM
+//!   construction cost; and
+//! * a per-site **pool** table (runs, workers, items, busy, merge).
 //!
 //! The bottlenecks section is shared with `plx report`.
 
@@ -24,9 +24,9 @@ use parallax_trace::{analyze, TraceFile};
 #[derive(Debug, Clone)]
 pub struct Bottleneck {
     /// Human-readable label, e.g. `"serial: gadget-scan"` or
-    /// `"pool contention (chain)"`.
+    /// `"merge (chain)"`.
     pub label: String,
-    /// Cost in microseconds (serial time, lock-wait time, build time).
+    /// Cost in microseconds (serial time, merge time, build time).
     pub us: u64,
     /// Supporting detail (counts, means).
     pub detail: String,
@@ -49,10 +49,25 @@ fn get(tf: &TraceFile, k: &str) -> u64 {
     tf.counters.get(k).copied().unwrap_or(0)
 }
 
+/// Most workers any `pool.<site>` run used (0 when none recorded).
+pub fn pool_workers(tf: &TraceFile, site: &str) -> u64 {
+    tf.hists
+        .get(&format!("pool.{site}.workers"))
+        .map_or(0, |h| h.max)
+}
+
+/// Closure-execution microseconds summed over every worker of every
+/// `pool.<site>` run: the busy time against which `run_ns` is wall.
+pub fn pool_busy_us(tf: &TraceFile, site: &str) -> u64 {
+    tf.hists
+        .get(&format!("pool.{site}.worker_busy_us"))
+        .map_or(0, |h| h.sum)
+}
+
 /// Assembles the ranked bottleneck list for a trace: top serial spans
-/// from the critical-path sweep, per-site pool lock contention and
-/// serial merges, and probe-VM construction. Sorted by cost,
-/// descending; entries costing nothing are dropped.
+/// from the critical-path sweep, per-site pool serial merges, and
+/// probe-VM construction. Sorted by cost, descending; entries costing
+/// nothing are dropped.
 pub fn bottlenecks(tf: &TraceFile) -> Vec<Bottleneck> {
     let prof = analyze(tf);
     let mut out: Vec<Bottleneck> = Vec::new();
@@ -64,20 +79,7 @@ pub fn bottlenecks(tf: &TraceFile) -> Vec<Bottleneck> {
         });
     }
     for site in pool_sites(tf) {
-        let p = |s: &str| get(tf, &format!("pool.{site}.{s}"));
-        let wait_us = p("lock.wait_ns") / 1_000;
-        if wait_us > 0 {
-            out.push(Bottleneck {
-                label: format!("pool contention ({site})"),
-                us: wait_us,
-                detail: format!(
-                    "{} contended acquisitions, {} failed steals",
-                    p("lock.contended"),
-                    p("steal.fail")
-                ),
-            });
-        }
-        let merge_us = p("merge_ns") / 1_000;
+        let merge_us = get(tf, &format!("pool.{site}.merge_ns")) / 1_000;
         if merge_us > 0 {
             out.push(Bottleneck {
                 label: format!("merge ({site})"),
@@ -124,8 +126,8 @@ pub fn bottlenecks_table(out: &mut String, tf: &TraceFile) {
     }
 }
 
-/// Writes the per-site pool table: scheduling and contention counters
-/// for every `pool.<site>.*` namespace in the trace.
+/// Writes the per-site pool table: runs, workers, items, summed worker
+/// busy time and serial merge time for every `pool.<site>.*` namespace.
 fn pool_table(out: &mut String, tf: &TraceFile) {
     let sites = pool_sites(tf);
     if sites.is_empty() {
@@ -134,26 +136,19 @@ fn pool_table(out: &mut String, tf: &TraceFile) {
     let _ = writeln!(out, "pool sites:");
     let _ = writeln!(
         out,
-        "  {:<9} {:>4} {:>7} {:>6} {:>13} {:>9} {:>11} {:>11}",
-        "site", "runs", "workers", "items", "steal ok/fail", "contended", "lock-wait", "merge"
+        "  {:<9} {:>4} {:>7} {:>6} {:>11} {:>11}",
+        "site", "runs", "workers", "items", "busy", "merge"
     );
     for site in sites {
         let p = |s: &str| get(tf, &format!("pool.{site}.{s}"));
-        let workers = tf
-            .hists
-            .get(&format!("pool.{site}.workers"))
-            .map(|h| h.max)
-            .unwrap_or(0);
         let _ = writeln!(
             out,
-            "  {:<9} {:>4} {:>7} {:>6} {:>13} {:>9} {:>8.3} ms {:>8.3} ms",
+            "  {:<9} {:>4} {:>7} {:>6} {:>8.3} ms {:>8.3} ms",
             site,
             p("runs"),
-            workers,
+            pool_workers(tf, &site),
             p("items"),
-            format!("{}/{}", p("steal.ok"), p("steal.fail")),
-            p("lock.contended"),
-            p("lock.wait_ns") as f64 / 1e6,
+            pool_busy_us(tf, &site) as f64 / 1e3,
             p("merge_ns") as f64 / 1e6,
         );
     }
@@ -226,7 +221,7 @@ mod tests {
     use parallax_trace::{chrome_json, Tracer};
 
     /// A trace shaped like a 4-job protect run: serial stages around a
-    /// fanned-out scan, with pool contention and probe-VM counters.
+    /// fanned-out scan, with pool and probe-VM counters.
     fn profiled_trace() -> TraceFile {
         let t = Tracer::new();
         {
@@ -246,13 +241,12 @@ mod tests {
         }
         t.count("pool.scan.runs", 1);
         t.count("pool.scan.items", 8);
-        t.count("pool.scan.steal.ok", 3);
-        t.count("pool.scan.steal.fail", 9);
-        t.count("pool.scan.lock.contended", 4);
-        t.count("pool.scan.lock.wait_ns", 2_500_000);
         t.count("pool.scan.merge_ns", 800_000);
         t.count("pool.scan.run_ns", 4_000_000);
         t.record("pool.scan.workers", 4);
+        for _ in 0..4 {
+            t.record("pool.scan.worker_busy_us", 900);
+        }
         t.count("vm.probe.builds", 8);
         t.count("vm.probe.build_ns", 12_000_000);
         TraceFile::parse(&chrome_json(&t.snapshot())).expect("trace parses")
@@ -265,10 +259,6 @@ mod tests {
         assert!(!ranked.is_empty());
         let labels: Vec<&str> = ranked.iter().map(|b| b.label.as_str()).collect();
         assert!(
-            labels.contains(&"pool contention (scan)"),
-            "pool contention must be attributable: {labels:?}"
-        );
-        assert!(
             labels.contains(&"probe-VM construction"),
             "probe-VM construction must be attributable: {labels:?}"
         );
@@ -280,14 +270,12 @@ mod tests {
         for pair in ranked.windows(2) {
             assert!(pair[0].us >= pair[1].us);
         }
-        // Quantified: contention carries its counter detail.
-        let cont = ranked
+        // Quantified: the merge entry carries its counter.
+        let merge = ranked
             .iter()
-            .find(|b| b.label == "pool contention (scan)")
-            .expect("contention entry");
-        assert_eq!(cont.us, 2_500);
-        assert!(cont.detail.contains("4 contended"), "{}", cont.detail);
-        assert!(cont.detail.contains("9 failed steals"), "{}", cont.detail);
+            .find(|b| b.label == "merge (scan)")
+            .expect("merge entry");
+        assert_eq!(merge.us, 800);
     }
 
     #[test]
@@ -301,12 +289,11 @@ mod tests {
             "stage concurrency:",
             "gadget-scan",
             "bottlenecks (top blockers):",
-            "pool contention (scan)",
             "probe-VM construction",
             "merge (scan)",
             "pool sites:",
-            "steal ok/fail",
-            "3/9",
+            "busy",
+            "   3.600 ms",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

@@ -118,55 +118,55 @@ fn stage_table(out: &mut String, tf: &TraceFile) {
     }
 }
 
-/// Parallel/incremental protection telemetry: wall vs CPU time of the
-/// fanned-out rewrite and chain-compile passes, pool behaviour, and
-/// the function-grained artifact cache.
+/// The fanned-out pipeline passes, as (report name, pool site).
+const PAR_SITES: [(&str, &str); 2] = [("rewrite", "rewrite"), ("chain-compile", "chain")];
+
+/// Wall and summed worker-busy microseconds of a site's pool runs.
+fn pool_wall_busy(tf: &TraceFile, site: &str) -> (u64, u64) {
+    let run_ns = tf.counters.get(&format!("pool.{site}.run_ns"));
+    (
+        run_ns.copied().unwrap_or(0) / 1_000,
+        crate::profile::pool_busy_us(tf, site),
+    )
+}
+
+/// Busy over wall: the parallel speedup a pool run achieved.
+fn speedup(busy: u64, wall: u64) -> f64 {
+    if wall == 0 {
+        0.0
+    } else {
+        busy as f64 / wall as f64
+    }
+}
+
+/// Parallel/incremental protection telemetry: wall vs worker-busy time
+/// of the fanned-out rewrite and chain-compile pool runs, their worker
+/// count, and the function-grained artifact cache.
 fn parallel_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
-    let (rw_wall, rw_cpu) = (
-        get("protect.par.rewrite.wall_us"),
-        get("protect.par.rewrite.cpu_us"),
-    );
-    let (ch_wall, ch_cpu) = (
-        get("protect.par.chain.wall_us"),
-        get("protect.par.chain.cpu_us"),
-    );
+    let runs = PAR_SITES.map(|(name, site)| (name, pool_wall_busy(tf, site)));
+    let any_run = runs.iter().any(|(_, (wall, _))| *wall > 0);
     let (hits, misses) = (get("cache.func.hit"), get("cache.func.miss"));
-    if rw_wall + ch_wall == 0 && hits + misses == 0 {
+    if !any_run && hits + misses == 0 {
         return;
     }
     let _ = writeln!(out, "protection pipeline (parallel + incremental):");
-    if rw_wall + ch_wall > 0 {
-        let workers = tf
-            .hists
-            .get("protect.par.workers")
-            .map(|h| h.max)
-            .unwrap_or(1);
-        let _ = writeln!(
-            out,
-            "  workers: {workers}   steals: {}",
-            get("protect.par.steals")
-        );
-        let speedup = |cpu: u64, wall: u64| {
-            if wall == 0 {
-                0.0
-            } else {
-                cpu as f64 / wall as f64
-            }
-        };
-        for (name, wall, cpu) in [
-            ("rewrite", rw_wall, rw_cpu),
-            ("chain-compile", ch_wall, ch_cpu),
-        ] {
+    if any_run {
+        let workers = PAR_SITES
+            .iter()
+            .map(|(_, site)| crate::profile::pool_workers(tf, site))
+            .fold(1, u64::max);
+        let _ = writeln!(out, "  workers: {workers}");
+        for (name, (wall, busy)) in runs {
             if wall == 0 {
                 continue;
             }
             let _ = writeln!(
                 out,
-                "  {name:<14} {:>9.3} ms wall  {:>9.3} ms cpu  ({:.2}x parallel speedup)",
+                "  {name:<14} {:>9.3} ms wall  {:>9.3} ms busy  ({:.2}x parallel speedup)",
                 wall as f64 / 1e3,
-                cpu as f64 / 1e3,
-                speedup(cpu, wall)
+                busy as f64 / 1e3,
+                speedup(busy, wall)
             );
         }
     }
@@ -563,46 +563,27 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     }
 
     // Parallel-vs-sequential comparison of the fanned-out stages: when
-    // either trace carries `protect.par.*` counters (e.g. a --jobs 1
+    // either trace carries their `pool.*` runs (e.g. a --jobs 1
     // baseline against a --jobs N run), show wall-time deltas and how
     // the parallel speedup moved.
     let par = |tf: &TraceFile, k: &str| tf.counters.get(k).copied().unwrap_or(0);
-    let par_stages = [
-        ("rewrite", "protect.par.rewrite"),
-        ("chain-compile", "protect.par.chain"),
-    ];
-    if par_stages
-        .iter()
-        .any(|(_, p)| par(a, &format!("{p}.wall_us")) + par(b, &format!("{p}.wall_us")) > 0)
-    {
+    let walls = |tf: &TraceFile| PAR_SITES.map(|(_, site)| pool_wall_busy(tf, site));
+    let (runs_a, runs_b) = (walls(a), walls(b));
+    if runs_a.iter().chain(&runs_b).any(|(wall, _)| *wall > 0) {
         let _ = writeln!(out, "\nparallel protection (wall time, b - a):");
-        for (name, p) in par_stages {
-            let (wa, wb) = (
-                par(a, &format!("{p}.wall_us")),
-                par(b, &format!("{p}.wall_us")),
-            );
-            let (ca, cb) = (
-                par(a, &format!("{p}.cpu_us")),
-                par(b, &format!("{p}.cpu_us")),
-            );
+        for (i, (name, _)) in PAR_SITES.iter().enumerate() {
+            let ((wa, ca), (wb, cb)) = (runs_a[i], runs_b[i]);
             if wa + wb == 0 {
                 continue;
             }
-            let sp = |cpu: u64, wall: u64| {
-                if wall == 0 {
-                    0.0
-                } else {
-                    cpu as f64 / wall as f64
-                }
-            };
             let _ = writeln!(
                 out,
                 "  {name:<14} {:>9.3} ms -> {:>9.3} ms ({})   speedup {:.2}x -> {:.2}x",
                 wa as f64 / 1e3,
                 wb as f64 / 1e3,
                 signed_ms(wb as i64 - wa as i64),
-                sp(ca, wa),
-                sp(cb, wb)
+                speedup(ca, wa),
+                speedup(cb, wb)
             );
         }
         let (fa, fb) = (
@@ -746,31 +727,26 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
             );
         }
     }
-    // Pool-contention deltas (only when either trace carries `pool.*`
-    // telemetry). Traces recorded before the pool namespace existed —
-    // e.g. a pre-profiler baseline — degrade to a `not recorded`
-    // marker on that side instead of being compared as zeros.
+    // Pool deltas (only when either trace carries `pool.*` telemetry).
+    // Traces recorded before the pool namespace existed — e.g. a
+    // pre-profiler baseline — degrade to a `not recorded` marker on
+    // that side instead of being compared as zeros.
     let (sites_a, sites_b) = (crate::profile::pool_sites(a), crate::profile::pool_sites(b));
     if !sites_a.is_empty() || !sites_b.is_empty() {
-        let _ = writeln!(out, "\npool contention (b - a):");
+        let _ = writeln!(out, "\npool sites (b - a):");
         let mut sites: BTreeSet<&String> = sites_a.iter().collect();
         sites.extend(sites_b.iter());
         let side = |tf: &TraceFile, recorded: bool, site: &str| -> String {
             if !recorded {
                 return "not recorded".to_string();
             }
-            let p = |s: &str| {
-                tf.counters
-                    .get(&format!("pool.{site}.{s}"))
-                    .copied()
-                    .unwrap_or(0)
-            };
+            let p = |s: &str| par(tf, &format!("pool.{site}.{s}"));
             format!(
-                "{:.3} ms lock-wait, {} contended, {}/{} steals",
-                p("lock.wait_ns") as f64 / 1e6,
-                p("lock.contended"),
-                p("steal.ok"),
-                p("steal.fail")
+                "{} runs, {} items, {:.3} ms busy, {} workers",
+                p("runs"),
+                p("items"),
+                crate::profile::pool_busy_us(tf, site) as f64 / 1e3,
+                crate::profile::pool_workers(tf, site)
             )
         };
         for site in sites {
@@ -822,12 +798,14 @@ mod tests {
         t.count("vm.probe.reseed_words", 12800);
         t.count("vm.probe.builds", 2);
         t.count("vm.probe.build_ns", 1_500_000);
-        t.count("protect.par.rewrite.wall_us", 500);
-        t.count("protect.par.rewrite.cpu_us", 2000);
-        t.count("protect.par.chain.wall_us", 1000);
-        t.count("protect.par.chain.cpu_us", 3000);
-        t.count("protect.par.steals", 2);
-        t.record("protect.par.workers", 4);
+        t.count("pool.rewrite.run_ns", 500_000);
+        t.count("pool.chain.run_ns", 1_000_000);
+        for _ in 0..4 {
+            t.record("pool.rewrite.worker_busy_us", 500);
+            t.record("pool.chain.worker_busy_us", 750);
+        }
+        t.record("pool.rewrite.workers", 4);
+        t.record("pool.chain.workers", 4);
         t.count("cache.func.hit", 3);
         t.count("cache.func.miss", 1);
         t.count("cache.func.rewritten.hit", 2);
@@ -858,7 +836,7 @@ mod tests {
             "LoadConst",
             "execution engine",
             "protection pipeline (parallel + incremental)",
-            "workers: 4   steals: 2",
+            "workers: 4\n",
             "4.00x parallel speedup",
             "3.00x parallel speedup",
             "func cache: 3 hits, 1 misses (75.0% hit rate)",

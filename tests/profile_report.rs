@@ -29,16 +29,14 @@ fn current_trace() -> TraceFile {
         let _s = t.span("gadget-scan", "stage");
     }
     t.count("vm.run.cycles", 4000);
-    t.count("protect.par.chain.wall_us", 800);
-    t.count("protect.par.chain.cpu_us", 2400);
     t.count("pool.chain.runs", 1);
     t.count("pool.chain.items", 16);
-    t.count("pool.chain.steal.ok", 5);
-    t.count("pool.chain.steal.fail", 11);
-    t.count("pool.chain.lock.contended", 3);
-    t.count("pool.chain.lock.wait_ns", 1_200_000);
+    t.count("pool.chain.run_ns", 800_000);
     t.count("pool.chain.merge_ns", 300_000);
     t.record("pool.chain.workers", 4);
+    for _ in 0..4 {
+        t.record("pool.chain.worker_busy_us", 600);
+    }
     t.count("vm.probe.builds", 4);
     t.count("vm.probe.build_ns", 9_000_000);
     TraceFile::parse(&chrome_json(&t.snapshot())).expect("current trace parses")
@@ -78,24 +76,30 @@ fn diff_marks_missing_baseline_sections_instead_of_zeroing() {
     assert!(diff.contains("parallel protection"), "{diff}");
     // The pool section appears because `new` records it, with the
     // baseline side explicitly marked rather than treated as zero.
-    assert!(diff.contains("pool contention (b - a):"), "{diff}");
+    assert!(diff.contains("pool sites (b - a):"), "{diff}");
     assert!(diff.contains("not recorded"), "{diff}");
-    assert!(diff.contains("1.200 ms lock-wait"), "{diff}");
+    assert!(
+        diff.contains("1 runs, 16 items, 2.400 ms busy, 4 workers"),
+        "{diff}"
+    );
     // Swapped order degrades the same way.
     let rev = render_diff(&new, &old);
     assert!(rev.contains("not recorded"), "{rev}");
     // Two pre-profiler traces -> no pool section at all.
     let none = render_diff(&old, &fixture());
-    assert!(!none.contains("pool contention"), "{none}");
+    assert!(!none.contains("pool sites"), "{none}");
 }
 
 #[test]
 fn current_trace_attributes_all_three_required_costs() {
     let ranked = bottlenecks(&current_trace());
     let labels: Vec<&str> = ranked.iter().map(|b| b.label.as_str()).collect();
-    assert!(labels.contains(&"pool contention (chain)"), "{labels:?}");
     assert!(labels.contains(&"probe-VM construction"), "{labels:?}");
     assert!(labels.contains(&"merge (chain)"), "{labels:?}");
+    assert!(
+        labels.iter().any(|l| l.starts_with("serial: ")),
+        "{labels:?}"
+    );
 }
 
 #[test]
