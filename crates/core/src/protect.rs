@@ -1289,6 +1289,9 @@ fn scan_gadgets(
                     // Verdicts served from the previous pass's memo:
                     // no probe ran, so `proposals`/`runs` omit them.
                     t.count("vm.probe.reused", vstats.reused);
+                    // Copies served by a same-content candidate's
+                    // verdict in this pass: no probe ran either.
+                    t.count("vm.probe.shared", vstats.shared);
                     t.count("vm.probe.runs_saved", vstats.probe.runs_saved);
                     t.count("vm.probe.reseed_words", vstats.probe.reseed_words);
                     t.count("pool.scan.merge_ns", vstats.merge_ns);

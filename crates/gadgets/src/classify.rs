@@ -98,8 +98,8 @@ impl Proposal {
     /// True when the probe's verdict cannot depend on where the image's
     /// data and heap sit: no instruction can make the probe touch memory
     /// outside its fixed stack window (DESIGN.md §17). Such a verdict is
-    /// a function of the candidate's bytes and vaddr alone, so a relink
-    /// that leaves those bytes in place may reuse it.
+    /// a function of the candidate's bytes alone, so a relink may reuse
+    /// it wherever those bytes now sit (§18).
     pub fn layout_independent(&self) -> bool {
         self.mem_preconditions.is_empty() && self.cand.insns.iter().all(stack_confined)
     }

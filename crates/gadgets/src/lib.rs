@@ -64,10 +64,11 @@ pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
 /// whose underlying bytes (or layout) actually changed; everything
 /// else — typically all but one function — is served from the memo.
 ///
-/// Within one `protect()` run a [`PassMemo`] sits beneath this cache:
-/// the cache is asked first and offered every verdict, and only a miss
-/// falls through to the pass memo before the probe runs. So what the
-/// cache holds and sees does not depend on whether a pass memo was used.
+/// Within one `protect()` run, content sharing and a [`PassMemo`] sit
+/// beneath this cache: the cache is asked first and offered every
+/// verdict, and only a miss falls through to a same-content verdict or
+/// the pass memo before the probe runs. So what the cache holds and
+/// sees depends on neither.
 pub trait ValidationCache: Sync {
     /// `Some(verdict)` when the key was validated before (the verdict
     /// itself may be `None`: "candidate rejected" is cached too).
@@ -76,18 +77,18 @@ pub trait ValidationCache: Sync {
     fn store_verdict(&self, key: &[u8], verdict: &Option<Gadget>);
 }
 
-/// Everything [`validate_with`]'s outcome can depend on: the probe
-/// executes the candidate's own text bytes starting at `vaddr` (which
-/// also seeds its PRNG) against scratch regions derived from the heap
-/// base, checking the proposal's effects.
+/// The cache key of one candidate's verdict: the candidate's text
+/// bytes, return kind and vaddr, the heap base its scratch regions
+/// derive from, and the proposal it checks. The vaddr stays although a
+/// probe seeds from content: a probe that strays runs other text, so
+/// its verdict depends on where the candidate sits (DESIGN.md §18).
 fn verdict_key(
     img: &LinkedImage,
     heap_base: u32,
     cand: &Candidate,
     proposal: &Proposal,
 ) -> Vec<u8> {
-    let off = (cand.vaddr - img.text_base) as usize;
-    let bytes = &img.text[off..off + cand.len as usize];
+    let bytes = text_of(img, cand);
     let mut key = Vec::with_capacity(bytes.len() + 64);
     key.extend_from_slice(&cand.vaddr.to_le_bytes());
     key.extend_from_slice(&heap_base.to_le_bytes());
@@ -98,18 +99,48 @@ fn verdict_key(
     key
 }
 
+/// A candidate's content: its text bytes and return kind. Within one
+/// pass, a probe that stays inside the candidate's bytes depends on
+/// nothing else, so every copy of a content shares one verdict
+/// (DESIGN.md §18).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Content {
+    far: bool,
+    len: u8,
+    bytes: [u8; MAX_GADGET_BYTES + 1],
+}
+
+/// The text bytes a candidate spans.
+fn text_of<'a>(img: &'a LinkedImage, cand: &Candidate) -> &'a [u8] {
+    let off = (cand.vaddr - img.text_base) as usize;
+    &img.text[off..off + cand.len as usize]
+}
+
+impl Content {
+    fn of(img: &LinkedImage, cand: &Candidate) -> Content {
+        let src = text_of(img, cand);
+        let mut bytes = [0; MAX_GADGET_BYTES + 1];
+        bytes[..src.len()].copy_from_slice(src);
+        Content {
+            far: cand.far,
+            len: src.len() as u8,
+            bytes,
+        }
+    }
+}
+
 /// What one gadget pass leaves for a rescan of the same image relinked
 /// with other data sizes (the second pass of `protect()`'s fixpoint):
 /// the text it scanned, that text's decode table, and the probe
 /// verdicts of its [layout-independent](Proposal::layout_independent)
-/// proposals keyed by `(vaddr, len)`. A pass given the memo decodes
-/// only near changed bytes and probes only candidates whose bytes
-/// changed or whose verdict may depend on the layout.
+/// proposals keyed by content. A pass given the memo decodes only near
+/// changed bytes and serves those verdicts wherever their bytes now
+/// sit; it probes only contents it has no verdict for.
 pub struct PassMemo {
     text_base: u32,
     text: Vec<u8>,
     slots: Vec<scan::Slot>,
-    verdicts: HashMap<(u32, u32), Option<Gadget>>,
+    verdicts: HashMap<Content, Option<Gadget>>,
 }
 
 /// Telemetry from the classify/validate fan-out of one
@@ -131,9 +162,12 @@ pub struct ValidateStats {
     /// (proposals, probe runs, runs the shared-trial path avoided,
     /// scratch words reseeded).
     pub probe: ProbeStats,
-    /// Verdicts served from the previous pass's [`PassMemo`] instead
+    /// Candidates served from the previous pass's [`PassMemo`] instead
     /// of the probe.
     pub reused: u64,
+    /// Candidates served by the verdict of an earlier candidate with
+    /// the same content in this pass, with no probe run.
+    pub shared: u64,
 }
 
 /// [`find_gadgets`] with the scanner's [`ScanStats`] (exported as
@@ -150,14 +184,29 @@ pub fn find_gadgets_instrumented(
     (gadgets, stats, vstats)
 }
 
+/// The verdict the first candidate of a content found, for the others.
+enum Rep {
+    /// The content does not classify.
+    Unclassified,
+    /// Probed in this pass; `independent` when the proposal is
+    /// layout-independent, so the verdict also holds in a later pass.
+    Probed {
+        gadget: Option<Gadget>,
+        independent: bool,
+    },
+    /// Served from the previous pass's memo.
+    Inherited(Option<Gadget>),
+    /// The probe left the candidate's bytes, so its verdict depends on
+    /// the text it reached: every copy probes on its own.
+    Strayed,
+}
+
 /// One chunk's share of a validation pass.
 #[derive(Default)]
 struct ChunkOut {
     gadgets: Vec<Gadget>,
-    /// Probe verdicts of layout-independent proposals, for the memo.
-    verdicts: Vec<((u32, u32), Option<Gadget>)>,
-    /// Keys of the verdicts served from the previous pass's memo.
-    reused: Vec<(u32, u32)>,
+    reused: u64,
+    shared: u64,
 }
 
 /// Runs the full pipeline, reusing `prev` — the [`PassMemo`] of an
@@ -166,16 +215,17 @@ struct ChunkOut {
 /// [`find_gadgets_instrumented`] would return; a `prev` for another
 /// text base or length is ignored.
 ///
-/// The classify/validate pass fans over `jobs` workers. Concrete
-/// validation dominates scanning cost (each proposal runs in a probe
-/// VM), and each validation is a pure function of the proposal — every
-/// worker's [`ProbeVm`] rolls back to a pristine snapshot before each
-/// proposal, and the probe PRNG derives only from the candidate's
-/// vaddr — so chunks of candidates validate independently on
-/// per-worker probe VMs and concatenate into the exact sequential
-/// gadget order. With a [`ValidationCache`], each classified
-/// candidate's verdict is looked up there first and offered to it
-/// after; the pass memo serves only what the cache misses.
+/// The classify/validate pass fans fixed-size chunks of candidates out
+/// over `jobs` workers, each with its own [`ProbeVm`]. A verdict is a
+/// pure function of the candidate's content: the probe VM rolls back to
+/// a pristine snapshot before each proposal and seeds its PRNG from the
+/// candidate's bytes. So the first candidate of each content is
+/// classified and probed, and every later copy takes its verdict with
+/// its own vaddr, unless that probe strayed. Any job count returns the
+/// exact sequential gadget order. With a [`ValidationCache`], each
+/// classified candidate's verdict is looked up there first and offered
+/// to it after; content sharing and the pass memo serve only what the
+/// cache misses.
 pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
@@ -183,8 +233,9 @@ pub fn find_gadgets_reusing(
     prev: Option<PassMemo>,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats, PassMemo) {
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex, OnceLock};
     let prev = prev.filter(|m| m.text_base == img.text_base && m.text.len() == img.text.len());
-    let (old_text, old_slots, mut old_verdicts) = match prev {
+    let (old_text, old_slots, old_verdicts) = match prev {
         Some(m) => (m.text, Some(m.slots), m.verdicts),
         None => (Vec::new(), None, HashMap::new()),
     };
@@ -193,18 +244,17 @@ pub fn find_gadgets_reusing(
         img.text_base,
         old_slots.map(|s| (&old_text[..], s)),
     );
-    // A pass-1 verdict stands for a candidate whose bytes are unchanged
-    // (and so is its proposal, a function of bytes and vaddr).
-    let memoized = |cand: &Candidate| {
-        let off = (cand.vaddr - img.text_base) as usize;
-        let span = off..off + cand.len as usize;
+    // One verdict slot per content, filled by whichever candidate
+    // reaches it first; the previous pass's verdicts start filled.
+    let groups: Mutex<HashMap<Content, Arc<OnceLock<Rep>>>> = Mutex::new(
         old_verdicts
-            .get(&(cand.vaddr, cand.len))
-            .filter(|_| old_text[span.clone()] == img.text[span])
-    };
+            .into_iter()
+            .map(|(content, g)| (content, Arc::new(OnceLock::from(Rep::Inherited(g)))))
+            .collect(),
+    );
     let probe_builds = AtomicU64::new(0);
     let probe_build_ns = AtomicU64::new(0);
-    let probe_stats = std::sync::Mutex::new(ProbeStats::default());
+    let probe_stats = Mutex::new(ProbeStats::default());
     // One ProbeVm per *worker*, not per chunk: construction (zeroing
     // ~1.5 MiB of VM memory) measured as a top blocker, so workers
     // amortize one build over every chunk they execute and reset the
@@ -222,28 +272,66 @@ pub fn find_gadgets_reusing(
         let heap_base = probe.heap_base();
         let mut out = ChunkOut::default();
         for cand in chunk {
-            let Some(proposal) = classify(cand) else {
-                continue;
-            };
-            let key = cache.map(|_| verdict_key(img, heap_base, cand, &proposal));
-            if let (Some(c), Some(k)) = (cache, &key) {
-                if let Some(verdict) = c.fetch_verdict(k) {
+            // The cache is keyed per candidate, so with one every
+            // candidate is classified and asked first.
+            let (mut proposal, mut key) = (None, None);
+            if let Some(c) = cache {
+                let Some(p) = classify(cand) else {
+                    continue;
+                };
+                let k = verdict_key(img, heap_base, cand, &p);
+                if let Some(verdict) = c.fetch_verdict(&k) {
                     out.gadgets.extend(verdict);
                     continue;
                 }
+                (proposal, key) = (Some(p), Some(k));
             }
-            let independent = proposal.layout_independent();
-            let g = match independent.then(|| memoized(cand)).flatten() {
-                Some(verdict) => {
-                    out.reused.push((cand.vaddr, cand.len));
-                    verdict.clone()
-                }
-                None => {
-                    let g = probe.validate(&proposal);
-                    if independent && !probe.strayed() {
-                        out.verdicts.push(((cand.vaddr, cand.len), g.clone()));
+            let group = Arc::clone(
+                groups
+                    .lock()
+                    .unwrap()
+                    .entry(Content::of(img, cand))
+                    .or_default(),
+            );
+            let mut own = None;
+            let rep = group.get_or_init(|| {
+                let Some(p) = proposal.take().or_else(|| classify(cand)) else {
+                    return Rep::Unclassified;
+                };
+                let g = probe.validate(&p);
+                let rep = if probe.strayed() {
+                    Rep::Strayed
+                } else {
+                    Rep::Probed {
+                        gadget: g.clone(),
+                        independent: p.layout_independent(),
                     }
-                    g
+                };
+                own = Some(g);
+                rep
+            });
+            let moved = |g: &Option<Gadget>| {
+                g.as_ref().map(|g| Gadget {
+                    vaddr: cand.vaddr,
+                    ..g.clone()
+                })
+            };
+            let g = match (own, rep) {
+                (Some(g), _) => g,
+                (None, Rep::Unclassified) => continue,
+                (None, Rep::Probed { gadget, .. }) => {
+                    out.shared += 1;
+                    moved(gadget)
+                }
+                (None, Rep::Inherited(gadget)) => {
+                    out.reused += 1;
+                    moved(gadget)
+                }
+                (None, Rep::Strayed) => {
+                    let p = proposal
+                        .or_else(|| classify(cand))
+                        .expect("a copy of a classified content classifies");
+                    probe.validate(&p)
                 }
             };
             if let (Some(c), Some(k)) = (cache, &key) {
@@ -269,16 +357,11 @@ pub fn find_gadgets_reusing(
     );
     let t0 = std::time::Instant::now();
     let mut gadgets = Vec::new();
-    let mut verdicts = HashMap::new();
-    let mut reused = 0;
+    let (mut reused, mut shared) = (0, 0);
     for part in parts {
         gadgets.extend(part.gadgets);
-        verdicts.extend(part.verdicts);
-        // Reused verdicts still hold for this pass's text: carry them.
-        reused += part.reused.len() as u64;
-        for k in part.reused {
-            verdicts.extend(old_verdicts.remove_entry(&k));
-        }
+        reused += part.reused;
+        shared += part.shared;
     }
     let vstats = ValidateStats {
         probe_builds: probe_builds.into_inner(),
@@ -287,7 +370,25 @@ pub fn find_gadgets_reusing(
         pool,
         probe: probe_stats.into_inner().unwrap(),
         reused,
+        shared,
     };
+    // Layout-independent verdicts, inherited ones included, still hold
+    // for the next pass wherever their bytes sit.
+    let verdicts = groups
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .filter_map(
+            |(content, group)| match Arc::into_inner(group)?.into_inner()? {
+                Rep::Probed {
+                    gadget,
+                    independent: true,
+                }
+                | Rep::Inherited(gadget) => Some((content, gadget)),
+                _ => None,
+            },
+        )
+        .collect();
     let memo = PassMemo {
         text_base: img.text_base,
         text: img.text.clone(),

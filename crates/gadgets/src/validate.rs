@@ -9,12 +9,12 @@
 //! prototype is built.
 //!
 //! Validation is *shared-trial*: a probe run is a pure function of
-//! `(proposal, seed)` and the seed depends only on the candidate
-//! address and the trial index, so one run per trial serves every
-//! effect of the proposal. Effects that fail a trial drop out of a
-//! liveness mask; survivors are re-checked against the second trial's
-//! run. The legacy one-probe-per-(effect, trial) path is preserved in
-//! [`legacy`] as the differential oracle.
+//! `(proposal, seed)` and the seed depends only on the candidate's
+//! text bytes, its return kind and the trial index (`probe_seed`), so
+//! one run per trial serves every effect of the proposal. Effects that
+//! fail a trial drop out of a liveness mask; survivors are re-checked
+//! against the second trial's run. The legacy one-probe-per-(effect,
+//! trial) path is preserved in [`legacy`] as the differential oracle.
 
 use parallax_image::LinkedImage;
 use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_TOP};
@@ -35,6 +35,30 @@ const SCRATCH_WORDS: usize = 256;
 /// handful at most) take the legacy per-effect path.
 const MAX_SHARED_EFFECTS: usize = 64;
 
+/// A content tag for the probe PRNG: FNV-1a over the candidate's text
+/// bytes and return kind. Its position plays no part, so identical
+/// copies of one gadget draw identical probe states (DESIGN.md §18).
+fn content_tag(vm: &Vm, p: &Proposal) -> u64 {
+    let bytes = vm
+        .mem()
+        .read_bytes(p.cand.vaddr, p.cand.len)
+        .unwrap_or_default();
+    bytes
+        .iter()
+        .chain([&(p.cand.far as u8)])
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The initial PRNG state of `trial` for a candidate tagged `tag`.
+/// Xorshift's state 0 is a fixed point that yields 0 forever, and a
+/// hashed tag can cancel the constants, so the low bit is forced on:
+/// the state is non-zero by construction.
+fn probe_seed(tag: u64, trial: u64) -> u64 {
+    (0x9e37_79b9_7f4a_7c15u64 ^ tag ^ (trial * 0x1234_5677 + 1)) | 1
+}
+
 fn prng(seed: &mut u64) -> u32 {
     let mut x = *seed;
     x ^= x >> 12;
@@ -48,7 +72,9 @@ fn prng(seed: &mut u64) -> u32 {
 /// `vm.probe.{proposals,runs,runs_saved,reseed_words}`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeStats {
-    /// Proposals validated.
+    /// Distinct proposals probed. A gadget pass probes one copy of each
+    /// candidate content and shares its verdict with the others, so
+    /// only a content whose probe strayed counts once per copy.
     pub proposals: u64,
     /// Probe executions actually performed (at most 2 per proposal —
     /// one per trial — regardless of effect count).
@@ -490,6 +516,7 @@ fn validate_shared(
         }
     }
 
+    let tag = content_tag(vm, p);
     let mut alive: u64 = if ne == 64 { u64::MAX } else { (1 << ne) - 1 };
     let mut legacy_runs = 0u64;
     let mut actual_runs = 0u64;
@@ -500,8 +527,7 @@ fn validate_shared(
         // What the per-(effect, trial) loop would have spent here: one
         // probe per effect still alive at this trial.
         legacy_runs += u64::from(alive.count_ones());
-        let mut seed =
-            0x9e37_79b9_7f4a_7c15u64 ^ ((p.cand.vaddr as u64) << 16) ^ (trial * 0x1234_5677 + 1);
+        let mut seed = probe_seed(tag, trial);
         actual_runs += 1;
         match run_probe(vm, p, &mut seed, kind, bufs, stats) {
             Some((esp0, init_regs)) => {
@@ -632,7 +658,8 @@ impl ProbeVm {
     /// Whether the last [`ProbeVm::validate`] executed an instruction
     /// outside the candidate's own bytes (a return that missed the
     /// probe's sentinel). That verdict also depends on the other text
-    /// it ran, so it is never reused across passes.
+    /// it ran, so it is neither shared with copies of the candidate nor
+    /// reused across passes.
     pub fn strayed(&self) -> bool {
         self.bufs.strayed
     }
@@ -761,12 +788,11 @@ pub mod legacy {
     /// VM; byte-for-byte the behavior `protect()` had before the
     /// shared-trial restructuring.
     pub fn validate_with(vm: &mut Vm, p: &Proposal) -> Option<Gadget> {
+        let tag = content_tag(vm, p);
         let mut surviving = Vec::new();
         'effects: for e in &p.effects {
             for trial in 0..2u64 {
-                let mut seed = 0x9e37_79b9_7f4a_7c15u64
-                    ^ ((p.cand.vaddr as u64) << 16)
-                    ^ (trial * 0x1234_5677 + 1);
+                let mut seed = probe_seed(tag, trial);
                 match run_probe(vm, p, &mut seed) {
                     Some((esp0, init_regs, canaries, pre_mem)) => {
                         let pr = Probe {
@@ -805,5 +831,25 @@ pub mod legacy {
     pub fn validate(img: &LinkedImage, p: &Proposal) -> Option<Gadget> {
         let mut vm = Vm::with_options(img, VmOptions::default());
         validate_with(&mut vm, p)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tag equal to the seed constants would cancel them to 0, the
+    /// xorshift fixed point; the derived state stays live instead.
+    #[test]
+    fn a_cancelling_tag_still_seeds_a_live_prng() {
+        let mut stuck = 0u64;
+        assert_eq!((prng(&mut stuck), stuck), (0, 0));
+        for trial in 0..2u64 {
+            let cancelling = 0x9e37_79b9_7f4a_7c15u64 ^ (trial * 0x1234_5677 + 1);
+            let mut seed = probe_seed(cancelling, trial);
+            assert_ne!(seed, 0, "trial {trial}");
+            let draws: Vec<u32> = (0..4).map(|_| prng(&mut seed)).collect();
+            assert!(draws.iter().any(|&d| d != 0), "trial {trial}: {draws:?}");
+        }
     }
 }

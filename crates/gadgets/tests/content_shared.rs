@@ -1,0 +1,265 @@
+//! Differential suite for content-shared validation: a gadget pass
+//! probes the first candidate of each distinct content (text bytes and
+//! return kind) and gives every later copy that verdict with its own
+//! vaddr. The list it returns must equal, in order, a per-candidate
+//! oracle that probes every classified candidate, and its counters
+//! must show one probe per content — except where that probe strayed,
+//! which makes every copy probe on its own.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+use proptest::prelude::*;
+
+use parallax_bench::fig5_modes;
+use parallax_compiler::compile_module;
+use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
+use parallax_gadgets::scan::scan;
+use parallax_gadgets::{
+    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm,
+};
+use parallax_image::{LinkedImage, Program};
+use parallax_x86::{Asm, Mem, Reg32};
+
+/// Records every image `protect()` scans.
+#[derive(Default)]
+struct ScannedImages(Mutex<Vec<LinkedImage>>);
+
+impl ArtifactStore for ScannedImages {
+    fn store_scan(&self, img: &LinkedImage, _gadgets: &[Gadget]) {
+        self.0.lock().unwrap().push(img.clone());
+    }
+}
+
+/// Every image one protection run scans, both fixpoint passes.
+fn scanned_images(
+    prog: Program,
+    verify: &str,
+    module: &parallax_compiler::Module,
+    mode: ChainMode,
+) -> Vec<LinkedImage> {
+    let cfg = ProtectConfig {
+        verify_funcs: vec![verify.to_owned()],
+        mode,
+        ..ProtectConfig::default()
+    };
+    let store = ScannedImages::default();
+    let impls = cfg
+        .verify_impls(module)
+        .expect("verification function exists");
+    let ctx = Ctx {
+        store: &store,
+        ..Ctx::default()
+    };
+    protect_with(prog, &impls, &cfg, &ctx).expect("protects");
+    store.0.into_inner().unwrap()
+}
+
+fn content(img: &LinkedImage, cand: &Candidate) -> (Vec<u8>, bool) {
+    let off = (cand.vaddr - img.text_base) as usize;
+    (img.text[off..off + cand.len as usize].to_vec(), cand.far)
+}
+
+/// The per-candidate oracle: a fresh `ProbeVm::validate` verdict for
+/// every classified candidate, in scan order, and the counters a
+/// single-worker grouped pass must report for the same image.
+struct Oracle {
+    gadgets: Vec<Gadget>,
+    /// One per distinct content, or one per copy where the first copy
+    /// strayed.
+    proposals: u64,
+    /// Classified candidates that took an earlier copy's verdict.
+    shared: u64,
+}
+
+fn oracle(img: &LinkedImage) -> Oracle {
+    let mut probe = ProbeVm::new(img);
+    let mut first_strayed = HashMap::new();
+    let mut out = Oracle {
+        gadgets: Vec::new(),
+        proposals: 0,
+        shared: 0,
+    };
+    for cand in scan(&img.text, img.text_base) {
+        let Some(p) = classify(&cand) else {
+            continue;
+        };
+        out.gadgets.extend(probe.validate(&p));
+        match first_strayed.entry(content(img, &cand)) {
+            Entry::Vacant(e) => {
+                e.insert(probe.strayed());
+                out.proposals += 1;
+            }
+            Entry::Occupied(e) if *e.get() => out.proposals += 1,
+            Entry::Occupied(_) => out.shared += 1,
+        }
+    }
+    out
+}
+
+/// The grouped pass equals the oracle at one and two workers, and at
+/// one worker its counters are the oracle's. Returns how many
+/// candidates shared a verdict.
+fn assert_grouped_matches_oracle(img: &LinkedImage, label: &str) -> u64 {
+    let want = oracle(img);
+    let want_list = format!("{:?}", want.gadgets);
+    let (got, _, vstats) = find_gadgets_instrumented(img, 1, None);
+    assert_eq!(format!("{got:?}"), want_list, "{label}: jobs=1");
+    assert_eq!(
+        (vstats.probe.proposals, vstats.shared, vstats.reused),
+        (want.proposals, want.shared, 0),
+        "{label}: (proposals, shared, reused)"
+    );
+    let (got2, _, _) = find_gadgets_instrumented(img, 2, None);
+    assert_eq!(format!("{got2:?}"), want_list, "{label}: jobs=2");
+    want.shared
+}
+
+#[test]
+fn grouped_pass_matches_per_candidate_oracle_across_corpus_and_modes() {
+    let mut shared = 0;
+    for w in parallax_corpus::all() {
+        for mode in fig5_modes() {
+            let module = (w.module)();
+            let prog = compile_module(&module).expect("corpus compiles");
+            for img in scanned_images(prog, w.verify_func, &module, mode.clone()) {
+                shared += assert_grouped_matches_oracle(&img, &format!("{} {mode:?}", w.name));
+            }
+        }
+    }
+    assert!(shared > 0, "no verdict was shared");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn grouped_pass_matches_per_candidate_oracle_on_random_programs(seed in 0u64..10_000) {
+        let module = parallax_corpus::randprog::Gen::new(seed).module();
+        let prog = compile_module(&module).expect("randprog compiles");
+        for img in scanned_images(prog, "vf", &module, ChainMode::Cleartext) {
+            assert_grouped_matches_oracle(&img, &format!("randprog {seed}"));
+        }
+    }
+}
+
+/// `main` exits, then `gadget` is emitted twice: right after the exit
+/// and at the end of the text, with int3 padding between them that no
+/// decode reaches across. With `copies == 1` the second place holds
+/// more padding instead, so both images have one layout.
+fn twin_image(gadget: impl Fn(&mut Asm), copies: usize) -> LinkedImage {
+    let mut g = Asm::new();
+    gadget(&mut g);
+    let gadget_len = g.finish().expect("assembles").bytes.len();
+    let mut a = Asm::new();
+    a.mov_ri(Reg32::Eax, 1);
+    a.int(0x80);
+    gadget(&mut a);
+    a.db(&[0xcc; 8]);
+    if copies == 2 {
+        gadget(&mut a);
+    } else {
+        a.db(&vec![0xcc; gadget_len]);
+    }
+    link_main(a)
+}
+
+fn link_main(a: Asm) -> LinkedImage {
+    let mut prog = Program::new();
+    prog.add_func("main", a.finish().expect("assembles"));
+    prog.set_entry("main");
+    prog.link().expect("links")
+}
+
+fn pop_ecx_ret(a: &mut Asm) {
+    a.pop_r(Reg32::Ecx);
+    a.ret();
+}
+
+#[test]
+fn a_second_copy_costs_no_probe() {
+    let (one, two) = (twin_image(pop_ecx_ret, 1), twin_image(pop_ecx_ret, 2));
+    assert_eq!(one.text.len(), two.text.len());
+    let (_, _, v1) = find_gadgets_instrumented(&one, 1, None);
+    let (gadgets, _, v2) = find_gadgets_instrumented(&two, 1, None);
+    // The copy adds `pop ecx; ret` and `ret`, both served by the first.
+    assert_eq!(v2.probe.runs, v1.probe.runs);
+    assert_eq!(v2.probe.proposals, v1.probe.proposals);
+    assert_eq!(v2.shared, v1.shared + 2);
+    let pops: Vec<&Gadget> = gadgets
+        .iter()
+        .filter(|g| g.disasm == "pop ecx; ret")
+        .collect();
+    assert_eq!(pops.len(), 2, "{gadgets:?}");
+    assert_ne!(pops[0].vaddr, pops[1].vaddr);
+    let moved = Gadget {
+        vaddr: pops[0].vaddr,
+        ..pops[1].clone()
+    };
+    assert_eq!(format!("{:?}", pops[0]), format!("{moved:?}"));
+    assert_grouped_matches_oracle(&two, "two copies");
+}
+
+/// `mov [esp+2], eax; ret` strays (see `cross_pass.rs`), so its copies
+/// never share: each one probes on its own.
+#[test]
+fn a_straying_representative_makes_every_copy_probe() {
+    let store = |a: &mut Asm| {
+        a.mov_mr(Mem::base_disp(Reg32::Esp, 2), Reg32::Eax);
+        a.ret();
+    };
+    let (one, two) = (twin_image(store, 1), twin_image(store, 2));
+    let cand = scan(&two.text, two.text_base)
+        .into_iter()
+        .find(|c| c.disasm().starts_with("mov [esp+0x2],eax"))
+        .expect("store gadget scanned");
+    let mut probe = ProbeVm::new(&two);
+    probe.validate(&classify(&cand).expect("classified"));
+    assert!(probe.strayed());
+
+    assert_grouped_matches_oracle(&two, "two straying copies");
+    // A non-straying copy costs no probe; this one costs at least the
+    // store's own.
+    let (_, _, v1) = find_gadgets_instrumented(&one, 1, None);
+    let (_, _, v2) = find_gadgets_instrumented(&two, 1, None);
+    assert!(v2.probe.proposals > v1.probe.proposals, "{v1:?} -> {v2:?}");
+}
+
+/// A layout-independent verdict follows its bytes: pass 2 serves
+/// `pop ecx; ret` from pass 1's memo although it now sits elsewhere.
+#[test]
+fn pass_two_reuses_a_verdict_whose_bytes_moved() {
+    let image = |before: usize, after: usize| {
+        let mut a = Asm::new();
+        a.mov_ri(Reg32::Eax, 1);
+        a.int(0x80);
+        a.db(&vec![0xcc; before]);
+        pop_ecx_ret(&mut a);
+        a.db(&vec![0xcc; after]);
+        link_main(a)
+    };
+    // In img2 the padding keeps `int 0x80` out of every candidate.
+    let (img1, img2) = (image(0, 8), image(8, 0));
+    assert_eq!(
+        (img1.text_base, img1.text.len()),
+        (img2.text_base, img2.text.len())
+    );
+    let pop_at = |gadgets: &[Gadget]| {
+        gadgets
+            .iter()
+            .find(|g| g.disasm == "pop ecx; ret")
+            .expect("pop ecx; ret validated")
+            .vaddr
+    };
+    let (first, _, _, memo) = find_gadgets_reusing(&img1, 1, None, None);
+    let (second, _, vstats, _) = find_gadgets_reusing(&img2, 1, None, Some(memo));
+    let (fresh, _, fresh_stats) = find_gadgets_instrumented(&img2, 1, None);
+    assert_eq!(format!("{second:?}"), format!("{fresh:?}"));
+    assert_ne!(pop_at(&first), pop_at(&second));
+    assert!(fresh_stats.probe.runs > 0);
+    // `pop ecx; ret` and `ret` both moved, and img2 holds nothing else
+    // that classifies: no probe runs at all.
+    assert_eq!(vstats.reused, 2, "{vstats:?}");
+    assert_eq!(vstats.probe.runs, 0, "{vstats:?}");
+}

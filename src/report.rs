@@ -341,13 +341,15 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
 /// Shared-trial gadget-validation telemetry: probe executions per
 /// proposal (at most two — one per trial — regardless of how many
 /// effects a proposal carries), the per-(effect, trial) runs the
-/// shared path avoided, and scratch-reseeding volume.
+/// shared path avoided, the verdicts served without a probe, and
+/// scratch-reseeding volume.
 fn validation_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
     let proposals = get("vm.probe.proposals");
     let runs = get("vm.probe.runs");
     let reused = get("vm.probe.reused");
-    if proposals + runs + reused == 0 {
+    let shared = get("vm.probe.shared");
+    if proposals + runs + reused + shared == 0 {
         return;
     }
     let per = if proposals == 0 {
@@ -365,6 +367,10 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
     let _ = writeln!(
         out,
         "  verdicts reused from the previous pass: {reused} (no probe run)"
+    );
+    let _ = writeln!(
+        out,
+        "  verdicts shared by same-content copies: {shared} (no probe run)"
     );
     let _ = writeln!(
         out,
@@ -603,12 +609,13 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     }
 
     // Gadget-pass work: decodes and probe runs performed, and what the
-    // incremental second pass reused instead.
+    // incremental second pass and same-content copies reused instead.
     let work = [
         ("decodes", "scan.decode.once"),
         ("decodes reused", "scan.decode.reused"),
         ("probe runs", "vm.probe.runs"),
         ("verdicts reused", "vm.probe.reused"),
+        ("verdicts shared", "vm.probe.shared"),
     ];
     if work.iter().any(|(_, k)| par(a, k) + par(b, k) > 0) {
         let _ = writeln!(out, "\ngadget work (b - a):");
@@ -794,6 +801,7 @@ mod tests {
         t.count("vm.probe.proposals", 486);
         t.count("vm.probe.runs", 941);
         t.count("vm.probe.reused", 120);
+        t.count("vm.probe.shared", 4200);
         t.count("vm.probe.runs_saved", 59);
         t.count("vm.probe.reseed_words", 12800);
         t.count("vm.probe.builds", 2);
@@ -848,6 +856,7 @@ mod tests {
             "gadget validation (shared-trial probes):",
             "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)",
             "verdicts reused from the previous pass: 120 (no probe run)",
+            "verdicts shared by same-content copies: 4200 (no probe run)",
             "scratch reseed: 12800 words   probe VMs: 2 built (1.500 ms)",
             "verification:",
             "image loads:  5 verified, 1 refused (2.000 ms total)",
@@ -897,6 +906,10 @@ mod tests {
         );
         assert!(
             diff.contains("verdicts reused        120 ->       120 (+0)"),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("verdicts shared       4200 ->      4200 (+0)"),
             "{diff}"
         );
         assert!(diff.contains("verification (b - a):"), "{diff}");
