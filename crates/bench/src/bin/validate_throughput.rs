@@ -6,7 +6,7 @@
 //! rewritten text is scanned and classified; the resulting proposal
 //! stream is then validated cold two ways:
 //!
-//! * **shared** — a [`ProbeVm`] (skip-scratch reset, one probe run per
+//! * **shared** — a [`ProbeVm`] (dirty-page reset, one probe run per
 //!   trial shared by every effect, lazy scratch seeding), the path
 //!   `protect()` uses;
 //! * **legacy** — the pre-restructuring loop (`validate::legacy`): one
@@ -93,7 +93,6 @@ fn measure(name: &'static str, reps: u32) -> Result<Row, String> {
     for rep in 0..reps {
         let t = Instant::now();
         let mut vm = Vm::with_options(&img, VmOptions::default());
-        vm.mem_mut().enable_write_log();
         let pristine = vm.mem().clone();
         let verdicts: Vec<Option<parallax_gadgets::Gadget>> = proposals
             .iter()

@@ -1280,6 +1280,10 @@ fn scan_gadgets(
                     // `plx profile` can rank it against real work.
                     t.count("vm.probe.builds", vstats.probe_builds);
                     t.count("vm.probe.build_ns", vstats.probe_build_ns);
+                    // Copy-on-write pages the probe VMs wrote: a pure
+                    // function of the proposals probed, so it repeats
+                    // exactly at any job count.
+                    t.count("vm.mem.pages_copied", vstats.probe.pages_copied);
                     // Shared-trial validation work: probe executions
                     // actually performed, the per-(effect, trial) runs
                     // avoided, and scratch words written — the rows

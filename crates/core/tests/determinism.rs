@@ -5,8 +5,9 @@
 //! ambient-state dependency fails here, not in a flaky cache hit.
 
 use parallax_compiler::parse_module;
-use parallax_core::{protect, ChainMode, ProtectConfig};
+use parallax_core::{protect, protect_traced, ChainMode, ProtectConfig};
 use parallax_image::format;
+use parallax_trace::Tracer;
 
 const SRC: &str = r#"
     global table = "abcdefgh";
@@ -116,6 +117,31 @@ fn job_count_never_changes_the_image() {
                 w.name
             );
         }
+    }
+}
+
+#[test]
+fn probe_page_copies_repeat_at_any_job_count() {
+    // Each probe starts from a VM reset to its pristine pages, so the
+    // copy-on-write pages it writes depend only on the proposal, never
+    // on which worker probed it or what that worker probed before.
+    for w in parallax_corpus::all() {
+        let module = (w.module)();
+        let copied = |jobs: usize| {
+            let cfg = ProtectConfig {
+                verify_funcs: vec![w.verify_func.to_owned()],
+                seed: 0x5eed,
+                jobs,
+                ..ProtectConfig::default()
+            };
+            let tracer = Tracer::new();
+            protect_traced(&module, &cfg, &tracer)
+                .unwrap_or_else(|e| panic!("{} (jobs={jobs}): {e}", w.name));
+            tracer.counter("vm.mem.pages_copied")
+        };
+        let one = copied(1);
+        assert!(one > 0, "{}: probes copied no pages", w.name);
+        assert_eq!(one, copied(2), "{}: page copies diverged at jobs=2", w.name);
     }
 }
 

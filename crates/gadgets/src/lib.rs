@@ -255,12 +255,11 @@ pub fn find_gadgets_reusing(
     let probe_builds = AtomicU64::new(0);
     let probe_build_ns = AtomicU64::new(0);
     let probe_stats = Mutex::new(ProbeStats::default());
-    // One ProbeVm per *worker*, not per chunk: construction (zeroing
-    // ~1.5 MiB of VM memory) measured as a top blocker, so workers
-    // amortize one build over every chunk they execute and reset the
-    // VM from a pristine snapshot between proposals. The reset makes
-    // each verdict a pure function of the proposal, so any job count
-    // agrees byte-for-byte.
+    // One ProbeVm per *worker*, not per chunk: workers amortize one
+    // build over every chunk they execute and reset the VM from a
+    // pristine snapshot between proposals. The reset makes each
+    // verdict a pure function of the proposal, so any job count agrees
+    // byte-for-byte.
     let build_probe = || {
         let t0 = std::time::Instant::now();
         let probe = ProbeVm::new(img);

@@ -69,7 +69,8 @@ fn prng(seed: &mut u64) -> u32 {
 }
 
 /// Counters for probe-VM validation work, exported to traces as
-/// `vm.probe.{proposals,runs,runs_saved,reseed_words}`.
+/// `vm.probe.{proposals,runs,runs_saved,reseed_words}` and
+/// `vm.mem.pages_copied`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeStats {
     /// Distinct proposals probed. A gadget pass probes one copy of each
@@ -82,9 +83,12 @@ pub struct ProbeStats {
     /// Probe executions the legacy per-(effect, trial) loop would have
     /// performed *in addition to* `runs`.
     pub runs_saved: u64,
-    /// Scratch words written into the probe VM, counting both the
-    /// trial-1 batch seeding and the targeted trial-2 restore.
+    /// Scratch words written into the probe VM: the trial-1 seeding and
+    /// the trial-2 restore of the windows on pages trial 1 wrote.
     pub reseed_words: u64,
+    /// Copy-on-write page copies the probe VM made: each page a
+    /// proposal writes is copied once, then dropped by the reset.
+    pub pages_copied: u64,
 }
 
 impl ProbeStats {
@@ -94,6 +98,7 @@ impl ProbeStats {
         self.runs += other.runs;
         self.runs_saved += other.runs_saved;
         self.reseed_words += other.reseed_words;
+        self.pages_copied += other.pages_copied;
     }
 }
 
@@ -101,7 +106,7 @@ impl ProbeStats {
 /// little-endian bytes, region-major. One buffer serves three duties:
 /// the PRNG words are generated straight into it, each region is
 /// seeded from it with a single `write_bytes`, and the trial-2 restore
-/// copies dirtied spans back out of it.
+/// copies the windows on dirtied pages back out of it.
 struct ScratchPre {
     /// Region start addresses (scratch pointer − 0x200 each).
     bases: [u32; 8],
@@ -145,11 +150,11 @@ struct ProbeBufs {
     canaries: Vec<u32>,
     /// Scratch snapshot/fill slab for the current proposal.
     pre: ScratchPre,
-    /// Write-log cursor taken right after the trial-1 scratch fill;
-    /// everything logged past it is what the probe itself dirtied.
-    log_mark: usize,
-    /// Staging for the dirtied ranges (the log cannot be borrowed
-    /// while restoring through it).
+    /// Dirty-page cursor taken right after the trial-1 scratch fill;
+    /// every page listed past it is one the probe itself wrote.
+    mark: usize,
+    /// Staging for the dirtied page ranges (memory cannot be borrowed
+    /// while restoring into it).
     dirty: Vec<(u32, u32)>,
     /// Set when the current proposal's probe executed an instruction
     /// outside the candidate's own bytes.
@@ -162,7 +167,7 @@ impl ProbeBufs {
             needs_scratch: Vec::new(),
             canaries: Vec::new(),
             pre: ScratchPre::empty(),
-            log_mark: 0,
+            mark: 0,
             dirty: Vec::new(),
             strayed: false,
         }
@@ -181,10 +186,10 @@ struct Probe<'v> {
 
 /// Which trial of the proposal a probe run belongs to. Trial 1 seeds
 /// all eight scratch regions from the PRNG stream (batched into
-/// `bufs.pre.words`, one `write_bytes` per region) and marks the write
-/// log. Trial 2 reuses the trial-1 scratch snapshot: instead of
-/// redrawing 2048 words it restores only the spans the previous run
-/// dirtied, read back from the slab through the write log. The
+/// `bufs.pre.words`, one `write_bytes` per region) and marks the dirty
+/// pages. Trial 2 reuses the trial-1 scratch snapshot: instead of
+/// redrawing 2048 words it rewrites, from the slab, only the parts of
+/// the regions that lie on pages the previous run wrote. The
 /// register/flag draws are identical to the legacy stream either way
 /// (they precede the scratch draws).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -272,55 +277,30 @@ fn run_probe(
                     .ok()?;
             }
             stats.reseed_words += (8 * SCRATCH_WORDS) as u64;
-            bufs.log_mark = vm.mem().write_log_len();
+            bufs.mark = vm.mem_mut().mark_pages();
         }
         TrialKind::Second => {
-            // Reuse the trial-1 scratch snapshot: restore only the
-            // spans the previous run dirtied inside the regions, from
-            // the slab, via the write log. (The trial-1 words are as
-            // random as a fresh draw; every check compares against the
-            // same `pre_mem` snapshot the probe executes on, so the
-            // verdict criterion is unchanged — `tests/shared_trial.rs`
-            // holds this equal to the legacy redraw path.) When the
-            // log is disabled the fallback rewrites all eight regions.
-            let mut restored_words = 0u64;
+            // Reuse the trial-1 scratch snapshot: rewrite each region's
+            // bytes on the pages the previous run wrote from the slab.
+            // (The trial-1 words are as random as a fresh draw, and
+            // every check compares against the same `pre_mem`;
+            // `tests/shared_trial.rs` holds this equal to the legacy
+            // redraw path.)
             bufs.dirty.clear();
-            let logged = match vm.mem().write_log_since(bufs.log_mark) {
-                Some(ranges) => {
-                    bufs.dirty.extend_from_slice(ranges);
-                    true
-                }
-                None => false,
-            };
-            if logged {
-                for (i, &base) in bufs.pre.bases.iter().enumerate() {
-                    let end = base + (SCRATCH_WORDS as u32) * 4;
-                    for &(ws, we) in &bufs.dirty {
-                        let (s, e) = (ws.max(base), we.min(end));
-                        if s >= e {
-                            continue;
-                        }
-                        // Word-align outward; the slab holds the full
-                        // pre-image, so widening is always safe.
-                        let (s, e) = (s & !3, (e + 3) & !3);
-                        let at = i * SCRATCH_WORDS * 4 + (s - base) as usize;
-                        let len = (e - s) as usize;
-                        vm.mem_mut()
-                            .write_bytes(s, &bufs.pre.words[at..at + len])
-                            .ok()?;
-                        restored_words += (len / 4) as u64;
+            bufs.dirty.extend(vm.mem().pages_dirtied_since(bufs.mark));
+            for (i, &base) in bufs.pre.bases.iter().enumerate() {
+                let end = base + (SCRATCH_WORDS as u32) * 4;
+                for &(ps, pe) in &bufs.dirty {
+                    let (s, e) = (ps.max(base), pe.min(end));
+                    if s >= e {
+                        continue;
                     }
+                    let at = i * SCRATCH_WORDS * 4 + (s - base) as usize;
+                    let slab = &bufs.pre.words[at..at + (e - s) as usize];
+                    vm.mem_mut().write_bytes(s, slab).ok()?;
+                    stats.reseed_words += slab.len().div_ceil(4) as u64;
                 }
-            } else {
-                for (i, s) in scratch.iter().enumerate() {
-                    let at = i * SCRATCH_WORDS * 4;
-                    vm.mem_mut()
-                        .write_bytes(s - 0x200, &bufs.pre.words[at..at + SCRATCH_WORDS * 4])
-                        .ok()?;
-                }
-                restored_words = (8 * SCRATCH_WORDS) as u64;
             }
-            stats.reseed_words += restored_words;
         }
     }
 
@@ -590,43 +570,30 @@ pub fn validate(img: &LinkedImage, p: &Proposal) -> Option<Gadget> {
 }
 
 /// A reusable probe VM: one image load amortized over every proposal a
-/// worker validates. Construction clones a pristine snapshot of memory
-/// with the write log enabled; before each proposal the VM is rolled
-/// back to that snapshot (registers, flags, cycles, RSB, syscall state
-/// included), so each verdict is a pure function of the proposal —
-/// identical to what a freshly built VM would return — while the
-/// predecoded block cache stays hot across proposals (text is
-/// immutable under W⊕X). The rollback skips the eight scratch windows:
-/// trial 1 unconditionally refills them from the PRNG slab before any
-/// probe step executes, so their dirt never needs restoring.
+/// worker validates. Construction snapshots the pristine memory (a
+/// page-table clone); before each proposal the VM is rolled back to it
+/// (registers, flags, cycles, RSB, syscall state included), which puts
+/// the pristine page back into each page the last proposal wrote. So
+/// the VM is exactly equivalent to a freshly built one and each verdict
+/// is a pure function of the proposal, while the predecoded block cache
+/// stays hot across proposals (text is immutable under W⊕X).
 pub struct ProbeVm {
     vm: Vm,
     pristine: Memory,
     bufs: ProbeBufs,
     stats: ProbeStats,
-    /// The scratch windows `run_probe` refills every proposal —
-    /// excluded from the reset rollback.
-    scratch_windows: [(u32, u32); 8],
 }
 
 impl ProbeVm {
     /// Builds the reusable VM for `img`.
     pub fn new(img: &LinkedImage) -> ProbeVm {
-        let mut vm = Vm::with_options(img, VmOptions::default());
-        vm.mem_mut().enable_write_log();
+        let vm = Vm::with_options(img, VmOptions::default());
         let pristine = vm.mem().clone();
-        let heap = vm.mem().heap_base();
-        let mut scratch_windows = [(0u32, 0u32); 8];
-        for (i, w) in scratch_windows.iter_mut().enumerate() {
-            let base = heap + 0x1000 + i as u32 * 0x1000 + 0x800 - 0x200;
-            *w = (base, base + (SCRATCH_WORDS as u32) * 4);
-        }
         ProbeVm {
             vm,
             pristine,
             bufs: ProbeBufs::new(),
             stats: ProbeStats::default(),
-            scratch_windows,
         }
     }
 
@@ -650,9 +617,11 @@ impl ProbeVm {
     /// Validates one proposal from pristine state. Equivalent to
     /// `validate(img, p)` on a fresh VM, minus the construction cost.
     pub fn validate(&mut self, p: &Proposal) -> Option<Gadget> {
-        self.vm
-            .reset_to_skipping(&self.pristine, &self.scratch_windows);
-        validate_shared(&mut self.vm, p, &mut self.bufs, &mut self.stats)
+        self.vm.reset_to(&self.pristine);
+        let copied = self.vm.mem().pages_copied();
+        let g = validate_shared(&mut self.vm, p, &mut self.bufs, &mut self.stats);
+        self.stats.pages_copied += self.vm.mem().pages_copied() - copied;
+        g
     }
 
     /// Whether the last [`ProbeVm::validate`] executed an instruction

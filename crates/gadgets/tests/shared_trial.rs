@@ -1,6 +1,6 @@
 //! Differential suite for shared-trial validation: the restructured
 //! path — one probe execution per trial shared by every effect, lazy
-//! scratch seeding, write-log-targeted trial-2 restore — must return
+//! scratch seeding, dirty-page-targeted trial-2 restore — must return
 //! verdicts identical to the legacy per-(effect, trial) probe loop for
 //! every proposal. The legacy path is kept callable as
 //! `validate::legacy` purely as this suite's oracle; it is what

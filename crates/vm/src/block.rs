@@ -442,7 +442,7 @@ mod tests {
     use super::*;
 
     fn mem(text: Vec<u8>) -> Memory {
-        Memory::new(text, 0x1000, vec![0; 16], 0x2000, 0)
+        Memory::new(text, 0x1000, &[0; 16], 0x2000, 0)
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl Vm {
         let mem = Memory::new(
             image.text.clone(),
             image.text_base,
-            image.data.clone(),
+            &image.data,
             image.data_base,
             image.bss_size,
         );
@@ -157,29 +157,13 @@ impl Vm {
     }
 
     /// Rolls the VM back to its just-constructed state. `pristine`
-    /// must be a clone of [`Vm::mem`] taken right after construction
-    /// with the write log enabled (see [`Memory::enable_write_log`]);
-    /// rollback is then O(bytes the guest wrote) instead of O(memory
-    /// size), which is what makes probe-VM reuse cheaper than
-    /// rebuilding. The predecoded block cache is deliberately kept
-    /// hot: text is immutable under W⊕X, and restored text ranges
-    /// re-dirty so any overlapping blocks evict.
+    /// must be a clone of [`Vm::mem`] taken right after construction;
+    /// [`Memory::reset_to`] puts its page back into each page written
+    /// since, so memory ends exactly as a fresh VM's at the cost of the
+    /// pages written. The predecoded block cache is deliberately kept
+    /// hot: text is immutable under W⊕X, and restored text re-dirties.
     pub fn reset_to(&mut self, pristine: &Memory) {
-        self.reset_to_skipping(pristine, &[]);
-    }
-
-    /// [`Vm::reset_to`], except that dirtied bytes inside the `skip`
-    /// ranges are *not* rolled back. This is the probe reset fast path:
-    /// a caller that unconditionally rewrites certain data regions
-    /// (probe scratch) before every run can skip restoring them, so a
-    /// reset costs only the writes that landed elsewhere. `skip` ranges
-    /// must lie outside text — skipped text would leave the block cache
-    /// observing stale bytes.
-    pub fn reset_to_skipping(&mut self, pristine: &Memory, skip: &[(u32, u32)]) {
-        debug_assert!(skip
-            .iter()
-            .all(|&(s, e)| !self.mem.in_text(s) && !self.mem.in_text(e - 1)));
-        self.mem.restore_from_skipping(pristine, skip);
+        self.mem.reset_to(pristine);
         self.sync_code_writes();
         self.cpu = Cpu::default();
         self.cpu.set_esp(self.mem.initial_esp());

@@ -53,6 +53,6 @@ pub use cost::{CostModel, ReturnStackBuffer, RSB_DEPTH};
 pub use cpu::{Cpu, Flags};
 pub use error::{Exit, Fault, FaultKind};
 pub use exec::{Vm, VmOptions, CALL_SENTINEL};
-pub use mem::{Memory, HEAP_SIZE, STACK_SIZE, STACK_TOP};
+pub use mem::{Memory, HEAP_SIZE, PAGE_SIZE, STACK_SIZE, STACK_TOP};
 pub use profile::{FuncProfile, Profiler};
 pub use syscall::{SyscallState, PTRACE_TRACEME};

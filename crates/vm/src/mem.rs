@@ -1,14 +1,22 @@
 //! The VM memory model.
 //!
-//! Memory is three flat regions: text (execute + read, normally not
+//! Memory is three regions: text (execute + read, normally not
 //! writable — W⊕X), data (the image's initialized data, BSS, and a
-//! scratch heap), and the stack. Instruction fetches are serviced from
-//! the text region, or — when *split-cache mode* is enabled — from a
-//! shadow copy representing the processor's instruction cache. Split
-//! mode reproduces the attack of Wurster et al.: an adversary with a
-//! kernel patch modifies code as fetched for execution while data reads
-//! of the same addresses still observe the original bytes, which
-//! defeats every checksumming-based self-verification scheme.
+//! scratch heap), and the stack. Text is one flat byte vector, small
+//! and immutable under W⊕X; data and stack share one table of 4 KiB
+//! copy-on-write pages (DESIGN.md §19), so a VM costs only the pages
+//! it writes.
+//!
+//! Instruction fetches are serviced from the text region, or — when
+//! *split-cache mode* is enabled — from a shadow copy representing the
+//! processor's instruction cache. Split mode reproduces the attack of
+//! Wurster et al.: an adversary with a kernel patch modifies code as
+//! fetched for execution while data reads of the same addresses still
+//! observe the original bytes, which defeats every checksumming-based
+//! self-verification scheme.
+
+use std::borrow::Cow;
+use std::sync::{Arc, LazyLock};
 
 use crate::error::{Fault, FaultKind};
 
@@ -21,6 +29,39 @@ pub const STACK_TOP: u32 = 0x0c00_0000;
 /// Extra zeroed scratch space appended after BSS, usable as a heap.
 pub const HEAP_SIZE: u32 = 1024 * 1024;
 
+/// Bytes per copy-on-write page. Pages are counted from the start of
+/// the data and of the stack region, not from address 0.
+pub const PAGE_SIZE: u32 = 4096;
+
+const PAGE: usize = PAGE_SIZE as usize;
+
+type PageBuf = [u8; PAGE];
+
+/// The page every all-zero, never-written page shares.
+static ZERO_PAGE: LazyLock<Arc<PageBuf>> = LazyLock::new(|| Arc::new([0; PAGE]));
+
+/// One page-table entry.
+#[derive(Debug, Clone)]
+enum Page {
+    /// Shared with clones and snapshots, or the [`ZERO_PAGE`]; the
+    /// first write copies it.
+    Shared(Arc<PageBuf>),
+    /// Private to this memory. A `listed` page was written since the
+    /// last reset or mark and is in the dirty list, so writes land in
+    /// place; the next write to an unlisted one lists it again.
+    Private { page: Box<PageBuf>, listed: bool },
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> &PageBuf {
+        match self {
+            Page::Shared(page) => page,
+            Page::Private { page, .. } => page,
+        }
+    }
+}
+
 /// The VM's memory.
 #[derive(Debug, Clone)]
 pub struct Memory {
@@ -28,174 +69,125 @@ pub struct Memory {
     text_base: u32,
     /// Shadow instruction bytes; `Some` only in split-cache mode.
     icache: Option<Vec<u8>>,
-    data: Vec<u8>,
     data_base: u32,
-    stack: Vec<u8>,
-    stack_base: u32,
+    /// Bytes of data, BSS and heap.
+    data_len: u32,
+    /// The data region's pages, then the stack's.
+    pages: Vec<Page>,
+    /// Pages of the data region: the stack's start at this index.
+    data_pages: u32,
+    /// Indices of the pages listed since the last reset, in the order
+    /// they were first written in each mark epoch.
+    dirty: Vec<u32>,
+    /// Copy-on-write page copies over this memory's lifetime.
+    copied: u64,
     /// When true (default), data writes to the text region fault.
     pub w_xor_x: bool,
     /// Byte ranges of code mutated since the last
     /// [`Memory::take_dirty_code`] drain. Every path that can change
-    /// executed bytes records here — `write_icache`, `write_code`, and
-    /// data writes landing in text when W⊕X is disabled — so the
-    /// execution engine can invalidate exactly the predecoded blocks
-    /// that overlap, instead of guessing.
+    /// executed bytes records here — `write_icache`, `write_code`, data
+    /// writes landing in text when W⊕X is disabled, and the reset that
+    /// undoes them — so the execution engine can invalidate exactly the
+    /// predecoded blocks that overlap, instead of guessing.
     dirty_code: Vec<(u32, u32)>,
-    /// Coalescing log of byte ranges written since the last
-    /// [`Memory::restore_from`], recorded by every successful write
-    /// path. `None` (the default) disables logging entirely so normal
-    /// VMs pay nothing; probe VMs opt in via
-    /// [`Memory::enable_write_log`] to make reseeding O(bytes written)
-    /// instead of O(memory size).
-    write_log: Option<Vec<(u32, u32)>>,
+    /// Set by every write to either view of text since the last reset.
+    text_written: bool,
 }
 
 impl Memory {
     /// Builds memory from image sections. `bss_size` bytes of zeros and
-    /// a scratch heap are appended after the initialized data.
+    /// a scratch heap follow the initialized `data`; only the pages
+    /// holding a non-zero byte of it are allocated.
     pub fn new(
         text: Vec<u8>,
         text_base: u32,
-        mut data: Vec<u8>,
+        data: &[u8],
         data_base: u32,
         bss_size: u32,
     ) -> Memory {
-        data.extend(std::iter::repeat_n(0, (bss_size + HEAP_SIZE) as usize));
+        let data_len = data.len() as u32 + bss_size + HEAP_SIZE;
+        let data_pages = data_len.div_ceil(PAGE_SIZE);
+        let pages = (0..(data_pages + STACK_SIZE / PAGE_SIZE) as usize)
+            .map(|i| {
+                let chunk = data.chunks(PAGE).nth(i).unwrap_or_default();
+                if chunk.iter().all(|&b| b == 0) {
+                    return Page::Shared(Arc::clone(&ZERO_PAGE));
+                }
+                let mut page = [0; PAGE];
+                page[..chunk.len()].copy_from_slice(chunk);
+                Page::Shared(Arc::new(page))
+            })
+            .collect();
         Memory {
             text,
             text_base,
             icache: None,
-            data,
             data_base,
-            stack: vec![0; STACK_SIZE as usize],
-            stack_base: STACK_TOP - STACK_SIZE,
+            data_len,
+            pages,
+            data_pages,
+            dirty: Vec::new(),
+            copied: 0,
             w_xor_x: true,
             dirty_code: Vec::new(),
-            write_log: None,
+            text_written: false,
         }
     }
 
-    /// Starts recording written byte ranges for [`Memory::restore_from`].
-    /// Consecutive writes to adjacent addresses coalesce into one range,
-    /// so the sequential fills and pushes that dominate probe runs cost
-    /// one log entry each.
-    pub fn enable_write_log(&mut self) {
-        if self.write_log.is_none() {
-            self.write_log = Some(Vec::new());
+    /// Rolls memory back to `pristine`, a clone of this memory taken
+    /// earlier (normally right after construction). Each page written
+    /// since the last reset gets `pristine`'s page back, so a reset
+    /// costs the pages written, not the memory size. Text written since
+    /// (only possible with W⊕X off) is copied back whole and pushed to
+    /// `dirty_code`, so block caches re-observe the original bytes.
+    pub fn reset_to(&mut self, pristine: &Memory) {
+        for &i in &self.dirty {
+            self.pages[i as usize] = match &pristine.pages[i as usize] {
+                Page::Shared(page) => Page::Shared(Arc::clone(page)),
+                Page::Private { page, .. } => Page::Private {
+                    page: page.clone(),
+                    listed: false,
+                },
+            };
+        }
+        self.dirty.clear();
+        if std::mem::take(&mut self.text_written) {
+            self.text.copy_from_slice(&pristine.text);
+            if let Some(ic) = self.icache.as_mut() {
+                ic.copy_from_slice(pristine.icache.as_deref().unwrap_or(&pristine.text));
+            }
+            self.dirty_code.push((self.text_base, self.text_end()));
         }
     }
 
-    #[inline]
-    fn log_write(&mut self, start: u32, end: u32) {
-        if let Some(log) = self.write_log.as_mut() {
-            match log.last_mut() {
-                Some(last) if last.1 == start => last.1 = end,
-                _ => log.push((start, end)),
+    /// Starts a dirty-page epoch and returns its cursor: each page
+    /// written from now on is listed by [`Memory::pages_dirtied_since`].
+    /// A reset still restores every page written since the last reset.
+    pub fn mark_pages(&mut self) -> usize {
+        for &i in &self.dirty {
+            if let Page::Private { listed, .. } = &mut self.pages[i as usize] {
+                *listed = false;
             }
         }
+        self.dirty.len()
     }
 
-    /// Rolls every logged write back to the bytes in `pristine` — a
-    /// clone of this memory taken before any guest writes — and drains
-    /// the log. A no-op when logging is disabled. Restored text ranges
-    /// are pushed to `dirty_code` so the block cache re-observes the
-    /// original bytes; a logged range can span region boundaries only
-    /// if regions are address-adjacent, so each range is walked and
-    /// clamped at the containing region's end.
-    pub fn restore_from(&mut self, pristine: &Memory) {
-        self.restore_from_skipping(pristine, &[]);
+    /// `[start, end)` address ranges of the data and stack pages
+    /// written since `mark`, a cursor from [`Memory::mark_pages`].
+    pub fn pages_dirtied_since(&self, mark: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.dirty[mark.min(self.dirty.len())..].iter().map(|&i| {
+            let (start, end) = match i.checked_sub(self.data_pages) {
+                None => (self.data_base + i * PAGE_SIZE, self.data_end()),
+                Some(k) => (STACK_TOP - STACK_SIZE + k * PAGE_SIZE, STACK_TOP),
+            };
+            (start, (start + PAGE_SIZE).min(end))
+        })
     }
 
-    /// Number of ranges currently in the coalescing write log (0 when
-    /// logging is disabled) — a cursor for [`Memory::write_log_since`].
-    pub fn write_log_len(&self) -> usize {
-        self.write_log.as_ref().map_or(0, |l| l.len())
-    }
-
-    /// The logged write ranges recorded at or after the `mark` cursor
-    /// (from a prior [`Memory::write_log_len`]), or `None` when logging
-    /// is disabled. Coalescing can only *extend the end* of the last
-    /// pre-mark range upward, so a write that lands strictly inside a
-    /// region logged before the mark always opens a fresh post-mark
-    /// entry and is never hidden from this view.
-    pub fn write_log_since(&self, mark: usize) -> Option<&[(u32, u32)]> {
-        self.write_log.as_deref().map(|l| &l[mark.min(l.len())..])
-    }
-
-    /// [`Memory::restore_from`], except that the parts of logged writes
-    /// covered by `skip` ranges (`[start, end)`, non-overlapping) are
-    /// left as they are. Probe VMs use this as their reset fast path:
-    /// scratch regions that the next probe unconditionally refills are
-    /// skipped, so a reset costs only the bytes dirtied *outside* them.
-    /// The log is drained in full either way — skipped dirt is simply
-    /// abandoned to be overwritten.
-    pub fn restore_from_skipping(&mut self, pristine: &Memory, skip: &[(u32, u32)]) {
-        let Some(mut log) = self.write_log.take() else {
-            return;
-        };
-        for &(logged_start, logged_end) in &log {
-            // Subtract the skip intervals from the logged range and
-            // restore each remaining piece.
-            let mut piece_start = logged_start;
-            while piece_start < logged_end {
-                // The skip range covering piece_start, if any; else the
-                // next skip range beginning before logged_end.
-                let mut piece_end = logged_end;
-                let mut covered = false;
-                for &(ss, se) in skip {
-                    if ss <= piece_start && piece_start < se {
-                        covered = true;
-                        piece_end = se.min(logged_end);
-                        break;
-                    }
-                    if ss > piece_start && ss < piece_end {
-                        piece_end = ss;
-                    }
-                }
-                if !covered {
-                    self.restore_range(pristine, piece_start, piece_end);
-                }
-                piece_start = piece_end;
-            }
-        }
-        log.clear();
-        self.write_log = Some(log);
-    }
-
-    /// Restores `[range_start, range_end)` from `pristine`, walking and
-    /// clamping at region boundaries (a logged range can span regions
-    /// only when they are address-adjacent).
-    fn restore_range(&mut self, pristine: &Memory, range_start: u32, range_end: u32) {
-        let mut start = range_start;
-        while start < range_end {
-            let stop;
-            if start >= self.data_base && start < self.data_end() {
-                stop = range_end.min(self.data_end());
-                let a = (start - self.data_base) as usize;
-                let b = (stop - self.data_base) as usize;
-                self.data[a..b].copy_from_slice(&pristine.data[a..b]);
-            } else if start >= self.stack_base && start < STACK_TOP {
-                stop = range_end.min(STACK_TOP);
-                let a = (start - self.stack_base) as usize;
-                let b = (stop - self.stack_base) as usize;
-                self.stack[a..b].copy_from_slice(&pristine.stack[a..b]);
-            } else if start >= self.text_base && start < self.text_end() {
-                stop = range_end.min(self.text_end());
-                let a = (start - self.text_base) as usize;
-                let b = (stop - self.text_base) as usize;
-                self.text[a..b].copy_from_slice(&pristine.text[a..b]);
-                if let Some(ic) = self.icache.as_mut() {
-                    let src = pristine.icache.as_deref().unwrap_or(&pristine.text);
-                    ic[a..b].copy_from_slice(&src[a..b]);
-                }
-                self.dirty_code.push((start, stop));
-            } else {
-                // Every logged write was bounds-checked, so this is
-                // unreachable; bail rather than spin.
-                break;
-            }
-            start = stop;
-        }
+    /// Pages copied on their first write since construction or a reset,
+    /// over this memory's lifetime. Building or cloning copies none.
+    pub fn pages_copied(&self) -> u64 {
+        self.copied
     }
 
     /// True if code bytes changed since the last [`Memory::take_dirty_code`].
@@ -226,7 +218,7 @@ impl Memory {
 
     /// End of the data region (exclusive), including BSS and heap.
     pub fn data_end(&self) -> u32 {
-        self.data_base + self.data.len() as u32
+        self.data_base + self.data_len
     }
 
     /// Start of the scratch heap (after image data and BSS).
@@ -239,10 +231,13 @@ impl Memory {
         STACK_TOP - 64 // leave headroom for the harness
     }
 
-    /// True if `vaddr` lies in the text region.
+    /// The text offset of `vaddr` if `n` bytes from it lie in text.
     #[inline]
-    pub fn in_text(&self, vaddr: u32) -> bool {
-        vaddr >= self.text_base && vaddr < self.text_end()
+    fn text_offset(&self, vaddr: u32, n: u32) -> Result<usize, Fault> {
+        let inside = vaddr >= self.text_base && vaddr as u64 + n as u64 <= self.text_end() as u64;
+        inside
+            .then(|| (vaddr - self.text_base) as usize)
+            .ok_or(Fault::new(vaddr, FaultKind::OutOfBounds))
     }
 
     /// Enables split instruction/data views of the text region
@@ -254,86 +249,88 @@ impl Memory {
         }
     }
 
-    /// True if split-cache mode is active.
-    pub fn split_cache_enabled(&self) -> bool {
-        self.icache.is_some()
-    }
-
     /// Patches the *instruction view* only. Requires split-cache mode.
     /// Data reads of the same addresses keep returning original bytes.
     pub fn write_icache(&mut self, vaddr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        let base = self.text_base;
-        let end = self.text_end();
+        let off = self.text_offset(vaddr, bytes.len() as u32)?;
         let icache = self.icache.as_mut().expect("split-cache mode not enabled");
-        if vaddr < base || vaddr + bytes.len() as u32 > end {
-            return Err(Fault::new(vaddr, FaultKind::OutOfBounds));
-        }
-        let off = (vaddr - base) as usize;
         icache[off..off + bytes.len()].copy_from_slice(bytes);
-        self.dirty_code.push((vaddr, vaddr + bytes.len() as u32));
-        self.log_write(vaddr, vaddr + bytes.len() as u32);
+        self.note_code_write(vaddr, bytes.len());
         Ok(())
     }
 
     /// Patches code in both views, as a debugger with `mprotect`
     /// powers would (the classic dynamic-tampering attack).
     pub fn write_code(&mut self, vaddr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        if !self.in_text(vaddr) || vaddr + bytes.len() as u32 > self.text_end() {
-            return Err(Fault::new(vaddr, FaultKind::OutOfBounds));
-        }
-        let off = (vaddr - self.text_base) as usize;
+        let off = self.text_offset(vaddr, bytes.len() as u32)?;
         self.text[off..off + bytes.len()].copy_from_slice(bytes);
         if let Some(ic) = self.icache.as_mut() {
             ic[off..off + bytes.len()].copy_from_slice(bytes);
         }
-        self.dirty_code.push((vaddr, vaddr + bytes.len() as u32));
-        self.log_write(vaddr, vaddr + bytes.len() as u32);
+        self.note_code_write(vaddr, bytes.len());
         Ok(())
+    }
+
+    fn note_code_write(&mut self, vaddr: u32, len: usize) {
+        self.dirty_code.push((vaddr, vaddr + len as u32));
+        self.text_written = true;
     }
 
     /// Fetches up to 16 instruction bytes at `vaddr` for decoding.
     /// Served from the instruction view in split-cache mode.
     #[inline]
     pub fn fetch(&self, vaddr: u32) -> Result<&[u8], Fault> {
-        if !self.in_text(vaddr) {
-            return Err(Fault::new(vaddr, FaultKind::ExecOutsideText));
-        }
-        let off = (vaddr - self.text_base) as usize;
+        let off = self
+            .text_offset(vaddr, 1)
+            .map_err(|_| Fault::new(vaddr, FaultKind::ExecOutsideText))?;
         let src = self.icache.as_deref().unwrap_or(&self.text);
-        let end = (off + 16).min(src.len());
-        Ok(&src[off..end])
+        Ok(&src[off..(off + 16).min(src.len())])
     }
 
-    /// Resolves `vaddr..vaddr+len` to a region slice and offset. The
-    /// regions are disjoint, so probe order is purely a performance
-    /// choice: data first (stack pivots and program data dominate),
-    /// then stack, then text (only checksum reads land there).
+    /// The offset into the page table's bytes of `vaddr`, if `n` bytes
+    /// from it lie in the data or the stack region. The regions are
+    /// disjoint, so probe order is purely a performance choice: data
+    /// first (stack pivots and program data dominate), then stack.
     #[inline]
-    fn region(&self, vaddr: u32, len: u32) -> Result<(&[u8], usize), Fault> {
-        let end = vaddr as u64 + len as u64;
-        if vaddr >= self.data_base && end <= self.data_end() as u64 {
-            Ok((&self.data, (vaddr - self.data_base) as usize))
-        } else if vaddr >= self.stack_base && end <= STACK_TOP as u64 {
-            Ok((&self.stack, (vaddr - self.stack_base) as usize))
-        } else if vaddr >= self.text_base && end <= self.text_end() as u64 {
-            Ok((&self.text, (vaddr - self.text_base) as usize))
-        } else {
-            Err(Fault::new(vaddr, FaultKind::OutOfBounds))
+    fn linear(&self, vaddr: u32, n: u32) -> Option<u32> {
+        let off = vaddr.wrapping_sub(self.data_base);
+        if off as u64 + n as u64 <= self.data_len as u64 {
+            return Some(off);
         }
+        let off = vaddr.wrapping_sub(STACK_TOP - STACK_SIZE);
+        (off as u64 + n as u64 <= STACK_SIZE as u64).then(|| self.data_pages * PAGE_SIZE + off)
+    }
+
+    /// Reads `N` bytes (data view): inline inside one data or stack
+    /// page, else through [`Memory::read_bytes`].
+    #[inline]
+    fn read<const N: usize>(&self, vaddr: u32) -> Result<[u8; N], Fault> {
+        if let Some(at) = self.linear(vaddr, N as u32) {
+            let o = (at % PAGE_SIZE) as usize;
+            if let Some(b) = self.pages[(at / PAGE_SIZE) as usize].bytes().get(o..o + N) {
+                return Ok(b.try_into().unwrap());
+            }
+        }
+        self.read_slow(vaddr)
+    }
+
+    /// [`Memory::read`] of bytes that span pages, lie in text, or fault.
+    #[cold]
+    #[inline(never)]
+    fn read_slow<const N: usize>(&self, vaddr: u32) -> Result<[u8; N], Fault> {
+        Ok(self.read_bytes(vaddr, N as u32)?[..].try_into().unwrap())
     }
 
     /// Reads an 8-bit value (data view).
     #[inline]
     pub fn read8(&self, vaddr: u32) -> Result<u8, Fault> {
-        let (region, off) = self.region(vaddr, 1)?;
-        Ok(region[off])
+        self.read::<1>(vaddr).map(|[b]| b)
     }
 
     /// Reads a 32-bit little-endian value (data view).
     #[inline]
     pub fn read32(&self, vaddr: u32) -> Result<u32, Fault> {
-        let (region, off) = self.region(vaddr, 4)?;
-        Ok(u32::from_le_bytes(region[off..off + 4].try_into().unwrap()))
+        self.read(vaddr).map(u32::from_le_bytes)
     }
 
     /// Reads two consecutive 32-bit values with a single region
@@ -342,62 +339,105 @@ impl Memory {
     /// (which also handle the adjacent-regions edge case exactly).
     #[inline]
     pub fn read32_pair(&self, vaddr: u32) -> Result<(u32, u32), Fault> {
-        let (region, off) = self.region(vaddr, 8)?;
-        let lo = u32::from_le_bytes(region[off..off + 4].try_into().unwrap());
-        let hi = u32::from_le_bytes(region[off + 4..off + 8].try_into().unwrap());
+        let b: [u8; 8] = self.read(vaddr)?;
+        let lo = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
         Ok((lo, hi))
     }
 
-    /// Reads `len` bytes (data view).
-    pub fn read_bytes(&self, vaddr: u32, len: u32) -> Result<&[u8], Fault> {
-        let (region, off) = self.region(vaddr, len)?;
-        Ok(&region[off..off + len as usize])
+    /// Reads `len` bytes (data view), which may span pages but not
+    /// regions. They are borrowed unless they span pages.
+    pub fn read_bytes(&self, vaddr: u32, len: u32) -> Result<Cow<'_, [u8]>, Fault> {
+        let Some(mut at) = self.linear(vaddr, len) else {
+            let off = self.text_offset(vaddr, len)?;
+            return Ok(Cow::Borrowed(&self.text[off..off + len as usize]));
+        };
+        let (o, len) = ((at % PAGE_SIZE) as usize, len as usize);
+        if o + len <= PAGE {
+            let page = self.pages.get((at / PAGE_SIZE) as usize);
+            return Ok(Cow::Borrowed(page.map_or(&[], |p| &p.bytes()[o..o + len])));
+        }
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let o = (at % PAGE_SIZE) as usize;
+            let n = (PAGE - o).min(len - out.len());
+            out.extend_from_slice(&self.pages[(at / PAGE_SIZE) as usize].bytes()[o..o + n]);
+            at += n as u32;
+        }
+        Ok(Cow::Owned(out))
     }
 
+    /// Writes `N` bytes: in place inside one listed private page, else
+    /// through [`Memory::write_bytes`].
     #[inline]
-    fn region_mut(&mut self, vaddr: u32, len: u32) -> Result<(&mut [u8], usize), Fault> {
-        let end = vaddr as u64 + len as u64;
-        if vaddr >= self.data_base && end <= self.data_end() as u64 {
-            let off = (vaddr - self.data_base) as usize;
-            self.log_write(vaddr, end as u32);
-            Ok((&mut self.data, off))
-        } else if vaddr >= self.stack_base && end <= STACK_TOP as u64 {
-            let off = (vaddr - self.stack_base) as usize;
-            self.log_write(vaddr, end as u32);
-            Ok((&mut self.stack, off))
-        } else if vaddr >= self.text_base && end <= self.text_end() as u64 {
-            if self.w_xor_x {
-                return Err(Fault::new(vaddr, FaultKind::WriteToText));
+    fn write<const N: usize>(&mut self, vaddr: u32, bytes: [u8; N]) -> Result<(), Fault> {
+        if let Some(at) = self.linear(vaddr, N as u32) {
+            let o = (at % PAGE_SIZE) as usize;
+            if let Page::Private { page, listed: true } = &mut self.pages[(at / PAGE_SIZE) as usize]
+            {
+                if let Some(dst) = page.get_mut(o..o + N) {
+                    dst.copy_from_slice(&bytes);
+                    return Ok(());
+                }
             }
-            self.dirty_code.push((vaddr, end as u32));
-            self.log_write(vaddr, end as u32);
-            Ok((&mut self.text, (vaddr - self.text_base) as usize))
-        } else {
-            Err(Fault::new(vaddr, FaultKind::OutOfBounds))
         }
+        self.write_bytes(vaddr, &bytes)
     }
 
     /// Writes an 8-bit value.
     #[inline]
     pub fn write8(&mut self, vaddr: u32, v: u8) -> Result<(), Fault> {
-        let (region, off) = self.region_mut(vaddr, 1)?;
-        region[off] = v;
-        Ok(())
+        self.write(vaddr, [v])
     }
 
     /// Writes a 32-bit little-endian value.
     #[inline]
     pub fn write32(&mut self, vaddr: u32, v: u32) -> Result<(), Fault> {
-        let (region, off) = self.region_mut(vaddr, 4)?;
-        region[off..off + 4].copy_from_slice(&v.to_le_bytes());
+        self.write(vaddr, v.to_le_bytes())
+    }
+
+    /// Writes a byte slice, which may span pages but not regions. A
+    /// shared page is copied on its first write, and an unlisted page
+    /// is listed.
+    #[inline(never)]
+    pub fn write_bytes(&mut self, vaddr: u32, bytes: &[u8]) -> Result<(), Fault> {
+        let Some(mut at) = self.linear(vaddr, bytes.len() as u32) else {
+            let off = self.text_offset(vaddr, bytes.len() as u32)?;
+            if self.w_xor_x {
+                return Err(Fault::new(vaddr, FaultKind::WriteToText));
+            }
+            self.text[off..off + bytes.len()].copy_from_slice(bytes);
+            self.note_code_write(vaddr, bytes.len());
+            return Ok(());
+        };
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let o = (at % PAGE_SIZE) as usize;
+            let (head, tail) = rest.split_at(rest.len().min(PAGE - o));
+            self.page_mut(at / PAGE_SIZE)[o..o + head.len()].copy_from_slice(head);
+            (rest, at) = (tail, at + head.len() as u32);
+        }
         Ok(())
     }
 
-    /// Writes a byte slice.
-    pub fn write_bytes(&mut self, vaddr: u32, bytes: &[u8]) -> Result<(), Fault> {
-        let (region, off) = self.region_mut(vaddr, bytes.len() as u32)?;
-        region[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(())
+    /// Page `i`, writable and listed: a shared page is copied first.
+    fn page_mut(&mut self, i: u32) -> &mut PageBuf {
+        let slot = &mut self.pages[i as usize];
+        if let Page::Shared(shared) = slot {
+            *slot = Page::Private {
+                page: Box::new(**shared),
+                listed: false,
+            };
+            self.copied += 1;
+        }
+        let Page::Private { page, listed } = slot else {
+            unreachable!("a shared page was just copied")
+        };
+        if !*listed {
+            *listed = true;
+            self.dirty.push(i);
+        }
+        page
     }
 }
 
@@ -406,7 +446,7 @@ mod tests {
     use super::*;
 
     fn mem() -> Memory {
-        Memory::new(vec![0x90, 0xc3], 0x1000, vec![1, 2, 3, 4], 0x2000, 8)
+        Memory::new(vec![0x90, 0xc3], 0x1000, &[1, 2, 3, 4], 0x2000, 8)
     }
 
     #[test]
@@ -469,11 +509,10 @@ mod tests {
     }
 
     #[test]
-    fn write_log_restore_rolls_back_all_regions() {
+    fn dirty_page_reset_rolls_back_all_regions() {
         let mut m = mem();
         m.w_xor_x = false;
         m.enable_split_cache();
-        m.enable_write_log();
         let pristine = m.clone();
         m.write32(0x2004, 0xdeadbeef).unwrap();
         let sp = m.initial_esp();
@@ -481,38 +520,19 @@ mod tests {
         m.write8(0x1000, 0xcc).unwrap();
         m.write_icache(0x1001, &[0xcc]).unwrap();
         m.take_dirty_code();
-        m.restore_from(&pristine);
+        m.reset_to(&pristine);
         assert_eq!(m.read32(0x2004).unwrap(), 0);
         assert_eq!(m.read32(sp - 4).unwrap(), 0);
         assert_eq!(m.read8(0x1000).unwrap(), 0x90);
         assert_eq!(m.fetch(0x1001).unwrap()[0], 0xc3);
         // Restoring text must re-dirty it so block caches re-observe.
         assert!(m.has_dirty_code());
-        // The log drained; a second restore is a no-op that stays enabled.
-        m.restore_from(&pristine);
+        // The dirty set drained; a second reset is a no-op, and later
+        // writes still roll back.
+        m.reset_to(&pristine);
         m.write8(0x2000, 9).unwrap();
-        m.restore_from(&pristine);
+        m.reset_to(&pristine);
         assert_eq!(m.read8(0x2000).unwrap(), 1);
-    }
-
-    #[test]
-    fn write_log_coalesces_adjacent_writes() {
-        let mut m = mem();
-        m.enable_write_log();
-        for i in 0..64u32 {
-            m.write32(0x2000 + 4 * i, i).unwrap();
-        }
-        assert_eq!(m.write_log.as_ref().unwrap().len(), 1);
-        assert_eq!(m.write_log.as_ref().unwrap()[0], (0x2000, 0x2100));
-    }
-
-    #[test]
-    fn restore_without_log_is_noop() {
-        let mut m = mem();
-        let pristine = m.clone();
-        m.write8(0x2000, 7).unwrap();
-        m.restore_from(&pristine);
-        assert_eq!(m.read8(0x2000).unwrap(), 7);
     }
 
     #[test]
@@ -532,7 +552,7 @@ mod overflow_tests {
     /// the bounds check and panic (found by the tamper-sweep fuzzer).
     #[test]
     fn near_max_addresses_fault_cleanly() {
-        let m = Memory::new(vec![0x90; 16], 0x1000, vec![0; 16], 0x2000, 0);
+        let m = Memory::new(vec![0x90; 16], 0x1000, &[0; 16], 0x2000, 0);
         for addr in [u32::MAX, u32::MAX - 1, u32::MAX - 3, 0xffff_fffe] {
             assert!(m.read32(addr).is_err(), "{addr:#x}");
             assert!(m.read8(addr).is_err() || addr > u32::MAX - 1, "{addr:#x}");
@@ -540,5 +560,14 @@ mod overflow_tests {
         }
         let mut m = m;
         assert!(m.write32(u32::MAX - 2, 1).is_err());
+        m.enable_split_cache();
+        assert_eq!(
+            m.write_icache(u32::MAX - 1, &[0; 4]).unwrap_err().kind,
+            FaultKind::OutOfBounds
+        );
+        assert_eq!(
+            m.write_code(u32::MAX - 1, &[0; 4]).unwrap_err().kind,
+            FaultKind::OutOfBounds
+        );
     }
 }

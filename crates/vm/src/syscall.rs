@@ -97,7 +97,7 @@ pub fn dispatch(
         4 => {
             // write(fd, buf, len)
             let bytes = mem.read_bytes(a2, a3)?;
-            sys.output.extend_from_slice(bytes);
+            sys.output.extend_from_slice(&bytes);
             cpu.set_reg(Reg32::Eax, a3);
         }
         13 => {
@@ -133,7 +133,7 @@ mod tests {
 
     fn setup() -> (Cpu, Memory, SyscallState) {
         let cpu = Cpu::default();
-        let mem = Memory::new(vec![0x90], 0x1000, vec![0; 64], 0x2000, 0);
+        let mem = Memory::new(vec![0x90], 0x1000, &[0; 64], 0x2000, 0);
         let sys = SyscallState::new(7);
         (cpu, mem, sys)
     }
@@ -168,7 +168,7 @@ mod tests {
         cpu.set_reg(Reg32::Edx, 8);
         dispatch(&mut cpu, &mut mem, &mut sys).unwrap();
         assert_eq!(cpu.reg(Reg32::Eax), 3);
-        assert_eq!(mem.read_bytes(0x2000, 3).unwrap(), b"abc");
+        assert_eq!(&*mem.read_bytes(0x2000, 3).unwrap(), b"abc");
     }
 
     #[test]

@@ -154,7 +154,6 @@ fn scribbler_image() -> parallax_image::LinkedImage {
 fn reset_to_replays_byte_identically() {
     let img = scribbler_image();
     let mut vm = Vm::new(&img);
-    vm.mem_mut().enable_write_log();
     let pristine = vm.mem().clone();
 
     let e1 = vm.run();
@@ -177,7 +176,7 @@ fn reset_to_replays_byte_identically() {
 fn reset_to_recovers_from_a_partial_run() {
     // Cut the first run short at every cycle budget; after reset the
     // replay must still match a never-used VM exactly, proving the
-    // write log captured all partial state.
+    // dirty-page reset captured all partial state.
     let img = scribbler_image();
     let full = {
         let mut vm = Vm::new(&img);
@@ -191,7 +190,6 @@ fn reset_to_recovers_from_a_partial_run() {
             ..VmOptions::default()
         },
     );
-    vm.mem_mut().enable_write_log();
     let pristine = vm.mem().clone();
     let want = {
         let mut fresh = Vm::new(&img);

@@ -341,8 +341,9 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
 /// Shared-trial gadget-validation telemetry: probe executions per
 /// proposal (at most two — one per trial — regardless of how many
 /// effects a proposal carries), the per-(effect, trial) runs the
-/// shared path avoided, the verdicts served without a probe, and
-/// scratch-reseeding volume.
+/// shared path avoided, the verdicts served without a probe,
+/// scratch-reseeding volume, and the copy-on-write pages the probe VMs
+/// wrote.
 fn validation_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
     let proposals = get("vm.probe.proposals");
@@ -378,6 +379,11 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
         get("vm.probe.reseed_words"),
         get("vm.probe.builds"),
         get("vm.probe.build_ns") as f64 / 1e6
+    );
+    let _ = writeln!(
+        out,
+        "  probe VM pages copied on write: {}",
+        get("vm.mem.pages_copied")
     );
 }
 
@@ -608,14 +614,16 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
         }
     }
 
-    // Gadget-pass work: decodes and probe runs performed, and what the
-    // incremental second pass and same-content copies reused instead.
+    // Gadget-pass work: decodes, probe runs and probe-VM page copies
+    // performed, and what the incremental second pass and same-content
+    // copies reused instead.
     let work = [
         ("decodes", "scan.decode.once"),
         ("decodes reused", "scan.decode.reused"),
         ("probe runs", "vm.probe.runs"),
         ("verdicts reused", "vm.probe.reused"),
         ("verdicts shared", "vm.probe.shared"),
+        ("pages copied", "vm.mem.pages_copied"),
     ];
     if work.iter().any(|(_, k)| par(a, k) + par(b, k) > 0) {
         let _ = writeln!(out, "\ngadget work (b - a):");
@@ -806,6 +814,7 @@ mod tests {
         t.count("vm.probe.reseed_words", 12800);
         t.count("vm.probe.builds", 2);
         t.count("vm.probe.build_ns", 1_500_000);
+        t.count("vm.mem.pages_copied", 1900);
         t.count("pool.rewrite.run_ns", 500_000);
         t.count("pool.chain.run_ns", 1_000_000);
         for _ in 0..4 {
@@ -858,6 +867,7 @@ mod tests {
             "verdicts reused from the previous pass: 120 (no probe run)",
             "verdicts shared by same-content copies: 4200 (no probe run)",
             "scratch reseed: 12800 words   probe VMs: 2 built (1.500 ms)",
+            "probe VM pages copied on write: 1900",
             "verification:",
             "image loads:  5 verified, 1 refused (2.000 ms total)",
             "cache:        2 entries refused by load-time verification",
@@ -910,6 +920,10 @@ mod tests {
         );
         assert!(
             diff.contains("verdicts shared       4200 ->      4200 (+0)"),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("pages copied          1900 ->      1900 (+0)"),
             "{diff}"
         );
         assert!(diff.contains("verification (b - a):"), "{diff}");
