@@ -1270,10 +1270,12 @@ fn scan_gadgets(
                 if let Some(t) = ctx.tracer {
                     // Cache hits never report: no decoding happened.
                     // `once` counts decodes performed, `reused` those
-                    // carried over from the previous pass.
+                    // carried over from the previous pass, `skipped`
+                    // the offsets no walk reached.
                     t.count("scan.decode.offsets", stats.offsets);
                     t.count("scan.decode.once", stats.decoded);
                     t.count("scan.decode.reused", stats.reused);
+                    t.count("scan.decode.skipped", stats.skipped);
                     t.count("scan.decode.memo_hit", stats.memo_hits);
                     // Per-worker probe-VM construction is pure setup
                     // cost that fan-out multiplies — attribute it so

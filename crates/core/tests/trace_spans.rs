@@ -166,12 +166,34 @@ fn fresh_scans_count_decode_work() {
     for name in [
         "scan.decode.offsets",
         "scan.decode.once",
+        "scan.decode.skipped",
         "scan.decode.memo_hit",
     ] {
         assert!(tf.counters.contains_key(name), "missing counter {name:?}");
     }
     assert!(tf.counters["scan.decode.offsets"] >= 1);
     assert!(tf.counters["scan.decode.once"] >= 1);
+}
+
+/// The Figure-6 coverage analysis counts its own work: decodes of its
+/// one table, planted-return walks, and candidates classified.
+#[test]
+fn coverage_counts_its_work() {
+    let tracer = Tracer::new();
+    let cfg = ProtectConfig {
+        verify_funcs: vec!["vf".into()],
+        ..ProtectConfig::default()
+    };
+    protect_traced(&sample_module(), &cfg, &tracer).expect("protect succeeds");
+    let tf = TraceFile::parse(&chrome_json(&tracer.snapshot())).expect("trace parses");
+    let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
+    assert!(get("rewrite.coverage.walks") > 0);
+    assert!(get("rewrite.coverage.classified") > 0);
+    // One table over the unprotected text: at most one decode per
+    // offset, plus the few decodes a function's end truncates.
+    let decodes = get("rewrite.coverage.decodes");
+    assert!(decodes > 0);
+    assert!(decodes < get("scan.decode.offsets"), "{decodes} decodes");
 }
 
 /// Pass 2 rescans pass 1's text incrementally: most decodes and some
@@ -190,7 +212,7 @@ fn second_pass_reuses_decodes_and_verdicts() {
     assert!(get("scan.decode.reused") > 0);
     assert!(get("vm.probe.reused") > 0);
     assert_eq!(
-        get("scan.decode.once") + get("scan.decode.reused"),
+        get("scan.decode.once") + get("scan.decode.reused") + get("scan.decode.skipped"),
         get("scan.decode.offsets")
     );
     // Offsets count both passes: pass 2 reuses most of its half.

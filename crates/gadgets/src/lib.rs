@@ -42,7 +42,9 @@ pub mod validate;
 
 pub use classify::{classify, Proposal};
 pub use mapping::{GadgetMap, RangeSet, TypeKey};
-pub use scan::{scan, scan_with_stats, Candidate, ScanStats, MAX_GADGET_BYTES, MAX_GADGET_INSNS};
+pub use scan::{
+    scan, scan_with_stats, Candidate, DecodeTable, ScanStats, MAX_GADGET_BYTES, MAX_GADGET_INSNS,
+};
 pub use serialize::{deserialize_gadgets, serialize_gadgets};
 pub use types::{Effect, GBinOp, Gadget};
 pub use validate::{validate, validate_with, ProbeStats, ProbeVm};
@@ -133,13 +135,13 @@ impl Content {
 /// with other data sizes (the second pass of `protect()`'s fixpoint):
 /// the text it scanned, that text's decode table, and the probe
 /// verdicts of its [layout-independent](Proposal::layout_independent)
-/// proposals keyed by content. A pass given the memo decodes only near
-/// changed bytes and serves those verdicts wherever their bytes now
-/// sit; it probes only contents it has no verdict for.
+/// proposals keyed by content. A pass given the memo decodes again only
+/// the slots whose own bytes changed and serves those verdicts wherever
+/// their bytes now sit; it probes only contents it has no verdict for.
 pub struct PassMemo {
     text_base: u32,
     text: Vec<u8>,
-    slots: Vec<scan::Slot>,
+    slots: scan::Slots,
     verdicts: HashMap<Content, Option<Gadget>>,
 }
 

@@ -7,15 +7,17 @@
 //! candidates longer than six instructions are discarded, as are
 //! sequences containing control flow before the final return.
 //!
-//! The scan is a **single forward pass**: every text offset is decoded
-//! at most once into a memoized successor table (length, interior
-//! eligibility, return kind), and the backward candidate enumeration
-//! from each return byte is pure table lookups. A rescan of a text
-//! that differs in a few bytes takes the previous table and decodes
-//! only near the changes (DESIGN.md §17). The naive
-//! decode-per-walk-step scanner is retained as
-//! [`scan_reference`] — a differential oracle proving the memoized
-//! scanner emits an identical candidate stream.
+//! Walks read a [`DecodeTable`]: each text offset a walk reaches is
+//! decoded once, and offsets more than [`MAX_GADGET_BYTES`] before
+//! every return are never decoded. A rescan
+//! of a text that differs in a few bytes takes the previous table and
+//! decodes again only the slots whose own bytes changed (DESIGN.md §17,
+//! §20). The naive decode-per-walk-step scanner is kept, behind the
+//! `oracle` feature, as `scan_reference`: a differential oracle proving
+//! the table-driven scanner emits an identical candidate stream.
+
+use std::cell::{Cell, OnceCell};
+use std::sync::LazyLock;
 
 use parallax_x86::insn::{Insn, Mnemonic};
 use parallax_x86::{decode, Operand};
@@ -77,17 +79,23 @@ fn is_plain_ret(insn: &Insn) -> Option<bool> {
 }
 
 /// Statistics from one scan pass, exported as `scan.decode.*` trace
-/// counters. `decoded + reused == offsets`: the memoized scanner
-/// decodes each text offset at most once.
+/// counters. `decoded + reused + skipped == offsets`: the walks from a
+/// return read every offset up to [`MAX_GADGET_BYTES`] before it, each
+/// read slot is decoded at most once, and no other offset is decoded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Text offsets considered (one potential decode start per byte).
     pub offsets: u64,
-    /// `decode()` invocations performed: at most one decode per offset;
-    /// offsets reused from the previous pass are not decoded.
+    /// `decode()` invocations performed: one per offset a walk reached
+    /// whose slot was still empty.
     pub decoded: u64,
-    /// Offsets whose decode was carried over from the previous pass.
+    /// Offsets a walk reached whose decode was already in the table:
+    /// carried over from the previous pass, or filled by an earlier
+    /// read of the same table.
     pub reused: u64,
+    /// Offsets no walk reached: more than [`MAX_GADGET_BYTES`] before
+    /// every return. They are never decoded.
+    pub skipped: u64,
     /// Successor-table lookups served from the memo during candidate
     /// walks; under the naive scanner each would have been a decode.
     pub memo_hits: u64,
@@ -97,8 +105,8 @@ pub struct ScanStats {
     pub candidates: u64,
 }
 
-/// Bytes a decode at one offset may read: x86 caps an instruction at
-/// 15 bytes, so a change at byte `c` can only alter the decodes at
+/// Bytes a failed decode may have read: x86 caps an instruction at 15
+/// bytes, so a change at byte `c` can only alter a failed decode at
 /// offsets `c - 14 ..= c`.
 const DECODE_WINDOW: usize = 15;
 
@@ -112,23 +120,23 @@ pub(crate) struct Slot {
     ret: Option<bool>,
 }
 
-/// Scans `text` (mapped at `base`) for gadget candidates.
-///
-/// Duplicate sequences at different addresses are all reported; the
-/// classifier deduplicates by effect, not by bytes, since Parallax
-/// cares about *where* a gadget lives (which instructions it overlaps).
-pub fn scan(text: &[u8], base: u32) -> Vec<Candidate> {
-    scan_with_stats(text, base).0
+impl Slot {
+    /// How many bytes from its offset on this decode depends on: its
+    /// length when it succeeded, [`DECODE_WINDOW`] when it failed.
+    fn read_extent(&self) -> usize {
+        if self.insn.is_some() {
+            self.len as usize
+        } else {
+            DECODE_WINDOW
+        }
+    }
 }
 
-/// [`scan`], also returning the pass's [`ScanStats`].
-pub fn scan_with_stats(text: &[u8], base: u32) -> (Vec<Candidate>, ScanStats) {
-    let (cands, stats, _) = scan_reusing(text, base, None);
-    (cands, stats)
-}
+/// The slots of a [`DecodeTable`], kept between passes.
+pub(crate) type Slots = Vec<OnceCell<Slot>>;
 
-fn decode_slot(text: &[u8], i: usize) -> Slot {
-    match decode(&text[i..]) {
+fn decode_slot(bytes: &[u8]) -> Slot {
+    match decode(bytes) {
         Ok(insn) => Slot {
             len: insn.len,
             interior_ok: allowed_interior(&insn),
@@ -144,127 +152,234 @@ fn decode_slot(text: &[u8], i: usize) -> Slot {
     }
 }
 
-/// [`scan_with_stats`], also returning the pass's decode table. With
-/// `prev` — the previous pass's text, of the same length, and its
-/// decode table — only offsets whose [`DECODE_WINDOW`] holds a changed
-/// byte are decoded again; every other slot moves over as is. A `prev`
-/// of another length is ignored.
-pub(crate) fn scan_reusing(
-    text: &[u8],
-    base: u32,
-    prev: Option<(&[u8], Vec<Slot>)>,
-) -> (Vec<Candidate>, ScanStats, Vec<Slot>) {
-    let mut stats = ScanStats {
-        offsets: text.len() as u64,
-        ..ScanStats::default()
-    };
-    // Forward pass: decode once at every offset not carried over.
-    let table: Vec<Slot> = match prev {
-        Some((old, slots)) if old.len() == text.len() && slots.len() == text.len() => {
-            let mut stale = vec![false; text.len()];
-            for (c, _) in old
-                .iter()
-                .zip(text)
-                .enumerate()
-                .filter(|(_, (a, b))| a != b)
-            {
-                stale[c.saturating_sub(DECODE_WINDOW - 1)..=c].fill(true);
+/// The slot a planted bare near `ret` decodes to.
+static BARE_RET: LazyLock<Slot> = LazyLock::new(|| decode_slot(&[0xc3]));
+
+/// The decodes of one text, filled lazily: a slot is decoded the first
+/// time something reads it, and is read from the table ever after.
+///
+/// The x86 decoder reads an instruction's bytes in order and no
+/// further, so a decode that succeeds at `i` depends only on the `len`
+/// bytes `text[i..i + len]`, and one that fails on at most the 15 bytes
+/// an instruction may span. That read extent is what lets a rescan keep
+/// every slot whose own bytes did not change, and a planted-return walk
+/// use the decodes of the unmodified text (DESIGN.md §20).
+pub struct DecodeTable<'t> {
+    text: &'t [u8],
+    slots: Slots,
+    decodes: Cell<u64>,
+}
+
+impl<'t> DecodeTable<'t> {
+    /// An empty table over `text`: nothing is decoded yet.
+    pub fn new(text: &'t [u8]) -> DecodeTable<'t> {
+        DecodeTable {
+            text,
+            slots: (0..text.len()).map(|_| OnceCell::new()).collect(),
+            decodes: Cell::new(0),
+        }
+    }
+
+    /// A table over `text` that starts with the slots of `prev` — the
+    /// previous pass's text, of the same length, and its table's slots
+    /// — minus each slot whose decode read a changed byte. A `prev` of
+    /// another length is ignored.
+    pub(crate) fn reusing(text: &'t [u8], prev: Option<(&[u8], Slots)>) -> DecodeTable<'t> {
+        let Some((old, mut slots)) =
+            prev.filter(|(old, slots)| old.len() == text.len() && slots.len() == text.len())
+        else {
+            return DecodeTable::new(text);
+        };
+        for c in (0..text.len()).filter(|&c| old[c] != text[c]) {
+            let lo = c.saturating_sub(DECODE_WINDOW - 1);
+            for (i, slot) in (lo..).zip(&mut slots[lo..=c]) {
+                if slot.get().is_some_and(|s| i + s.read_extent() > c) {
+                    slot.take();
+                }
             }
-            slots
-                .into_iter()
-                .zip(stale)
+        }
+        DecodeTable {
+            text,
+            slots,
+            decodes: Cell::new(0),
+        }
+    }
+
+    /// The table's slots, for a later [`DecodeTable::reusing`].
+    pub(crate) fn into_slots(self) -> Slots {
+        self.slots
+    }
+
+    fn slot(&self, i: usize) -> &Slot {
+        self.slots[i].get_or_init(|| {
+            self.decodes.set(self.decodes.get() + 1);
+            decode_slot(&self.text[i..])
+        })
+    }
+
+    /// The instruction at text offset `i`, decoded on first read;
+    /// `None` when the bytes there do not decode.
+    pub fn insn(&self, i: usize) -> Option<&Insn> {
+        self.slot(i).insn.as_ref()
+    }
+
+    /// `decode()` calls this table has made so far.
+    pub fn decodes(&self) -> u64 {
+        self.decodes.get()
+    }
+
+    /// Scans the table's text, mapped at `base`, for gadget candidates:
+    /// the stream [`scan`] returns, with the pass's [`ScanStats`].
+    /// Slots filled before the call count as reused.
+    pub fn scan(&self, base: u32) -> (Vec<Candidate>, ScanStats) {
+        let before = self.decodes.get();
+        let mut stats = ScanStats {
+            offsets: self.text.len() as u64,
+            ..ScanStats::default()
+        };
+        let rets = || {
+            self.text
+                .iter()
                 .enumerate()
-                .map(|(i, (slot, stale))| {
-                    if stale {
-                        stats.decoded += 1;
-                        decode_slot(text, i)
-                    } else {
-                        stats.reused += 1;
-                        slot
-                    }
-                })
-                .collect()
+                .filter(|&(_, &b)| b == 0xc3 || b == 0xcb)
+                .map(|(i, _)| i)
+        };
+        // Every walk reads its start first, so the walks from a return
+        // at `i` read exactly `i - MAX_GADGET_BYTES ..= i`. Those slots
+        // are filled first, in one forward sweep apart from the walks:
+        // decodes interleaved with walks measured slower on text dense
+        // in returns.
+        let (mut reached, mut reached_end) = (0, 0);
+        for i in rets() {
+            for k in i.saturating_sub(MAX_GADGET_BYTES).max(reached_end)..=i {
+                self.slot(k);
+                reached += 1;
+            }
+            reached_end = i + 1;
         }
-        _ => {
-            stats.decoded = text.len() as u64;
-            (0..text.len()).map(|i| decode_slot(text, i)).collect()
-        }
-    };
-    let mut out = Vec::new();
-    for (i, &b) in text.iter().enumerate() {
-        if b != 0xc3 && b != 0xcb {
-            continue;
-        }
-        stats.rets += 1;
-        // Candidate starts: walk back, resolving each step from the
-        // memo table instead of re-decoding.
-        for back in 1..=MAX_GADGET_BYTES.min(i) {
-            let start = i - back;
-            if let Some(c) = walk_table(&table, base, start, i, &mut stats) {
+        let at = |pos| self.slot(pos);
+        let mut out = Vec::new();
+        for i in rets() {
+            stats.rets += 1;
+            // Candidate starts: walk back, resolving each step from the
+            // table instead of re-decoding.
+            for back in 1..=MAX_GADGET_BYTES.min(i) {
+                if let Some(c) = Self::walk(base, i - back, i, at, &mut stats.memo_hits) {
+                    out.push(c);
+                }
+            }
+            // The bare return itself is also a (trivial) candidate, useful
+            // as a chain NOP.
+            if let Some(c) = Self::walk(base, i, i, at, &mut stats.memo_hits) {
                 out.push(c);
             }
         }
-        // The bare return itself is also a (trivial) candidate, useful
-        // as a chain NOP.
-        if let Some(c) = walk_table(&table, base, i, i, &mut stats) {
-            out.push(c);
-        }
+        stats.decoded = self.decodes.get() - before;
+        stats.reused = reached - stats.decoded;
+        stats.skipped = stats.offsets - reached;
+        stats.candidates = out.len() as u64;
+        (out, stats)
     }
-    stats.candidates = out.len() as u64;
-    (out, stats, table)
+
+    /// The candidate a walk from `start` (mapped at `base + start`)
+    /// would form if a bare near `ret` were planted at `ret_at`, or
+    /// `None` when the walk does not land on it. Only the planted byte
+    /// differs from the table's text: a step that ends at or before it
+    /// read none of it, and a step that would read it fails the walk
+    /// with or without the plant (DESIGN.md §20).
+    pub fn planted_candidate(&self, base: u32, start: usize, ret_at: usize) -> Option<Candidate> {
+        let at = |pos| {
+            if pos == ret_at {
+                &*BARE_RET
+            } else {
+                self.slot(pos)
+            }
+        };
+        Self::walk(base, start, ret_at, at, &mut 0)
+    }
+
+    /// One candidate walk from `start` to the return at `ret_at`, with
+    /// the reference scanner's rejection rules and candidate shape,
+    /// reading each step's slot from `at`. The walk records slot offsets
+    /// and clones instructions only once it has landed on the return:
+    /// most walks fail, and cloning at every step would cost many times
+    /// the decodes themselves.
+    fn walk<'s>(
+        base: u32,
+        start: usize,
+        ret_at: usize,
+        at: impl Fn(usize) -> &'s Slot,
+        steps: &mut u64,
+    ) -> Option<Candidate> {
+        let mut path = [0usize; MAX_GADGET_INSNS];
+        let mut n = 0;
+        let mut pos = start;
+        while pos <= ret_at {
+            *steps += 1;
+            let slot = at(pos);
+            slot.insn.as_ref()?;
+            if n == MAX_GADGET_INSNS {
+                return None;
+            }
+            path[n] = pos;
+            n += 1;
+            if pos == ret_at {
+                let far = slot.ret?;
+                return Some(Candidate {
+                    vaddr: base + start as u32,
+                    insns: path[..n]
+                        .iter()
+                        .filter_map(|&p| at(p).insn.clone())
+                        .collect(),
+                    len: (ret_at + 1 - start) as u32,
+                    far,
+                });
+            }
+            if !slot.interior_ok {
+                return None;
+            }
+            // The sequence must land exactly on the return byte.
+            let next = pos + slot.len as usize;
+            if next > ret_at {
+                return None;
+            }
+            pos = next;
+        }
+        None
+    }
 }
 
-/// Table-driven equivalent of [`try_sequence`]: identical rejection
-/// rules and candidate shape, but each step is a memo lookup. The walk
-/// records slot offsets and clones instructions only once it has
-/// landed on the return: most walks fail, and cloning at every step
-/// would cost many times the decodes themselves.
-fn walk_table(
-    table: &[Slot],
+/// Scans `text` (mapped at `base`) for gadget candidates.
+///
+/// Duplicate sequences at different addresses are all reported; the
+/// classifier deduplicates by effect, not by bytes, since Parallax
+/// cares about *where* a gadget lives (which instructions it overlaps).
+pub fn scan(text: &[u8], base: u32) -> Vec<Candidate> {
+    scan_with_stats(text, base).0
+}
+
+/// [`scan`], also returning the pass's [`ScanStats`].
+pub fn scan_with_stats(text: &[u8], base: u32) -> (Vec<Candidate>, ScanStats) {
+    DecodeTable::new(text).scan(base)
+}
+
+/// [`scan_with_stats`], also returning the pass's decode table. With
+/// `prev` — the previous pass's text, of the same length, and its
+/// table's slots — only the slots whose decode read a changed byte are
+/// decoded again; every other slot moves over as is.
+pub(crate) fn scan_reusing(
+    text: &[u8],
     base: u32,
-    start: usize,
-    ret_at: usize,
-    stats: &mut ScanStats,
-) -> Option<Candidate> {
-    let mut path = [0usize; MAX_GADGET_INSNS];
-    let mut n = 0;
-    let mut pos = start;
-    while pos <= ret_at {
-        stats.memo_hits += 1;
-        let slot = &table[pos];
-        slot.insn.as_ref()?;
-        if n == MAX_GADGET_INSNS {
-            return None;
-        }
-        path[n] = pos;
-        n += 1;
-        if pos == ret_at {
-            let far = slot.ret?;
-            return Some(Candidate {
-                vaddr: base + start as u32,
-                insns: path[..n]
-                    .iter()
-                    .filter_map(|&p| table[p].insn.clone())
-                    .collect(),
-                len: (ret_at + 1 - start) as u32,
-                far,
-            });
-        }
-        if !slot.interior_ok {
-            return None;
-        }
-        // The sequence must land exactly on the return byte.
-        let next = pos + slot.len as usize;
-        if next > ret_at {
-            return None;
-        }
-        pos = next;
-    }
-    None
+    prev: Option<(&[u8], Slots)>,
+) -> (Vec<Candidate>, ScanStats, Slots) {
+    let table = DecodeTable::reusing(text, prev);
+    let (cands, stats) = table.scan(base);
+    (cands, stats, table.into_slots())
 }
 
-/// The original decode-per-walk-step scanner, retained as the
-/// differential oracle for [`scan_with_stats`].
+/// The original decode-per-walk-step scanner, kept as the differential
+/// oracle for [`scan_with_stats`]. Test and bench builds only.
+#[cfg(feature = "oracle")]
 #[doc(hidden)]
 pub fn scan_reference(text: &[u8], base: u32) -> Vec<Candidate> {
     let mut out = Vec::new();
@@ -288,6 +403,7 @@ pub fn scan_reference(text: &[u8], base: u32) -> Vec<Candidate> {
 /// Attempts to decode a straight-line sequence covering
 /// `[start..=ret_at]` whose final instruction is the return at
 /// `ret_at`.
+#[cfg(feature = "oracle")]
 fn try_sequence(text: &[u8], base: u32, start: usize, ret_at: usize) -> Option<Candidate> {
     let mut insns = Vec::new();
     let mut pos = start;
@@ -384,7 +500,7 @@ mod tests {
 
     /// The memoized scanner must emit the reference scanner's stream
     /// exactly — same candidates, same order.
-    fn assert_equivalent(text: &[u8], base: u32) {
+    fn assert_equivalent(text: &[u8], base: u32, decoded: u64) {
         let (memo, stats) = scan_with_stats(text, base);
         let naive = scan_reference(text, base);
         assert_eq!(memo.len(), naive.len());
@@ -394,17 +510,39 @@ mod tests {
             assert_eq!(m.far, n.far);
             assert_eq!(m.insns, n.insns);
         }
-        assert_eq!(stats.decoded, text.len() as u64, "one decode per offset");
+        assert_eq!(
+            stats.decoded, decoded,
+            "one decode per offset a walk reaches"
+        );
+        assert_eq!(decoded, reached(text));
+        assert_eq!(
+            (stats.reused, stats.skipped),
+            (0, text.len() as u64 - decoded)
+        );
         assert_eq!(stats.candidates, memo.len() as u64);
+    }
+
+    /// Offsets at most [`MAX_GADGET_BYTES`] before a return byte — the
+    /// ones a walk reads — counted without a table.
+    fn reached(text: &[u8]) -> u64 {
+        (0..text.len())
+            .filter(|&i| {
+                text[i..]
+                    .iter()
+                    .take(MAX_GADGET_BYTES + 1)
+                    .any(|&b| b == 0xc3 || b == 0xcb)
+            })
+            .count() as u64
     }
 
     #[test]
     fn memoized_scan_matches_reference_on_synthetic_buffers() {
-        assert_equivalent(&[0xb8, 0x01, 0x00, 0x00, 0x00, 0xc3], 0x1000);
-        assert_equivalent(&[0x58, 0xc2, 0x08, 0x00, 0x58, 0xcb], 0);
+        // Every offset of a short buffer ending in a return is reached.
+        assert_equivalent(&[0xb8, 0x01, 0x00, 0x00, 0x00, 0xc3], 0x1000, 6);
+        assert_equivalent(&[0x58, 0xc2, 0x08, 0x00, 0x58, 0xcb], 0, 6);
         let mut pops = vec![0x58u8; 9];
         pops.push(0xc3);
-        assert_equivalent(&pops, 0x8048000);
+        assert_equivalent(&pops, 0x8048000, 10);
         // Deterministic pseudo-random byte soup: dense unaligned rets.
         let mut x = 0x1234_5678u32;
         let soup: Vec<u8> = (0..4096)
@@ -413,7 +551,8 @@ mod tests {
                 (x >> 24) as u8
             })
             .collect();
-        assert_equivalent(&soup, 0x1000);
+        // Its 20 returns lie more than 24 bytes apart: 20 * 25 offsets.
+        assert_equivalent(&soup, 0x1000, 500);
     }
 
     /// Byte soup dense in unaligned returns.
@@ -437,13 +576,38 @@ mod tests {
         let (cands, stats, _) = scan_reusing(&new, 0x1000, Some((&old, table)));
         let fresh = scan_reference(&new, 0x1000);
         assert_eq!(format!("{cands:?}"), format!("{fresh:?}"));
-        // 1 + 15 + 15 + 1 + 15 offsets lie within 14 bytes before a change.
-        assert_eq!(stats.decoded, 47);
-        assert_eq!(stats.decoded + stats.reused, stats.offsets);
-        // A table for another length is ignored.
+        // Both passes reach the same 500 offsets: no change makes or
+        // removes a return. 18 of them lie within 14 bytes before a
+        // change (14..=17 and 1988..=2001), and 8 of those decodes read
+        // a changed byte: the failed ones at 15, 17, 1991, 1995, 1996,
+        // 1998 and 2001, which may read 15 bytes, and the 5-byte one at
+        // 2000. The 1-byte decode at 16 ends before byte 17 changes.
+        assert_eq!((stats.decoded, stats.reused, stats.skipped), (8, 492, 3596));
+        assert_eq!(stats.decoded + stats.reused + stats.skipped, stats.offsets);
+        // A table for another length is ignored: every reached offset
+        // of the shorter text is decoded afresh.
         let (_, _, table) = scan_reusing(&old, 0x1000, None);
         let (_, stats, _) = scan_reusing(&new[1..], 0x1000, Some((&old, table)));
-        assert_eq!((stats.decoded, stats.reused), (4095, 0));
+        assert_eq!((stats.decoded, stats.reused, stats.skipped), (500, 0, 3595));
+    }
+
+    /// A slot is stale exactly when a changed byte lies inside the
+    /// bytes its decode read, its last byte included.
+    #[test]
+    fn rescan_redecodes_slots_that_read_a_changed_byte() {
+        // mov eax,1; ret — then the immediate's last byte changes.
+        let old = [0xb8, 0x01, 0x00, 0x00, 0x00, 0xc3];
+        let (_, _, table) = scan_reusing(&old, 0x1000, None);
+        let mut new = old;
+        new[4] = 0x01;
+        let (cands, stats, _) = scan_reusing(&new, 0x1000, Some((&old, table)));
+        assert_eq!(
+            format!("{cands:?}"),
+            format!("{:?}", scan_reference(&new, 0x1000))
+        );
+        // Stale: the 5-byte mov at 0 and the 2-byte adds at 3 and 4,
+        // which read byte 4. The adds at 1 and 2 end before it.
+        assert_eq!((stats.decoded, stats.reused, stats.skipped), (3, 3, 0));
     }
 
     #[test]

@@ -69,7 +69,16 @@ fn assert_rescan_matches_fresh(img1: &LinkedImage, img2: &LinkedImage, label: &s
     let (fresh, fresh_stats, _) = find_gadgets_instrumented(img2, 1, None);
     assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{label}");
     assert_eq!(stats.candidates, fresh_stats.candidates, "{label}");
-    assert_eq!(stats.decoded + stats.reused, stats.offsets, "{label}");
+    assert_eq!(
+        stats.decoded + stats.reused + stats.skipped,
+        stats.offsets,
+        "{label}"
+    );
+    assert_eq!(
+        (stats.reused + stats.decoded, stats.skipped),
+        (fresh_stats.decoded, fresh_stats.skipped),
+        "{label}: a rescan reaches the offsets a fresh scan decodes"
+    );
     vstats.reused
 }
 
@@ -248,7 +257,7 @@ fn memo_for_another_text_falls_back_to_a_full_scan() {
         let (_, _, _, memo) = find_gadgets_reusing(&img1, 1, None, None);
         let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, 1, None, Some(memo));
         assert_eq!((stats.reused, vstats.reused), (0, 0), "{label}");
-        assert_eq!(stats.decoded, stats.offsets, "{label}");
+        assert_eq!(stats.decoded + stats.skipped, stats.offsets, "{label}");
         let (fresh, _, _) = find_gadgets_instrumented(img, 1, None);
         assert_eq!(format!("{gadgets:?}"), format!("{fresh:?}"), "{label}");
     }

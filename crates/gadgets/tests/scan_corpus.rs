@@ -1,11 +1,12 @@
-//! Corpus-level guarantees for the memoized single-pass scanner:
-//! every text offset is decoded at most once (asserted via the
-//! `ScanStats` counters behind `scan.decode.memo_hit`), and the
-//! candidate stream — and therefore `find_gadgets` — is identical to
-//! the retained reference scanner.
+//! Corpus-level guarantees for the table-driven scanner: every text
+//! offset a walk reaches is decoded exactly once and no other offset is
+//! decoded (asserted via the `ScanStats` counters behind
+//! `scan.decode.*`), and the candidate stream — and therefore
+//! `find_gadgets` — is identical to the retained reference scanner.
 
 use parallax_compiler::compile_module;
 use parallax_gadgets::scan::{scan_reference, scan_with_stats};
+use parallax_gadgets::MAX_GADGET_BYTES;
 use parallax_image::LinkedImage;
 
 fn link(name: &str) -> LinkedImage {
@@ -30,12 +31,22 @@ fn largest() -> (String, LinkedImage) {
 fn largest_corpus_binary_decodes_each_offset_at_most_once() {
     let (name, img) = largest();
     let (cands, stats) = scan_with_stats(&img.text, img.text_base);
+    // The offsets a walk reads: those at most MAX_GADGET_BYTES before
+    // a return byte.
+    let reached = (0..img.text.len())
+        .filter(|&i| {
+            img.text[i..]
+                .iter()
+                .take(MAX_GADGET_BYTES + 1)
+                .any(|&b| b == 0xc3 || b == 0xcb)
+        })
+        .count() as u64;
     assert_eq!(
-        stats.decoded,
-        img.text.len() as u64,
-        "{name}: exactly one decode per text offset"
+        stats.decoded, reached,
+        "{name}: exactly one decode per offset a walk reaches"
     );
-    assert!(stats.decoded <= stats.offsets);
+    assert_eq!(stats.reused, 0, "{name}: a fresh table reuses nothing");
+    assert_eq!(stats.decoded + stats.skipped, stats.offsets, "{name}");
     // The memo absorbs the walks the naive scanner would have decoded:
     // every walk step is a table hit, and there are far more of them
     // than decodes once rets are dense.

@@ -6,11 +6,12 @@
 //! Per the paper, percentages are measured per rule on the unmodified
 //! binary; the rules may conflict, so the union ("any") is not the sum.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 
-use parallax_gadgets::{classify, scan, MAX_GADGET_BYTES};
+use parallax_gadgets::{classify, DecodeTable, MAX_GADGET_BYTES};
 use parallax_image::LinkedImage;
-use parallax_x86::insn::{AluOp, Mnemonic, OpSize, Operand};
+use parallax_x86::insn::{AluOp, Insn, Mnemonic, OpSize, Operand};
 use parallax_x86::{decode, Reg};
 
 /// Per-rule protectable-byte percentages for one image.
@@ -89,24 +90,58 @@ fn jump_rule_applies(mn: &Mnemonic) -> bool {
     matches!(mn, Mnemonic::Jmp | Mnemonic::Jcc(_) | Mnemonic::Call)
 }
 
-/// Computes the span of the longest usable gadget that would end at a
-/// `ret` planted at text offset `ret_at` (the byte itself is treated as
-/// `0xc3`). Returns `(start, end)` offsets, spanning at least the ret
-/// byte itself.
-fn planted_gadget_span(text: &[u8], ret_at: usize) -> (usize, usize) {
-    let lo = ret_at.saturating_sub(MAX_GADGET_BYTES);
-    let mut window = text[lo..=ret_at].to_vec();
-    let last = window.len() - 1;
-    window[last] = 0xc3;
-    let mut best = ret_at;
-    for cand in scan(&window, lo as u32) {
-        // Candidates that end exactly at the planted ret and classify
-        // as usable extend the protected span backwards.
-        if cand.vaddr as usize + cand.len as usize == ret_at + 1 && classify(&cand).is_some() {
-            best = best.min(cand.vaddr as usize);
+/// Work counters of one analysis, exported as `rewrite.coverage.*`.
+#[derive(Debug, Default)]
+struct Work {
+    /// `decode()` calls: the table's, plus function-truncated decodes.
+    decodes: u64,
+    /// Planted-return walks started.
+    walks: u64,
+    /// Candidates handed to `classify`.
+    classified: u64,
+}
+
+/// The text span of the usable gadget with the farthest start that
+/// would end at a bare near `ret` planted at text offset `ret_at`.
+/// Returns `(start, end)` offsets, spanning at least the ret byte
+/// itself.
+///
+/// Walks start at the farthest offset, [`MAX_GADGET_BYTES`] back, and
+/// move towards the planted byte; the first candidate that classifies
+/// ends the search, since its start is the minimum over all of them.
+fn planted_gadget_span(table: &DecodeTable, ret_at: usize, work: &mut Work) -> (usize, usize) {
+    for start in ret_at.saturating_sub(MAX_GADGET_BYTES)..ret_at {
+        work.walks += 1;
+        if let Some(cand) = table.planted_candidate(0, start, ret_at) {
+            work.classified += 1;
+            if classify(&cand).is_some() {
+                return (start, ret_at + 1);
+            }
         }
     }
-    (best, ret_at + 1)
+    (ret_at, ret_at + 1)
+}
+
+/// The instruction a linear sweep of one function decodes at byte
+/// `pos`, where the function's `bytes` start at text offset `f_off`:
+/// decoded as if the text ended with the function. The table's slot
+/// serves whenever its decode ends inside the function, because a
+/// decode depends only on the bytes it read (DESIGN.md §20).
+fn func_insn<'a>(
+    table: &'a DecodeTable,
+    bytes: &[u8],
+    f_off: usize,
+    pos: usize,
+    work: &mut Work,
+) -> Option<Cow<'a, Insn>> {
+    match table.insn(f_off + pos) {
+        Some(insn) if pos + insn.len as usize <= bytes.len() => Some(Cow::Borrowed(insn)),
+        Some(_) => {
+            work.decodes += 1;
+            decode(&bytes[pos..]).ok().map(Cow::Owned)
+        }
+        None => None,
+    }
 }
 
 /// Analyses protectable code bytes of `img` per rewriting rule.
@@ -123,14 +158,41 @@ pub fn analyze(img: &LinkedImage) -> Coverage {
 }
 
 /// [`analyze`] with an optional tracing span (`coverage` in the
-/// `rewrite` lane) so the Figure-6 analysis shows up on timelines.
+/// `rewrite` lane) so the Figure-6 analysis shows up on timelines. The
+/// span carries the analysis's work counters: `rewrite.coverage.decodes`,
+/// `rewrite.coverage.walks` (planted-return walks) and
+/// `rewrite.coverage.classified` (candidates classified).
 pub fn analyze_traced(img: &LinkedImage, trace: Option<&parallax_trace::Tracer>) -> Coverage {
     let _span = trace.map(|t| t.span("coverage", "rewrite"));
+    let table = DecodeTable::new(&img.text);
+    let mut work = Work::default();
+    let cov = measure(img, &table, &mut work, planted_gadget_span);
+    work.decodes += table.decodes();
+    if let Some(t) = trace {
+        t.count("rewrite.coverage.decodes", work.decodes);
+        t.count("rewrite.coverage.walks", work.walks);
+        t.count("rewrite.coverage.classified", work.classified);
+    }
+    cov
+}
+
+/// The analysis over one decode table of `img.text`: the existing-gadget
+/// scan, the per-function sweep and every planted-return walk read it.
+/// `span` finds the gadget span of a planted return:
+/// [`planted_gadget_span`], or the window-scan oracle in tests.
+fn measure(
+    img: &LinkedImage,
+    table: &DecodeTable,
+    work: &mut Work,
+    span: impl Fn(&DecodeTable, usize, &mut Work) -> (usize, usize),
+) -> Coverage {
     let code_bytes = img.text.len();
     let mut near: HashSet<u32> = HashSet::new();
     let mut far: HashSet<u32> = HashSet::new();
 
-    for cand in scan(&img.text, img.text_base) {
+    let (cands, _) = table.scan(img.text_base);
+    work.classified += cands.len() as u64;
+    for cand in cands {
         if classify(&cand).is_none() {
             continue;
         }
@@ -154,15 +216,15 @@ pub fn analyze_traced(img: &LinkedImage, trace: Option<&parallax_trace::Tracer>)
         let Some(bytes) = img.read(f.vaddr, f.size as usize) else {
             continue;
         };
+        let f_off = (f.vaddr - img.text_base) as usize;
         let mut pos = 0usize;
         while pos < bytes.len() {
-            let Ok(insn) = decode(&bytes[pos..]) else {
+            let Some(insn) = func_insn(table, bytes, f_off, pos, work) else {
                 pos += 1;
                 continue;
             };
             let start = f.vaddr + pos as u32;
             let end = start + insn.len as u32;
-            let f_off = (f.vaddr - img.text_base) as usize;
             if imm_rule_applies(&insn.mnemonic, &insn.ops, insn.size) {
                 if let Some(loc) = insn.imm_loc {
                     // A ret can be planted at any byte of the immediate;
@@ -171,7 +233,7 @@ pub fn analyze_traced(img: &LinkedImage, trace: Option<&parallax_trace::Tracer>)
                     let mut hi = 0usize;
                     for k in 0..loc.width {
                         let ret_at = f_off + pos + (loc.offset + k) as usize;
-                        let (s0, e0) = planted_gadget_span(&img.text, ret_at);
+                        let (s0, e0) = span(table, ret_at, work);
                         lo = lo.min(s0);
                         hi = hi.max(e0);
                     }
@@ -185,9 +247,9 @@ pub fn analyze_traced(img: &LinkedImage, trace: Option<&parallax_trace::Tracer>)
                     }
                 }
             }
-            let mark_jump_site = |field_off_in_insn: usize, jump: &mut HashSet<u32>| {
+            let mut mark_jump_site = |field_off_in_insn: usize, jump: &mut HashSet<u32>| {
                 let ret_at = f_off + pos + field_off_in_insn;
-                let (s0, e0) = planted_gadget_span(&img.text, ret_at);
+                let (s0, e0) = span(table, ret_at, work);
                 for b in start..end {
                     jump.insert(b);
                 }
@@ -291,5 +353,103 @@ mod tests {
         assert_eq!(cov.immediate, 0);
         assert_eq!(cov.jump, 0);
         assert_eq!(cov.any_pct(), 0.0);
+    }
+
+    /// The window scan the table walk replaced, kept as its oracle:
+    /// copy the bytes from `MAX_GADGET_BYTES` before `ret_at` to it,
+    /// plant `0xc3`, scan the copy, and take the farthest start of a
+    /// usable candidate ending at the planted byte.
+    fn window_span(text: &[u8], ret_at: usize) -> (usize, usize) {
+        let lo = ret_at.saturating_sub(MAX_GADGET_BYTES);
+        let mut window = text[lo..=ret_at].to_vec();
+        let last = window.len() - 1;
+        window[last] = 0xc3;
+        let mut best = ret_at;
+        for cand in parallax_gadgets::scan(&window, lo as u32) {
+            if cand.vaddr as usize + cand.len as usize == ret_at + 1 && classify(&cand).is_some() {
+                best = best.min(cand.vaddr as usize);
+            }
+        }
+        (best, ret_at + 1)
+    }
+
+    /// `analyze` equals the analysis with window-scan spans, and the
+    /// walk finds the oracle's span at every planted site.
+    fn assert_matches_oracle(img: &LinkedImage, label: &str) {
+        let table = DecodeTable::new(&img.text);
+        let mut work = Work::default();
+        let oracle = measure(img, &table, &mut work, |t, ret_at, w| {
+            let want = window_span(&img.text, ret_at);
+            assert_eq!(
+                planted_gadget_span(t, ret_at, w),
+                want,
+                "{label}: ret planted at {ret_at}"
+            );
+            want
+        });
+        assert_eq!(analyze(img), oracle, "{label}");
+        assert!(work.walks > 0, "{label}: no planted site");
+    }
+
+    fn link(module: &parallax_compiler::Module) -> LinkedImage {
+        parallax_compiler::compile_module(module)
+            .expect("compiles")
+            .link()
+            .expect("links")
+    }
+
+    #[test]
+    fn planted_walks_match_window_scans_on_the_corpus() {
+        for w in parallax_corpus::all() {
+            assert_matches_oracle(&link(&(w.module)()), w.name);
+        }
+    }
+
+    #[test]
+    fn planted_walks_match_window_scans_on_random_programs() {
+        for seed in 0..25 {
+            let module = parallax_corpus::randprog::Gen::new(seed).module();
+            assert_matches_oracle(&link(&module), &format!("randprog {seed}"));
+        }
+    }
+
+    /// A randprog module grown by the `vf` bodies of 30 other seeds:
+    /// text as large as a protect-large module's (~21 KB).
+    #[test]
+    fn planted_walks_match_window_scans_on_a_large_module() {
+        let mut module = parallax_corpus::randprog::Gen::new(1).module();
+        for i in 0..30 {
+            let donor = parallax_corpus::randprog::Gen::new(2 * i + 3).module();
+            let mut f = donor.get_func("vf").expect("defines vf").clone();
+            f.name = format!("f{i}");
+            module.func(f);
+        }
+        let img = link(&module);
+        assert!(img.text.len() >= 20_000, "{} bytes of text", img.text.len());
+        assert_matches_oracle(&img, "large module");
+    }
+
+    /// The sweep's table-served instruction is the one decoded from the
+    /// function's own bytes, at every byte of every corpus function.
+    #[test]
+    fn sweep_decodes_match_function_truncated_decodes() {
+        for w in parallax_corpus::all() {
+            let img = link(&(w.module)());
+            let table = DecodeTable::new(&img.text);
+            for f in img.funcs() {
+                let bytes = img.read(f.vaddr, f.size as usize).expect("in text");
+                let f_off = (f.vaddr - img.text_base) as usize;
+                for pos in 0..bytes.len() {
+                    let got = func_insn(&table, bytes, f_off, pos, &mut Work::default());
+                    assert_eq!(
+                        got.as_deref(),
+                        decode(&bytes[pos..]).ok().as_ref(),
+                        "{} {} +{pos}",
+                        w.name,
+                        f.name
+                    );
+                }
+            }
+        }
     }
 }

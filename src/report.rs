@@ -307,12 +307,14 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
         get("vm.block.miss"),
         get("vm.block.invalidate"),
     );
-    let (offsets, decoded, memo) = (
+    let (offsets, decoded, skipped, memo) = (
         get("scan.decode.offsets"),
         get("scan.decode.once"),
+        get("scan.decode.skipped"),
         get("scan.decode.memo_hit"),
     );
-    if hits + misses == 0 && decoded == 0 {
+    let coverage_decodes = get("rewrite.coverage.decodes");
+    if hits + misses == 0 && decoded == 0 && coverage_decodes == 0 {
         return;
     }
     let _ = writeln!(out, "execution engine:");
@@ -327,13 +329,24 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
         let amort = memo as f64 / decoded as f64;
         let _ = writeln!(
             out,
-            "  gadget scan: {decoded} decodes over {offsets} text offsets, \
+            "  gadget scan: {decoded} decodes over {offsets} text offsets \
+             ({skipped} reached by no walk), \
              {memo} memoized walk steps ({amort:.1}x amortization)"
         );
         let _ = writeln!(
             out,
             "  decodes reused from the previous pass: {}",
             get("scan.decode.reused")
+        );
+    }
+    // The Select stage's Figure-6 analysis, attributed like the scan.
+    if coverage_decodes > 0 {
+        let _ = writeln!(
+            out,
+            "  coverage: {coverage_decodes} decodes, {} planted-return walks, \
+             {} candidates classified",
+            get("rewrite.coverage.walks"),
+            get("rewrite.coverage.classified")
         );
     }
 }
@@ -620,6 +633,8 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     let work = [
         ("decodes", "scan.decode.once"),
         ("decodes reused", "scan.decode.reused"),
+        ("decodes skipped", "scan.decode.skipped"),
+        ("coverage decodes", "rewrite.coverage.decodes"),
         ("probe runs", "vm.probe.runs"),
         ("verdicts reused", "vm.probe.reused"),
         ("verdicts shared", "vm.probe.shared"),
@@ -802,9 +817,13 @@ mod tests {
         t.count("vm.block.hit", 900);
         t.count("vm.block.miss", 100);
         t.count("vm.block.invalidate", 3);
-        t.count("scan.decode.offsets", 8000);
+        t.count("scan.decode.offsets", 9000);
         t.count("scan.decode.once", 5000);
         t.count("scan.decode.reused", 3000);
+        t.count("scan.decode.skipped", 1000);
+        t.count("rewrite.coverage.decodes", 7000);
+        t.count("rewrite.coverage.walks", 30000);
+        t.count("rewrite.coverage.classified", 4000);
         t.count("scan.decode.memo_hit", 20000);
         t.count("vm.probe.proposals", 486);
         t.count("vm.probe.runs", 941);
@@ -859,7 +878,8 @@ mod tests {
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "rewritten-func: 2 hits / 1 misses",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
-            "5000 decodes over 8000 text offsets",
+            "5000 decodes over 9000 text offsets (1000 reached by no walk)",
+            "coverage: 7000 decodes, 30000 planted-return walks, 4000 candidates classified",
             "4.0x amortization",
             "decodes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
@@ -912,6 +932,10 @@ mod tests {
         assert!(diff.contains("gadget work (b - a):"), "{diff}");
         assert!(
             diff.contains("decodes reused        3000 ->      3000 (+0)"),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("coverage decodes      7000 ->      7000 (+0)"),
             "{diff}"
         );
         assert!(
