@@ -1039,26 +1039,17 @@ fn run_pipeline(
 }
 
 /// The artifact store's per-function seams as the pipeline and the
-/// rewrite and gadget crates query them, each lookup counted on the
-/// tracer. Rewrite and chain lookups also add to the
-/// `cache.func.{hit,miss}` totals; verdict lookups, hundreds per scan,
-/// are kept apart.
+/// rewrite crate query them, each lookup counted on the tracer and
+/// added to the `cache.func.{hit,miss}` totals. Verdict lookups are
+/// counted by the gadget pass itself (`cache.func.verdict.*`).
 struct FuncStore<'a>(&'a Ctx<'a>);
 
 impl FuncStore<'_> {
     fn count(&self, kind: &str, hit: bool) {
         let Some(t) = self.0.tracer else { return };
-        let names: &[&str] = match (kind, hit) {
-            ("rewritten", true) => &["cache.func.hit", "cache.func.rewritten.hit"],
-            ("rewritten", false) => &["cache.func.miss", "cache.func.rewritten.miss"],
-            ("chain", true) => &["cache.func.hit", "cache.func.chain.hit"],
-            ("chain", false) => &["cache.func.miss", "cache.func.chain.miss"],
-            (_, true) => &["cache.func.verdict.hit"],
-            (_, false) => &["cache.func.verdict.miss"],
-        };
-        for name in names {
-            t.count(name, 1);
-        }
+        let outcome = if hit { "hit" } else { "miss" };
+        t.count(&format!("cache.func.{outcome}"), 1);
+        t.count(&format!("cache.func.{kind}.{outcome}"), 1);
     }
 
     fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
@@ -1077,18 +1068,6 @@ impl FuncRewriteCache for FuncStore<'_> {
 
     fn store_rewritten(&self, fingerprint: &[u8], outcome: &FuncRewriteOutcome) {
         self.0.store.store_rewritten_func(fingerprint, outcome)
-    }
-}
-
-impl ValidationCache for FuncStore<'_> {
-    fn fetch_verdict(&self, key: &[u8]) -> Option<Option<parallax_gadgets::Gadget>> {
-        let out = self.0.store.cached_verdict(key);
-        self.count("verdict", out.is_some());
-        out
-    }
-
-    fn store_verdict(&self, key: &[u8], verdict: &Option<parallax_gadgets::Gadget>) {
-        self.0.store.store_verdict(key, verdict)
     }
 }
 
@@ -1257,13 +1236,12 @@ fn scan_gadgets(
             Some(cached) if !cached.is_empty() => cached,
             _ => {
                 // Whole-image scan missed (e.g. one function edited):
-                // fall back to the store's per-candidate verdict memo so
-                // only candidates whose bytes changed are revalidated.
-                let vcache = FuncStore(ctx);
+                // fall back to the store's content-keyed verdicts so
+                // only contents never seen before are probed.
                 let vc = ctx
                     .store
                     .has_func_cache()
-                    .then_some(&vcache as &dyn ValidationCache);
+                    .then_some(ctx.store as &dyn ValidationCache);
                 let (fresh, stats, vstats, next) =
                     parallax_gadgets::find_gadgets_reusing(img, jobs, vc, prev);
                 memo = Some(next);
@@ -1299,6 +1277,12 @@ fn scan_gadgets(
                     // verdict in this pass: no probe ran either.
                     t.count("vm.probe.shared", vstats.shared);
                     t.count("vm.probe.runs_saved", vstats.probe.runs_saved);
+                    // One verdict lookup per distinct content the pass
+                    // classified and did not inherit from the memo.
+                    if vc.is_some() {
+                        t.count("cache.func.verdict.hit", vstats.cache_hits);
+                        t.count("cache.func.verdict.miss", vstats.cache_misses);
+                    }
                     t.count("vm.probe.reseed_words", vstats.probe.reseed_words);
                     t.count("pool.scan.merge_ns", vstats.merge_ns);
                     vstats.pool.export_to(t, "scan");

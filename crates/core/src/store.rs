@@ -14,16 +14,20 @@
 //! * **Figure-6 coverage** — measured on the *unprotected* image, which
 //!   is shared by every job that protects the same program (whatever
 //!   the chain mode or seed).
-//! * **per-function artifacts** — pass-1 rewrites, compiled chains and
-//!   per-candidate validation verdicts, keyed by fingerprints that pin
-//!   everything the artifact depends on.
+//! * **per-function artifacts** — pass-1 rewrites and compiled chains,
+//!   keyed by fingerprints that pin everything the artifact depends on.
+//! * **validation verdicts** — one per distinct gadget content (text
+//!   bytes and return kind) and probe heap base, through the
+//!   [`ValidationCache`] supertrait; a hit skips that content's probe
+//!   wherever its bytes sit, so warm re-protection of an edited binary
+//!   probes only contents it has not seen.
 //!
 //! The store only stores. Stage timing, degradations and cache
 //! hit/miss counts go to the run's tracer (see [`crate::Ctx`]).
 //! [`NoStore`] caches nothing and is what [`protect`](crate::protect())
 //! uses.
 
-use parallax_gadgets::Gadget;
+use parallax_gadgets::{Gadget, ValidationCache};
 use parallax_image::LinkedImage;
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
 
@@ -50,8 +54,10 @@ pub struct ChainArtifact {
 /// Get/put access to reusable pipeline artifacts. Implementations must
 /// be `Send + Sync`: one store may be shared by many concurrent
 /// pipeline runs, and chain compilation queries it from pool workers.
-/// Every method defaults to "not stored".
-pub trait ArtifactStore: Send + Sync {
+/// Every method defaults to "not stored", the verdict pair of the
+/// [`ValidationCache`] supertrait included; a store that caches no
+/// verdicts implements it empty.
+pub trait ArtifactStore: ValidationCache + Send + Sync {
     /// A previously computed gadget scan for an image with identical
     /// content, or `None` to run the scanner. Returning an empty vector
     /// is treated as a miss (an empty scan is an error condition the
@@ -73,9 +79,10 @@ pub trait ArtifactStore: Send + Sync {
     fn store_coverage(&self, _img: &LinkedImage, _coverage: &Coverage) {}
 
     /// Whether this store backs the per-function artifact methods
-    /// below. The pipeline computes no fingerprints (and counts no
-    /// `cache.func.*` traffic) when this is `false`, so storeless runs
-    /// pay nothing and report no misleading all-miss counters.
+    /// below and the verdict cache. The pipeline computes no
+    /// fingerprints or verdict keys (and counts no `cache.func.*`
+    /// traffic) when this is `false`, so storeless runs pay nothing and
+    /// report no misleading all-miss counters.
     fn has_func_cache(&self) -> bool {
         false
     }
@@ -97,23 +104,12 @@ pub trait ArtifactStore: Send + Sync {
 
     /// Offers a freshly compiled chain for reuse.
     fn store_chain(&self, _fingerprint: &[u8], _artifact: &ChainArtifact) {}
-
-    /// A previously computed per-candidate validation verdict (see
-    /// `parallax_gadgets::ValidationCache`); the outer `None` means
-    /// "never validated", the inner `None` means "validated and
-    /// rejected". Concrete validation dominates scanning cost, so this
-    /// is the seam that makes warm re-protection of an edited binary
-    /// fast: only candidates whose bytes changed are revalidated.
-    fn cached_verdict(&self, _key: &[u8]) -> Option<Option<Gadget>> {
-        None
-    }
-
-    /// Offers a freshly computed validation verdict for reuse.
-    fn store_verdict(&self, _key: &[u8], _verdict: &Option<Gadget>) {}
 }
 
 /// The store that stores nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoStore;
+
+impl ValidationCache for NoStore {}
 
 impl ArtifactStore for NoStore {}

@@ -43,9 +43,9 @@ pub enum ArtifactKind {
     /// One compiled chain variant, keyed by everything the chain
     /// compiler reads (function IR, gadget arena, symbol table, policy).
     CompiledChain,
-    /// One candidate's concrete validation verdict (present even when
-    /// the verdict is "rejected"), keyed by the candidate's bytes,
-    /// vaddr, return kind, proposal, and probe heap base.
+    /// One gadget content's concrete validation verdict (present even
+    /// when the verdict is "rejected"), keyed by the content's text
+    /// bytes and return kind and the probe heap base.
     GadgetVerdict,
 }
 
@@ -80,7 +80,7 @@ pub struct Key {
 
 impl Key {
     /// The key of an artifact determined by the bytes of `input` (a
-    /// function fingerprint, a candidate's verdict key, ...).
+    /// function fingerprint, a gadget content's verdict key, ...).
     pub fn of(kind: ArtifactKind, input: &[u8]) -> Key {
         Key {
             kind,

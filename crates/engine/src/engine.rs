@@ -26,7 +26,7 @@ use parallax_core::{
     ChainArtifact, Ctx, FaultPlan, ProtectConfig, Verdict,
 };
 use parallax_corpus::by_name;
-use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget};
+use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget, ValidationCache};
 use parallax_image::{format, LinkedImage};
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
 use parallax_trace::Tracer;
@@ -50,9 +50,9 @@ pub struct EngineOptions {
     /// Worker threads: `0` means one per core, and the count is capped
     /// by the job count and the machine's parallelism.
     pub workers: usize,
-    /// In-memory cache capacity, in entries. Sized for per-candidate
-    /// gadget-verdict entries (hundreds per image version), not just
-    /// whole-image artifacts.
+    /// In-memory cache capacity, in entries. Sized for gadget-verdict
+    /// entries (one per distinct gadget content, hundreds per image
+    /// version), not just whole-image artifacts.
     pub cache_capacity: usize,
     /// On-disk cache directory (`None` for memory-only).
     pub cache_dir: Option<PathBuf>,
@@ -715,12 +715,15 @@ impl ArtifactStore for CacheHooks<'_, '_> {
             encode_chain(artifact),
         );
     }
+}
 
+impl ValidationCache for CacheHooks<'_, '_> {
     // Verdicts bypass `self.fetch` on purpose: there are hundreds of
-    // candidates per scan, and emitting a cache event for each would
-    // drown the sink. Their traffic shows up as `cache.func.verdict.*`
-    // counters on the pipeline's tracer instead. A rejected candidate
-    // is cached as an empty gadget list, distinct from a miss.
+    // distinct contents per scan, and emitting a cache event for each
+    // would drown the sink. Their traffic shows up as
+    // `cache.func.verdict.*` counters on the pipeline's tracer instead.
+    // A rejected content is cached as an empty gadget list, distinct
+    // from a miss.
     fn cached_verdict(&self, key: &[u8]) -> Option<Option<Gadget>> {
         let vkey = Key::of(ArtifactKind::GadgetVerdict, key);
         match self.cache.fetch(vkey) {

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use parallax_core::{ArtifactStore, ChainArtifact};
-use parallax_gadgets::Gadget;
+use parallax_gadgets::{Gadget, ValidationCache};
 use parallax_image::{format, LinkedImage};
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
 
@@ -204,8 +204,7 @@ impl Ledger {
 /// digest via a wrapping sum, so the result is independent of worker
 /// scheduling. The digests therefore describe the artifacts *this
 /// particular build* consumed; a warm rebuild that reuses a whole-image
-/// scan legitimately reports fewer per-candidate verdicts than the
-/// cold build did.
+/// scan legitimately reports fewer verdicts than the cold build did.
 ///
 /// On its own, `Digests` is the digest-only [`ArtifactStore`]: it
 /// caches nothing and digests everything the pipeline offers it, for
@@ -262,7 +261,9 @@ impl ArtifactStore for Digests {
     fn store_chain(&self, fingerprint: &[u8], _artifact: &ChainArtifact) {
         self.absorb(Key::of(ArtifactKind::CompiledChain, fingerprint));
     }
+}
 
+impl ValidationCache for Digests {
     fn store_verdict(&self, key: &[u8], _verdict: &Option<Gadget>) {
         self.absorb(Key::of(ArtifactKind::GadgetVerdict, key));
     }

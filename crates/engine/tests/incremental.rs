@@ -39,12 +39,37 @@ const SRC_B: &str = r#"
     }
 "#;
 
+/// `SRC_A` with `noise` one operation longer, so every function after
+/// it moves.
+const SRC_C: &str = r#"
+    fn vf(x) { return ((x * 31) ^ (x >>> 3)) + 7; }
+    fn noise(a) { return (a + 287454020) ^ a; }
+    fn helper(a, b) { return a * b - a; }
+    fn spare(y) { return y ^ 1432778632; }
+    fn main() {
+        let s = 0;
+        let i = 0;
+        while i < 3 { s = s + vf(i) + helper(i, 2); i = i + 1; }
+        return (s + noise(1) + spare(2)) & 0xff;
+    }
+"#;
+
 #[derive(Debug, Clone, Copy)]
 struct FuncCacheCounts {
     rw_hit: u64,
     rw_miss: u64,
     ch_hit: u64,
     ch_miss: u64,
+    verdict_hit: u64,
+    verdict_miss: u64,
+}
+
+fn config() -> ProtectConfig {
+    ProtectConfig {
+        verify_funcs: vec!["vf".to_owned()],
+        seed: 9,
+        ..ProtectConfig::default()
+    }
 }
 
 /// Protects `src` through `cache`, returning the result plus the
@@ -53,11 +78,7 @@ fn protect_through(src: &str, cache: &ArtifactCache) -> (Protected, FuncCacheCou
     let module = parse_module(src).expect("test module parses");
     let vf = module.get_func("vf").cloned().expect("vf exists");
     let prog = compile_module(&module).expect("compiles");
-    let cfg = ProtectConfig {
-        verify_funcs: vec!["vf".to_owned()],
-        seed: 9,
-        ..ProtectConfig::default()
-    };
+    let cfg = config();
     let tracer = Tracer::new();
     let store = CacheHooks::new(0, cache, None);
     let ctx = Ctx {
@@ -71,6 +92,8 @@ fn protect_through(src: &str, cache: &ArtifactCache) -> (Protected, FuncCacheCou
         rw_miss: tracer.counter("cache.func.rewritten.miss"),
         ch_hit: tracer.counter("cache.func.chain.hit"),
         ch_miss: tracer.counter("cache.func.chain.miss"),
+        verdict_hit: tracer.counter("cache.func.verdict.hit"),
+        verdict_miss: tracer.counter("cache.func.verdict.miss"),
     };
     (protected, counts)
 }
@@ -157,6 +180,36 @@ fn one_function_edit_misses_only_that_function() {
         vm.run(),
         expect,
         "tampering a used gadget must still be detected after an incremental re-protect"
+    );
+}
+
+/// Verdicts are keyed by content, not address: after an edit that
+/// moves every later function, a warm run still serves the moved
+/// gadgets' verdicts from the cache, and its image is the one a
+/// storeless `protect()` of the edited module gives.
+#[test]
+fn verdicts_follow_moved_functions() {
+    let cache = ArtifactCache::new(1024, None);
+    let (_, cold) = protect_through(SRC_A, &cache);
+    let (moved, warm) = protect_through(SRC_C, &cache);
+    let text_len = |src: &str| {
+        let prog = compile_module(&parse_module(src).expect("parses")).expect("compiles");
+        prog.link().expect("links").text.len()
+    };
+    assert_ne!(text_len(SRC_A), text_len(SRC_C), "the edit moves code");
+    assert_eq!(cold.verdict_hit, 0, "cold run cannot hit verdicts");
+    // Most contents only moved, so most lookups hit; an address in
+    // the key would make nearly all of them miss.
+    assert!(warm.verdict_hit > warm.verdict_miss, "{warm:?}");
+
+    let module = parse_module(SRC_C).expect("parses");
+    let vf = module.get_func("vf").cloned().expect("vf exists");
+    let prog = compile_module(&module).expect("compiles");
+    let storeless = protect_with(prog, &[vf], &config(), &Ctx::default()).expect("protects");
+    assert_eq!(
+        format::save(&moved.image),
+        format::save(&storeless.image),
+        "a warm run must equal a storeless protect of the edited module"
     );
 }
 

@@ -59,52 +59,33 @@ pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
     find_gadgets_instrumented(img, 1, None).0
 }
 
-/// Cross-run memo for concrete validation verdicts, keyed by the exact
-/// bytes that determine a verdict: the candidate's text bytes, vaddr,
-/// return kind, symbolic proposal, and the probe environment's heap
-/// base. Re-protecting an edited binary revalidates only candidates
-/// whose underlying bytes (or layout) actually changed; everything
-/// else — typically all but one function — is served from the memo.
+/// Cross-run memo for concrete validation verdicts, keyed by a
+/// candidate's content (its return kind and text bytes) and the probe
+/// environment's heap base. Re-protecting an edited binary revalidates
+/// only contents it has no verdict for, wherever the unchanged bytes
+/// moved; everything else is served from the cache.
 ///
-/// Within one `protect()` run, content sharing and a [`PassMemo`] sit
-/// beneath this cache: the cache is asked first and offered every
-/// verdict, and only a miss falls through to a same-content verdict or
-/// the pass memo before the probe runs. So what the cache holds and
-/// sees depends on neither.
+/// A pass asks the cache once per distinct content it classifies and
+/// does not inherit from the previous pass's [`PassMemo`], and offers
+/// it only verdicts whose probe stayed inside the candidate's bytes
+/// (a strayed verdict depends on the text it reached, DESIGN.md §18).
+/// Both methods default to "not stored".
 pub trait ValidationCache: Sync {
     /// `Some(verdict)` when the key was validated before (the verdict
-    /// itself may be `None`: "candidate rejected" is cached too).
-    fn fetch_verdict(&self, key: &[u8]) -> Option<Option<Gadget>>;
-    /// Records a computed verdict.
-    fn store_verdict(&self, key: &[u8], verdict: &Option<Gadget>);
-}
-
-/// The cache key of one candidate's verdict: the candidate's text
-/// bytes, return kind and vaddr, the heap base its scratch regions
-/// derive from, and the proposal it checks. The vaddr stays although a
-/// probe seeds from content: a probe that strays runs other text, so
-/// its verdict depends on where the candidate sits (DESIGN.md §18).
-fn verdict_key(
-    img: &LinkedImage,
-    heap_base: u32,
-    cand: &Candidate,
-    proposal: &Proposal,
-) -> Vec<u8> {
-    let bytes = text_of(img, cand);
-    let mut key = Vec::with_capacity(bytes.len() + 64);
-    key.extend_from_slice(&cand.vaddr.to_le_bytes());
-    key.extend_from_slice(&heap_base.to_le_bytes());
-    key.push(cand.far as u8);
-    key.extend_from_slice(bytes);
-    key.push(0);
-    key.extend_from_slice(format!("{proposal:?}").as_bytes());
-    key
+    /// itself may be `None`: "candidate rejected" is cached too). A
+    /// served gadget's `vaddr` is ignored: the pass moves it to the
+    /// candidate's own.
+    fn cached_verdict(&self, _key: &[u8]) -> Option<Option<Gadget>> {
+        None
+    }
+    /// Offers a freshly probed verdict for reuse.
+    fn store_verdict(&self, _key: &[u8], _verdict: &Option<Gadget>) {}
 }
 
 /// A candidate's content: its text bytes and return kind. Within one
 /// pass, a probe that stays inside the candidate's bytes depends on
-/// nothing else, so every copy of a content shares one verdict
-/// (DESIGN.md §18).
+/// nothing else, so every copy of a content shares one verdict, and
+/// with the heap base it keys the [`ValidationCache`] (DESIGN.md §18).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Content {
     far: bool,
@@ -128,6 +109,19 @@ impl Content {
             len: src.len() as u8,
             bytes,
         }
+    }
+
+    /// The [`ValidationCache`] key of this content's verdict in a probe
+    /// environment with heap base `heap_base`: the heap base, the
+    /// return kind, then the text bytes, whose length is the rest of
+    /// the key's.
+    fn key(&self, heap_base: u32) -> Vec<u8> {
+        let bytes = &self.bytes[..usize::from(self.len)];
+        let mut key = Vec::with_capacity(5 + bytes.len());
+        key.extend_from_slice(&heap_base.to_le_bytes());
+        key.push(self.far as u8);
+        key.extend_from_slice(bytes);
+        key
     }
 }
 
@@ -170,6 +164,12 @@ pub struct ValidateStats {
     /// Candidates served by the verdict of an earlier candidate with
     /// the same content in this pass, with no probe run.
     pub shared: u64,
+    /// Contents whose verdict the [`ValidationCache`] served, with no
+    /// probe run (exported as `cache.func.verdict.hit`).
+    pub cache_hits: u64,
+    /// Contents the [`ValidationCache`] was asked for and did not hold
+    /// (`cache.func.verdict.miss`).
+    pub cache_misses: u64,
 }
 
 /// [`find_gadgets`] with the scanner's [`ScanStats`] (exported as
@@ -198,6 +198,9 @@ enum Rep {
     },
     /// Served from the previous pass's memo.
     Inherited(Option<Gadget>),
+    /// Served from the [`ValidationCache`]; not carried into the next
+    /// pass's memo.
+    Stored(Option<Gadget>),
     /// The probe left the candidate's bytes, so its verdict depends on
     /// the text it reached: every copy probes on its own.
     Strayed,
@@ -209,6 +212,8 @@ struct ChunkOut {
     gadgets: Vec<Gadget>,
     reused: u64,
     shared: u64,
+    cache_hits: u64,
+    cache_misses: u64,
 }
 
 /// Runs the full pipeline, reusing `prev` — the [`PassMemo`] of an
@@ -224,10 +229,10 @@ struct ChunkOut {
 /// candidate's bytes. So the first candidate of each content is
 /// classified and probed, and every later copy takes its verdict with
 /// its own vaddr, unless that probe strayed. Any job count returns the
-/// exact sequential gadget order. With a [`ValidationCache`], each
-/// classified candidate's verdict is looked up there first and offered
-/// to it after; content sharing and the pass memo serve only what the
-/// cache misses.
+/// exact sequential gadget order. With a [`ValidationCache`], the first
+/// candidate of a content the memo does not hold asks the cache after
+/// classifying and before probing, and offers it a verdict whose probe
+/// did not stray.
 pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
@@ -269,75 +274,60 @@ pub fn find_gadgets_reusing(
         probe_build_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         probe
     };
+    // A content's verdict as the gadget at `vaddr`.
+    let at = |g: &Option<Gadget>, vaddr: u32| g.as_ref().map(|g| Gadget { vaddr, ..g.clone() });
     let validate_chunk = |probe: &mut ProbeVm, chunk: &[Candidate]| {
         let heap_base = probe.heap_base();
         let mut out = ChunkOut::default();
         for cand in chunk {
-            // The cache is keyed per candidate, so with one every
-            // candidate is classified and asked first.
-            let (mut proposal, mut key) = (None, None);
-            if let Some(c) = cache {
-                let Some(p) = classify(cand) else {
-                    continue;
-                };
-                let k = verdict_key(img, heap_base, cand, &p);
-                if let Some(verdict) = c.fetch_verdict(&k) {
-                    out.gadgets.extend(verdict);
-                    continue;
-                }
-                (proposal, key) = (Some(p), Some(k));
-            }
-            let group = Arc::clone(
-                groups
-                    .lock()
-                    .unwrap()
-                    .entry(Content::of(img, cand))
-                    .or_default(),
-            );
+            let content = Content::of(img, cand);
+            let group = Arc::clone(groups.lock().unwrap().entry(content).or_default());
             let mut own = None;
             let rep = group.get_or_init(|| {
-                let Some(p) = proposal.take().or_else(|| classify(cand)) else {
+                let Some(p) = classify(cand) else {
                     return Rep::Unclassified;
                 };
-                let g = probe.validate(&p);
-                let rep = if probe.strayed() {
-                    Rep::Strayed
-                } else {
-                    Rep::Probed {
-                        gadget: g.clone(),
-                        independent: p.layout_independent(),
+                let key = cache.map(|c| (c, content.key(heap_base)));
+                if let Some((c, key)) = &key {
+                    if let Some(g) = c.cached_verdict(key) {
+                        out.cache_hits += 1;
+                        own = Some(at(&g, cand.vaddr));
+                        return Rep::Stored(g);
                     }
-                };
-                own = Some(g);
-                rep
+                    out.cache_misses += 1;
+                }
+                let g = probe.validate(&p);
+                if probe.strayed() {
+                    own = Some(g);
+                    return Rep::Strayed;
+                }
+                if let Some((c, key)) = &key {
+                    // Zeroed, so what is stored does not depend on
+                    // which copy probed first.
+                    c.store_verdict(key, &at(&g, 0));
+                }
+                own = Some(g.clone());
+                Rep::Probed {
+                    gadget: g,
+                    independent: p.layout_independent(),
+                }
             });
-            let moved = |g: &Option<Gadget>| {
-                g.as_ref().map(|g| Gadget {
-                    vaddr: cand.vaddr,
-                    ..g.clone()
-                })
-            };
             let g = match (own, rep) {
                 (Some(g), _) => g,
                 (None, Rep::Unclassified) => continue,
-                (None, Rep::Probed { gadget, .. }) => {
+                (None, Rep::Probed { gadget, .. } | Rep::Stored(gadget)) => {
                     out.shared += 1;
-                    moved(gadget)
+                    at(gadget, cand.vaddr)
                 }
                 (None, Rep::Inherited(gadget)) => {
                     out.reused += 1;
-                    moved(gadget)
+                    at(gadget, cand.vaddr)
                 }
                 (None, Rep::Strayed) => {
-                    let p = proposal
-                        .or_else(|| classify(cand))
-                        .expect("a copy of a classified content classifies");
+                    let p = classify(cand).expect("a copy of a classified content classifies");
                     probe.validate(&p)
                 }
             };
-            if let (Some(c), Some(k)) = (cache, &key) {
-                c.store_verdict(k, &g);
-            }
             out.gadgets.extend(g);
         }
         // Drain this chunk's probe counters into the shared total (a
@@ -358,11 +348,13 @@ pub fn find_gadgets_reusing(
     );
     let t0 = std::time::Instant::now();
     let mut gadgets = Vec::new();
-    let (mut reused, mut shared) = (0, 0);
+    let (mut reused, mut shared, mut cache_hits, mut cache_misses) = (0, 0, 0, 0);
     for part in parts {
         gadgets.extend(part.gadgets);
         reused += part.reused;
         shared += part.shared;
+        cache_hits += part.cache_hits;
+        cache_misses += part.cache_misses;
     }
     let vstats = ValidateStats {
         probe_builds: probe_builds.into_inner(),
@@ -372,6 +364,8 @@ pub fn find_gadgets_reusing(
         probe: probe_stats.into_inner().unwrap(),
         reused,
         shared,
+        cache_hits,
+        cache_misses,
     };
     // Layout-independent verdicts, inherited ones included, still hold
     // for the next pass wherever their bytes sit.

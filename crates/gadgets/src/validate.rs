@@ -30,10 +30,12 @@ const PROBE_STEPS: usize = 64;
 /// scratch pointer).
 const SCRATCH_WORDS: usize = 256;
 
-/// Effect liveness is tracked in a `u64` bitmask; proposals with more
-/// effects than fit (none exist in practice — the classifier emits a
-/// handful at most) take the legacy per-effect path.
-const MAX_SHARED_EFFECTS: usize = 64;
+/// Effect liveness is tracked in a `u64` bitmask. The classifier emits
+/// far fewer effects (at most one syscall, one per register, the
+/// byte-register moves and a few memory effects;
+/// `tests/shared_trial.rs` checks the bound), so a proposal with more
+/// is rejected rather than shifted past the mask.
+pub const MAX_SHARED_EFFECTS: usize = 64;
 
 /// A content tag for the probe PRNG: FNV-1a over the candidate's text
 /// bytes and return kind. Its position plays no part, so identical
@@ -470,13 +472,8 @@ fn validate_shared(
     stats.proposals += 1;
     bufs.strayed = false;
     let ne = p.effects.len();
-    if ne == 0 {
+    if ne == 0 || ne > MAX_SHARED_EFFECTS {
         return None;
-    }
-    if ne > MAX_SHARED_EFFECTS {
-        // The legacy path does not watch where the probe goes.
-        bufs.strayed = true;
-        return legacy::validate_with(vm, p);
     }
 
     // Which registers must hold scratch pointers? Computed once per
@@ -635,9 +632,11 @@ impl ProbeVm {
 }
 
 /// The pre-shared-trial validation path — one probe per (effect,
-/// trial), scratch redrawn every probe. Not used by `protect()`; kept
-/// callable as the differential oracle for `tests/shared_trial.rs` and
-/// the `validate_throughput` bench's legacy-vs-shared speedup ratio.
+/// trial), scratch redrawn every probe. Not used by `protect()`; built
+/// only with the `oracle` feature, as the differential oracle for
+/// `tests/shared_trial.rs` and the `validate_throughput` bench's
+/// legacy-vs-shared speedup ratio.
+#[cfg(feature = "oracle")]
 #[doc(hidden)]
 pub mod legacy {
     use super::*;

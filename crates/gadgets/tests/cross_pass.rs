@@ -13,7 +13,7 @@ use parallax_compiler::compile_module;
 use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::{
-    classify, find_gadgets_instrumented, find_gadgets_reusing, Gadget, ProbeVm,
+    classify, find_gadgets_instrumented, find_gadgets_reusing, Gadget, ProbeVm, ValidationCache,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{AluOp, Asm, Mem, Reg32};
@@ -28,6 +28,8 @@ impl ArtifactStore for ScannedImages {
         self.0.lock().unwrap().push(img.clone());
     }
 }
+
+impl ValidationCache for ScannedImages {}
 
 /// The `(pass 1, pass 2)` image pairs of one protection run.
 fn fixpoint_pairs(

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use parallax_compiler::compile_module;
 use parallax_gadgets::scan::scan;
-use parallax_gadgets::validate::legacy;
+use parallax_gadgets::validate::{legacy, MAX_SHARED_EFFECTS};
 use parallax_gadgets::{classify, ProbeVm};
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::Asm;
@@ -84,7 +84,56 @@ fn shared_trial_verdicts_match_legacy_on_tampered_images() {
     }
 }
 
+/// The most effects any proposal of `img` carries. The shared path
+/// rejects a proposal with more than [`MAX_SHARED_EFFECTS`], so it must
+/// stay at or below that for the rejection never to change a verdict.
+fn most_effects(img: &LinkedImage) -> usize {
+    scan(&img.text, img.text_base)
+        .iter()
+        .filter_map(classify)
+        .map(|p| p.effects.len())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Links `bytes` as the text of `main`, with a `ret` after every
+/// `stride` bytes so return-terminated candidates are likely.
+fn byte_soup(bytes: &[u8], stride: usize) -> LinkedImage {
+    let mut a = Asm::new();
+    for chunk in bytes.chunks(stride) {
+        a.db(chunk);
+        a.ret();
+    }
+    let mut p = Program::new();
+    p.add_func("main", a.finish().unwrap());
+    p.set_entry("main");
+    p.link().unwrap()
+}
+
+#[test]
+fn every_corpus_proposal_fits_the_effect_mask() {
+    for w in parallax_corpus::all() {
+        let most = most_effects(&link(w.name));
+        assert!(
+            (1..=MAX_SHARED_EFFECTS).contains(&most),
+            "{}: {most} effects",
+            w.name
+        );
+    }
+}
+
 proptest! {
+    /// Arbitrary bytes never classify into more effects than the
+    /// liveness mask holds.
+    #[test]
+    fn random_streams_fit_the_effect_mask(
+        bytes in prop::collection::vec(any::<u8>(), 32..160),
+        rets in 1usize..5,
+    ) {
+        let most = most_effects(&byte_soup(&bytes, bytes.len() / rets + 1));
+        prop_assert!(most <= MAX_SHARED_EFFECTS, "{} effects", most);
+    }
+
     /// Randomized instruction streams: arbitrary bytes become text, the
     /// scanner extracts whatever return-terminated sequences decode,
     /// and every classified proposal must validate identically under
@@ -94,18 +143,7 @@ proptest! {
         bytes in prop::collection::vec(any::<u8>(), 32..160),
         rets in 1usize..5,
     ) {
-        let mut a = Asm::new();
-        // Salt the stream with extra rets so candidates are likely.
-        let stride = bytes.len() / rets + 1;
-        for chunk in bytes.chunks(stride) {
-            a.db(chunk);
-            a.ret();
-        }
-        let mut p = Program::new();
-        p.add_func("main", a.finish().unwrap());
-        p.set_entry("main");
-        let img = p.link().unwrap();
-
+        let img = byte_soup(&bytes, bytes.len() / rets + 1);
         let cands = scan(&img.text, img.text_base);
         let mut shared = ProbeVm::new(&img);
         for cand in &cands {

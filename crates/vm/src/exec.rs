@@ -1,11 +1,14 @@
 //! The instruction execution engine.
 
+#[cfg(feature = "oracle")]
 use std::collections::HashMap;
 use std::rc::Rc;
 
 use parallax_image::{LinkedImage, VerifiedImage};
+#[cfg(feature = "oracle")]
+use parallax_x86::decode;
 use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand, ShiftOp};
-use parallax_x86::{decode, Reg, Reg32, Reg8};
+use parallax_x86::{Reg, Reg32, Reg8};
 
 use crate::block::{
     build_block, Block, BlockCache, BlockStats, FastOp, FusedGadget, MAX_BLOCK_INSNS,
@@ -82,8 +85,10 @@ pub struct Vm {
     chain_tracer: Option<ChainTracer>,
     blocks: BlockCache,
     /// Decoded-instruction cache for the legacy per-instruction
-    /// reference path ([`Vm::step_reference`] / [`Vm::run_reference`]).
-    /// Unused by the block-translation path.
+    /// reference path ([`Vm::step_reference`] / [`Vm::run_reference`]),
+    /// built only with the `oracle` feature. Unused by the
+    /// block-translation path.
+    #[cfg(feature = "oracle")]
     ref_decode_cache: HashMap<u32, Rc<Insn>>,
     /// Retired instruction count.
     pub instructions: u64,
@@ -149,6 +154,7 @@ impl Vm {
             profiler,
             chain_tracer: None,
             blocks: BlockCache::new(),
+            #[cfg(feature = "oracle")]
             ref_decode_cache: HashMap::new(),
             instructions: 0,
             entry: image.entry,
@@ -264,15 +270,14 @@ impl Vm {
 
     /// Applies pending code-write ranges to the caches: overlapping
     /// predecoded blocks are evicted (range-based), and the legacy
-    /// reference decode cache — which has no span metadata — is
+    /// reference decode cache, when built, has no span metadata and is
     /// flushed wholesale, exactly as the pre-block-cache VM did.
     fn sync_code_writes(&mut self) {
         if !self.mem.has_dirty_code() {
             return;
         }
-        if !self.ref_decode_cache.is_empty() {
-            self.ref_decode_cache.clear();
-        }
+        #[cfg(feature = "oracle")]
+        self.ref_decode_cache.clear();
         for (start, end) in self.mem.take_dirty_code() {
             self.blocks.invalidate_range(start, end);
         }
@@ -289,9 +294,11 @@ impl Vm {
 
     /// Runs until exit via the retained per-instruction reference path
     /// ([`Vm::step_reference`]): no block predecoding, a `HashMap`
-    /// probe plus `Rc` clone per instruction. Kept as the differential
-    /// oracle for the block-translation engine and as the baseline leg
-    /// of the `vm_dispatch` benchmark.
+    /// probe plus `Rc` clone per instruction. Built only with the
+    /// `oracle` feature, as the differential oracle for the
+    /// block-translation engine and the baseline leg of the
+    /// `vm_dispatch` benchmark.
+    #[cfg(feature = "oracle")]
     pub fn run_reference(&mut self) -> Exit {
         loop {
             if self.cycles >= self.cycle_limit {
@@ -485,6 +492,7 @@ impl Vm {
 
     /// The legacy decode front-end: one `HashMap` probe and `Rc` clone
     /// per instruction, flushed wholesale on any code write.
+    #[cfg(feature = "oracle")]
     fn decode_at_reference(&mut self, eip: u32) -> Result<Rc<Insn>, Fault> {
         if let Some(i) = self.ref_decode_cache.get(&eip) {
             return Ok(Rc::clone(i));
@@ -499,6 +507,7 @@ impl Vm {
     /// Executes one instruction via the per-instruction reference
     /// path. Semantics are identical to [`Vm::step`]; only the decode
     /// front-end differs.
+    #[cfg(feature = "oracle")]
     pub fn step_reference(&mut self) -> Result<Option<i32>, Fault> {
         self.sync_code_writes();
         let eip = self.cpu.eip;

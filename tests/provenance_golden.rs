@@ -1,7 +1,7 @@
 //! Golden provenance digests: a cold `plx protect` and a cold engine
 //! job over the same corpus program must keep writing exactly these
 //! per-stage artifact digests. Digests are content fingerprints (image
-//! bytes, function fingerprints, chain contexts, candidate keys), so
+//! bytes, function fingerprints, chain contexts, gadget contents), so
 //! any change to what the pipeline fingerprints — or to how the store
 //! side accumulates it — shows up here as a mismatch.
 
@@ -20,7 +20,7 @@ const PROGRAM: &str = "gzip";
 const GOLDEN: &[&str] = &[
     "compiled-chain 2 5152049c82c6cafd0f4e8271406640fe",
     "coverage 1 3b8c605fd760a6f9f8f250e83f699d34",
-    "gadget-verdict 813 c72554cc2bd8f040b391528f097fd068",
+    "gadget-verdict 165 e9cfa8aa4c6fcc34e08e9a4438fb19a1",
     "rewritten-func 6 c6fe4769aef470c58f3c84d8e565a2e9",
     "scan 2 707f7f9fecdb8650f0f7aa1bc678a6b6",
 ];
