@@ -352,7 +352,7 @@ impl<'a> FnCtx<'a> {
 
 /// Compiles a single function against the module's signature table and
 /// global list.
-pub fn compile_function(
+fn compile_function(
     f: &Function,
     sigs: &Signatures<'_>,
     globals: &[String],

@@ -42,7 +42,7 @@ pub mod sysno {
     pub const RANDOM: u32 = 42;
 }
 
-pub use codegen::{compile_function, compile_module, CompileError};
+pub use codegen::{compile_module, CompileError};
 pub use interp::{Interp, InterpError};
 pub use ir::{build, BinOp, CmpOp, Expr, Function, Global, Module, Stmt, UnOp};
 pub use parse::{parse_module, ParseError};

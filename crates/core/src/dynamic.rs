@@ -2,10 +2,10 @@
 //!
 //! Chains can be stored in non-executable *data* memory, so they can be
 //! produced at run time. Three hardening modes are implemented, each
-//! with a *generator* function written in the IR and compiled into the
-//! protected binary itself — its cost is therefore measured by the VM
-//! exactly like any other guest code (this is how the paper's RC4
-//! initialization overhead shows up for short chains):
+//! with a *generator* installed into the protected binary itself — its
+//! cost is therefore measured by the VM exactly like any other guest
+//! code (this is how the paper's RC4 initialization overhead shows up
+//! for short chains):
 //!
 //! * **xor** — the chain is stored encrypted with a xorshift32 key
 //!   stream and decrypted into a BSS buffer on every call;
@@ -17,9 +17,17 @@
 //!   assembled by XOR-combining basis vectors, choosing one of the `N`
 //!   index lists per position at random. The plaintext chain is never
 //!   stored; different runs verify different gadget subsets.
+//!
+//! The generators are hand-assembled x86 kernels in the style of the
+//! loader runtime (`parallax_ropc::runtime`): register-resident loops,
+//! callee-saved registers preserved, the plaintext buffer returned in
+//! `eax`. Each sits at the end of a fixed-size text slot and adds one
+//! gadget window, its final `ret`, in which nothing classifies as a
+//! usable gadget (DESIGN.md §21).
 
-use parallax_compiler::ir::build::*;
-use parallax_compiler::{Function, Module};
+use parallax_compiler::sysno;
+use parallax_image::Program;
+use parallax_x86::{AluOp, Asm, Assembled, Cond, Mem, Reg32, Reg8, ShiftOp, SymReloc};
 
 /// How a verification chain is materialized at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +42,7 @@ pub enum ChainMode {
     /// RC4-encrypted.
     Rc4Encrypted {
         /// RC4 key bytes.
-        key: [u8; 8],
+        key: [u8; RC4_KEY_LEN],
     },
     /// Probabilistically generated from `variants` compiled variants.
     Probabilistic {
@@ -58,7 +66,10 @@ impl ChainMode {
     }
 }
 
-/// xorshift32 step, mirrored by the IR generator.
+/// RC4 key length in bytes.
+pub const RC4_KEY_LEN: usize = 8;
+
+/// xorshift32 step, mirrored by the xor and probabilistic generators.
 pub fn xorshift32(mut x: u32) -> u32 {
     x ^= x << 13;
     x ^= x >> 17;
@@ -91,127 +102,6 @@ pub fn rc4_crypt(data: &mut [u8], key: &[u8]) {
         let k = s[(s[i as usize].wrapping_add(s[j as usize])) as usize];
         *b ^= k;
     }
-}
-
-/// IR generator for xor-mode: decrypts `enc` into `buf` and returns
-/// `&buf`. Symbol names are per protected function.
-pub fn xor_generator(
-    name: &str,
-    enc_sym: &str,
-    buf_sym: &str,
-    len_sym: &str,
-    key: u32,
-) -> Function {
-    // ks = key|1; for i in 0..len { ks = xorshift(ks); buf[i] = enc[i]^ks }
-    Function::new(
-        name.to_owned(),
-        [],
-        vec![
-            let_("ks", c((key | 1) as i32)),
-            let_("i", c(0)),
-            let_("len", load(g(len_sym))),
-            while_(
-                lt_u(l("i"), l("len")),
-                vec![
-                    let_("ks", xor(l("ks"), shl(l("ks"), c(13)))),
-                    let_("ks", xor(l("ks"), shrl(l("ks"), c(17)))),
-                    let_("ks", xor(l("ks"), shl(l("ks"), c(5)))),
-                    store(
-                        add(g(buf_sym), mul(l("i"), c(4))),
-                        xor(load(add(g(enc_sym), mul(l("i"), c(4)))), l("ks")),
-                    ),
-                    let_("i", add(l("i"), c(1))),
-                ],
-            ),
-            ret(g(buf_sym)),
-        ],
-    )
-}
-
-/// IR generator for RC4 mode: full KSA + PRGA per call.
-pub fn rc4_generator(
-    name: &str,
-    enc_sym: &str,
-    buf_sym: &str,
-    len_sym: &str, // length in BYTES here
-    key_sym: &str,
-    key_len: u32,
-    sbox_sym: &str,
-) -> Function {
-    Function::new(
-        name.to_owned(),
-        [],
-        vec![
-            // KSA: S[i] = i
-            let_("i", c(0)),
-            while_(
-                lt_s(l("i"), c(256)),
-                vec![
-                    store8(add(g(sbox_sym), l("i")), l("i")),
-                    let_("i", add(l("i"), c(1))),
-                ],
-            ),
-            let_("j", c(0)),
-            let_("i", c(0)),
-            while_(
-                lt_s(l("i"), c(256)),
-                vec![
-                    let_(
-                        "j",
-                        and(
-                            add(
-                                add(l("j"), load8(add(g(sbox_sym), l("i")))),
-                                load8(add(g(key_sym), modu(l("i"), c(key_len as i32)))),
-                            ),
-                            c(0xff),
-                        ),
-                    ),
-                    // swap S[i], S[j]
-                    let_("t", load8(add(g(sbox_sym), l("i")))),
-                    store8(add(g(sbox_sym), l("i")), load8(add(g(sbox_sym), l("j")))),
-                    store8(add(g(sbox_sym), l("j")), l("t")),
-                    let_("i", add(l("i"), c(1))),
-                ],
-            ),
-            // PRGA
-            let_("i", c(0)),
-            let_("j", c(0)),
-            let_("n", c(0)),
-            let_("len", load(g(len_sym))),
-            while_(
-                lt_u(l("n"), l("len")),
-                vec![
-                    let_("i", and(add(l("i"), c(1)), c(0xff))),
-                    let_(
-                        "j",
-                        and(add(l("j"), load8(add(g(sbox_sym), l("i")))), c(0xff)),
-                    ),
-                    let_("t", load8(add(g(sbox_sym), l("i")))),
-                    store8(add(g(sbox_sym), l("i")), load8(add(g(sbox_sym), l("j")))),
-                    store8(add(g(sbox_sym), l("j")), l("t")),
-                    let_(
-                        "k",
-                        load8(add(
-                            g(sbox_sym),
-                            and(
-                                add(
-                                    load8(add(g(sbox_sym), l("i"))),
-                                    load8(add(g(sbox_sym), l("j"))),
-                                ),
-                                c(0xff),
-                            ),
-                        )),
-                    ),
-                    store8(
-                        add(g(buf_sym), l("n")),
-                        xor(load8(add(g(enc_sym), l("n"))), l("k")),
-                    ),
-                    let_("n", add(l("n"), c(1))),
-                ],
-            ),
-            ret(g(buf_sym)),
-        ],
-    )
 }
 
 /// A GF(2) basis of {0,1}³² with triangular structure: basis vector `i`
@@ -303,194 +193,357 @@ pub fn build_index_blob(basis: &Basis, variants: &[Vec<u32>]) -> Vec<u8> {
     out
 }
 
-/// IR generator for probabilistic mode: picks a random variant per
-/// position and XOR-combines basis vectors into the chain buffer.
-pub fn probabilistic_generator(
-    name: &str,
-    blob_sym: &str,
-    basis_sym: &str,
-    buf_sym: &str,
-) -> Function {
-    // L = blob[0]; N = blob[1]; offsets at blob+8; pool at blob+8+4*L*N.
-    Function::new(
-        name.to_owned(),
-        [],
-        vec![
-            let_("big_l", load(g(blob_sym))),
-            let_("big_n", load(add(g(blob_sym), c(4)))),
-            let_("offs", add(g(blob_sym), c(8))),
-            let_(
-                "pool",
-                add(l("offs"), mul(mul(l("big_l"), l("big_n")), c(4))),
-            ),
-            let_("r", syscall(42, vec![])),
-            let_("pos", c(0)),
-            while_(
-                lt_u(l("pos"), l("big_l")),
-                vec![
-                    // j = r % N; advance r with xorshift
-                    let_("j", modu(l("r"), l("big_n"))),
-                    let_("r", xor(l("r"), shl(l("r"), c(13)))),
-                    let_("r", xor(l("r"), shrl(l("r"), c(17)))),
-                    let_("r", xor(l("r"), shl(l("r"), c(5)))),
-                    // off = offsets[pos*N + j] (word offset into pool)
-                    let_(
-                        "off",
-                        load(add(
-                            l("offs"),
-                            mul(add(mul(l("pos"), l("big_n")), l("j")), c(4)),
-                        )),
-                    ),
-                    let_("cnt", load(add(l("pool"), mul(l("off"), c(4))))),
-                    let_("acc", c(0)),
-                    let_("k", c(0)),
-                    while_(
-                        lt_u(l("k"), l("cnt")),
-                        vec![
-                            let_(
-                                "idx",
-                                load(add(l("pool"), mul(add(add(l("off"), c(1)), l("k")), c(4)))),
-                            ),
-                            let_(
-                                "acc",
-                                xor(l("acc"), load(add(g(basis_sym), mul(l("idx"), c(4))))),
-                            ),
-                            let_("k", add(l("k"), c(1))),
-                        ],
-                    ),
-                    store(add(g(buf_sym), mul(l("pos"), c(4))), l("acc")),
-                    let_("pos", add(l("pos"), c(1))),
-                ],
-            ),
-            ret(g(buf_sym)),
-        ],
-    )
+/// Text-slot size of the xor generator. Each generator keeps the size of
+/// the `-O0` IR function it replaced (the same for every function and
+/// key), so no other symbol moves: shrinking a slot moves
+/// `__plx_stdset` and the loader runtime, which changes the `call
+/// __plx_chain_enter` displacement inside every stub's gadget window
+/// (DESIGN.md §21).
+const XOR_SLOT: usize = 242;
+/// Text-slot size of the RC4 generator (see [`XOR_SLOT`]).
+const RC4_SLOT: usize = 663;
+/// Text-slot size of the probabilistic generator (see [`XOR_SLOT`]).
+const PROBABILISTIC_SLOT: usize = 539;
+
+/// Frame slot holding the plaintext buffer, the generator's result. The
+/// epilogue reloads it from here rather than from a relocated
+/// `mov eax, buf`, which would sit in the final `ret`'s gadget window.
+const BUF: i32 = -12;
+
+fn frame(off: i32) -> Mem {
+    Mem::base_disp(Reg32::Ebp, off)
 }
 
-/// Installs the generator directly into a pre-linked [`Program`] — the
-/// binary-level path, where no IR module exists for the protected
-/// binary. The generator itself is IR (it is *our* runtime, compiled in
-/// isolation); its data objects are added as program items.
+fn indexed(base: Reg32, index: Reg32, scale: u8, disp: i32) -> Mem {
+    Mem {
+        base: Some(base),
+        index: Some((index, scale)),
+        disp,
+    }
+}
+
+/// `push ebp; mov ebp, esp`, saves `esi`/`edi` at `[ebp-4]`/`[ebp-8]`
+/// and pushes the buffer address into [`BUF`]. Kernels use only `eax`,
+/// `ecx`, `edx`, `esi` and `edi`: a register-direct ModRM naming `ebx`
+/// encodes as a return byte (`mov ebx, eax` is `89 c3`).
+fn prologue(a: &mut Asm, buf_sym: &str) {
+    a.push_r(Reg32::Ebp);
+    a.mov_rr(Reg32::Ebp, Reg32::Esp);
+    a.push_r(Reg32::Esi);
+    a.push_r(Reg32::Edi);
+    a.push_i_sym(buf_sym, 0);
+}
+
+/// Returns the buffer in `eax`, restores `esi`/`edi` and `ebp`. Every
+/// decode that lands on the final `ret` runs through `leave` with `ebp`
+/// not derived from `esp`, which no gadget survives, and none of these
+/// bytes is relocated or a `pop ebp` (`5d`).
+fn epilogue(mut a: Asm) -> Assembled {
+    a.mov_rm(Reg32::Eax, frame(BUF));
+    a.mov_rm(Reg32::Edi, frame(-8));
+    a.mov_rm(Reg32::Esi, frame(-4));
+    a.leave();
+    a.ret();
+    a.finish().expect("generator kernel assembles")
+}
+
+/// One xorshift32 step of `x` in place, through the scratch register `t`.
+fn xorshift(a: &mut Asm, x: Reg32, t: Reg32) {
+    for (op, n) in [(ShiftOp::Shl, 13), (ShiftOp::Shr, 17), (ShiftOp::Shl, 5)] {
+        a.mov_rr(t, x);
+        a.shift_ri(op, t, n);
+        a.alu_rr(AluOp::Xor, x, t);
+    }
+}
+
+/// Splits `v` into `(a, b)` with `a ^ b == v` and no return-opcode byte
+/// (`c3`, `cb`) in either, so a key immediate never roots a gadget walk.
+fn split_imm(v: u32) -> (i32, i32) {
+    let mask = (0..4)
+        .filter(|i| matches!((v >> (8 * i)) as u8, 0xc3 | 0xcb))
+        .fold(0u32, |m, i| m | 0x10 << (8 * i));
+    ((v ^ mask) as i32, mask as i32)
+}
+
+/// Places `kernel` at the end of a `size`-byte slot: the entry is a
+/// `jmp` over an `int3` head, and the kernel's `ret` is the slot's last
+/// byte. Padding after the `ret` instead would open a second return
+/// window.
+fn into_slot(kernel: Assembled, size: usize) -> Assembled {
+    let start = size
+        .checked_sub(kernel.bytes.len())
+        .filter(|&s| s >= 2)
+        .expect("generator kernel fits its slot");
+    let mut bytes = if start - 2 <= 0x7f {
+        vec![0xeb, (start - 2) as u8]
+    } else {
+        let mut b = vec![0xe9];
+        b.extend_from_slice(&((start - 5) as u32).to_le_bytes());
+        b
+    };
+    bytes.resize(start, 0xcc);
+    bytes.extend_from_slice(&kernel.bytes);
+    let relocs = kernel
+        .relocs
+        .into_iter()
+        .map(|r| SymReloc {
+            offset: r.offset + start,
+            ..r
+        })
+        .collect();
+    Assembled {
+        bytes,
+        relocs,
+        markers: kernel.markers,
+    }
+}
+
+/// xor mode: `ks = key | 1`; for each of the `[len]` words, one
+/// xorshift32 step, then `buf[i] = enc[i] ^ ks`.
+fn xor_kernel(enc_sym: &str, buf_sym: &str, len_sym: &str, key: u32) -> Assembled {
+    let mut a = Asm::new();
+    prologue(&mut a, buf_sym);
+    a.mov_ri_sym(Reg32::Esi, enc_sym, 0);
+    a.mov_rm(Reg32::Edi, frame(BUF));
+    a.mov_ri_sym(Reg32::Ecx, len_sym, 0);
+    a.mov_rm(Reg32::Ecx, Mem::base(Reg32::Ecx));
+    let (k0, k1) = split_imm(key | 1);
+    a.mov_ri(Reg32::Eax, k0);
+    a.alu_ri32(AluOp::Xor, Reg32::Eax, k1);
+    let done = a.label();
+    a.test_rr(Reg32::Ecx, Reg32::Ecx);
+    a.jcc_short(Cond::E, done);
+    let top = a.here();
+    xorshift(&mut a, Reg32::Eax, Reg32::Edx);
+    a.mov_rm(Reg32::Edx, Mem::base(Reg32::Esi));
+    a.alu_rr(AluOp::Xor, Reg32::Edx, Reg32::Eax);
+    a.mov_mr(Mem::base(Reg32::Edi), Reg32::Edx);
+    a.alu_ri(AluOp::Add, Reg32::Esi, 4);
+    a.alu_ri(AluOp::Add, Reg32::Edi, 4);
+    a.dec_r(Reg32::Ecx);
+    a.jcc_short(Cond::Ne, top);
+    a.bind(done);
+    epilogue(a)
+}
+
+/// RC4 mode: the full KSA (256 swaps) and then the PRGA over all
+/// `[len]` chain bytes, every call. `i` lives in `ecx`, `j` in `edx`
+/// (only their low bytes change, so both index the S-box directly), the
+/// swapped bytes in `al`/`ah`. The KSA is unrolled by the key length
+/// and the PRGA by four: a chain is whole words.
+fn rc4_kernel(
+    enc_sym: &str,
+    buf_sym: &str,
+    len_sym: &str,
+    key_sym: &str,
+    sbox_sym: &str,
+) -> Assembled {
+    use Reg8::{Ah, Al, Cl, Dl};
+    const COUNT: i32 = -16;
+    const END: i32 = -20;
+    let mut a = Asm::new();
+    prologue(&mut a, buf_sym);
+    a.mov_ri_sym(Reg32::Esi, sbox_sym, 0);
+    // S[i] = i, four bytes a store.
+    a.mov_ri(Reg32::Eax, 0x0302_0100);
+    a.alu_rr(AluOp::Xor, Reg32::Ecx, Reg32::Ecx);
+    let fill = a.here();
+    a.mov_mr(indexed(Reg32::Esi, Reg32::Ecx, 4, 0), Reg32::Eax);
+    a.alu_ri32(AluOp::Add, Reg32::Eax, 0x0404_0404);
+    a.inc_r(Reg32::Ecx);
+    a.alu_ri(AluOp::Cmp, Reg32::Ecx, 64);
+    a.jcc_short(Cond::Ne, fill);
+    // KSA: j += S[i] + key[i % 8]; swap S[i], S[j].
+    a.mov_ri_sym(Reg32::Edi, key_sym, 0);
+    a.alu_rr(AluOp::Xor, Reg32::Ecx, Reg32::Ecx);
+    a.alu_rr(AluOp::Xor, Reg32::Edx, Reg32::Edx);
+    let ksa = a.here();
+    for m in 0..RC4_KEY_LEN as i32 {
+        let si = indexed(Reg32::Esi, Reg32::Ecx, 1, m);
+        let sj = indexed(Reg32::Esi, Reg32::Edx, 1, 0);
+        a.mov_rm8(Al, si);
+        a.alu_rr8(AluOp::Add, Dl, Al);
+        a.alu_rm8(AluOp::Add, Dl, Mem::base_disp(Reg32::Edi, m));
+        a.mov_rm8(Ah, sj);
+        a.mov_mr8(sj, Al);
+        a.mov_mr8(si, Ah);
+    }
+    a.alu_ri(AluOp::Add, Reg32::Ecx, RC4_KEY_LEN as i32);
+    a.alu_ri(AluOp::Cmp, Reg32::Ecx, 256);
+    a.jcc(Cond::Ne, ksa);
+    // PRGA: the key stream goes into the buffer.
+    a.mov_rm(Reg32::Edi, frame(BUF));
+    a.mov_ri_sym(Reg32::Ecx, len_sym, 0);
+    a.mov_rm(Reg32::Ecx, Mem::base(Reg32::Ecx));
+    a.push_r(Reg32::Ecx); // COUNT: chain bytes
+    a.alu_rr(AluOp::Add, Reg32::Ecx, Reg32::Edi);
+    a.push_r(Reg32::Ecx); // END: buffer end
+    a.alu_rr(AluOp::Xor, Reg32::Ecx, Reg32::Ecx);
+    a.alu_rr(AluOp::Xor, Reg32::Edx, Reg32::Edx);
+    let crypt = a.label();
+    a.alu_rm(AluOp::Cmp, Reg32::Edi, frame(END));
+    a.jcc_short(Cond::E, crypt);
+    let prga = a.here();
+    for m in 0..4 {
+        let si = indexed(Reg32::Esi, Reg32::Ecx, 1, 0);
+        let sj = indexed(Reg32::Esi, Reg32::Edx, 1, 0);
+        a.inc_r8(Cl);
+        a.mov_rm8(Al, si);
+        a.alu_rr8(AluOp::Add, Dl, Al);
+        a.mov_rm8(Ah, sj);
+        a.mov_mr8(sj, Al);
+        a.mov_mr8(si, Ah);
+        a.alu_rr8(AluOp::Add, Al, Ah);
+        a.movzx_rr8(Reg32::Eax, Al);
+        a.mov_rm8(Al, indexed(Reg32::Esi, Reg32::Eax, 1, 0));
+        a.mov_mr8(Mem::base_disp(Reg32::Edi, m), Al);
+    }
+    a.alu_ri(AluOp::Add, Reg32::Edi, 4);
+    a.alu_rm(AluOp::Cmp, Reg32::Edi, frame(END));
+    a.jcc(Cond::Ne, prga);
+    // buf ^= enc, one word at a time, last word first.
+    a.bind(crypt);
+    a.mov_ri_sym(Reg32::Esi, enc_sym, 0);
+    a.mov_rm(Reg32::Edi, frame(BUF));
+    a.mov_rm(Reg32::Ecx, frame(COUNT));
+    a.shift_ri(ShiftOp::Shr, Reg32::Ecx, 2);
+    let done = a.label();
+    a.test_rr(Reg32::Ecx, Reg32::Ecx);
+    a.jcc_short(Cond::E, done);
+    let top = a.here();
+    a.mov_rm(Reg32::Eax, indexed(Reg32::Esi, Reg32::Ecx, 4, -4));
+    a.alu_mr(
+        AluOp::Xor,
+        indexed(Reg32::Edi, Reg32::Ecx, 4, -4),
+        Reg32::Eax,
+    );
+    a.dec_r(Reg32::Ecx);
+    a.jcc_short(Cond::Ne, top);
+    a.bind(done);
+    epilogue(a)
+}
+
+/// Probabilistic mode over the [`build_index_blob`] layout: one
+/// `random` syscall per call; per position `j = r % N` (an unsigned
+/// `div`: `N` need not be a power of two), one xorshift32 step of `r`,
+/// and the XOR of the basis vectors on variant `j`'s index list. The
+/// per-position state lives in the frame; the inner loop keeps the
+/// accumulator, the list and the basis in registers.
+fn probabilistic_kernel(blob_sym: &str, basis_sym: &str, buf_sym: &str) -> Assembled {
+    const N: i32 = -16;
+    const ROW_STEP: i32 = -20;
+    const ROW: i32 = -24;
+    const POOL: i32 = -28;
+    const OUT: i32 = -32;
+    const END: i32 = -36;
+    const R: i32 = -40;
+    let mut a = Asm::new();
+    prologue(&mut a, buf_sym);
+    a.mov_ri_sym(Reg32::Esi, basis_sym, 0);
+    a.mov_ri_sym(Reg32::Ecx, blob_sym, 0);
+    a.mov_rm(Reg32::Edi, Mem::base_disp(Reg32::Ecx, 4));
+    a.push_r(Reg32::Edi); // N
+    a.shift_ri(ShiftOp::Shl, Reg32::Edi, 2);
+    a.push_r(Reg32::Edi); // ROW_STEP: 4N
+    a.mov_rm(Reg32::Eax, Mem::base(Reg32::Ecx));
+    a.imul_rr(Reg32::Edi, Reg32::Eax);
+    a.alu_ri(AluOp::Add, Reg32::Ecx, 8);
+    a.push_r(Reg32::Ecx); // ROW: the offsets of position 0
+    a.alu_rr(AluOp::Add, Reg32::Edi, Reg32::Ecx);
+    a.push_r(Reg32::Edi); // POOL: past the L*N offsets
+    a.mov_rm(Reg32::Edi, frame(BUF));
+    a.push_r(Reg32::Edi); // OUT
+    a.shift_ri(ShiftOp::Shl, Reg32::Eax, 2);
+    a.alu_rr(AluOp::Add, Reg32::Eax, Reg32::Edi);
+    a.push_r(Reg32::Eax); // END: buf + 4L
+    a.mov_ri(Reg32::Eax, sysno::RANDOM as i32);
+    a.int(0x80);
+    a.push_r(Reg32::Eax); // R
+    let done = a.label();
+    a.alu_rm(AluOp::Cmp, Reg32::Edi, frame(END));
+    a.jcc(Cond::E, done);
+    let outer = a.here();
+    a.mov_rm(Reg32::Ecx, frame(R));
+    a.mov_rr(Reg32::Eax, Reg32::Ecx);
+    a.alu_rr(AluOp::Xor, Reg32::Edx, Reg32::Edx);
+    a.mov_rm(Reg32::Edi, frame(N));
+    a.div_r(Reg32::Edi);
+    xorshift(&mut a, Reg32::Ecx, Reg32::Edi);
+    a.mov_mr(frame(R), Reg32::Ecx);
+    a.mov_rm(Reg32::Ecx, frame(ROW));
+    a.mov_rm(Reg32::Edx, indexed(Reg32::Ecx, Reg32::Edx, 4, 0));
+    a.alu_rm(AluOp::Add, Reg32::Ecx, frame(ROW_STEP));
+    a.mov_mr(frame(ROW), Reg32::Ecx);
+    a.mov_rm(Reg32::Ecx, frame(POOL));
+    a.lea(Reg32::Edx, indexed(Reg32::Ecx, Reg32::Edx, 4, 0));
+    a.mov_rm(Reg32::Ecx, Mem::base(Reg32::Edx));
+    a.alu_rr(AluOp::Xor, Reg32::Eax, Reg32::Eax);
+    let store = a.label();
+    a.test_rr(Reg32::Ecx, Reg32::Ecx);
+    a.jcc_short(Cond::E, store);
+    let inner = a.here();
+    a.mov_rm(Reg32::Edi, indexed(Reg32::Edx, Reg32::Ecx, 4, 0));
+    a.alu_rm(
+        AluOp::Xor,
+        Reg32::Eax,
+        indexed(Reg32::Esi, Reg32::Edi, 4, 0),
+    );
+    a.dec_r(Reg32::Ecx);
+    a.jcc_short(Cond::Ne, inner);
+    a.bind(store);
+    a.mov_rm(Reg32::Ecx, frame(OUT));
+    a.mov_mr(Mem::base(Reg32::Ecx), Reg32::Eax);
+    a.alu_ri(AluOp::Add, Reg32::Ecx, 4);
+    a.mov_mr(frame(OUT), Reg32::Ecx);
+    a.alu_rm(AluOp::Cmp, Reg32::Ecx, frame(END));
+    a.jcc(Cond::Ne, outer);
+    a.bind(done);
+    epilogue(a)
+}
+
+/// Installs the mode's generator and its data objects into `prog`;
+/// returns the generator symbol, or `None` for cleartext. Data contents
+/// are placeholders that `protect` fills in during the link fixpoint.
 pub fn install_generator_binary(
-    prog: &mut parallax_image::Program,
+    prog: &mut Program,
     func: &str,
     mode: &ChainMode,
-) -> Result<Option<String>, parallax_compiler::CompileError> {
+) -> Option<String> {
     let gen_sym = format!("__plx_gen_{func}");
     let enc_sym = format!("__plx_enc_{func}");
     let buf_sym = format!("__plx_chain_{func}");
     let len_sym = format!("__plx_len_{func}");
-    let sigs = std::collections::HashMap::new();
     match mode {
-        ChainMode::Cleartext => Ok(None),
+        ChainMode::Cleartext => return None,
         ChainMode::XorEncrypted { key } => {
-            let f = xor_generator(&gen_sym, &enc_sym, &buf_sym, &len_sym, *key);
-            let globals = vec![enc_sym.clone(), buf_sym.clone(), len_sym.clone()];
-            prog.add_func(
-                &gen_sym,
-                parallax_compiler::compile_function(&f, &sigs, &globals)?,
-            );
+            let k = xor_kernel(&enc_sym, &buf_sym, &len_sym, *key);
+            prog.add_func(&gen_sym, into_slot(k, XOR_SLOT));
             prog.add_data(&len_sym, vec![0; 4]);
             prog.add_data(&enc_sym, Vec::new());
             prog.add_bss(&buf_sym, 0);
-            Ok(Some(gen_sym))
         }
         ChainMode::Rc4Encrypted { key } => {
             let key_sym = format!("__plx_key_{func}");
             let sbox_sym = format!("__plx_sbox_{func}");
-            let f = rc4_generator(
-                &gen_sym,
-                &enc_sym,
-                &buf_sym,
-                &len_sym,
-                &key_sym,
-                key.len() as u32,
-                &sbox_sym,
-            );
-            let globals = vec![
-                enc_sym.clone(),
-                buf_sym.clone(),
-                len_sym.clone(),
-                key_sym.clone(),
-                sbox_sym.clone(),
-            ];
-            prog.add_func(
-                &gen_sym,
-                parallax_compiler::compile_function(&f, &sigs, &globals)?,
-            );
+            let k = rc4_kernel(&enc_sym, &buf_sym, &len_sym, &key_sym, &sbox_sym);
+            prog.add_func(&gen_sym, into_slot(k, RC4_SLOT));
             prog.add_data(&len_sym, vec![0; 4]);
             prog.add_data(&key_sym, key.to_vec());
             prog.add_data(&enc_sym, Vec::new());
             prog.add_bss(&buf_sym, 0);
             prog.add_bss(&sbox_sym, 256);
-            Ok(Some(gen_sym))
         }
         ChainMode::Probabilistic { .. } => {
             let blob_sym = format!("__plx_blob_{func}");
             let basis_sym = format!("__plx_basis_{func}");
-            let f = probabilistic_generator(&gen_sym, &blob_sym, &basis_sym, &buf_sym);
-            let globals = vec![blob_sym.clone(), basis_sym.clone(), buf_sym.clone()];
-            prog.add_func(
-                &gen_sym,
-                parallax_compiler::compile_function(&f, &sigs, &globals)?,
-            );
+            let k = probabilistic_kernel(&blob_sym, &basis_sym, &buf_sym);
+            prog.add_func(&gen_sym, into_slot(k, PROBABILISTIC_SLOT));
             prog.add_data(&blob_sym, Vec::new());
             prog.add_data(&basis_sym, vec![0; 128]);
             prog.add_bss(&buf_sym, 0);
-            Ok(Some(gen_sym))
         }
     }
-}
-
-/// Registers the generator function and its data objects in `module`
-/// for the given mode; returns the generator symbol, or `None` for
-/// cleartext. Data contents are placeholders — `protect` fills them in
-/// during the link fixpoint.
-pub fn add_generator(module: &mut Module, func: &str, mode: &ChainMode) -> Option<String> {
-    let gen_sym = format!("__plx_gen_{func}");
-    let enc_sym = format!("__plx_enc_{func}");
-    let buf_sym = format!("__plx_chain_{func}");
-    let len_sym = format!("__plx_len_{func}");
-    match mode {
-        ChainMode::Cleartext => None,
-        ChainMode::XorEncrypted { key } => {
-            module.func(xor_generator(&gen_sym, &enc_sym, &buf_sym, &len_sym, *key));
-            module.global(&len_sym, vec![0; 4]);
-            module.global(&enc_sym, Vec::new());
-            module.bss(&buf_sym, 0);
-            Some(gen_sym)
-        }
-        ChainMode::Rc4Encrypted { key } => {
-            let key_sym = format!("__plx_key_{func}");
-            let sbox_sym = format!("__plx_sbox_{func}");
-            module.func(rc4_generator(
-                &gen_sym,
-                &enc_sym,
-                &buf_sym,
-                &len_sym,
-                &key_sym,
-                key.len() as u32,
-                &sbox_sym,
-            ));
-            module.global(&len_sym, vec![0; 4]);
-            module.global(&key_sym, key.to_vec());
-            module.global(&enc_sym, Vec::new());
-            module.bss(&buf_sym, 0);
-            module.bss(&sbox_sym, 256);
-            Some(gen_sym)
-        }
-        ChainMode::Probabilistic { .. } => {
-            let blob_sym = format!("__plx_blob_{func}");
-            let basis_sym = format!("__plx_basis_{func}");
-            module.func(probabilistic_generator(
-                &gen_sym, &blob_sym, &basis_sym, &buf_sym,
-            ));
-            module.global(&blob_sym, Vec::new());
-            module.global(&basis_sym, vec![0; 128]);
-            module.bss(&buf_sym, 0);
-            Some(gen_sym)
-        }
-    }
+    Some(gen_sym)
 }
 
 #[cfg(test)]
@@ -551,16 +604,16 @@ mod tests {
     }
 
     #[test]
-    fn generators_compile_to_ir() {
-        let mut m = Module::new();
-        m.global("__plx_enc_f", vec![0; 16]);
-        m.bss("__plx_chain_f", 16);
-        m.func(Function::new("main", [], vec![ret(c(0))]));
-        m.entry("main");
-        let g = add_generator(&mut m, "f", &ChainMode::XorEncrypted { key: 5 });
-        assert_eq!(g.as_deref(), Some("__plx_gen_f"));
-        // The module (with generator) must compile.
-        parallax_compiler::compile_module(&m).expect("compiles");
+    fn key_bytes_never_plant_a_return() {
+        for key in [0x5eed_0042, 0xc3cb_c3cb, 0xcbc3_00c2, u32::MAX] {
+            let mut p = Program::new();
+            let gen = install_generator_binary(&mut p, "f", &ChainMode::XorEncrypted { key });
+            let bytes = &p.func(&gen.unwrap()).unwrap().bytes;
+            let rets: Vec<usize> = (0..bytes.len())
+                .filter(|&i| matches!(bytes[i], 0xc3 | 0xcb))
+                .collect();
+            assert_eq!(rets, vec![XOR_SLOT - 1], "key {key:#x}");
+        }
     }
 
     #[test]

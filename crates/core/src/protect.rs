@@ -3,7 +3,7 @@
 //! [`protect`] takes an IR module and a configuration and produces a
 //! protected executable image:
 //!
-//! 1. compile the module (plus any chain generators) to x86;
+//! 1. compile the module to x86 and install any chain generators;
 //! 2. apply the §IV-B rewriting rules to craft overlapping gadgets in
 //!    the instructions to protect, and append the standard gadget set;
 //! 3. install the chain-loader runtime and replace each verification
@@ -681,14 +681,12 @@ fn run_pipeline(
     };
 
     // 1. Install chain generators for dynamic modes (stage: Load).
-    let gens = run.timed(Stage::Load, || -> Result<_, ProtectError> {
-        let mut gens = Vec::new();
-        for f in cfg.verify_funcs.clone() {
-            let gen = install_generator_binary(&mut prog, &f, &cfg.mode)?;
-            gens.push((f, gen));
-        }
-        Ok(gens)
-    })?;
+    let gens: Vec<(String, Option<String>)> = run.timed(Stage::Load, || {
+        cfg.verify_funcs
+            .iter()
+            .map(|f| (f.clone(), install_generator_binary(&mut prog, f, &cfg.mode)))
+            .collect()
+    });
 
     // 2. Apply the rewriting rules (stage: Rewrite).
     let targets: Vec<String> = match &cfg.protect_targets {

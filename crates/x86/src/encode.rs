@@ -366,6 +366,12 @@ impl Asm {
         self.modrm_mem(dst.encoding(), mem);
     }
 
+    /// `op dst, byte [mem]`.
+    pub fn alu_rm8(&mut self, op: AluOp, dst: Reg8, mem: Mem) {
+        self.b(op.encoding() * 8 + 2);
+        self.modrm_mem(dst.encoding(), mem);
+    }
+
     /// `op [mem], src`.
     pub fn alu_mr(&mut self, op: AluOp, mem: Mem, src: Reg32) {
         self.b(op.encoding() * 8 + 1);
@@ -405,6 +411,12 @@ impl Asm {
     /// `inc dst`.
     pub fn inc_r(&mut self, dst: Reg32) {
         self.b(0x40 + dst.encoding());
+    }
+
+    /// `inc dst` (8-bit).
+    pub fn inc_r8(&mut self, dst: Reg8) {
+        self.b(0xfe);
+        self.modrm_reg(0, dst.encoding());
     }
 
     /// `dec dst`.
@@ -768,6 +780,11 @@ mod tests {
             "add [ecx],eax",
         );
         roundtrip(|a| a.alu_rr8(AluOp::Add, Reg8::Bl, Reg8::Ch), "add bl,ch");
+        roundtrip(
+            |a| a.alu_rm8(AluOp::Add, Reg8::Dl, Mem::base_disp(Reg32::Edi, 3)),
+            "add dl,byte [edi+0x3]",
+        );
+        roundtrip(|a| a.inc_r8(Reg8::Cl), "inc cl");
         roundtrip(|a| a.alu_al_imm8(AluOp::And, 0), "and al,0x0");
         roundtrip(|a| a.test_rr(Reg32::Eax, Reg32::Eax), "test eax,eax");
         roundtrip(|a| a.neg_r(Reg32::Eax), "neg eax");
