@@ -16,6 +16,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use parallax_bench::baseline_str;
 use parallax_core::{protect, protect_traced, ChainMode, ProtectConfig};
 use parallax_engine::hash128;
 use parallax_image::format;
@@ -128,16 +129,6 @@ fn write_bench_json(rows: &[Row]) {
     if let Err(e) = std::fs::write("BENCH_profile.json", out) {
         eprintln!("warn: could not write BENCH_profile.json: {e}");
     }
-}
-
-/// Pulls `"field": "<string>"` out of the baseline record.
-fn baseline_str<'a>(baseline: &'a str, workload: &str, field: &str) -> Option<&'a str> {
-    let rec = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))?;
-    let tag = format!("\"{field}\": \"");
-    let at = rec.find(&tag)? + tag.len();
-    rec[at..].split('"').next()
 }
 
 fn run(reps: u32, gate: bool) -> ExitCode {

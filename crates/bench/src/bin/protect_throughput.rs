@@ -5,11 +5,11 @@
 //! Two workload families:
 //!
 //! * `gcc` / `nginx` — the two largest corpus binaries, protected under
-//!   probabilistic chains (6 variants) so the chain-compile stage fans
-//!   out across functions × variants. Each is protected cold at
-//!   `jobs` ∈ {1, 2, 4, 8}; the resulting images must be byte-identical
-//!   (worker count is a scheduling knob, not an input), and the 4-job
-//!   wall time is reported as a speedup over 1 job.
+//!   probabilistic chains (6 variants, compiled serially). Each is
+//!   protected cold at `jobs` ∈ {1, 2, 4, 8}, which fans out rewrite
+//!   pass 1 and gadget validation; the resulting images must be
+//!   byte-identical (worker count is a scheduling knob, not an input),
+//!   and the 4-job wall time is reported as a speedup over 1 job.
 //! * `incremental_edit` — a synthetic module of many small functions.
 //!   It is protected cold through an [`ArtifactCache`], one function's
 //!   imm32 constant is changed (same encoded length, so layout and all
@@ -26,6 +26,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use parallax_bench::{baseline_field, baseline_str};
 use parallax_compiler::{compile_module, parse_module, Module};
 use parallax_core::{protect, protect_with, ChainMode, Ctx, ProtectConfig};
 use parallax_engine::{hash128, ArtifactCache, CacheHooks};
@@ -255,31 +256,6 @@ fn write_bench_json(rows: &[ScalingRow], inc: Option<&IncrementalRow>) {
     if let Err(e) = std::fs::write("BENCH_protect.json", out) {
         eprintln!("warn: could not write BENCH_protect.json: {e}");
     }
-}
-
-/// Pulls `"field": <integer>` out of the baseline record for
-/// `workload` (flat hand-written JSON, one record per line).
-fn baseline_field(baseline: &str, workload: &str, field: &str) -> Option<u64> {
-    let rec = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))?;
-    let tag = format!("\"{field}\": ");
-    let at = rec.find(&tag)? + tag.len();
-    let digits: String = rec[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Pulls `"field": "<string>"` out of the baseline record.
-fn baseline_str<'a>(baseline: &'a str, workload: &str, field: &str) -> Option<&'a str> {
-    let rec = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))?;
-    let tag = format!("\"{field}\": \"");
-    let at = rec.find(&tag)? + tag.len();
-    rec[at..].split('"').next()
 }
 
 fn print_scaling(r: &ScalingRow) {

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use parallax_bench::baseline_field;
 use parallax_serve::{Client, JobSpec, Request, Response, ServeOptions, Server};
 
 /// Distinct programs in the fleet population.
@@ -309,21 +310,6 @@ fn write_bench_json(fleet: &FleetRow, over: &OverloadRow) {
     if let Err(e) = std::fs::write("BENCH_serve.json", out) {
         eprintln!("warn: could not write BENCH_serve.json: {e}");
     }
-}
-
-/// Pulls `"field": <integer>` out of the baseline record for
-/// `workload` (flat hand-written JSON, one record per line).
-fn baseline_field(baseline: &str, workload: &str, field: &str) -> Option<u64> {
-    let rec = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))?;
-    let tag = format!("\"{field}\": ");
-    let at = rec.find(&tag)? + tag.len();
-    let digits: String = rec[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 fn gate(fleet: &FleetRow, over: &OverloadRow) -> bool {

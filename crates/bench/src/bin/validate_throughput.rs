@@ -24,6 +24,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use parallax_bench::baseline_field;
 use parallax_core::{protect, ChainMode, ProtectConfig};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::legacy;
@@ -152,21 +153,6 @@ fn write_bench_json(rows: &[Row]) {
     if let Err(e) = std::fs::write("BENCH_validate.json", out) {
         eprintln!("warn: could not write BENCH_validate.json: {e}");
     }
-}
-
-/// Pulls `"field": <integer>` out of the baseline record for
-/// `workload` (flat hand-written JSON, one record per line).
-fn baseline_field(baseline: &str, workload: &str, field: &str) -> Option<u64> {
-    let rec = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))?;
-    let tag = format!("\"{field}\": ");
-    let at = rec.find(&tag)? + tag.len();
-    let digits: String = rec[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 fn run(reps: u32, gate: bool) -> ExitCode {

@@ -29,6 +29,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use parallax_bench::baseline_field;
 use parallax_image::{LinkedImage, Program};
 use parallax_vm::{Exit, Vm};
 use parallax_x86::{AluOp, Asm, Cond, Mem, Reg32, RelocKind, SymReloc};
@@ -353,22 +354,6 @@ fn write_bench_json(records: &[Measured]) {
     if let Err(e) = std::fs::write("BENCH_vm.json", out) {
         eprintln!("warn: could not write BENCH_vm.json: {e}");
     }
-}
-
-/// Pulls `"field": <integer>` out of the baseline record for
-/// `workload`. The baseline is flat hand-written JSON; a full parser
-/// would be the only use of one in the workspace.
-fn baseline_field(baseline: &str, workload: &str, field: &str) -> Option<u64> {
-    let rec = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))?;
-    let tag = format!("\"{field}\": ");
-    let at = rec.find(&tag)? + tag.len();
-    let digits: String = rec[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
 }
 
 fn workloads(smoke: bool) -> Vec<(&'static str, LinkedImage, bool)> {

@@ -238,6 +238,37 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
+/// The record for `workload` in a `BENCH_*.baseline.json` file: flat
+/// hand-written JSON, one record per line. A full parser would be the
+/// only use of one in the workspace.
+fn baseline_record<'a>(baseline: &'a str, workload: &str) -> Option<&'a str> {
+    baseline
+        .lines()
+        .find(|l| l.contains(&format!("\"workload\": \"{workload}\"")))
+}
+
+/// Pulls `"field": <integer>` out of the baseline record for
+/// `workload`.
+pub fn baseline_field(baseline: &str, workload: &str, field: &str) -> Option<u64> {
+    let rec = baseline_record(baseline, workload)?;
+    let tag = format!("\"{field}\": ");
+    let at = rec.find(&tag)? + tag.len();
+    let digits: String = rec[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().ok()
+}
+
+/// Pulls `"field": "<string>"` out of the baseline record for
+/// `workload`.
+pub fn baseline_str<'a>(baseline: &'a str, workload: &str, field: &str) -> Option<&'a str> {
+    let rec = baseline_record(baseline, workload)?;
+    let tag = format!("\"{field}\": \"");
+    let at = rec.find(&tag)? + tag.len();
+    rec[at..].split('"').next()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,5 +317,22 @@ mod tests {
         );
         assert!(t.contains("bb"));
         assert!(t.lines().count() == 4);
+    }
+
+    #[test]
+    fn baseline_fields_come_from_the_named_record() {
+        let baseline = "[\n\
+            {\"workload\": \"gcc_jobs2\", \"gadgets\": 9},\n\
+            {\"workload\": \"gcc\", \"gadgets\": 812, \"image_hash\": \"00ab\"},\n\
+            {\"workload\": \"nginx\", \"gadgets\": 40, \"ratio\": -3}\n\
+            ]\n";
+        assert_eq!(baseline_field(baseline, "gcc", "gadgets"), Some(812));
+        assert_eq!(baseline_field(baseline, "nginx", "gadgets"), Some(40));
+        assert_eq!(baseline_str(baseline, "gcc", "image_hash"), Some("00ab"));
+        // Absent workloads and fields, and non-integers, are `None`.
+        assert_eq!(baseline_field(baseline, "wget", "gadgets"), None);
+        assert_eq!(baseline_field(baseline, "gcc", "chains"), None);
+        assert_eq!(baseline_field(baseline, "nginx", "ratio"), None);
+        assert_eq!(baseline_str(baseline, "gcc", "gadgets"), None);
     }
 }

@@ -51,7 +51,7 @@ pub use protect::{
     ProtectConfig, ProtectError, ProtectReport, Protected, Stage,
 };
 pub use select::{select_verification_functions, SelectionConfig};
-pub use store::{ArtifactStore, ChainArtifact, NoStore};
+pub use store::{ArtifactStore, NoStore};
 pub use tamper::{
     classify, classify_outcome, nop_instruction, nop_range, patch_bytes, run_baseline, Baseline,
     Verdict,

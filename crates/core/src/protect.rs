@@ -42,7 +42,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use parallax_compiler::{compile_module, CompileError, Function, Module};
-use parallax_gadgets::{serialize_gadgets, GadgetMap, PassMemo, RangeSet, ValidationCache};
+use parallax_gadgets::{GadgetMap, PassMemo, RangeSet, ValidationCache};
 use parallax_image::{verify_image_strict, ImageVerifyError, LinkError, LinkedImage, Program};
 use parallax_rewrite::{
     analyze_traced, protect_program_parallel, Coverage, FuncRewriteCache, FuncRewriteOutcome,
@@ -58,7 +58,7 @@ use crate::dynamic::{
     build_index_blob, install_generator_binary, rc4_crypt, xor_crypt, Basis, ChainMode,
 };
 use crate::faultinject::FaultPlan;
-use crate::store::{ArtifactStore, ChainArtifact, NoStore};
+use crate::store::{ArtifactStore, NoStore};
 
 /// Configuration for [`protect`].
 #[derive(Debug, Clone)]
@@ -95,10 +95,10 @@ pub struct ProtectConfig {
     /// cannot be crafted (on by default). Disable to surface the raw
     /// [`Stage::ChainCompile`] / [`Stage::GadgetScan`] error instead.
     pub degrade: bool,
-    /// Worker threads for the per-function pipeline stages (rewrite
-    /// pass 1 and chain compilation): `1` runs sequentially (the
-    /// default), `0` uses the machine's available parallelism. Output
-    /// images are bit-identical whatever this is set to.
+    /// Worker threads for rewrite pass 1 and gadget validation: `1`
+    /// runs sequentially (the default), `0` uses the machine's
+    /// available parallelism. Chain compilation always runs serially.
+    /// Output images are bit-identical whatever this is set to.
     pub jobs: usize,
 }
 
@@ -783,38 +783,16 @@ fn run_pipeline(
     let chain1_block = run.stage(Stage::ChainCompile);
     let scratch1 = symbol_vaddr(&img1, "__plx_scratch")?;
     let guards1 = guard_addrs(&img1, &map1, &cfg.guard_funcs);
-    let ctx1 = use_func_cache.then(|| chain_ctx_material(&map1, &img1, scratch1, &guards1));
     let mut sizes = Vec::new();
     for (i, (f, _)) in gens.iter().enumerate() {
         let func = get_impl(f)?;
         let frame = symbol_vaddr(&img1, &format!("__plx_frame_{f}"))?;
         let policy = policy_for(cfg, &ranges1, i as u64, 0);
-        let fp = ctx1
-            .as_ref()
-            .map(|c| chain_fingerprint(c, func, frame, &policy));
-        let words = match fp.as_ref().and_then(|fp| func_store.cached_chain(fp)) {
-            Some(art) => art.words,
-            None => {
-                let compiled = compile_chain_traced(
-                    func, &map1, &img1, frame, scratch1, policy, &guards1, trace,
-                )
-                .map_err(|e| ProtectError::chain_for(f, e))?;
-                if let Some(fp) = &fp {
-                    // Sizing artifact: no final layout exists yet, so
-                    // the serialized form stays empty.
-                    store.store_chain(
-                        fp,
-                        &ChainArtifact {
-                            words: compiled.chain.len(),
-                            ops: compiled.ops,
-                            used_gadgets: compiled.used_gadgets.clone(),
-                            bytes: Vec::new(),
-                        },
-                    );
-                }
-                compiled.chain.len()
-            }
-        };
+        let words =
+            compile_chain_traced(func, &map1, &img1, frame, scratch1, policy, &guards1, trace)
+                .map_err(|e| ProtectError::chain_for(f, e))?
+                .chain
+                .len();
         // Probabilistic blob worst case per (position, variant): a
         // 4-byte offset-table entry plus a pool list of 1 + up to 32
         // index words = 136 bytes; pad generously on top.
@@ -853,76 +831,46 @@ fn run_pipeline(
     let chain2_block = run.stage(Stage::ChainCompile);
     let scratch2 = symbol_vaddr(&img2, "__plx_scratch")?;
     let guards2 = guard_addrs(&img2, &map2, &cfg.guard_funcs);
-    let ctx2 = use_func_cache.then(|| chain_ctx_material(&map2, &img2, scratch2, &guards2));
     let nvariants = cfg_variants(&cfg.mode);
 
-    // Resolve the fallible per-function symbol lookups before fanning
-    // out, so worker tasks are infallible address-wise.
-    let mut gen_ctx = Vec::with_capacity(gens.len());
-    for ((f, _gen), (words, _)) in gens.iter().zip(&sizes) {
-        gen_ctx.push(GenCtx {
-            name: f,
-            func: get_impl(f)?,
-            frame: symbol_vaddr(&img2, &format!("__plx_frame_{f}"))?,
-            base: symbol_vaddr(&img2, &format!("__plx_chain_{f}"))?,
-            words: *words,
-        });
-    }
-
-    // Fan every (function, variant) compilation over the pool. Each
-    // task is a pure function of its indices — chain policy seeds
-    // derive from (chain index, variant), never from shared state — so
-    // merging results back in task order makes both the compiled
-    // output and any error independent of the worker count.
-    // Cap the fan-out to what the task count can feed: spawning more
-    // workers than (bounded) tasks only adds join overhead — the
-    // measured jobs8-slower-than-jobs1 regression. Two tasks per
-    // worker at minimum, or the spawn cost dominates the compile.
-    let jobs = parallax_pool::effective_workers_for(jobs, gen_ctx.len() * nvariants, 2);
-    let (compiled, pstats) = parallax_pool::scoped_map(jobs, gen_ctx.len() * nvariants, |t, _w| {
-        let (i, v) = (t / nvariants, t % nvariants);
-        compile_variant(
-            &gen_ctx[i],
-            i,
-            v,
-            cfg,
-            &map2,
-            &img2,
-            scratch2,
-            &ranges2,
-            &guards2,
-            ctx2.as_deref(),
-            &ctx,
-        )
-    });
-    if let Some(t) = trace {
-        pstats.export_to(t, "chain");
-    }
-    // First error in task order, so failures are deterministic too.
-    let arts = compiled.into_iter().collect::<Result<Vec<_>, _>>()?;
-
+    // Compile every (function, variant) chain against the final layout.
+    // Policy seeds derive from (chain index, variant) alone, so each
+    // chain is a pure function of the image and its indices.
     let mut chains = Vec::new();
-    for (i, gctx) in gen_ctx.iter().enumerate() {
-        let f = gctx.name;
-        let words = &gctx.words;
+    for (i, ((f, _gen), (words, _))) in gens.iter().zip(&sizes).enumerate() {
+        let func = get_impl(f)?;
+        let frame = symbol_vaddr(&img2, &format!("__plx_frame_{f}"))?;
         let buf_sym = format!("__plx_chain_{f}");
-        let gen_arts = &arts[i * nvariants..(i + 1) * nvariants];
-        let variant_words: Vec<Vec<u32>> = gen_arts
-            .iter()
-            .map(|a| {
-                a.bytes
+        let base = symbol_vaddr(&img2, &buf_sym)?;
+        let mut variant_words: Vec<Vec<u32>> = Vec::with_capacity(nvariants);
+        let mut used: Vec<u32> = Vec::new();
+        let mut ops = 0;
+        for v in 0..nvariants {
+            let policy = policy_for(cfg, &ranges2, i as u64, v as u64);
+            let compiled =
+                compile_chain_traced(func, &map2, &img2, frame, scratch2, policy, &guards2, trace)
+                    .map_err(|e| ProtectError::chain_for(f, e))?;
+            if compiled.chain.len() != *words {
+                return Err(ProtectError::new(
+                    Stage::Map,
+                    ErrorKind::UnstableChain(f.clone()),
+                ));
+            }
+            let bytes = compiled
+                .chain
+                .serialize(base)
+                .map_err(|e| ProtectError::chain_for(f, ChainError::from(e)))?;
+            variant_words.push(
+                bytes
                     .chunks_exact(4)
                     .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect()
-            })
-            .collect();
-        let mut used: Vec<u32> = gen_arts
-            .iter()
-            .flat_map(|a| a.used_gadgets.iter().copied())
-            .collect();
+                    .collect(),
+            );
+            used.extend(compiled.used_gadgets);
+            ops = compiled.ops;
+        }
         used.sort_unstable();
         used.dedup();
-        let ops = gen_arts.last().map(|a| a.ops).unwrap_or(0);
         let overlapping_used = used.iter().filter(|&&g| range_index.contains(g)).count();
 
         match &cfg.mode {
@@ -1036,145 +984,27 @@ fn run_pipeline(
     Ok((image, rewrites, chains, map2.gadgets().len()))
 }
 
-/// The artifact store's per-function seams as the pipeline and the
-/// rewrite crate query them, each lookup counted on the tracer and
-/// added to the `cache.func.{hit,miss}` totals. Verdict lookups are
-/// counted by the gadget pass itself (`cache.func.verdict.*`).
+/// The artifact store's pass-1 rewrite seam as the rewrite crate
+/// queries it, each lookup counted on the tracer as
+/// `cache.func.rewritten.{hit,miss}` and in the `cache.func.{hit,miss}`
+/// totals. Verdict lookups are counted by the gadget pass itself
+/// (`cache.func.verdict.*`).
 struct FuncStore<'a>(&'a Ctx<'a>);
-
-impl FuncStore<'_> {
-    fn count(&self, kind: &str, hit: bool) {
-        let Some(t) = self.0.tracer else { return };
-        let outcome = if hit { "hit" } else { "miss" };
-        t.count(&format!("cache.func.{outcome}"), 1);
-        t.count(&format!("cache.func.{kind}.{outcome}"), 1);
-    }
-
-    fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
-        let art = self.0.store.cached_chain(fingerprint);
-        self.count("chain", art.is_some());
-        art
-    }
-}
 
 impl FuncRewriteCache for FuncStore<'_> {
     fn fetch_rewritten(&self, fingerprint: &[u8]) -> Option<FuncRewriteOutcome> {
         let out = self.0.store.cached_rewritten_func(fingerprint);
-        self.count("rewritten", out.is_some());
+        if let Some(t) = self.0.tracer {
+            let outcome = if out.is_some() { "hit" } else { "miss" };
+            t.count(&format!("cache.func.{outcome}"), 1);
+            t.count(&format!("cache.func.rewritten.{outcome}"), 1);
+        }
         out
     }
 
     fn store_rewritten(&self, fingerprint: &[u8], outcome: &FuncRewriteOutcome) {
         self.0.store.store_rewritten_func(fingerprint, outcome)
     }
-}
-
-/// Pre-resolved per-verification-function context for pass-2 chain
-/// compilation (symbol lookups are fallible and happen before fan-out).
-struct GenCtx<'a> {
-    name: &'a String,
-    func: &'a Function,
-    frame: u32,
-    base: u32,
-    words: usize,
-}
-
-/// The pass-invariant part of a chain-compilation fingerprint: the
-/// gadget arena, the full symbol table (sorted — chains may embed the
-/// address of any symbol), the scratch address, and the guard list.
-/// Computed once per fixpoint pass; fingerprints between the two
-/// passes differ exactly when the layout differs.
-fn chain_ctx_material(map: &GadgetMap, img: &LinkedImage, scratch: u32, guards: &[u32]) -> Vec<u8> {
-    let mut out = serialize_gadgets(map.gadgets());
-    let mut syms: Vec<(&str, u32, u32)> = img
-        .symbols
-        .iter()
-        .map(|s| (s.name.as_str(), s.vaddr, s.size))
-        .collect();
-    syms.sort_unstable();
-    for (name, vaddr, size) in syms {
-        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&vaddr.to_le_bytes());
-        out.extend_from_slice(&size.to_le_bytes());
-    }
-    out.extend_from_slice(&scratch.to_le_bytes());
-    out.extend_from_slice(&(guards.len() as u32).to_le_bytes());
-    for g in guards {
-        out.extend_from_slice(&g.to_le_bytes());
-    }
-    out
-}
-
-/// Full cache key material for one `(function, variant)` chain
-/// compilation: the pass context plus the verification function's IR,
-/// its frame address, and the exact selection policy (mode, seed,
-/// preference ranges). Everything `compile_chain_traced` reads is
-/// pinned, so equal fingerprints imply identical compiled chains.
-fn chain_fingerprint(ctx: &[u8], func: &Function, frame: u32, policy: &Policy) -> Vec<u8> {
-    let mut out = Vec::with_capacity(ctx.len() + 256);
-    out.extend_from_slice(ctx);
-    out.extend_from_slice(&frame.to_le_bytes());
-    out.extend_from_slice(format!("{func:?}").as_bytes());
-    out.push(0);
-    out.extend_from_slice(format!("{policy:?}").as_bytes());
-    out
-}
-
-/// Compiles (or fetches from the per-function cache) one pass-2 chain
-/// variant and serializes it against the final layout. Runs on pool
-/// worker threads; must stay a pure function of its arguments.
-#[allow(clippy::too_many_arguments)]
-fn compile_variant(
-    gctx: &GenCtx<'_>,
-    i: usize,
-    v: usize,
-    cfg: &ProtectConfig,
-    map: &GadgetMap,
-    img: &LinkedImage,
-    scratch: u32,
-    ranges: &[(u32, u32)],
-    guards: &[u32],
-    ctx_material: Option<&[u8]>,
-    ctx: &Ctx<'_>,
-) -> Result<ChainArtifact, ProtectError> {
-    let policy = policy_for(cfg, ranges, i as u64, v as u64);
-    let fp = ctx_material.map(|c| chain_fingerprint(c, gctx.func, gctx.frame, &policy));
-    if let Some(art) = fp.as_ref().and_then(|fp| FuncStore(ctx).cached_chain(fp)) {
-        if !art.bytes.is_empty() {
-            if art.words != gctx.words {
-                return Err(ProtectError::new(
-                    Stage::Map,
-                    ErrorKind::UnstableChain(gctx.name.clone()),
-                ));
-            }
-            return Ok(art);
-        }
-    }
-    let compiled = compile_chain_traced(
-        gctx.func, map, img, gctx.frame, scratch, policy, guards, ctx.tracer,
-    )
-    .map_err(|e| ProtectError::chain_for(gctx.name, e))?;
-    if compiled.chain.len() != gctx.words {
-        return Err(ProtectError::new(
-            Stage::Map,
-            ErrorKind::UnstableChain(gctx.name.clone()),
-        ));
-    }
-    let bytes = compiled
-        .chain
-        .serialize(gctx.base)
-        .map_err(|e| ProtectError::chain_for(gctx.name, ChainError::from(e)))?;
-    let art = ChainArtifact {
-        words: compiled.chain.len(),
-        ops: compiled.ops,
-        used_gadgets: compiled.used_gadgets,
-        bytes,
-    };
-    if let Some(fp) = &fp {
-        ctx.store.store_chain(fp, &art);
-    }
-    Ok(art)
 }
 
 /// An in-flight pipeline stage block: a `stage` span on the tracer

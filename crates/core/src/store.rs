@@ -14,8 +14,8 @@
 //! * **Figure-6 coverage** — measured on the *unprotected* image, which
 //!   is shared by every job that protects the same program (whatever
 //!   the chain mode or seed).
-//! * **per-function artifacts** — pass-1 rewrites and compiled chains,
-//!   keyed by fingerprints that pin everything the artifact depends on.
+//! * **pass-1 rewrites** — one per function, keyed by a fingerprint
+//!   that pins everything the rewrite depends on.
 //! * **validation verdicts** — one per distinct gadget content (text
 //!   bytes and return kind) and probe heap base, through the
 //!   [`ValidationCache`] supertrait; a hit skips that content's probe
@@ -31,29 +31,9 @@ use parallax_gadgets::{Gadget, ValidationCache};
 use parallax_image::LinkedImage;
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
 
-/// A cached compiled-chain artifact: what one `(function, variant)`
-/// chain compilation produced, detached from the image it was compiled
-/// against (the fingerprint already pins every address the chain
-/// embeds).
-///
-/// Pass-1 sizing compilations store artifacts with empty `bytes` (no
-/// final layout exists yet to serialize against); pass-2 consumers must
-/// ignore those.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainArtifact {
-    /// Chain length in 32-bit words.
-    pub words: usize,
-    /// Gadget invocations in the chain.
-    pub ops: usize,
-    /// Gadget vaddrs the chain uses.
-    pub used_gadgets: Vec<u32>,
-    /// The serialized chain words (empty for pass-1 sizing artifacts).
-    pub bytes: Vec<u8>,
-}
-
 /// Get/put access to reusable pipeline artifacts. Implementations must
 /// be `Send + Sync`: one store may be shared by many concurrent
-/// pipeline runs, and chain compilation queries it from pool workers.
+/// pipeline runs, and rewrite pass 1 queries it from pool workers.
 /// Every method defaults to "not stored", the verdict pair of the
 /// [`ValidationCache`] supertrait included; a store that caches no
 /// verdicts implements it empty.
@@ -95,15 +75,6 @@ pub trait ArtifactStore: ValidationCache + Send + Sync {
 
     /// Offers a freshly rewritten function for reuse.
     fn store_rewritten_func(&self, _fingerprint: &[u8], _outcome: &FuncRewriteOutcome) {}
-
-    /// A previously compiled chain artifact for this fingerprint
-    /// (function IR + gadget arena + symbol table + policy + guards).
-    fn cached_chain(&self, _fingerprint: &[u8]) -> Option<ChainArtifact> {
-        None
-    }
-
-    /// Offers a freshly compiled chain for reuse.
-    fn store_chain(&self, _fingerprint: &[u8], _artifact: &ChainArtifact) {}
 }
 
 /// The store that stores nothing.

@@ -1,12 +1,13 @@
 //! Typed payload codecs for the artifact cache.
 //!
 //! Gadget scans have their own codec in `parallax-gadgets`
-//! (`serialize_gadgets`); this module covers the two engine-specific
-//! artifacts — the Figure-6 coverage analysis and the full protected
-//! result — in the same hand-rolled little-endian style. Decoders are
+//! (`serialize_gadgets`); this module covers the engine-specific
+//! artifacts — the Figure-6 coverage analysis, one function's pass-1
+//! rewrite and the full protected result — in the same hand-rolled
+//! little-endian style. Decoders are
 //! total: malformed bytes yield `None` (a cache miss), never a panic.
 
-use parallax_core::{ChainArtifact, ProtectReport};
+use parallax_core::ProtectReport;
 use parallax_image::program::FuncItem;
 use parallax_rewrite::{Coverage, FuncRewriteOutcome, ImmRewrite, JumpRewrite};
 use parallax_x86::{RelocKind, SymReloc};
@@ -14,7 +15,6 @@ use parallax_x86::{RelocKind, SymReloc};
 const COVERAGE_MAGIC: &[u8; 4] = b"PCV\x01";
 const PROTECTED_MAGIC: &[u8; 4] = b"PPR\x01";
 const REWRITTEN_FUNC_MAGIC: &[u8; 4] = b"PRF\x01";
-const CHAIN_MAGIC: &[u8; 4] = b"PCH\x01";
 
 /// Per-chain statistics preserved through the protected-artifact cache
 /// (the subset of [`parallax_core::ChainInfo`] the batch reports use).
@@ -274,43 +274,6 @@ pub fn decode_rewritten_func(bytes: &[u8]) -> Option<FuncRewriteOutcome> {
     })
 }
 
-/// Encodes a compiled-chain artifact.
-pub fn encode_chain(a: &ChainArtifact) -> Vec<u8> {
-    let mut w = Writer {
-        out: CHAIN_MAGIC.to_vec(),
-    };
-    w.u64(a.words as u64);
-    w.u64(a.ops as u64);
-    w.u64(a.used_gadgets.len() as u64);
-    for g in &a.used_gadgets {
-        w.u64(*g as u64);
-    }
-    w.bytes(&a.bytes);
-    w.out
-}
-
-/// Decodes a compiled-chain artifact.
-pub fn decode_chain(bytes: &[u8]) -> Option<ChainArtifact> {
-    if bytes.len() < 4 || &bytes[..4] != CHAIN_MAGIC {
-        return None;
-    }
-    let mut r = Reader { buf: bytes, pos: 4 };
-    let words = r.usize()?;
-    let ops = r.usize()?;
-    let n_used = r.usize()?;
-    let mut used_gadgets = Vec::with_capacity(n_used.min(65536));
-    for _ in 0..n_used {
-        used_gadgets.push(u32::try_from(r.u64()?).ok()?);
-    }
-    let chain_bytes = r.bytes()?.to_vec();
-    (r.pos == bytes.len()).then_some(ChainArtifact {
-        words,
-        ops,
-        used_gadgets,
-        bytes: chain_bytes,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,26 +370,5 @@ mod tests {
         extra.push(0);
         assert!(decode_rewritten_func(&extra).is_none());
         assert!(decode_rewritten_func(b"nope").is_none());
-    }
-
-    #[test]
-    fn chain_roundtrip() {
-        let a = ChainArtifact {
-            words: 40,
-            ops: 12,
-            used_gadgets: vec![0x1000, 0x1007, 0x2003],
-            bytes: vec![1, 2, 3, 4, 5, 6, 7, 8],
-        };
-        let bytes = encode_chain(&a);
-        let back = decode_chain(&bytes).unwrap();
-        assert_eq!(back, a);
-        // An empty serialized form (pass-1 sizing artifact) roundtrips.
-        let sizing = ChainArtifact {
-            bytes: Vec::new(),
-            ..a.clone()
-        };
-        assert_eq!(decode_chain(&encode_chain(&sizing)).unwrap(), sizing);
-        assert!(decode_chain(&bytes[..bytes.len() - 1]).is_none());
-        assert!(decode_chain(b"nope").is_none());
     }
 }

@@ -40,9 +40,6 @@ pub enum ArtifactKind {
     /// One function's pass-1 rewrite outcome, keyed by the function's
     /// content fingerprint (bytes, relocs, markers, rewrite config).
     RewrittenFunc,
-    /// One compiled chain variant, keyed by everything the chain
-    /// compiler reads (function IR, gadget arena, symbol table, policy).
-    CompiledChain,
     /// One gadget content's concrete validation verdict (present even
     /// when the verdict is "rejected"), keyed by the content's text
     /// bytes and return kind and the probe heap base.
@@ -57,7 +54,6 @@ impl ArtifactKind {
             ArtifactKind::Coverage => "coverage",
             ArtifactKind::Protected => "protected",
             ArtifactKind::RewrittenFunc => "rewritten-func",
-            ArtifactKind::CompiledChain => "compiled-chain",
             ArtifactKind::GadgetVerdict => "gadget-verdict",
         }
     }

@@ -23,7 +23,7 @@ use std::time::Instant;
 use parallax_compiler::{compile_module, Module};
 use parallax_core::{
     classify_outcome, load_verified_image, protect_with, run_baseline, ArtifactStore, Baseline,
-    ChainArtifact, Ctx, FaultPlan, ProtectConfig, Verdict,
+    Ctx, FaultPlan, ProtectConfig, Verdict,
 };
 use parallax_corpus::by_name;
 use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget, ValidationCache};
@@ -33,8 +33,8 @@ use parallax_trace::Tracer;
 use parallax_vm::{Vm, VmOptions};
 
 use crate::artifacts::{
-    decode_chain, decode_coverage, decode_protected, decode_rewritten_func, encode_chain,
-    encode_coverage, encode_protected, encode_rewritten_func, ChainSummary,
+    decode_coverage, decode_protected, decode_rewritten_func, encode_coverage, encode_protected,
+    encode_rewritten_func, ChainSummary,
 };
 use crate::cache::{ArtifactCache, ArtifactKind, Fetch, Key};
 use crate::events::{EngineEvent, EventSink, ShedReason};
@@ -591,10 +591,10 @@ impl Engine {
 
 /// Per-job [`ArtifactStore`] backed by the shared [`ArtifactCache`]:
 /// routes the pipeline's artifact seams — whole-image scans and
-/// coverage plus function-grained rewrite and chain artifacts — to the
-/// cache, reports cache traffic to an event sink when one is attached,
-/// and digests every artifact it serves or stores for the job's
-/// provenance record.
+/// coverage, per-function rewrites and per-content gadget verdicts —
+/// to the cache, reports cache traffic to an event sink when one is
+/// attached, and digests every artifact it serves or stores for the
+/// job's provenance record.
 pub struct CacheHooks<'a, 'cb> {
     job: usize,
     cache: &'a ArtifactCache,
@@ -699,20 +699,6 @@ impl ArtifactStore for CacheHooks<'_, '_> {
         self.store(
             Key::of(ArtifactKind::RewrittenFunc, fingerprint),
             encode_rewritten_func(outcome),
-        );
-    }
-
-    fn cached_chain(&self, fingerprint: &[u8]) -> Option<ChainArtifact> {
-        self.fetch(
-            Key::of(ArtifactKind::CompiledChain, fingerprint),
-            decode_chain,
-        )
-    }
-
-    fn store_chain(&self, fingerprint: &[u8], artifact: &ChainArtifact) {
-        self.store(
-            Key::of(ArtifactKind::CompiledChain, fingerprint),
-            encode_chain(artifact),
         );
     }
 }

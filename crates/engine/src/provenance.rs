@@ -24,7 +24,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use parallax_core::{ArtifactStore, ChainArtifact};
+use parallax_core::ArtifactStore;
 use parallax_gadgets::{Gadget, ValidationCache};
 use parallax_image::{format, LinkedImage};
 use parallax_rewrite::{Coverage, FuncRewriteOutcome};
@@ -48,8 +48,9 @@ pub fn toolchain_id() -> String {
 /// to a build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageDigest {
-    /// Artifact kind name (`scan`, `rewritten-func`, `compiled-chain`,
-    /// `gadget-verdict`, `coverage`).
+    /// Artifact kind name (`scan`, `rewritten-func`, `gadget-verdict`,
+    /// `coverage`; records written before chain compilation stopped
+    /// caching may also carry `compiled-chain`).
     pub kind: String,
     /// How many artifacts of this kind flowed through the build.
     pub count: u64,
@@ -257,10 +258,6 @@ impl ArtifactStore for Digests {
     fn store_rewritten_func(&self, fingerprint: &[u8], _outcome: &FuncRewriteOutcome) {
         self.absorb(Key::of(ArtifactKind::RewrittenFunc, fingerprint));
     }
-
-    fn store_chain(&self, fingerprint: &[u8], _artifact: &ChainArtifact) {
-        self.absorb(Key::of(ArtifactKind::CompiledChain, fingerprint));
-    }
 }
 
 impl ValidationCache for Digests {
@@ -280,6 +277,7 @@ mod tests {
             input_hash: 0xdead_beef,
             config: "cfg=Demo { seed: 1 }".into(),
             stages: vec![
+                // A kind no longer produced: old records still parse.
                 StageDigest {
                     kind: "compiled-chain".into(),
                     count: 4,
@@ -329,7 +327,7 @@ mod tests {
     #[test]
     fn digests_are_order_independent() {
         let key = |hash| Key {
-            kind: ArtifactKind::CompiledChain,
+            kind: ArtifactKind::RewrittenFunc,
             hash,
         };
         let a = Digests::default();

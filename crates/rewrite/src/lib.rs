@@ -1,6 +1,6 @@
 //! Binary rewriting rules for crafting overlapping gadgets (paper §IV-B).
 //!
-//! The [`protect_program`] entry point applies, per target function:
+//! The [`protect_program_parallel`] entry point applies, per target function:
 //!
 //! 1. the **modified-immediates** rule ([`imm`]) — immediates of
 //!    `mov`/`add`/`sub` are rewritten to contain gadget bytes, with a
@@ -41,7 +41,7 @@ use parallax_image::Program;
 use parallax_trace::Tracer;
 use parallax_x86::RelocKind;
 
-/// Configuration for [`protect_program`].
+/// Configuration for [`protect_program_parallel`].
 #[derive(Debug, Clone)]
 pub struct RewriteConfig {
     /// Apply the modified-immediates rule.
@@ -97,7 +97,7 @@ impl Default for RewriteConfig {
     }
 }
 
-/// What [`protect_program`] did.
+/// What [`protect_program_parallel`] did.
 #[derive(Debug, Clone, Default)]
 pub struct RewriteReport {
     /// Immediate-rule rewrites, per function.
@@ -256,35 +256,16 @@ fn rewrite_function_cached(
     Ok(out)
 }
 
-/// Applies the rewriting rules to `targets` within `prog`.
+/// Applies the rewriting rules to `targets` within `prog`, with pass 1
+/// fanned out over `jobs` worker threads and (optionally) backed by a
+/// per-function artifact cache.
 ///
 /// The gadget bodies embedded by the immediate rule rotate through
 /// [`default_bodies`], so repeated application spreads every gadget
-/// type the chain compiler consumes across the protected code.
-pub fn protect_program(
-    prog: &mut Program,
-    targets: &[String],
-    cfg: &RewriteConfig,
-) -> Result<RewriteReport, RewriteError> {
-    protect_program_traced(prog, targets, cfg, None)
-}
-
-/// [`protect_program`] with optional per-pass tracing: one span per
-/// rewriting pass (`imm`, `jump`, `spurious`) plus site counters, so a
-/// trace shows where rewrite wall-time goes. Runs sequentially and
-/// uncached — see [`protect_program_parallel`].
-pub fn protect_program_traced(
-    prog: &mut Program,
-    targets: &[String],
-    cfg: &RewriteConfig,
-    trace: Option<&Tracer>,
-) -> Result<RewriteReport, RewriteError> {
-    protect_program_parallel(prog, targets, cfg, 1, None, trace)
-}
-
-/// [`protect_program_traced`] with pass 1 fanned out over `jobs`
-/// worker threads and (optionally) backed by a per-function artifact
-/// cache.
+/// type the chain compiler consumes across the protected code. With a
+/// tracer, each rewriting pass (`imm`, `jump`, `spurious`) is one span
+/// and the site counts are counters, so a trace shows where rewrite
+/// wall-time goes.
 ///
 /// Because [`rewrite_function`] is a pure function of (function,
 /// config), results are merged back **in target order** and the output

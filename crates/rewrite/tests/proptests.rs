@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use parallax_compiler::ir::build::*;
 use parallax_compiler::{compile_module, Function, Module};
 use parallax_corpus::randprog::Gen;
-use parallax_rewrite::{protect_program, FuncRewriter, RewriteConfig};
+use parallax_rewrite::{protect_program_parallel, FuncRewriter, RewriteConfig};
 use parallax_vm::{Exit, Vm};
 
 /// Compiles a random module and returns its native outcome.
@@ -48,7 +48,7 @@ proptest! {
             imm_completion_always: completion,
             ..RewriteConfig::default()
         };
-        protect_program(&mut prog, &targets, &cfg).unwrap();
+        protect_program_parallel(&mut prog, &targets, &cfg, 1, None, None).unwrap();
         let img = prog.link().unwrap();
         let (exit2, out2) = outcome(&img);
         prop_assert_eq!(exit2, exit, "seed {}", seed);
@@ -66,7 +66,8 @@ proptest! {
         let mut prog = compile_module(&m).unwrap();
         let targets: Vec<String> = m.funcs.iter().map(|f| f.name.clone()).collect();
         let report =
-            protect_program(&mut prog, &targets, &RewriteConfig::default()).unwrap();
+            protect_program_parallel(&mut prog, &targets, &RewriteConfig::default(), 1, None, None)
+                .unwrap();
         prop_assume!(report.crafted_count() > 0);
         let img = prog.link().unwrap();
         let after = parallax_gadgets::find_gadgets(&img).len();
@@ -113,10 +114,13 @@ fn splitting_near_branches_is_safe() {
     let expect = vm.run();
 
     let mut prog = compile_module(&m).unwrap();
-    protect_program(
+    protect_program_parallel(
         &mut prog,
         &["f".to_owned(), "main".to_owned()],
         &RewriteConfig::default(),
+        1,
+        None,
+        None,
     )
     .unwrap();
     let img = prog.link().unwrap();

@@ -118,8 +118,9 @@ fn stage_table(out: &mut String, tf: &TraceFile) {
     }
 }
 
-/// The fanned-out pipeline passes, as (report name, pool site).
-const PAR_SITES: [(&str, &str); 2] = [("rewrite", "rewrite"), ("chain-compile", "chain")];
+/// The pool site of the one fanned-out pass these tables report,
+/// rewrite pass 1 (gadget validation's `scan` site is `plx profile`'s).
+const PAR_SITE: &str = "rewrite";
 
 /// Wall and summed worker-busy microseconds of a site's pool runs.
 fn pool_wall_busy(tf: &TraceFile, site: &str) -> (u64, u64) {
@@ -140,35 +141,26 @@ fn speedup(busy: u64, wall: u64) -> f64 {
 }
 
 /// Parallel/incremental protection telemetry: wall vs worker-busy time
-/// of the fanned-out rewrite and chain-compile pool runs, their worker
-/// count, and the function-grained artifact cache.
+/// of the fanned-out rewrite pool run, its worker count, and the
+/// function-grained rewrite cache.
 fn parallel_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
-    let runs = PAR_SITES.map(|(name, site)| (name, pool_wall_busy(tf, site)));
-    let any_run = runs.iter().any(|(_, (wall, _))| *wall > 0);
+    let (wall, busy) = pool_wall_busy(tf, PAR_SITE);
     let (hits, misses) = (get("cache.func.hit"), get("cache.func.miss"));
-    if !any_run && hits + misses == 0 {
+    if wall == 0 && hits + misses == 0 {
         return;
     }
     let _ = writeln!(out, "protection pipeline (parallel + incremental):");
-    if any_run {
-        let workers = PAR_SITES
-            .iter()
-            .map(|(_, site)| crate::profile::pool_workers(tf, site))
-            .fold(1, u64::max);
+    if wall > 0 {
+        let workers = crate::profile::pool_workers(tf, PAR_SITE).max(1);
         let _ = writeln!(out, "  workers: {workers}");
-        for (name, (wall, busy)) in runs {
-            if wall == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  {name:<14} {:>9.3} ms wall  {:>9.3} ms busy  ({:.2}x parallel speedup)",
-                wall as f64 / 1e3,
-                busy as f64 / 1e3,
-                speedup(busy, wall)
-            );
-        }
+        let _ = writeln!(
+            out,
+            "  {PAR_SITE:<14} {:>9.3} ms wall  {:>9.3} ms busy  ({:.2}x parallel speedup)",
+            wall as f64 / 1e3,
+            busy as f64 / 1e3,
+            speedup(busy, wall)
+        );
     }
     if hits + misses > 0 {
         let _ = writeln!(
@@ -180,12 +172,8 @@ fn parallel_table(out: &mut String, tf: &TraceFile) {
             get("cache.func.rewritten.hit"),
             get("cache.func.rewritten.miss"),
         );
-        let (gh, gm) = (get("cache.func.chain.hit"), get("cache.func.chain.miss"));
-        if rh + rm + gh + gm > 0 {
-            let _ = writeln!(
-                out,
-                "    rewritten-func: {rh} hits / {rm} misses   compiled-chain: {gh} hits / {gm} misses"
-            );
+        if rh + rm > 0 {
+            let _ = writeln!(out, "    rewritten-func: {rh} hits / {rm} misses");
         }
     }
 }
@@ -587,30 +575,23 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
         );
     }
 
-    // Parallel-vs-sequential comparison of the fanned-out stages: when
-    // either trace carries their `pool.*` runs (e.g. a --jobs 1
-    // baseline against a --jobs N run), show wall-time deltas and how
-    // the parallel speedup moved.
+    // Parallel-vs-sequential comparison of the fanned-out pass: when
+    // either trace carries its `pool.*` run (e.g. a --jobs 1 baseline
+    // against a --jobs N run), show the wall-time delta and how the
+    // parallel speedup moved.
     let par = |tf: &TraceFile, k: &str| tf.counters.get(k).copied().unwrap_or(0);
-    let walls = |tf: &TraceFile| PAR_SITES.map(|(_, site)| pool_wall_busy(tf, site));
-    let (runs_a, runs_b) = (walls(a), walls(b));
-    if runs_a.iter().chain(&runs_b).any(|(wall, _)| *wall > 0) {
+    let ((wa, ca), (wb, cb)) = (pool_wall_busy(a, PAR_SITE), pool_wall_busy(b, PAR_SITE));
+    if wa + wb > 0 {
         let _ = writeln!(out, "\nparallel protection (wall time, b - a):");
-        for (i, (name, _)) in PAR_SITES.iter().enumerate() {
-            let ((wa, ca), (wb, cb)) = (runs_a[i], runs_b[i]);
-            if wa + wb == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "  {name:<14} {:>9.3} ms -> {:>9.3} ms ({})   speedup {:.2}x -> {:.2}x",
-                wa as f64 / 1e3,
-                wb as f64 / 1e3,
-                signed_ms(wb as i64 - wa as i64),
-                speedup(ca, wa),
-                speedup(cb, wb)
-            );
-        }
+        let _ = writeln!(
+            out,
+            "  {PAR_SITE:<14} {:>9.3} ms -> {:>9.3} ms ({})   speedup {:.2}x -> {:.2}x",
+            wa as f64 / 1e3,
+            wb as f64 / 1e3,
+            signed_ms(wb as i64 - wa as i64),
+            speedup(ca, wa),
+            speedup(cb, wb)
+        );
         let (fa, fb) = (
             (par(a, "cache.func.hit"), par(a, "cache.func.miss")),
             (par(b, "cache.func.hit"), par(b, "cache.func.miss")),
@@ -835,18 +816,17 @@ mod tests {
         t.count("vm.probe.build_ns", 1_500_000);
         t.count("vm.mem.pages_copied", 1900);
         t.count("pool.rewrite.run_ns", 500_000);
-        t.count("pool.chain.run_ns", 1_000_000);
+        t.count("pool.scan.run_ns", 1_000_000);
         for _ in 0..4 {
             t.record("pool.rewrite.worker_busy_us", 500);
-            t.record("pool.chain.worker_busy_us", 750);
+            t.record("pool.scan.worker_busy_us", 750);
         }
         t.record("pool.rewrite.workers", 4);
-        t.record("pool.chain.workers", 4);
+        t.record("pool.scan.workers", 4);
         t.count("cache.func.hit", 3);
         t.count("cache.func.miss", 1);
         t.count("cache.func.rewritten.hit", 2);
         t.count("cache.func.rewritten.miss", 1);
-        t.count("cache.func.chain.hit", 1);
         t.record("chain.words", words);
         t.record("chain.ops", 11);
         t.count("image.verify.pass", 5);
@@ -874,7 +854,6 @@ mod tests {
             "protection pipeline (parallel + incremental)",
             "workers: 4\n",
             "4.00x parallel speedup",
-            "3.00x parallel speedup",
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "rewritten-func: 2 hits / 1 misses",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
@@ -925,6 +904,11 @@ mod tests {
             "{diff}"
         );
         assert!(diff.contains("speedup 4.00x -> 4.00x"), "{diff}");
+        assert!(diff.contains("pool sites (b - a):"), "{diff}");
+        assert!(
+            diff.contains("scan      0 runs, 0 items, 3.000 ms busy, 4 workers"),
+            "{diff}"
+        );
         assert!(
             diff.contains("func cache     75.0% -> 75.0% hit rate (3 -> 3 hits)"),
             "{diff}"

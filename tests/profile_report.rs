@@ -29,13 +29,13 @@ fn current_trace() -> TraceFile {
         let _s = t.span("gadget-scan", "stage");
     }
     t.count("vm.run.cycles", 4000);
-    t.count("pool.chain.runs", 1);
-    t.count("pool.chain.items", 16);
-    t.count("pool.chain.run_ns", 800_000);
-    t.count("pool.chain.merge_ns", 300_000);
-    t.record("pool.chain.workers", 4);
+    t.count("pool.rewrite.runs", 1);
+    t.count("pool.rewrite.items", 16);
+    t.count("pool.rewrite.run_ns", 800_000);
+    t.count("pool.rewrite.merge_ns", 300_000);
+    t.record("pool.rewrite.workers", 4);
     for _ in 0..4 {
-        t.record("pool.chain.worker_busy_us", 600);
+        t.record("pool.rewrite.worker_busy_us", 600);
     }
     t.count("vm.probe.builds", 4);
     t.count("vm.probe.build_ns", 9_000_000);
@@ -95,7 +95,7 @@ fn current_trace_attributes_all_three_required_costs() {
     let ranked = bottlenecks(&current_trace());
     let labels: Vec<&str> = ranked.iter().map(|b| b.label.as_str()).collect();
     assert!(labels.contains(&"probe-VM construction"), "{labels:?}");
-    assert!(labels.contains(&"merge (chain)"), "{labels:?}");
+    assert!(labels.contains(&"merge (rewrite)"), "{labels:?}");
     assert!(
         labels.iter().any(|l| l.starts_with("serial: ")),
         "{labels:?}"

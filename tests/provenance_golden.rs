@@ -1,9 +1,9 @@
 //! Golden provenance digests: a cold `plx protect` and a cold engine
 //! job over the same corpus program must keep writing exactly these
 //! per-stage artifact digests. Digests are content fingerprints (image
-//! bytes, function fingerprints, chain contexts, gadget contents), so
-//! any change to what the pipeline fingerprints — or to how the store
-//! side accumulates it — shows up here as a mismatch.
+//! bytes, function fingerprints, gadget contents), so any change to
+//! what the pipeline fingerprints — or to how the store side
+//! accumulates it — shows up here as a mismatch.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -18,7 +18,6 @@ const PROGRAM: &str = "gzip";
 /// under the default configuration. `plx protect` and the batch engine
 /// fingerprint the same artifacts, so both produce these lines.
 const GOLDEN: &[&str] = &[
-    "compiled-chain 2 5152049c82c6cafd0f4e8271406640fe",
     "coverage 1 3b8c605fd760a6f9f8f250e83f699d34",
     "gadget-verdict 165 e9cfa8aa4c6fcc34e08e9a4438fb19a1",
     "rewritten-func 6 c6fe4769aef470c58f3c84d8e565a2e9",
