@@ -13,10 +13,13 @@
 //!   KSA (256 swaps) plus PRGA per call;
 //! * **probabilistic** — the paper's linear-combination scheme: `N`
 //!   compiled chain variants are decomposed over a random GF(2) basis
-//!   into per-position index lists; at every call a fresh variant is
-//!   assembled by XOR-combining basis vectors, choosing one of the `N`
-//!   index lists per position at random. The plaintext chain is never
-//!   stored; different runs verify different gadget subsets.
+//!   into one coefficient mask per (position, variant); at every call a
+//!   fresh variant is assembled by XOR-combining basis vectors, choosing
+//!   one of the `N` masks per position at random. The generator first
+//!   tabulates the XOR of every subset of each four consecutive basis
+//!   vectors, so a mask costs eight table lookups, one per nibble. The
+//!   plaintext chain is never stored; different runs verify different
+//!   gadget subsets.
 //!
 //! The generators are hand-assembled x86 kernels in the style of the
 //! loader runtime (`parallax_ropc::runtime`): register-resident loops,
@@ -64,7 +67,22 @@ impl ChainMode {
             ChainMode::Probabilistic { .. } => "probabilistic",
         }
     }
+
+    /// Chain variants compiled per verification function: `N` for
+    /// probabilistic chains (`variants: 0` means [`DEFAULT_VARIANTS`],
+    /// and at least two), one otherwise.
+    pub fn variant_count(&self) -> usize {
+        match self {
+            ChainMode::Probabilistic { variants: 0, .. } => DEFAULT_VARIANTS,
+            ChainMode::Probabilistic { variants, .. } => (*variants).max(2),
+            _ => 1,
+        }
+    }
 }
+
+/// Number of probabilistic variants compiled when
+/// [`ChainMode::Probabilistic`] requests `variants: 0`.
+pub const DEFAULT_VARIANTS: usize = 8;
 
 /// RC4 key length in bytes.
 pub const RC4_KEY_LEN: usize = 8;
@@ -134,61 +152,48 @@ impl Basis {
         Basis { vectors }
     }
 
-    /// Decomposes `v` into basis indices whose vectors XOR to `v`.
-    pub fn decompose(&self, v: u32) -> Vec<u8> {
+    /// Decomposes `v` over the basis: bit `i` of the returned
+    /// coefficient mask is set iff vector `i` is in the combination.
+    pub fn decompose(&self, v: u32) -> u32 {
         let mut residual = v;
-        let mut out = Vec::new();
+        let mut mask = 0;
         for i in (0..32).rev() {
             if residual & (1 << i) != 0 {
-                out.push(i as u8);
-                residual ^= self.vectors[i as usize];
+                mask |= 1 << i;
+                residual ^= self.vectors[i];
             }
         }
-        out.reverse();
-        out
+        mask
     }
 
-    /// Recombines indices (host-side check).
-    pub fn combine(&self, indices: &[u8]) -> u32 {
-        indices
-            .iter()
-            .fold(0, |acc, &i| acc ^ self.vectors[i as usize])
+    /// XOR of the basis vectors a coefficient mask selects (host-side
+    /// check).
+    pub fn combine(&self, mask: u32) -> u32 {
+        (0..32)
+            .filter(|i| mask & (1 << i) != 0)
+            .fold(0, |acc, i| acc ^ self.vectors[i])
     }
 }
 
-/// Serialized index-array blob for the probabilistic generator.
+/// Serialized coefficient-mask blob for the probabilistic generator.
 ///
-/// Layout (little-endian u32 words):
-/// `[L][N][offsets: L*N words into the pool][pool: per-list count,idx...]`
-/// where `offsets[l*N + j]` is the pool *word* offset of variant `j`'s
-/// index list for chain position `l`.
-pub fn build_index_blob(basis: &Basis, variants: &[Vec<u32>]) -> Vec<u8> {
+/// Layout (little-endian u32 words): `[L][N][masks: L*N words]`, where
+/// `masks[l*N + j]` is [`Basis::decompose`] of variant `j`'s word at
+/// chain position `l`.
+pub fn build_mask_blob(basis: &Basis, variants: &[Vec<u32>]) -> Vec<u8> {
     let n = variants.len();
     let l = variants[0].len();
     assert!(
         variants.iter().all(|v| v.len() == l),
         "variants same length"
     );
-
-    let mut offsets = Vec::with_capacity(l * n);
-    let mut pool: Vec<u32> = Vec::new();
-    for pos in 0..l {
-        for var in variants {
-            let idxs = basis.decompose(var[pos]);
-            offsets.push(pool.len() as u32);
-            pool.push(idxs.len() as u32);
-            pool.extend(idxs.iter().map(|&i| i as u32));
-        }
-    }
-
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(4 * (2 + l * n));
     out.extend_from_slice(&(l as u32).to_le_bytes());
     out.extend_from_slice(&(n as u32).to_le_bytes());
-    for o in offsets {
-        out.extend_from_slice(&o.to_le_bytes());
-    }
-    for w in pool {
-        out.extend_from_slice(&w.to_le_bytes());
+    for pos in 0..l {
+        for var in variants {
+            out.extend_from_slice(&basis.decompose(var[pos]).to_le_bytes());
+        }
     }
     out
 }
@@ -268,7 +273,8 @@ fn split_imm(v: u32) -> (i32, i32) {
 /// Places `kernel` at the end of a `size`-byte slot: the entry is a
 /// `jmp` over an `int3` head, and the kernel's `ret` is the slot's last
 /// byte. Padding after the `ret` instead would open a second return
-/// window.
+/// window. A near `jmp` whose displacement would hold a return byte is
+/// preceded by `nop`s until it does not.
 fn into_slot(kernel: Assembled, size: usize) -> Assembled {
     let start = size
         .checked_sub(kernel.bytes.len())
@@ -277,9 +283,16 @@ fn into_slot(kernel: Assembled, size: usize) -> Assembled {
     let mut bytes = if start - 2 <= 0x7f {
         vec![0xeb, (start - 2) as u8]
     } else {
-        let mut b = vec![0xe9];
-        b.extend_from_slice(&((start - 5) as u32).to_le_bytes());
-        b
+        let mut b = Vec::new();
+        loop {
+            let rel = ((start - 5 - b.len()) as u32).to_le_bytes();
+            if !rel.iter().any(|x| matches!(x, 0xc3 | 0xcb)) {
+                b.push(0xe9);
+                b.extend_from_slice(&rel);
+                break b;
+            }
+            b.push(0x90);
+        }
     };
     bytes.resize(start, 0xcc);
     bytes.extend_from_slice(&kernel.bytes);
@@ -423,79 +436,117 @@ fn rc4_kernel(
     epilogue(a)
 }
 
-/// Probabilistic mode over the [`build_index_blob`] layout: one
-/// `random` syscall per call; per position `j = r % N` (an unsigned
-/// `div`: `N` need not be a power of two), one xorshift32 step of `r`,
-/// and the XOR of the basis vectors on variant `j`'s index list. The
-/// per-position state lives in the frame; the inner loop keeps the
-/// accumulator, the list and the basis in registers.
-fn probabilistic_kernel(blob_sym: &str, basis_sym: &str, buf_sym: &str) -> Assembled {
-    const N: i32 = -16;
-    const ROW_STEP: i32 = -20;
-    const ROW: i32 = -24;
-    const POOL: i32 = -28;
-    const OUT: i32 = -32;
-    const END: i32 = -36;
-    const R: i32 = -40;
+/// Words of the probabilistic generator's nibble table: eight groups
+/// of sixteen, one group per four basis vectors.
+const TABLE_WORDS: i32 = 128;
+
+/// Probabilistic mode over the [`build_mask_blob`] layout, for `n`
+/// variants. One `random` syscall per call; then the nibble table
+/// `T[16g + v] = ⊕{basis[4g + b] : bit b of v}` in the frame, each group
+/// in Gray-code order (one XOR per entry); then per position `j = r % n`
+/// (`and n−1` when `n` is a power of two, an unsigned `div` otherwise),
+/// one xorshift32 step of `r`, and the XOR of eight table entries, one
+/// per nibble of mask `(l, j)`.
+fn probabilistic_kernel(blob_sym: &str, basis_sym: &str, buf_sym: &str, n: usize) -> Assembled {
+    use Reg32::{Eax, Ecx, Edi, Edx, Esi, Esp};
+    const R: i32 = -16;
+    const END: i32 = -20;
+    const N: i32 = -24;
+    const ROW_STEP: i32 = -28;
+    let table = |idx: Reg32, g: i32| indexed(Esp, idx, 4, 64 * g);
+    // The `and` path also takes `4·n` as an immediate.
+    let pow2 = n.is_power_of_two() && n < 1 << 29;
     let mut a = Asm::new();
     prologue(&mut a, buf_sym);
-    a.mov_ri_sym(Reg32::Esi, basis_sym, 0);
-    a.mov_ri_sym(Reg32::Ecx, blob_sym, 0);
-    a.mov_rm(Reg32::Edi, Mem::base_disp(Reg32::Ecx, 4));
-    a.push_r(Reg32::Edi); // N
-    a.shift_ri(ShiftOp::Shl, Reg32::Edi, 2);
-    a.push_r(Reg32::Edi); // ROW_STEP: 4N
-    a.mov_rm(Reg32::Eax, Mem::base(Reg32::Ecx));
-    a.imul_rr(Reg32::Edi, Reg32::Eax);
-    a.alu_ri(AluOp::Add, Reg32::Ecx, 8);
-    a.push_r(Reg32::Ecx); // ROW: the offsets of position 0
-    a.alu_rr(AluOp::Add, Reg32::Edi, Reg32::Ecx);
-    a.push_r(Reg32::Edi); // POOL: past the L*N offsets
-    a.mov_rm(Reg32::Edi, frame(BUF));
-    a.push_r(Reg32::Edi); // OUT
-    a.shift_ri(ShiftOp::Shl, Reg32::Eax, 2);
-    a.alu_rr(AluOp::Add, Reg32::Eax, Reg32::Edi);
-    a.push_r(Reg32::Eax); // END: buf + 4L
-    a.mov_ri(Reg32::Eax, sysno::RANDOM as i32);
+    // Four scalar slots, then the table at `esp`.
+    a.alu_ri32(AluOp::Sub, Esp, 16 + 4 * TABLE_WORDS);
+    a.mov_ri(Eax, sysno::RANDOM as i32);
     a.int(0x80);
-    a.push_r(Reg32::Eax); // R
+    a.mov_mr(frame(R), Eax);
+    // The table: basis vectors 0 and 1 of a group in `ecx`/`edx`, 2 and
+    // 3 read from memory; `END` holds the basis end meanwhile.
+    a.mov_ri_sym(Esi, basis_sym, 0);
+    a.lea(Eax, Mem::base_disp(Esi, 128));
+    a.mov_mr(frame(END), Eax);
+    a.mov_rr(Edi, Esp);
+    let group = a.here();
+    a.mov_rm(Ecx, Mem::base(Esi));
+    a.mov_rm(Edx, Mem::base_disp(Esi, 4));
+    a.alu_rr(AluOp::Xor, Eax, Eax);
+    a.mov_mr(Mem::base(Edi), Eax);
+    for i in 1..16i32 {
+        match i.trailing_zeros() {
+            0 => a.alu_rr(AluOp::Xor, Eax, Ecx),
+            1 => a.alu_rr(AluOp::Xor, Eax, Edx),
+            b => a.alu_rm(AluOp::Xor, Eax, Mem::base_disp(Esi, 4 * b as i32)),
+        }
+        a.mov_mr(Mem::base_disp(Edi, 4 * (i ^ (i >> 1))), Eax);
+    }
+    a.alu_ri(AluOp::Add, Esi, 16);
+    a.alu_ri(AluOp::Add, Edi, 64);
+    a.alu_rm(AluOp::Cmp, Esi, frame(END));
+    a.jcc_short(Cond::Ne, group);
+    // Per-position state: masks of position 0 in `esi`, the output in
+    // `edi`, `r` and the output end in the frame.
+    a.mov_ri_sym(Ecx, blob_sym, 0);
+    a.mov_rm(Edi, frame(BUF));
+    a.mov_rm(Eax, Mem::base(Ecx));
+    a.shift_ri(ShiftOp::Shl, Eax, 2);
+    a.alu_rr(AluOp::Add, Eax, Edi);
+    a.mov_mr(frame(END), Eax);
+    if !pow2 {
+        a.mov_rm(Eax, Mem::base_disp(Ecx, 4));
+        a.mov_mr(frame(N), Eax);
+        a.shift_ri(ShiftOp::Shl, Eax, 2);
+        a.mov_mr(frame(ROW_STEP), Eax);
+    }
+    a.lea(Esi, Mem::base_disp(Ecx, 8));
     let done = a.label();
-    a.alu_rm(AluOp::Cmp, Reg32::Edi, frame(END));
+    a.alu_rm(AluOp::Cmp, Edi, frame(END));
     a.jcc(Cond::E, done);
     let outer = a.here();
-    a.mov_rm(Reg32::Ecx, frame(R));
-    a.mov_rr(Reg32::Eax, Reg32::Ecx);
-    a.alu_rr(AluOp::Xor, Reg32::Edx, Reg32::Edx);
-    a.mov_rm(Reg32::Edi, frame(N));
-    a.div_r(Reg32::Edi);
-    xorshift(&mut a, Reg32::Ecx, Reg32::Edi);
-    a.mov_mr(frame(R), Reg32::Ecx);
-    a.mov_rm(Reg32::Ecx, frame(ROW));
-    a.mov_rm(Reg32::Edx, indexed(Reg32::Ecx, Reg32::Edx, 4, 0));
-    a.alu_rm(AluOp::Add, Reg32::Ecx, frame(ROW_STEP));
-    a.mov_mr(frame(ROW), Reg32::Ecx);
-    a.mov_rm(Reg32::Ecx, frame(POOL));
-    a.lea(Reg32::Edx, indexed(Reg32::Ecx, Reg32::Edx, 4, 0));
-    a.mov_rm(Reg32::Ecx, Mem::base(Reg32::Edx));
-    a.alu_rr(AluOp::Xor, Reg32::Eax, Reg32::Eax);
-    let store = a.label();
-    a.test_rr(Reg32::Ecx, Reg32::Ecx);
-    a.jcc_short(Cond::E, store);
-    let inner = a.here();
-    a.mov_rm(Reg32::Edi, indexed(Reg32::Edx, Reg32::Ecx, 4, 0));
-    a.alu_rm(
-        AluOp::Xor,
-        Reg32::Eax,
-        indexed(Reg32::Esi, Reg32::Edi, 4, 0),
-    );
-    a.dec_r(Reg32::Ecx);
-    a.jcc_short(Cond::Ne, inner);
-    a.bind(store);
-    a.mov_rm(Reg32::Ecx, frame(OUT));
-    a.mov_mr(Mem::base(Reg32::Ecx), Reg32::Eax);
-    a.alu_ri(AluOp::Add, Reg32::Ecx, 4);
-    a.mov_mr(frame(OUT), Reg32::Ecx);
-    a.alu_rm(AluOp::Cmp, Reg32::Ecx, frame(END));
+    // `edx = r % n`, `r` one xorshift32 step on.
+    a.mov_rm(Eax, frame(R));
+    if pow2 {
+        a.mov_rr(Edx, Eax);
+        a.alu_ri(AluOp::And, Edx, n as i32 - 1);
+        xorshift(&mut a, Eax, Ecx);
+        a.mov_mr(frame(R), Eax);
+    } else {
+        a.mov_rr(Ecx, Eax);
+        a.alu_rr(AluOp::Xor, Edx, Edx);
+        a.div_m(frame(N));
+        xorshift(&mut a, Ecx, Eax);
+        a.mov_mr(frame(R), Ecx);
+    }
+    a.mov_rm(Edx, indexed(Esi, Edx, 4, 0));
+    if pow2 {
+        a.alu_ri(AluOp::Add, Esi, 4 * n as i32);
+    } else {
+        a.alu_rm(AluOp::Add, Esi, frame(ROW_STEP));
+    }
+    // Nibbles 0–3 from `dl`/`dh`, 4–7 from them after `shr edx, 16`.
+    for half in 0..2 {
+        for (g, byte) in [(0, Reg8::Dl), (2, Reg8::Dh)] {
+            let g = 4 * half + g;
+            a.movzx_rr8(Ecx, byte);
+            a.alu_ri(AluOp::And, Ecx, 15);
+            if g == 0 {
+                a.mov_rm(Eax, table(Ecx, g));
+            } else {
+                a.alu_rm(AluOp::Xor, Eax, table(Ecx, g));
+            }
+            a.movzx_rr8(Ecx, byte);
+            a.shift_ri(ShiftOp::Shr, Ecx, 4);
+            a.alu_rm(AluOp::Xor, Eax, table(Ecx, g + 1));
+        }
+        if half == 0 {
+            a.shift_ri(ShiftOp::Shr, Edx, 16);
+        }
+    }
+    a.mov_mr(Mem::base(Edi), Eax);
+    a.alu_ri(AluOp::Add, Edi, 4);
+    a.alu_rm(AluOp::Cmp, Edi, frame(END));
     a.jcc(Cond::Ne, outer);
     a.bind(done);
     epilogue(a)
@@ -536,7 +587,8 @@ pub fn install_generator_binary(
         ChainMode::Probabilistic { .. } => {
             let blob_sym = format!("__plx_blob_{func}");
             let basis_sym = format!("__plx_basis_{func}");
-            let k = probabilistic_kernel(&blob_sym, &basis_sym, &buf_sym);
+            let n = mode.variant_count();
+            let k = probabilistic_kernel(&blob_sym, &basis_sym, &buf_sym, n);
             prog.add_func(&gen_sym, into_slot(k, PROBABILISTIC_SLOT));
             prog.add_data(&blob_sym, Vec::new());
             prog.add_data(&basis_sym, vec![0; 128]);
@@ -577,8 +629,8 @@ mod tests {
     fn basis_decompose_combine() {
         let basis = Basis::random(7);
         for v in [0u32, 1, 0xdead_beef, u32::MAX, 0x8000_0000] {
-            let idxs = basis.decompose(v);
-            assert_eq!(basis.combine(&idxs), v, "value {v:#x}");
+            let mask = basis.decompose(v);
+            assert_eq!(basis.combine(mask), v, "value {v:#x}");
         }
         // Distinct seeds give distinct bases (overwhelmingly likely).
         let b2 = Basis::random(8);
@@ -586,21 +638,22 @@ mod tests {
     }
 
     #[test]
-    fn index_blob_layout() {
+    fn every_mask_recombines_to_its_word() {
         let basis = Basis::random(3);
-        let variants = vec![vec![5, 10], vec![5, 12]];
-        let blob = build_index_blob(&basis, &variants);
+        let variants = vec![
+            vec![5, 10, 0, u32::MAX],
+            vec![5, 12, 0x0804_c353, 1],
+            vec![9, 0xdead_beef, 7, 0x8000_0000],
+        ];
+        let blob = build_mask_blob(&basis, &variants);
         let w = |i: usize| u32::from_le_bytes(blob[4 * i..4 * i + 4].try_into().unwrap());
-        assert_eq!(w(0), 2); // L
-        assert_eq!(w(1), 2); // N
-                             // offsets for (pos 0, var 0/1), (pos 1, var 0/1)
-        let pool_base = 2 + 4;
-        let off00 = w(2) as usize;
-        let cnt = w(pool_base + off00) as usize;
-        let idxs: Vec<u8> = (0..cnt)
-            .map(|k| w(pool_base + off00 + 1 + k) as u8)
-            .collect();
-        assert_eq!(basis.combine(&idxs), 5);
+        assert_eq!(blob.len(), 4 * (2 + 4 * 3));
+        assert_eq!((w(0), w(1)), (4, 3)); // L, N
+        for (j, var) in variants.iter().enumerate() {
+            for (l, &word) in var.iter().enumerate() {
+                assert_eq!(basis.combine(w(2 + 3 * l + j)), word, "({l}, {j})");
+            }
+        }
     }
 
     #[test]
@@ -613,6 +666,20 @@ mod tests {
                 .filter(|&i| matches!(bytes[i], 0xc3 | 0xcb))
                 .collect();
             assert_eq!(rets, vec![XOR_SLOT - 1], "key {key:#x}");
+        }
+    }
+
+    #[test]
+    fn probabilistic_kernels_plant_no_return_but_the_last() {
+        for variants in [0, 2, 3, 6, 8, 16, 195, 203, 256] {
+            let mut p = Program::new();
+            let mode = ChainMode::Probabilistic { variants, seed: 1 };
+            let gen = install_generator_binary(&mut p, "f", &mode);
+            let bytes = &p.func(&gen.unwrap()).unwrap().bytes;
+            let rets: Vec<usize> = (0..bytes.len())
+                .filter(|&i| matches!(bytes[i], 0xc3 | 0xcb))
+                .collect();
+            assert_eq!(rets, vec![PROBABILISTIC_SLOT - 1], "N={variants}");
         }
     }
 

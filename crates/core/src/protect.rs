@@ -12,7 +12,7 @@
 //!    verification function into a ROP chain that *prefers gadgets
 //!    overlapping the protected code* (§III step 4);
 //! 5. install the chains (cleartext, encrypted, or as probabilistic
-//!    index arrays) and produce the final image.
+//!    coefficient masks) and produce the final image.
 //!
 //! Because chain sizes depend on compilation and addresses depend on
 //! sizes, steps 4–5 run as a two-pass fixpoint: chains are compiled
@@ -55,7 +55,7 @@ use parallax_ropc::{
 use parallax_trace::{SpanGuard, Tracer};
 
 use crate::dynamic::{
-    build_index_blob, install_generator_binary, rc4_crypt, xor_crypt, Basis, ChainMode,
+    build_mask_blob, install_generator_binary, rc4_crypt, xor_crypt, Basis, ChainMode,
 };
 use crate::faultinject::FaultPlan;
 use crate::store::{ArtifactStore, NoStore};
@@ -224,15 +224,6 @@ pub enum ErrorKind {
     MissingSymbol(String),
     /// A pipeline-managed data item vanished between passes.
     MissingDataItem(String),
-    /// Serialized chain material exceeded its reserved capacity.
-    ChainTooLarge {
-        /// The verification function whose chain overflowed.
-        func: String,
-        /// Bytes the chain material needs.
-        needed: usize,
-        /// Bytes reserved for it.
-        capacity: usize,
-    },
     /// Gadget discovery found no usable gadgets at all.
     NoUsableGadgets,
     /// The final image failed its post-link structural verification —
@@ -253,14 +244,6 @@ impl fmt::Display for ErrorKind {
             ErrorKind::TextChanged => write!(f, "final fill changed the scanned text"),
             ErrorKind::MissingSymbol(s) => write!(f, "missing symbol `{s}`"),
             ErrorKind::MissingDataItem(s) => write!(f, "missing data item `{s}`"),
-            ErrorKind::ChainTooLarge {
-                func,
-                needed,
-                capacity,
-            } => write!(
-                f,
-                "chain material for `{func}` needs {needed} bytes, only {capacity} reserved"
-            ),
             ErrorKind::NoUsableGadgets => write!(f, "no usable gadgets in image"),
             ErrorKind::Verify(e) => write!(f, "image verification: {e}"),
         }
@@ -446,9 +429,7 @@ pub struct Protected {
     pub report: ProtectReport,
 }
 
-/// Number of probabilistic variants compiled when
-/// [`ChainMode::Probabilistic`] requests `variants: 0`.
-pub const DEFAULT_VARIANTS: usize = 8;
+pub use crate::dynamic::DEFAULT_VARIANTS;
 
 /// What a pipeline run consults besides its input and configuration.
 /// `Ctx::default()` stores nothing, traces nothing and injects no
@@ -793,10 +774,10 @@ fn run_pipeline(
                 .map_err(|e| ProtectError::chain_for(f, e))?
                 .chain
                 .len();
-        // Probabilistic blob worst case per (position, variant): a
-        // 4-byte offset-table entry plus a pool list of 1 + up to 32
-        // index words = 136 bytes; pad generously on top.
-        let blob_cap = words * cfg_variants(&cfg.mode) * 140 + 1024;
+        // The probabilistic blob's reservation. A mask blob needs only
+        // 8 + 4 bytes per (position, variant), but shrinking the
+        // reservation moves every symbol after the blob (DESIGN.md §21).
+        let blob_cap = words * cfg.mode.variant_count() * 140 + 1024;
         sizes.push((words, blob_cap));
     }
     drop(chain1_block);
@@ -831,7 +812,7 @@ fn run_pipeline(
     let chain2_block = run.stage(Stage::ChainCompile);
     let scratch2 = symbol_vaddr(&img2, "__plx_scratch")?;
     let guards2 = guard_addrs(&img2, &map2, &cfg.guard_funcs);
-    let nvariants = cfg_variants(&cfg.mode);
+    let nvariants = cfg.mode.variant_count();
 
     // Compile every (function, variant) chain against the final layout.
     // Policy seeds derive from (chain index, variant) alone, so each
@@ -907,25 +888,10 @@ fn run_pipeline(
             }
             ChainMode::Probabilistic { seed, .. } => {
                 let basis = Basis::random(seed ^ (0x5a5a + i as u64));
-                let mut blob = build_index_blob(&basis, &variant_words);
-                let blob_sym = format!("__plx_blob_{f}");
-                let cap = prog
-                    .data_item(&blob_sym)
-                    .ok_or_else(|| ProtectError::missing_data(&blob_sym))?
-                    .bytes
-                    .len();
-                if blob.len() > cap {
-                    return Err(ProtectError::new(
-                        Stage::Map,
-                        ErrorKind::ChainTooLarge {
-                            func: f.clone(),
-                            needed: blob.len(),
-                            capacity: cap,
-                        },
-                    ));
-                }
-                blob.resize(cap, 0);
-                data_mut(&mut prog, &blob_sym)?.bytes = blob;
+                let mut blob = build_mask_blob(&basis, &variant_words);
+                let reserved = &mut data_mut(&mut prog, &format!("__plx_blob_{f}"))?.bytes;
+                blob.resize(reserved.len(), 0);
+                *reserved = blob;
                 let basis_bytes: Vec<u8> =
                     basis.vectors.iter().flat_map(|w| w.to_le_bytes()).collect();
                 data_mut(&mut prog, &format!("__plx_basis_{f}"))?.bytes = basis_bytes;
@@ -986,9 +952,8 @@ fn run_pipeline(
 
 /// The artifact store's pass-1 rewrite seam as the rewrite crate
 /// queries it, each lookup counted on the tracer as
-/// `cache.func.rewritten.{hit,miss}` and in the `cache.func.{hit,miss}`
-/// totals. Verdict lookups are counted by the gadget pass itself
-/// (`cache.func.verdict.*`).
+/// `cache.func.rewritten.{hit,miss}`. Verdict lookups are counted by
+/// the gadget pass itself (`cache.func.verdict.*`).
 struct FuncStore<'a>(&'a Ctx<'a>);
 
 impl FuncRewriteCache for FuncStore<'_> {
@@ -996,7 +961,6 @@ impl FuncRewriteCache for FuncStore<'_> {
         let out = self.0.store.cached_rewritten_func(fingerprint);
         if let Some(t) = self.0.tracer {
             let outcome = if out.is_some() { "hit" } else { "miss" };
-            t.count(&format!("cache.func.{outcome}"), 1);
             t.count(&format!("cache.func.rewritten.{outcome}"), 1);
         }
         out
@@ -1138,14 +1102,6 @@ fn checksummed_item(func: &str, mode: &ChainMode) -> String {
             format!("__plx_enc_{func}")
         }
         ChainMode::Probabilistic { .. } => format!("__plx_blob_{func}"),
-    }
-}
-
-fn cfg_variants(mode: &ChainMode) -> usize {
-    match mode {
-        ChainMode::Probabilistic { variants: 0, .. } => DEFAULT_VARIANTS,
-        ChainMode::Probabilistic { variants, .. } => (*variants).max(2),
-        _ => 1,
     }
 }
 

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use parallax_core::dynamic::{
-    build_index_blob, install_generator_binary, rc4_crypt, xor_crypt, xorshift32, Basis,
+    build_mask_blob, install_generator_binary, rc4_crypt, xor_crypt, xorshift32, Basis,
 };
 use parallax_core::{protect, ChainMode, ProtectConfig};
 use parallax_gadgets::classify;
@@ -43,8 +43,12 @@ fn gen_ranges(img: &LinkedImage) -> Vec<(String, std::ops::Range<usize>)> {
 
 #[test]
 fn kernels_add_no_gadget_but_their_final_ret() {
+    // Six variants take the probabilistic generator's `div` path, eight
+    // its `and` path.
+    let mut modes = dynamic_modes(6).to_vec();
+    modes.push(dynamic_modes(8)[2].clone());
     for w in parallax_corpus::all() {
-        for mode in dynamic_modes(6) {
+        for mode in &modes {
             let cfg = ProtectConfig {
                 verify_funcs: vec![w.verify_func.to_owned()],
                 mode: mode.clone(),
@@ -258,9 +262,11 @@ fn first_random(seed: u64) -> u32 {
     vm.mem().read32(img.symbol("r").unwrap().vaddr).unwrap()
 }
 
+/// `N` of 2 and 8 take the generator's `and` path, 3 and 6 its `div`
+/// path.
 #[test]
 fn probabilistic_kernel_assembles_the_drawn_variants() {
-    for variants in [6usize, 8] {
+    for variants in [2usize, 3, 6, 8] {
         for n in LENGTHS {
             let vs: Vec<Vec<u32>> = (0..variants)
                 .map(|v| random_words(n, 100 * v as u32 + n as u32))
@@ -268,7 +274,7 @@ fn probabilistic_kernel_assembles_the_drawn_variants() {
             let basis = Basis::random(0x5a5a ^ n as u64);
             let mode = ChainMode::Probabilistic { variants, seed: 1 };
             let img = harness(&mode, |p| {
-                set(p, "__plx_blob_f", build_index_blob(&basis, &vs));
+                set(p, "__plx_blob_f", build_mask_blob(&basis, &vs));
                 set(p, "__plx_basis_f", le_bytes(&basis.vectors));
                 set_chain_len(p, n);
             });
@@ -289,48 +295,88 @@ fn probabilistic_kernel_assembles_the_drawn_variants() {
 
 // ---- masked-image golden --------------------------------------------
 
-/// FNV-1a over the text with every `__plx_gen_*` range zeroed, the data
-/// and the symbol table.
-fn masked_digest(img: &LinkedImage) -> u64 {
+/// FNV-1a over `parts` in order.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    let mut text = img.text.clone();
-    for (_, r) in gen_ranges(img) {
-        text[r].fill(0);
-    }
-    eat(&text);
-    eat(&img.data);
-    for s in &img.symbols {
-        eat(s.name.as_bytes());
-        eat(&s.vaddr.to_le_bytes());
-        eat(&s.size.to_le_bytes());
-        eat(&[s.kind as u8]);
+    for &b in parts.iter().copied().flatten() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
 }
 
-/// Digests taken with the `-O0` IR generators the kernels replaced:
-/// outside the generator slots the images are unchanged.
+/// Digest of the text with every `__plx_gen_*` range zeroed, and of the
+/// symbol table.
+fn text_digest(img: &LinkedImage) -> u64 {
+    let mut text = img.text.clone();
+    for (_, r) in gen_ranges(img) {
+        text[r].fill(0);
+    }
+    let mut symbols = Vec::new();
+    for s in &img.symbols {
+        symbols.extend_from_slice(s.name.as_bytes());
+        symbols.extend_from_slice(&s.vaddr.to_le_bytes());
+        symbols.extend_from_slice(&s.size.to_le_bytes());
+        symbols.push(s.kind as u8);
+    }
+    fnv1a(&[&text, &symbols])
+}
+
+/// Outside the generator slots the text and the symbol table are those
+/// of the `-O0` IR generators the kernels replaced, and the data has
+/// the same length. The data digests pin the chain material: the
+/// probabilistic ones the coefficient-mask blob.
 #[test]
 fn images_outside_the_generators_are_unchanged() {
     let golden = [
-        ("gzip", "xor", 0xc02f_09f5_e2cd_89d9u64),
-        ("gzip", "rc4", 0x965b_f527_f558_4226),
-        ("gzip", "probabilistic", 0xe7bc_79a6_3c18_99b9),
-        ("gcc", "xor", 0x5b6a_3098_ca41_6353),
-        ("gcc", "rc4", 0x0149_7b7f_e4c9_f149),
-        ("gcc", "probabilistic", 0xce64_ed56_7a77_125e),
+        (
+            "gzip",
+            "xor",
+            0x4496_bf9c_c2f6_7c27u64,
+            0x8b8e_9eb6_5717_d9a7u64,
+            668,
+        ),
+        (
+            "gzip",
+            "rc4",
+            0x77a0_dda1_c6c7_7f7f,
+            0x1577_d1d8_8db9_68e8,
+            676,
+        ),
+        (
+            "gzip",
+            "probabilistic",
+            0x6743_20d9_415e_850b,
+            0x12c9_62ac_e74b_feb7,
+            132_200,
+        ),
+        (
+            "gcc",
+            "xor",
+            0xa61b_f2e0_de43_8c84,
+            0xd7db_2490_8f52_b370,
+            368,
+        ),
+        (
+            "gcc",
+            "rc4",
+            0x1686_058e_f9c4_b1cc,
+            0x15b2_e8f5_1082_2b20,
+            376,
+        ),
+        (
+            "gcc",
+            "probabilistic",
+            0xd5ba_bf57_4711_cc24,
+            0x55df_867a_f03b_5b02,
+            74_240,
+        ),
     ];
     for w in parallax_corpus::all() {
         for mode in dynamic_modes(6) {
-            let Some(&(_, _, want)) = golden
+            let Some(&(_, _, text, data, len)) = golden
                 .iter()
-                .find(|(p, m, _)| *p == w.name && *m == mode.name())
+                .find(|(p, m, ..)| *p == w.name && *m == mode.name())
             else {
                 continue;
             };
@@ -340,13 +386,14 @@ fn images_outside_the_generators_are_unchanged() {
                 ..ProtectConfig::default()
             };
             let img = protect(&(w.module)(), &cfg).unwrap().image;
+            let what = format!("{} {}", w.name, mode.name());
             assert_eq!(
-                masked_digest(&img),
-                want,
-                "{} {}: image moved outside the generator",
-                w.name,
-                mode.name()
+                text_digest(&img),
+                text,
+                "{what}: text moved outside the generator"
             );
+            assert_eq!(img.data.len(), len, "{what}: data length");
+            assert_eq!(fnv1a(&[&img.data]), data, "{what}: data");
         }
     }
 }

@@ -474,6 +474,12 @@ impl Asm {
         self.modrm_reg(6, src.encoding());
     }
 
+    /// `div dword [mem]`.
+    pub fn div_m(&mut self, mem: Mem) {
+        self.b(0xf7);
+        self.modrm_mem(6, mem);
+    }
+
     /// `idiv src`.
     pub fn idiv_r(&mut self, src: Reg32) {
         self.b(0xf7);
@@ -789,6 +795,10 @@ mod tests {
         roundtrip(|a| a.test_rr(Reg32::Eax, Reg32::Eax), "test eax,eax");
         roundtrip(|a| a.neg_r(Reg32::Eax), "neg eax");
         roundtrip(|a| a.imul_rr(Reg32::Eax, Reg32::Ebx), "imul eax,ebx");
+        roundtrip(
+            |a| a.div_m(Mem::base_disp(Reg32::Ebp, -24)),
+            "div [ebp-0x18]",
+        );
         roundtrip(|a| a.shift_ri(ShiftOp::Sar, Reg32::Eax, 31), "sar eax,0x1f");
         roundtrip(|a| a.shift_r_cl(ShiftOp::Shl, Reg32::Edx), "shl edx,cl");
     }

@@ -1,7 +1,7 @@
 //! Probabilistically generated verification chains (paper §V-B): the
 //! chain is never stored; each call assembles a fresh variant from
-//! per-position index arrays over a GF(2) basis, verifying a different
-//! gadget subset every time.
+//! per-position coefficient masks over a GF(2) basis, verifying a
+//! different gadget subset every time.
 //!
 //! ```sh
 //! cargo run --example probabilistic_chains

@@ -146,7 +146,10 @@ fn speedup(busy: u64, wall: u64) -> f64 {
 fn parallel_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
     let (wall, busy) = pool_wall_busy(tf, PAR_SITE);
-    let (hits, misses) = (get("cache.func.hit"), get("cache.func.miss"));
+    let (hits, misses) = (
+        get("cache.func.rewritten.hit"),
+        get("cache.func.rewritten.miss"),
+    );
     if wall == 0 && hits + misses == 0 {
         return;
     }
@@ -168,13 +171,6 @@ fn parallel_table(out: &mut String, tf: &TraceFile) {
             "  func cache: {hits} hits, {misses} misses ({:.1}% hit rate)",
             pct(hits, hits + misses)
         );
-        let (rh, rm) = (
-            get("cache.func.rewritten.hit"),
-            get("cache.func.rewritten.miss"),
-        );
-        if rh + rm > 0 {
-            let _ = writeln!(out, "    rewritten-func: {rh} hits / {rm} misses");
-        }
     }
 }
 
@@ -593,8 +589,14 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
             speedup(cb, wb)
         );
         let (fa, fb) = (
-            (par(a, "cache.func.hit"), par(a, "cache.func.miss")),
-            (par(b, "cache.func.hit"), par(b, "cache.func.miss")),
+            (
+                par(a, "cache.func.rewritten.hit"),
+                par(a, "cache.func.rewritten.miss"),
+            ),
+            (
+                par(b, "cache.func.rewritten.hit"),
+                par(b, "cache.func.rewritten.miss"),
+            ),
         );
         if fa.0 + fa.1 + fb.0 + fb.1 > 0 {
             let _ = writeln!(
@@ -823,9 +825,7 @@ mod tests {
         }
         t.record("pool.rewrite.workers", 4);
         t.record("pool.scan.workers", 4);
-        t.count("cache.func.hit", 3);
-        t.count("cache.func.miss", 1);
-        t.count("cache.func.rewritten.hit", 2);
+        t.count("cache.func.rewritten.hit", 3);
         t.count("cache.func.rewritten.miss", 1);
         t.record("chain.words", words);
         t.record("chain.ops", 11);
@@ -855,7 +855,6 @@ mod tests {
             "workers: 4\n",
             "4.00x parallel speedup",
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
-            "rewritten-func: 2 hits / 1 misses",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
             "5000 decodes over 9000 text offsets (1000 reached by no walk)",
             "coverage: 7000 decodes, 30000 planted-return walks, 4000 candidates classified",
