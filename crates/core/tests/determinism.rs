@@ -4,6 +4,7 @@
 //! reproducibility claims rest on — so any hidden iteration-order or
 //! ambient-state dependency fails here, not in a flaky cache hit.
 
+use parallax_bench::fig5_modes;
 use parallax_compiler::parse_module;
 use parallax_core::{protect, protect_traced, ChainMode, ProtectConfig};
 use parallax_image::format;
@@ -121,27 +122,36 @@ fn job_count_never_changes_the_image() {
 }
 
 #[test]
-fn probe_page_copies_repeat_at_any_job_count() {
+fn probe_work_repeats_at_any_job_count() {
     // Each probe starts from a VM reset to its pristine pages, so the
     // copy-on-write pages it writes depend only on the proposal, never
-    // on which worker probed it or what that worker probed before.
+    // on which worker probed it or what that worker probed before; and
+    // which contents pass 2 serves from pass 1's memo depends only on
+    // their bytes, so the probe runs it saves do not depend on the job
+    // count either.
+    const COUNTERS: [&str; 3] = ["vm.mem.pages_copied", "vm.probe.runs", "vm.probe.reused"];
     for w in parallax_corpus::all() {
         let module = (w.module)();
-        let copied = |jobs: usize| {
-            let cfg = ProtectConfig {
-                verify_funcs: vec![w.verify_func.to_owned()],
-                seed: 0x5eed,
-                jobs,
-                ..ProtectConfig::default()
+        for mode in fig5_modes() {
+            let work = |jobs: usize| {
+                let cfg = ProtectConfig {
+                    verify_funcs: vec![w.verify_func.to_owned()],
+                    mode: mode.clone(),
+                    seed: 0x5eed,
+                    jobs,
+                    ..ProtectConfig::default()
+                };
+                let tracer = Tracer::new();
+                protect_traced(&module, &cfg, &tracer)
+                    .unwrap_or_else(|e| panic!("{} {mode:?} (jobs={jobs}): {e}", w.name));
+                COUNTERS.map(|c| tracer.counter(c))
             };
-            let tracer = Tracer::new();
-            protect_traced(&module, &cfg, &tracer)
-                .unwrap_or_else(|e| panic!("{} (jobs={jobs}): {e}", w.name));
-            tracer.counter("vm.mem.pages_copied")
-        };
-        let one = copied(1);
-        assert!(one > 0, "{}: probes copied no pages", w.name);
-        assert_eq!(one, copied(2), "{}: page copies diverged at jobs=2", w.name);
+            let one = work(1);
+            for (c, n) in COUNTERS.iter().zip(one) {
+                assert!(n > 0, "{} {mode:?}: {c} is 0", w.name);
+            }
+            assert_eq!(one, work(2), "{} {mode:?}: {COUNTERS:?} at jobs=2", w.name);
+        }
     }
 }
 

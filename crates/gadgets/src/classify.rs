@@ -11,8 +11,11 @@ use std::collections::HashMap;
 use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand};
 use parallax_x86::{Reg, Reg32, Reg8};
 
+use parallax_vm::{STACK_SIZE, STACK_TOP};
+
 use crate::scan::Candidate;
 use crate::types::{Effect, GBinOp};
+use crate::validate::{scratch_pointer, PROBE_ESP};
 
 /// Unary operations in the abstract domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,28 +89,37 @@ pub struct Proposal {
     /// Register bases of incidental memory accesses; these must point
     /// into scratch memory when the gadget executes.
     pub mem_preconditions: Vec<Reg32>,
+    /// Every explicit memory operand resolved to an access that lands
+    /// where no relink moves anything ([`MemLoc::relink_invariant`]).
+    accesses_invariant: bool,
 }
 
-/// Largest `[esp+disp]` displacement or `add|sub esp, imm` immediate a
-/// layout-independent proposal may use. Six instructions then keep
-/// every access within a few pages of the probe's stack pointer, inside
-/// the stack region, whose place never depends on the image.
+/// Largest `add|sub esp, imm` immediate a layout-independent proposal
+/// may use. Six instructions then keep the probe's stack pointer within
+/// a few pages of where it started, inside the stack region, whose
+/// place never depends on the image.
 const STACK_REACH: i64 = 0x1000;
 
 impl Proposal {
     /// True when the probe's verdict cannot depend on where the image's
-    /// data and heap sit: no instruction can make the probe touch memory
-    /// outside its fixed stack window (DESIGN.md §17). Such a verdict is
+    /// text, data and heap sit (DESIGN.md §17): no instruction reaches
+    /// VM state beyond memory, esp moves only by bounded steps, and
+    /// every memory access the classifier resolved, rooted at esp or
+    /// at a scratch-precondition register, lands inside the stack
+    /// region or wholly at or above `STACK_TOP`. The probe puts both
+    /// its stack window and its scratch regions in the stack region,
+    /// which sits at the same place for every image. Such a verdict is
     /// a function of the candidate's bytes alone, so a relink may reuse
     /// it wherever those bytes now sit (§18).
     pub fn layout_independent(&self) -> bool {
-        self.mem_preconditions.is_empty() && self.cand.insns.iter().all(stack_confined)
+        self.accesses_invariant && self.cand.insns.iter().all(stack_confined)
     }
 }
 
-/// No `int` or `leave`; every explicit memory operand `[esp+disp]`
-/// (`lea` touches no memory); esp written only by a push or pop of
-/// another register, a return, or `add|sub esp, imm`.
+/// The per-instruction half of the rule: no `int`, `leave` or `popad`;
+/// no absolute or indexed memory operand (`lea` touches no memory); esp
+/// written only by a push or pop of another register, a return, or
+/// `add|sub esp, imm`.
 fn stack_confined(insn: &Insn) -> bool {
     use Mnemonic as M;
     let is_esp = |op: &Operand| matches!(op, Operand::Reg(Reg::R32(Reg32::Esp)));
@@ -125,11 +137,7 @@ fn stack_confined(insn: &Insn) -> bool {
     esp_ok
         && (insn.mnemonic == M::Lea
             || insn.ops.iter().all(|op| match op {
-                Operand::Mem(m) => {
-                    m.base == Some(Reg32::Esp)
-                        && m.index.is_none()
-                        && i64::from(m.disp).abs() <= STACK_REACH
-                }
+                Operand::Mem(m) => m.base.is_some() && m.index.is_none(),
                 _ => true,
             }))
 }
@@ -148,6 +156,12 @@ struct St {
     read_bases: Vec<Reg32>,
     syscall: bool,
     dead: bool,
+    /// Set when the instruction being interpreted resolved an explicit
+    /// memory operand.
+    accessed: bool,
+    /// Cleared by the first resolved access that is not
+    /// [relink-invariant](MemLoc::relink_invariant).
+    accesses_invariant: bool,
 }
 
 impl St {
@@ -171,6 +185,8 @@ impl St {
             read_bases: Vec::new(),
             syscall: false,
             dead: false,
+            accessed: false,
+            accesses_invariant: true,
         }
     }
 
@@ -244,25 +260,24 @@ impl St {
         }
     }
 
-    /// Resolves a memory operand to either a stack offset (`Ok`) or a
-    /// `(base, off)` pair (`Err`), or kills the gadget.
+    /// Resolves a memory operand to either a stack offset or a
+    /// `(base, off)` pair, or kills the gadget (`None`). Records the
+    /// access for [`Proposal::layout_independent`].
     fn resolve_mem(&mut self, m: &Mem) -> Option<MemLoc> {
         if m.index.is_some() {
             return None; // scaled accesses are not chain-controllable
         }
-        match m.base {
-            Some(Reg32::Esp) if self.esp_sym.is_none() => {
-                Some(MemLoc::Stack(self.esp_delta + m.disp))
-            }
-            Some(base) => {
-                let v = self.reg(base);
-                if let V::Esp(d) = v {
-                    return Some(MemLoc::Stack(d + m.disp));
-                }
-                root_init(&v).map(|(r, exact)| MemLoc::Reg(r, m.disp, exact))
-            }
-            None => None, // absolute addresses not supported in gadgets
-        }
+        let loc = match m.base {
+            Some(Reg32::Esp) if self.esp_sym.is_none() => MemLoc::Stack(self.esp_delta + m.disp),
+            Some(base) => match self.reg(base) {
+                V::Esp(d) => MemLoc::Stack(d + m.disp),
+                v => root_init(&v).map(|(r, exact)| MemLoc::Reg(r, m.disp, exact))?,
+            },
+            None => return None, // absolute addresses not supported in gadgets
+        };
+        self.accessed = true;
+        self.accesses_invariant &= loc.relink_invariant();
+        Some(loc)
     }
 
     fn read_mem(&mut self, m: &Mem, byte: bool) -> Option<V> {
@@ -325,6 +340,39 @@ enum MemLoc {
     /// were modified first (address still rooted at the register, so a
     /// scratch precondition suffices, but no template effect applies).
     Reg(Reg32, i32, bool),
+}
+
+impl MemLoc {
+    /// Whether the probe's access lands where no relink moves anything:
+    /// its address interval, for any value a `Patch8` root's low two
+    /// bytes may take and up to a dword wide, lies inside the stack
+    /// region or wholly at or above `STACK_TOP`, which no image maps.
+    /// A stack access starts from the probe's fixed esp, a register
+    /// access from the probe's scratch pointer for that register.
+    fn relink_invariant(&self) -> bool {
+        let (lo, hi) = match *self {
+            MemLoc::Stack(off) => {
+                let at = i64::from(PROBE_ESP) + i64::from(off);
+                (at, at)
+            }
+            MemLoc::Reg(base, off, exact) => {
+                let p = i64::from(scratch_pointer(base));
+                let (lo, hi) = if exact {
+                    (p, p)
+                } else {
+                    (p & !0xffff, p | 0xffff)
+                };
+                (lo + i64::from(off), hi + i64::from(off))
+            }
+        };
+        // Addresses wrap at 2^32, like the probe's; an interval that
+        // wraps past the top reaches address 0 and fails below.
+        let span = hi - lo + 3;
+        let lo = lo.rem_euclid(1 << 32);
+        let hi = lo + span;
+        let (bottom, top) = (i64::from(STACK_TOP - STACK_SIZE), i64::from(STACK_TOP));
+        hi < 1 << 32 && (lo >= top || (lo >= bottom && hi < top))
+    }
 }
 
 /// Looks through `Patch8` layers to the underlying initial register.
@@ -882,8 +930,17 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
     let mut st = St::new();
     let n = cand.insns.len();
     for insn in &cand.insns[..n - 1] {
+        st.accessed = false;
         if !step(&mut st, insn) {
             return None;
+        }
+        // A memory operand the interpreter does not read (`mul [m]`)
+        // reaches an address no access records.
+        if !st.accessed
+            && insn.mnemonic != Mnemonic::Lea
+            && insn.ops.iter().any(|op| matches!(op, Operand::Mem(_)))
+        {
+            st.accesses_invariant = false;
         }
     }
 
@@ -917,6 +974,7 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
             effects,
             clobbers,
             mem_preconditions: mem_preconds(&st),
+            accesses_invariant: st.accesses_invariant,
         });
     }
 
@@ -1092,6 +1150,7 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         effects,
         clobbers,
         mem_preconditions: mem_preconds(&st),
+        accesses_invariant: st.accesses_invariant,
     })
 }
 
@@ -1305,7 +1364,8 @@ mod tests {
 
     /// The proposal for the whole of `bytes` (which must end in a
     /// return). Sequences the classifier drops get a bare proposal with
-    /// no preconditions, so the instruction rule is what gets judged.
+    /// no preconditions and no resolved access, so the instruction rule
+    /// is what gets judged.
     fn whole(bytes: &[u8]) -> Proposal {
         let cand = scan(bytes, 0x1000)
             .into_iter()
@@ -1317,6 +1377,7 @@ mod tests {
             effects: Vec::new(),
             clobbers: Vec::new(),
             mem_preconditions: Vec::new(),
+            accesses_invariant: true,
         })
     }
 
@@ -1325,17 +1386,31 @@ mod tests {
         for (bytes, what) in [
             (&[0x58, 0x94, 0xc3][..], "pop eax; xchg eax, esp; ret"),
             (&[0x5d, 0xc9, 0xc3], "pop ebp; leave; ret"),
+            (&[0x89, 0xe5, 0xc9, 0xc3], "mov ebp, esp; leave; ret"),
             (
-                &[0x8b, 0x81, 0x00, 0x00, 0x00, 0x07, 0xc3],
-                "mov eax, [ecx+0x07000000]; ret",
+                &[0x8b, 0x81, 0x00, 0x00, 0x00, 0xfd, 0xc3],
+                "mov eax, [ecx-0x03000000]; ret",
+            ),
+            (
+                &[0x8b, 0x81, 0x00, 0x00, 0xfe, 0xff, 0xc3],
+                "mov eax, [ecx-0x20000]; ret",
             ),
             (
                 &[0x8b, 0x05, 0x00, 0xa0, 0x04, 0x08, 0xc3],
                 "mov eax, [0x0804a000]; ret",
             ),
+            (&[0x8b, 0x04, 0x88, 0xc3], "mov eax, [eax+ecx*4]; ret"),
+            (
+                &[0xf7, 0x25, 0x00, 0xa0, 0x04, 0x08, 0xc3],
+                "mul [0x0804a000]; ret",
+            ),
             (&[0xcd, 0x80, 0xc3], "int 0x80; ret"),
             (&[0x5c, 0xc3], "pop esp; ret"),
-            (&[0x00, 0x00, 0xc3], "add [eax], al; ret"),
+            (&[0x61, 0xc3], "popad; ret"),
+            (
+                &[0x8b, 0x84, 0x24, 0x00, 0x00, 0xfc, 0xff, 0xc3],
+                "mov eax, [esp-0x40000]; ret",
+            ),
         ] {
             assert!(!whole(bytes).layout_independent(), "{what}");
         }
@@ -1348,9 +1423,58 @@ mod tests {
             (&[0x01, 0xd8, 0xc3], "add eax, ebx; ret"),
             (&[0x8b, 0x44, 0x24, 0x04, 0xc3], "mov eax, [esp+4]; ret"),
             (&[0x83, 0xc4, 0x08, 0xc3], "add esp, 8; ret"),
+            (&[0x00, 0x00, 0xc3], "add [eax], al; ret"),
+            (
+                &[0x39, 0x81, 0x00, 0xd0, 0xff, 0xff, 0xc3],
+                "cmp [ecx-0x3000], eax; ret",
+            ),
+            // The bytes before every `__plx_stdset` gadget decode as an
+            // access far above the stack, which no image maps.
+            (
+                &[0x01, 0x83, 0x45, 0xfc, 0x50, 0xb8, 0x59, 0xc3],
+                "add [ebx-0x47af03bb], eax; pop ecx; ret",
+            ),
+            // `mov ah` moves eax within its scratch block.
+            (
+                &[0xb4, 0x16, 0x00, 0x00, 0x83, 0xc4, 0x04, 0xc3],
+                "mov ah, 0x16; add [eax], al; add esp, 4; ret",
+            ),
+            (
+                &[0x8b, 0x84, 0x24, 0x00, 0x30, 0x00, 0x00, 0xc3],
+                "mov eax, [esp+0x3000]; ret",
+            ),
         ] {
             let p = whole(bytes);
             assert!(p.layout_independent(), "{what}: {}", p.cand.disasm());
         }
+    }
+
+    /// The rule reads the classifier's own address, not the operand:
+    /// a copy of esp, or a register whose low byte was replaced, still
+    /// roots the access.
+    #[test]
+    fn accesses_are_judged_by_their_root() {
+        // mov ebp, esp; mov eax, [ebp+4]; ret
+        let p = whole(&[0x89, 0xe5, 0x8b, 0x45, 0x04, 0xc3]);
+        assert!(p.mem_preconditions.is_empty());
+        assert!(p.layout_independent(), "{}", p.cand.disasm());
+        // mov ah, 0x16; add [eax], al; add esp, 4; ret
+        let p = whole(&[0xb4, 0x16, 0x00, 0x00, 0x83, 0xc4, 0x04, 0xc3]);
+        assert_eq!(p.mem_preconditions, vec![Reg32::Eax]);
+        assert!(p.effects.contains(&Effect::Nop));
+        assert!(p.layout_independent());
+        // The same displacement from an exact and from a patched root:
+        // `[eax-0x10800]` stays in the stack region, but the patched
+        // eax may sit anywhere in its 64 KiB block, and the block's
+        // bottom minus 0x10800 lies below the region.
+        let p = whole(&[0x8b, 0x80, 0x00, 0xf8, 0xfe, 0xff, 0xc3]);
+        assert!(p.layout_independent(), "{}", p.cand.disasm());
+        let p = whole(&[0xb0, 0x16, 0x8b, 0x80, 0x00, 0xf8, 0xfe, 0xff, 0xc3]);
+        assert_eq!(p.mem_preconditions, vec![Reg32::Eax]);
+        assert!(!p.layout_independent(), "{}", p.cand.disasm());
+        // A patched block shifted to straddle address 0 wraps from the
+        // top of the address space into the image's range.
+        let p = whole(&[0xb0, 0x16, 0x8b, 0x80, 0x00, 0x80, 0x02, 0xf4, 0xc3]);
+        assert!(!p.layout_independent(), "{}", p.cand.disasm());
     }
 }

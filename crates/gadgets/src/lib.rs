@@ -125,6 +125,20 @@ impl Content {
     }
 }
 
+/// Whether the image's text, and its data, BSS and heap, end below
+/// the VM stack region. Layout-independent probes touch only the stack
+/// region and the unmapped space above it (DESIGN.md §17), so their
+/// verdicts hold across relinks only while no image byte sits there.
+/// Every image the toolchain links fits with tens of MiB to spare; one
+/// that does not neither leaves nor takes pass-memo verdicts.
+fn below_stack(img: &LinkedImage) -> bool {
+    use parallax_vm::{HEAP_SIZE, STACK_SIZE, STACK_TOP};
+    let end = |base: u32, len: u64| u64::from(base) + len;
+    let data_len = img.data.len() as u64 + u64::from(img.bss_size) + u64::from(HEAP_SIZE);
+    let bottom = u64::from(STACK_TOP - STACK_SIZE);
+    end(img.text_base, img.text.len() as u64) <= bottom && end(img.data_base, data_len) <= bottom
+}
+
 /// What one gadget pass leaves for a rescan of the same image relinked
 /// with other data sizes (the second pass of `protect()`'s fixpoint):
 /// the text it scanned, that text's decode table, and the probe
@@ -241,6 +255,7 @@ pub fn find_gadgets_reusing(
 ) -> (Vec<Gadget>, ScanStats, ValidateStats, PassMemo) {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
+    let fits = below_stack(img);
     let prev = prev.filter(|m| m.text_base == img.text_base && m.text.len() == img.text.len());
     let (old_text, old_slots, old_verdicts) = match prev {
         Some(m) => (m.text, Some(m.slots), m.verdicts),
@@ -256,6 +271,7 @@ pub fn find_gadgets_reusing(
     let groups: Mutex<HashMap<Content, Arc<OnceLock<Rep>>>> = Mutex::new(
         old_verdicts
             .into_iter()
+            .filter(|_| fits)
             .map(|(content, g)| (content, Arc::new(OnceLock::from(Rep::Inherited(g)))))
             .collect(),
     );
@@ -373,6 +389,7 @@ pub fn find_gadgets_reusing(
         .into_inner()
         .unwrap()
         .into_iter()
+        .filter(|_| fits)
         .filter_map(
             |(content, group)| match Arc::into_inner(group)?.into_inner()? {
                 Rep::Probed {

@@ -17,7 +17,7 @@
 //! trial) path is preserved in [`legacy`] as the differential oracle.
 
 use parallax_image::LinkedImage;
-use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_TOP};
+use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_SIZE, STACK_TOP};
 use parallax_x86::Reg32;
 
 use crate::classify::Proposal;
@@ -29,6 +29,35 @@ const PROBE_STEPS: usize = 64;
 /// Words snapshotted per scratch region (±0x200 bytes around the
 /// scratch pointer).
 const SCRATCH_WORDS: usize = 256;
+
+/// The 64 KiB-aligned block of the VM stack region that holds the
+/// probe's eight scratch regions. The stack region sits at the same
+/// place for every image, so a scratch pointer, and any access a
+/// gadget makes near one, does not depend on the image layout
+/// (DESIGN.md §17).
+pub(crate) const SCRATCH_BLOCK: u32 = 0x0bfd_0000;
+
+/// The initial `esp` of every probe: the chain's first slot.
+pub(crate) const PROBE_ESP: u32 = STACK_TOP - 0x2000;
+
+/// The scratch pointer a probe puts in `r` when `r` must address
+/// memory: region `r.encoding()` of the scratch block, with ~0x800
+/// bytes of displacement headroom to either side. Its low byte is not
+/// 0, so a gadget that adds or ors `al` into the word it just stored
+/// through `eax` fails the store check, as it would corrupt a chain's
+/// store to any address whose low byte is not 0.
+pub fn scratch_pointer(r: Reg32) -> u32 {
+    SCRATCH_BLOCK + 0x18a4 + 0x1000 * u32::from(r.encoding())
+}
+
+// Whatever a gadget does to a scratch pointer's low two bytes, the
+// pointer stays in the block; the block with 0x1000 bytes to either
+// side lies inside the stack region, below the probe's stack window.
+const _: () = assert!(
+    SCRATCH_BLOCK.is_multiple_of(0x1_0000)
+        && SCRATCH_BLOCK - 0x1000 >= STACK_TOP - STACK_SIZE
+        && SCRATCH_BLOCK + 0x1_1000 <= PROBE_ESP - 0x1000
+);
 
 /// Effect liveness is tracked in a `u64` bitmask. The classifier emits
 /// far fewer effects (at most one syscall, one per register, the
@@ -216,12 +245,8 @@ fn run_probe(
     stats.runs += 1;
 
     // Scratch pointers for memory-operand registers: spaced regions in
-    // the VM heap, pre-filled with random words.
-    let heap = vm.mem().heap_base();
-    let mut scratch = [0u32; 8];
-    for (i, s) in scratch.iter_mut().enumerate() {
-        *s = heap + 0x1000 + i as u32 * 0x1000 + 0x800; // ±0x800 disp headroom
-    }
+    // the scratch block, pre-filled with random words.
+    let scratch = Reg32::ALL.map(scratch_pointer);
 
     let mut init_regs = [0u32; 8];
     for r in Reg32::ALL {
@@ -308,7 +333,7 @@ fn run_probe(
 
     // Lay out the probe chain: `slots` canaries, then the sentinel,
     // then a dummy CS slot for far returns.
-    let esp0 = STACK_TOP - 0x2000;
+    let esp0 = PROBE_ESP;
     bufs.canaries.clear();
     for k in 0..p.slots {
         let c = prng(seed);
@@ -594,7 +619,10 @@ impl ProbeVm {
         }
     }
 
-    /// The VM heap base (scratch-region anchor, part of cache keys).
+    /// The VM heap base: where the scratch heap starts, after the
+    /// image's data and BSS. It no longer anchors the probe's scratch
+    /// regions, which sit in the stack region, but it stays part of the
+    /// [`crate::ValidationCache`] key.
     pub fn heap_base(&self) -> u32 {
         self.vm.mem().heap_base()
     }
@@ -649,11 +677,7 @@ pub mod legacy {
         p: &Proposal,
         seed: &mut u64,
     ) -> Option<(u32, [u32; 8], Vec<u32>, ScratchPre)> {
-        let heap = vm.mem().heap_base();
-        let mut scratch = [0u32; 8];
-        for (i, s) in scratch.iter_mut().enumerate() {
-            *s = heap + 0x1000 + i as u32 * 0x1000 + 0x800;
-        }
+        let scratch = Reg32::ALL.map(scratch_pointer);
 
         let mut needs_scratch = p.mem_preconditions.clone();
         for e in &p.effects {
@@ -705,7 +729,7 @@ pub mod legacy {
                 .ok()?;
         }
 
-        let esp0 = STACK_TOP - 0x2000;
+        let esp0 = PROBE_ESP;
         let mut canaries = Vec::new();
         for k in 0..p.slots {
             let c = prng(seed);
@@ -805,6 +829,42 @@ pub mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::classify;
+    use crate::scan::scan;
+
+    /// A scratch pointer's low byte is not 0, so `mov [eax], ebx; add
+    /// byte [eax], al; add esp, 4; ret`, which adds eax's low byte into
+    /// the word it just stored, fails the store check.
+    #[test]
+    fn a_store_that_adds_al_into_its_word_is_rejected() {
+        use parallax_image::Program;
+        use parallax_x86::{Asm, Mem};
+        assert_ne!(scratch_pointer(Reg32::Eax) & 0xff, 0);
+        let mut a = Asm::new();
+        a.mov_mr(Mem::base(Reg32::Eax), Reg32::Ebx);
+        a.db(&[0x00, 0x00, 0x83, 0xc4, 0x04]); // add [eax], al; add esp, 4
+        a.ret();
+        let mut prog = Program::new();
+        prog.add_func("main", a.finish().unwrap());
+        prog.set_entry("main");
+        let img = prog.link().unwrap();
+        let cand = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.disasm().starts_with("mov [eax],ebx; add byte [eax],al"))
+            .unwrap();
+        let p = classify(&cand).unwrap();
+        let store = Effect::StoreMem {
+            addr: Reg32::Eax,
+            off: 0,
+            src: Reg32::Ebx,
+        };
+        assert!(p.effects.contains(&store), "{:?}", p.effects);
+        let g = validate(&img, &p);
+        assert!(
+            g.as_ref().is_none_or(|g| !g.effects.contains(&store)),
+            "{g:?}"
+        );
+    }
 
     /// A tag equal to the seed constants would cancel them to 0, the
     /// xorshift fixed point; the derived state stays live instead.

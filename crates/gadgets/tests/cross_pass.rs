@@ -4,16 +4,19 @@
 //! pass-2 images `protect()` really links, and every verdict it reuses
 //! must be the one a fresh probe gives on the new layout.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use parallax_bench::fig5_modes;
-use parallax_compiler::compile_module;
+use parallax_compiler::{compile_module, Module};
 use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
 use parallax_gadgets::scan::scan;
+use parallax_gadgets::validate::scratch_pointer;
 use parallax_gadgets::{
-    classify, find_gadgets_instrumented, find_gadgets_reusing, Gadget, ProbeVm, ValidationCache,
+    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm,
+    ValidationCache,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{AluOp, Asm, Mem, Reg32};
@@ -113,11 +116,82 @@ proptest! {
     }
 }
 
-/// Corpus program `name` linked as is, and relinked with its last data
-/// item grown by `grow` bytes, which moves the heap base.
-fn shifted_pair(name: &str, grow: usize) -> (LinkedImage, LinkedImage) {
-    let w = parallax_corpus::by_name(name).expect("known workload");
-    let mut prog = compile_module(&(w.module)()).expect("corpus compiles");
+/// A `randprog` module grown by 30 functions, each the `vf` body of
+/// another seed: ~21 KB of text, the size of the benchmark's
+/// protect-large modules.
+fn large_module(seed: u64) -> Module {
+    let mut m = parallax_corpus::randprog::Gen::new(seed).module();
+    for i in 0..30u64 {
+        let donor = parallax_corpus::randprog::Gen::new(seed.wrapping_mul(31) + 2 * i + 1).module();
+        let mut f = donor.get_func("vf").expect("randprog defines vf").clone();
+        f.name = format!("f{i}");
+        m.func(f);
+    }
+    m
+}
+
+/// The `Gen` seeds of the large-module checks: a few in every test
+/// run, more in the ignored variant CI's release step runs (as `2k + 1`:
+/// `Gen::new` ORs its seed with 1).
+const LARGE_SEEDS: [u64; 3] = [1, 7, 4095];
+const MORE_LARGE_SEEDS: std::ops::Range<u64> = 100..164;
+
+/// A candidate's content: its text bytes and return kind.
+type Content = (Vec<u8>, bool);
+
+fn content_of(img: &LinkedImage, cand: &Candidate) -> Content {
+    let off = (cand.vaddr - img.text_base) as usize;
+    (img.text[off..off + cand.len as usize].to_vec(), cand.far)
+}
+
+/// Every verdict pass 2 may carry over from pass 1 equals a fresh probe
+/// of the pass-2 image. Pass 1 carries the verdict of each classified
+/// content whose proposal is layout-independent and whose probe did
+/// not stray; pass 2 serves it to every copy of that content, wherever
+/// the copy now sits. Returns how many carried contents pass 2 holds.
+fn assert_carried_verdicts_hold(img1: &LinkedImage, img2: &LinkedImage, label: &str) -> usize {
+    let mut probe1 = ProbeVm::new(img1);
+    let mut carried: HashMap<Content, Option<Gadget>> = HashMap::new();
+    let mut seen = HashSet::new();
+    for cand in scan(&img1.text, img1.text_base) {
+        let content = content_of(img1, &cand);
+        if !seen.insert(content.clone()) {
+            continue;
+        }
+        let Some(p) = classify(&cand) else {
+            continue;
+        };
+        if !p.layout_independent() {
+            continue;
+        }
+        let verdict = probe1.validate(&p);
+        if !probe1.strayed() {
+            carried.insert(content, verdict.map(|g| Gadget { vaddr: 0, ..g }));
+        }
+    }
+    let mut probe2 = ProbeVm::new(img2);
+    let mut compared = 0;
+    for cand in scan(&img2.text, img2.text_base) {
+        let content = content_of(img2, &cand);
+        let Some(before) = carried.remove(&content) else {
+            continue;
+        };
+        let p = classify(&cand).expect("a carried content classifies");
+        let after = probe2.validate(&p).map(|g| Gadget { vaddr: 0, ..g });
+        assert_eq!(
+            format!("{before:?}"),
+            format!("{after:?}"),
+            "{label}: {}",
+            cand.disasm()
+        );
+        compared += 1;
+    }
+    compared
+}
+
+/// `prog` linked as is, and relinked with its last data item grown by
+/// `grow` bytes, which moves the heap base.
+fn shifted_pair(mut prog: Program, grow: usize) -> (LinkedImage, LinkedImage) {
     let img1 = prog.link().expect("links");
     let item = img1
         .symbols
@@ -136,61 +210,93 @@ fn shifted_pair(name: &str, grow: usize) -> (LinkedImage, LinkedImage) {
     (img1, prog.link().expect("relinks"))
 }
 
+/// Corpus program `name`, as [`shifted_pair`] links it.
+fn shifted_corpus_pair(name: &str, grow: usize) -> (LinkedImage, LinkedImage) {
+    let w = parallax_corpus::by_name(name).expect("known workload");
+    shifted_pair(
+        compile_module(&(w.module)()).expect("corpus compiles"),
+        grow,
+    )
+}
+
+/// Checks one layout shift: the heap base moved and the text did not,
+/// every carried verdict holds, and the rescan reuses some.
+fn assert_shift_reuses_sound_verdicts(img1: &LinkedImage, img2: &LinkedImage, label: &str) {
+    assert_ne!(
+        ProbeVm::new(img1).heap_base(),
+        ProbeVm::new(img2).heap_base(),
+        "{label}"
+    );
+    assert_eq!(img1.text.len(), img2.text.len(), "{label}");
+    assert!(
+        assert_carried_verdicts_hold(img1, img2, label) > 0,
+        "{label}: no carried verdict compared"
+    );
+    assert!(
+        assert_rescan_matches_fresh(img1, img2, label) > 0,
+        "{label}"
+    );
+}
+
 #[test]
 fn reused_verdicts_match_a_fresh_probe_after_a_layout_shift() {
     for grow in [1, 4096 + 3, 64 * 1024] {
-        let mut compared = 0;
         for w in parallax_corpus::all() {
-            let (img1, img2) = shifted_pair(w.name, grow);
-            let (mut probe1, mut probe2) = (ProbeVm::new(&img1), ProbeVm::new(&img2));
-            assert_ne!(probe1.heap_base(), probe2.heap_base());
-            assert_eq!(img1.text.len(), img2.text.len());
-            for cand in scan(&img2.text, img2.text_base) {
-                let off = (cand.vaddr - img2.text_base) as usize;
-                let span = off..off + cand.len as usize;
-                let Some(p) = classify(&cand) else {
-                    continue;
-                };
-                if img1.text[span.clone()] != img2.text[span] || !p.layout_independent() {
-                    continue;
-                }
-                let before = probe1.validate(&p);
-                if probe1.strayed() {
-                    continue;
-                }
-                let after = probe2.validate(&p);
-                assert_eq!(
-                    format!("{before:?}"),
-                    format!("{after:?}"),
-                    "{} grow {grow}: {}",
-                    w.name,
-                    cand.disasm()
-                );
-                compared += 1;
-            }
-            let label = format!("{} grow {grow}", w.name);
-            assert!(
-                assert_rescan_matches_fresh(&img1, &img2, &label) > 0,
-                "{label}"
-            );
+            let (img1, img2) = shifted_corpus_pair(w.name, grow);
+            assert_shift_reuses_sound_verdicts(&img1, &img2, &format!("{} grow {grow}", w.name));
         }
-        assert!(compared > 0, "grow {grow}: no reusable verdict compared");
+        let seed = LARGE_SEEDS[0];
+        let prog = compile_module(&large_module(seed)).expect("randprog compiles");
+        let (img1, img2) = shifted_pair(prog, grow);
+        assert_shift_reuses_sound_verdicts(&img1, &img2, &format!("large {seed} grow {grow}"));
     }
 }
 
-/// A scratch-using proposal's verdict really follows the heap base:
-/// `cmp eax, [ecx-0x3000]; ret` probes with `ecx` at a scratch pointer,
-/// 0x2800 bytes into the heap, so its read lands 0x800 bytes before the
-/// heap — in the unmapped gap after the text while the data is 4 bytes,
-/// inside the data once it has grown by a page. The rescan must probe
-/// it again rather than serve the pass-1 verdict.
+/// The fixpoint pairs `protect()` links for a protect-large-sized
+/// module: the rescan equals a fresh scan, and every verdict it
+/// carries equals a fresh probe of the pass-2 image.
+fn assert_large_fixpoint_holds(seed: u64) {
+    let module = large_module(seed);
+    let prog = compile_module(&module).expect("randprog compiles");
+    for (img1, img2) in fixpoint_pairs(prog, "vf", &module, ChainMode::Cleartext) {
+        let label = format!("large {seed}");
+        assert!(
+            img1.text.len() > 16 * 1024,
+            "{label}: {} B",
+            img1.text.len()
+        );
+        assert!(
+            assert_carried_verdicts_hold(&img1, &img2, &label) > 0,
+            "{label}"
+        );
+        assert_rescan_matches_fresh(&img1, &img2, &label);
+    }
+}
+
 #[test]
-fn scratch_verdicts_follow_the_heap_base() {
+fn large_fixpoints_carry_only_verdicts_a_fresh_probe_repeats() {
+    for seed in LARGE_SEEDS {
+        assert_large_fixpoint_holds(seed);
+    }
+}
+
+/// [`large_fixpoints_carry_only_verdicts_a_fresh_probe_repeats`] over
+/// more seeds; CI's release step runs it with `--ignored`.
+#[test]
+#[ignore]
+fn large_fixpoints_carry_only_verdicts_a_fresh_probe_repeats_more_seeds() {
+    for seed in MORE_LARGE_SEEDS {
+        assert_large_fixpoint_holds(2 * seed + 1);
+    }
+}
+
+/// `main` as a lone `cmp eax, [ecx+disp]; ret` and a 4-byte data item;
+/// returns the gadget's proposal, the image, and the image relinked
+/// with the data grown by a page.
+fn cmp_fixture(disp: i32) -> (parallax_gadgets::Proposal, LinkedImage, LinkedImage) {
     let mut prog = Program::new();
     let mut main = Asm::new();
-    main.mov_ri(Reg32::Eax, 1);
-    main.int(0x80);
-    main.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base_disp(Reg32::Ecx, -0x3000));
+    main.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base_disp(Reg32::Ecx, disp));
     main.ret();
     prog.add_func("main", main.finish().expect("assembles"));
     prog.set_entry("main");
@@ -199,12 +305,59 @@ fn scratch_verdicts_follow_the_heap_base() {
     prog.data_item_mut("d").expect("data item").bytes = vec![0; 4 + 4096];
     let img2 = prog.link().expect("relinks");
     assert_eq!(img1.text, img2.text);
-
     let cand = scan(&img2.text, img2.text_base)
         .into_iter()
         .find(|c| c.disasm().starts_with("cmp eax,"))
         .expect("cmp gadget scanned");
-    let p = classify(&cand).expect("classified");
+    (classify(&cand).expect("classified"), img1, img2)
+}
+
+/// Pass 1 on `img1`, then pass 2 on `img2` with pass 1's memo; returns
+/// pass 2's gadgets, its memo hits and the proposals it probed.
+fn pass_two(img1: &LinkedImage, img2: &LinkedImage) -> (Vec<Gadget>, u64, u64) {
+    let (_, _, _, memo) = find_gadgets_reusing(img1, 1, None, None);
+    let (gadgets, _, vstats, _) = find_gadgets_reusing(img2, 1, None, Some(memo));
+    (gadgets, vstats.reused, vstats.probe.proposals)
+}
+
+/// A scratch-using proposal no longer follows the heap base: the probe's
+/// scratch regions sit in the stack region, so `cmp eax, [ecx-0x3000]`
+/// reads the stack 0x3000 bytes below ecx's scratch pointer whatever
+/// the data size. The rescan serves the pass-1 verdict from the memo.
+#[test]
+fn scratch_verdicts_ignore_the_heap_base() {
+    let (p, img1, img2) = cmp_fixture(-0x3000);
+    assert!(p.layout_independent());
+    assert_ne!(
+        ProbeVm::new(&img1).heap_base(),
+        ProbeVm::new(&img2).heap_base()
+    );
+    let before = ProbeVm::new(&img1).validate(&p);
+    let after = ProbeVm::new(&img2).validate(&p);
+    assert!(before.is_some(), "{before:?}");
+    assert_eq!(format!("{before:?}"), format!("{after:?}"));
+    let (gadgets, reused, probed) = pass_two(&img1, &img2);
+    assert!(gadgets.iter().any(|g| g.vaddr == p.cand.vaddr));
+    assert!(reused > 0);
+    // Every content of this text is layout-independent.
+    assert_eq!(probed, 0, "pass 2 probed again");
+    assert_rescan_matches_fresh(&img1, &img2, "heap shift");
+}
+
+/// An access that reaches below the stack region stays layout-dependent
+/// and is probed again after the shift. The displacement takes ecx's
+/// scratch pointer to the first byte past the heap: unmapped while the
+/// data is 4 bytes, inside the heap once it has grown by a page.
+#[test]
+fn accesses_below_the_stack_region_are_probed_again() {
+    let (_, probe_img, _) = cmp_fixture(-0x0300_0000);
+    let heap_end = {
+        let probe = ProbeVm::new(&probe_img);
+        probe.heap_base() + parallax_vm::HEAP_SIZE
+    };
+    let disp = heap_end.wrapping_sub(scratch_pointer(Reg32::Ecx)) as i32;
+    let (p, img1, img2) = cmp_fixture(disp);
+    assert_eq!(img1.text.len(), probe_img.text.len());
     assert!(!p.layout_independent());
     let before = ProbeVm::new(&img1).validate(&p);
     let after = ProbeVm::new(&img2).validate(&p);
@@ -212,7 +365,10 @@ fn scratch_verdicts_follow_the_heap_base() {
         before.is_none() && after.is_some(),
         "{before:?} -> {after:?}"
     );
-    assert_rescan_matches_fresh(&img1, &img2, "heap shift");
+    let (gadgets, _, probed) = pass_two(&img1, &img2);
+    assert!(probed > 0, "pass 2 served a layout-dependent verdict");
+    assert!(gadgets.iter().any(|g| g.vaddr == p.cand.vaddr));
+    assert_rescan_matches_fresh(&img1, &img2, "below the stack region");
 }
 
 /// `mov [esp+2], eax; ret` passes the static rule, but its store
@@ -250,7 +406,7 @@ fn a_probe_that_misses_its_sentinel_strays() {
 
 #[test]
 fn memo_for_another_text_falls_back_to_a_full_scan() {
-    let (img1, img2) = shifted_pair("wget", 64);
+    let (img1, img2) = shifted_corpus_pair("wget", 64);
     let mut moved = img2.clone();
     moved.text_base += 0x1000;
     let mut shorter = img2.clone();
