@@ -15,7 +15,7 @@
 //!
 //! Verdicts must agree gadget-for-gadget. Results append to
 //! `BENCH_validate.json`. `--smoke` is the CI gate: deterministic
-//! fields (proposal/probe-run/gadget counts) must match
+//! fields (proposal/probe-run/prejudged/gadget counts) must match
 //! `BENCH_validate.baseline.json` exactly, probe runs per proposal must
 //! stay ≤ 2, and the in-process shared-vs-legacy speedup — a ratio of
 //! two measurements on the same host, so machine-independent — must
@@ -36,6 +36,8 @@ struct Row {
     workload: &'static str,
     proposals: u64,
     probe_runs: u64,
+    /// Proposals the shared path rejected without a run.
+    prejudged: u64,
     runs_saved: u64,
     gadgets: u64,
     shared_ms: f64,
@@ -118,6 +120,7 @@ fn measure(name: &'static str, reps: u32) -> Result<Row, String> {
         workload: name,
         proposals: stats.proposals,
         probe_runs: stats.runs,
+        prejudged: stats.prejudged,
         runs_saved: stats.runs_saved,
         gadgets,
         shared_ms,
@@ -133,13 +136,14 @@ fn write_bench_json(rows: &[Row]) {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         out.push_str(&format!(
             "  {{\"bench\": \"validate_throughput\", \"workload\": \"{}\", \
-             \"proposals\": {}, \"probe_runs\": {}, \"runs_saved\": {}, \
+             \"proposals\": {}, \"probe_runs\": {}, \"prejudged\": {}, \"runs_saved\": {}, \
              \"gadgets\": {}, \"runs_per_proposal\": {:.2}, \
              \"shared_ms\": {:.3}, \"legacy_ms\": {:.3}, \
              \"speedup_vs_legacy\": {:.2}, \"probes_per_sec\": {:.0}}}{comma}\n",
             r.workload,
             r.proposals,
             r.probe_runs,
+            r.prejudged,
             r.runs_saved,
             r.gadgets,
             r.probe_runs as f64 / (r.proposals as f64).max(1.0),
@@ -163,12 +167,13 @@ fn run(reps: u32, gate: bool) -> ExitCode {
             Ok(r) => {
                 println!(
                     "{:<8} {:>4} proposals  {:>4} probe runs ({:.2}/proposal, {} saved)  \
-                     shared {:>7.2} ms  legacy {:>7.2} ms  ({:.2}x)  {} gadgets",
+                     {} prejudged  shared {:>7.2} ms  legacy {:>7.2} ms  ({:.2}x)  {} gadgets",
                     r.workload,
                     r.proposals,
                     r.probe_runs,
                     r.probe_runs as f64 / (r.proposals as f64).max(1.0),
                     r.runs_saved,
+                    r.prejudged,
                     r.shared_ms,
                     r.legacy_ms,
                     r.speedup_vs_legacy,
@@ -197,6 +202,7 @@ fn run(reps: u32, gate: bool) -> ExitCode {
                 for (field, got) in [
                     ("proposals", r.proposals),
                     ("probe_runs", r.probe_runs),
+                    ("prejudged", r.prejudged),
                     ("runs_saved", r.runs_saved),
                     ("gadgets", r.gadgets),
                 ] {

@@ -1062,6 +1062,10 @@ fn scan_gadgets(
                     // `plx report` prints under "gadget validation".
                     t.count("vm.probe.proposals", vstats.probe.proposals);
                     t.count("vm.probe.runs", vstats.probe.runs);
+                    // Proposals rejected without a run: an access of
+                    // theirs can only land on unmapped memory. They
+                    // count in `proposals`, not in `runs`.
+                    t.count("vm.probe.prejudged", vstats.probe.prejudged);
                     // Verdicts served from the previous pass's memo:
                     // no probe ran, so `proposals`/`runs` omit them.
                     t.count("vm.probe.reused", vstats.reused);

@@ -128,8 +128,14 @@ fn probe_work_repeats_at_any_job_count() {
     // on which worker probed it or what that worker probed before; and
     // which contents pass 2 serves from pass 1's memo depends only on
     // their bytes, so the probe runs it saves do not depend on the job
-    // count either.
-    const COUNTERS: [&str; 3] = ["vm.mem.pages_copied", "vm.probe.runs", "vm.probe.reused"];
+    // count either. Nor does which proposals are rejected without a
+    // run: that reads only the proposal and the image's regions.
+    const COUNTERS: [&str; 4] = [
+        "vm.mem.pages_copied",
+        "vm.probe.runs",
+        "vm.probe.reused",
+        "vm.probe.prejudged",
+    ];
     for w in parallax_corpus::all() {
         let module = (w.module)();
         for mode in fig5_modes() {

@@ -15,7 +15,7 @@ use parallax_vm::{STACK_SIZE, STACK_TOP};
 
 use crate::scan::Candidate;
 use crate::types::{Effect, GBinOp};
-use crate::validate::{scratch_pointer, PROBE_ESP};
+use crate::validate::{probe_registers, DRAW_BASE, DRAW_MASK};
 
 /// Unary operations in the abstract domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,9 +89,13 @@ pub struct Proposal {
     /// Register bases of incidental memory accesses; these must point
     /// into scratch memory when the gadget executes.
     pub mem_preconditions: Vec<Reg32>,
-    /// Every explicit memory operand resolved to an access that lands
-    /// where no relink moves anything ([`MemLoc::relink_invariant`]).
-    accesses_invariant: bool,
+    /// Every explicit memory access the classifier resolved, each once,
+    /// in the order the gadget first makes it.
+    pub accesses: Vec<MemLoc>,
+    /// Set when an instruction has a memory operand the classifier does
+    /// not resolve (`mul [m]`): no entry of `accesses` records where it
+    /// lands.
+    pub unresolved_access: bool,
 }
 
 /// Largest `add|sub esp, imm` immediate a layout-independent proposal
@@ -112,7 +116,10 @@ impl Proposal {
     /// a function of the candidate's bytes alone, so a relink may reuse
     /// it wherever those bytes now sit (§18).
     pub fn layout_independent(&self) -> bool {
-        self.accesses_invariant && self.cand.insns.iter().all(stack_confined)
+        let regs = probe_registers(self);
+        !self.unresolved_access
+            && self.accesses.iter().all(|a| a.relink_invariant(&regs))
+            && self.cand.insns.iter().all(stack_confined)
     }
 }
 
@@ -159,9 +166,10 @@ struct St {
     /// Set when the instruction being interpreted resolved an explicit
     /// memory operand.
     accessed: bool,
-    /// Cleared by the first resolved access that is not
-    /// [relink-invariant](MemLoc::relink_invariant).
-    accesses_invariant: bool,
+    /// The distinct accesses resolved so far ([`Proposal::accesses`]).
+    accesses: Vec<MemLoc>,
+    /// See [`Proposal::unresolved_access`].
+    unresolved_access: bool,
 }
 
 impl St {
@@ -186,7 +194,8 @@ impl St {
             syscall: false,
             dead: false,
             accessed: false,
-            accesses_invariant: true,
+            accesses: Vec::new(),
+            unresolved_access: false,
         }
     }
 
@@ -262,7 +271,7 @@ impl St {
 
     /// Resolves a memory operand to either a stack offset or a
     /// `(base, off)` pair, or kills the gadget (`None`). Records the
-    /// access for [`Proposal::layout_independent`].
+    /// access in [`Proposal::accesses`].
     fn resolve_mem(&mut self, m: &Mem) -> Option<MemLoc> {
         if m.index.is_some() {
             return None; // scaled accesses are not chain-controllable
@@ -276,7 +285,9 @@ impl St {
             None => return None, // absolute addresses not supported in gadgets
         };
         self.accessed = true;
-        self.accesses_invariant &= loc.relink_invariant();
+        if !self.accesses.contains(&loc) {
+            self.accesses.push(loc);
+        }
         Some(loc)
     }
 
@@ -334,7 +345,12 @@ impl St {
     }
 }
 
-enum MemLoc {
+/// Where an explicit memory operand points, in terms of the gadget's
+/// initial state: the root (esp or a register), a displacement, and
+/// whether the root's value reaches the operand unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemLoc {
+    /// `[esp + off]`, `off` bytes from the initial stack pointer.
     Stack(i32),
     /// `[reg + off]`; `exact` is false when the register's low bytes
     /// were modified first (address still rooted at the register, so a
@@ -343,33 +359,37 @@ enum MemLoc {
 }
 
 impl MemLoc {
-    /// Whether the probe's access lands where no relink moves anything:
-    /// its address interval, for any value a `Patch8` root's low two
-    /// bytes may take and up to a dword wide, lies inside the stack
-    /// region or wholly at or above `STACK_TOP`, which no image maps.
-    /// A stack access starts from the probe's fixed esp, a register
-    /// access from the probe's scratch pointer for that register.
-    fn relink_invariant(&self) -> bool {
-        let (lo, hi) = match *self {
-            MemLoc::Stack(off) => {
-                let at = i64::from(PROBE_ESP) + i64::from(off);
-                (at, at)
-            }
-            MemLoc::Reg(base, off, exact) => {
-                let p = i64::from(scratch_pointer(base));
-                let (lo, hi) = if exact {
-                    (p, p)
-                } else {
-                    (p & !0xffff, p | 0xffff)
-                };
-                (lo + i64::from(off), hi + i64::from(off))
-            }
+    /// The addresses this access can start at in a probe whose initial
+    /// register file is `regs` (see `validate::probe_registers`): one
+    /// for an exact root; the root's whole 64 KiB block for a `Patch8`
+    /// one, whose low two bytes the gadget may have replaced; the whole
+    /// draw range for a root the probe fills at random. Returned as
+    /// `(lo, hi)` with `lo` inside the 32-bit address space and `hi`
+    /// past it when the interval wraps past the top, as the probe's
+    /// address arithmetic does.
+    pub(crate) fn starts(&self, regs: &[Option<u32>; 8]) -> (i64, i64) {
+        let (root, off, exact) = match *self {
+            MemLoc::Stack(off) => (Reg32::Esp, off, true),
+            MemLoc::Reg(r, off, exact) => (r, off, exact),
         };
-        // Addresses wrap at 2^32, like the probe's; an interval that
-        // wraps past the top reaches address 0 and fails below.
-        let span = hi - lo + 3;
-        let lo = lo.rem_euclid(1 << 32);
-        let hi = lo + span;
+        let (lo, hi) = match regs[root.encoding() as usize] {
+            Some(v) if exact => (i64::from(v), i64::from(v)),
+            Some(v) => (i64::from(v & !0xffff), i64::from(v | 0xffff)),
+            // Whole 64 KiB blocks: a patched draw stays inside.
+            None => (i64::from(DRAW_BASE), i64::from(DRAW_BASE | DRAW_MASK)),
+        };
+        let lo_wrapped = (lo + i64::from(off)).rem_euclid(1 << 32);
+        (lo_wrapped, lo_wrapped + hi - lo)
+    }
+
+    /// Whether the probe's access lands where no relink moves anything:
+    /// every byte it can touch, up to a dword from each start address,
+    /// lies inside the stack region or wholly at or above `STACK_TOP`,
+    /// which no image maps. An interval that wraps past the top reaches
+    /// address 0 and fails.
+    fn relink_invariant(&self, regs: &[Option<u32>; 8]) -> bool {
+        let (lo, hi) = self.starts(regs);
+        let hi = hi + 3;
         let (bottom, top) = (i64::from(STACK_TOP - STACK_SIZE), i64::from(STACK_TOP));
         hi < 1 << 32 && (lo >= top || (lo >= bottom && hi < top))
     }
@@ -940,7 +960,7 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
             && insn.mnemonic != Mnemonic::Lea
             && insn.ops.iter().any(|op| matches!(op, Operand::Mem(_)))
         {
-            st.accesses_invariant = false;
+            st.unresolved_access = true;
         }
     }
 
@@ -974,7 +994,8 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
             effects,
             clobbers,
             mem_preconditions: mem_preconds(&st),
-            accesses_invariant: st.accesses_invariant,
+            accesses: st.accesses,
+            unresolved_access: st.unresolved_access,
         });
     }
 
@@ -1150,7 +1171,8 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         effects,
         clobbers,
         mem_preconditions: mem_preconds(&st),
-        accesses_invariant: st.accesses_invariant,
+        accesses: st.accesses,
+        unresolved_access: st.unresolved_access,
     })
 }
 
@@ -1377,7 +1399,8 @@ mod tests {
             effects: Vec::new(),
             clobbers: Vec::new(),
             mem_preconditions: Vec::new(),
-            accesses_invariant: true,
+            accesses: Vec::new(),
+            unresolved_access: false,
         })
     }
 

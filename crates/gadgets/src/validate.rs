@@ -15,6 +15,10 @@
 //! fail a trial drop out of a liveness mask; survivors are re-checked
 //! against the second trial's run. The legacy one-probe-per-(effect,
 //! trial) path is preserved in [`legacy`] as the differential oracle.
+//!
+//! A proposal the probe must reject without looking at its effects is
+//! rejected without a run: when one of its memory accesses can only
+//! start at an address the probe VM does not map ([`prejudged`]).
 
 use parallax_image::LinkedImage;
 use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_SIZE, STACK_TOP};
@@ -59,6 +63,79 @@ const _: () = assert!(
         && SCRATCH_BLOCK + 0x1_1000 <= PROBE_ESP - 0x1000
 );
 
+/// A register the probe does not pin starts as `DRAW_BASE | (draw &
+/// DRAW_MASK)`: arbitrary, but not an address any image maps.
+pub(crate) const DRAW_BASE: u32 = 0x0100_0000;
+/// See [`DRAW_BASE`].
+pub(crate) const DRAW_MASK: u32 = 0x00ff_ffff;
+
+/// The registers a probe of `p` points at scratch memory, as a bit set
+/// by encoding: its memory preconditions and every memory effect's
+/// address register.
+fn scratch_regs(p: &Proposal) -> u8 {
+    let addrs = p.effects.iter().filter_map(|e| match *e {
+        Effect::LoadMem { addr, .. }
+        | Effect::StoreMem { addr, .. }
+        | Effect::AddMem { addr, .. } => Some(addr),
+        _ => None,
+    });
+    p.mem_preconditions
+        .iter()
+        .copied()
+        .chain(addrs)
+        .fold(0, |set, r| set | 1 << r.encoding())
+}
+
+/// The register file every probe of `p` starts from, by encoding:
+/// `Some(v)` where the probe pins the value, `None` where it draws one
+/// at random ([`DRAW_BASE`]). esp holds [`PROBE_ESP`] and each scratch
+/// register its [`scratch_pointer`]; a syscall gadget's eax holds 13
+/// (`time`, harmless), and an `AddEsp` source 64, the distance to the
+/// probe's sentinel. [`run_probe`] starts each trial from it and
+/// [`prejudged`] reasons from it, so the two cannot drift apart.
+pub(crate) fn probe_registers(p: &Proposal) -> [Option<u32>; 8] {
+    let scratch = scratch_regs(p);
+    let mut regs =
+        Reg32::ALL.map(|r| (scratch >> r.encoding() & 1 == 1).then(|| scratch_pointer(r)));
+    regs[Reg32::Esp.encoding() as usize] = Some(PROBE_ESP);
+    if p.effects.contains(&Effect::Syscall) {
+        regs[Reg32::Eax.encoding() as usize] = Some(13);
+    }
+    if let Some(Effect::AddEsp { src }) = p
+        .effects
+        .iter()
+        .find(|e| matches!(e, Effect::AddEsp { .. }))
+    {
+        regs[src.encoding() as usize] = Some(64);
+    }
+    regs
+}
+
+/// Whether a probe of `p` must fault before it returns, so that its
+/// verdict is `None` without a run (DESIGN.md §16): some memory access
+/// the classifier resolved can only start, whatever value its root
+/// holds in the probe, at an address `mem` does not map (its text, its
+/// data, BSS and heap, and the stack region). A gadget is straight-line
+/// and its bytes cannot be written (W⊕X), so that access executes
+/// unless an earlier fault ends the probe first, and either way every
+/// trial fails. An interval that wraps past the top of the address
+/// space is left to the probe.
+pub fn prejudged(mem: &Memory, p: &Proposal) -> bool {
+    let regs = probe_registers(p);
+    let regions = [
+        (mem.text_base(), mem.text_end()),
+        (mem.data_base(), mem.data_end()),
+        (STACK_TOP - STACK_SIZE, STACK_TOP),
+    ];
+    p.accesses.iter().any(|a| {
+        let (lo, hi) = a.starts(&regs);
+        hi < 1 << 32
+            && regions
+                .iter()
+                .all(|&(start, end)| hi < i64::from(start) || lo >= i64::from(end))
+    })
+}
+
 /// Effect liveness is tracked in a `u64` bitmask. The classifier emits
 /// far fewer effects (at most one syscall, one per register, the
 /// byte-register moves and a few memory effects;
@@ -100,17 +177,21 @@ fn prng(seed: &mut u64) -> u32 {
 }
 
 /// Counters for probe-VM validation work, exported to traces as
-/// `vm.probe.{proposals,runs,runs_saved,reseed_words}` and
+/// `vm.probe.{proposals,runs,prejudged,runs_saved,reseed_words}` and
 /// `vm.mem.pages_copied`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeStats {
-    /// Distinct proposals probed. A gadget pass probes one copy of each
-    /// candidate content and shares its verdict with the others, so
-    /// only a content whose probe strayed counts once per copy.
+    /// Distinct proposals validated, with or without a run. A gadget
+    /// pass validates one copy of each candidate content and shares its
+    /// verdict with the others, so only a content whose probe strayed
+    /// counts once per copy.
     pub proposals: u64,
     /// Probe executions actually performed (at most 2 per proposal —
     /// one per trial — regardless of effect count).
     pub runs: u64,
+    /// Proposals rejected without a run, because an access of theirs
+    /// can only land on unmapped memory ([`prejudged`]).
+    pub prejudged: u64,
     /// Probe executions the legacy per-(effect, trial) loop would have
     /// performed *in addition to* `runs`.
     pub runs_saved: u64,
@@ -127,6 +208,7 @@ impl ProbeStats {
     pub fn merge(&mut self, other: &ProbeStats) {
         self.proposals += other.proposals;
         self.runs += other.runs;
+        self.prejudged += other.prejudged;
         self.runs_saved += other.runs_saved;
         self.reseed_words += other.reseed_words;
         self.pages_copied += other.pages_copied;
@@ -173,10 +255,11 @@ impl ScratchPre {
 /// Buffers reused across proposals so probe setup performs no per-probe
 /// heap allocation: [`ProbeVm`] owns one set for its whole lifetime.
 struct ProbeBufs {
-    /// Registers that must hold scratch pointers (mem preconditions
-    /// plus every memory-effect address register), computed once per
-    /// proposal.
-    needs_scratch: Vec<Reg32>,
+    /// The registers that hold scratch pointers ([`scratch_regs`]) and
+    /// the initial register file ([`probe_registers`]), computed once
+    /// per proposal.
+    scratch: u8,
+    regs: [Option<u32>; 8],
     /// Chain canary values for the current run.
     canaries: Vec<u32>,
     /// Scratch snapshot/fill slab for the current proposal.
@@ -195,7 +278,8 @@ struct ProbeBufs {
 impl ProbeBufs {
     fn new() -> ProbeBufs {
         ProbeBufs {
-            needs_scratch: Vec::new(),
+            scratch: 0,
+            regs: [None; 8],
             canaries: Vec::new(),
             pre: ScratchPre::empty(),
             mark: 0,
@@ -253,19 +337,14 @@ fn run_probe(
         if r == Reg32::Esp {
             continue;
         }
-        let v = if bufs.needs_scratch.contains(&r) {
-            scratch[r.encoding() as usize]
-        } else {
-            // Arbitrary but non-address values.
-            0x0100_0000 | (prng(seed) & 0x00ff_ffff)
-        };
-        init_regs[r.encoding() as usize] = v;
+        let i = r.encoding() as usize;
+        // Every register without a scratch pointer takes a draw, even
+        // one a pin then overrides, so the PRNG stream of each trial
+        // (and every outcome) stays the one the legacy oracle draws.
+        let drawn = (bufs.scratch >> i & 1 == 0).then(|| DRAW_BASE | (prng(seed) & DRAW_MASK));
+        let v = bufs.regs[i].or(drawn).unwrap_or_default();
+        init_regs[i] = v;
         vm.cpu.set_reg(r, v);
-    }
-    // Syscall gadgets must invoke a harmless syscall: `time` (13).
-    if p.effects.contains(&Effect::Syscall) {
-        init_regs[0] = 13;
-        vm.cpu.set_reg(Reg32::Eax, 13);
     }
 
     // Randomize flags (catches flag-dependent sequences like adc).
@@ -275,10 +354,10 @@ fn run_probe(
     vm.cpu.flags.of = prng(seed) & 1 != 0;
 
     // A probe can only address scratch through a register that holds a
-    // scratch pointer, and only `needs_scratch` registers ever do: a
+    // scratch pointer, and only `bufs.scratch` registers ever do: a
     // proposal without memory operands cannot observe scratch contents,
     // so its trials skip seeding (and restoring) the regions entirely.
-    let uses_scratch = !bufs.needs_scratch.is_empty();
+    let uses_scratch = bufs.scratch != 0;
     match kind {
         TrialKind::First if !uses_scratch => {
             // Empty the snapshot so stale lookups from a previous
@@ -356,13 +435,7 @@ fn run_probe(
             vm.mem_mut().write32(esp0 + 4 * k, landing).ok()?;
         }
     }
-    if let Some(Effect::AddEsp { src }) = p
-        .effects
-        .iter()
-        .find(|e| matches!(e, Effect::AddEsp { .. }))
-    {
-        vm.cpu.set_reg(*src, 64);
-        init_regs[src.encoding() as usize] = 64;
+    if p.effects.iter().any(|e| matches!(e, Effect::AddEsp { .. })) {
         vm.mem_mut().write32(esp0 + 64, CALL_SENTINEL).ok()?;
     }
 
@@ -501,22 +574,18 @@ fn validate_shared(
         return None;
     }
 
-    // Which registers must hold scratch pointers? Computed once per
-    // proposal (the legacy path recomputed this per probe).
-    bufs.needs_scratch.clear();
-    bufs.needs_scratch.extend_from_slice(&p.mem_preconditions);
-    for e in &p.effects {
-        match e {
-            Effect::LoadMem { addr, .. }
-            | Effect::StoreMem { addr, .. }
-            | Effect::AddMem { addr, .. }
-                if !bufs.needs_scratch.contains(addr) =>
-            {
-                bufs.needs_scratch.push(*addr);
-            }
-            _ => {}
-        }
+    // The legacy loop would have run each effect's first trial, and
+    // every one faults.
+    if prejudged(vm.mem(), p) {
+        stats.prejudged += 1;
+        stats.runs_saved += ne as u64;
+        return None;
     }
+
+    // The initial register file, computed once per proposal (the
+    // legacy path recomputes it per probe).
+    bufs.scratch = scratch_regs(p);
+    bufs.regs = probe_registers(p);
 
     let tag = content_tag(vm, p);
     let mut alive: u64 = if ne == 64 { u64::MAX } else { (1 << ne) - 1 };
@@ -829,7 +898,7 @@ pub mod legacy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify;
+    use crate::classify::{classify, MemLoc};
     use crate::scan::scan;
 
     /// A scratch pointer's low byte is not 0, so `mov [eax], ebx; add
@@ -864,6 +933,151 @@ mod tests {
             g.as_ref().is_none_or(|g| !g.effects.contains(&store)),
             "{g:?}"
         );
+    }
+
+    /// A program whose `main` is `bytes`, linked.
+    fn image_of(bytes: &[u8]) -> LinkedImage {
+        let mut a = parallax_x86::Asm::new();
+        a.db(bytes);
+        let mut prog = parallax_image::Program::new();
+        prog.add_func("main", a.finish().unwrap());
+        prog.set_entry("main");
+        prog.link().unwrap()
+    }
+
+    /// The proposal for the whole of `main` when `main` is `bytes`
+    /// (ending in a return), and whether a probe VM rejected it without
+    /// a run (after checking that the legacy oracle, which runs every
+    /// probe, rejects it too).
+    fn rejected_unrun(bytes: &[u8]) -> (Proposal, bool) {
+        let img = image_of(bytes);
+        let cand = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
+            .expect("main is one candidate");
+        let p = classify(&cand).expect("classified");
+        let mut probe = ProbeVm::new(&img);
+        let g = probe.validate(&p);
+        let stats = probe.stats();
+        let unrun = prejudged(probe.vm.mem(), &p);
+        assert_eq!(
+            (stats.proposals, stats.prejudged, stats.runs == 0),
+            (1, u64::from(unrun), unrun),
+            "{}",
+            p.cand.disasm()
+        );
+        if !unrun {
+            return (p, false);
+        }
+        assert!(g.is_none(), "{g:?}");
+        assert!(legacy::validate(&img, &p).is_none(), "{}", p.cand.disasm());
+        (p, true)
+    }
+
+    /// `mov eax, [ecx+disp]; ret`, with `disp` placing the access at
+    /// `at` (ecx holds its scratch pointer). Its length, and so the
+    /// image layout, does not depend on `at`.
+    fn load_at(at: u32) -> Vec<u8> {
+        let disp = at.wrapping_sub(scratch_pointer(Reg32::Ecx));
+        let mut bytes = vec![0x8b, 0x81];
+        bytes.extend_from_slice(&disp.to_le_bytes());
+        bytes.push(0xc3);
+        bytes
+    }
+
+    /// A syscall gadget's probe puts 13 in eax, not eax's scratch
+    /// pointer, so `mov ecx, [eax]; int 0x80; ret` reads address 13.
+    #[test]
+    fn an_eax_rooted_access_of_a_syscall_gadget_starts_at_13() {
+        let (p, unrun) = rejected_unrun(&[0x8b, 0x08, 0xcd, 0x80, 0xc3]);
+        assert!(p.effects.contains(&Effect::Syscall), "{:?}", p.effects);
+        assert!(p.mem_preconditions.contains(&Reg32::Eax));
+        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Eax, 0, true)]);
+        assert!(unrun);
+        // Through the scratch pointer the read would have been mapped.
+        let stack = STACK_TOP - STACK_SIZE..STACK_TOP;
+        assert!(stack.contains(&scratch_pointer(Reg32::Eax)));
+    }
+
+    /// An `AddEsp` gadget's source holds 64, so `mov eax, [ecx+0x10];
+    /// add esp, ecx; ret` reads address 0x50.
+    #[test]
+    fn an_add_esp_source_starts_at_64() {
+        let (p, unrun) = rejected_unrun(&[0x8b, 0x41, 0x10, 0x01, 0xcc, 0xc3]);
+        assert_eq!(p.effects, vec![Effect::AddEsp { src: Reg32::Ecx }]);
+        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Ecx, 0x10, true)]);
+        assert!(unrun);
+    }
+
+    /// Between the end of the heap and the bottom of the stack region
+    /// nothing is mapped: an access that starts there is rejected
+    /// without a run, one that starts on either region's edge is
+    /// probed.
+    #[test]
+    fn the_gap_between_heap_and_stack_is_unmapped() {
+        let img = image_of(&load_at(0));
+        let data_end = Vm::with_options(&img, VmOptions::default())
+            .mem()
+            .data_end();
+        let bottom = STACK_TOP - STACK_SIZE;
+        assert!(data_end < bottom);
+        for (at, outside) in [
+            (data_end - 1, false),
+            (data_end, true),
+            (data_end + (bottom - data_end) / 2, true),
+            (bottom - 1, true),
+            (bottom, false),
+        ] {
+            let (p, unrun) = rejected_unrun(&load_at(at));
+            assert_eq!(unrun, outside, "{at:#x}: {}", p.cand.disasm());
+        }
+    }
+
+    /// `mov al, 0x16; mov ebx, [eax+disp]; ret`: eax's low byte is
+    /// replaced, so the access may start anywhere in the 64 KiB block of
+    /// eax's scratch pointer, offset by `disp`.
+    fn patched_load(disp: i32) -> Vec<u8> {
+        let mut bytes = vec![0xb0, 0x16, 0x8b, 0x98];
+        bytes.extend_from_slice(&disp.to_le_bytes());
+        bytes.push(0xc3);
+        bytes
+    }
+
+    /// A `Patch8` root is probed when one start address of its widened
+    /// block is mapped, here the stack region's first byte, even though
+    /// the probe's own pointer then faults; one byte lower, every start
+    /// address misses.
+    #[test]
+    fn a_patched_block_with_one_mapped_start_is_probed() {
+        let block = scratch_pointer(Reg32::Eax) & !0xffff;
+        let disp = (STACK_TOP - STACK_SIZE).wrapping_sub(block + 0xffff) as i32;
+        let (p, unrun) = rejected_unrun(&patched_load(disp));
+        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Eax, disp, false)]);
+        assert!(!unrun);
+        let (_, unrun) = rejected_unrun(&patched_load(disp - 1));
+        assert!(unrun);
+    }
+
+    /// A widened block shifted to straddle the top of the address space
+    /// wraps to address 0; such an interval is left to the probe.
+    #[test]
+    fn an_interval_that_wraps_is_probed() {
+        let block = scratch_pointer(Reg32::Eax) & !0xffff;
+        let disp = 0xffff_8000u32.wrapping_sub(block) as i32;
+        let (p, unrun) = rejected_unrun(&patched_load(disp));
+        let (lo, hi) = p.accesses[0].starts(&probe_registers(&p));
+        assert!(lo < 1 << 32 && hi >= 1 << 32, "{lo:#x}..={hi:#x}");
+        assert!(!unrun);
+    }
+
+    /// `mul dword [ecx+0x40000000]; ret` reads far from anything mapped,
+    /// but the classifier does not resolve `mul`'s operand, so no
+    /// access records it and the probe runs.
+    #[test]
+    fn an_unresolved_operand_is_probed() {
+        let (p, unrun) = rejected_unrun(&[0xf7, 0xa1, 0x00, 0x00, 0x00, 0x40, 0xc3]);
+        assert!(p.unresolved_access && p.accesses.is_empty());
+        assert!(!unrun);
     }
 
     /// A tag equal to the seed constants would cancel them to 0, the

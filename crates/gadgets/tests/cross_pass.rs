@@ -4,67 +4,26 @@
 //! pass-2 images `protect()` really links, and every verdict it reuses
 //! must be the one a fresh probe gives on the new layout.
 
+mod common;
+
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 
 use parallax_bench::fig5_modes;
-use parallax_compiler::{compile_module, Module};
-use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
+use parallax_compiler::compile_module;
+use parallax_core::ChainMode;
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::scratch_pointer;
 use parallax_gadgets::{
     classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm,
-    ValidationCache,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{AluOp, Asm, Mem, Reg32};
 
-/// Records every image `protect()` scans, in order: pass 1 then pass 2
-/// of each pipeline attempt. Never serves a scan, so each one is fresh.
-#[derive(Default)]
-struct ScannedImages(Mutex<Vec<LinkedImage>>);
-
-impl ArtifactStore for ScannedImages {
-    fn store_scan(&self, img: &LinkedImage, _gadgets: &[Gadget]) {
-        self.0.lock().unwrap().push(img.clone());
-    }
-}
-
-impl ValidationCache for ScannedImages {}
-
-/// The `(pass 1, pass 2)` image pairs of one protection run.
-fn fixpoint_pairs(
-    prog: Program,
-    verify: &str,
-    module: &parallax_compiler::Module,
-    mode: ChainMode,
-) -> Vec<(LinkedImage, LinkedImage)> {
-    let cfg = ProtectConfig {
-        verify_funcs: vec![verify.to_owned()],
-        mode,
-        ..ProtectConfig::default()
-    };
-    let store = ScannedImages::default();
-    let impls = cfg
-        .verify_impls(module)
-        .expect("verification function exists");
-    let ctx = Ctx {
-        store: &store,
-        ..Ctx::default()
-    };
-    protect_with(prog, &impls, &cfg, &ctx).expect("protects");
-    let imgs = store.0.into_inner().unwrap();
-    assert!(
-        imgs.len() >= 2 && imgs.len() % 2 == 0,
-        "{} scans",
-        imgs.len()
-    );
-    imgs.chunks_exact(2)
-        .map(|p| (p[0].clone(), p[1].clone()))
-        .collect()
-}
+use common::{
+    fixpoint_pairs, generated_heap_edge, large_module, shifted_pair, LARGE_SEEDS, MORE_LARGE_SEEDS,
+};
 
 /// Pass 2 with pass 1's memo equals a fresh pass 2. Returns how many
 /// verdicts were reused.
@@ -115,26 +74,6 @@ proptest! {
         }
     }
 }
-
-/// A `randprog` module grown by 30 functions, each the `vf` body of
-/// another seed: ~21 KB of text, the size of the benchmark's
-/// protect-large modules.
-fn large_module(seed: u64) -> Module {
-    let mut m = parallax_corpus::randprog::Gen::new(seed).module();
-    for i in 0..30u64 {
-        let donor = parallax_corpus::randprog::Gen::new(seed.wrapping_mul(31) + 2 * i + 1).module();
-        let mut f = donor.get_func("vf").expect("randprog defines vf").clone();
-        f.name = format!("f{i}");
-        m.func(f);
-    }
-    m
-}
-
-/// The `Gen` seeds of the large-module checks: a few in every test
-/// run, more in the ignored variant CI's release step runs (as `2k + 1`:
-/// `Gen::new` ORs its seed with 1).
-const LARGE_SEEDS: [u64; 3] = [1, 7, 4095];
-const MORE_LARGE_SEEDS: std::ops::Range<u64> = 100..164;
 
 /// A candidate's content: its text bytes and return kind.
 type Content = (Vec<u8>, bool);
@@ -187,27 +126,6 @@ fn assert_carried_verdicts_hold(img1: &LinkedImage, img2: &LinkedImage, label: &
         compared += 1;
     }
     compared
-}
-
-/// `prog` linked as is, and relinked with its last data item grown by
-/// `grow` bytes, which moves the heap base.
-fn shifted_pair(mut prog: Program, grow: usize) -> (LinkedImage, LinkedImage) {
-    let img1 = prog.link().expect("links");
-    let item = img1
-        .symbols
-        .iter()
-        .filter(|s| prog.data_item(&s.name).is_some())
-        .max_by_key(|s| s.vaddr)
-        .expect("program has data")
-        .name
-        .clone();
-    let last = prog.data_item_mut(&item).expect("data item");
-    if last.bytes.is_empty() {
-        last.bss_size += grow as u32;
-    } else {
-        last.bytes.resize(last.bytes.len() + grow, 0);
-    }
-    (img1, prog.link().expect("relinks"))
 }
 
 /// Corpus program `name`, as [`shifted_pair`] links it.
@@ -369,6 +287,39 @@ fn accesses_below_the_stack_region_are_probed_again() {
     assert!(probed > 0, "pass 2 served a layout-dependent verdict");
     assert!(gadgets.iter().any(|g| g.vaddr == p.cand.vaddr));
     assert_rescan_matches_fresh(&img1, &img2, "below the stack region");
+}
+
+/// The hand-made fixtures above, inside a generated program: the
+/// layout-shift differentials pass on generated programs alone under a
+/// rule that accepts every proposal, because none of their candidates
+/// has a verdict that changes with the layout. This one does: rejected
+/// without a run while its access lands in the gap, accepted once the
+/// heap covers it. The pass memo must carry its verdict in neither
+/// direction.
+#[test]
+fn a_generated_heap_edge_verdict_flips_and_is_not_carried() {
+    let (p, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
+    assert!(!p.layout_independent());
+    let mut probe = ProbeVm::new(&gap);
+    assert!(probe.validate(&p).is_none());
+    assert_eq!(
+        (probe.stats().prejudged, probe.stats().runs),
+        (1, 0),
+        "the access in the gap is rejected without a run"
+    );
+    assert!(ProbeVm::new(&heap).validate(&p).is_some());
+    for (img1, img2, accepted, label) in [
+        (&gap, &heap, true, "gap -> heap"),
+        (&heap, &gap, false, "heap -> gap"),
+    ] {
+        let (gadgets, _, _) = pass_two(img1, img2);
+        assert_eq!(
+            gadgets.iter().any(|g| g.vaddr == p.cand.vaddr),
+            accepted,
+            "{label}: pass 2 took the pass-1 verdict"
+        );
+        assert_shift_reuses_sound_verdicts(img1, img2, label);
+    }
 }
 
 /// `mov [esp+2], eax; ret` passes the static rule, but its store

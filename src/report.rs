@@ -338,7 +338,8 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
 /// Shared-trial gadget-validation telemetry: probe executions per
 /// proposal (at most two — one per trial — regardless of how many
 /// effects a proposal carries), the per-(effect, trial) runs the
-/// shared path avoided, the verdicts served without a probe,
+/// shared path avoided, the proposals rejected and the verdicts served
+/// without a probe,
 /// scratch-reseeding volume, and the copy-on-write pages the probe VMs
 /// wrote.
 fn validation_table(out: &mut String, tf: &TraceFile) {
@@ -361,6 +362,11 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
         out,
         "  proposals: {proposals}   probe runs: {runs} ({per:.2} per proposal)   runs saved: {saved} ({:.1}%)",
         pct(saved, runs + saved)
+    );
+    let _ = writeln!(
+        out,
+        "  proposals rejected for an unmapped access: {} (no probe run)",
+        get("vm.probe.prejudged")
     );
     let _ = writeln!(
         out,
@@ -611,14 +617,15 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     }
 
     // Gadget-pass work: decodes, probe runs and probe-VM page copies
-    // performed, and what the incremental second pass and same-content
-    // copies reused instead.
+    // performed, the proposals rejected without a run, and what the
+    // incremental second pass and same-content copies reused instead.
     let work = [
         ("decodes", "scan.decode.once"),
         ("decodes reused", "scan.decode.reused"),
         ("decodes skipped", "scan.decode.skipped"),
         ("coverage decodes", "rewrite.coverage.decodes"),
         ("probe runs", "vm.probe.runs"),
+        ("prejudged", "vm.probe.prejudged"),
         ("verdicts reused", "vm.probe.reused"),
         ("verdicts shared", "vm.probe.shared"),
         ("pages copied", "vm.mem.pages_copied"),
@@ -810,6 +817,7 @@ mod tests {
         t.count("scan.decode.memo_hit", 20000);
         t.count("vm.probe.proposals", 486);
         t.count("vm.probe.runs", 941);
+        t.count("vm.probe.prejudged", 40);
         t.count("vm.probe.reused", 120);
         t.count("vm.probe.shared", 4200);
         t.count("vm.probe.runs_saved", 59);
@@ -862,6 +870,7 @@ mod tests {
             "decodes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
             "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)",
+            "proposals rejected for an unmapped access: 40 (no probe run)",
             "verdicts reused from the previous pass: 120 (no probe run)",
             "verdicts shared by same-content copies: 4200 (no probe run)",
             "scratch reseed: 12800 words   probe VMs: 2 built (1.500 ms)",
@@ -919,6 +928,10 @@ mod tests {
         );
         assert!(
             diff.contains("coverage decodes      7000 ->      7000 (+0)"),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("prejudged               40 ->        40 (+0)"),
             "{diff}"
         );
         assert!(
