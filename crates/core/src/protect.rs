@@ -774,17 +774,13 @@ fn run_pipeline(
                 .map_err(|e| ProtectError::chain_for(f, e))?
                 .chain
                 .len();
-        // The probabilistic blob's reservation. A mask blob needs only
-        // 8 + 4 bytes per (position, variant), but shrinking the
-        // reservation moves every symbol after the blob (DESIGN.md §21).
-        let blob_cap = words * cfg.mode.variant_count() * 140 + 1024;
-        sizes.push((words, blob_cap));
+        sizes.push(words);
     }
     drop(chain1_block);
 
     // Size the per-chain data objects (stage: Map).
     let map_block = run.stage(Stage::Map);
-    for ((f, _gen), (words, blob_cap)) in gens.iter().zip(&sizes) {
+    for ((f, _gen), words) in gens.iter().zip(&sizes) {
         let bytes = words * 4;
         match &cfg.mode {
             ChainMode::Cleartext => {
@@ -795,7 +791,10 @@ fn run_pipeline(
                 set_bss_size(&mut prog, &format!("__plx_chain_{f}"), bytes as u32)?;
             }
             ChainMode::Probabilistic { .. } => {
-                set_size(&mut prog, &format!("__plx_blob_{f}"), *blob_cap)?;
+                // The mask blob: its length and variant count, then one
+                // mask per (position, variant) (DESIGN.md §21).
+                let blob = 8 + bytes * cfg.mode.variant_count();
+                set_size(&mut prog, &format!("__plx_blob_{f}"), blob)?;
                 set_bss_size(&mut prog, &format!("__plx_chain_{f}"), bytes as u32)?;
             }
         }
@@ -818,7 +817,7 @@ fn run_pipeline(
     // Policy seeds derive from (chain index, variant) alone, so each
     // chain is a pure function of the image and its indices.
     let mut chains = Vec::new();
-    for (i, ((f, _gen), (words, _))) in gens.iter().zip(&sizes).enumerate() {
+    for (i, ((f, _gen), words)) in gens.iter().zip(&sizes).enumerate() {
         let func = get_impl(f)?;
         let frame = symbol_vaddr(&img2, &format!("__plx_frame_{f}"))?;
         let buf_sym = format!("__plx_chain_{f}");
@@ -888,10 +887,10 @@ fn run_pipeline(
             }
             ChainMode::Probabilistic { seed, .. } => {
                 let basis = Basis::random(seed ^ (0x5a5a + i as u64));
-                let mut blob = build_mask_blob(&basis, &variant_words);
-                let reserved = &mut data_mut(&mut prog, &format!("__plx_blob_{f}"))?.bytes;
-                blob.resize(reserved.len(), 0);
-                *reserved = blob;
+                // Exactly the size pass 1 gave it: the chain kept its
+                // length (`UnstableChain` otherwise).
+                data_mut(&mut prog, &format!("__plx_blob_{f}"))?.bytes =
+                    build_mask_blob(&basis, &variant_words);
                 let basis_bytes: Vec<u8> =
                     basis.vectors.iter().flat_map(|w| w.to_le_bytes()).collect();
                 data_mut(&mut prog, &format!("__plx_basis_{f}"))?.bytes = basis_bytes;
@@ -1063,8 +1062,9 @@ fn scan_gadgets(
                     t.count("vm.probe.proposals", vstats.probe.proposals);
                     t.count("vm.probe.runs", vstats.probe.runs);
                     // Proposals rejected without a run: an access of
-                    // theirs can only land on unmapped memory. They
-                    // count in `proposals`, not in `runs`.
+                    // theirs can only land on unmapped memory, or their
+                    // syscall number is undefined. They count in
+                    // `proposals`, not in `runs`.
                     t.count("vm.probe.prejudged", vstats.probe.prejudged);
                     // Verdicts served from the previous pass's memo:
                     // no probe ran, so `proposals`/`runs` omit them.

@@ -6,6 +6,7 @@
 // production paths).
 #![allow(clippy::unwrap_used)]
 
+use parallax_bench::{fig5_modes, protect_workload};
 use parallax_core::dynamic::{
     build_mask_blob, install_generator_binary, rc4_crypt, xor_crypt, xorshift32, Basis,
 };
@@ -41,6 +42,46 @@ fn gen_ranges(img: &LinkedImage) -> Vec<(String, std::ops::Range<usize>)> {
 
 // ---- gadget surface -------------------------------------------------
 
+/// Checks the three gadget-surface rules (DESIGN.md §21) on the one
+/// generator slot of `img`: its final `ret` is its only return byte, no
+/// relocated field and no `5d` byte sit in that return's window, and
+/// the slot's only usable gadget is the bare `ret`.
+fn assert_generator_surface(img: &LinkedImage, what: &str) {
+    let ranges = gen_ranges(img);
+    assert_eq!(ranges.len(), 1, "{what}");
+    for (name, r) in ranges {
+        let what = format!("{what} {name}");
+        let bytes = &img.text[r.clone()];
+        let last = bytes.len() - 1;
+        let rets: Vec<usize> = (0..bytes.len())
+            .filter(|&i| matches!(bytes[i], 0xc3 | 0xcb))
+            .collect();
+        assert_eq!(rets, vec![last], "{what}: return bytes");
+
+        let window = r.end - 1 - MAX_GADGET_BYTES..r.end - 1;
+        let base = img.text_base;
+        for site in img.reloc_sites.iter() {
+            let at = (site.vaddr - base) as usize;
+            assert!(
+                at + 4 <= window.start || at >= window.end,
+                "{what}: relocated field at {at:#x} in the ret window"
+            );
+        }
+        assert!(
+            !img.text[window].contains(&0x5d),
+            "{what}: `pop ebp` byte in the ret window"
+        );
+
+        let vaddr = base + r.start as u32;
+        let usable: Vec<String> = scan(bytes, vaddr)
+            .iter()
+            .filter_map(classify)
+            .map(|p| p.cand.disasm())
+            .collect();
+        assert_eq!(usable, vec!["ret".to_owned()], "{what}: usable gadgets");
+    }
+}
+
 #[test]
 fn kernels_add_no_gadget_but_their_final_ret() {
     // Six variants take the probabilistic generator's `div` path, eight
@@ -55,39 +96,18 @@ fn kernels_add_no_gadget_but_their_final_ret() {
                 ..ProtectConfig::default()
             };
             let img = protect(&(w.module)(), &cfg).unwrap().image;
-            let ranges = gen_ranges(&img);
-            assert_eq!(ranges.len(), 1, "{} {}", w.name, mode.name());
-            for (name, r) in ranges {
-                let what = format!("{} {} {name}", w.name, mode.name());
-                let bytes = &img.text[r.clone()];
-                let last = bytes.len() - 1;
-                let rets: Vec<usize> = (0..bytes.len())
-                    .filter(|&i| matches!(bytes[i], 0xc3 | 0xcb))
-                    .collect();
-                assert_eq!(rets, vec![last], "{what}: return bytes");
-
-                let window = r.end - 1 - MAX_GADGET_BYTES..r.end - 1;
-                let base = img.text_base;
-                for site in img.reloc_sites.iter() {
-                    let at = (site.vaddr - base) as usize;
-                    assert!(
-                        at + 4 <= window.start || at >= window.end,
-                        "{what}: relocated field at {at:#x} in the ret window"
-                    );
-                }
-                assert!(
-                    !img.text[window].contains(&0x5d),
-                    "{what}: `pop ebp` byte in the ret window"
-                );
-
-                let vaddr = base + r.start as u32;
-                let usable: Vec<String> = scan(bytes, vaddr)
-                    .iter()
-                    .filter_map(classify)
-                    .map(|p| p.cand.disasm())
-                    .collect();
-                assert_eq!(usable, vec!["ret".to_owned()], "{what}: usable gadgets");
+            assert_generator_surface(&img, &format!("{} {}", w.name, mode.name()));
+        }
+        // The benchmark's run-protected configuration: hot functions
+        // left out of the immediate rule, and Figure 5's modes. Its
+        // symbol addresses differ, and with them the relocated fields
+        // inside the generators, such as the probabilistic blob's.
+        for mode in fig5_modes() {
+            if mode == ChainMode::Cleartext {
+                continue;
             }
+            let what = format!("{} {} run-protected", w.name, mode.name());
+            assert_generator_surface(&protect_workload(&w, mode).image, &what);
         }
     }
 }
@@ -322,10 +342,11 @@ fn text_digest(img: &LinkedImage) -> u64 {
     fnv1a(&[&text, &symbols])
 }
 
-/// Outside the generator slots the text and the symbol table are those
-/// of the `-O0` IR generators the kernels replaced, and the data has
-/// the same length. The data digests pin the chain material: the
-/// probabilistic ones the coefficient-mask blob.
+/// Outside the generator slots the xor and RC4 texts and symbol tables
+/// are those of the `-O0` IR generators the kernels replaced, and the
+/// data has the same length. The probabilistic rows pin the
+/// exactly-sized coefficient-mask blob: its data length and digest, and
+/// the text and symbols its size places.
 #[test]
 fn images_outside_the_generators_are_unchanged() {
     let golden = [
@@ -346,9 +367,9 @@ fn images_outside_the_generators_are_unchanged() {
         (
             "gzip",
             "probabilistic",
-            0x6743_20d9_415e_850b,
-            0x12c9_62ac_e74b_feb7,
-            132_200,
+            0x4443_f886_f6f6_42d9,
+            0xa324_741d_c4b7_6da3,
+            3_888,
         ),
         (
             "gcc",
@@ -367,9 +388,9 @@ fn images_outside_the_generators_are_unchanged() {
         (
             "gcc",
             "probabilistic",
-            0xd5ba_bf57_4711_cc24,
-            0x55df_867a_f03b_5b02,
-            74_240,
+            0x91b0_bd0b_ec0f_4c5a,
+            0xe680_8418_3545_1cae,
+            2_232,
         ),
     ];
     for w in parallax_corpus::all() {

@@ -15,7 +15,7 @@ use parallax_vm::{STACK_SIZE, STACK_TOP};
 
 use crate::scan::Candidate;
 use crate::types::{Effect, GBinOp};
-use crate::validate::{probe_registers, DRAW_BASE, DRAW_MASK};
+use crate::validate::{probe_registers, DRAW_BASE, DRAW_MASK, PROBE_SYSCALL};
 
 /// Unary operations in the abstract domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +96,25 @@ pub struct Proposal {
     /// not resolve (`mul [m]`): no entry of `accesses` records where it
     /// lands.
     pub unresolved_access: bool,
+    /// What eax holds at the gadget's `int 0x80` instructions.
+    pub syscall_eax: SyscallEax,
+}
+
+/// The syscall number a gadget's `int 0x80` instructions pass in eax,
+/// as far as the classifier can tell from the probe's registers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyscallEax {
+    /// The gadget has no `int 0x80`.
+    NoInt,
+    /// eax reaches every `int 0x80` unchanged from the gadget's start,
+    /// where the probe pins it to `time` (13), a syscall that touches
+    /// no memory.
+    Pinned,
+    /// The first `int 0x80` passes this number, computed from constants
+    /// and the probe's pinned eax.
+    Fixed(u32),
+    /// Anything else: a chain slot, another register, memory.
+    Unknown,
 }
 
 /// Largest `add|sub esp, imm` immediate a layout-independent proposal
@@ -107,33 +126,52 @@ const STACK_REACH: i64 = 0x1000;
 impl Proposal {
     /// True when the probe's verdict cannot depend on where the image's
     /// text, data and heap sit (DESIGN.md §17): no instruction reaches
-    /// VM state beyond memory, esp moves only by bounded steps, and
-    /// every memory access the classifier resolved, rooted at esp or
-    /// at a scratch-precondition register, lands inside the stack
-    /// region or wholly at or above `STACK_TOP`. The probe puts both
-    /// its stack window and its scratch regions in the stack region,
-    /// which sits at the same place for every image. Such a verdict is
-    /// a function of the candidate's bytes alone, so a relink may reuse
-    /// it wherever those bytes now sit (§18).
+    /// VM state beyond memory, except an `int 0x80` the probe pins to
+    /// `time`; esp moves only by bounded steps or by the final pivot
+    /// the probe lands; and every memory access the classifier
+    /// resolved, rooted at esp or at a scratch-precondition register,
+    /// lands inside the stack region or wholly at or above `STACK_TOP`.
+    /// The probe puts its stack window, its scratch regions and a
+    /// pivot's landing in the stack region, which sits at the same
+    /// place for every image. Such a verdict is a function of the
+    /// candidate's bytes alone, so a relink may reuse it wherever those
+    /// bytes now sit (§18).
     pub fn layout_independent(&self) -> bool {
         let regs = probe_registers(self);
+        // A pivot's esp write is the instruction before the return
+        // (nothing else may follow it), and the probe pins where it
+        // lands: every chain slot holds the landing for `PopEsp`, the
+        // source holds 64 for `AddEsp`.
+        let insns = &self.cand.insns;
+        let pivot = self
+            .effects
+            .iter()
+            .any(|e| matches!(e, Effect::PopEsp | Effect::AddEsp { .. }))
+            .then(|| insns.len() - 2);
+        let int_ok = self.syscall_eax == SyscallEax::Pinned;
         !self.unresolved_access
             && self.accesses.iter().all(|a| a.relink_invariant(&regs))
-            && self.cand.insns.iter().all(stack_confined)
+            && insns
+                .iter()
+                .enumerate()
+                .all(|(i, insn)| stack_confined(insn, pivot == Some(i), int_ok))
     }
 }
 
-/// The per-instruction half of the rule: no `int`, `leave` or `popad`;
-/// no absolute or indexed memory operand (`lea` touches no memory); esp
-/// written only by a push or pop of another register, a return, or
-/// `add|sub esp, imm`.
-fn stack_confined(insn: &Insn) -> bool {
+/// The per-instruction half of the rule: no `leave` or `popad`, and an
+/// `int` only when `int_ok`; no absolute or indexed memory operand
+/// (`lea` touches no memory); esp written only by a push or pop of
+/// another register, a return, `add|sub esp, imm`, or the pivot write
+/// when `pivot`.
+fn stack_confined(insn: &Insn, pivot: bool, int_ok: bool) -> bool {
     use Mnemonic as M;
     let is_esp = |op: &Operand| matches!(op, Operand::Reg(Reg::R32(Reg32::Esp)));
     let dst_esp = insn.ops.first().is_some_and(is_esp);
     let esp_ok = match insn.mnemonic {
+        M::Int => int_ok,
         // `popad` pops into esp's slot, even if the value is dropped.
-        M::Int | M::Leave | M::Popad => false,
+        M::Leave | M::Popad => false,
+        _ if pivot => true,
         M::Alu(AluOp::Add | AluOp::Sub) if dst_esp => {
             matches!(insn.ops.get(1), Some(Operand::Imm(v)) if v.abs() <= STACK_REACH)
         }
@@ -162,6 +200,10 @@ struct St {
     /// Bases of incidental (non-template) memory reads.
     read_bases: Vec<Reg32>,
     syscall: bool,
+    /// eax at the first `int 0x80`.
+    int_eax: Option<V>,
+    /// Set while every `int 0x80` so far saw the initial eax.
+    ints_see_initial_eax: bool,
     dead: bool,
     /// Set when the instruction being interpreted resolved an explicit
     /// memory operand.
@@ -192,6 +234,8 @@ impl St {
             writes: Vec::new(),
             read_bases: Vec::new(),
             syscall: false,
+            int_eax: None,
+            ints_see_initial_eax: true,
             dead: false,
             accessed: false,
             accesses: Vec::new(),
@@ -936,6 +980,9 @@ fn step(st: &mut St, insn: &Insn) -> bool {
             if !matches!(insn.ops.first(), Some(Operand::Imm(0x80))) {
                 return false;
             }
+            let eax = st.reg(Reg32::Eax);
+            st.ints_see_initial_eax &= eax == V::Init(Reg32::Eax);
+            st.int_eax.get_or_insert(eax);
             st.syscall = true;
             st.set_reg(Reg32::Eax, V::Unknown);
         }
@@ -994,6 +1041,8 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
             effects,
             clobbers,
             mem_preconditions: mem_preconds(&st),
+            // No `Syscall` effect, so the probe draws eax.
+            syscall_eax: syscall_eax(&st, None),
             accesses: st.accesses,
             unresolved_access: st.unresolved_access,
         });
@@ -1171,9 +1220,65 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         effects,
         clobbers,
         mem_preconditions: mem_preconds(&st),
+        // Any `int 0x80` made a `Syscall` effect: the probe pins eax.
+        syscall_eax: syscall_eax(&st, Some(PROBE_SYSCALL)),
         accesses: st.accesses,
         unresolved_access: st.unresolved_access,
     })
+}
+
+/// [`Proposal::syscall_eax`] for a probe that starts eax at `eax0`
+/// (`None` when it draws eax at random).
+fn syscall_eax(st: &St, eax0: Option<u32>) -> SyscallEax {
+    match &st.int_eax {
+        None => SyscallEax::NoInt,
+        Some(_) if st.ints_see_initial_eax && eax0.is_some() => SyscallEax::Pinned,
+        Some(v) => eval(v, eax0).map_or(SyscallEax::Unknown, SyscallEax::Fixed),
+    }
+}
+
+/// The concrete value of `v` in a state whose eax starts at `eax0`,
+/// when `v` depends on nothing else.
+fn eval(v: &V, eax0: Option<u32>) -> Option<u32> {
+    match v {
+        V::Init(Reg32::Eax) => eax0,
+        V::Const(c) => Some(*c),
+        // Two constants fold to a constant.
+        V::Bin(op, a, b) => {
+            match const_fold(*op, &V::Const(eval(a, eax0)?), &V::Const(eval(b, eax0)?)) {
+                V::Const(c) => Some(c),
+                _ => None,
+            }
+        }
+        V::Un(UnKind::Neg, a) => eval(a, eax0).map(u32::wrapping_neg),
+        V::Un(UnKind::Not, a) => eval(a, eax0).map(|x| !x),
+        V::Patch8(inner, high, b) => {
+            let shift = if *high { 8 } else { 0 };
+            let byte = eval8(b, eax0)?;
+            Some(eval(inner, eax0)? & !(0xff << shift) | u32::from(byte) << shift)
+        }
+        _ => None,
+    }
+}
+
+/// [`eval`] for a byte.
+fn eval8(v: &V8, eax0: Option<u32>) -> Option<u8> {
+    match v {
+        V8::Const8(c) => Some(*c),
+        V8::Low(a) => eval(a, eax0).map(|x| x as u8),
+        V8::High(a) => eval(a, eax0).map(|x| (x >> 8) as u8),
+        V8::Bin8(op, a, b) => {
+            match const_fold8(
+                *op,
+                &V8::Const8(eval8(a, eax0)?),
+                &V8::Const8(eval8(b, eax0)?),
+            ) {
+                V8::Const8(c) => Some(c),
+                _ => None,
+            }
+        }
+        V8::Unknown => None,
+    }
 }
 
 fn collect_clobbers(st: &St, effect_dsts: &[Reg32]) -> Vec<Reg32> {
@@ -1401,14 +1506,14 @@ mod tests {
             mem_preconditions: Vec::new(),
             accesses: Vec::new(),
             unresolved_access: false,
+            syscall_eax: SyscallEax::NoInt,
         })
     }
 
     #[test]
     fn layout_dependent_proposals() {
         for (bytes, what) in [
-            (&[0x58, 0x94, 0xc3][..], "pop eax; xchg eax, esp; ret"),
-            (&[0x5d, 0xc9, 0xc3], "pop ebp; leave; ret"),
+            (&[0x5d, 0xc9, 0xc3][..], "pop ebp; leave; ret"),
             (&[0x89, 0xe5, 0xc9, 0xc3], "mov ebp, esp; leave; ret"),
             (
                 &[0x8b, 0x81, 0x00, 0x00, 0x00, 0xfd, 0xc3],
@@ -1427,8 +1532,20 @@ mod tests {
                 &[0xf7, 0x25, 0x00, 0xa0, 0x04, 0x08, 0xc3],
                 "mul [0x0804a000]; ret",
             ),
-            (&[0xcd, 0x80, 0xc3], "int 0x80; ret"),
-            (&[0x5c, 0xc3], "pop esp; ret"),
+            // eax changes before the `int`, so the probe's pin does not
+            // reach it.
+            (&[0x58, 0xcd, 0x80, 0xc3], "pop eax; int 0x80; ret"),
+            (
+                &[0x83, 0xc0, 0x04, 0xcd, 0x80, 0xc3],
+                "add eax, 4; int 0x80; ret",
+            ),
+            // A pivot has no `Syscall` effect: the probe draws eax.
+            (&[0xcd, 0x80, 0x5c, 0xc3], "int 0x80; pop esp; ret"),
+            // The pivot write is exempt, the absolute operand is not.
+            (
+                &[0xf7, 0x25, 0x00, 0xa0, 0x04, 0x08, 0x5c, 0xc3],
+                "mul [0x0804a000]; pop esp; ret",
+            ),
             (&[0x61, 0xc3], "popad; ret"),
             (
                 &[0x8b, 0x84, 0x24, 0x00, 0x00, 0xfc, 0xff, 0xc3],
@@ -1466,9 +1583,46 @@ mod tests {
                 &[0x8b, 0x84, 0x24, 0x00, 0x30, 0x00, 0x00, 0xc3],
                 "mov eax, [esp+0x3000]; ret",
             ),
+            // The probe pins eax to `time`, which touches no memory.
+            (&[0xcd, 0x80, 0xc3], "int 0x80; ret"),
+            (&[0xcd, 0x80, 0xcb], "int 0x80; retf"),
+            // The probe pins where a pivot lands: every chain slot holds
+            // the landing, an `add esp` source holds 64.
+            (&[0x5c, 0xc3], "pop esp; ret"),
+            (&[0x5c, 0xcb], "pop esp; retf"),
+            (&[0x01, 0xc4, 0xc3], "add esp, eax; ret"),
+            (
+                &[0x8b, 0x44, 0x24, 0x24, 0x89, 0xc4, 0xc3],
+                "mov eax, [esp+0x24]; mov esp, eax; ret",
+            ),
+            (&[0x58, 0x94, 0xc3], "pop eax; xchg eax, esp; ret"),
         ] {
             let p = whole(bytes);
             assert!(p.layout_independent(), "{what}: {}", p.cand.disasm());
+        }
+    }
+
+    /// The number a syscall gadget's first `int 0x80` passes, from the
+    /// probe's pinned eax of 13.
+    #[test]
+    fn syscall_numbers_follow_the_pinned_eax() {
+        for (bytes, want) in [
+            (&[0x90, 0xc3][..], SyscallEax::NoInt),
+            (&[0xcd, 0x80, 0xc3], SyscallEax::Pinned),
+            (&[0x83, 0xc0, 0x04, 0xcd, 0x80, 0xc3], SyscallEax::Fixed(17)),
+            // add eax, 0xc3b85008
+            (
+                &[0x05, 0x08, 0x50, 0xb8, 0xc3, 0xcd, 0x80, 0xc3],
+                SyscallEax::Fixed(0xc3b8_5015),
+            ),
+            (&[0x31, 0xc0, 0xcd, 0x80, 0xc3], SyscallEax::Fixed(0)),
+            (&[0xb0, 0x04, 0xcd, 0x80, 0xc3], SyscallEax::Fixed(4)),
+            (&[0x58, 0xcd, 0x80, 0xc3], SyscallEax::Unknown),
+            (&[0x93, 0xcd, 0x80, 0xc3], SyscallEax::Unknown),
+            (&[0xcd, 0x80, 0x5c, 0xc3], SyscallEax::Unknown),
+        ] {
+            let p = whole(bytes);
+            assert_eq!(p.syscall_eax, want, "{}", p.cand.disasm());
         }
     }
 

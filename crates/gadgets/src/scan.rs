@@ -20,7 +20,7 @@ use std::cell::{Cell, OnceCell};
 use std::sync::LazyLock;
 
 use parallax_x86::insn::{Insn, Mnemonic};
-use parallax_x86::{decode, Operand};
+use parallax_x86::{decode_read, Operand};
 
 /// Maximum gadget length in instructions, including the return
 /// (the paper limits considered gadgets to six instructions).
@@ -105,50 +105,34 @@ pub struct ScanStats {
     pub candidates: u64,
 }
 
-/// Bytes a failed decode may have read: x86 caps an instruction at 15
-/// bytes, so a change at byte `c` can only alter a failed decode at
-/// offsets `c - 14 ..= c`.
+/// The most bytes a decode may read: x86 caps an instruction at 15
+/// bytes, so a change at byte `c` can only alter a decode at offsets
+/// `c - 14 ..= c`.
 const DECODE_WINDOW: usize = 15;
 
 /// One memoized decode: everything a candidate walk needs to know
 /// about the instruction starting at this offset.
 pub(crate) struct Slot {
     insn: Option<Insn>,
+    /// The bytes the decode read ([`decode_read`]): the instruction's
+    /// length, or for a failed decode the bytes read before the error.
+    /// The decode depends on these bytes and no others.
     len: u8,
     interior_ok: bool,
     /// `Some(far)` when this decode is a bare `ret`/`retf`.
     ret: Option<bool>,
 }
 
-impl Slot {
-    /// How many bytes from its offset on this decode depends on: its
-    /// length when it succeeded, [`DECODE_WINDOW`] when it failed.
-    fn read_extent(&self) -> usize {
-        if self.insn.is_some() {
-            self.len as usize
-        } else {
-            DECODE_WINDOW
-        }
-    }
-}
-
 /// The slots of a [`DecodeTable`], kept between passes.
 pub(crate) type Slots = Vec<OnceCell<Slot>>;
 
 fn decode_slot(bytes: &[u8]) -> Slot {
-    match decode(bytes) {
-        Ok(insn) => Slot {
-            len: insn.len,
-            interior_ok: allowed_interior(&insn),
-            ret: is_plain_ret(&insn),
-            insn: Some(insn),
-        },
-        Err(_) => Slot {
-            insn: None,
-            len: 0,
-            interior_ok: false,
-            ret: None,
-        },
+    let (insn, read) = decode_read(bytes);
+    Slot {
+        len: read as u8,
+        interior_ok: insn.as_ref().is_ok_and(allowed_interior),
+        ret: insn.as_ref().ok().and_then(is_plain_ret),
+        insn: insn.ok(),
     }
 }
 
@@ -160,10 +144,11 @@ static BARE_RET: LazyLock<Slot> = LazyLock::new(|| decode_slot(&[0xc3]));
 ///
 /// The x86 decoder reads an instruction's bytes in order and no
 /// further, so a decode that succeeds at `i` depends only on the `len`
-/// bytes `text[i..i + len]`, and one that fails on at most the 15 bytes
-/// an instruction may span. That read extent is what lets a rescan keep
-/// every slot whose own bytes did not change, and a planted-return walk
-/// use the decodes of the unmodified text (DESIGN.md §20).
+/// bytes `text[i..i + len]`, and one that fails only on the bytes it
+/// read before the error, which its slot records. That read extent is
+/// what lets a rescan keep every slot whose own bytes did not change,
+/// and a planted-return walk use the decodes of the unmodified text
+/// (DESIGN.md §20).
 pub struct DecodeTable<'t> {
     text: &'t [u8],
     slots: Slots,
@@ -193,7 +178,7 @@ impl<'t> DecodeTable<'t> {
         for c in (0..text.len()).filter(|&c| old[c] != text[c]) {
             let lo = c.saturating_sub(DECODE_WINDOW - 1);
             for (i, slot) in (lo..).zip(&mut slots[lo..=c]) {
-                if slot.get().is_some_and(|s| i + s.read_extent() > c) {
+                if slot.get().is_some_and(|s| i + usize::from(s.len) > c) {
                     slot.take();
                 }
             }
@@ -408,7 +393,7 @@ fn try_sequence(text: &[u8], base: u32, start: usize, ret_at: usize) -> Option<C
     let mut insns = Vec::new();
     let mut pos = start;
     while pos <= ret_at {
-        let insn = decode(&text[pos..]).ok()?;
+        let insn = parallax_x86::decode(&text[pos..]).ok()?;
         let next = pos + insn.len as usize;
         if pos == ret_at {
             let far = is_plain_ret(&insn)?;
@@ -578,11 +563,16 @@ mod tests {
         assert_eq!(format!("{cands:?}"), format!("{fresh:?}"));
         // Both passes reach the same 500 offsets: no change makes or
         // removes a return. 18 of them lie within 14 bytes before a
-        // change (14..=17 and 1988..=2001), and 8 of those decodes read
-        // a changed byte: the failed ones at 15, 17, 1991, 1995, 1996,
-        // 1998 and 2001, which may read 15 bytes, and the 5-byte one at
-        // 2000. The 1-byte decode at 16 ends before byte 17 changes.
-        assert_eq!((stats.decoded, stats.reused, stats.skipped), (8, 492, 3596));
+        // change (14..=17 and 1988..=2001), and 3 of those decodes read
+        // a changed byte:
+        // - 17 failed on its own opcode byte (`e2`), which changed;
+        // - 2000 is the 5-byte `mov [0x22b40baf], eax`, which reads 2001;
+        // - 2001 failed on its own opcode byte (`af`), which changed.
+        // The decodes at 15, 1991, 1995, 1996 and 1998 failed too, but
+        // each read only its own opcode byte, which did not change; the
+        // 1-byte decode at 16 ends before byte 17, and the longest other
+        // decode, 1992's 5-byte `call`, ends at 1996.
+        assert_eq!((stats.decoded, stats.reused, stats.skipped), (3, 497, 3596));
         assert_eq!(stats.decoded + stats.reused + stats.skipped, stats.offsets);
         // A table for another length is ignored: every reached offset
         // of the shorter text is decoded afresh.

@@ -24,7 +24,7 @@ use parallax_image::LinkedImage;
 use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_SIZE, STACK_TOP};
 use parallax_x86::Reg32;
 
-use crate::classify::Proposal;
+use crate::classify::{Proposal, SyscallEax};
 use crate::types::{Effect, GBinOp, Gadget};
 
 /// Maximum instructions a gadget probe may execute.
@@ -69,6 +69,10 @@ pub(crate) const DRAW_BASE: u32 = 0x0100_0000;
 /// See [`DRAW_BASE`].
 pub(crate) const DRAW_MASK: u32 = 0x00ff_ffff;
 
+/// The syscall number a probe puts in eax for a gadget with a
+/// `Syscall` effect: `time`, which touches no memory.
+pub(crate) const PROBE_SYSCALL: u32 = 13;
+
 /// The registers a probe of `p` points at scratch memory, as a bit set
 /// by encoding: its memory preconditions and every memory effect's
 /// address register.
@@ -99,7 +103,7 @@ pub(crate) fn probe_registers(p: &Proposal) -> [Option<u32>; 8] {
         Reg32::ALL.map(|r| (scratch >> r.encoding() & 1 == 1).then(|| scratch_pointer(r)));
     regs[Reg32::Esp.encoding() as usize] = Some(PROBE_ESP);
     if p.effects.contains(&Effect::Syscall) {
-        regs[Reg32::Eax.encoding() as usize] = Some(13);
+        regs[Reg32::Eax.encoding() as usize] = Some(PROBE_SYSCALL);
     }
     if let Some(Effect::AddEsp { src }) = p
         .effects
@@ -115,12 +119,17 @@ pub(crate) fn probe_registers(p: &Proposal) -> [Option<u32>; 8] {
 /// verdict is `None` without a run (DESIGN.md §16): some memory access
 /// the classifier resolved can only start, whatever value its root
 /// holds in the probe, at an address `mem` does not map (its text, its
-/// data, BSS and heap, and the stack region). A gadget is straight-line
-/// and its bytes cannot be written (W⊕X), so that access executes
-/// unless an earlier fault ends the probe first, and either way every
-/// trial fails. An interval that wraps past the top of the address
-/// space is left to the probe.
+/// data, BSS and heap, and the stack region), or its first `int 0x80`
+/// passes a number, computed from the probe's pinned eax, that the VM
+/// does not define. A gadget is straight-line and its bytes cannot be
+/// written (W⊕X), so that access or syscall executes unless an earlier
+/// fault ends the probe first, and either way every trial fails. An
+/// interval that wraps past the top of the address space is left to the
+/// probe.
 pub fn prejudged(mem: &Memory, p: &Proposal) -> bool {
+    if matches!(p.syscall_eax, SyscallEax::Fixed(nr) if !parallax_vm::syscall::is_defined(nr)) {
+        return true;
+    }
     let regs = probe_registers(p);
     let regions = [
         (mem.text_base(), mem.text_end()),
@@ -190,7 +199,8 @@ pub struct ProbeStats {
     /// one per trial — regardless of effect count).
     pub runs: u64,
     /// Proposals rejected without a run, because an access of theirs
-    /// can only land on unmapped memory ([`prejudged`]).
+    /// can only land on unmapped memory or their syscall number is one
+    /// the VM does not define ([`prejudged`]).
     pub prejudged: u64,
     /// Probe executions the legacy per-(effect, trial) loop would have
     /// performed *in addition to* `runs`.
@@ -997,6 +1007,21 @@ mod tests {
         // Through the scratch pointer the read would have been mapped.
         let stack = STACK_TOP - STACK_SIZE..STACK_TOP;
         assert!(stack.contains(&scratch_pointer(Reg32::Eax)));
+    }
+
+    /// A syscall gadget whose `int 0x80` passes a number the VM does not
+    /// define, computed from the pinned 13, is rejected without a run
+    /// and counted as prejudged; a defined one is probed.
+    #[test]
+    fn an_undefined_syscall_number_is_rejected_unrun() {
+        // add eax, 0xc3b85008; int 0x80; ret
+        let (p, unrun) = rejected_unrun(&[0x05, 0x08, 0x50, 0xb8, 0xc3, 0xcd, 0x80, 0xc3]);
+        assert_eq!(p.syscall_eax, SyscallEax::Fixed(0xc3b8_5015));
+        assert!(p.accesses.is_empty() && unrun);
+        // sub eax, 9; int 0x80; ret: `write`
+        let (p, unrun) = rejected_unrun(&[0x83, 0xe8, 0x09, 0xcd, 0x80, 0xc3]);
+        assert_eq!(p.syscall_eax, SyscallEax::Fixed(4));
+        assert!(!unrun);
     }
 
     /// An `AddEsp` gadget's source holds 64, so `mov eax, [ecx+0x10];

@@ -238,6 +238,97 @@ fn pass_two(img1: &LinkedImage, img2: &LinkedImage) -> (Vec<Gadget>, u64, u64) {
     (gadgets, vstats.reused, vstats.probe.proposals)
 }
 
+/// The pivots and the syscall gadget every protected image carries, in
+/// the standard gadget set and the loader runtime, as they disassemble.
+const STANDARD_PIVOTS: [&str; 7] = [
+    "pop esp; ret",
+    "pop esp; retf",
+    "add esp,eax; ret",
+    "add esp,eax; retf",
+    "mov eax,[esp+0x24]; mov esp,eax; ret",
+    "int 0x80; ret",
+    "int 0x80; retf",
+];
+
+/// The probe pins where a pivot lands and that a syscall is `time`, so
+/// none of these verdicts depends on the layout: after the data grows
+/// by a page, pass 2 serves all of them from pass 1's memo and probes
+/// nothing.
+#[test]
+fn standard_pivots_and_syscalls_are_served_from_the_memo() {
+    let mut prog = Program::new();
+    let mut main = Asm::new();
+    for far in [false, true] {
+        let ret = |a: &mut Asm| if far { a.retf() } else { a.ret() };
+        main.pop_r(Reg32::Esp);
+        ret(&mut main);
+        main.alu_rr(AluOp::Add, Reg32::Esp, Reg32::Eax);
+        ret(&mut main);
+        main.int(0x80);
+        ret(&mut main);
+    }
+    main.mov_rm(Reg32::Eax, Mem::base_disp(Reg32::Esp, 0x24));
+    main.mov_rr(Reg32::Esp, Reg32::Eax);
+    main.ret();
+    prog.add_func("main", main.finish().expect("assembles"));
+    prog.set_entry("main");
+    prog.add_data("d", vec![0; 4]);
+    let img1 = prog.link().expect("links");
+    prog.data_item_mut("d").expect("data item").bytes = vec![0; 4 + 4096];
+    let img2 = prog.link().expect("relinks");
+    assert_eq!(img1.text, img2.text);
+    let (gadgets, reused, probed) = pass_two(&img1, &img2);
+    let served: Vec<&str> = gadgets
+        .iter()
+        .map(|g| g.disasm.as_str())
+        .filter(|d| STANDARD_PIVOTS.contains(d))
+        .collect();
+    assert_eq!(served.len(), STANDARD_PIVOTS.len(), "{served:?}");
+    assert!(reused >= STANDARD_PIVOTS.len() as u64, "{reused} reused");
+    assert_eq!(probed, 0, "pass 2 probed again");
+    assert_rescan_matches_fresh(&img1, &img2, "standard pivots");
+    assert!(assert_carried_verdicts_hold(&img1, &img2, "standard pivots") >= STANDARD_PIVOTS.len());
+}
+
+/// In the images `protect()` links, every standard pivot and syscall
+/// gadget of pass 2 is layout-independent and its content was in pass
+/// 1, so pass 2 serves it from the memo.
+#[test]
+fn protected_images_carry_their_standard_pivots_into_pass_two() {
+    let w = parallax_corpus::by_name("gzip").expect("known workload");
+    let module = (w.module)();
+    for mode in fig5_modes() {
+        let prog = compile_module(&module).expect("corpus compiles");
+        for (img1, img2) in fixpoint_pairs(prog, w.verify_func, &module, mode.clone()) {
+            let pass1: HashSet<Content> = scan(&img1.text, img1.text_base)
+                .iter()
+                .map(|c| content_of(&img1, c))
+                .collect();
+            let mut found = HashSet::new();
+            for cand in scan(&img2.text, img2.text_base) {
+                let disasm = cand.disasm();
+                if !STANDARD_PIVOTS.contains(&disasm.as_str()) {
+                    continue;
+                }
+                let p = classify(&cand).expect("a standard pivot classifies");
+                assert!(p.layout_independent(), "{mode:?}: {disasm}");
+                assert!(
+                    pass1.contains(&content_of(&img2, &cand)),
+                    "{mode:?}: {disasm}"
+                );
+                found.insert(disasm);
+            }
+            for want in ["pop esp; ret", "add esp,eax; ret", "int 0x80; ret"] {
+                assert!(found.contains(want), "{mode:?}: no {want}");
+            }
+            assert!(
+                found.contains("mov eax,[esp+0x24]; mov esp,eax; ret"),
+                "{mode:?}: no loader pivot"
+            );
+        }
+    }
+}
+
 /// A scratch-using proposal no longer follows the heap base: the probe's
 /// scratch regions sit in the stack region, so `cmp eax, [ecx-0x3000]`
 /// reads the stack 0x3000 bytes below ecx's scratch pointer whatever

@@ -1,7 +1,8 @@
 //! Soundness differential for probe-free verdicts: every proposal the
-//! shared-trial path rejects without a run (`validate::prejudged`)
-//! must also be rejected by the legacy oracle, which runs every probe,
-//! on the pass-1 and pass-2 images `protect()` really links.
+//! shared-trial path rejects without a run (`validate::prejudged`),
+//! for an unmapped access or for an undefined syscall number, must also
+//! be rejected by the legacy oracle, which runs every probe, on the
+//! pass-1 and pass-2 images `protect()` really links.
 
 mod common;
 
@@ -9,21 +10,38 @@ use parallax_bench::fig5_modes;
 use parallax_compiler::compile_module;
 use parallax_core::ChainMode;
 use parallax_gadgets::classify;
+use parallax_gadgets::classify::SyscallEax;
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::{legacy, prejudged};
-use parallax_image::LinkedImage;
+use parallax_image::{LinkedImage, Program};
+use parallax_vm::syscall::is_defined;
 use parallax_vm::{Vm, VmOptions};
+use parallax_x86::Asm;
 
 use common::{fixpoint_pairs, generated_heap_edge, large_module, LARGE_SEEDS, MORE_LARGE_SEEDS};
 
+/// How many prejudged proposals the oracle rejected too: all of them,
+/// and those whose syscall number the VM does not define.
+#[derive(Default)]
+struct Checked {
+    all: usize,
+    syscalls: usize,
+}
+
+impl std::ops::AddAssign for Checked {
+    fn add_assign(&mut self, other: Checked) {
+        self.all += other.all;
+        self.syscalls += other.syscalls;
+    }
+}
+
 /// Probes every candidate of `img` that `prejudged` rejects with the
 /// legacy oracle, on one VM rolled back to its pristine memory before
-/// each, and requires the oracle to reject it too. Returns how many
-/// were checked.
-fn assert_prejudged_sound(img: &LinkedImage, label: &str) -> usize {
+/// each, and requires the oracle to reject it too.
+fn assert_prejudged_sound(img: &LinkedImage, label: &str) -> Checked {
     let mut vm = Vm::with_options(img, VmOptions::default());
     let pristine = vm.mem().clone();
-    let mut checked = 0;
+    let mut checked = Checked::default();
     for cand in scan(&img.text, img.text_base) {
         let Some(p) = classify(&cand) else {
             continue;
@@ -39,7 +57,10 @@ fn assert_prejudged_sound(img: &LinkedImage, label: &str) -> usize {
             cand.vaddr,
             cand.disasm()
         );
-        checked += 1;
+        checked.all += 1;
+        if matches!(p.syscall_eax, SyscallEax::Fixed(nr) if !is_defined(nr)) {
+            checked.syscalls += 1;
+        }
     }
     checked
 }
@@ -48,7 +69,7 @@ fn assert_prejudged_sound(img: &LinkedImage, label: &str) -> usize {
 fn prejudged_proposals_fail_the_oracle_across_corpus_and_modes() {
     for w in parallax_corpus::all() {
         let module = (w.module)();
-        let mut checked = 0;
+        let mut checked = Checked::default();
         for mode in fig5_modes() {
             let prog = compile_module(&module).expect("corpus compiles");
             for (img1, img2) in fixpoint_pairs(prog, w.verify_func, &module, mode.clone()) {
@@ -59,7 +80,7 @@ fn prejudged_proposals_fail_the_oracle_across_corpus_and_modes() {
             }
         }
         assert!(
-            checked > 0,
+            checked.all > 0,
             "{}: no proposal was rejected without a run",
             w.name
         );
@@ -74,26 +95,71 @@ fn prejudged_proposals_fail_the_oracle_across_corpus_and_modes() {
 #[test]
 fn prejudged_proposals_fail_the_oracle_at_the_heap_edge() {
     let (p, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
-    assert!(assert_prejudged_sound(&gap, "gap") > 0);
+    assert!(assert_prejudged_sound(&gap, "gap").all > 0);
     assert_prejudged_sound(&heap, "heap");
     let mem = |img| Vm::with_options(img, VmOptions::default()).mem().clone();
     assert!(prejudged(&mem(&gap), &p) && !prejudged(&mem(&heap), &p));
 }
 
+/// Syscall gadgets whose `int 0x80` passes a number computed from the
+/// probe's pinned eax of 13: each one the VM does not define is rejected
+/// without a run, and the oracle, which runs it, rejects it too; a
+/// defined number is probed.
+#[test]
+fn undefined_syscall_numbers_fail_the_oracle() {
+    let gadgets: [(&[u8], &str, bool); 6] = [
+        (
+            &[0x05, 0x08, 0x50, 0xb8, 0xc3, 0xcd, 0x80, 0xc3],
+            "add eax,0xffffffffc3b85008; int 0x80; ret",
+            true,
+        ),
+        (&[0x83, 0xc0, 0x04, 0xcd, 0x80, 0xc3], "add eax,0x4", true),
+        (&[0x31, 0xc0, 0xcd, 0x80, 0xc3], "xor eax,eax", true),
+        // 13 - 9 = 4, `write`; 42, `random`; 13, `time`.
+        (&[0x83, 0xe8, 0x09, 0xcd, 0x80, 0xc3], "sub eax,0x9", false),
+        (&[0xb0, 0x2a, 0xcd, 0x80, 0xc3], "mov al,0x2a", false),
+        (&[0xcd, 0x80, 0xc3], "int 0x80", false),
+    ];
+    let mut main = Asm::new();
+    for (bytes, _, _) in gadgets {
+        main.db(bytes);
+    }
+    let mut prog = Program::new();
+    prog.add_func("main", main.finish().expect("assembles"));
+    prog.set_entry("main");
+    let img = prog.link().expect("links");
+    let mem = Vm::with_options(&img, VmOptions::default()).mem().clone();
+    let mut at = img.text_base;
+    for (bytes, what, undefined) in gadgets {
+        let cand = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.vaddr == at && c.len as usize == bytes.len())
+            .expect("the whole gadget is a candidate");
+        at += bytes.len() as u32;
+        assert!(cand.disasm().starts_with(what), "{}", cand.disasm());
+        let p = classify(&cand).expect("classified");
+        assert_eq!(prejudged(&mem, &p), undefined, "{}", cand.disasm());
+    }
+    // The three above, and `mov eax, 0xc380cdc3; add eax, 4; int 0x80;
+    // ret`, which starts inside the first gadget's immediate.
+    assert_eq!(assert_prejudged_sound(&img, "syscalls").syscalls, 4);
+}
+
 /// Both passes of a protect-large-sized module.
-fn assert_large_prejudged_sound(seed: u64) {
+fn assert_large_prejudged_sound(seed: u64) -> Checked {
     let module = large_module(seed);
     let prog = compile_module(&module).expect("randprog compiles");
-    let mut checked = 0;
+    let mut checked = Checked::default();
     for (img1, img2) in fixpoint_pairs(prog, "vf", &module, ChainMode::Cleartext) {
         for (img, pass) in [(&img1, 1), (&img2, 2)] {
             checked += assert_prejudged_sound(img, &format!("large {seed} pass {pass}"));
         }
     }
     assert!(
-        checked > 0,
+        checked.all > 0,
         "large {seed}: no proposal was rejected without a run"
     );
+    checked
 }
 
 #[test]
@@ -108,7 +174,11 @@ fn prejudged_proposals_fail_the_oracle_on_large_modules() {
 #[test]
 #[ignore]
 fn prejudged_proposals_fail_the_oracle_on_large_modules_more_seeds() {
+    let mut syscalls = 0;
     for seed in MORE_LARGE_SEEDS {
-        assert_large_prejudged_sound(2 * seed + 1);
+        syscalls += assert_large_prejudged_sound(2 * seed + 1).syscalls;
     }
+    // Generated code holds a few `add eax, imm32; int 0x80; ret` whose
+    // number the VM does not define (16 over these seeds).
+    assert!(syscalls > 0, "no undefined syscall number was prejudged");
 }

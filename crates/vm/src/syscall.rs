@@ -67,8 +67,18 @@ impl SyscallState {
     }
 }
 
+/// The syscall numbers [`dispatch`] defines, the table above; any other
+/// number faults with `BadSyscall`.
+const DEFINED: [u32; 6] = [1, 3, 4, 13, 26, 42];
+
+/// Whether [`dispatch`] defines syscall `nr`.
+pub fn is_defined(nr: u32) -> bool {
+    DEFINED.contains(&nr)
+}
+
 /// Dispatches the syscall selected by `eax`. Returns `Ok(Some(status))`
-/// for `exit`.
+/// for `exit`, and a `BadSyscall` fault for a number [`is_defined`]
+/// rejects.
 pub fn dispatch(
     cpu: &mut Cpu,
     mem: &mut Memory,
@@ -78,6 +88,9 @@ pub fn dispatch(
     let a1 = cpu.reg(Reg32::Ebx);
     let a2 = cpu.reg(Reg32::Ecx);
     let a3 = cpu.reg(Reg32::Edx);
+    if !is_defined(nr) {
+        return Err(Fault::new(cpu.eip, FaultKind::BadSyscall));
+    }
     match nr {
         1 => return Ok(Some(a1 as i32)),
         3 => {
@@ -122,7 +135,7 @@ pub fn dispatch(
             let v = sys.next_random();
             cpu.set_reg(Reg32::Eax, v);
         }
-        _ => return Err(Fault::new(cpu.eip, FaultKind::BadSyscall)),
+        _ => unreachable!("`DEFINED` lists every number matched above"),
     }
     Ok(None)
 }
@@ -209,5 +222,19 @@ mod tests {
         let (mut cpu, mut mem, mut sys) = setup();
         cpu.set_reg(Reg32::Eax, 999);
         assert!(dispatch(&mut cpu, &mut mem, &mut sys).is_err());
+    }
+
+    /// `is_defined` admits exactly the numbers `dispatch` runs.
+    #[test]
+    fn is_defined_matches_dispatch() {
+        for nr in (0..=256).chain([0x0100_0000, 0xc3b8_5015, u32::MAX]) {
+            let (mut cpu, mut mem, mut sys) = setup();
+            cpu.set_reg(Reg32::Eax, nr);
+            let faulted = matches!(
+                dispatch(&mut cpu, &mut mem, &mut sys),
+                Err(f) if f.kind == FaultKind::BadSyscall
+            );
+            assert_eq!(is_defined(nr), !faulted, "syscall {nr}");
+        }
     }
 }

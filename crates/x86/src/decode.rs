@@ -215,7 +215,21 @@ fn reg_op(size: OpSize, enc: u8) -> Operand {
 /// On success the returned [`Insn`] records its encoded length and the
 /// byte positions of any immediate / displacement / relative fields.
 pub fn decode(bytes: &[u8]) -> Result<Insn> {
+    decode_read(bytes).0
+}
+
+/// [`decode`], also returning how many bytes the decode read: the
+/// instruction's length when it succeeds, and when it fails the bytes
+/// read before the error (all of `bytes` for [`DecodeError::Truncated`]).
+/// The decoder reads bytes in order through one cursor and looks at
+/// nothing else, so the outcome depends on exactly those bytes.
+pub fn decode_read(bytes: &[u8]) -> (Result<Insn>, usize) {
     let mut cur = Cursor::new(bytes);
+    let insn = decode_insn(&mut cur);
+    (insn, cur.pos)
+}
+
+fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
     let opcode = cur.u8()?;
 
     // Group-1 ALU opcodes follow a regular pattern:
@@ -226,40 +240,40 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
         || (0x38..0x3e).contains(&opcode)
     {
         let alu = AluOp::ALL[(opcode >> 3) as usize];
-        return decode_alu_family(&mut cur, Mnemonic::Alu(alu), opcode & 7);
+        return decode_alu_family(cur, Mnemonic::Alu(alu), opcode & 7);
     }
 
     match opcode {
         0x40..=0x47 => Ok(fixed(
-            &cur,
+            cur,
             Mnemonic::Inc,
             vec![reg_op(OpSize::Dword, opcode - 0x40)],
             OpSize::Dword,
         )),
         0x48..=0x4f => Ok(fixed(
-            &cur,
+            cur,
             Mnemonic::Dec,
             vec![reg_op(OpSize::Dword, opcode - 0x48)],
             OpSize::Dword,
         )),
         0x50..=0x57 => Ok(fixed(
-            &cur,
+            cur,
             Mnemonic::Push,
             vec![reg_op(OpSize::Dword, opcode - 0x50)],
             OpSize::Dword,
         )),
         0x58..=0x5f => Ok(fixed(
-            &cur,
+            cur,
             Mnemonic::Pop,
             vec![reg_op(OpSize::Dword, opcode - 0x58)],
             OpSize::Dword,
         )),
-        0x60 => Ok(fixed(&cur, Mnemonic::Pushad, vec![], OpSize::Dword)),
-        0x61 => Ok(fixed(&cur, Mnemonic::Popad, vec![], OpSize::Dword)),
+        0x60 => Ok(fixed(cur, Mnemonic::Pushad, vec![], OpSize::Dword)),
+        0x61 => Ok(fixed(cur, Mnemonic::Popad, vec![], OpSize::Dword)),
         0x68 => {
             let off = cur.pos as u8;
             let imm = cur.i32()? as i64;
-            let mut i = fixed(&cur, Mnemonic::Push, vec![Operand::Imm(imm)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Push, vec![Operand::Imm(imm)], OpSize::Dword);
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -268,7 +282,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
         }
         0x69 | 0x6b => {
             // imul r32, rm32, imm
-            let rm = decode_modrm(&mut cur, OpSize::Dword)?;
+            let rm = decode_modrm(cur, OpSize::Dword)?;
             let dst = reg_op(OpSize::Dword, rm.reg);
             let off = cur.pos as u8;
             let (imm, width) = if opcode == 0x69 {
@@ -277,7 +291,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
                 (cur.i8()? as i64, 1)
             };
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Imul,
                 vec![dst, rm.op, Operand::Imm(imm)],
                 OpSize::Dword,
@@ -289,7 +303,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
         0x6a => {
             let off = cur.pos as u8;
             let imm = cur.i8()? as i64;
-            let mut i = fixed(&cur, Mnemonic::Push, vec![Operand::Imm(imm)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Push, vec![Operand::Imm(imm)], OpSize::Dword);
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 1,
@@ -301,7 +315,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             let off = cur.pos as u8;
             let rel = cur.i8()? as i32;
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Jcc(cond),
                 vec![Operand::Rel(rel)],
                 OpSize::Dword,
@@ -318,7 +332,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             let alu = AluOp::ALL[rm.reg as usize];
             let off = cur.pos as u8;
             let (imm, width) = match opcode {
@@ -327,7 +341,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
                 _ => (cur.i8()? as i64, 1),
             };
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Alu(alu),
                 vec![rm.op, Operand::Imm(imm)],
                 size,
@@ -342,9 +356,9 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
-            let mut i = fixed(&cur, Mnemonic::Test, vec![rm.op, reg], size);
+            let mut i = fixed(cur, Mnemonic::Test, vec![rm.op, reg], size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -354,9 +368,9 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
-            let mut i = fixed(&cur, Mnemonic::Xchg, vec![rm.op, reg], size);
+            let mut i = fixed(cur, Mnemonic::Xchg, vec![rm.op, reg], size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -366,43 +380,43 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
             let ops = if opcode < 0x8a {
                 vec![rm.op, reg] // mov rm, r
             } else {
                 vec![reg, rm.op] // mov r, rm
             };
-            let mut i = fixed(&cur, Mnemonic::Mov, ops, size);
+            let mut i = fixed(cur, Mnemonic::Mov, ops, size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
         0x8d => {
-            let rm = decode_modrm(&mut cur, OpSize::Dword)?;
+            let rm = decode_modrm(cur, OpSize::Dword)?;
             // LEA requires a memory operand.
             if !matches!(rm.op, Operand::Mem(_)) {
                 return Err(DecodeError::InvalidOpcode(opcode));
             }
             let dst = reg_op(OpSize::Dword, rm.reg);
-            let mut i = fixed(&cur, Mnemonic::Lea, vec![dst, rm.op], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Lea, vec![dst, rm.op], OpSize::Dword);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
         0x8f => {
-            let rm = decode_modrm(&mut cur, OpSize::Dword)?;
+            let rm = decode_modrm(cur, OpSize::Dword)?;
             if rm.reg != 0 {
                 return Err(DecodeError::InvalidGroup {
                     opcode,
                     ext: rm.reg,
                 });
             }
-            let mut i = fixed(&cur, Mnemonic::Pop, vec![rm.op], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Pop, vec![rm.op], OpSize::Dword);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
-        0x90 => Ok(fixed(&cur, Mnemonic::Nop, vec![], OpSize::Dword)),
+        0x90 => Ok(fixed(cur, Mnemonic::Nop, vec![], OpSize::Dword)),
         0x91..=0x97 => Ok(fixed(
-            &cur,
+            cur,
             Mnemonic::Xchg,
             vec![
                 reg_op(OpSize::Dword, 0),
@@ -410,10 +424,10 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             ],
             OpSize::Dword,
         )),
-        0x98 => Ok(fixed(&cur, Mnemonic::Cwde, vec![], OpSize::Dword)),
-        0x99 => Ok(fixed(&cur, Mnemonic::Cdq, vec![], OpSize::Dword)),
-        0x9c => Ok(fixed(&cur, Mnemonic::Pushfd, vec![], OpSize::Dword)),
-        0x9d => Ok(fixed(&cur, Mnemonic::Popfd, vec![], OpSize::Dword)),
+        0x98 => Ok(fixed(cur, Mnemonic::Cwde, vec![], OpSize::Dword)),
+        0x99 => Ok(fixed(cur, Mnemonic::Cdq, vec![], OpSize::Dword)),
+        0x9c => Ok(fixed(cur, Mnemonic::Pushfd, vec![], OpSize::Dword)),
+        0x9d => Ok(fixed(cur, Mnemonic::Popfd, vec![], OpSize::Dword)),
         0xa0..=0xa3 => {
             let size = if opcode & 1 == 0 {
                 OpSize::Byte
@@ -429,7 +443,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 vec![mem, acc]
             };
-            let mut i = fixed(&cur, Mnemonic::Mov, ops, size);
+            let mut i = fixed(cur, Mnemonic::Mov, ops, size);
             i.disp_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -449,7 +463,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
                 (cur.i32()? as i64, 4)
             };
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Test,
                 vec![reg_op(size, 0), Operand::Imm(imm)],
                 size,
@@ -461,7 +475,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             let off = cur.pos as u8;
             let imm = cur.u8()? as i64;
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Mov,
                 vec![reg_op(OpSize::Byte, opcode - 0xb0), Operand::Imm(imm)],
                 OpSize::Byte,
@@ -476,7 +490,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             let off = cur.pos as u8;
             let imm = cur.u32()? as i64;
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Mov,
                 vec![reg_op(OpSize::Dword, opcode - 0xb8), Operand::Imm(imm)],
                 OpSize::Dword,
@@ -493,7 +507,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             let op = ShiftOp::from_encoding(rm.reg).ok_or(DecodeError::InvalidGroup {
                 opcode,
                 ext: rm.reg,
@@ -501,7 +515,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             let off = cur.pos as u8;
             let imm = cur.u8()? as i64;
             let mut i = fixed(
-                &cur,
+                cur,
                 Mnemonic::Shift(op),
                 vec![rm.op, Operand::Imm(imm)],
                 size,
@@ -516,21 +530,21 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
         0xc2 => {
             let off = cur.pos as u8;
             let n = cur.u16()? as i64;
-            let mut i = fixed(&cur, Mnemonic::Ret, vec![Operand::Imm(n)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Ret, vec![Operand::Imm(n)], OpSize::Dword);
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 2,
             });
             Ok(i)
         }
-        0xc3 => Ok(fixed(&cur, Mnemonic::Ret, vec![], OpSize::Dword)),
+        0xc3 => Ok(fixed(cur, Mnemonic::Ret, vec![], OpSize::Dword)),
         0xc6 | 0xc7 => {
             let size = if opcode == 0xc6 {
                 OpSize::Byte
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             if rm.reg != 0 {
                 return Err(DecodeError::InvalidGroup {
                     opcode,
@@ -543,28 +557,28 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 (cur.u32()? as i64, 4)
             };
-            let mut i = fixed(&cur, Mnemonic::Mov, vec![rm.op, Operand::Imm(imm)], size);
+            let mut i = fixed(cur, Mnemonic::Mov, vec![rm.op, Operand::Imm(imm)], size);
             i.disp_loc = rm.disp_loc;
             i.imm_loc = Some(FieldLoc { offset: off, width });
             Ok(i)
         }
-        0xc9 => Ok(fixed(&cur, Mnemonic::Leave, vec![], OpSize::Dword)),
+        0xc9 => Ok(fixed(cur, Mnemonic::Leave, vec![], OpSize::Dword)),
         0xca => {
             let off = cur.pos as u8;
             let n = cur.u16()? as i64;
-            let mut i = fixed(&cur, Mnemonic::Retf, vec![Operand::Imm(n)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Retf, vec![Operand::Imm(n)], OpSize::Dword);
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 2,
             });
             Ok(i)
         }
-        0xcb => Ok(fixed(&cur, Mnemonic::Retf, vec![], OpSize::Dword)),
-        0xcc => Ok(fixed(&cur, Mnemonic::Int3, vec![], OpSize::Dword)),
+        0xcb => Ok(fixed(cur, Mnemonic::Retf, vec![], OpSize::Dword)),
+        0xcc => Ok(fixed(cur, Mnemonic::Int3, vec![], OpSize::Dword)),
         0xcd => {
             let off = cur.pos as u8;
             let n = cur.u8()? as i64;
-            let mut i = fixed(&cur, Mnemonic::Int, vec![Operand::Imm(n)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Int, vec![Operand::Imm(n)], OpSize::Dword);
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 1,
@@ -577,7 +591,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             let op = ShiftOp::from_encoding(rm.reg).ok_or(DecodeError::InvalidGroup {
                 opcode,
                 ext: rm.reg,
@@ -587,14 +601,14 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
             } else {
                 Operand::Reg(Reg::R8(Reg8::Cl))
             };
-            let mut i = fixed(&cur, Mnemonic::Shift(op), vec![rm.op, amount], size);
+            let mut i = fixed(cur, Mnemonic::Shift(op), vec![rm.op, amount], size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
         0xe8 => {
             let off = cur.pos as u8;
             let rel = cur.i32()?;
-            let mut i = fixed(&cur, Mnemonic::Call, vec![Operand::Rel(rel)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Call, vec![Operand::Rel(rel)], OpSize::Dword);
             i.rel_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -604,7 +618,7 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
         0xe9 => {
             let off = cur.pos as u8;
             let rel = cur.i32()?;
-            let mut i = fixed(&cur, Mnemonic::Jmp, vec![Operand::Rel(rel)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Jmp, vec![Operand::Rel(rel)], OpSize::Dword);
             i.rel_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -614,22 +628,22 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
         0xeb => {
             let off = cur.pos as u8;
             let rel = cur.i8()? as i32;
-            let mut i = fixed(&cur, Mnemonic::Jmp, vec![Operand::Rel(rel)], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Jmp, vec![Operand::Rel(rel)], OpSize::Dword);
             i.rel_loc = Some(FieldLoc {
                 offset: off,
                 width: 1,
             });
             Ok(i)
         }
-        0xf4 => Ok(fixed(&cur, Mnemonic::Hlt, vec![], OpSize::Dword)),
-        0xf5 => Ok(fixed(&cur, Mnemonic::Cmc, vec![], OpSize::Dword)),
+        0xf4 => Ok(fixed(cur, Mnemonic::Hlt, vec![], OpSize::Dword)),
+        0xf5 => Ok(fixed(cur, Mnemonic::Cmc, vec![], OpSize::Dword)),
         0xf6 | 0xf7 => {
             let size = if opcode == 0xf6 {
                 OpSize::Byte
             } else {
                 OpSize::Dword
             };
-            let rm = decode_modrm(&mut cur, size)?;
+            let rm = decode_modrm(cur, size)?;
             match rm.reg {
                 0 | 1 => {
                     let off = cur.pos as u8;
@@ -638,42 +652,42 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
                     } else {
                         (cur.i32()? as i64, 4)
                     };
-                    let mut i = fixed(&cur, Mnemonic::Test, vec![rm.op, Operand::Imm(imm)], size);
+                    let mut i = fixed(cur, Mnemonic::Test, vec![rm.op, Operand::Imm(imm)], size);
                     i.disp_loc = rm.disp_loc;
                     i.imm_loc = Some(FieldLoc { offset: off, width });
                     Ok(i)
                 }
-                2 => group_un(&cur, Mnemonic::Not, rm, size),
-                3 => group_un(&cur, Mnemonic::Neg, rm, size),
-                4 => group_un(&cur, Mnemonic::Mul, rm, size),
-                5 => group_un(&cur, Mnemonic::Imul, rm, size),
-                6 => group_un(&cur, Mnemonic::Div, rm, size),
-                7 => group_un(&cur, Mnemonic::Idiv, rm, size),
+                2 => group_un(cur, Mnemonic::Not, rm, size),
+                3 => group_un(cur, Mnemonic::Neg, rm, size),
+                4 => group_un(cur, Mnemonic::Mul, rm, size),
+                5 => group_un(cur, Mnemonic::Imul, rm, size),
+                6 => group_un(cur, Mnemonic::Div, rm, size),
+                7 => group_un(cur, Mnemonic::Idiv, rm, size),
                 _ => unreachable!(),
             }
         }
-        0xf8 => Ok(fixed(&cur, Mnemonic::Clc, vec![], OpSize::Dword)),
-        0xf9 => Ok(fixed(&cur, Mnemonic::Stc, vec![], OpSize::Dword)),
+        0xf8 => Ok(fixed(cur, Mnemonic::Clc, vec![], OpSize::Dword)),
+        0xf9 => Ok(fixed(cur, Mnemonic::Stc, vec![], OpSize::Dword)),
         0xfe => {
-            let rm = decode_modrm(&mut cur, OpSize::Byte)?;
+            let rm = decode_modrm(cur, OpSize::Byte)?;
             match rm.reg {
-                0 => group_un(&cur, Mnemonic::Inc, rm, OpSize::Byte),
-                1 => group_un(&cur, Mnemonic::Dec, rm, OpSize::Byte),
+                0 => group_un(cur, Mnemonic::Inc, rm, OpSize::Byte),
+                1 => group_un(cur, Mnemonic::Dec, rm, OpSize::Byte),
                 ext => Err(DecodeError::InvalidGroup { opcode, ext }),
             }
         }
         0xff => {
-            let rm = decode_modrm(&mut cur, OpSize::Dword)?;
+            let rm = decode_modrm(cur, OpSize::Dword)?;
             match rm.reg {
-                0 => group_un(&cur, Mnemonic::Inc, rm, OpSize::Dword),
-                1 => group_un(&cur, Mnemonic::Dec, rm, OpSize::Dword),
-                2 => group_un(&cur, Mnemonic::CallInd, rm, OpSize::Dword),
-                4 => group_un(&cur, Mnemonic::JmpInd, rm, OpSize::Dword),
-                6 => group_un(&cur, Mnemonic::Push, rm, OpSize::Dword),
+                0 => group_un(cur, Mnemonic::Inc, rm, OpSize::Dword),
+                1 => group_un(cur, Mnemonic::Dec, rm, OpSize::Dword),
+                2 => group_un(cur, Mnemonic::CallInd, rm, OpSize::Dword),
+                4 => group_un(cur, Mnemonic::JmpInd, rm, OpSize::Dword),
+                6 => group_un(cur, Mnemonic::Push, rm, OpSize::Dword),
                 ext => Err(DecodeError::InvalidGroup { opcode, ext }),
             }
         }
-        0x0f => decode_0f(&mut cur),
+        0x0f => decode_0f(cur),
         other => Err(DecodeError::InvalidOpcode(other)),
     }
 }

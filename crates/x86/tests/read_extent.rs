@@ -1,32 +1,39 @@
 //! The decoder's read extent: a decode depends only on the bytes it
-//! reads. Where `decode(&t[i..])` succeeds with length `len`, decoding
-//! just `t[i..i + len]` gives the same instruction, and no byte at
-//! `i + len` or later changes it; where it fails, it fails on the first
-//! 15 bytes alone. The incremental rescan keeps every decode table slot
-//! whose own bytes did not change, and the Figure-6 coverage walk reads
-//! decodes of the unmodified text up to a planted return; both rest on
-//! this (DESIGN.md §20).
+//! reads, and `decode_read` reports how many that is. Where
+//! `decode(&t[i..])` succeeds with length `len`, decoding just
+//! `t[i..i + len]` gives the same instruction, and no byte at `i + len`
+//! or later changes it. Where it fails after reading `n` bytes, every
+//! shorter prefix is `Truncated`, `t[i..i + n]` fails with the same
+//! error, and no byte at `i + n` or later changes that error. The
+//! incremental rescan keeps every decode table slot whose own bytes did
+//! not change, failed slots included, and the Figure-6 coverage walk
+//! reads decodes of the unmodified text up to a planted return; both
+//! rest on this (DESIGN.md §20).
 
 use proptest::prelude::*;
 
 use parallax_bench::protect_workload;
 use parallax_core::ChainMode;
-use parallax_x86::decode;
+use parallax_x86::{decode, decode_read, DecodeError};
 
 /// x86's instruction-length cap: the most bytes a decode may read.
 const MAX_INSN: usize = 15;
 
-/// Masks XORed into the first byte after a decode's extent.
+/// Masks XORed into a byte after a decode's extent.
 const FLIPS: [u8; 4] = [0x01, 0x10, 0x80, 0xff];
 
 fn assert_read_extent(t: &[u8], label: &str) {
     for i in 0..t.len() {
-        match decode(&t[i..]) {
+        let (outcome, read) = decode_read(&t[i..]);
+        assert_eq!(decode(&t[i..]), outcome, "{label} +{i}: decode_read agrees");
+        assert!((1..=MAX_INSN).contains(&read), "{label} +{i}: read {read}");
+        let end = i + read;
+        match &outcome {
             Ok(insn) => {
-                let end = i + insn.len as usize;
+                assert_eq!(read, insn.len as usize, "{label} +{i}: read its length");
                 assert_eq!(
                     decode(&t[i..end]).as_ref(),
-                    Ok(&insn),
+                    Ok(insn),
                     "{label} +{i}: decoding only its own bytes"
                 );
                 if end < t.len() {
@@ -35,22 +42,35 @@ fn assert_read_extent(t: &[u8], label: &str) {
                         flipped[end - i] = t[end] ^ mask;
                         assert_eq!(
                             decode(&flipped).as_ref(),
-                            Ok(&insn),
+                            Ok(insn),
                             "{label} +{i}: byte {end} ^ {mask:#x}"
                         );
                     }
                 }
             }
-            Err(_) => {
-                let end = (i + MAX_INSN).min(t.len());
-                assert!(decode(&t[i..end]).is_err(), "{label} +{i}: truncated");
-                if end < t.len() {
+            Err(e) => {
+                for short in i..end {
+                    assert_eq!(
+                        decode(&t[i..short]),
+                        Err(DecodeError::Truncated),
+                        "{label} +{i}: {} of {read} bytes",
+                        short - i
+                    );
+                }
+                assert_eq!(
+                    decode_read(&t[i..end]),
+                    (Err(*e), read),
+                    "{label} +{i}: its own {read} bytes"
+                );
+                // Any byte after the extent, up to the longest decode.
+                for after in end..(i + MAX_INSN).min(t.len()) {
                     let mut flipped = t[i..].to_vec();
                     for mask in FLIPS {
-                        flipped[end - i] = t[end] ^ mask;
-                        assert!(
-                            decode(&flipped).is_err(),
-                            "{label} +{i}: byte {end} ^ {mask:#x}"
+                        flipped[after - i] = t[after] ^ mask;
+                        assert_eq!(
+                            decode(&flipped).as_ref(),
+                            Err(e),
+                            "{label} +{i}: byte {after} ^ {mask:#x}"
                         );
                     }
                 }
