@@ -45,8 +45,8 @@ use parallax_compiler::{compile_module, CompileError, Function, Module};
 use parallax_gadgets::{GadgetMap, PassMemo, RangeSet, ValidationCache};
 use parallax_image::{verify_image_strict, ImageVerifyError, LinkError, LinkedImage, Program};
 use parallax_rewrite::{
-    analyze_traced, protect_program_parallel, Coverage, FuncRewriteCache, FuncRewriteOutcome,
-    RewriteConfig, RewriteError, RewriteReport,
+    protect_program_parallel, FuncRewriteCache, FuncRewriteOutcome, RewriteConfig, RewriteError,
+    RewriteReport,
 };
 use parallax_ropc::{
     compile_chain_traced, fnv1a, frame_size, install_runtime, make_chain_checker, make_stub_full,
@@ -405,9 +405,6 @@ pub struct ChainInfo {
 pub struct ProtectReport {
     /// What the rewriting rules did.
     pub rewrites: RewriteReport,
-    /// Per-rule protectable-byte coverage measured on the *unprotected*
-    /// image (the paper's Figure 6 metric).
-    pub coverage: Coverage,
     /// Per-verification-function chain statistics.
     pub chains: Vec<ChainInfo>,
     /// Total usable gadgets discovered in the protected image.
@@ -542,29 +539,15 @@ fn run_ladder(
     run: &Run<'_>,
     degradations: &mut Vec<DegradationReport>,
 ) -> Result<Protected, ProtectError> {
-    let store = run.ctx.store;
     // Stage: Select — the requested functions must exist both in the
     // program and among the supplied IR implementations.
-    for f in &cfg.verify_funcs {
-        if prog.func(f).is_none() || !verify_impls.iter().any(|vi| &vi.name == f) {
-            return Err(ProtectError::no_such_function(f));
-        }
-    }
-
-    // Figure-6 coverage is measured on the unprotected image — shared
-    // by every job protecting the same program, so it is offered to the
-    // store for reuse. Attributed to the Select stage: it is part of
-    // sizing up the pristine input before the pipeline mutates it.
-    let coverage = run.timed(Stage::Select, || -> Result<_, ProtectError> {
-        let base = prog.link()?;
-        Ok(match store.cached_coverage(&base) {
-            Some(c) => c,
-            None => {
-                let c = analyze_traced(&base, run.ctx.tracer);
-                store.store_coverage(&base, &c);
-                c
+    run.timed(Stage::Select, || {
+        for f in &cfg.verify_funcs {
+            if prog.func(f).is_none() || !verify_impls.iter().any(|vi| &vi.name == f) {
+                return Err(ProtectError::no_such_function(f));
             }
-        })
+        }
+        Ok(())
     })?;
 
     // Degradation ladder: the base attempt, then (when enabled)
@@ -593,7 +576,6 @@ fn run_ladder(
                     image,
                     report: ProtectReport {
                         rewrites,
-                        coverage,
                         chains,
                         gadget_count,
                         degradations: Vec::new(),

@@ -11,9 +11,6 @@
 //!   a stale or cross-wired entry can never be returned for the wrong
 //!   image; a hit skips [`find_gadgets`](parallax_gadgets::find_gadgets)
 //!   entirely.
-//! * **Figure-6 coverage** — measured on the *unprotected* image, which
-//!   is shared by every job that protects the same program (whatever
-//!   the chain mode or seed).
 //! * **pass-1 rewrites** — one per function, keyed by a fingerprint
 //!   that pins everything the rewrite depends on.
 //! * **validation verdicts** — one per distinct gadget content (text
@@ -29,7 +26,7 @@
 
 use parallax_gadgets::{Gadget, ValidationCache};
 use parallax_image::LinkedImage;
-use parallax_rewrite::{Coverage, FuncRewriteOutcome};
+use parallax_rewrite::FuncRewriteOutcome;
 
 /// Get/put access to reusable pipeline artifacts. Implementations must
 /// be `Send + Sync`: one store may be shared by many concurrent
@@ -48,15 +45,6 @@ pub trait ArtifactStore: ValidationCache + Send + Sync {
 
     /// Offers a freshly computed gadget scan for reuse.
     fn store_scan(&self, _img: &LinkedImage, _gadgets: &[Gadget]) {}
-
-    /// A previously computed Figure-6 coverage analysis for an image
-    /// with identical content, or `None` to run the analysis.
-    fn cached_coverage(&self, _img: &LinkedImage) -> Option<Coverage> {
-        None
-    }
-
-    /// Offers a freshly computed coverage analysis for reuse.
-    fn store_coverage(&self, _img: &LinkedImage, _coverage: &Coverage) {}
 
     /// Whether this store backs the per-function artifact methods
     /// below and the verdict cache. The pipeline computes no

@@ -83,7 +83,6 @@ fn cleartext_protection_preserves_semantics() {
     assert!(report.chains[0].ops > 10);
     assert!(!report.chains[0].used_gadgets.is_empty());
     assert!(report.gadget_count > 20);
-    assert!(report.coverage.any_pct() > 10.0);
     assert!(report.rewrites.crafted_count() > 0);
 }
 

@@ -2,17 +2,15 @@
 //!
 //! Gadget scans have their own codec in `parallax-gadgets`
 //! (`serialize_gadgets`); this module covers the engine-specific
-//! artifacts — the Figure-6 coverage analysis, one function's pass-1
-//! rewrite and the full protected result — in the same hand-rolled
-//! little-endian style. Decoders are
+//! artifacts — one function's pass-1 rewrite and the full protected
+//! result — in the same hand-rolled little-endian style. Decoders are
 //! total: malformed bytes yield `None` (a cache miss), never a panic.
 
 use parallax_core::ProtectReport;
 use parallax_image::program::FuncItem;
-use parallax_rewrite::{Coverage, FuncRewriteOutcome, ImmRewrite, JumpRewrite};
+use parallax_rewrite::{FuncRewriteOutcome, ImmRewrite, JumpRewrite};
 use parallax_x86::{RelocKind, SymReloc};
 
-const COVERAGE_MAGIC: &[u8; 4] = b"PCV\x01";
 const PROTECTED_MAGIC: &[u8; 4] = b"PPR\x01";
 const REWRITTEN_FUNC_MAGIC: &[u8; 4] = b"PRF\x01";
 
@@ -86,40 +84,6 @@ impl<'a> Reader<'a> {
     fn str(&mut self) -> Option<String> {
         Some(std::str::from_utf8(self.bytes()?).ok()?.to_owned())
     }
-}
-
-/// Encodes a coverage analysis.
-pub fn encode_coverage(c: &Coverage) -> Vec<u8> {
-    let mut w = Writer {
-        out: COVERAGE_MAGIC.to_vec(),
-    };
-    for n in [
-        c.code_bytes,
-        c.existing_near,
-        c.existing_far,
-        c.immediate,
-        c.jump,
-        c.any,
-    ] {
-        w.u64(n as u64);
-    }
-    w.out
-}
-
-/// Decodes a coverage analysis.
-pub fn decode_coverage(bytes: &[u8]) -> Option<Coverage> {
-    if bytes.len() != 4 + 6 * 8 || &bytes[..4] != COVERAGE_MAGIC {
-        return None;
-    }
-    let mut r = Reader { buf: bytes, pos: 4 };
-    Some(Coverage {
-        code_bytes: r.usize()?,
-        existing_near: r.usize()?,
-        existing_far: r.usize()?,
-        immediate: r.usize()?,
-        jump: r.usize()?,
-        any: r.usize()?,
-    })
 }
 
 /// Encodes a protected result (image bytes + compact report).
@@ -279,35 +243,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coverage_roundtrip() {
-        let c = Coverage {
-            code_bytes: 4096,
-            existing_near: 12,
-            existing_far: 3,
-            immediate: 900,
-            jump: 700,
-            any: 1500,
-        };
-        let bytes = encode_coverage(&c);
-        let back = decode_coverage(&bytes).unwrap();
-        assert_eq!(back.code_bytes, 4096);
-        assert_eq!(back.any, 1500);
-        assert!(decode_coverage(&bytes[..bytes.len() - 1]).is_none());
-        assert!(decode_coverage(b"nope").is_none());
-    }
-
-    #[test]
     fn protected_roundtrip() {
         let report = ProtectReport {
             rewrites: Default::default(),
-            coverage: Coverage {
-                code_bytes: 0,
-                existing_near: 0,
-                existing_far: 0,
-                immediate: 0,
-                jump: 0,
-                any: 0,
-            },
             chains: vec![parallax_core::ChainInfo {
                 func: "vf".into(),
                 ops: 10,

@@ -27,14 +27,13 @@ use parallax_image::{format, LinkedImage};
 
 use crate::hash::hash128;
 
-/// What kind of artifact a cache entry holds (part of the key: the
-/// same input image yields both a scan and a coverage artifact).
+/// What kind of artifact a cache entry holds: gadget scans, protected
+/// results, pass-1 function rewrites and gadget verdicts. Part of the
+/// key, so two kinds hashed from the same bytes never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// A serialized gadget scan of a linked image.
     Scan,
-    /// A serialized Figure-6 coverage analysis of an unprotected image.
-    Coverage,
     /// A full protected image plus its compact report.
     Protected,
     /// One function's pass-1 rewrite outcome, keyed by the function's
@@ -51,7 +50,6 @@ impl ArtifactKind {
     pub fn name(self) -> &'static str {
         match self {
             ArtifactKind::Scan => "scan",
-            ArtifactKind::Coverage => "coverage",
             ArtifactKind::Protected => "protected",
             ArtifactKind::RewrittenFunc => "rewritten-func",
             ArtifactKind::GadgetVerdict => "gadget-verdict",
@@ -84,8 +82,8 @@ impl Key {
         }
     }
 
-    /// The key of a whole-image artifact (scan, coverage): the hash of
-    /// the image's container bytes.
+    /// The key of a whole-image artifact (a scan): the hash of the
+    /// image's container bytes.
     pub fn of_image(kind: ArtifactKind, img: &LinkedImage) -> Key {
         Key::of(kind, &format::save(img))
     }

@@ -4,8 +4,8 @@
 //! [`ProtectConfig`], seed) triple — on a pool of OS threads that
 //! claim jobs from one shared cursor, sharing one content-addressed
 //! [`ArtifactCache`] so jobs that protect the same base image reuse
-//! each other's gadget scans, coverage analyses, and (on repeat runs)
-//! whole protected results.
+//! each other's gadget scans, pass-1 function rewrites, gadget
+//! verdicts and (on repeat runs) whole protected results.
 //! Every observable step is published as an [`EngineEvent`] through an
 //! [`EventSink`].
 //!
@@ -28,13 +28,12 @@ use parallax_core::{
 use parallax_corpus::by_name;
 use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget, ValidationCache};
 use parallax_image::{format, LinkedImage};
-use parallax_rewrite::{Coverage, FuncRewriteOutcome};
+use parallax_rewrite::FuncRewriteOutcome;
 use parallax_trace::Tracer;
 use parallax_vm::{Vm, VmOptions};
 
 use crate::artifacts::{
-    decode_coverage, decode_protected, decode_rewritten_func, encode_coverage, encode_protected,
-    encode_rewritten_func, ChainSummary,
+    decode_protected, decode_rewritten_func, encode_protected, encode_rewritten_func, ChainSummary,
 };
 use crate::cache::{ArtifactCache, ArtifactKind, Fetch, Key};
 use crate::events::{EngineEvent, EventSink, ShedReason};
@@ -590,8 +589,8 @@ impl Engine {
 }
 
 /// Per-job [`ArtifactStore`] backed by the shared [`ArtifactCache`]:
-/// routes the pipeline's artifact seams — whole-image scans and
-/// coverage, per-function rewrites and per-content gadget verdicts —
+/// routes the pipeline's artifact seams — whole-image scans,
+/// per-function rewrites and per-content gadget verdicts —
 /// to the cache, reports cache traffic to an event sink when one is
 /// attached, and digests every artifact it serves or stores for the
 /// job's provenance record.
@@ -670,17 +669,6 @@ impl ArtifactStore for CacheHooks<'_, '_> {
         self.store(
             Key::of_image(ArtifactKind::Scan, img),
             serialize_gadgets(gadgets),
-        );
-    }
-
-    fn cached_coverage(&self, img: &LinkedImage) -> Option<Coverage> {
-        self.fetch(Key::of_image(ArtifactKind::Coverage, img), decode_coverage)
-    }
-
-    fn store_coverage(&self, img: &LinkedImage, coverage: &Coverage) {
-        self.store(
-            Key::of_image(ArtifactKind::Coverage, img),
-            encode_coverage(coverage),
         );
     }
 

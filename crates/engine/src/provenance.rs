@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use parallax_core::ArtifactStore;
 use parallax_gadgets::{Gadget, ValidationCache};
 use parallax_image::{format, LinkedImage};
-use parallax_rewrite::{Coverage, FuncRewriteOutcome};
+use parallax_rewrite::FuncRewriteOutcome;
 
 use crate::cache::{ArtifactKind, Key};
 
@@ -48,9 +48,10 @@ pub fn toolchain_id() -> String {
 /// to a build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageDigest {
-    /// Artifact kind name (`scan`, `rewritten-func`, `gadget-verdict`,
-    /// `coverage`; records written before chain compilation stopped
-    /// caching may also carry `compiled-chain`).
+    /// Artifact kind name (`scan`, `rewritten-func`, `gadget-verdict`;
+    /// records written before chain compilation and the Figure-6
+    /// analysis left the pipeline may also carry `compiled-chain` and
+    /// `coverage`).
     pub kind: String,
     /// How many artifacts of this kind flowed through the build.
     pub count: u64,
@@ -245,10 +246,6 @@ impl ArtifactStore for Digests {
         self.absorb(Key::of_image(ArtifactKind::Scan, img));
     }
 
-    fn store_coverage(&self, img: &LinkedImage, _coverage: &Coverage) {
-        self.absorb(Key::of_image(ArtifactKind::Coverage, img));
-    }
-
     // The per-function fingerprints must be computed for the record to
     // digest them, so the per-function seams are on.
     fn has_func_cache(&self) -> bool {
@@ -277,11 +274,16 @@ mod tests {
             input_hash: 0xdead_beef,
             config: "cfg=Demo { seed: 1 }".into(),
             stages: vec![
-                // A kind no longer produced: old records still parse.
+                // Kinds no longer produced: old records still parse.
                 StageDigest {
                     kind: "compiled-chain".into(),
                     count: 4,
                     digest: 0x1234,
+                },
+                StageDigest {
+                    kind: "coverage".into(),
+                    count: 1,
+                    digest: 0x9abc,
                 },
                 StageDigest {
                     kind: "scan".into(),

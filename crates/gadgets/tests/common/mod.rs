@@ -104,11 +104,42 @@ pub fn shifted_pair(mut prog: Program, grow: usize) -> (LinkedImage, LinkedImage
 /// the gadget's proposal, that image, and the image relinked with its
 /// last data item grown by a page, whose heap holds that byte.
 pub fn generated_heap_edge(seed: u64) -> (Proposal, LinkedImage, LinkedImage) {
+    heap_edge_fixture(seed, "cmp eax,", |f, disp| {
+        f.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base_disp(Reg32::Ecx, disp));
+        f.ret();
+    })
+}
+
+/// [`generated_heap_edge`]'s byte reached by a defined syscall rather
+/// than by an access the classifier resolves: `cmp eax, [ecx]; add ecx,
+/// disp; mov eax, 4; mov edx, 1; int 0x80; ret` writes the one byte
+/// past the heap from a scratch-rooted ecx. `write` faults on the
+/// unmapped byte and returns once the heap holds it.
+pub fn generated_heap_edge_write(seed: u64) -> (Proposal, LinkedImage, LinkedImage) {
+    heap_edge_fixture(seed, "cmp eax,[ecx]; add ecx,", |f, disp| {
+        f.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base(Reg32::Ecx));
+        f.alu_ri32(AluOp::Add, Reg32::Ecx, disp);
+        f.mov_ri(Reg32::Eax, 4);
+        f.mov_ri(Reg32::Edx, 1);
+        f.int(0x80);
+        f.ret();
+    })
+}
+
+/// `large_module(seed)` plus a function `heap_edge` that `body`
+/// assembles around a displacement taking ecx's scratch pointer to the
+/// first byte past the heap, linked as is and relinked with a page
+/// more data; the function's candidate is the one whose disassembly
+/// starts with `prefix`.
+fn heap_edge_fixture(
+    seed: u64,
+    prefix: &str,
+    body: impl Fn(&mut Asm, i32),
+) -> (Proposal, LinkedImage, LinkedImage) {
     let prog = |disp: i32| {
         let mut prog = compile_module(&large_module(seed)).expect("randprog compiles");
         let mut f = Asm::new();
-        f.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base_disp(Reg32::Ecx, disp));
-        f.ret();
+        body(&mut f, disp);
         prog.add_func("heap_edge", f.finish().expect("assembles"));
         prog
     };
@@ -127,7 +158,7 @@ pub fn generated_heap_edge(seed: u64) -> (Proposal, LinkedImage, LinkedImage) {
         .vaddr;
     let cand = scan(&img1.text, img1.text_base)
         .into_iter()
-        .find(|c| c.vaddr == at && c.disasm().starts_with("cmp eax,"))
+        .find(|c| c.vaddr == at && c.disasm().starts_with(prefix))
         .expect("fixture scanned");
     (classify(&cand).expect("classified"), img1, img2)
 }

@@ -13,16 +13,18 @@ use proptest::prelude::*;
 use parallax_bench::fig5_modes;
 use parallax_compiler::compile_module;
 use parallax_core::ChainMode;
+use parallax_gadgets::classify::SyscallEax;
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::scratch_pointer;
 use parallax_gadgets::{
-    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm,
+    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm, Proposal,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{AluOp, Asm, Mem, Reg32};
 
 use common::{
-    fixpoint_pairs, generated_heap_edge, large_module, shifted_pair, LARGE_SEEDS, MORE_LARGE_SEEDS,
+    fixpoint_pairs, generated_heap_edge, generated_heap_edge_write, large_module, shifted_pair,
+    LARGE_SEEDS, MORE_LARGE_SEEDS,
 };
 
 /// Pass 2 with pass 1's memo equals a fresh pass 2. Returns how many
@@ -390,7 +392,6 @@ fn accesses_below_the_stack_region_are_probed_again() {
 #[test]
 fn a_generated_heap_edge_verdict_flips_and_is_not_carried() {
     let (p, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
-    assert!(!p.layout_independent());
     let mut probe = ProbeVm::new(&gap);
     assert!(probe.validate(&p).is_none());
     assert_eq!(
@@ -398,10 +399,34 @@ fn a_generated_heap_edge_verdict_flips_and_is_not_carried() {
         (1, 0),
         "the access in the gap is rejected without a run"
     );
-    assert!(ProbeVm::new(&heap).validate(&p).is_some());
+    assert_flip_is_not_carried(&p, &gap, &heap);
+}
+
+/// The same byte reached by `write` from a scratch-rooted ecx: the
+/// classifier resolves no access there, and the number the `int 0x80`
+/// passes is a constant rather than the probe's pinned `time`. The
+/// probe runs it in both layouts, where it faults on the gap and
+/// returns once the heap covers the byte; a relink rule that accepted
+/// every `int 0x80` would carry the first verdict into the second.
+#[test]
+fn a_generated_syscall_write_verdict_flips_and_is_not_carried() {
+    let (p, gap, heap) = generated_heap_edge_write(LARGE_SEEDS[0]);
+    assert_eq!(p.syscall_eax, SyscallEax::Fixed(4));
+    let mut probe = ProbeVm::new(&gap);
+    assert!(probe.validate(&p).is_none());
+    assert_eq!(probe.stats().prejudged, 0, "a defined syscall is probed");
+    assert_flip_is_not_carried(&p, &gap, &heap);
+}
+
+/// `p`'s verdict is a rejection on `gap` and an acceptance on `heap`,
+/// and pass 2 probes it again after a shift either way.
+fn assert_flip_is_not_carried(p: &Proposal, gap: &LinkedImage, heap: &LinkedImage) {
+    assert!(!p.layout_independent());
+    assert!(ProbeVm::new(gap).validate(p).is_none());
+    assert!(ProbeVm::new(heap).validate(p).is_some());
     for (img1, img2, accepted, label) in [
-        (&gap, &heap, true, "gap -> heap"),
-        (&heap, &gap, false, "heap -> gap"),
+        (gap, heap, true, "gap -> heap"),
+        (heap, gap, false, "heap -> gap"),
     ] {
         let (gadgets, _, _) = pass_two(img1, img2);
         assert_eq!(

@@ -18,7 +18,10 @@ use parallax_vm::syscall::is_defined;
 use parallax_vm::{Vm, VmOptions};
 use parallax_x86::Asm;
 
-use common::{fixpoint_pairs, generated_heap_edge, large_module, LARGE_SEEDS, MORE_LARGE_SEEDS};
+use common::{
+    fixpoint_pairs, generated_heap_edge, generated_heap_edge_write, large_module, LARGE_SEEDS,
+    MORE_LARGE_SEEDS,
+};
 
 /// How many prejudged proposals the oracle rejected too: all of them,
 /// and those whose syscall number the VM does not define.
@@ -99,6 +102,20 @@ fn prejudged_proposals_fail_the_oracle_at_the_heap_edge() {
     assert_prejudged_sound(&heap, "heap");
     let mem = |img| Vm::with_options(img, VmOptions::default()).mem().clone();
     assert!(prejudged(&mem(&gap), &p) && !prejudged(&mem(&heap), &p));
+}
+
+/// `write` from a scratch-rooted ecx to the same byte: the number is
+/// defined and the classifier resolves no access at the byte, so the
+/// proposal is probed in both layouts, and the oracle accepts it once
+/// the heap covers the byte.
+#[test]
+fn a_syscall_write_at_the_heap_edge_is_probed() {
+    let (p, gap, heap) = generated_heap_edge_write(LARGE_SEEDS[0]);
+    let mem = |img| Vm::with_options(img, VmOptions::default()).mem().clone();
+    assert!(!prejudged(&mem(&gap), &p) && !prejudged(&mem(&heap), &p));
+    let mut vm = Vm::with_options(&heap, VmOptions::default());
+    assert!(legacy::validate_with(&mut vm, &p).is_some());
+    assert_prejudged_sound(&heap, "heap");
 }
 
 /// Syscall gadgets whose `int 0x80` passes a number computed from the

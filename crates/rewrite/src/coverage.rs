@@ -90,15 +90,13 @@ fn jump_rule_applies(mn: &Mnemonic) -> bool {
     matches!(mn, Mnemonic::Jmp | Mnemonic::Jcc(_) | Mnemonic::Call)
 }
 
-/// Work counters of one analysis, exported as `rewrite.coverage.*`.
+/// Work counters of one analysis, read by the unit tests.
 #[derive(Debug, Default)]
 struct Work {
-    /// `decode()` calls: the table's, plus function-truncated decodes.
+    /// Function-truncated decodes (the table counts its own).
     decodes: u64,
     /// Planted-return walks started.
     walks: u64,
-    /// Candidates handed to `classify`.
-    classified: u64,
 }
 
 /// The text span of the usable gadget with the farthest start that
@@ -113,7 +111,6 @@ fn planted_gadget_span(table: &DecodeTable, ret_at: usize, work: &mut Work) -> (
     for start in ret_at.saturating_sub(MAX_GADGET_BYTES)..ret_at {
         work.walks += 1;
         if let Some(cand) = table.planted_candidate(0, start, ret_at) {
-            work.classified += 1;
             if classify(&cand).is_some() {
                 return (start, ret_at + 1);
             }
@@ -154,26 +151,8 @@ fn func_insn<'a>(
 /// instruction's own opcode bytes and its predecessors, exactly as in
 /// the paper's `sar byte [ecx+0x7],0x8b ; ret` example.
 pub fn analyze(img: &LinkedImage) -> Coverage {
-    analyze_traced(img, None)
-}
-
-/// [`analyze`] with an optional tracing span (`coverage` in the
-/// `rewrite` lane) so the Figure-6 analysis shows up on timelines. The
-/// span carries the analysis's work counters: `rewrite.coverage.decodes`,
-/// `rewrite.coverage.walks` (planted-return walks) and
-/// `rewrite.coverage.classified` (candidates classified).
-pub fn analyze_traced(img: &LinkedImage, trace: Option<&parallax_trace::Tracer>) -> Coverage {
-    let _span = trace.map(|t| t.span("coverage", "rewrite"));
     let table = DecodeTable::new(&img.text);
-    let mut work = Work::default();
-    let cov = measure(img, &table, &mut work, planted_gadget_span);
-    work.decodes += table.decodes();
-    if let Some(t) = trace {
-        t.count("rewrite.coverage.decodes", work.decodes);
-        t.count("rewrite.coverage.walks", work.walks);
-        t.count("rewrite.coverage.classified", work.classified);
-    }
-    cov
+    measure(img, &table, &mut Work::default(), planted_gadget_span)
 }
 
 /// The analysis over one decode table of `img.text`: the existing-gadget
@@ -191,7 +170,6 @@ fn measure(
     let mut far: HashSet<u32> = HashSet::new();
 
     let (cands, _) = table.scan(img.text_base);
-    work.classified += cands.len() as u64;
     for cand in cands {
         if classify(&cand).is_none() {
             continue;
@@ -427,6 +405,26 @@ mod tests {
         let img = link(&module);
         assert!(img.text.len() >= 20_000, "{} bytes of text", img.text.len());
         assert_matches_oracle(&img, "large module");
+    }
+
+    /// One table serves the whole analysis: at most one decode per text
+    /// offset, plus the decodes a function's end truncates, which start
+    /// in its last 14 bytes (an instruction is at most 15 bytes long).
+    #[test]
+    fn one_table_decode_per_offset_plus_truncated_function_ends() {
+        for w in parallax_corpus::all() {
+            let img = link(&(w.module)());
+            let table = DecodeTable::new(&img.text);
+            let mut work = Work::default();
+            assert_eq!(
+                measure(&img, &table, &mut work, planted_gadget_span),
+                analyze(&img)
+            );
+            assert!(table.decodes() > 0, "{}", w.name);
+            assert!(table.decodes() <= img.text.len() as u64, "{}", w.name);
+            let funcs = img.funcs().count() as u64;
+            assert!(work.decodes <= 14 * funcs, "{}: {work:?}", w.name);
+        }
     }
 
     /// The sweep's table-served instruction is the one decoded from the

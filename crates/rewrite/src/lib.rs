@@ -24,7 +24,7 @@ pub mod imm;
 pub mod jump;
 pub mod spurious;
 
-pub use coverage::{analyze, analyze_traced, Coverage};
+pub use coverage::{analyze, Coverage};
 pub use engine::{FuncRewriter, Item, Link, RewriteError};
 pub use imm::{
     apply_completion_rule, apply_imm_rule, apply_imm_rule_far, default_bodies, find_imm_sites,

@@ -456,7 +456,6 @@ pub fn cmd_protect(args: &Args) -> Result<String> {
         r.rewrites.crafted_count()
     )
     .unwrap();
-    writeln!(msg, "  protectable bytes:  {:.1}%", r.coverage.any_pct()).unwrap();
     for ci in &r.chains {
         writeln!(
             msg,

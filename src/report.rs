@@ -297,8 +297,7 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
         get("scan.decode.skipped"),
         get("scan.decode.memo_hit"),
     );
-    let coverage_decodes = get("rewrite.coverage.decodes");
-    if hits + misses == 0 && decoded == 0 && coverage_decodes == 0 {
+    if hits + misses == 0 && decoded == 0 {
         return;
     }
     let _ = writeln!(out, "execution engine:");
@@ -321,16 +320,6 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
             out,
             "  decodes reused from the previous pass: {}",
             get("scan.decode.reused")
-        );
-    }
-    // The Select stage's Figure-6 analysis, attributed like the scan.
-    if coverage_decodes > 0 {
-        let _ = writeln!(
-            out,
-            "  coverage: {coverage_decodes} decodes, {} planted-return walks, \
-             {} candidates classified",
-            get("rewrite.coverage.walks"),
-            get("rewrite.coverage.classified")
         );
     }
 }
@@ -623,7 +612,6 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
         ("decodes", "scan.decode.once"),
         ("decodes reused", "scan.decode.reused"),
         ("decodes skipped", "scan.decode.skipped"),
-        ("coverage decodes", "rewrite.coverage.decodes"),
         ("probe runs", "vm.probe.runs"),
         ("prejudged", "vm.probe.prejudged"),
         ("verdicts reused", "vm.probe.reused"),
@@ -811,9 +799,6 @@ mod tests {
         t.count("scan.decode.once", 5000);
         t.count("scan.decode.reused", 3000);
         t.count("scan.decode.skipped", 1000);
-        t.count("rewrite.coverage.decodes", 7000);
-        t.count("rewrite.coverage.walks", 30000);
-        t.count("rewrite.coverage.classified", 4000);
         t.count("scan.decode.memo_hit", 20000);
         t.count("vm.probe.proposals", 486);
         t.count("vm.probe.runs", 941);
@@ -865,7 +850,6 @@ mod tests {
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
             "5000 decodes over 9000 text offsets (1000 reached by no walk)",
-            "coverage: 7000 decodes, 30000 planted-return walks, 4000 candidates classified",
             "4.0x amortization",
             "decodes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
@@ -924,10 +908,6 @@ mod tests {
         assert!(diff.contains("gadget work (b - a):"), "{diff}");
         assert!(
             diff.contains("decodes reused        3000 ->      3000 (+0)"),
-            "{diff}"
-        );
-        assert!(
-            diff.contains("coverage decodes      7000 ->      7000 (+0)"),
             "{diff}"
         );
         assert!(

@@ -18,7 +18,6 @@ const PROGRAM: &str = "gzip";
 /// under the default configuration. `plx protect` and the batch engine
 /// fingerprint the same artifacts, so both produce these lines.
 const GOLDEN: &[&str] = &[
-    "coverage 1 3b8c605fd760a6f9f8f250e83f699d34",
     "gadget-verdict 106 c208a3887e3049948bc90d6ee50a7652",
     "rewritten-func 6 c6fe4769aef470c58f3c84d8e565a2e9",
     "scan 2 707f7f9fecdb8650f0f7aa1bc678a6b6",
