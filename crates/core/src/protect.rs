@@ -42,7 +42,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use parallax_compiler::{compile_module, CompileError, Function, Module};
-use parallax_gadgets::{GadgetMap, PassMemo, RangeSet, ValidationCache};
+use parallax_gadgets::{GadgetMap, PassMemo, RangeSet};
 use parallax_image::{verify_image_strict, ImageVerifyError, LinkError, LinkedImage, Program};
 use parallax_rewrite::{
     protect_program_parallel, FuncRewriteCache, FuncRewriteOutcome, RewriteConfig, RewriteError,
@@ -933,8 +933,7 @@ fn run_pipeline(
 
 /// The artifact store's pass-1 rewrite seam as the rewrite crate
 /// queries it, each lookup counted on the tracer as
-/// `cache.func.rewritten.{hit,miss}`. Verdict lookups are counted by
-/// the gadget pass itself (`cache.func.verdict.*`).
+/// `cache.func.rewritten.{hit,miss}`.
 struct FuncStore<'a>(&'a Ctx<'a>);
 
 impl FuncRewriteCache for FuncStore<'_> {
@@ -1008,15 +1007,8 @@ fn scan_gadgets(
         match ctx.store.cached_scan(img) {
             Some(cached) if !cached.is_empty() => cached,
             _ => {
-                // Whole-image scan missed (e.g. one function edited):
-                // fall back to the store's content-keyed verdicts so
-                // only contents never seen before are probed.
-                let vc = ctx
-                    .store
-                    .has_func_cache()
-                    .then_some(ctx.store as &dyn ValidationCache);
                 let (fresh, stats, vstats, next) =
-                    parallax_gadgets::find_gadgets_reusing(img, jobs, vc, prev);
+                    parallax_gadgets::find_gadgets_reusing(img, jobs, prev);
                 memo = Some(next);
                 if let Some(t) = ctx.tracer {
                     // Cache hits never report: no decoding happened.
@@ -1030,7 +1022,10 @@ fn scan_gadgets(
                     t.count("scan.decode.memo_hit", stats.memo_hits);
                     // Per-worker probe-VM construction is pure setup
                     // cost that fan-out multiplies — attribute it so
-                    // `plx profile` can rank it against real work.
+                    // `plx profile` can rank it against real work. The
+                    // build count is the number of pool workers that
+                    // claimed a chunk, so at jobs > 1 it depends on
+                    // scheduling and may differ between two runs.
                     t.count("vm.probe.builds", vstats.probe_builds);
                     t.count("vm.probe.build_ns", vstats.probe_build_ns);
                     // Copy-on-write pages the probe VMs wrote: a pure
@@ -1055,12 +1050,6 @@ fn scan_gadgets(
                     // verdict in this pass: no probe ran either.
                     t.count("vm.probe.shared", vstats.shared);
                     t.count("vm.probe.runs_saved", vstats.probe.runs_saved);
-                    // One verdict lookup per distinct content the pass
-                    // classified and did not inherit from the memo.
-                    if vc.is_some() {
-                        t.count("cache.func.verdict.hit", vstats.cache_hits);
-                        t.count("cache.func.verdict.miss", vstats.cache_misses);
-                    }
                     t.count("vm.probe.reseed_words", vstats.probe.reseed_words);
                     t.count("pool.scan.merge_ns", vstats.merge_ns);
                     vstats.pool.export_to(t, "scan");

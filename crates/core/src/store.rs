@@ -13,28 +13,25 @@
 //!   entirely.
 //! * **pass-1 rewrites** — one per function, keyed by a fingerprint
 //!   that pins everything the rewrite depends on.
-//! * **validation verdicts** — one per distinct gadget content (text
-//!   bytes and return kind) and probe heap base, through the
-//!   [`ValidationCache`] supertrait; a hit skips that content's probe
-//!   wherever its bytes sit, so warm re-protection of an edited binary
-//!   probes only contents it has not seen.
+//!
+//! Gadget verdicts are not stored: a scan that misses probes its own
+//! contents, sharing one verdict among a content's copies within the
+//! pass (DESIGN.md §24).
 //!
 //! The store only stores. Stage timing, degradations and cache
 //! hit/miss counts go to the run's tracer (see [`crate::Ctx`]).
 //! [`NoStore`] caches nothing and is what [`protect`](crate::protect())
 //! uses.
 
-use parallax_gadgets::{Gadget, ValidationCache};
+use parallax_gadgets::Gadget;
 use parallax_image::LinkedImage;
 use parallax_rewrite::FuncRewriteOutcome;
 
 /// Get/put access to reusable pipeline artifacts. Implementations must
 /// be `Send + Sync`: one store may be shared by many concurrent
 /// pipeline runs, and rewrite pass 1 queries it from pool workers.
-/// Every method defaults to "not stored", the verdict pair of the
-/// [`ValidationCache`] supertrait included; a store that caches no
-/// verdicts implements it empty.
-pub trait ArtifactStore: ValidationCache + Send + Sync {
+/// Every method defaults to "not stored".
+pub trait ArtifactStore: Send + Sync {
     /// A previously computed gadget scan for an image with identical
     /// content, or `None` to run the scanner. Returning an empty vector
     /// is treated as a miss (an empty scan is an error condition the
@@ -47,10 +44,9 @@ pub trait ArtifactStore: ValidationCache + Send + Sync {
     fn store_scan(&self, _img: &LinkedImage, _gadgets: &[Gadget]) {}
 
     /// Whether this store backs the per-function artifact methods
-    /// below and the verdict cache. The pipeline computes no
-    /// fingerprints or verdict keys (and counts no `cache.func.*`
-    /// traffic) when this is `false`, so storeless runs pay nothing and
-    /// report no misleading all-miss counters.
+    /// below. The pipeline computes no fingerprints (and counts no
+    /// `cache.func.*` traffic) when this is `false`, so storeless runs
+    /// pay nothing and report no misleading all-miss counters.
     fn has_func_cache(&self) -> bool {
         false
     }
@@ -68,7 +64,5 @@ pub trait ArtifactStore: ValidationCache + Send + Sync {
 /// The store that stores nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoStore;
-
-impl ValidationCache for NoStore {}
 
 impl ArtifactStore for NoStore {}

@@ -28,8 +28,8 @@ use parallax_image::{format, LinkedImage};
 use crate::hash::hash128;
 
 /// What kind of artifact a cache entry holds: gadget scans, protected
-/// results, pass-1 function rewrites and gadget verdicts. Part of the
-/// key, so two kinds hashed from the same bytes never collide.
+/// results and pass-1 function rewrites. Part of the key, so two kinds
+/// hashed from the same bytes never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
     /// A serialized gadget scan of a linked image.
@@ -39,10 +39,6 @@ pub enum ArtifactKind {
     /// One function's pass-1 rewrite outcome, keyed by the function's
     /// content fingerprint (bytes, relocs, markers, rewrite config).
     RewrittenFunc,
-    /// One gadget content's concrete validation verdict (present even
-    /// when the verdict is "rejected"), keyed by the content's text
-    /// bytes and return kind and the probe heap base.
-    GadgetVerdict,
 }
 
 impl ArtifactKind {
@@ -52,7 +48,6 @@ impl ArtifactKind {
             ArtifactKind::Scan => "scan",
             ArtifactKind::Protected => "protected",
             ArtifactKind::RewrittenFunc => "rewritten-func",
-            ArtifactKind::GadgetVerdict => "gadget-verdict",
         }
     }
 }

@@ -4,8 +4,8 @@
 //! [`ProtectConfig`], seed) triple — on a pool of OS threads that
 //! claim jobs from one shared cursor, sharing one content-addressed
 //! [`ArtifactCache`] so jobs that protect the same base image reuse
-//! each other's gadget scans, pass-1 function rewrites, gadget
-//! verdicts and (on repeat runs) whole protected results.
+//! each other's gadget scans, pass-1 function rewrites and (on repeat
+//! runs) whole protected results.
 //! Every observable step is published as an [`EngineEvent`] through an
 //! [`EventSink`].
 //!
@@ -26,7 +26,7 @@ use parallax_core::{
     Ctx, FaultPlan, ProtectConfig, Verdict,
 };
 use parallax_corpus::by_name;
-use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget, ValidationCache};
+use parallax_gadgets::{deserialize_gadgets, serialize_gadgets, Gadget};
 use parallax_image::{format, LinkedImage};
 use parallax_rewrite::FuncRewriteOutcome;
 use parallax_trace::Tracer;
@@ -49,9 +49,9 @@ pub struct EngineOptions {
     /// Worker threads: `0` means one per core, and the count is capped
     /// by the job count and the machine's parallelism.
     pub workers: usize,
-    /// In-memory cache capacity, in entries. Sized for gadget-verdict
-    /// entries (one per distinct gadget content, hundreds per image
-    /// version), not just whole-image artifacts.
+    /// In-memory cache capacity, in entries. A fresh job stores one
+    /// scan per pipeline pass, one entry per function it rewrites and
+    /// one protected result.
     pub cache_capacity: usize,
     /// On-disk cache directory (`None` for memory-only).
     pub cache_dir: Option<PathBuf>,
@@ -589,11 +589,10 @@ impl Engine {
 }
 
 /// Per-job [`ArtifactStore`] backed by the shared [`ArtifactCache`]:
-/// routes the pipeline's artifact seams — whole-image scans,
-/// per-function rewrites and per-content gadget verdicts —
-/// to the cache, reports cache traffic to an event sink when one is
-/// attached, and digests every artifact it serves or stores for the
-/// job's provenance record.
+/// routes the pipeline's artifact seams — whole-image scans and
+/// per-function rewrites — to the cache, reports cache traffic to an
+/// event sink when one is attached, and digests every artifact it
+/// serves or stores for the job's provenance record.
 pub struct CacheHooks<'a, 'cb> {
     job: usize,
     cache: &'a ArtifactCache,
@@ -687,34 +686,6 @@ impl ArtifactStore for CacheHooks<'_, '_> {
         self.store(
             Key::of(ArtifactKind::RewrittenFunc, fingerprint),
             encode_rewritten_func(outcome),
-        );
-    }
-}
-
-impl ValidationCache for CacheHooks<'_, '_> {
-    // Verdicts bypass `self.fetch` on purpose: there are hundreds of
-    // distinct contents per scan, and emitting a cache event for each
-    // would drown the sink. Their traffic shows up as
-    // `cache.func.verdict.*` counters on the pipeline's tracer instead.
-    // A rejected content is cached as an empty gadget list, distinct
-    // from a miss.
-    fn cached_verdict(&self, key: &[u8]) -> Option<Option<Gadget>> {
-        let vkey = Key::of(ArtifactKind::GadgetVerdict, key);
-        match self.cache.fetch(vkey) {
-            Fetch::Hit(payload) => {
-                let gadgets = deserialize_gadgets(&payload)?;
-                self.digests.absorb(vkey);
-                Some(gadgets.into_iter().next())
-            }
-            Fetch::Poisoned | Fetch::Miss => None,
-        }
-    }
-
-    fn store_verdict(&self, key: &[u8], verdict: &Option<Gadget>) {
-        let gadgets: Vec<Gadget> = verdict.iter().cloned().collect();
-        self.store(
-            Key::of(ArtifactKind::GadgetVerdict, key),
-            serialize_gadgets(&gadgets),
         );
     }
 }

@@ -11,12 +11,12 @@
 //!   so a worker that finishes a fast program claims the next job
 //!   instead of waiting behind a slow one.
 //! * The [`ArtifactCache`] is content-addressed: gadget scans, pass-1
-//!   function rewrites, gadget verdicts and whole protected results
-//!   are keyed by a 128-bit hash of the exact bytes that determine
-//!   them, stored in a bounded in-memory LRU with an optional on-disk
-//!   layer. Payloads are re-verified against their hash on every
-//!   fetch, so a corrupted ("poisoned") entry is detected, evicted, and
-//!   recomputed — never silently used.
+//!   function rewrites and whole protected results are keyed by a
+//!   128-bit hash of the exact bytes that determine them, stored in a
+//!   bounded in-memory LRU with an optional on-disk layer. Payloads
+//!   are re-verified against their hash on every fetch, so a corrupted
+//!   ("poisoned") entry is detected, evicted, and recomputed — never
+//!   silently used.
 //! * Every step streams through an [`EngineEvent`] bus: live progress
 //!   for `plx batch`, newline-delimited JSON under `--log-json`, and a
 //!   [`MetricsSnapshot`] (per-stage wall time, cache hit rate,

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use parallax_core::ArtifactStore;
-use parallax_gadgets::{Gadget, ValidationCache};
+use parallax_gadgets::Gadget;
 use parallax_image::{format, LinkedImage};
 use parallax_rewrite::FuncRewriteOutcome;
 
@@ -48,10 +48,10 @@ pub fn toolchain_id() -> String {
 /// to a build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageDigest {
-    /// Artifact kind name (`scan`, `rewritten-func`, `gadget-verdict`;
-    /// records written before chain compilation and the Figure-6
-    /// analysis left the pipeline may also carry `compiled-chain` and
-    /// `coverage`).
+    /// Artifact kind name (`scan`, `rewritten-func`; records written
+    /// before chain compilation, the Figure-6 analysis and the verdict
+    /// cache left the pipeline may also carry `compiled-chain`,
+    /// `coverage` and `gadget-verdict`).
     pub kind: String,
     /// How many artifacts of this kind flowed through the build.
     pub count: u64,
@@ -257,12 +257,6 @@ impl ArtifactStore for Digests {
     }
 }
 
-impl ValidationCache for Digests {
-    fn store_verdict(&self, key: &[u8], _verdict: &Option<Gadget>) {
-        self.absorb(Key::of(ArtifactKind::GadgetVerdict, key));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,6 +278,11 @@ mod tests {
                     kind: "coverage".into(),
                     count: 1,
                     digest: 0x9abc,
+                },
+                StageDigest {
+                    kind: "gadget-verdict".into(),
+                    count: 106,
+                    digest: 0xdef0,
                 },
                 StageDigest {
                     kind: "scan".into(),

@@ -58,8 +58,6 @@ const SRC_C: &str = r#"
 struct FuncCacheCounts {
     rw_hit: u64,
     rw_miss: u64,
-    verdict_hit: u64,
-    verdict_miss: u64,
 }
 
 fn config() -> ProtectConfig {
@@ -88,8 +86,6 @@ fn protect_through(src: &str, cache: &ArtifactCache) -> (Protected, FuncCacheCou
     let counts = FuncCacheCounts {
         rw_hit: tracer.counter("cache.func.rewritten.hit"),
         rw_miss: tracer.counter("cache.func.rewritten.miss"),
-        verdict_hit: tracer.counter("cache.func.verdict.hit"),
-        verdict_miss: tracer.counter("cache.func.verdict.miss"),
     };
     (protected, counts)
 }
@@ -172,24 +168,18 @@ fn one_function_edit_misses_only_that_function() {
     );
 }
 
-/// Verdicts are keyed by content, not address: after an edit that
-/// moves every later function, a warm run still serves the moved
-/// gadgets' verdicts from the cache, and its image is the one a
-/// storeless `protect()` of the edited module gives.
+/// After an edit that moves every later function, a warm run's image
+/// is the one a storeless `protect()` of the edited module gives.
 #[test]
-fn verdicts_follow_moved_functions() {
+fn moved_code_through_a_warm_cache_equals_storeless_protect() {
     let cache = ArtifactCache::new(1024, None);
-    let (_, cold) = protect_through(SRC_A, &cache);
-    let (moved, warm) = protect_through(SRC_C, &cache);
+    protect_through(SRC_A, &cache);
+    let (moved, _) = protect_through(SRC_C, &cache);
     let text_len = |src: &str| {
         let prog = compile_module(&parse_module(src).expect("parses")).expect("compiles");
         prog.link().expect("links").text.len()
     };
     assert_ne!(text_len(SRC_A), text_len(SRC_C), "the edit moves code");
-    assert_eq!(cold.verdict_hit, 0, "cold run cannot hit verdicts");
-    // Most contents only moved, so most lookups hit; an address in
-    // the key would make nearly all of them miss.
-    assert!(warm.verdict_hit > warm.verdict_miss, "{warm:?}");
 
     let module = parse_module(SRC_C).expect("parses");
     let vf = module.get_func("vf").cloned().expect("vf exists");

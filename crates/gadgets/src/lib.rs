@@ -59,33 +59,10 @@ pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
     find_gadgets_instrumented(img, 1, None).0
 }
 
-/// Cross-run memo for concrete validation verdicts, keyed by a
-/// candidate's content (its return kind and text bytes) and the probe
-/// environment's heap base. Re-protecting an edited binary revalidates
-/// only contents it has no verdict for, wherever the unchanged bytes
-/// moved; everything else is served from the cache.
-///
-/// A pass asks the cache once per distinct content it classifies and
-/// does not inherit from the previous pass's [`PassMemo`], and offers
-/// it only verdicts whose probe stayed inside the candidate's bytes
-/// (a strayed verdict depends on the text it reached, DESIGN.md §18).
-/// Both methods default to "not stored".
-pub trait ValidationCache: Sync {
-    /// `Some(verdict)` when the key was validated before (the verdict
-    /// itself may be `None`: "candidate rejected" is cached too). A
-    /// served gadget's `vaddr` is ignored: the pass moves it to the
-    /// candidate's own.
-    fn cached_verdict(&self, _key: &[u8]) -> Option<Option<Gadget>> {
-        None
-    }
-    /// Offers a freshly probed verdict for reuse.
-    fn store_verdict(&self, _key: &[u8], _verdict: &Option<Gadget>) {}
-}
-
 /// A candidate's content: its text bytes and return kind. Within one
 /// pass, a probe that stays inside the candidate's bytes depends on
-/// nothing else, so every copy of a content shares one verdict, and
-/// with the heap base it keys the [`ValidationCache`] (DESIGN.md §18).
+/// nothing else, so every copy of a content shares one verdict
+/// (DESIGN.md §18).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Content {
     far: bool,
@@ -109,19 +86,6 @@ impl Content {
             len: src.len() as u8,
             bytes,
         }
-    }
-
-    /// The [`ValidationCache`] key of this content's verdict in a probe
-    /// environment with heap base `heap_base`: the heap base, the
-    /// return kind, then the text bytes, whose length is the rest of
-    /// the key's.
-    fn key(&self, heap_base: u32) -> Vec<u8> {
-        let bytes = &self.bytes[..usize::from(self.len)];
-        let mut key = Vec::with_capacity(5 + bytes.len());
-        key.extend_from_slice(&heap_base.to_le_bytes());
-        key.push(self.far as u8);
-        key.extend_from_slice(bytes);
-        key
     }
 }
 
@@ -178,25 +142,19 @@ pub struct ValidateStats {
     /// Candidates served by the verdict of an earlier candidate with
     /// the same content in this pass, with no probe run.
     pub shared: u64,
-    /// Contents whose verdict the [`ValidationCache`] served, with no
-    /// probe run (exported as `cache.func.verdict.hit`).
-    pub cache_hits: u64,
-    /// Contents the [`ValidationCache`] was asked for and did not hold
-    /// (`cache.func.verdict.miss`).
-    pub cache_misses: u64,
 }
 
 /// [`find_gadgets`] with the scanner's [`ScanStats`] (exported as
 /// `scan.decode.*` counters) and [`ValidateStats`]: probe-VM
 /// construction time (`vm.probe.build_ns` in traces), the serial merge
 /// cost, and the validation pool's scheduling counters. It is
-/// [`find_gadgets_reusing`] without a previous pass.
+/// [`find_gadgets_reusing`] without the memo it returns.
 pub fn find_gadgets_instrumented(
     img: &LinkedImage,
     jobs: usize,
-    cache: Option<&dyn ValidationCache>,
+    prev: Option<PassMemo>,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats) {
-    let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, jobs, cache, None);
+    let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, jobs, prev);
     (gadgets, stats, vstats)
 }
 
@@ -212,9 +170,6 @@ enum Rep {
     },
     /// Served from the previous pass's memo.
     Inherited(Option<Gadget>),
-    /// Served from the [`ValidationCache`]; not carried into the next
-    /// pass's memo.
-    Stored(Option<Gadget>),
     /// The probe left the candidate's bytes, so its verdict depends on
     /// the text it reached: every copy probes on its own.
     Strayed,
@@ -226,8 +181,6 @@ struct ChunkOut {
     gadgets: Vec<Gadget>,
     reused: u64,
     shared: u64,
-    cache_hits: u64,
-    cache_misses: u64,
 }
 
 /// Runs the full pipeline, reusing `prev` — the [`PassMemo`] of an
@@ -243,14 +196,10 @@ struct ChunkOut {
 /// candidate's bytes. So the first candidate of each content is
 /// classified and probed, and every later copy takes its verdict with
 /// its own vaddr, unless that probe strayed. Any job count returns the
-/// exact sequential gadget order. With a [`ValidationCache`], the first
-/// candidate of a content the memo does not hold asks the cache after
-/// classifying and before probing, and offers it a verdict whose probe
-/// did not stray.
+/// exact sequential gadget order.
 pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
-    cache: Option<&dyn ValidationCache>,
     prev: Option<PassMemo>,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats, PassMemo) {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -293,7 +242,6 @@ pub fn find_gadgets_reusing(
     // A content's verdict as the gadget at `vaddr`.
     let at = |g: &Option<Gadget>, vaddr: u32| g.as_ref().map(|g| Gadget { vaddr, ..g.clone() });
     let validate_chunk = |probe: &mut ProbeVm, chunk: &[Candidate]| {
-        let heap_base = probe.heap_base();
         let mut out = ChunkOut::default();
         for cand in chunk {
             let content = Content::of(img, cand);
@@ -303,24 +251,10 @@ pub fn find_gadgets_reusing(
                 let Some(p) = classify(cand) else {
                     return Rep::Unclassified;
                 };
-                let key = cache.map(|c| (c, content.key(heap_base)));
-                if let Some((c, key)) = &key {
-                    if let Some(g) = c.cached_verdict(key) {
-                        out.cache_hits += 1;
-                        own = Some(at(&g, cand.vaddr));
-                        return Rep::Stored(g);
-                    }
-                    out.cache_misses += 1;
-                }
                 let g = probe.validate(&p);
                 if probe.strayed() {
                     own = Some(g);
                     return Rep::Strayed;
-                }
-                if let Some((c, key)) = &key {
-                    // Zeroed, so what is stored does not depend on
-                    // which copy probed first.
-                    c.store_verdict(key, &at(&g, 0));
                 }
                 own = Some(g.clone());
                 Rep::Probed {
@@ -331,7 +265,7 @@ pub fn find_gadgets_reusing(
             let g = match (own, rep) {
                 (Some(g), _) => g,
                 (None, Rep::Unclassified) => continue,
-                (None, Rep::Probed { gadget, .. } | Rep::Stored(gadget)) => {
+                (None, Rep::Probed { gadget, .. }) => {
                     out.shared += 1;
                     at(gadget, cand.vaddr)
                 }
@@ -364,13 +298,11 @@ pub fn find_gadgets_reusing(
     );
     let t0 = std::time::Instant::now();
     let mut gadgets = Vec::new();
-    let (mut reused, mut shared, mut cache_hits, mut cache_misses) = (0, 0, 0, 0);
+    let (mut reused, mut shared) = (0, 0);
     for part in parts {
         gadgets.extend(part.gadgets);
         reused += part.reused;
         shared += part.shared;
-        cache_hits += part.cache_hits;
-        cache_misses += part.cache_misses;
     }
     let vstats = ValidateStats {
         probe_builds: probe_builds.into_inner(),
@@ -380,8 +312,6 @@ pub fn find_gadgets_reusing(
         probe: probe_stats.into_inner().unwrap(),
         reused,
         shared,
-        cache_hits,
-        cache_misses,
     };
     // Layout-independent verdicts, inherited ones included, still hold
     // for the next pass wherever their bytes sit.

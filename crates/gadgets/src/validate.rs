@@ -699,9 +699,8 @@ impl ProbeVm {
     }
 
     /// The VM heap base: where the scratch heap starts, after the
-    /// image's data and BSS. It no longer anchors the probe's scratch
-    /// regions, which sit in the stack region, but it stays part of the
-    /// [`crate::ValidationCache`] key.
+    /// image's data and BSS. It does not anchor the probe's scratch
+    /// regions, which sit in the stack region.
     pub fn heap_base(&self) -> u32 {
         self.vm.mem().heap_base()
     }

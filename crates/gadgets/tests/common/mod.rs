@@ -8,7 +8,7 @@ use parallax_compiler::{compile_module, Module};
 use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::scratch_pointer;
-use parallax_gadgets::{classify, Gadget, ProbeVm, Proposal, ValidationCache};
+use parallax_gadgets::{classify, Gadget, ProbeVm, Proposal};
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{AluOp, Asm, Mem, Reg32};
 
@@ -22,8 +22,6 @@ impl ArtifactStore for ScannedImages {
         self.0.lock().unwrap().push(img.clone());
     }
 }
-
-impl ValidationCache for ScannedImages {}
 
 /// The `(pass 1, pass 2)` image pairs of one protection run.
 pub fn fixpoint_pairs(

@@ -4,8 +4,7 @@
 //! vaddr. The list it returns must equal, in order, a per-candidate
 //! oracle that probes every classified candidate, and its counters
 //! must show one probe per content — except where that probe strayed,
-//! which makes every copy probe on its own. A verdict cache is asked
-//! once per content and offered only verdicts that did not stray.
+//! which makes every copy probe on its own.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -19,7 +18,6 @@ use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::{
     classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm,
-    ValidationCache,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{Asm, Mem, Reg32};
@@ -33,8 +31,6 @@ impl ArtifactStore for ScannedImages {
         self.0.lock().unwrap().push(img.clone());
     }
 }
-
-impl ValidationCache for ScannedImages {}
 
 /// Every image one protection run scans, both fixpoint passes.
 fn scanned_images(
@@ -256,8 +252,8 @@ fn pass_two_reuses_a_verdict_whose_bytes_moved() {
             .expect("pop ecx; ret validated")
             .vaddr
     };
-    let (first, _, _, memo) = find_gadgets_reusing(&img1, 1, None, None);
-    let (second, _, vstats, _) = find_gadgets_reusing(&img2, 1, None, Some(memo));
+    let (first, _, _, memo) = find_gadgets_reusing(&img1, 1, None);
+    let (second, _, vstats, _) = find_gadgets_reusing(&img2, 1, Some(memo));
     let (fresh, _, fresh_stats) = find_gadgets_instrumented(&img2, 1, None);
     assert_eq!(format!("{second:?}"), format!("{fresh:?}"));
     assert_ne!(pop_at(&first), pop_at(&second));
@@ -266,145 +262,4 @@ fn pass_two_reuses_a_verdict_whose_bytes_moved() {
     // that classifies: no probe runs at all.
     assert_eq!(vstats.reused, 2, "{vstats:?}");
     assert_eq!(vstats.probe.runs, 0, "{vstats:?}");
-}
-
-/// A verdict cache that holds nothing and records every key a pass
-/// asks it for and offers it.
-#[derive(Default)]
-struct Recording {
-    looked_up: Mutex<Vec<Vec<u8>>>,
-    stored: Mutex<Vec<Vec<u8>>>,
-}
-
-impl ValidationCache for Recording {
-    fn cached_verdict(&self, key: &[u8]) -> Option<Option<Gadget>> {
-        self.looked_up.lock().unwrap().push(key.to_vec());
-        None
-    }
-
-    fn store_verdict(&self, key: &[u8], _verdict: &Option<Gadget>) {
-        self.stored.lock().unwrap().push(key.to_vec());
-    }
-}
-
-impl Recording {
-    /// The keys asked for and offered, each sorted.
-    fn keys(self) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-        let mut looked_up = self.looked_up.into_inner().unwrap();
-        let mut stored = self.stored.into_inner().unwrap();
-        looked_up.sort();
-        stored.sort();
-        (looked_up, stored)
-    }
-}
-
-/// A content's verdict key: the probe heap base, the return kind, then
-/// the text bytes.
-fn verdict_key(heap_base: u32, (bytes, far): &(Vec<u8>, bool)) -> Vec<u8> {
-    let mut key = heap_base.to_le_bytes().to_vec();
-    key.push(*far as u8);
-    key.extend_from_slice(bytes);
-    key
-}
-
-/// Every distinct classified content of `img` and how its first probe
-/// went: `(strayed, layout_independent)`.
-fn classified_contents(img: &LinkedImage) -> HashMap<(Vec<u8>, bool), (bool, bool)> {
-    let mut probe = ProbeVm::new(img);
-    let mut out = HashMap::new();
-    for cand in scan(&img.text, img.text_base) {
-        if let Entry::Vacant(e) = out.entry(content(img, &cand)) {
-            if let Some(p) = classify(&cand) {
-                probe.validate(&p);
-                e.insert((probe.strayed(), p.layout_independent()));
-            }
-        }
-    }
-    out
-}
-
-/// Runs pass 1 and, with its memo, pass 2 through one [`Recording`] at
-/// `jobs` workers; returns the sorted keys asked for and offered.
-fn recorded_keys(
-    img1: &LinkedImage,
-    img2: &LinkedImage,
-    jobs: usize,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
-    let cache = Recording::default();
-    let (_, _, _, memo) = find_gadgets_reusing(img1, jobs, Some(&cache), None);
-    find_gadgets_reusing(img2, jobs, Some(&cache), Some(memo));
-    cache.keys()
-}
-
-/// A pass asks the cache once per distinct classified content it does
-/// not inherit from the previous pass, and offers it exactly the
-/// verdicts whose probe did not stray; both key sets are the same at
-/// every job count.
-#[test]
-fn the_cache_is_asked_once_per_content_not_inherited() {
-    let mut inherited_contents = 0;
-    for w in parallax_corpus::all() {
-        let module = (w.module)();
-        let prog = compile_module(&module).expect("corpus compiles");
-        let imgs = scanned_images(prog, w.verify_func, &module, ChainMode::Cleartext);
-        for pair in imgs.chunks_exact(2) {
-            let (img1, img2) = (&pair[0], &pair[1]);
-            let (c1, c2) = (classified_contents(img1), classified_contents(img2));
-            let (h1, h2) = (
-                ProbeVm::new(img1).heap_base(),
-                ProbeVm::new(img2).heap_base(),
-            );
-            // Pass 2 inherits pass 1's layout-independent verdicts that
-            // did not stray.
-            let inherited = |c: &(Vec<u8>, bool)| c1.get(c) == Some(&(false, true));
-            let mut want_looked_up = Vec::new();
-            let mut want_stored = Vec::new();
-            for (contents, heap_base, pass2) in [(&c1, h1, false), (&c2, h2, true)] {
-                for (c, &(strayed, _)) in contents {
-                    if pass2 && inherited(c) {
-                        inherited_contents += 1;
-                        continue;
-                    }
-                    want_looked_up.push(verdict_key(heap_base, c));
-                    if !strayed {
-                        want_stored.push(verdict_key(heap_base, c));
-                    }
-                }
-            }
-            want_looked_up.sort();
-            want_stored.sort();
-            let got = recorded_keys(img1, img2, 1);
-            assert_eq!(got.0, want_looked_up, "{}: lookups", w.name);
-            assert_eq!(got.1, want_stored, "{}: stores", w.name);
-            assert_eq!(recorded_keys(img1, img2, 2), got, "{}: jobs=2", w.name);
-        }
-    }
-    assert!(inherited_contents > 0, "pass 2 inherited nothing");
-}
-
-/// The straying `mov [esp+2], eax; ret` is looked up, but its verdict
-/// depends on the text it reached, so it is never stored.
-#[test]
-fn a_strayed_verdict_is_looked_up_but_never_stored() {
-    let image = twin_image(
-        |a| {
-            a.mov_mr(Mem::base_disp(Reg32::Esp, 2), Reg32::Eax);
-            a.ret();
-        },
-        2,
-    );
-    let cand = scan(&image.text, image.text_base)
-        .into_iter()
-        .find(|c| c.disasm().starts_with("mov [esp+0x2],eax"))
-        .expect("store gadget scanned");
-    let key = verdict_key(ProbeVm::new(&image).heap_base(), &content(&image, &cand));
-    let cache = Recording::default();
-    let (_, _, vstats) = find_gadgets_instrumented(&image, 1, Some(&cache));
-    let (looked_up, stored) = cache.keys();
-    assert_eq!(looked_up.iter().filter(|k| **k == key).count(), 1);
-    assert!(!stored.contains(&key), "a strayed verdict was stored");
-    assert_eq!(
-        (vstats.cache_hits, vstats.cache_misses),
-        (0, looked_up.len() as u64)
-    );
 }

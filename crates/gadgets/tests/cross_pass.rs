@@ -30,8 +30,8 @@ use common::{
 /// Pass 2 with pass 1's memo equals a fresh pass 2. Returns how many
 /// verdicts were reused.
 fn assert_rescan_matches_fresh(img1: &LinkedImage, img2: &LinkedImage, label: &str) -> u64 {
-    let (_, _, _, memo) = find_gadgets_reusing(img1, 2, None, None);
-    let (reused, stats, vstats, _) = find_gadgets_reusing(img2, 2, None, Some(memo));
+    let (_, _, _, memo) = find_gadgets_reusing(img1, 2, None);
+    let (reused, stats, vstats, _) = find_gadgets_reusing(img2, 2, Some(memo));
     let (fresh, fresh_stats, _) = find_gadgets_instrumented(img2, 1, None);
     assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{label}");
     assert_eq!(stats.candidates, fresh_stats.candidates, "{label}");
@@ -235,8 +235,8 @@ fn cmp_fixture(disp: i32) -> (parallax_gadgets::Proposal, LinkedImage, LinkedIma
 /// Pass 1 on `img1`, then pass 2 on `img2` with pass 1's memo; returns
 /// pass 2's gadgets, its memo hits and the proposals it probed.
 fn pass_two(img1: &LinkedImage, img2: &LinkedImage) -> (Vec<Gadget>, u64, u64) {
-    let (_, _, _, memo) = find_gadgets_reusing(img1, 1, None, None);
-    let (gadgets, _, vstats, _) = find_gadgets_reusing(img2, 1, None, Some(memo));
+    let (_, _, _, memo) = find_gadgets_reusing(img1, 1, None);
+    let (gadgets, _, vstats, _) = find_gadgets_reusing(img2, 1, Some(memo));
     (gadgets, vstats.reused, vstats.probe.proposals)
 }
 
@@ -479,8 +479,8 @@ fn memo_for_another_text_falls_back_to_a_full_scan() {
     let mut shorter = img2.clone();
     shorter.text.pop();
     for (img, label) in [(&moved, "other base"), (&shorter, "other length")] {
-        let (_, _, _, memo) = find_gadgets_reusing(&img1, 1, None, None);
-        let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, 1, None, Some(memo));
+        let (_, _, _, memo) = find_gadgets_reusing(&img1, 1, None);
+        let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, 1, Some(memo));
         assert_eq!((stats.reused, vstats.reused), (0, 0), "{label}");
         assert_eq!(stats.decoded + stats.skipped, stats.offsets, "{label}");
         let (fresh, _, _) = find_gadgets_instrumented(img, 1, None);

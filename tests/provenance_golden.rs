@@ -1,9 +1,9 @@
 //! Golden provenance digests: a cold `plx protect` and a cold engine
 //! job over the same corpus program must keep writing exactly these
 //! per-stage artifact digests. Digests are content fingerprints (image
-//! bytes, function fingerprints, gadget contents), so any change to
-//! what the pipeline fingerprints — or to how the store side
-//! accumulates it — shows up here as a mismatch.
+//! bytes, function fingerprints), so any change to what the pipeline
+//! fingerprints — or to how the store side accumulates it — shows up
+//! here as a mismatch.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -18,7 +18,6 @@ const PROGRAM: &str = "gzip";
 /// under the default configuration. `plx protect` and the batch engine
 /// fingerprint the same artifacts, so both produce these lines.
 const GOLDEN: &[&str] = &[
-    "gadget-verdict 106 c208a3887e3049948bc90d6ee50a7652",
     "rewritten-func 6 c6fe4769aef470c58f3c84d8e565a2e9",
     "scan 2 707f7f9fecdb8650f0f7aa1bc678a6b6",
 ];
