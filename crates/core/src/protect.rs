@@ -37,9 +37,7 @@
 //! store, the tracer and the fault plan. The run's telemetry goes only
 //! to that tracer; the store only stores.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use parallax_compiler::{compile_module, CompileError, Function, Module};
 use parallax_gadgets::{GadgetMap, PassMemo, RangeSet};
@@ -90,11 +88,6 @@ pub struct ProtectConfig {
     /// for a memory-dumping adversary. Dynamic modes only (cleartext
     /// chains are static data and would be destroyed).
     pub wipe_chains: bool,
-    /// Retry with alternate rewrite-rule orderings and fall back to
-    /// the appended standard gadget set when a needed gadget type
-    /// cannot be crafted (on by default). Disable to surface the raw
-    /// [`Stage::ChainCompile`] / [`Stage::GadgetScan`] error instead.
-    pub degrade: bool,
     /// Worker threads for rewrite pass 1 and gadget validation: `1`
     /// runs sequentially (the default), `0` uses the machine's
     /// available parallelism. Chain compilation always runs serially.
@@ -149,7 +142,6 @@ impl Default for ProtectConfig {
             guard_funcs: Vec::new(),
             checksum_chains: false,
             wipe_chains: false,
-            degrade: true,
             jobs: 1,
         }
     }
@@ -178,6 +170,21 @@ pub enum Stage {
     /// Post-link structural self-check of the final image against the
     /// final gadget map (fail-closed loading, DESIGN.md §12).
     Verify,
+}
+
+impl Stage {
+    /// Every stage, in pipeline order: the one stage list that reports
+    /// and tables iterate.
+    pub const ALL: [Stage; 8] = [
+        Stage::Select,
+        Stage::Load,
+        Stage::Rewrite,
+        Stage::GadgetScan,
+        Stage::ChainCompile,
+        Stage::Map,
+        Stage::Link,
+        Stage::Verify,
+    ];
 }
 
 impl fmt::Display for Stage {
@@ -257,12 +264,9 @@ pub struct ProtectError {
     pub stage: Stage,
     /// What went wrong.
     pub kind: ErrorKind,
-    /// Fallbacks the degradation ladder took before giving up. (This
-    /// and the stage log are boxed slices to keep errors small.)
+    /// Fallbacks the degradation ladder took before giving up (a
+    /// boxed slice to keep errors small).
     pub degradations: Box<[DegradationReport]>,
-    /// The stage blocks that ran before the failure (see
-    /// [`ProtectReport::stage_log`]).
-    pub stage_log: Box<[(Stage, Duration)]>,
 }
 
 impl ProtectError {
@@ -272,7 +276,6 @@ impl ProtectError {
             stage,
             kind,
             degradations: Box::default(),
-            stage_log: Box::default(),
         }
     }
 
@@ -412,9 +415,6 @@ pub struct ProtectReport {
     /// Fallbacks the degradation ladder took (empty when the first
     /// attempt succeeded).
     pub degradations: Vec<DegradationReport>,
-    /// Wall time of every stage block, in completion order. Stages
-    /// repeat across fixpoint passes and degradation retries.
-    pub stage_log: Vec<(Stage, Duration)>,
 }
 
 /// A protected binary plus its report.
@@ -496,8 +496,9 @@ fn protect_module(
 /// crafting, rewriting, linking — operates purely on the machine code.
 ///
 /// `ctx` supplies the artifact store, the tracer and the fault plan.
-/// The stage log and degradations come back on both outcomes: in the
-/// [`ProtectReport`] or in the [`ProtectError`].
+/// Stage wall time is recorded only as `stage` spans on the tracer.
+/// Degradations come back on both outcomes: in the [`ProtectReport`]
+/// or in the [`ProtectError`].
 pub fn protect_with(
     prog: Program,
     verify_impls: &[Function],
@@ -505,43 +506,29 @@ pub fn protect_with(
     ctx: &Ctx<'_>,
 ) -> Result<Protected, ProtectError> {
     let _root = ctx.tracer.map(|t| t.span("protect", "pipeline"));
-    let run = Run {
-        ctx: *ctx,
-        log: RefCell::new(Vec::new()),
-    };
     let mut degradations = Vec::new();
-    let out = run_ladder(prog, verify_impls, cfg, &run, &mut degradations);
-    let stage_log = run.log.into_inner();
-    match out {
+    match run_ladder(prog, verify_impls, cfg, ctx, &mut degradations) {
         Ok(mut protected) => {
             protected.report.degradations = degradations;
-            protected.report.stage_log = stage_log;
             Ok(protected)
         }
         Err(mut e) => {
             e.degradations = degradations.into();
-            e.stage_log = stage_log.into();
             Err(e)
         }
     }
-}
-
-/// One pipeline run's context plus the stage log its blocks fill.
-struct Run<'a> {
-    ctx: Ctx<'a>,
-    log: RefCell<Vec<(Stage, Duration)>>,
 }
 
 fn run_ladder(
     prog: Program,
     verify_impls: &[Function],
     cfg: &ProtectConfig,
-    run: &Run<'_>,
+    ctx: &Ctx<'_>,
     degradations: &mut Vec<DegradationReport>,
 ) -> Result<Protected, ProtectError> {
     // Stage: Select — the requested functions must exist both in the
     // program and among the supplied IR implementations.
-    run.timed(Stage::Select, || {
+    ctx.timed(Stage::Select, || {
         for f in &cfg.verify_funcs {
             if prog.func(f).is_none() || !verify_impls.iter().any(|vi| &vi.name == f) {
                 return Err(ProtectError::no_such_function(f));
@@ -550,27 +537,25 @@ fn run_ladder(
         Ok(())
     })?;
 
-    // Degradation ladder: the base attempt, then (when enabled)
-    // alternate immediate-rule body rotations, then a forced standard
-    // gadget set. Each attempt restarts from the pristine program.
+    // Degradation ladder: the base attempt, then alternate
+    // immediate-rule body rotations, then a forced standard gadget set.
+    // Each attempt restarts from the pristine program.
     let base_rotation = cfg.rewrite.body_rotation;
     let mut attempts: Vec<(RewriteConfig, bool)> = vec![(cfg.rewrite.clone(), false)];
-    if cfg.degrade {
-        for extra in 1..=2usize {
-            let mut rw = cfg.rewrite.clone();
-            rw.body_rotation = base_rotation + extra;
-            attempts.push((rw, false));
-        }
-        if !cfg.rewrite.stdset {
-            let mut rw = cfg.rewrite.clone();
-            rw.stdset = true;
-            attempts.push((rw, true));
-        }
+    for extra in 1..=2usize {
+        let mut rw = cfg.rewrite.clone();
+        rw.body_rotation = base_rotation + extra;
+        attempts.push((rw, false));
+    }
+    if !cfg.rewrite.stdset {
+        let mut rw = cfg.rewrite.clone();
+        rw.stdset = true;
+        attempts.push((rw, true));
     }
 
     let last = attempts.len() - 1;
     for (i, (rw_cfg, _)) in attempts.iter().enumerate() {
-        match run_pipeline(prog.clone(), verify_impls, cfg, rw_cfg, run) {
+        match run_pipeline(prog.clone(), verify_impls, cfg, rw_cfg, ctx) {
             Ok((image, rewrites, chains, gadget_count)) => {
                 return Ok(Protected {
                     image,
@@ -579,12 +564,11 @@ fn run_ladder(
                         chains,
                         gadget_count,
                         degradations: Vec::new(),
-                        stage_log: Vec::new(),
                     },
                 });
             }
             Err(e) => {
-                let retryable = cfg.degrade && i < last && e.is_gadget_starvation();
+                let retryable = i < last && e.is_gadget_starvation();
                 if !retryable {
                     return Err(e);
                 }
@@ -597,7 +581,7 @@ fn run_ladder(
                         retry_rotation: next_cfg.body_rotation,
                         stdset_forced: *next_forced,
                     };
-                    if let Some(t) = run.ctx.tracer {
+                    if let Some(t) = ctx.tracer {
                         t.instant(
                             "degraded",
                             "pipeline",
@@ -632,9 +616,8 @@ fn run_pipeline(
     verify_impls: &[Function],
     cfg: &ProtectConfig,
     rw_cfg: &RewriteConfig,
-    run: &Run<'_>,
+    ctx: &Ctx<'_>,
 ) -> Result<(LinkedImage, RewriteReport, Vec<ChainInfo>, usize), ProtectError> {
-    let ctx = run.ctx;
     let (store, trace, plan) = (ctx.store, ctx.tracer, ctx.faults);
     let get_impl = |name: &str| -> Result<&Function, ProtectError> {
         verify_impls
@@ -644,7 +627,7 @@ fn run_pipeline(
     };
 
     // 1. Install chain generators for dynamic modes (stage: Load).
-    let gens: Vec<(String, Option<String>)> = run.timed(Stage::Load, || {
+    let gens: Vec<(String, Option<String>)> = ctx.timed(Stage::Load, || {
         cfg.verify_funcs
             .iter()
             .map(|f| (f.clone(), install_generator_binary(&mut prog, f, &cfg.mode)))
@@ -663,15 +646,15 @@ fn run_pipeline(
     plan.apply_pre_rewrite(&mut prog);
     let jobs = cfg.resolved_jobs();
     let use_func_cache = store.has_func_cache();
-    let func_store = FuncStore(&ctx);
+    let func_store = FuncStore(ctx);
     let rw_cache: Option<&dyn FuncRewriteCache> =
         use_func_cache.then_some(&func_store as &dyn FuncRewriteCache);
-    let rewrites = run.timed(Stage::Rewrite, || {
+    let rewrites = ctx.timed(Stage::Rewrite, || {
         protect_program_parallel(&mut prog, &targets, rw_cfg, jobs, rw_cache, trace)
     })?;
 
     // 3. Runtime, frames, stubs, placeholders (stage: Load).
-    let load_block = run.stage(Stage::Load);
+    let load_block = ctx.stage(Stage::Load);
     install_runtime(&mut prog);
     prog.add_bss("__plx_scratch", 4096);
     for (f, gen) in &gens {
@@ -740,10 +723,10 @@ fn run_pipeline(
 
     // 4. Fixpoint pass 1: discover chain sizes (stages: Link,
     // GadgetScan, Map, ChainCompile).
-    let img1 = run.timed(Stage::Link, || prog.link())?;
-    let (map1, memo1) = scan_gadgets(&img1, run, jobs, None)?;
+    let img1 = ctx.timed(Stage::Link, || prog.link())?;
+    let (map1, memo1) = scan_gadgets(&img1, ctx, jobs, None)?;
     let ranges1 = target_ranges(&img1, &targets);
-    let chain1_block = run.stage(Stage::ChainCompile);
+    let chain1_block = ctx.stage(Stage::ChainCompile);
     let scratch1 = symbol_vaddr(&img1, "__plx_scratch")?;
     let guards1 = guard_addrs(&img1, &map1, &cfg.guard_funcs);
     let mut sizes = Vec::new();
@@ -761,7 +744,7 @@ fn run_pipeline(
     drop(chain1_block);
 
     // Size the per-chain data objects (stage: Map).
-    let map_block = run.stage(Stage::Map);
+    let map_block = ctx.stage(Stage::Map);
     for ((f, _gen), words) in gens.iter().zip(&sizes) {
         let bytes = words * 4;
         match &cfg.mode {
@@ -786,11 +769,11 @@ fn run_pipeline(
     // 5. Fixpoint pass 2: final layout; recompile, serialize, install.
     // Only data sizes changed, so the text differs from pass 1's in its
     // relocated fields: the scan rescans incrementally from pass 1's memo.
-    let img2 = run.timed(Stage::Link, || prog.link())?;
-    let (map2, _) = scan_gadgets(&img2, run, jobs, memo1)?;
+    let img2 = ctx.timed(Stage::Link, || prog.link())?;
+    let (map2, _) = scan_gadgets(&img2, ctx, jobs, memo1)?;
     let ranges2 = target_ranges(&img2, &targets);
     let range_index = RangeSet::new(&ranges2);
-    let chain2_block = run.stage(Stage::ChainCompile);
+    let chain2_block = ctx.stage(Stage::ChainCompile);
     let scratch2 = symbol_vaddr(&img2, "__plx_scratch")?;
     let guards2 = guard_addrs(&img2, &map2, &cfg.guard_funcs);
     let nvariants = cfg.mode.variant_count();
@@ -911,7 +894,7 @@ fn run_pipeline(
 
     // The final fill writes data only. `map2` and the self-check below
     // describe pass 2's text, so they hold only if the text is untouched.
-    let image = run.timed(Stage::Link, || prog.link())?;
+    let image = ctx.timed(Stage::Link, || prog.link())?;
     if image.text != img2.text {
         return Err(ProtectError::new(Stage::Link, ErrorKind::TextChanged));
     }
@@ -923,7 +906,7 @@ fn run_pipeline(
     let mut gadget_vaddrs: Vec<u32> = map2.gadgets().iter().map(|g| g.vaddr).collect();
     gadget_vaddrs.sort_unstable();
     gadget_vaddrs.dedup();
-    run.timed(Stage::Verify, || {
+    ctx.timed(Stage::Verify, || {
         verify_image_strict(&image, &gadget_vaddrs)
     })
     .map_err(|e| ProtectError::new(Stage::Verify, ErrorKind::Verify(e)))?;
@@ -951,31 +934,11 @@ impl FuncRewriteCache for FuncStore<'_> {
     }
 }
 
-/// An in-flight pipeline stage block: a `stage` span on the tracer
-/// while it runs, one stage-log entry when it drops — including on
-/// early (`?`) exits, so every span is closed.
-struct StageBlock<'r> {
-    log: &'r RefCell<Vec<(Stage, Duration)>>,
-    stage: Stage,
-    t0: Instant,
-    _span: Option<SpanGuard<'r>>,
-}
-
-impl Drop for StageBlock<'_> {
-    fn drop(&mut self) {
-        self.log.borrow_mut().push((self.stage, self.t0.elapsed()));
-    }
-}
-
-impl Run<'_> {
-    fn stage(&self, stage: Stage) -> StageBlock<'_> {
-        let span = self.ctx.tracer.map(|t| t.span(&stage.to_string(), "stage"));
-        StageBlock {
-            log: &self.log,
-            stage,
-            t0: Instant::now(),
-            _span: span,
-        }
+impl<'a> Ctx<'a> {
+    /// Opens one pipeline stage block: a `stage` span on the tracer,
+    /// closed when the guard drops — including on early (`?`) exits.
+    fn stage(&self, stage: Stage) -> Option<SpanGuard<'a>> {
+        self.tracer.map(|t| t.span(&stage.to_string(), "stage"))
     }
 
     /// Runs `f` as one stage block.
@@ -994,12 +957,11 @@ impl Run<'_> {
 /// own; a cached one returns none.
 fn scan_gadgets(
     img: &LinkedImage,
-    run: &Run<'_>,
+    ctx: &Ctx<'_>,
     jobs: usize,
     prev: Option<PassMemo>,
 ) -> Result<(GadgetMap, Option<PassMemo>), ProtectError> {
-    let ctx = &run.ctx;
-    let block = run.stage(Stage::GadgetScan);
+    let block = ctx.stage(Stage::GadgetScan);
     let mut memo = None;
     let gadgets = if ctx.faults.empties_gadget_scan() {
         Vec::new()

@@ -4,7 +4,7 @@
 
 use parallax_compiler::ir::build::*;
 use parallax_compiler::{Function, Module};
-use parallax_core::{protect_traced, ProtectConfig};
+use parallax_core::{protect_traced, ProtectConfig, Stage};
 use parallax_trace::{chrome_json, ArgValue, Event, TraceFile, Tracer};
 
 fn sample_module() -> Module {
@@ -20,7 +20,7 @@ fn sample_module() -> Module {
 }
 
 #[test]
-fn traced_protect_emits_all_seven_stages() {
+fn traced_protect_emits_all_eight_stages() {
     let tracer = Tracer::new();
     let cfg = ProtectConfig {
         verify_funcs: vec!["vf".into()],
@@ -37,17 +37,9 @@ fn traced_protect_emits_all_seven_stages() {
             _ => None,
         })
         .collect();
-    for stage in [
-        "select",
-        "load",
-        "rewrite",
-        "gadget-scan",
-        "chain-compile",
-        "map",
-        "link",
-    ] {
+    for stage in Stage::ALL.map(|s| s.to_string()) {
         assert!(
-            span_names.contains(&stage),
+            span_names.contains(&stage.as_str()),
             "missing stage span {stage:?} in {span_names:?}"
         );
     }

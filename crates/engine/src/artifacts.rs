@@ -255,7 +255,6 @@ mod tests {
             }],
             gadget_count: 77,
             degradations: Vec::new(),
-            stage_log: Vec::new(),
         };
         let bytes = encode_protected(b"IMAGEBYTES", &report);
         let a = decode_protected(&bytes).unwrap();

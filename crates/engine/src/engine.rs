@@ -435,19 +435,11 @@ impl Engine {
                     faults: &job.plan,
                 };
                 let run = protect_with(prog, &verify_impls, &cfg, &ctx);
-                // Stage times and fallbacks come back with the run,
-                // failed or not.
-                let (stage_log, degradations) = match &run {
-                    Ok(p) => (&p.report.stage_log[..], &p.report.degradations[..]),
-                    Err(e) => (&e.stage_log[..], &e.degradations[..]),
+                // Fallbacks come back with the run, failed or not.
+                let degradations = match &run {
+                    Ok(p) => &p.report.degradations[..],
+                    Err(e) => &e.degradations[..],
                 };
-                for &(stage, elapsed) in stage_log {
-                    sink.emit(&EngineEvent::StageCompleted {
-                        job: idx,
-                        stage,
-                        micros: elapsed.as_micros() as u64,
-                    });
-                }
                 for d in degradations {
                     sink.emit(&EngineEvent::Degraded {
                         job: idx,

@@ -1,7 +1,9 @@
 //! The engine's structured event stream.
 //!
-//! Every observable engine action — job lifecycle, pipeline stage
-//! completions, cache traffic, degradations — is an [`EngineEvent`].
+//! Every observable engine action — job lifecycle, cache traffic,
+//! degradations, drain-time shedding — is an [`EngineEvent`]. Stage
+//! wall time is not an event: the pipeline records it once, as the
+//! tracer's `stage` spans.
 //! Events flow through one [`EventSink`] shared by all workers: the
 //! sink updates the live metrics, optionally appends the event as a
 //! line of JSON (`--log-json`, hand-rolled writer in the style of
@@ -15,7 +17,8 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
-use parallax_core::{Stage, Verdict};
+use parallax_core::Verdict;
+use parallax_trace::esc_json;
 
 use crate::cache::ArtifactKind;
 use crate::metrics::Metrics;
@@ -85,16 +88,6 @@ pub enum EngineEvent {
         /// Worker index executing the job.
         worker: usize,
     },
-    /// A pipeline stage block finished (repeats across fixpoint passes
-    /// and degradation retries).
-    StageCompleted {
-        /// Job index.
-        job: usize,
-        /// The pipeline stage.
-        stage: Stage,
-        /// Wall time of the block in microseconds.
-        micros: u64,
-    },
     /// An artifact was served from the cache.
     CacheHit {
         /// Job index.
@@ -128,26 +121,12 @@ pub enum EngineEvent {
         /// Whether the retry force-appended the standard gadget set.
         stdset_forced: bool,
     },
-    /// An admission-controlled job was accepted into the bounded queue.
-    JobAdmitted {
-        /// Job index (service request id for `plx serve`).
-        job: usize,
-        /// Queue depth immediately after admission.
-        depth: usize,
-    },
-    /// An admission-controlled job was refused (load shedding).
+    /// A cancelled batch refused a job it had not started yet.
     JobShed {
-        /// Job index (service request id for `plx serve`).
+        /// Job index.
         job: usize,
         /// Why the job was refused.
         reason: ShedReason,
-    },
-    /// A queue-depth sample (taken on admit and on dequeue).
-    QueueDepth {
-        /// Job index that triggered the sample.
-        job: usize,
-        /// Jobs waiting in the admission queue.
-        depth: usize,
     },
     /// The job finished (successfully or not).
     JobFinished {
@@ -168,38 +147,17 @@ pub enum EngineEvent {
     },
 }
 
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl EngineEvent {
     /// The job index the event belongs to.
     pub fn job(&self) -> usize {
         match self {
             EngineEvent::JobQueued { job, .. }
             | EngineEvent::JobStarted { job, .. }
-            | EngineEvent::StageCompleted { job, .. }
             | EngineEvent::CacheHit { job, .. }
             | EngineEvent::CacheMiss { job, .. }
             | EngineEvent::CachePoisoned { job, .. }
             | EngineEvent::Degraded { job, .. }
-            | EngineEvent::JobAdmitted { job, .. }
             | EngineEvent::JobShed { job, .. }
-            | EngineEvent::QueueDepth { job, .. }
             | EngineEvent::JobFinished { job, .. } => *job,
         }
     }
@@ -210,14 +168,11 @@ impl EngineEvent {
         match self {
             EngineEvent::JobQueued { .. } => "job_queued",
             EngineEvent::JobStarted { .. } => "job_started",
-            EngineEvent::StageCompleted { .. } => "stage_completed",
             EngineEvent::CacheHit { .. } => "cache_hit",
             EngineEvent::CacheMiss { .. } => "cache_miss",
             EngineEvent::CachePoisoned { .. } => "cache_poisoned",
             EngineEvent::Degraded { .. } => "degraded",
-            EngineEvent::JobAdmitted { .. } => "job_admitted",
             EngineEvent::JobShed { .. } => "job_shed",
-            EngineEvent::QueueDepth { .. } => "queue_depth",
             EngineEvent::JobFinished { .. } => "job_finished",
         }
     }
@@ -226,8 +181,9 @@ impl EngineEvent {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(96);
         let field_str = |s: &mut String, k: &str, v: &str| {
-            let _ = write!(s, ",\"{k}\":");
-            esc(v, s);
+            let _ = write!(s, ",\"{k}\":\"");
+            esc_json(v, s);
+            s.push('"');
         };
         match self {
             EngineEvent::JobQueued { job, name } => {
@@ -238,12 +194,6 @@ impl EngineEvent {
                 let _ = write!(s, "{{\"event\":\"job_started\",\"job\":{job}");
                 field_str(&mut s, "name", name);
                 let _ = write!(s, ",\"worker\":{worker}");
-            }
-            EngineEvent::StageCompleted { job, stage, micros } => {
-                let _ = write!(
-                    s,
-                    "{{\"event\":\"stage_completed\",\"job\":{job},\"stage\":\"{stage}\",\"micros\":{micros}"
-                );
             }
             EngineEvent::CacheHit { job, kind } => {
                 let _ = write!(
@@ -274,22 +224,10 @@ impl EngineEvent {
                 field_str(&mut s, "missing", missing);
                 let _ = write!(s, ",\"stdset_forced\":{stdset_forced}");
             }
-            EngineEvent::JobAdmitted { job, depth } => {
-                let _ = write!(
-                    s,
-                    "{{\"event\":\"job_admitted\",\"job\":{job},\"depth\":{depth}"
-                );
-            }
             EngineEvent::JobShed { job, reason } => {
                 let _ = write!(
                     s,
                     "{{\"event\":\"job_shed\",\"job\":{job},\"reason\":\"{reason}\""
-                );
-            }
-            EngineEvent::QueueDepth { job, depth } => {
-                let _ = write!(
-                    s,
-                    "{{\"event\":\"queue_depth\",\"job\":{job},\"depth\":{depth}"
                 );
             }
             EngineEvent::JobFinished {
@@ -398,16 +336,6 @@ mod tests {
         assert!(line.contains("\"verdict\":\"clean\""), "{line}");
         assert!(line.contains("\"error\":null"), "{line}");
         assert!(!line.contains('\n'));
-
-        let ev = EngineEvent::StageCompleted {
-            job: 0,
-            stage: Stage::GadgetScan,
-            micros: 7,
-        };
-        assert_eq!(
-            ev.to_json(),
-            "{\"event\":\"stage_completed\",\"job\":0,\"stage\":\"gadget-scan\",\"micros\":7}"
-        );
     }
 
     #[test]
@@ -448,11 +376,6 @@ mod tests {
                 name: "a".into(),
                 worker: 0,
             },
-            EngineEvent::StageCompleted {
-                job: 0,
-                stage: Stage::Select,
-                micros: 0,
-            },
             EngineEvent::CacheHit {
                 job: 0,
                 kind: ArtifactKind::Scan,
@@ -471,12 +394,10 @@ mod tests {
                 missing: "m".into(),
                 stdset_forced: false,
             },
-            EngineEvent::JobAdmitted { job: 0, depth: 1 },
             EngineEvent::JobShed {
                 job: 0,
                 reason: ShedReason::QueueFull,
             },
-            EngineEvent::QueueDepth { job: 0, depth: 3 },
             EngineEvent::JobFinished {
                 job: 0,
                 name: "a".into(),

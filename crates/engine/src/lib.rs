@@ -17,10 +17,12 @@
 //!   are re-verified against their hash on every fetch, so a corrupted
 //!   ("poisoned") entry is detected, evicted, and recomputed — never
 //!   silently used.
-//! * Every step streams through an [`EngineEvent`] bus: live progress
-//!   for `plx batch`, newline-delimited JSON under `--log-json`, and a
-//!   [`MetricsSnapshot`] (per-stage wall time, cache hit rate,
-//!   jobs/sec, VM validation cycles) at the end.
+//! * Every job step streams through an [`EngineEvent`] bus: live
+//!   progress for `plx batch`, newline-delimited JSON under
+//!   `--log-json`, and a [`MetricsSnapshot`] (jobs/sec, cache hit
+//!   rate, VM validation cycles, degradations) at the end. Stage wall
+//!   time is not an event: the pipeline records it once, as `stage`
+//!   spans on [`EngineOptions::trace`].
 //!
 //! Determinism is the load-bearing property: a job's output depends
 //! only on its inputs, never on worker count or scheduling, so a batch
@@ -44,7 +46,7 @@ pub use engine::{BatchReport, CacheHooks, Engine, EngineOptions, Job, JobResult,
 pub use events::{EngineEvent, EventSink, ShedReason};
 pub use hash::{hash128, hash128_pair};
 pub use manifest::{chain_mode_for, parse_manifest, ALL_MODES};
-pub use metrics::{Metrics, MetricsSnapshot, StageTime, ALL_STAGES};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use provenance::{
     toolchain_id, Digests, Ledger, ProvenanceRecord, StageDigest, RECORD_VERSION,
 };

@@ -3,42 +3,16 @@
 //! [`Metrics`] is the always-on accumulator inside the event sink:
 //! plain atomic counters, safe to bump from every worker thread
 //! without serializing them. [`MetricsSnapshot`] is the frozen
-//! end-of-batch view — stage wall times, throughput, cache hit rate,
-//! VM cycles — rendered by `plx batch` and the throughput bench.
+//! end-of-batch view — jobs, throughput, cache hit rate, VM cycles —
+//! rendered by `plx batch`, `plx serve` and the throughput bench.
+//! Stage wall time is not kept here: it lives only in the tracer's
+//! `stage` spans (`--trace-out`, then `plx report`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use parallax_core::Stage;
-
 use crate::cache::CacheStats;
 use crate::events::EngineEvent;
-
-/// Every pipeline stage, in execution order. Indexes the per-stage
-/// counters and fixes the rendering order of snapshots.
-pub const ALL_STAGES: [Stage; 8] = [
-    Stage::Select,
-    Stage::Load,
-    Stage::Rewrite,
-    Stage::GadgetScan,
-    Stage::ChainCompile,
-    Stage::Map,
-    Stage::Link,
-    Stage::Verify,
-];
-
-fn stage_index(stage: Stage) -> usize {
-    match stage {
-        Stage::Select => 0,
-        Stage::Load => 1,
-        Stage::Rewrite => 2,
-        Stage::GadgetScan => 3,
-        Stage::ChainCompile => 4,
-        Stage::Map => 5,
-        Stage::Link => 6,
-        Stage::Verify => 7,
-    }
-}
 
 /// Thread-safe metric accumulator fed by [`EngineEvent`]s.
 #[derive(Default)]
@@ -48,36 +22,18 @@ pub struct Metrics {
     cached_results: AtomicU64,
     vm_cycles: AtomicU64,
     degradations: AtomicU64,
-    admitted: AtomicU64,
     shed: AtomicU64,
-    queue_depth_max: AtomicU64,
-    stage_micros: [AtomicU64; 8],
-    stage_calls: [AtomicU64; 8],
 }
 
 impl Metrics {
     /// Folds one event into the counters.
     pub fn absorb(&self, ev: &EngineEvent) {
         match ev {
-            EngineEvent::StageCompleted { stage, micros, .. } => {
-                let i = stage_index(*stage);
-                self.stage_micros[i].fetch_add(*micros, Ordering::Relaxed);
-                self.stage_calls[i].fetch_add(1, Ordering::Relaxed);
-            }
             EngineEvent::Degraded { .. } => {
                 self.degradations.fetch_add(1, Ordering::Relaxed);
             }
-            EngineEvent::JobAdmitted { depth, .. } => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                self.queue_depth_max
-                    .fetch_max(*depth as u64, Ordering::Relaxed);
-            }
             EngineEvent::JobShed { .. } => {
                 self.shed.fetch_add(1, Ordering::Relaxed);
-            }
-            EngineEvent::QueueDepth { depth, .. } => {
-                self.queue_depth_max
-                    .fetch_max(*depth as u64, Ordering::Relaxed);
             }
             EngineEvent::JobFinished {
                 cached,
@@ -108,42 +64,18 @@ impl Metrics {
         } else {
             jobs as f64 * 1_000_000.0 / wall_micros as f64
         };
-        let stage_micros = ALL_STAGES
-            .iter()
-            .enumerate()
-            .map(|(i, &stage)| StageTime {
-                stage,
-                micros: self.stage_micros[i].load(Ordering::Relaxed),
-                calls: self.stage_calls[i].load(Ordering::Relaxed),
-            })
-            .collect();
         MetricsSnapshot {
             jobs,
             failed: self.failed.load(Ordering::Relaxed),
             cached_results: self.cached_results.load(Ordering::Relaxed),
             wall_micros,
             jobs_per_sec,
-            stage_micros,
             cache,
             vm_cycles: self.vm_cycles.load(Ordering::Relaxed),
             degradations: self.degradations.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Cumulative wall time of one pipeline stage across the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageTime {
-    /// The stage.
-    pub stage: Stage,
-    /// Total microseconds spent in it, summed over all workers (can
-    /// exceed batch wall time when workers overlap).
-    pub micros: u64,
-    /// How many timed blocks completed.
-    pub calls: u64,
 }
 
 /// Frozen end-of-batch metrics.
@@ -159,35 +91,18 @@ pub struct MetricsSnapshot {
     pub wall_micros: u64,
     /// Throughput over the batch wall time.
     pub jobs_per_sec: f64,
-    /// Per-stage cumulative wall time, in [`ALL_STAGES`] order.
-    pub stage_micros: Vec<StageTime>,
     /// Artifact-cache counters.
     pub cache: CacheStats,
     /// VM cycles spent validating protected images.
     pub vm_cycles: u64,
     /// Degradation-ladder fallbacks taken across the batch.
     pub degradations: u64,
-    /// Jobs accepted through admission control (0 for plain batches,
-    /// which bypass admission entirely).
-    pub admitted: u64,
-    /// Jobs refused by admission control (load shedding / drain).
+    /// Jobs a cancelled batch shed before they started (the drain of
+    /// [`crate::Engine::run_with_cancel`]).
     pub shed: u64,
-    /// High-water mark of the admission queue depth.
-    pub queue_depth_max: u64,
 }
 
 impl MetricsSnapshot {
-    /// Fraction of admission-controlled submissions that were shed
-    /// (0.0 when nothing went through admission).
-    pub fn shed_rate(&self) -> f64 {
-        let total = self.admitted + self.shed;
-        if total == 0 {
-            0.0
-        } else {
-            self.shed as f64 / total as f64
-        }
-    }
-
     /// Renders the snapshot as an aligned text block for terminals.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -214,24 +129,8 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(out, "vm cycles   {}", self.vm_cycles);
         let _ = writeln!(out, "degraded    {}", self.degradations);
-        if self.admitted + self.shed > 0 {
-            let _ = writeln!(
-                out,
-                "admission   {} admitted / {} shed (shed rate {:.1}%, queue depth max {})",
-                self.admitted,
-                self.shed,
-                self.shed_rate() * 100.0,
-                self.queue_depth_max
-            );
-        }
-        for st in &self.stage_micros {
-            let _ = writeln!(
-                out,
-                "  {:<14} {:>10.3} ms  ({} blocks)",
-                st.stage.to_string(),
-                st.micros as f64 / 1e3,
-                st.calls
-            );
+        if self.shed > 0 {
+            let _ = writeln!(out, "shed        {}", self.shed);
         }
         out
     }
@@ -244,16 +143,6 @@ mod tests {
     #[test]
     fn absorb_counts_events() {
         let m = Metrics::default();
-        m.absorb(&EngineEvent::StageCompleted {
-            job: 0,
-            stage: Stage::GadgetScan,
-            micros: 500,
-        });
-        m.absorb(&EngineEvent::StageCompleted {
-            job: 1,
-            stage: Stage::GadgetScan,
-            micros: 700,
-        });
         m.absorb(&EngineEvent::Degraded {
             job: 0,
             func: "vf".into(),
@@ -285,41 +174,28 @@ mod tests {
         assert_eq!(snap.vm_cycles, 42);
         assert_eq!(snap.degradations, 1);
         assert!((snap.jobs_per_sec - 1.0).abs() < 1e-9);
-        let scan = snap.stage_micros[3];
-        assert_eq!(scan.stage, Stage::GadgetScan);
-        assert_eq!(scan.micros, 1200);
-        assert_eq!(scan.calls, 2);
         assert!(!snap.render().is_empty());
     }
 
     #[test]
-    fn admission_events_feed_shed_rate_and_watermark() {
+    fn drained_jobs_render_one_shed_line() {
         use crate::events::ShedReason;
         let m = Metrics::default();
-        m.absorb(&EngineEvent::JobAdmitted { job: 0, depth: 2 });
-        m.absorb(&EngineEvent::JobAdmitted { job: 1, depth: 5 });
-        m.absorb(&EngineEvent::QueueDepth { job: 1, depth: 3 });
-        m.absorb(&EngineEvent::JobShed {
-            job: 2,
-            reason: ShedReason::QueueFull,
-        });
-        m.absorb(&EngineEvent::JobShed {
-            job: 3,
-            reason: ShedReason::Shutdown,
-        });
+        for job in 0..2 {
+            m.absorb(&EngineEvent::JobShed {
+                job,
+                reason: ShedReason::Shutdown,
+            });
+        }
         let snap = m.snapshot(Duration::from_secs(1), CacheStats::default());
-        assert_eq!(snap.admitted, 2);
         assert_eq!(snap.shed, 2);
-        assert_eq!(snap.queue_depth_max, 5);
-        assert!((snap.shed_rate() - 0.5).abs() < 1e-9);
-        assert!(snap.render().contains("admission   2 admitted / 2 shed"));
+        let rendered = snap.render();
+        assert_eq!(rendered.matches("shed").count(), 1, "{rendered}");
+        assert!(rendered.contains("shed        2\n"), "{rendered}");
 
-        // Plain batches never see admission events: the line is absent
-        // and the rate stays a finite zero.
-        let plain = Metrics::default();
-        let snap = plain.snapshot(Duration::from_secs(1), CacheStats::default());
-        assert_eq!(snap.shed_rate(), 0.0);
-        assert!(!snap.render().contains("admission"));
+        // A batch that drained nothing prints no shed line.
+        let plain = Metrics::default().snapshot(Duration::from_secs(1), CacheStats::default());
+        assert!(!plain.render().contains("shed"));
     }
 
     #[test]
@@ -338,7 +214,6 @@ mod tests {
         assert!(rendered.contains("jobs        0"), "{rendered}");
         assert!(!rendered.contains("NaN"), "{rendered}");
         assert!(!rendered.contains("inf"), "{rendered}");
-        assert_eq!(snap.stage_micros.len(), ALL_STAGES.len());
     }
 
     #[test]

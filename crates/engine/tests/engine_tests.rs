@@ -249,6 +249,37 @@ fn traced_batch_lands_jobs_stages_and_events_on_one_timeline() {
     }
     assert!(snap.hists.contains_key("vm.validate.cycles"));
     assert_eq!(snap.hists["vm.validate.cycles"].count, 2);
+
+    // Each stage block is recorded once, as its `stage` span: no
+    // instant repeats it. An undegraded protect runs 13 blocks (link
+    // three times, load, scan and chain-compile twice, the rest once).
+    assert!(
+        !instant_names.contains(&"stage_completed"),
+        "stage blocks recorded twice: {instant_names:?}"
+    );
+    assert!(report.results.iter().all(|r| r.degradations == 0));
+    let stage_spans: Vec<&str> = snap
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            parallax_trace::Event::Span { name, cat, .. } if *cat == "stage" => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    for (stage, per_job) in [
+        ("select", 1),
+        ("load", 2),
+        ("rewrite", 1),
+        ("gadget-scan", 2),
+        ("chain-compile", 2),
+        ("map", 1),
+        ("link", 3),
+        ("verify", 1),
+    ] {
+        let n = stage_spans.iter().filter(|&&s| s == stage).count();
+        assert_eq!(n, 2 * per_job, "{stage} spans: {stage_spans:?}");
+    }
+    assert_eq!(stage_spans.len(), 2 * 13, "{stage_spans:?}");
 }
 
 #[test]
@@ -272,7 +303,8 @@ fn ndjson_log_is_written() {
         );
     }
     assert!(lines.iter().any(|l| l.contains("\"job_finished\"")));
-    assert!(lines.iter().any(|l| l.contains("\"stage_completed\"")));
+    // Stage time is the tracer's alone; the event log carries none.
+    assert!(!lines.iter().any(|l| l.contains("\"stage_completed\"")));
     let _ = std::fs::remove_file(&log);
 }
 

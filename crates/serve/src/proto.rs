@@ -189,7 +189,8 @@ pub enum Response {
         shed: u64,
         /// Current admission-queue depth.
         queue_depth: u32,
-        /// Rendered `MetricsSnapshot` text block.
+        /// Rendered `MetricsSnapshot` text block followed by the
+        /// service report.
         text: String,
     },
     /// The rendered service report.

@@ -33,9 +33,7 @@ use parallax_compiler::parse_module;
 use parallax_core::{
     load_verified_image, load_verified_image_strict, FaultPlan, ProtectConfig, Verdict,
 };
-use parallax_engine::{
-    chain_mode_for, Engine, EngineEvent, EngineOptions, Job, JobSource, Metrics, ShedReason,
-};
+use parallax_engine::{chain_mode_for, Engine, EngineOptions, Job, JobSource, Metrics, ShedReason};
 use parallax_trace::Tracer;
 
 use crate::admission::AdmissionQueue;
@@ -96,13 +94,13 @@ impl Default for ServeOptions {
 pub struct ServeSummary {
     /// Total requests decoded, by any kind.
     pub requests: u64,
-    /// Jobs admitted through the queue.
+    /// Jobs admitted through the queue (the tracer's `serve.admitted`).
     pub admitted: u64,
-    /// Jobs shed.
+    /// Jobs shed (the sum of the tracer's `serve.shed.<reason>`).
     pub shed: u64,
     /// Daemon uptime.
     pub uptime: Duration,
-    /// Rendered final metrics snapshot.
+    /// The final engine metrics block followed by the service report.
     pub metrics_text: String,
 }
 
@@ -167,35 +165,40 @@ struct Shared {
 }
 
 impl Shared {
-    /// Publishes an admission-control event to the long-lived metrics
-    /// and the `serve.*` counter namespace.
-    fn admission_event(&self, ev: &EngineEvent) {
-        self.metrics.absorb(ev);
-        match ev {
-            EngineEvent::JobAdmitted { depth, .. } => {
-                self.tracer.count("serve.admitted", 1);
-                self.tracer.record("serve.queue.depth", *depth as u64);
-            }
-            EngineEvent::JobShed { reason, .. } => {
-                self.tracer.count(&format!("serve.shed.{reason}"), 1);
-            }
-            EngineEvent::QueueDepth { depth, .. } => {
-                self.tracer.record("serve.queue.depth", *depth as u64);
-            }
-            _ => {}
-        }
+    /// Counts one refused job in the `serve.shed.<reason>` namespace.
+    fn count_shed(&self, reason: ShedReason) {
+        self.tracer.count(&format!("serve.shed.{reason}"), 1);
+    }
+
+    /// Jobs admitted and jobs shed so far, from the tracer's
+    /// `serve.admitted` and `serve.shed.<reason>` counters.
+    fn admission_totals(&self) -> (u64, u64) {
+        let shed = ShedReason::ALL
+            .iter()
+            .map(|r| self.tracer.counter(&format!("serve.shed.{r}")))
+            .sum();
+        (self.tracer.counter("serve.admitted"), shed)
+    }
+
+    /// The engine's metrics block followed by the service block.
+    fn metrics_text(&self) -> String {
+        let mut text = self
+            .metrics
+            .snapshot(self.started.elapsed(), self.engine.cache().stats())
+            .render();
+        text.push('\n');
+        text.push_str(&render_service_report(&self.tracer));
+        text
     }
 
     fn status_response(&self) -> Response {
-        let snap = self
-            .metrics
-            .snapshot(self.started.elapsed(), self.engine.cache().stats());
+        let (admitted, shed) = self.admission_totals();
         Response::Status {
             uptime_us: self.started.elapsed().as_micros() as u64,
-            admitted: snap.admitted,
-            shed: snap.shed,
+            admitted,
+            shed,
             queue_depth: self.queue.depth() as u32,
-            text: snap.render(),
+            text: self.metrics_text(),
         }
     }
 
@@ -475,26 +478,22 @@ impl Server {
             std::thread::sleep(Duration::from_millis(5));
         }
 
-        let snap = self.shared.metrics.snapshot(
-            self.shared.started.elapsed(),
-            self.shared.engine.cache().stats(),
-        );
+        let (admitted, shed) = self.shared.admission_totals();
         Ok(ServeSummary {
             requests: self.shared.requests.load(Ordering::SeqCst),
-            admitted: snap.admitted,
-            shed: snap.shed,
+            admitted,
+            shed,
             uptime: self.shared.started.elapsed(),
-            metrics_text: snap.render(),
+            metrics_text: self.shared.metrics_text(),
         })
     }
 }
 
 fn worker_loop(shared: &Shared) {
     while let Some(item) = shared.queue.pop() {
-        shared.admission_event(&EngineEvent::QueueDepth {
-            job: item.id as usize,
-            depth: shared.queue.depth(),
-        });
+        shared
+            .tracer
+            .record("serve.queue.depth", shared.queue.depth() as u64);
         let kind = item.request.kind();
         let t0 = Instant::now();
         // A panicking job must not kill the worker or strand the
@@ -710,10 +709,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
                 let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                 let payload = job_payload_len(&request);
                 if payload > shared.opts.max_job_bytes {
-                    shared.admission_event(&EngineEvent::JobShed {
-                        job: id as usize,
-                        reason: ShedReason::Oversize,
-                    });
+                    shared.count_shed(ShedReason::Oversize);
                     let detail = format!(
                         "job payload {payload} bytes exceeds cap {}",
                         shared.opts.max_job_bytes
@@ -732,17 +728,12 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
                     };
                     match shared.queue.submit(item) {
                         Ok(depth) => {
-                            shared.admission_event(&EngineEvent::JobAdmitted {
-                                job: id as usize,
-                                depth,
-                            });
+                            shared.tracer.count("serve.admitted", 1);
+                            shared.tracer.record("serve.queue.depth", depth as u64);
                             slot.wait()
                         }
                         Err((item, refusal)) => {
-                            shared.admission_event(&EngineEvent::JobShed {
-                                job: id as usize,
-                                reason: refusal.reason,
-                            });
+                            shared.count_shed(refusal.reason);
                             shared.flight_shed(id, item.request.kind(), &refusal.to_string());
                             Response::Refused {
                                 reason: refusal.reason,

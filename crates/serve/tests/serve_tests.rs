@@ -163,11 +163,14 @@ fn overload_sheds_typed_and_never_drops_admitted_jobs() {
     // One worker, a one-slot queue, and a burst of concurrent distinct
     // requests: most must be shed as QueueFull, and every response is
     // either Protected or Refused — an admitted job is never dropped.
-    let (handle, addr, t) = spawn(ServeOptions {
+    let server = Server::bind(ServeOptions {
         workers: 1,
         queue_capacity: 1,
         ..ServeOptions::default()
-    });
+    })
+    .expect("bind loopback");
+    let (addr, handle, tracer) = (server.local_addr(), server.handle(), server.tracer());
+    let t = std::thread::spawn(move || server.run().expect("server runs"));
     const BURST: u64 = 16;
     let protected = Arc::new(AtomicU64::new(0));
     let refused = Arc::new(AtomicU64::new(0));
@@ -199,12 +202,39 @@ fn overload_sheds_typed_and_never_drops_admitted_jobs() {
     assert!(refused > 0, "saturation must shed");
     assert!(protected > 0, "admitted work must complete");
 
+    // Admission is counted once, on the daemon's tracer: Status and the
+    // summary read `serve.admitted` and the `serve.shed.*` counters, and
+    // their text renders the admission line once.
+    let shed_on_tracer = || -> u64 {
+        ShedReason::ALL
+            .iter()
+            .map(|r| tracer.counter(&format!("serve.shed.{r}")))
+            .sum()
+    };
+    match client(addr).call(&Request::Status).expect("status") {
+        Response::Status {
+            admitted,
+            shed,
+            text,
+            ..
+        } => {
+            assert_eq!(admitted, tracer.counter("serve.admitted"));
+            assert_eq!(shed, shed_on_tracer());
+            assert_eq!(text.matches("admission").count(), 1, "{text}");
+        }
+        other => panic!("expected Status, got {other:?}"),
+    }
+
     handle.shutdown();
     let summary = t.join().expect("no panic");
     // Zero accepted-then-dropped: everything admitted was answered
     // with a Protected response.
     assert_eq!(summary.admitted, protected);
     assert_eq!(summary.shed, refused);
+    assert_eq!(summary.admitted, tracer.counter("serve.admitted"));
+    assert_eq!(summary.shed, shed_on_tracer());
+    let text = &summary.metrics_text;
+    assert_eq!(text.matches("admission").count(), 1, "{text}");
 }
 
 #[test]

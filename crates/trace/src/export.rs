@@ -1,4 +1,5 @@
-//! Exporters: Chrome trace-event JSON and NDJSON.
+//! Exporter: Chrome trace-event JSON, and the workspace's one JSON
+//! string escaper.
 //!
 //! The Chrome format is the interchange format — `chrome://tracing`
 //! and Perfetto load it directly, and [`crate::read`] parses it back
@@ -10,7 +11,8 @@
 
 use crate::tracer::{ArgValue, Event, TraceSnapshot};
 
-/// Appends `s` to `out` as the body of a JSON string literal.
+/// Appends `s` to `out` as the body of a JSON string literal. Every
+/// hand-rolled JSON writer in the workspace escapes through this.
 pub fn esc_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
@@ -157,77 +159,6 @@ pub fn chrome_json(snap: &TraceSnapshot) -> String {
     out
 }
 
-/// Renders a snapshot as newline-delimited JSON, one event per line,
-/// in the same style as the engine's `--log-json` output.
-pub fn ndjson(snap: &TraceSnapshot) -> String {
-    let mut out = String::with_capacity(4096);
-    for ev in &snap.events {
-        match ev {
-            Event::Span {
-                id,
-                parent,
-                name,
-                cat,
-                tid,
-                start_us,
-                dur_us,
-            } => {
-                out.push_str("{\"type\":\"span\",");
-                push_str_field(&mut out, "name", name);
-                out.push(',');
-                push_str_field(&mut out, "cat", cat);
-                out.push_str(&format!(
-                    ",\"tid\":{tid},\"ts_us\":{start_us},\"dur_us\":{dur_us},\"id\":{id}"
-                ));
-                if let Some(p) = parent {
-                    out.push_str(&format!(",\"parent\":{p}"));
-                }
-                out.push_str("}\n");
-            }
-            Event::Instant {
-                name,
-                cat,
-                tid,
-                ts_us,
-                args,
-            } => {
-                out.push_str("{\"type\":\"instant\",");
-                push_str_field(&mut out, "name", name);
-                out.push(',');
-                push_str_field(&mut out, "cat", cat);
-                out.push_str(&format!(",\"tid\":{tid},\"ts_us\":{ts_us},"));
-                push_args(&mut out, args);
-                out.push_str("}\n");
-            }
-        }
-    }
-    for (name, value) in &snap.counters {
-        out.push_str("{\"type\":\"counter\",");
-        push_str_field(&mut out, "name", name);
-        out.push_str(&format!(",\"value\":{value}}}\n"));
-    }
-    for (name, h) in &snap.hists {
-        out.push_str("{\"type\":\"hist\",");
-        push_str_field(&mut out, "name", name);
-        out.push_str(&format!(
-            ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":{{",
-            h.count, h.sum, h.min, h.max
-        ));
-        let mut first = true;
-        for (i, n) in h.buckets.iter().enumerate() {
-            if *n > 0 {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!("\"p2_{i}\":{n}"));
-            }
-        }
-        out.push_str("}}\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,25 +187,5 @@ mod tests {
         assert!(json.contains("\"hist.chain.words\""));
         assert!(json.contains("\"p2_5\":1")); // 17 is 5 bits
         assert!(json.contains("\"displayTimeUnit\":\"ms\""));
-    }
-
-    #[test]
-    fn ndjson_is_one_object_per_line() {
-        let t = Tracer::new();
-        {
-            let _g = t.span("load", "stage");
-        }
-        t.instant(
-            "gadget",
-            "vm",
-            vec![("vaddr".to_string(), crate::ArgValue::U64(0x1000))],
-        );
-        t.count("n", 1);
-        let nd = ndjson(&t.snapshot());
-        let lines: Vec<&str> = nd.lines().collect();
-        assert_eq!(lines.len(), 3);
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
     }
 }

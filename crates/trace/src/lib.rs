@@ -14,8 +14,7 @@
 //!   `Send + Sync`: one tracer collects a whole multi-worker batch
 //!   onto a single timeline, one lane per thread.
 //! * [`export`] renders a snapshot as Chrome trace-event JSON
-//!   (loadable in `chrome://tracing` / Perfetto) or as the workspace's
-//!   hand-rolled NDJSON style.
+//!   (loadable in `chrome://tracing` / Perfetto).
 //! * [`read`] parses a Chrome trace produced by [`export`] back into
 //!   structured records — `plx report --from`/`--diff` and the CI
 //!   `trace_check` binary are built on it — via the minimal JSON
@@ -33,6 +32,6 @@ pub mod read;
 pub mod tracer;
 
 pub use analyze::{analyze, Profile, SerialSpan, StageProfile};
-pub use export::{chrome_json, esc_json, ndjson};
+pub use export::{chrome_json, esc_json};
 pub use read::{HistRec, InstantRec, SpanRec, TraceFile};
 pub use tracer::{ArgValue, Event, Histogram, SpanGuard, SpanId, TraceSnapshot, Tracer};

@@ -945,13 +945,19 @@ pub fn cmd_batch(args: &Args) -> Result<String> {
         )
         .unwrap();
     }
+    // Stage wall time lives only in the trace's `stage` spans: a traced
+    // batch prints the report's stage table from the file it wrote.
+    let mut stage_table = String::new();
     if let (Some(path), Some(t)) = (trace_out, &tracer) {
-        std::fs::write(path, chrome_json(&t.snapshot()))
-            .map_err(|e| bail(format!("{path}: {e}")))?;
+        let json = chrome_json(&t.snapshot());
+        std::fs::write(path, &json).map_err(|e| bail(format!("{path}: {e}")))?;
         writeln!(msg, "  trace: {path}").unwrap();
+        let tf = TraceFile::parse(&json).map_err(|e| bail(format!("{path}: {e}")))?;
+        crate::report::stage_table(&mut stage_table, &tf);
     }
     msg.push('\n');
     msg.push_str(&report.metrics.render());
+    msg.push_str(&stage_table);
     if report.all_clean() {
         Ok(msg.trim_end().to_owned())
     } else {
@@ -1604,6 +1610,7 @@ mod batch_cmd_tests {
         )
         .unwrap();
         assert!(msg.contains("trace:"), "{msg}");
+        assert!(msg.contains("pipeline stages (wall time):"), "{msg}");
         let tf = parallax_trace::TraceFile::parse(&std::fs::read_to_string(&trace).unwrap())
             .expect("batch trace parses");
         let names: Vec<&str> = tf.spans.iter().map(|s| s.name.as_str()).collect();
@@ -1672,18 +1679,10 @@ mod report_cmd_tests {
         let tf = TraceFile::parse(&std::fs::read_to_string(&trace).unwrap())
             .expect("protect trace parses");
 
-        // All seven protect stages as spans nested under the root.
+        // All eight protect stages as spans nested under the root.
         let root = tf.spans_named("protect").next().expect("root span");
-        for stage in [
-            "select",
-            "load",
-            "rewrite",
-            "gadget-scan",
-            "chain-compile",
-            "map",
-            "link",
-        ] {
-            let span = tf.spans_named(stage).next().unwrap_or_else(|| {
+        for stage in parallax_core::Stage::ALL.map(|s| s.to_string()) {
+            let span = tf.spans_named(&stage).next().unwrap_or_else(|| {
                 panic!("missing {stage} span");
             });
             assert_eq!(span.cat, "stage", "{stage}");
@@ -1721,6 +1720,30 @@ mod report_cmd_tests {
             "overlapping gadget fraction",
         ] {
             assert!(msg.contains(needle), "missing {needle:?} in:\n{msg}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every stage the trace holds gets a row, `verify` included, in
+    /// the report and in its diff.
+    #[test]
+    fn report_has_a_row_for_every_stage_including_verify() {
+        let dir = tmp_dir("plx-cli-report-stage-rows");
+        let (_, trace) = protect_traced_corpus(&dir, "4");
+        let diff = dispatch("report", &["--diff".into(), trace.clone(), trace.clone()]).unwrap();
+        let report = dispatch("report", &[trace]).unwrap();
+        for stage in parallax_core::Stage::ALL {
+            let row = format!("  {:<14} ", stage.to_string());
+            assert!(
+                report
+                    .lines()
+                    .any(|l| l.starts_with(&row) && l.ends_with("blocks)")),
+                "no {stage} row in:\n{report}"
+            );
+            assert!(
+                diff.lines().any(|l| l.starts_with(&row)),
+                "no {stage} row in:\n{diff}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

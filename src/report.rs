@@ -13,18 +13,8 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use parallax_core::Stage;
 use parallax_trace::{Histogram, TraceFile};
-
-/// The seven pipeline stages in execution order, as span names.
-const STAGES: [&str; 7] = [
-    "select",
-    "load",
-    "rewrite",
-    "gadget-scan",
-    "chain-compile",
-    "map",
-    "link",
-];
 
 /// Per-function verification statistics pulled from `vf.*` counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,12 +92,16 @@ fn pct(num: u64, den: u64) -> f64 {
     }
 }
 
-fn stage_table(out: &mut String, tf: &TraceFile) {
-    if !STAGES.iter().any(|s| tf.spans_named(s).next().is_some()) {
+/// Appends the per-stage wall-time table (one row per [`Stage::ALL`]
+/// entry) when the trace holds any stage span; `plx batch
+/// --trace-out` prints it too.
+pub(crate) fn stage_table(out: &mut String, tf: &TraceFile) {
+    let names = Stage::ALL.map(|s| s.to_string());
+    if !names.iter().any(|s| tf.spans_named(s).next().is_some()) {
         return;
     }
     let _ = writeln!(out, "pipeline stages (wall time):");
-    for stage in STAGES {
+    for stage in &names {
         let blocks = tf.spans_named(stage).count() as u64;
         let _ = writeln!(
             out,
@@ -553,9 +547,9 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
         "  {:<14} {:>12} {:>12} {:>12}",
         "stage", "a", "b", "delta"
     );
-    for stage in STAGES {
-        let ta = a.total_dur_us(stage);
-        let tb = b.total_dur_us(stage);
+    for stage in Stage::ALL.map(|s| s.to_string()) {
+        let ta = a.total_dur_us(&stage);
+        let tb = b.total_dur_us(&stage);
         let _ = writeln!(
             out,
             "  {:<14} {:>9.3} ms {:>9.3} ms {:>12}",
@@ -779,8 +773,8 @@ mod tests {
         let t = Tracer::new();
         {
             let _root = t.span("protect", "pipeline");
-            for s in STAGES {
-                let _g = t.span(s, "stage");
+            for s in Stage::ALL {
+                let _g = t.span(&s.to_string(), "stage");
             }
         }
         t.count("vf.vf.invocations", 2);
