@@ -1000,6 +1000,9 @@ fn scan_gadgets(
                     // `plx report` prints under "gadget validation".
                     t.count("vm.probe.proposals", vstats.probe.proposals);
                     t.count("vm.probe.runs", vstats.probe.runs);
+                    // The runs that were second trials: trial 1 did not
+                    // settle the proposal's surviving effects.
+                    t.count("vm.probe.second_trials", vstats.probe.second_trials);
                     // Proposals rejected without a run: an access of
                     // theirs can only land on unmapped memory, or their
                     // syscall number is undefined. They count in

@@ -129,10 +129,12 @@ fn probe_work_repeats_at_any_job_count() {
     // which contents pass 2 serves from pass 1's memo depends only on
     // their bytes, so the probe runs it saves do not depend on the job
     // count either. Nor does which proposals are rejected without a
-    // run: that reads only the proposal and the image's regions.
-    const COUNTERS: [&str; 4] = [
+    // run: that reads only the proposal and the image's regions, nor
+    // which need a second trial: that reads the proposal and trial 1.
+    const COUNTERS: [&str; 5] = [
         "vm.mem.pages_copied",
         "vm.probe.runs",
+        "vm.probe.second_trials",
         "vm.probe.reused",
         "vm.probe.prejudged",
     ];

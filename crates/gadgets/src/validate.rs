@@ -3,18 +3,22 @@
 //! Symbolic classification can be fooled by abstraction gaps (an
 //! untracked flag dependency, an aliasing store). Before a gadget
 //! enters the mapping, every proposed effect is executed in a probe VM
-//! twice, with different pseudo-random register/flag/memory states, and
-//! only effects whose observable outcome matches survive. This mirrors
-//! the semantic gadget discovery of Q/ROPC on which the paper's
-//! prototype is built.
+//! with pseudo-random register/flag/memory states, and only effects
+//! whose observable outcome matches survive. This mirrors the semantic
+//! gadget discovery of Q/ROPC on which the paper's prototype is built.
 //!
 //! Validation is *shared-trial*: a probe run is a pure function of
 //! `(proposal, seed)` and the seed depends only on the candidate's
 //! text bytes, its return kind and the trial index (`probe_seed`), so
 //! one run per trial serves every effect of the proposal. Effects that
-//! fail a trial drop out of a liveness mask; survivors are re-checked
-//! against the second trial's run. The legacy one-probe-per-(effect,
-//! trial) path is preserved in [`legacy`] as the differential oracle.
+//! fail trial 1 drop out of a liveness mask. Survivors are re-checked
+//! against a second trial's run only when trial 1 could have passed a
+//! wrong claim by chance ([`one_trial_settles`], DESIGN.md §16): a
+//! proposal built only from full-width operations on word-aligned
+//! pinned addresses, writing memory at most once, is settled by its
+//! first run. The legacy one-probe-per-(effect,
+//! trial) path, which always runs both trials, is preserved in
+//! [`legacy`] as the differential oracle.
 //!
 //! A proposal the probe must reject without looking at its effects is
 //! rejected without a run: when one of its memory accesses can only
@@ -22,9 +26,10 @@
 
 use parallax_image::LinkedImage;
 use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_SIZE, STACK_TOP};
-use parallax_x86::Reg32;
+use parallax_x86::insn::{AluOp, Insn, Mnemonic, OpSize, Operand};
+use parallax_x86::{Reg, Reg32};
 
-use crate::classify::{Proposal, SyscallEax};
+use crate::classify::{MemLoc, Proposal, SyscallEax};
 use crate::types::{Effect, GBinOp, Gadget};
 
 /// Maximum instructions a gadget probe may execute.
@@ -145,6 +150,128 @@ pub fn prejudged(mem: &Memory, p: &Proposal) -> bool {
     })
 }
 
+/// Whether trial 1 alone settles the verdict of every effect of `p`
+/// still set in `alive`, so trial 2 is not run (DESIGN.md §16). `regs`
+/// is the register file the probe starts from ([`probe_registers`]).
+///
+/// A trial redraws values, never addresses: every address such a
+/// proposal touches, and every pinned register, is a constant of the
+/// proposal, the same in both trials, while each unpinned register
+/// draws 24 random bits and each scratch word and canary 32. A wrong
+/// claim passes a trial only when the claimed and the actual value
+/// coincide on its draw. When they differ by a full-width function of
+/// the draws, that is a chance of about 2⁻²⁴, below the 2⁻¹⁶ that two
+/// trials give the byte compares they accept. The rule keeps trial 2
+/// wherever the difference can be narrower:
+///
+/// - Every instruction is a 32-bit `mov`, `lea`, `xchg`, `push`, `pop`,
+///   `inc`, `dec`, `neg`, `not`, `add`/`or`/`and`/`sub`/`xor`/`cmp`,
+///   `test`, `mul`, `imul`, shift by an immediate, `ret`, `retf`,
+///   `leave`, `nop`, `pushad`, `popad`, `clc`, `stc`, or an `int` whose
+///   syscall number the classifier knows, with no 8-bit register and
+///   no scaled index. So none reads a flag (1 random bit) or a `cl`
+///   shift count (5 bits), and none works on an 8-bit lane.
+/// - At most one instruction writes an explicit memory operand. Listed
+///   operations can narrow a value to one random bit (`and r, 1`,
+///   `shl r, 31`, `imul r, r, 0x80000000`), and the classifier claims
+///   the first of two writes to one memory word, so a narrowed value
+///   added by a second write (`mov [ebx],eax; and ecx,1; add [ebx],ecx`)
+///   would leave the claimed store intact on half the draws. A register
+///   the classifier follows through every listed operation, so a
+///   narrowed value that reaches a claimed register changes the claim
+///   with it (`tests/shared_trial.rs` carries such values into claimed
+///   registers, stack slots and words, and compares with [`legacy`]).
+/// - Every access the classifier resolved starts at a word-aligned
+///   stack offset or exactly at a pinned register's value plus a
+///   multiple of 4, none goes unresolved, and an instruction that moves
+///   esp by a constant moves it by whole words. So no address is built
+///   from drawn values, and no word is read or written across a word
+///   another access claims (`mov [esp+3],ecx; pop eax` claims eax = the
+///   slot, whose top byte holds ecx's low byte).
+/// - No live effect is a `MovLow8` or a `ShiftCl`.
+///
+/// This is an allowlist: whatever it does not name keeps both trials.
+fn one_trial_settles(p: &Proposal, alive: u64, regs: &[Option<u32>; 8]) -> bool {
+    use Mnemonic as M;
+    let known_eax = p.syscall_eax != SyscallEax::Unknown;
+    let insns_ok = p.cand.insns.iter().all(|insn| {
+        let listed = match insn.mnemonic {
+            M::Shift(_) => matches!(insn.ops.get(1), Some(Operand::Imm(_))),
+            M::Int => known_eax,
+            M::Mov
+            | M::Lea
+            | M::Xchg
+            | M::Push
+            | M::Pop
+            | M::Inc
+            | M::Dec
+            | M::Neg
+            | M::Not
+            | M::Alu(AluOp::Add | AluOp::Or | AluOp::And | AluOp::Sub | AluOp::Xor | AluOp::Cmp)
+            | M::Test
+            | M::Mul
+            | M::Imul
+            | M::Ret
+            | M::Retf
+            | M::Leave
+            | M::Nop
+            | M::Pushad
+            | M::Popad
+            | M::Clc
+            | M::Stc => true,
+            _ => false,
+        };
+        listed
+            && insn.size == OpSize::Dword
+            && moves_esp_by_words(insn)
+            && insn.ops.iter().all(|op| match op {
+                Operand::Reg(Reg::R8(_)) => false,
+                Operand::Mem(m) => m.index.is_none(),
+                _ => true,
+            })
+    });
+    let one_write = p.cand.insns.iter().filter(|i| writes_memory(i)).count() <= 1;
+    let accesses_ok = !p.unresolved_access
+        && p.accesses.iter().all(|a| match *a {
+            MemLoc::Stack(off) => off % 4 == 0,
+            MemLoc::Reg(r, off, exact) => {
+                off % 4 == 0 && exact && regs[r.encoding() as usize].is_some()
+            }
+        });
+    let effects_ok = p.effects.iter().enumerate().all(|(i, e)| {
+        alive >> i & 1 == 0 || !matches!(e, Effect::MovLow8 { .. } | Effect::ShiftCl { .. })
+    });
+    insns_ok && one_write && accesses_ok && effects_ok
+}
+
+/// Whether `insn` writes an explicit memory operand (not a `push`'s or
+/// a `pop`'s implicit stack slot).
+fn writes_memory(insn: &Insn) -> bool {
+    use Mnemonic as M;
+    let is_mem = |op: &Operand| matches!(op, Operand::Mem(_));
+    match insn.mnemonic {
+        M::Xchg => insn.ops.iter().any(is_mem),
+        M::Alu(AluOp::Cmp) | M::Test | M::Push | M::Mul | M::Imul | M::Lea => false,
+        _ => insn.ops.first().is_some_and(is_mem),
+    }
+}
+
+/// False when `insn` moves esp by a constant that is not a whole number
+/// of words: `add`/`sub esp` by such an immediate, `inc`/`dec esp` or a
+/// `lea` into esp. Any other write of esp leaves it symbolic, and the
+/// classifier then follows no push or pop.
+fn moves_esp_by_words(insn: &Insn) -> bool {
+    use Mnemonic as M;
+    if insn.ops.first() != Some(&Operand::Reg(Reg::R32(Reg32::Esp))) {
+        return true;
+    }
+    match (insn.mnemonic, insn.ops.get(1)) {
+        (M::Alu(AluOp::Add | AluOp::Sub), Some(Operand::Imm(v))) => v % 4 == 0,
+        (M::Inc | M::Dec | M::Lea, _) => false,
+        _ => true,
+    }
+}
+
 /// Effect liveness is tracked in a `u64` bitmask. The classifier emits
 /// far fewer effects (at most one syscall, one per register, the
 /// byte-register moves and a few memory effects;
@@ -176,18 +303,69 @@ fn probe_seed(tag: u64, trial: u64) -> u64 {
     (0x9e37_79b9_7f4a_7c15u64 ^ tag ^ (trial * 0x1234_5677 + 1)) | 1
 }
 
-fn prng(seed: &mut u64) -> u32 {
-    let mut x = *seed;
+/// One step of the probe PRNG's xorshift state.
+const fn xorshift(mut x: u64) -> u64 {
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;
-    *seed = x;
-    (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32
+    x
+}
+
+fn prng(seed: &mut u64) -> u32 {
+    *seed = xorshift(*seed);
+    (seed.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32) as u32
+}
+
+/// Draws a probe makes to fill its eight scratch regions.
+const SCRATCH_DRAWS: usize = 8 * SCRATCH_WORDS;
+
+/// `m · x` over GF(2), for a 64×64 bit matrix `m` stored by column.
+const fn gf2_apply(m: &[u64; 64], x: u64) -> u64 {
+    let mut r = 0;
+    let mut i = 0;
+    while i < 64 {
+        if x >> i & 1 == 1 {
+            r ^= m[i];
+        }
+        i += 1;
+    }
+    r
+}
+
+/// The xorshift state update is linear over GF(2), so [`SCRATCH_DRAWS`]
+/// steps of it are one matrix: its columns, by squaring the one-step
+/// matrix log₂([`SCRATCH_DRAWS`]) times.
+const SCRATCH_SKIP: [u64; 64] = {
+    assert!(SCRATCH_DRAWS.is_power_of_two());
+    let mut m = [0u64; 64];
+    let mut i = 0;
+    while i < 64 {
+        m[i] = xorshift(1 << i);
+        i += 1;
+    }
+    let mut steps = 1;
+    while steps < SCRATCH_DRAWS {
+        let mut sq = [0u64; 64];
+        let mut i = 0;
+        while i < 64 {
+            sq[i] = gf2_apply(&m, m[i]);
+            i += 1;
+        }
+        m = sq;
+        steps *= 2;
+    }
+    m
+};
+
+/// Advances `seed` past the scratch draws of a probe that need not
+/// write them, as [`SCRATCH_DRAWS`] calls of [`prng`] would.
+fn skip_scratch_draws(seed: &mut u64) {
+    *seed = gf2_apply(&SCRATCH_SKIP, *seed);
 }
 
 /// Counters for probe-VM validation work, exported to traces as
-/// `vm.probe.{proposals,runs,prejudged,runs_saved,reseed_words}` and
-/// `vm.mem.pages_copied`.
+/// `vm.probe.{proposals,runs,second_trials,prejudged,runs_saved,reseed_words}`
+/// and `vm.mem.pages_copied`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeStats {
     /// Distinct proposals validated, with or without a run. A gadget
@@ -195,18 +373,23 @@ pub struct ProbeStats {
     /// verdict with the others, so only a content whose probe strayed
     /// counts once per copy.
     pub proposals: u64,
-    /// Probe executions actually performed (at most 2 per proposal —
-    /// one per trial — regardless of effect count).
+    /// Probe executions actually performed, regardless of effect
+    /// count: one first trial per proposal not prejudged, plus
+    /// `second_trials`.
     pub runs: u64,
+    /// Second-trial runs: proposals with an effect alive after trial 1
+    /// that trial 1 alone does not settle ([`one_trial_settles`]).
+    pub second_trials: u64,
     /// Proposals rejected without a run, because an access of theirs
     /// can only land on unmapped memory or their syscall number is one
     /// the VM does not define ([`prejudged`]).
     pub prejudged: u64,
-    /// Probe executions the legacy per-(effect, trial) loop would have
-    /// performed *in addition to* `runs`.
+    /// Probe executions the legacy per-(effect, trial) loop, which runs
+    /// both trials of every effect trial 1 keeps, would have performed
+    /// *in addition to* `runs`.
     pub runs_saved: u64,
-    /// Scratch words written into the probe VM: the trial-1 seeding and
-    /// the trial-2 restore of the windows on pages trial 1 wrote.
+    /// Scratch words written into the probe VM: all eight regions, on
+    /// every run of a proposal that holds a scratch pointer.
     pub reseed_words: u64,
     /// Copy-on-write page copies the probe VM made: each page a
     /// proposal writes is copied once, then dropped by the reset.
@@ -218,6 +401,7 @@ impl ProbeStats {
     pub fn merge(&mut self, other: &ProbeStats) {
         self.proposals += other.proposals;
         self.runs += other.runs;
+        self.second_trials += other.second_trials;
         self.prejudged += other.prejudged;
         self.runs_saved += other.runs_saved;
         self.reseed_words += other.reseed_words;
@@ -226,10 +410,9 @@ impl ProbeStats {
 }
 
 /// Pre-execution contents of the eight scratch regions, stored flat as
-/// little-endian bytes, region-major. One buffer serves three duties:
-/// the PRNG words are generated straight into it, each region is
-/// seeded from it with a single `write_bytes`, and the trial-2 restore
-/// copies the windows on dirtied pages back out of it.
+/// little-endian bytes, region-major. One buffer serves both duties:
+/// the PRNG words are generated straight into it, and each region is
+/// seeded from it with a single `write_bytes`.
 struct ScratchPre {
     /// Region start addresses (scratch pointer − 0x200 each).
     bases: [u32; 8],
@@ -272,14 +455,8 @@ struct ProbeBufs {
     regs: [Option<u32>; 8],
     /// Chain canary values for the current run.
     canaries: Vec<u32>,
-    /// Scratch snapshot/fill slab for the current proposal.
+    /// Scratch snapshot/fill slab for the current run.
     pre: ScratchPre,
-    /// Dirty-page cursor taken right after the trial-1 scratch fill;
-    /// every page listed past it is one the probe itself wrote.
-    mark: usize,
-    /// Staging for the dirtied page ranges (memory cannot be borrowed
-    /// while restoring into it).
-    dirty: Vec<(u32, u32)>,
     /// Set when the current proposal's probe executed an instruction
     /// outside the candidate's own bytes.
     strayed: bool,
@@ -292,8 +469,6 @@ impl ProbeBufs {
             regs: [None; 8],
             canaries: Vec::new(),
             pre: ScratchPre::empty(),
-            mark: 0,
-            dirty: Vec::new(),
             strayed: false,
         }
     }
@@ -309,30 +484,19 @@ struct Probe<'v> {
     pre_mem: &'v ScratchPre,
 }
 
-/// Which trial of the proposal a probe run belongs to. Trial 1 seeds
-/// all eight scratch regions from the PRNG stream (batched into
-/// `bufs.pre.words`, one `write_bytes` per region) and marks the dirty
-/// pages. Trial 2 reuses the trial-1 scratch snapshot: instead of
-/// redrawing 2048 words it rewrites, from the slab, only the parts of
-/// the regions that lie on pages the previous run wrote. The
-/// register/flag draws are identical to the legacy stream either way
-/// (they precede the scratch draws).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TrialKind {
-    First,
-    Second,
-}
-
 /// Runs the gadget once with randomized state in a reusable probe VM
 /// (every location the checks depend on is rewritten per run). Returns
 /// `(esp0, init_regs)` for [`Probe`] assembly — the canaries and
 /// scratch snapshot land in `bufs` — or `None` if the gadget faulted,
 /// ran away, or never returned to the chain.
+///
+/// Each run draws from `seed` exactly what the legacy oracle's run of
+/// the same trial draws, in the same order (registers, flags, scratch
+/// words, canaries), so every check sees the values the oracle sees.
 fn run_probe(
     vm: &mut Vm,
     p: &Proposal,
     seed: &mut u64,
-    kind: TrialKind,
     bufs: &mut ProbeBufs,
     stats: &mut ProbeStats,
 ) -> Option<(u32, [u32; 8])> {
@@ -366,58 +530,30 @@ fn run_probe(
     // A probe can only address scratch through a register that holds a
     // scratch pointer, and only `bufs.scratch` registers ever do: a
     // proposal without memory operands cannot observe scratch contents,
-    // so its trials skip seeding (and restoring) the regions entirely.
-    let uses_scratch = bufs.scratch != 0;
-    match kind {
-        TrialKind::First if !uses_scratch => {
-            // Empty the snapshot so stale lookups from a previous
-            // proposal cannot resolve.
-            bufs.pre.bases = [0; 8];
-            bufs.pre.words.clear();
-        }
-        TrialKind::Second if !uses_scratch => {}
-        TrialKind::First => {
-            // Fill scratch memory with random words and snapshot it.
-            // The draw order matches the historical per-word loop, so
-            // the PRNG stream (and every trial-1 outcome) is unchanged.
-            bufs.pre.bases = scratch.map(|s| s - 0x200);
-            bufs.pre.words.resize(8 * SCRATCH_WORDS * 4, 0);
-            for (i, s) in scratch.iter().enumerate() {
-                let span = i * SCRATCH_WORDS * 4..(i + 1) * SCRATCH_WORDS * 4;
-                let region = &mut bufs.pre.words[span.clone()];
-                for chunk in region.chunks_exact_mut(4) {
-                    chunk.copy_from_slice(&prng(seed).to_le_bytes());
-                }
-                vm.mem_mut()
-                    .write_bytes(s - 0x200, &bufs.pre.words[span])
-                    .ok()?;
+    // so its runs skip the draws in one jump of the PRNG state (keeping
+    // the canaries at the oracle's point of the stream) and write
+    // nothing. Otherwise fill scratch
+    // memory with random words and snapshot them, region by region.
+    if bufs.scratch == 0 {
+        // Empty the snapshot so stale lookups from a previous proposal
+        // cannot resolve.
+        bufs.pre.bases = [0; 8];
+        bufs.pre.words.clear();
+        skip_scratch_draws(seed);
+    } else {
+        bufs.pre.bases = scratch.map(|s| s - 0x200);
+        bufs.pre.words.resize(SCRATCH_DRAWS * 4, 0);
+        for (i, s) in scratch.iter().enumerate() {
+            let span = i * SCRATCH_WORDS * 4..(i + 1) * SCRATCH_WORDS * 4;
+            let region = &mut bufs.pre.words[span.clone()];
+            for chunk in region.chunks_exact_mut(4) {
+                chunk.copy_from_slice(&prng(seed).to_le_bytes());
             }
-            stats.reseed_words += (8 * SCRATCH_WORDS) as u64;
-            bufs.mark = vm.mem_mut().mark_pages();
+            vm.mem_mut()
+                .write_bytes(s - 0x200, &bufs.pre.words[span])
+                .ok()?;
         }
-        TrialKind::Second => {
-            // Reuse the trial-1 scratch snapshot: rewrite each region's
-            // bytes on the pages the previous run wrote from the slab.
-            // (The trial-1 words are as random as a fresh draw, and
-            // every check compares against the same `pre_mem`;
-            // `tests/shared_trial.rs` holds this equal to the legacy
-            // redraw path.)
-            bufs.dirty.clear();
-            bufs.dirty.extend(vm.mem().pages_dirtied_since(bufs.mark));
-            for (i, &base) in bufs.pre.bases.iter().enumerate() {
-                let end = base + (SCRATCH_WORDS as u32) * 4;
-                for &(ps, pe) in &bufs.dirty {
-                    let (s, e) = (ps.max(base), pe.min(end));
-                    if s >= e {
-                        continue;
-                    }
-                    let at = i * SCRATCH_WORDS * 4 + (s - base) as usize;
-                    let slab = &bufs.pre.words[at..at + (e - s) as usize];
-                    vm.mem_mut().write_bytes(s, slab).ok()?;
-                    stats.reseed_words += slab.len().div_ceil(4) as u64;
-                }
-            }
-        }
+        stats.reseed_words += SCRATCH_DRAWS as u64;
     }
 
     // Lay out the probe chain: `slots` canaries, then the sentinel,
@@ -570,7 +706,8 @@ fn check_effect(e: &Effect, pr: &Probe, p: &Proposal) -> bool {
 /// checked against it. Effects that fail a trial leave the liveness
 /// mask; a probe fault kills the whole proposal (the legacy path would
 /// have faulted identically for every effect — same seed, same
-/// execution).
+/// execution). Trial 2 runs only when effects survive trial 1 and
+/// [`one_trial_settles`] does not hold for them.
 fn validate_shared(
     vm: &mut Vm,
     p: &Proposal,
@@ -601,16 +738,23 @@ fn validate_shared(
     let mut alive: u64 = if ne == 64 { u64::MAX } else { (1 << ne) - 1 };
     let mut legacy_runs = 0u64;
     let mut actual_runs = 0u64;
-    for (trial, kind) in [(0u64, TrialKind::First), (1, TrialKind::Second)] {
+    for trial in 0..2u64 {
         if alive == 0 {
             break;
         }
         // What the per-(effect, trial) loop would have spent here: one
-        // probe per effect still alive at this trial.
+        // probe per effect still alive at this trial, whether or not
+        // this path runs the trial.
         legacy_runs += u64::from(alive.count_ones());
+        if trial == 1 {
+            if one_trial_settles(p, alive, &bufs.regs) {
+                break;
+            }
+            stats.second_trials += 1;
+        }
         let mut seed = probe_seed(tag, trial);
         actual_runs += 1;
-        match run_probe(vm, p, &mut seed, kind, bufs, stats) {
+        match run_probe(vm, p, &mut seed, bufs, stats) {
             Some((esp0, init_regs)) => {
                 let pr = Probe {
                     vm,
@@ -1102,6 +1246,216 @@ mod tests {
         let (p, unrun) = rejected_unrun(&[0xf7, 0xa1, 0x00, 0x00, 0x00, 0x40, 0xc3]);
         assert!(p.unresolved_access && p.accesses.is_empty());
         assert!(!unrun);
+    }
+
+    /// The proposal for the whole of `main` when `main` is `bytes`,
+    /// whether [`one_trial_settles`] holds for all of its effects, and
+    /// how many second trials a probe VM ran for it: one exactly when
+    /// the predicate does not hold and an effect survives trial 1.
+    fn settles(bytes: &[u8]) -> (Proposal, bool, u64) {
+        let img = image_of(bytes);
+        let cand = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
+            .expect("main is one candidate");
+        let p = classify(&cand).expect("classified");
+        let settled = one_trial_settles(&p, u64::MAX, &probe_registers(&p));
+        let mut probe = ProbeVm::new(&img);
+        probe.validate(&p);
+        let stats = probe.stats();
+        assert_eq!(stats.runs, 1 + stats.second_trials, "{}", p.cand.disasm());
+        if settled {
+            assert_eq!(stats.second_trials, 0, "{}", p.cand.disasm());
+        }
+        (p, settled, stats.second_trials)
+    }
+
+    /// Full-width moves, ALU operations, pops and stores through a
+    /// pinned scratch pointer are settled by trial 1: one run.
+    #[test]
+    fn full_width_gadgets_on_pinned_addresses_take_one_trial() {
+        for bytes in [
+            &[0x58, 0xc3][..],                           // pop eax
+            &[0x01, 0xd8, 0xc3],                         // add eax, ebx
+            &[0x89, 0x03, 0x83, 0xc4, 0x04, 0xc3],       // mov [ebx], eax; add esp, 4
+            &[0x8b, 0x41, 0x08, 0xc1, 0xe0, 0x03, 0xc3], // mov eax, [ecx+8]; shl eax, 3
+            &[0xf7, 0xe3, 0xf8, 0x5d, 0xc3],             // mul ebx; clc; pop ebp
+            &[0x83, 0xe8, 0x09, 0xcd, 0x80, 0xc3],       // sub eax, 9; int 0x80
+        ] {
+            let (p, settled, _) = settles(bytes);
+            assert!(settled, "{}", p.cand.disasm());
+        }
+    }
+
+    /// A second write to memory keeps trial 2: the classifier claims the
+    /// first of two writes to one word, and a listed operation can
+    /// narrow what the second adds to one random bit. One write, even a
+    /// masking one, is settled by trial 1.
+    #[test]
+    fn a_second_memory_write_takes_two_trials() {
+        // mov [ebx], eax; and ecx, 1; add [ebx], ecx
+        let (p, settled, _) = settles(&[0x89, 0x03, 0x83, 0xe1, 0x01, 0x01, 0x0b, 0xc3]);
+        assert!(p.effects.contains(&Effect::StoreMem {
+            addr: Reg32::Ebx,
+            off: 0,
+            src: Reg32::Eax,
+        }));
+        assert!(!settled, "{}", p.cand.disasm());
+        // Whether trial 2 runs depends on trial 1's bit; across these
+        // narrowings of ecx, some trial 1 passes the wrong store.
+        let mut second_trials = 0;
+        for bytes in [
+            &[0x89, 0x03, 0xc1, 0xe1, 0x1f, 0x01, 0x0b, 0xc3][..], // mov [ebx], eax; shl ecx, 31; add [ebx], ecx
+            // mov [ebx], eax; imul ecx, ecx, 0x80000000; add [ebx], ecx
+            &[0x89, 0x03, 0x69, 0xc9, 0, 0, 0, 0x80, 0x01, 0x0b, 0xc3],
+            // mov [ebx], eax; and ecx, 0x100; add [ebx], ecx
+            &[0x89, 0x03, 0x81, 0xe1, 0, 1, 0, 0, 0x01, 0x0b, 0xc3],
+            &[0x89, 0x03, 0x81, 0x0b, 0x00, 0x01, 0x00, 0x00, 0x58, 0xc3], // mov [ebx], eax; or dword [ebx], 0x100; pop eax
+            &[0x89, 0x03, 0x21, 0x0b, 0x58, 0xc3], // mov [ebx], eax; and [ebx], ecx; pop eax
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(!settled, "{}", p.cand.disasm());
+            second_trials += second;
+        }
+        assert!(second_trials > 0);
+        for bytes in [
+            &[0x81, 0x0b, 0x00, 0x01, 0x00, 0x00, 0x58, 0xc3][..], // or dword [ebx], 0x100; pop eax
+            &[0x21, 0xc8, 0x0b, 0x13, 0x5e, 0xc3], // and eax, ecx; or edx, [ebx]; pop esi
+        ] {
+            let (p, settled, _) = settles(bytes);
+            assert!(settled, "{}", p.cand.disasm());
+        }
+    }
+
+    /// An access off a word boundary, or an esp move by part of a word,
+    /// keeps trial 2: a word read or written across another claimed word
+    /// shares only some of its bytes with it.
+    #[test]
+    fn a_partial_word_overlap_takes_two_trials() {
+        for bytes in [
+            &[0x89, 0x4c, 0x24, 0x03, 0x58, 0x5a, 0xc3][..], // mov [esp+3], ecx; pop eax; pop edx
+            &[0x89, 0x43, 0x02, 0x8b, 0x0b, 0xc3],           // mov [ebx+2], eax; mov ecx, [ebx]
+            &[0x83, 0xc4, 0x02, 0x83, 0xc4, 0x02, 0x58, 0xc3], // add esp, 2; add esp, 2; pop eax
+            &[0x44, 0x44, 0x44, 0x44, 0x58, 0xc3],           // inc esp (4 times); pop eax
+        ] {
+            let (p, settled, _) = settles(bytes);
+            assert!(!settled, "{}", p.cand.disasm());
+        }
+    }
+
+    /// An instruction that reads a flag, each a 1-bit draw per trial,
+    /// keeps trial 2: `adc`, `sbb`, `setcc`, `cmovcc`.
+    #[test]
+    fn a_flag_reader_takes_two_trials() {
+        for bytes in [
+            &[0x89, 0x03, 0x83, 0x13, 0x00, 0xc3][..], // mov [ebx], eax; adc [ebx], 0
+            &[0x19, 0xca, 0x58, 0xc3],                 // sbb edx, ecx; pop eax
+            &[0x0f, 0x94, 0xc1, 0x58, 0xc3],           // sete cl; pop eax
+            &[0x0f, 0x42, 0xca, 0x58, 0xc3],           // cmovb ecx, edx; pop eax
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(!settled && second == 1, "{}", p.cand.disasm());
+        }
+    }
+
+    /// A shift by `cl` (a 5-bit count) keeps trial 2, and so does a live
+    /// `ShiftCl` effect.
+    #[test]
+    fn a_shift_by_cl_takes_two_trials() {
+        let (p, settled, second) = settles(&[0xd3, 0xe0, 0xc3]); // shl eax, cl
+        assert!(!settled && second == 1);
+        let shift_cl = p
+            .effects
+            .iter()
+            .position(|e| matches!(e, Effect::ShiftCl { .. }));
+        let only_shift = 1 << shift_cl.expect("a ShiftCl effect");
+        assert!(!one_trial_settles(&p, only_shift, &probe_registers(&p)));
+    }
+
+    /// An 8-bit operand (one random byte) keeps trial 2: a byte move, a
+    /// byte ALU operation into memory, and a live `MovLow8` effect.
+    #[test]
+    fn an_eight_bit_operand_takes_two_trials() {
+        let (p, settled, second) = settles(&[0x88, 0xd8, 0xc3]); // mov al, bl
+        assert!(!settled && second == 1);
+        assert!(p
+            .effects
+            .iter()
+            .any(|e| matches!(e, Effect::MovLow8 { .. })));
+        for bytes in [
+            &[0x08, 0x0b, 0x58, 0xc3][..],   // or [ebx], cl; pop eax
+            &[0x80, 0x03, 0x01, 0x58, 0xc3], // add byte [ebx], 1; pop eax
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(!settled && second == 1, "{}", p.cand.disasm());
+        }
+    }
+
+    /// A scaled index builds an address from drawn values: even in a
+    /// `lea`, which touches no memory, it keeps trial 2.
+    #[test]
+    fn a_scaled_index_takes_two_trials() {
+        // lea ecx, [ebx+edx*4]; pop eax
+        let (p, settled, second) = settles(&[0x8d, 0x0c, 0x93, 0x58, 0xc3]);
+        assert!(!settled && second == 1, "{}", p.cand.disasm());
+    }
+
+    /// An access whose root had its low byte replaced (`Patch8`, not
+    /// exact) may land anywhere in a 64 KiB block: it keeps trial 2.
+    #[test]
+    fn a_patched_root_takes_two_trials() {
+        // mov al, 0x16; mov ebx, [eax]
+        let (p, settled, second) = settles(&[0xb0, 0x16, 0x8b, 0x18, 0xc3]);
+        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Eax, 0, false)]);
+        assert!(!settled && second == 1);
+    }
+
+    /// A memory operand the classifier does not resolve keeps trial 2.
+    #[test]
+    fn an_unresolved_access_takes_two_trials() {
+        // mul dword [esp+0x40]; pop ebx
+        let (p, settled, second) = settles(&[0xf7, 0x64, 0x24, 0x40, 0x5b, 0xc3]);
+        assert!(p.unresolved_access, "{}", p.cand.disasm());
+        assert!(!settled && second == 1);
+    }
+
+    /// An `int 0x80` whose number comes from a chain slot keeps trial 2
+    /// (here trial 1 passes a random canary, an undefined number, so the
+    /// probe faults and no second trial is left to run).
+    #[test]
+    fn a_syscall_of_unknown_number_takes_two_trials() {
+        // pop eax; int 0x80
+        let (p, settled, second) = settles(&[0x58, 0xcd, 0x80, 0xc3]);
+        assert_eq!(p.syscall_eax, SyscallEax::Unknown);
+        assert!(!settled && second == 0);
+    }
+
+    /// A mnemonic the allowlist does not name keeps trial 2: `cdq`
+    /// (edx from eax's sign bit). `div` never reaches the probe: the
+    /// classifier rejects it.
+    #[test]
+    fn an_unlisted_mnemonic_takes_two_trials() {
+        let (p, settled, second) = settles(&[0x99, 0x58, 0xc3]); // cdq; pop eax
+        assert!(!settled && second == 1, "{}", p.cand.disasm());
+        let img = image_of(&[0xf7, 0xf3, 0x58, 0xc3]); // div ebx; pop eax
+        let div = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.vaddr == img.entry)
+            .expect("main is a candidate");
+        assert!(classify(&div).is_none(), "{}", div.disasm());
+    }
+
+    /// Skipping the scratch draws lands on the state the draws reach.
+    #[test]
+    fn skipping_the_scratch_draws_matches_drawing_them() {
+        for start in [1u64, 0x9e37_79b9_7f4a_7c15, u64::MAX, probe_seed(7, 1)] {
+            let (mut drawn, mut skipped) = (start, start);
+            for _ in 0..SCRATCH_DRAWS {
+                prng(&mut drawn);
+            }
+            skip_scratch_draws(&mut skipped);
+            assert_eq!(skipped, drawn, "{start:#x}");
+        }
     }
 
     /// A tag equal to the seed constants would cancel them to 0, the

@@ -1,20 +1,28 @@
 //! Differential suite for shared-trial validation: the restructured
-//! path — one probe execution per trial shared by every effect, lazy
-//! scratch seeding, dirty-page-targeted trial-2 restore — must return
-//! verdicts identical to the legacy per-(effect, trial) probe loop for
+//! path — one probe execution per trial shared by every effect, a
+//! second trial only where the first cannot settle the verdict, lazy
+//! scratch seeding — must return verdicts identical to the legacy
+//! per-(effect, trial) probe loop, which always runs both trials, for
 //! every proposal. The legacy path is kept callable as
 //! `validate::legacy` purely as this suite's oracle; it is what
 //! `protect()` shipped before the restructuring, so verdict equality
 //! here is what keeps protected images byte-identical.
 
+#[allow(dead_code)]
+mod common;
+
 use proptest::prelude::*;
 
 use parallax_compiler::compile_module;
+use parallax_core::ChainMode;
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::{legacy, MAX_SHARED_EFFECTS};
-use parallax_gadgets::{classify, ProbeVm};
+use parallax_gadgets::{classify, ProbeStats, ProbeVm};
 use parallax_image::{LinkedImage, Program};
+use parallax_vm::{Vm, VmOptions};
 use parallax_x86::Asm;
+
+use common::{fixpoint_pairs, large_module, MORE_LARGE_SEEDS};
 
 fn link(name: &str) -> LinkedImage {
     let w = parallax_corpus::by_name(name).expect("known workload");
@@ -25,47 +33,50 @@ fn link(name: &str) -> LinkedImage {
 }
 
 /// Validates every classified candidate of `img` twice — once with the
-/// legacy per-effect probe loop on a fresh VM per proposal (the oracle)
-/// and once with the shared-trial [`ProbeVm`] — and requires
-/// verdict-for-verdict equality. Also enforces the probe-run budget:
-/// the shared path may execute at most two probes per proposal, no
-/// matter how many effects the proposals carry. Returns how many
-/// proposals were checked so callers can assert coverage.
-fn assert_shared_matches_legacy(img: &LinkedImage, label: &str) -> usize {
-    let cands = scan(&img.text, img.text_base);
+/// legacy per-effect probe loop on one VM rolled back to its pristine
+/// memory before each proposal (the oracle) and once with the
+/// shared-trial [`ProbeVm`] — and requires verdict-for-verdict
+/// equality. Also enforces the probe-run budget: one run per trial the
+/// shared path ran, a first trial for every proposal not prejudged plus
+/// the second trials, no matter how many effects the proposals carry.
+/// Returns the shared path's counters so callers can assert coverage.
+fn assert_shared_matches_legacy(img: &LinkedImage, label: &str) -> ProbeStats {
+    let mut oracle_vm = Vm::with_options(img, VmOptions::default());
+    let pristine = oracle_vm.mem().clone();
     let mut shared = ProbeVm::new(img);
     let mut checked = 0;
-    for cand in &cands {
+    for cand in &scan(&img.text, img.text_base) {
         let Some(proposal) = classify(cand) else {
             continue;
         };
-        let oracle = legacy::validate(img, &proposal);
+        oracle_vm.reset_to(&pristine);
+        let oracle = legacy::validate_with(&mut oracle_vm, &proposal);
         let got = shared.validate(&proposal);
         assert_eq!(
             format!("{oracle:?}"),
             format!("{got:?}"),
-            "{label}: shared-trial verdict drift at {:#x}",
-            cand.vaddr
+            "{label}: shared-trial verdict drift at {:#x} {}",
+            cand.vaddr,
+            cand.disasm()
         );
         checked += 1;
     }
     let stats = shared.stats();
-    assert_eq!(stats.proposals, checked as u64, "{label}: proposal count");
-    assert!(
-        stats.runs <= 2 * stats.proposals,
-        "{label}: {} probe runs for {} proposals — more than one per trial",
+    assert_eq!(stats.proposals, checked, "{label}: proposal count");
+    assert_eq!(
         stats.runs,
-        stats.proposals
+        stats.proposals - stats.prejudged + stats.second_trials,
+        "{label}: probe runs are not one per trial run"
     );
-    checked
+    stats
 }
 
 #[test]
 fn shared_trial_verdicts_match_legacy_across_corpus() {
     for w in parallax_corpus::all() {
         let img = link(w.name);
-        let checked = assert_shared_matches_legacy(&img, w.name);
-        assert!(checked > 0, "{}: no proposals exercised", w.name);
+        let stats = assert_shared_matches_legacy(&img, w.name);
+        assert!(stats.proposals > 0, "{}: no proposals exercised", w.name);
     }
 }
 
@@ -108,6 +119,181 @@ fn byte_soup(bytes: &[u8], stride: usize) -> LinkedImage {
     p.add_func("main", a.finish().unwrap());
     p.set_entry("main");
     p.link().unwrap()
+}
+
+/// Instruction fragments of the kinds a single trial cannot settle,
+/// each a chance for trial 1 to pass a wrong claim: byte ALU into
+/// `[reg]`, `mov al,bl`-style moves, shifts by `cl`, flag readers
+/// (`adc`, `sbb`, `setcc`, `cmovcc`), `div`, `cdq`, scaled-index
+/// accesses, `Patch8`-rooted accesses, accesses and esp moves off a
+/// word boundary, and a syscall whose number comes from a chain slot.
+const UNSETTLED: [&[u8]; 31] = [
+    &[0x00, 0x03],             // add [ebx], al
+    &[0x08, 0x0b],             // or [ebx], cl
+    &[0x20, 0x53, 0x01],       // and [ebx+1], dl
+    &[0x30, 0x43, 0x03],       // xor [ebx+3], al
+    &[0x80, 0x0b, 0x01],       // or byte [ebx], 1
+    &[0x88, 0xd8],             // mov al, bl
+    &[0x88, 0xe1],             // mov cl, ah
+    &[0x8a, 0xf8],             // mov bh, al
+    &[0xd3, 0xe0],             // shl eax, cl
+    &[0xd3, 0xcb],             // ror ebx, cl
+    &[0xd3, 0x23],             // shl dword [ebx], cl
+    &[0x11, 0xc8],             // adc eax, ecx
+    &[0x83, 0x13, 0x00],       // adc dword [ebx], 0
+    &[0x83, 0x1b, 0x00],       // sbb dword [ebx], 0
+    &[0x80, 0x53, 0x03, 0x00], // adc byte [ebx+3], 0
+    &[0x0f, 0x92, 0xc1],       // setb cl
+    &[0x0f, 0x94, 0x03],       // sete byte [ebx]
+    &[0x0f, 0x42, 0xc1],       // cmovb eax, ecx
+    &[0x0f, 0x4c, 0x03],       // cmovl eax, [ebx]
+    &[0xf7, 0xf1],             // div ecx
+    &[0x99],                   // cdq
+    &[0x8b, 0x04, 0x8b],       // mov eax, [ebx+ecx*4]
+    &[0x8d, 0x04, 0x4a],       // lea eax, [edx+ecx*2]
+    &[0xb3, 0x10],             // mov bl, 0x10: [ebx] is Patch8-rooted
+    &[0x88, 0xcf],             // mov bh, cl
+    &[0x58, 0xcd, 0x80],       // pop eax; int 0x80
+    &[0xf5],                   // cmc
+    &[0x89, 0x4c, 0x24, 0x03], // mov [esp+3], ecx
+    &[0x89, 0x43, 0x02],       // mov [ebx+2], eax
+    &[0x83, 0xc4, 0x02],       // add esp, 2
+    &[0x44],                   // inc esp
+];
+
+/// Fragments one trial settles on their own, which set up the claims
+/// the [`UNSETTLED`] ones can break, and can break each other's when a
+/// gadget writes memory twice: stores and loads through `ebx`, masking
+/// writes to it, pops, full-width moves and ALU operations, the carry,
+/// and operations that narrow a register to one random bit (`and ecx,
+/// 1`, `shl ecx, 31`, `imul` by 2³¹) for an `add` to carry into a
+/// claimed register or word.
+const SETTLED: [&[u8]; 20] = [
+    &[0x89, 0x03],                         // mov [ebx], eax
+    &[0x89, 0x0b],                         // mov [ebx], ecx
+    &[0x01, 0x03],                         // add [ebx], eax
+    &[0x01, 0x0b],                         // add [ebx], ecx
+    &[0x8b, 0x03],                         // mov eax, [ebx]
+    &[0x58],                               // pop eax
+    &[0x59],                               // pop ecx
+    &[0x5a],                               // pop edx
+    &[0x89, 0xc8],                         // mov eax, ecx
+    &[0x01, 0xc8],                         // add eax, ecx
+    &[0x21, 0xd0],                         // and eax, edx
+    &[0x83, 0xe1, 0x01],                   // and ecx, 1
+    &[0xc1, 0xe1, 0x1f],                   // shl ecx, 31
+    &[0x69, 0xc9, 0x00, 0x00, 0x00, 0x80], // imul ecx, ecx, 0x80000000
+    &[0x81, 0x0b, 0x00, 0x01, 0x00, 0x00], // or dword [ebx], 0x100
+    &[0x83, 0x23, 0xfe],                   // and dword [ebx], -2
+    &[0x21, 0x0b],                         // and [ebx], ecx
+    &[0xf8],                               // clc
+    &[0xf9],                               // stc
+    &[0x83, 0xc4, 0x04],                   // add esp, 4
+];
+
+/// First writes of a claimed word or register, for [`CARRY`] to change.
+const CLAIMS: [&[u8]; 5] = [
+    &[0x89, 0x03],       // mov [ebx], eax
+    &[0x01, 0x03],       // add [ebx], eax
+    &[0x89, 0x04, 0x24], // mov [esp], eax
+    &[0x89, 0xd0],       // mov eax, edx
+    &[0x8b, 0x03],       // mov eax, [ebx]
+];
+
+/// Listed operations that narrow ecx to one random bit (or to the
+/// chance of an `and` of two draws).
+const NARROW: [&[u8]; 5] = [
+    &[0x83, 0xe1, 0x01],                   // and ecx, 1
+    &[0xc1, 0xe1, 0x1f],                   // shl ecx, 31
+    &[0x69, 0xc9, 0x00, 0x00, 0x00, 0x80], // imul ecx, ecx, 0x80000000
+    &[0x81, 0xe1, 0x00, 0x01, 0x00, 0x00], // and ecx, 0x100
+    &[0x21, 0xd1],                         // and ecx, edx
+];
+
+/// Second writes that carry ecx into a [`CLAIMS`] word or register.
+const CARRY: [&[u8]; 6] = [
+    &[0x01, 0x0b],       // add [ebx], ecx
+    &[0x31, 0x0b],       // xor [ebx], ecx
+    &[0x29, 0x0b],       // sub [ebx], ecx
+    &[0x09, 0x0b],       // or [ebx], ecx
+    &[0x01, 0x0c, 0x24], // add [esp], ecx
+    &[0x01, 0xc8],       // add eax, ecx
+];
+
+/// Links one gadget per `(claim, narrowings, carry)` of `gadgets` into
+/// `main`: a [`CLAIMS`] write, [`NARROW`] operations on ecx, a
+/// [`CARRY`] of ecx, then `pop edx; ret`.
+fn narrowed_image(gadgets: &[(usize, Vec<usize>, usize)]) -> LinkedImage {
+    let mut a = Asm::new();
+    for (claim, narrow, carry) in gadgets {
+        a.db(CLAIMS[claim % CLAIMS.len()]);
+        for n in narrow {
+            a.db(NARROW[n % NARROW.len()]);
+        }
+        a.db(CARRY[carry % CARRY.len()]);
+        a.db(&[0x5a]);
+        a.ret();
+    }
+    let mut p = Program::new();
+    p.add_func("main", a.finish().unwrap());
+    p.set_entry("main");
+    p.link().unwrap()
+}
+
+/// Links each gadget of `gadgets` (fragment picks: `(unsettled,
+/// index)`) into `main`, each followed by a `ret`.
+fn adversarial_image(gadgets: &[Vec<(bool, usize)>]) -> LinkedImage {
+    let mut a = Asm::new();
+    for g in gadgets {
+        for &(unsettled, i) in g {
+            if unsettled {
+                a.db(UNSETTLED[i % UNSETTLED.len()]);
+            } else {
+                a.db(SETTLED[i % SETTLED.len()]);
+            }
+        }
+        a.ret();
+    }
+    let mut p = Program::new();
+    p.add_func("main", a.finish().unwrap());
+    p.set_entry("main");
+    p.link().unwrap()
+}
+
+/// Both fixpoint passes of a protect-large-sized module: the shared
+/// verdicts equal the legacy oracle's. Returns how many proposals were
+/// validated and how many took a second trial.
+fn assert_large_shared_matches_legacy(seed: u64) -> (u64, u64) {
+    let module = large_module(seed);
+    let prog = compile_module(&module).expect("randprog compiles");
+    let (mut proposals, mut second) = (0, 0);
+    for (img1, img2) in fixpoint_pairs(prog, "vf", &module, ChainMode::Cleartext) {
+        for (img, pass) in [(&img1, 1), (&img2, 2)] {
+            let stats = assert_shared_matches_legacy(img, &format!("large {seed} pass {pass}"));
+            proposals += stats.proposals;
+            second += stats.second_trials;
+        }
+    }
+    (proposals, second)
+}
+
+/// The shared-vs-legacy differential on the images `protect()` links
+/// for 64 protect-large-sized modules; CI's release step runs it with
+/// `--ignored`.
+#[test]
+#[ignore]
+fn shared_trial_verdicts_match_legacy_on_large_modules() {
+    let (mut proposals, mut second) = (0, 0);
+    for seed in MORE_LARGE_SEEDS {
+        let (p, s) = assert_large_shared_matches_legacy(2 * seed + 1);
+        proposals += p;
+        second += s;
+    }
+    // Some proposals take a second trial, and most do not.
+    assert!(
+        0 < second && 2 * second < proposals,
+        "{second} of {proposals}"
+    );
 }
 
 #[test]
@@ -157,5 +343,38 @@ proptest! {
                 cand.vaddr
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Gadgets built mostly from fragments one trial cannot settle,
+    /// mixed with the stores, loads and pops whose claims they can
+    /// break: every shared verdict equals the legacy oracle's, which
+    /// runs both trials of every effect.
+    #[test]
+    fn shared_trial_verdicts_match_legacy_on_unsettled_streams(
+        gadgets in prop::collection::vec(
+            prop::collection::vec(((0u8..10).prop_map(|w| w < 6), 0usize..64), 1..5),
+            1..8,
+        ),
+    ) {
+        assert_shared_matches_legacy(&adversarial_image(&gadgets), "unsettled stream");
+    }
+
+    /// Gadgets that claim a word or register, narrow ecx with listed
+    /// operations, then carry ecx into the claimed place: a second
+    /// write the claim may miss, whose error one trial sees with a
+    /// chance as low as one half. Every shared verdict equals the
+    /// legacy oracle's.
+    #[test]
+    fn shared_trial_verdicts_match_legacy_on_narrowed_second_writes(
+        gadgets in prop::collection::vec(
+            (0usize..5, prop::collection::vec(0usize..5, 1..3), 0usize..6),
+            1..6,
+        ),
+    ) {
+        assert_shared_matches_legacy(&narrowed_image(&gadgets), "narrowed stream");
     }
 }

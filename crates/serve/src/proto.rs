@@ -145,6 +145,9 @@ pub enum Request {
 }
 
 impl Request {
+    /// Every [`Request::kind`] tag, in display order.
+    pub const KINDS: [&'static str; 5] = ["protect", "verify", "status", "report", "shutdown"];
+
     /// Stable request-kind tag, used for `serve.requests.*` counters
     /// and per-kind latency histogram names.
     pub fn kind(&self) -> &'static str {

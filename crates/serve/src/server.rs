@@ -20,9 +20,11 @@
 //! Graceful drain: a shutdown request (or [`ServerHandle::shutdown`])
 //! stops the accept loop, flips the queue into draining — queued and
 //! in-flight jobs complete and are answered, new submissions are
-//! refused with [`ShedReason::Shutdown`] — and `run` returns once the
-//! queue is idle. Admitted work is never dropped.
+//! refused with [`ShedReason::Shutdown`], also on connections still in
+//! the listener's backlog — and `run` returns once the queue is idle.
+//! Admitted work is never dropped.
 
+use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -34,7 +36,7 @@ use parallax_core::{
     load_verified_image, load_verified_image_strict, FaultPlan, ProtectConfig, Verdict,
 };
 use parallax_engine::{chain_mode_for, Engine, EngineOptions, Job, JobSource, Metrics, ShedReason};
-use parallax_trace::Tracer;
+use parallax_trace::{HistRec, Tracer};
 
 use crate::admission::AdmissionQueue;
 use crate::flight::{Anomaly, FlightConfig, FlightRecorder, RequestTrace};
@@ -187,7 +189,7 @@ impl Shared {
             .snapshot(self.started.elapsed(), self.engine.cache().stats())
             .render();
         text.push('\n');
-        text.push_str(&render_service_report(&self.tracer));
+        text.push_str(&service_text(&self.tracer));
         text
     }
 
@@ -203,7 +205,7 @@ impl Shared {
     }
 
     fn report_response(&self) -> Response {
-        let mut text = render_service_report(&self.tracer);
+        let mut text = service_text(&self.tracer);
         text.push('\n');
         text.push_str(&self.flight.render());
         Response::Report { text }
@@ -279,78 +281,101 @@ impl Shared {
     }
 }
 
-/// Renders the "service" text block from a tracer's `serve.*` counters
-/// and histograms: request mix, per-kind latency quantiles, queue
-/// depth, and the shed taxonomy. The same counters, written to a trace
-/// file, feed `plx report`'s service section offline.
-pub fn render_service_report(tracer: &Tracer) -> String {
+/// Renders the service block from `serve.*` counters and histograms:
+/// request mix, per-kind latency percentiles, the admission-queue
+/// watermark, admission and the shed taxonomy, connections, and the
+/// flight recorder. The live daemon renders its tracer's values for
+/// status, report and its end-of-life summary; `plx report` renders the
+/// same counters read back from a trace file. Empty when the counters
+/// hold no request and no admission.
+pub fn render_service_report(
+    counters: &BTreeMap<String, u64>,
+    hists: &BTreeMap<String, HistRec>,
+) -> String {
     use std::fmt::Write as _;
-    let snap = tracer.snapshot();
-    let mut out = String::from("service\n");
-    let mut kinds: Vec<(&str, u64)> = Vec::new();
-    for kind in ["protect", "verify", "status", "report", "shutdown"] {
-        let n = snap
-            .counters
-            .get(&format!("serve.requests.{kind}"))
-            .copied()
-            .unwrap_or(0);
-        if n > 0 {
-            kinds.push((kind, n));
-        }
-    }
-    let _ = writeln!(
-        out,
-        "  requests    {}",
-        if kinds.is_empty() {
-            "none".to_string()
-        } else {
-            kinds
-                .iter()
-                .map(|(k, n)| format!("{k} {n}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        }
-    );
-    for (kind, _) in &kinds {
-        if let Some(h) = snap.hists.get(&format!("serve.latency.{kind}_us")) {
-            let _ = writeln!(
-                out,
-                "  latency     {kind:<8} p50 {:>8} us  p99 {:>8} us  ({} samples)",
-                h.percentile(0.50),
-                h.percentile(0.99),
-                h.count
-            );
-        }
-    }
-    if let Some(h) = snap.hists.get("serve.queue.depth") {
-        let _ = writeln!(out, "  queue depth max {} ({} samples)", h.max, h.count);
-    }
-    let admitted = snap.counters.get("serve.admitted").copied().unwrap_or(0);
-    let shed: Vec<(ShedReason, u64)> = ShedReason::ALL
+    let get = |k: &str| counters.get(k).copied().unwrap_or(0);
+    let requests: u64 = Request::KINDS
         .iter()
-        .filter_map(|r| {
-            snap.counters
-                .get(&format!("serve.shed.{r}"))
-                .copied()
-                .filter(|&n| n > 0)
-                .map(|n| (*r, n))
-        })
+        .map(|k| get(&format!("serve.requests.{k}")))
+        .sum();
+    let admitted = get("serve.admitted");
+    let shed: Vec<(&str, u64)> = counters
+        .iter()
+        .filter_map(|(k, &n)| Some((k.strip_prefix("serve.shed.")?, n)))
         .collect();
     let shed_total: u64 = shed.iter().map(|(_, n)| n).sum();
+    if requests + admitted + shed_total == 0 {
+        return String::new();
+    }
+    let mut out = String::from("service (plx serve):\n");
+    let mix: Vec<String> = Request::KINDS
+        .iter()
+        .filter_map(|k| {
+            let n = get(&format!("serve.requests.{k}"));
+            (n > 0).then(|| format!("{k} {n}"))
+        })
+        .collect();
+    let _ = writeln!(out, "  requests: {requests}  ({})", mix.join(", "));
+    for kind in Request::KINDS {
+        let Some(h) = hists.get(&format!("serve.latency.{kind}_us")) else {
+            continue;
+        };
+        let _ = writeln!(
+            out,
+            "  latency   {kind:<9} p50 {:>9.3} ms   p99 {:>9.3} ms  ({} samples)",
+            h.percentile(0.50) as f64 / 1e3,
+            h.percentile(0.99) as f64 / 1e3,
+            h.count
+        );
+    }
+    if let Some(depth) = hists.get("serve.queue.depth") {
+        let _ = writeln!(out, "  queue depth max: {}", depth.max);
+    }
     let rate = if admitted + shed_total == 0 {
         0.0
     } else {
-        shed_total as f64 / (admitted + shed_total) as f64
+        100.0 * shed_total as f64 / (admitted + shed_total) as f64
     };
     let _ = writeln!(
         out,
-        "  admission   {admitted} admitted / {shed_total} shed (shed rate {:.1}%)",
-        rate * 100.0
+        "  admission: {admitted} admitted / {shed_total} shed ({rate:.1}% shed rate)"
     );
     for (reason, n) in shed {
-        let _ = writeln!(out, "    shed.{:<11} {n}", reason.name());
+        let _ = writeln!(out, "    shed.{reason:<11} {n}");
+    }
+    let (conns, timeouts, proto) = (
+        get("serve.conn.accepted"),
+        get("serve.conn.timeout"),
+        get("serve.proto.error"),
+    );
+    if conns + timeouts + proto > 0 {
+        let _ = writeln!(
+            out,
+            "  connections: {conns} accepted, {timeouts} timed out, {proto} protocol errors"
+        );
+    }
+    let (fl_rec, fl_shed, fl_slow, fl_vf) = (
+        get("serve.flight.recorded"),
+        get("serve.flight.snapshot.shed"),
+        get("serve.flight.snapshot.slow-request"),
+        get("serve.flight.snapshot.verify-fail"),
+    );
+    if fl_rec + fl_shed + fl_slow + fl_vf > 0 {
+        let _ = writeln!(
+            out,
+            "  flight recorder: {fl_rec} requests recorded; snapshots: {fl_shed} shed, {fl_slow} slow-request, {fl_vf} verify-fail"
+        );
     }
     out
+}
+
+/// The service block of `tracer`'s live `serve.*` counters.
+fn service_text(tracer: &Tracer) -> String {
+    let snap = tracer.snapshot();
+    let hists = (snap.hists.iter())
+        .map(|(k, h)| (k.clone(), HistRec::from(h)))
+        .collect();
+    render_service_report(&snap.counters, &hists)
 }
 
 /// A handle for stopping a running server from another thread.
@@ -447,17 +472,7 @@ impl Server {
 
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.shared.tracer.count("serve.conn.accepted", 1);
-                    self.shared.conns.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&self.shared);
-                    let _ = std::thread::Builder::new()
-                        .name("plx-serve-conn".to_string())
-                        .spawn(move || {
-                            handle_conn(&shared, stream);
-                            shared.conns.fetch_sub(1, Ordering::SeqCst);
-                        });
-                }
+                Ok((stream, _peer)) => self.serve_conn(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
                 }
@@ -467,6 +482,13 @@ impl Server {
 
         // Drain: admitted work completes, workers exit on empty queue.
         self.shared.queue.drain();
+        // A client that connected before the shutdown but was not
+        // accepted yet still gets an answer: accept the backlog once.
+        // The queue is draining, so its jobs get the typed `Shutdown`
+        // refusal rather than a reset socket.
+        while let Ok((stream, _peer)) = self.listener.accept() {
+            self.serve_conn(stream);
+        }
         self.shared.queue.await_idle();
         for w in workers {
             let _ = w.join();
@@ -486,6 +508,19 @@ impl Server {
             uptime: self.shared.started.elapsed(),
             metrics_text: self.shared.metrics_text(),
         })
+    }
+
+    /// Serves one accepted connection on its own thread.
+    fn serve_conn(&self, stream: TcpStream) {
+        self.shared.tracer.count("serve.conn.accepted", 1);
+        self.shared.conns.fetch_add(1, Ordering::SeqCst);
+        let shared = Arc::clone(&self.shared);
+        let _ = std::thread::Builder::new()
+            .name("plx-serve-conn".to_string())
+            .spawn(move || {
+                handle_conn(&shared, stream);
+                shared.conns.fetch_sub(1, Ordering::SeqCst);
+            });
     }
 }
 

@@ -1,6 +1,7 @@
 //! End-to-end tests of the resident daemon over real loopback sockets:
 //! warm-cache protect, fail-closed verify, status/report, graceful
-//! drain with typed `Shutdown` refusals, overload shedding with zero
+//! drain with typed `Shutdown` refusals (also for a connection still in
+//! the listener's backlog), overload shedding with zero
 //! accepted-then-dropped jobs, and the per-connection read timeout.
 
 use std::net::SocketAddr;
@@ -156,6 +157,27 @@ fn drain_refuses_new_work_with_typed_shutdown() {
     let summary = t.join().expect("no panic");
     assert_eq!(summary.admitted, 1);
     assert_eq!(summary.shed, 1);
+}
+
+/// A client that connected before the shutdown but was not accepted
+/// yet is still answered: its job gets the typed `Shutdown` refusal, not
+/// a reset socket. Here it connects before `run` starts, so the accept
+/// loop never sees it; only the drain's pass over the backlog does.
+#[test]
+fn backlogged_connection_is_refused_typed_at_drain() {
+    let server = Server::bind(ServeOptions::default()).expect("bind loopback");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let mut c = client(addr);
+    handle.shutdown();
+    let t = std::thread::spawn(move || server.run().expect("server runs"));
+    match c.call(&protect_req(3)).expect("refused, not dropped") {
+        Response::Refused { reason, .. } => assert_eq!(reason, ShedReason::Shutdown),
+        other => panic!("expected Refused, got {other:?}"),
+    }
+    drop(c);
+    let summary = t.join().expect("no panic");
+    assert_eq!((summary.admitted, summary.shed), (0, 1));
 }
 
 #[test]

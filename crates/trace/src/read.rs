@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::{parse, Value};
-use crate::tracer::ArgValue;
+use crate::tracer::{ArgValue, Histogram};
 
 /// One complete (`"ph":"X"`) span from a trace file.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,6 +91,23 @@ impl HistRec {
             }
         }
         self.max
+    }
+}
+
+impl From<&Histogram> for HistRec {
+    /// The record [`crate::export`] writes for `h` and [`TraceFile`]
+    /// reads back, built without the round trip.
+    fn from(h: &Histogram) -> HistRec {
+        HistRec {
+            count: h.count,
+            sum: h.sum,
+            min: h.min,
+            max: h.max,
+            buckets: (h.buckets.iter().enumerate())
+                .filter(|&(_, &n)| n > 0)
+                .map(|(i, &n)| (i, n))
+                .collect(),
+        }
     }
 }
 
@@ -277,6 +294,19 @@ mod tests {
         assert_eq!(h.buckets, vec![(13, 1)]);
         assert_eq!(tf.children_of(1).len(), 1);
         assert!(tf.total_dur_us("protect") >= tf.total_dur_us("select"));
+    }
+
+    /// A histogram converted in memory equals the one read back from
+    /// the exported file.
+    #[test]
+    fn histrec_from_histogram_matches_the_file() {
+        let t = Tracer::new();
+        for v in [0, 3, 3, 900, 1 << 40] {
+            t.record("h", v);
+        }
+        let snap = t.snapshot();
+        let tf = TraceFile::parse(&crate::chrome_json(&snap)).expect("parses");
+        assert_eq!(HistRec::from(&snap.hists["h"]), tf.hists["h"]);
     }
 
     #[test]

@@ -47,8 +47,8 @@ enum Page {
     /// first write copies it.
     Shared(Arc<PageBuf>),
     /// Private to this memory. A `listed` page was written since the
-    /// last reset or mark and is in the dirty list, so writes land in
-    /// place; the next write to an unlisted one lists it again.
+    /// last reset and is in the dirty list, so writes land in place; a
+    /// private page a reset put back is unlisted until its next write.
     Private { page: Box<PageBuf>, listed: bool },
 }
 
@@ -77,7 +77,7 @@ pub struct Memory {
     /// Pages of the data region: the stack's start at this index.
     data_pages: u32,
     /// Indices of the pages listed since the last reset, in the order
-    /// they were first written in each mark epoch.
+    /// they were first written.
     dirty: Vec<u32>,
     /// Copy-on-write page copies over this memory's lifetime.
     copied: u64,
@@ -158,30 +158,6 @@ impl Memory {
             }
             self.dirty_code.push((self.text_base, self.text_end()));
         }
-    }
-
-    /// Starts a dirty-page epoch and returns its cursor: each page
-    /// written from now on is listed by [`Memory::pages_dirtied_since`].
-    /// A reset still restores every page written since the last reset.
-    pub fn mark_pages(&mut self) -> usize {
-        for &i in &self.dirty {
-            if let Page::Private { listed, .. } = &mut self.pages[i as usize] {
-                *listed = false;
-            }
-        }
-        self.dirty.len()
-    }
-
-    /// `[start, end)` address ranges of the data and stack pages
-    /// written since `mark`, a cursor from [`Memory::mark_pages`].
-    pub fn pages_dirtied_since(&self, mark: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.dirty[mark.min(self.dirty.len())..].iter().map(|&i| {
-            let (start, end) = match i.checked_sub(self.data_pages) {
-                None => (self.data_base + i * PAGE_SIZE, self.data_end()),
-                Some(k) => (STACK_TOP - STACK_SIZE + k * PAGE_SIZE, STACK_TOP),
-            };
-            (start, (start + PAGE_SIZE).min(end))
-        })
     }
 
     /// Pages copied on their first write since construction or a reset,

@@ -156,42 +156,3 @@ fn reset_after_heap_stack_and_scratch_writes_matches_a_fresh_vm() {
         assert_eq!(vm.cpu.eip, fresh.cpu.eip);
     }
 }
-
-#[test]
-fn pages_written_after_a_mark_are_listed_once_each() {
-    let mut m = patterned();
-    let pristine = m.clone();
-    let heap = m.heap_base();
-    m.write32(heap, 1).unwrap();
-    m.write32(heap + PAGE_SIZE, 1).unwrap();
-    let mark = m.mark_pages();
-    assert_eq!(m.pages_dirtied_since(mark).count(), 0);
-    // One page written before the mark, one new page, and the stack.
-    m.write32(heap + PAGE_SIZE + 8, 2).unwrap();
-    m.write32(heap + 5 * PAGE_SIZE, 2).unwrap();
-    m.write32(heap + 5 * PAGE_SIZE + 4, 2).unwrap();
-    m.write32(STACK_TOP - 4, 2).unwrap();
-    let listed: Vec<(u32, u32)> = m.pages_dirtied_since(mark).collect();
-    let page_of = |v: u32| {
-        let base = if v >= STACK_TOP - STACK_SIZE {
-            STACK_TOP - STACK_SIZE
-        } else {
-            DATA
-        };
-        let start = base + (v - base) / PAGE_SIZE * PAGE_SIZE;
-        (start, start + PAGE_SIZE)
-    };
-    assert_eq!(
-        listed,
-        vec![
-            page_of(heap + PAGE_SIZE),
-            page_of(heap + 5 * PAGE_SIZE),
-            page_of(STACK_TOP - 4),
-        ]
-    );
-    // Re-listing a marked page copied nothing; the reset still restores
-    // the page written only before the mark.
-    assert_eq!(m.pages_copied(), 4);
-    m.reset_to(&pristine);
-    assert_eq!(snapshot(&m), snapshot(&pristine));
-}

@@ -14,6 +14,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use parallax_core::Stage;
+use parallax_serve::{render_service_report, Request};
 use parallax_trace::{Histogram, TraceFile};
 
 /// Per-function verification statistics pulled from `vf.*` counters.
@@ -319,12 +320,11 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
 }
 
 /// Shared-trial gadget-validation telemetry: probe executions per
-/// proposal (at most two — one per trial — regardless of how many
-/// effects a proposal carries), the per-(effect, trial) runs the
-/// shared path avoided, the proposals rejected and the verdicts served
-/// without a probe,
-/// scratch-reseeding volume, and the copy-on-write pages the probe VMs
-/// wrote.
+/// proposal (one per trial, regardless of how many effects a proposal
+/// carries), the per-(effect, trial) runs the shared path avoided, how
+/// many runs were second trials, the proposals rejected and the
+/// verdicts served without a probe, scratch-reseeding volume, and the
+/// copy-on-write pages the probe VMs wrote.
 fn validation_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
     let proposals = get("vm.probe.proposals");
@@ -343,8 +343,9 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
     let _ = writeln!(out, "gadget validation (shared-trial probes):");
     let _ = writeln!(
         out,
-        "  proposals: {proposals}   probe runs: {runs} ({per:.2} per proposal)   runs saved: {saved} ({:.1}%)",
-        pct(saved, runs + saved)
+        "  proposals: {proposals}   probe runs: {runs} ({per:.2} per proposal)   runs saved: {saved} ({:.1}%)   second trials: {}",
+        pct(saved, runs + saved),
+        get("vm.probe.second_trials")
     );
     let _ = writeln!(
         out,
@@ -402,89 +403,6 @@ fn verification_table(out: &mut String, tf: &TraceFile) {
     }
 }
 
-/// Request kinds the daemon serves, in display order.
-const SERVE_KINDS: [&str; 5] = ["protect", "verify", "status", "report", "shutdown"];
-
-/// Resident-daemon telemetry (`plx serve --trace-out`): request mix,
-/// per-kind latency percentiles, the admission-queue watermark, and
-/// the shed taxonomy — the service-side view of the fleet scenario.
-fn service_table(out: &mut String, tf: &TraceFile) {
-    let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
-    let requests: u64 = SERVE_KINDS
-        .iter()
-        .map(|k| get(&format!("serve.requests.{k}")))
-        .sum();
-    let admitted = get("serve.admitted");
-    let shed: u64 = tf
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("serve.shed."))
-        .map(|(_, &v)| v)
-        .sum();
-    if requests + admitted + shed == 0 {
-        return;
-    }
-    let _ = writeln!(out, "service (plx serve):");
-    let mix: Vec<String> = SERVE_KINDS
-        .iter()
-        .filter_map(|k| {
-            let n = get(&format!("serve.requests.{k}"));
-            (n > 0).then(|| format!("{k} {n}"))
-        })
-        .collect();
-    let _ = writeln!(out, "  requests: {requests}  ({})", mix.join(", "));
-    for kind in SERVE_KINDS {
-        let Some(h) = tf.hists.get(&format!("serve.latency.{kind}_us")) else {
-            continue;
-        };
-        let _ = writeln!(
-            out,
-            "  latency   {kind:<9} p50 {:>9.3} ms   p99 {:>9.3} ms  ({} samples)",
-            h.percentile(0.50) as f64 / 1e3,
-            h.percentile(0.99) as f64 / 1e3,
-            h.count
-        );
-    }
-    if let Some(depth) = tf.hists.get("serve.queue.depth") {
-        let _ = writeln!(out, "  queue depth max: {}", depth.max);
-    }
-    if admitted + shed > 0 {
-        let _ = writeln!(
-            out,
-            "  admission: {admitted} admitted / {shed} shed ({:.1}% shed rate)",
-            pct(shed, admitted + shed)
-        );
-        for (key, &n) in tf.counters.iter() {
-            if let Some(reason) = key.strip_prefix("serve.shed.") {
-                let _ = writeln!(out, "    shed.{reason:<11} {n}");
-            }
-        }
-    }
-    let (conns, timeouts, proto) = (
-        get("serve.conn.accepted"),
-        get("serve.conn.timeout"),
-        get("serve.proto.error"),
-    );
-    if conns + timeouts + proto > 0 {
-        let _ = writeln!(
-            out,
-            "  connections: {conns} accepted, {timeouts} timed out, {proto} protocol errors"
-        );
-    }
-    let (fl_rec, fl_shed, fl_slow, fl_vf) = (
-        get("serve.flight.recorded"),
-        get("serve.flight.snapshot.shed"),
-        get("serve.flight.snapshot.slow-request"),
-        get("serve.flight.snapshot.verify-fail"),
-    );
-    if fl_rec + fl_shed + fl_slow + fl_vf > 0 {
-        let _ = writeln!(
-            out,
-            "  flight recorder: {fl_rec} requests recorded; snapshots: {fl_shed} shed, {fl_slow} slow-request, {fl_vf} verify-fail"
-        );
-    }
-}
-
 /// Renders the full report for one trace file.
 pub fn render_report(tf: &TraceFile) -> String {
     let mut out = String::new();
@@ -520,7 +438,7 @@ pub fn render_report(tf: &TraceFile) -> String {
     if !out.ends_with("\n\n") && !out.is_empty() {
         out.push('\n');
     }
-    service_table(&mut out, tf);
+    out.push_str(&render_service_report(&tf.counters, &tf.hists));
     if !out.ends_with("\n\n") && !out.is_empty() {
         out.push('\n');
     }
@@ -599,14 +517,16 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
         }
     }
 
-    // Gadget-pass work: decodes, probe runs and probe-VM page copies
-    // performed, the proposals rejected without a run, and what the
-    // incremental second pass and same-content copies reused instead.
+    // Gadget-pass work: decodes, probe runs (and how many were second
+    // trials) and probe-VM page copies performed, the proposals
+    // rejected without a run, and what the incremental second pass and
+    // same-content copies reused instead.
     let work = [
         ("decodes", "scan.decode.once"),
         ("decodes reused", "scan.decode.reused"),
         ("decodes skipped", "scan.decode.skipped"),
         ("probe runs", "vm.probe.runs"),
+        ("second trials", "vm.probe.second_trials"),
         ("prejudged", "vm.probe.prejudged"),
         ("verdicts reused", "vm.probe.reused"),
         ("verdicts shared", "vm.probe.shared"),
@@ -688,7 +608,7 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     // telemetry): request volume, admission outcomes, per-kind p99.
     let sv = |tf: &TraceFile, k: &str| tf.counters.get(k).copied().unwrap_or(0);
     let req_total = |tf: &TraceFile| -> u64 {
-        SERVE_KINDS
+        Request::KINDS
             .iter()
             .map(|k| sv(tf, &format!("serve.requests.{k}")))
             .sum()
@@ -711,7 +631,7 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
             shed_total(a),
             shed_total(b),
         );
-        for kind in SERVE_KINDS {
+        for kind in Request::KINDS {
             let key = format!("serve.latency.{kind}_us");
             let (ha, hb) = (a.hists.get(&key), b.hists.get(&key));
             if ha.is_none() && hb.is_none() {
@@ -796,6 +716,7 @@ mod tests {
         t.count("scan.decode.memo_hit", 20000);
         t.count("vm.probe.proposals", 486);
         t.count("vm.probe.runs", 941);
+        t.count("vm.probe.second_trials", 455);
         t.count("vm.probe.prejudged", 40);
         t.count("vm.probe.reused", 120);
         t.count("vm.probe.shared", 4200);
@@ -847,7 +768,7 @@ mod tests {
             "4.0x amortization",
             "decodes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
-            "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)",
+            "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)   second trials: 455",
             "proposals prejudged (unmapped access, undefined syscall): 40 (no probe run)",
             "verdicts reused from the previous pass: 120 (no probe run)",
             "verdicts shared by same-content copies: 4200 (no probe run)",
@@ -902,6 +823,10 @@ mod tests {
         assert!(diff.contains("gadget work (b - a):"), "{diff}");
         assert!(
             diff.contains("decodes reused        3000 ->      3000 (+0)"),
+            "{diff}"
+        );
+        assert!(
+            diff.contains("second trials          455 ->       455 (+0)"),
             "{diff}"
         );
         assert!(
