@@ -1162,47 +1162,27 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         }
     }
 
-    // Memory-write effects.
-    for w in &st.writes {
-        if w.byte {
+    // Memory-write effects. A word holds at the return what the last
+    // write to it put there, so a write that a later one through the
+    // same base overlaps claims nothing. A proposal left without effects
+    // that way is no `Nop` either: it never was one.
+    let mut overwritten = false;
+    let len = |w: &Write| if w.byte { 1 } else { 4 };
+    for (i, w) in st.writes.iter().enumerate() {
+        let Some(e) = write_effect(w) else {
+            continue;
+        };
+        if st.writes[i + 1..]
+            .iter()
+            .any(|l| l.base == w.base && l.off < w.off + len(w) && w.off < l.off + len(l))
+        {
+            overwritten = true;
             continue;
         }
-        match &w.val {
-            V::Init(s) => {
-                effects.push(Effect::StoreMem {
-                    addr: w.base,
-                    off: w.off,
-                    src: *s,
-                });
-            }
-            V::Bin(GBinOp::Add, a, b) => {
-                let m = V::MemAt(Box::new(V::Init(w.base)), w.off);
-                let src = if **a == m {
-                    match b.as_ref() {
-                        V::Init(s) => Some(*s),
-                        _ => None,
-                    }
-                } else if **b == m {
-                    match a.as_ref() {
-                        V::Init(s) => Some(*s),
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                if let Some(s) = src {
-                    effects.push(Effect::AddMem {
-                        addr: w.base,
-                        off: w.off,
-                        src: s,
-                    });
-                }
-            }
-            _ => {}
-        }
+        effects.push(e);
     }
 
-    if effects.is_empty() {
+    if effects.is_empty() && !overwritten {
         // A gadget with no typed computation still *verifies its bytes*
         // when placed in a chain: classify it as a NOP. Its clobber
         // list tells the chain compiler which registers must be dead at
@@ -1225,6 +1205,35 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         accesses: st.accesses,
         unresolved_access: st.unresolved_access,
     })
+}
+
+/// The effect a dword write claims: a store of an initial register, or
+/// an add of one into the word.
+fn write_effect(w: &Write) -> Option<Effect> {
+    if w.byte {
+        return None;
+    }
+    match &w.val {
+        V::Init(s) => Some(Effect::StoreMem {
+            addr: w.base,
+            off: w.off,
+            src: *s,
+        }),
+        V::Bin(GBinOp::Add, a, b) => {
+            let m = V::MemAt(Box::new(V::Init(w.base)), w.off);
+            let src = match (a.as_ref(), b.as_ref()) {
+                (x, V::Init(s)) if *x == m => *s,
+                (V::Init(s), y) if *y == m => *s,
+                _ => return None,
+            };
+            Some(Effect::AddMem {
+                addr: w.base,
+                off: w.off,
+                src,
+            })
+        }
+        _ => None,
+    }
 }
 
 /// [`Proposal::syscall_eax`] for a probe that starts eax at `eax0`
@@ -1600,6 +1609,41 @@ mod tests {
             let p = whole(bytes);
             assert!(p.layout_independent(), "{what}: {}", p.cand.disasm());
         }
+    }
+
+    /// A store that a later write to the same word changes is not
+    /// claimed, and its proposal does not turn into a `Nop`: `mov
+    /// [ebx],ecx; adc dword [ebx],0` leaves `ecx + CF` there, which a
+    /// probe whose carry was 0 in both trials would pass as `[ebx] = ecx`.
+    #[test]
+    fn an_overwritten_store_is_not_claimed() {
+        use crate::validate::{legacy, validate};
+        use parallax_image::Program;
+        for imm in 0..256u32 {
+            let mut bytes = vec![0xbe]; // mov esi, imm
+            bytes.extend_from_slice(&imm.wrapping_mul(0x0101_0101).to_le_bytes());
+            bytes.extend_from_slice(&[0x89, 0x0b, 0x83, 0x13, 0x00, 0xc3]);
+            let mut a = parallax_x86::Asm::new();
+            a.db(&bytes);
+            let mut prog = Program::new();
+            prog.add_func("main", a.finish().unwrap());
+            prog.set_entry("main");
+            let img = prog.link().unwrap();
+            let cand = scan(&img.text, img.text_base)
+                .into_iter()
+                .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
+                .expect("main is one candidate");
+            let p = classify(&cand).expect("classified");
+            assert!(p.effects.is_empty(), "{}: {:?}", cand.disasm(), p.effects);
+            assert!(validate(&img, &p).is_none() && legacy::validate(&img, &p).is_none());
+        }
+        // A write that does not overlap the stored word leaves it claimed.
+        let p = whole(&[0x89, 0x0b, 0x83, 0x53, 0x04, 0x00, 0xc3]);
+        assert!(p.effects.contains(&Effect::StoreMem {
+            addr: Reg32::Ebx,
+            off: 0,
+            src: Reg32::Ecx
+        }));
     }
 
     /// The number a syscall gadget's first `int 0x80` passes, from the

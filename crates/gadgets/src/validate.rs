@@ -13,11 +13,18 @@
 //! one run per trial serves every effect of the proposal. Effects that
 //! fail trial 1 drop out of a liveness mask. Survivors are re-checked
 //! against a second trial's run only when trial 1 could have passed a
-//! wrong claim by chance ([`one_trial_settles`], DESIGN.md §16): a
-//! proposal built only from full-width operations on word-aligned
-//! pinned addresses, writing memory at most once, is settled by its
-//! first run. The legacy one-probe-per-(effect,
-//! trial) path, which always runs both trials, is preserved in
+//! wrong claim by chance ([`one_trial_settles`], DESIGN.md §16). Every
+//! address a settled proposal touches is a constant of the proposal,
+//! and no live effect's check reads a location that an instruction
+//! outside the one-trial list (a flag reader, an 8-bit lane, a shift by
+//! `cl`) may have written, directly or through the listed instructions,
+//! pushes and pops after it: [`taint`] follows those marks with write
+//! sets from x86 semantics ([`flow`]), not from the classifier. Memory
+//! effects settle only when every instruction is listed and at most
+//! one writes memory. Each run fills only the scratch windows its
+//! accesses can reach ([`windows_to_fill`]), with the words the oracle
+//! draws there. The legacy one-probe-per-(effect, trial) path, which
+//! always runs both trials and fills all eight windows, is preserved in
 //! [`legacy`] as the differential oracle.
 //!
 //! A proposal the probe must reject without looking at its effects is
@@ -26,7 +33,7 @@
 
 use parallax_image::LinkedImage;
 use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_SIZE, STACK_TOP};
-use parallax_x86::insn::{AluOp, Insn, Mnemonic, OpSize, Operand};
+use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand};
 use parallax_x86::{Reg, Reg32};
 
 use crate::classify::{MemLoc, Proposal, SyscallEax};
@@ -47,7 +54,7 @@ const SCRATCH_WORDS: usize = 256;
 pub(crate) const SCRATCH_BLOCK: u32 = 0x0bfd_0000;
 
 /// The initial `esp` of every probe: the chain's first slot.
-pub(crate) const PROBE_ESP: u32 = STACK_TOP - 0x2000;
+pub const PROBE_ESP: u32 = STACK_TOP - 0x2000;
 
 /// The scratch pointer a probe puts in `r` when `r` must address
 /// memory: region `r.encoding()` of the scratch block, with ~0x800
@@ -152,124 +159,439 @@ pub fn prejudged(mem: &Memory, p: &Proposal) -> bool {
 
 /// Whether trial 1 alone settles the verdict of every effect of `p`
 /// still set in `alive`, so trial 2 is not run (DESIGN.md §16). `regs`
-/// is the register file the probe starts from ([`probe_registers`]).
+/// is the register file the probe starts from ([`probe_registers`]);
+/// `strayed` is set when trial 1 ran text outside the candidate.
 ///
-/// A trial redraws values, never addresses: every address such a
+/// A trial redraws values, never addresses: every address a settled
 /// proposal touches, and every pinned register, is a constant of the
 /// proposal, the same in both trials, while each unpinned register
 /// draws 24 random bits and each scratch word and canary 32. A wrong
 /// claim passes a trial only when the claimed and the actual value
 /// coincide on its draw. When they differ by a full-width function of
 /// the draws, that is a chance of about 2⁻²⁴, below the 2⁻¹⁶ that two
-/// trials give the byte compares they accept. The rule keeps trial 2
-/// wherever the difference can be narrower:
+/// trials give the byte compares they accept. Trial 2 is kept wherever
+/// the difference can be narrower:
 ///
-/// - Every instruction is a 32-bit `mov`, `lea`, `xchg`, `push`, `pop`,
-///   `inc`, `dec`, `neg`, `not`, `add`/`or`/`and`/`sub`/`xor`/`cmp`,
-///   `test`, `mul`, `imul`, shift by an immediate, `ret`, `retf`,
-///   `leave`, `nop`, `pushad`, `popad`, `clc`, `stc`, or an `int` whose
-///   syscall number the classifier knows, with no 8-bit register and
-///   no scaled index. So none reads a flag (1 random bit) or a `cl`
-///   shift count (5 bits), and none works on an 8-bit lane.
-/// - At most one instruction writes an explicit memory operand. Listed
-///   operations can narrow a value to one random bit (`and r, 1`,
-///   `shl r, 31`, `imul r, r, 0x80000000`), and the classifier claims
-///   the first of two writes to one memory word, so a narrowed value
-///   added by a second write (`mov [ebx],eax; and ecx,1; add [ebx],ecx`)
-///   would leave the claimed store intact on half the draws. A register
-///   the classifier follows through every listed operation, so a
-///   narrowed value that reaches a claimed register changes the claim
-///   with it (`tests/shared_trial.rs` carries such values into claimed
-///   registers, stack slots and words, and compares with [`legacy`]).
+/// - A value an instruction outside the list computes ([`Flow::listed`]:
+///   a flag reader, an 8-bit lane, a shift by `cl`) can be a narrow
+///   function of the draws. [`taint`] marks every location such an
+///   instruction can write ([`flow`], from x86 semantics) and carries
+///   the mark forward through listed instructions, pushes and pops.
+///   Trial 2 runs when a live effect's check reads a marked location
+///   ([`check_reads`]): its destination, each register outside the
+///   clobbers for a `Nop`, and esp and the return slot for every effect.
+///   A listed operation can narrow a value too (`and r, 1`), but the
+///   classifier follows registers and esp-rooted words through every
+///   listed operation, so such a value that reaches a claim changes the
+///   claim with it.
+/// - The classifier does not follow a write through a register root
+///   into a later explicit read, nor into a stack word the write
+///   aliases. So after any explicit write, a later explicit read is
+///   marked, and a write the classifier does not follow (an unlisted
+///   one, a second one, or one through a register root) marks the
+///   stack unless it lands in the scratch block, away from every stack
+///   word. The esp tracking stays clear of the block too
+///   ([`stays_near_chain`]).
+/// - A memory effect's check reads the word it claims, which a second
+///   write through another root may alias: it settles only when every
+///   instruction is listed, at most one writes memory explicitly, and
+///   the word lies in the scratch block. A trial 1 that strayed ran
+///   instructions the walk did not see; it settles on the same terms.
 /// - Every access the classifier resolved starts at a word-aligned
 ///   stack offset or exactly at a pinned register's value plus a
-///   multiple of 4, none goes unresolved, and an instruction that moves
-///   esp by a constant moves it by whole words. So no address is built
-///   from drawn values, and no word is read or written across a word
-///   another access claims (`mov [esp+3],ecx; pop eax` claims eax = the
-///   slot, whose top byte holds ecx's low byte).
+///   multiple of 4, none goes unresolved, no access has a marked root,
+///   and esp moves by whole words ([`stays_near_chain`]). So no
+///   address is built from drawn values, and no word is
+///   read or written across a word another access claims (`mov
+///   [esp+3],ecx; pop eax` claims eax = the slot, whose top byte holds
+///   ecx's low byte).
 /// - No live effect is a `MovLow8` or a `ShiftCl`.
-///
-/// This is an allowlist: whatever it does not name keeps both trials.
-fn one_trial_settles(p: &Proposal, alive: u64, regs: &[Option<u32>; 8]) -> bool {
-    use Mnemonic as M;
-    let known_eax = p.syscall_eax != SyscallEax::Unknown;
-    let insns_ok = p.cand.insns.iter().all(|insn| {
-        let listed = match insn.mnemonic {
-            M::Shift(_) => matches!(insn.ops.get(1), Some(Operand::Imm(_))),
-            M::Int => known_eax,
-            M::Mov
-            | M::Lea
-            | M::Xchg
-            | M::Push
-            | M::Pop
-            | M::Inc
-            | M::Dec
-            | M::Neg
-            | M::Not
-            | M::Alu(AluOp::Add | AluOp::Or | AluOp::And | AluOp::Sub | AluOp::Xor | AluOp::Cmp)
-            | M::Test
-            | M::Mul
-            | M::Imul
-            | M::Ret
-            | M::Retf
-            | M::Leave
-            | M::Nop
-            | M::Pushad
-            | M::Popad
-            | M::Clc
-            | M::Stc => true,
-            _ => false,
-        };
-        listed
-            && insn.size == OpSize::Dword
-            && moves_esp_by_words(insn)
-            && insn.ops.iter().all(|op| match op {
-                Operand::Reg(Reg::R8(_)) => false,
-                Operand::Mem(m) => m.index.is_none(),
-                _ => true,
-            })
-    });
-    let one_write = p.cand.insns.iter().filter(|i| writes_memory(i)).count() <= 1;
-    let accesses_ok = !p.unresolved_access
+fn one_trial_settles(p: &Proposal, alive: u64, regs: &[Option<u32>; 8], strayed: bool) -> bool {
+    let live = || {
+        p.effects
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| alive >> i & 1 == 1)
+            .map(|(_, e)| e)
+    };
+    let constant_accesses = !p.unresolved_access
         && p.accesses.iter().all(|a| match *a {
             MemLoc::Stack(off) => off % 4 == 0,
             MemLoc::Reg(r, off, exact) => {
                 off % 4 == 0 && exact && regs[r.encoding() as usize].is_some()
             }
         });
-    let effects_ok = p.effects.iter().enumerate().all(|(i, e)| {
-        alive >> i & 1 == 0 || !matches!(e, Effect::MovLow8 { .. } | Effect::ShiftCl { .. })
-    });
-    insns_ok && one_write && accesses_ok && effects_ok
+    if !constant_accesses
+        || !stays_near_chain(p)
+        || live().any(|e| matches!(e, Effect::MovLow8 { .. } | Effect::ShiftCl { .. }))
+    {
+        return false;
+    }
+    let Some(t) = taint(p, regs) else {
+        return false;
+    };
+    // The word a live memory effect claims, when its root is pinned.
+    let word = |e: &Effect| match *e {
+        Effect::LoadMem { addr, off, .. }
+        | Effect::StoreMem { addr, off, .. }
+        | Effect::AddMem { addr, off, .. } => {
+            Some(regs[addr.encoding() as usize].map(|v| v.wrapping_add(off as u32)))
+        }
+        _ => None,
+    };
+    let whole_proposal = !t.opaque && t.writes <= 1;
+    if (strayed || live().any(|e| word(e).is_some())) && !whole_proposal
+        || !live()
+            .filter_map(word)
+            .all(|a| a.is_some_and(in_scratch_block))
+    {
+        return false;
+    }
+    !t.stack && live().all(|e| check_reads(e, p) & t.regs == 0)
 }
 
-/// Whether `insn` writes an explicit memory operand (not a `push`'s or
-/// a `pop`'s implicit stack slot).
-fn writes_memory(insn: &Insn) -> bool {
+/// Bit of `r` in a register set by encoding.
+const fn bit(r: Reg32) -> u8 {
+    1 << r as u8
+}
+
+/// Whether `a` lies in the probe's scratch block, which holds every
+/// scratch region and lies 0x1000 bytes or more below every stack word
+/// a probe of a proposal that [`stays_near_chain`] touches.
+fn in_scratch_block(a: u32) -> bool {
+    (SCRATCH_BLOCK..SCRATCH_BLOCK + 0x1_0000).contains(&a)
+}
+
+/// The registers the check of `e` reads after a trial, as a bit set by
+/// encoding. Every check compares esp with the slot past the chain
+/// words the gadget consumes, so it reads esp.
+fn check_reads(e: &Effect, p: &Proposal) -> u8 {
+    bit(Reg32::Esp)
+        | match *e {
+            Effect::LoadConst { dst, .. }
+            | Effect::MovReg { dst, .. }
+            | Effect::Binary { dst, .. }
+            | Effect::Neg { dst }
+            | Effect::Not { dst }
+            | Effect::LoadMem { dst, .. }
+            | Effect::ShiftCl { dst, .. } => bit(dst),
+            Effect::MovLow8 { dst, .. } => bit(dst.parent()),
+            Effect::Nop => Reg32::ALL
+                .into_iter()
+                .filter(|r| !p.clobbers.contains(r))
+                .fold(0, |set, r| set | bit(r)),
+            Effect::StoreMem { .. }
+            | Effect::AddMem { .. }
+            | Effect::PopEsp
+            | Effect::AddEsp { .. }
+            | Effect::Syscall => 0,
+        }
+}
+
+/// What an instruction reads and writes besides its operands and the
+/// flags, by x86 semantics, and whether the classifier follows its
+/// result exactly ([`flow`]).
+#[derive(Clone, Copy, Default)]
+struct Flow {
+    /// On the one-trial list: a 32-bit `mov`, `lea`, `xchg`, `push`,
+    /// `pop`, `inc`, `dec`, `neg`, `not`, `add`/`or`/`and`/`sub`/`xor`/
+    /// `cmp`, `test`, `mul`, `imul`, shift by an immediate, `leave`,
+    /// `nop`, `pushad`, `popad`, `clc`, `stc` or `int`, with no 8-bit
+    /// register and no scaled index. None of these reads a flag (1
+    /// random bit) or a `cl` shift count (5 bits), and none works on an
+    /// 8-bit lane.
+    listed: bool,
+    /// Its first `dsts` operands are destinations.
+    dsts: usize,
+    /// The destinations are read too (a read-modify-write).
+    rmw: bool,
+    /// Registers it reads and writes implicitly, as bit sets by encoding.
+    reads: u8,
+    writes: u8,
+    /// It pushes words below esp, or pops words at esp.
+    push: bool,
+    pop: bool,
+}
+
+/// The `write` syscall: whether it faults depends on the length and
+/// the buffer its arguments give, which listed operations can narrow.
+const SYS_WRITE: u32 = 4;
+
+/// What `insn` reads and writes ([`Flow`]), or `None` when the table
+/// does not describe it: a syscall of unknown number, or `write`, whose
+/// outcome depends on its arguments; `div`, which faults on its
+/// operands' values; the control transfers, which a candidate holds
+/// only as its final return. The match names every mnemonic, so a new
+/// one cannot settle before it has a row.
+fn flow(insn: &Insn, syscall_eax: SyscallEax) -> Option<Flow> {
     use Mnemonic as M;
-    let is_mem = |op: &Operand| matches!(op, Operand::Mem(_));
-    match insn.mnemonic {
-        M::Xchg => insn.ops.iter().any(is_mem),
-        M::Alu(AluOp::Cmp) | M::Test | M::Push | M::Mul | M::Imul | M::Lea => false,
-        _ => insn.ops.first().is_some_and(is_mem),
+    const EAX: u8 = bit(Reg32::Eax);
+    const EDX: u8 = bit(Reg32::Edx);
+    let none = |listed| Flow {
+        listed,
+        ..Flow::default()
+    };
+    let dst = |listed, rmw| Flow {
+        listed,
+        dsts: 1,
+        rmw,
+        ..Flow::default()
+    };
+    let f = match insn.mnemonic {
+        M::Alu(AluOp::Cmp) | M::Test | M::Nop | M::Clc | M::Stc => none(true),
+        M::Cmc => none(false),
+        M::Mov | M::Lea => dst(true, false),
+        M::Movzx | M::Movsx | M::Setcc(_) => dst(false, false),
+        M::Alu(AluOp::Adc | AluOp::Sbb) | M::Cmovcc(_) => dst(false, true),
+        M::Alu(_) | M::Inc | M::Dec | M::Neg | M::Not => dst(true, true),
+        M::Shift(_) => dst(matches!(insn.ops.get(1), Some(Operand::Imm(_))), true),
+        M::Imul if insn.ops.len() == 3 => dst(true, false),
+        M::Imul if insn.ops.len() == 2 => dst(true, true),
+        M::Mul | M::Imul => Flow {
+            reads: EAX,
+            writes: EAX | EDX,
+            ..none(true)
+        },
+        M::Xchg => Flow {
+            dsts: 2,
+            rmw: true,
+            ..none(true)
+        },
+        M::Cwde => Flow {
+            reads: EAX,
+            writes: EAX,
+            ..none(false)
+        },
+        M::Cdq => Flow {
+            reads: EAX,
+            writes: EDX,
+            ..none(false)
+        },
+        M::Push => Flow {
+            push: true,
+            ..none(true)
+        },
+        M::Pushfd => Flow {
+            push: true,
+            ..none(false)
+        },
+        M::Pushad => Flow {
+            reads: u8::MAX,
+            push: true,
+            ..none(true)
+        },
+        M::Pop => Flow {
+            pop: true,
+            ..dst(true, false)
+        },
+        M::Popfd => Flow {
+            pop: true,
+            ..none(false)
+        },
+        M::Popad => Flow {
+            writes: !bit(Reg32::Esp),
+            pop: true,
+            ..none(true)
+        },
+        M::Leave => Flow {
+            reads: bit(Reg32::Ebp),
+            writes: bit(Reg32::Ebp) | bit(Reg32::Esp),
+            pop: true,
+            ..none(true)
+        },
+        M::Int => match syscall_eax {
+            SyscallEax::Pinned => Flow {
+                writes: EAX,
+                ..none(true)
+            },
+            SyscallEax::Fixed(nr) if nr != SYS_WRITE => Flow {
+                writes: EAX,
+                ..none(true)
+            },
+            SyscallEax::Fixed(_) | SyscallEax::NoInt | SyscallEax::Unknown => return None,
+        },
+        M::Div
+        | M::Idiv
+        | M::Int3
+        | M::Hlt
+        | M::Jmp
+        | M::JmpInd
+        | M::Jcc(_)
+        | M::Call
+        | M::CallInd
+        | M::Ret
+        | M::Retf => return None,
+    };
+    let full_width = insn.size == OpSize::Dword
+        && insn.ops.iter().all(|op| match op {
+            Operand::Reg(Reg::R8(_)) => false,
+            Operand::Mem(m) => m.index.is_none(),
+            _ => true,
+        });
+    Some(Flow {
+        listed: f.listed && full_width,
+        ..f
+    })
+}
+
+/// The registers a memory operand's address is built from.
+fn address_regs(m: &Mem) -> u8 {
+    m.base.map_or(0, bit) | m.index.map_or(0, |(r, _)| bit(r))
+}
+
+/// What [`taint`] found at the candidate's return.
+#[derive(Default)]
+struct Taint {
+    /// Registers, by encoding, whose value may be a narrow function of
+    /// the draws.
+    regs: u8,
+    /// Set once a stack word may hold such a value, or one the
+    /// classifier did not follow there.
+    stack: bool,
+    /// Set once an explicit write may have changed a word a later
+    /// explicit read sees.
+    mem: bool,
+    /// Set when an instruction is not on the list ([`Flow::listed`]).
+    opaque: bool,
+    /// Instructions that write an explicit memory operand.
+    writes: u32,
+    /// Registers an instruction has written.
+    moved: u8,
+}
+
+impl Taint {
+    /// Whether `op`, read as a source, may carry a marked value.
+    fn reads(&self, op: &Operand, lea: bool) -> bool {
+        match op {
+            Operand::Reg(r) => self.regs & bit(r.parent()) != 0,
+            Operand::Mem(m) if lea => self.regs & address_regs(m) != 0,
+            Operand::Mem(_) => self.mem || self.stack,
+            Operand::Imm(_) | Operand::Rel(_) => false,
+        }
+    }
+
+    /// Writes a value, marked when `v`, to the registers in `set`. A
+    /// listed instruction writes all 32 bits; an unlisted one is always
+    /// marked.
+    fn write_regs(&mut self, set: u8, v: bool) {
+        if v {
+            self.regs |= set;
+        } else {
+            self.regs &= !set;
+        }
+        self.moved |= set;
+    }
+
+    /// Writes a value, marked when `v`, to the explicit operand `m`.
+    /// Only the first write of a listed instruction through esp is one
+    /// the classifier follows into the stack words; any other marks them
+    /// unless its address, a pinned register that no instruction has
+    /// written plus the displacement, lies in the scratch block.
+    fn write_mem(&mut self, m: &Mem, v: bool, listed: bool, regs: &[Option<u32>; 8]) {
+        self.writes += 1;
+        self.mem = true;
+        let scratch = match (m.base, m.index) {
+            (Some(b), None) if b != Reg32::Esp && self.moved & bit(b) == 0 => regs
+                [b.encoding() as usize]
+                .is_some_and(|v| in_scratch_block(v.wrapping_add(m.disp as u32))),
+            _ => false,
+        };
+        let followed = listed && self.writes == 1 && m.base == Some(Reg32::Esp);
+        if !scratch {
+            self.stack |= v || !followed;
+        }
     }
 }
 
-/// False when `insn` moves esp by a constant that is not a whole number
-/// of words: `add`/`sub esp` by such an immediate, `inc`/`dec esp` or a
-/// `lea` into esp. Any other write of esp leaves it symbolic, and the
-/// classifier then follows no push or pop.
-fn moves_esp_by_words(insn: &Insn) -> bool {
+/// Walks `p`'s instructions up to its return, marking the locations
+/// that may hold a narrow function of the draws (see
+/// [`one_trial_settles`]). `None` when an instruction has no row in
+/// [`flow`], an explicit access has a marked root, or esp is marked:
+/// an address that is not a constant of the proposal.
+fn taint(p: &Proposal, regs: &[Option<u32>; 8]) -> Option<Taint> {
+    let mut t = Taint::default();
+    let insns = &p.cand.insns;
+    for insn in &insns[..insns.len() - 1] {
+        let f = flow(insn, p.syscall_eax)?;
+        let listed = f.listed;
+        let lea = insn.mnemonic == Mnemonic::Lea;
+        let roots = insn.ops.iter().fold(0, |set, op| match op {
+            Operand::Mem(m) if !lea => set | address_regs(m),
+            _ => set,
+        });
+        if t.regs & roots != 0 {
+            return None;
+        }
+        let (dsts, srcs) = insn.ops.split_at(f.dsts.min(insn.ops.len()));
+        let v = !listed
+            || srcs.iter().any(|op| t.reads(op, lea))
+            || f.rmw && dsts.iter().any(|op| t.reads(op, lea))
+            || t.regs & f.reads != 0
+            || f.pop && t.stack;
+        t.opaque |= !listed;
+        for op in dsts {
+            match op {
+                Operand::Reg(r) => t.write_regs(bit(r.parent()), v),
+                Operand::Mem(m) => t.write_mem(m, v, listed, regs),
+                Operand::Imm(_) | Operand::Rel(_) => {}
+            }
+        }
+        t.write_regs(f.writes, v);
+        t.stack |= f.push && v;
+        if t.regs & bit(Reg32::Esp) != 0 {
+            return None;
+        }
+    }
+    Some(t)
+}
+
+/// How far below its first slot a probe's esp may go, in bytes: a push
+/// there still writes 0x1000 bytes or more above the scratch block.
+const STACK_FLOOR: i64 = (PROBE_ESP - SCRATCH_BLOCK - 0x1_1000) as i64;
+
+/// Whether esp moves only by whole words and stays above the scratch
+/// block, so no push, pop or return reaches the block and none reads or
+/// writes across a word another access claims: every esp move is a
+/// push, a pop or `add`/`sub esp, imm` by a multiple of 4, none takes
+/// it more than [`STACK_FLOOR`] below the first slot, and any other
+/// write of esp is a pivot's, just before the return, which the probe
+/// lands on its own stack (`inc esp`, `lea esp, [esp+2]` and `mov esp,
+/// ebp` are not).
+fn stays_near_chain(p: &Proposal) -> bool {
     use Mnemonic as M;
-    if insn.ops.first() != Some(&Operand::Reg(Reg::R32(Reg32::Esp))) {
-        return true;
+    let esp = Operand::Reg(Reg::R32(Reg32::Esp));
+    let insns = &p.cand.insns;
+    let pivot = p
+        .effects
+        .iter()
+        .any(|e| matches!(e, Effect::PopEsp | Effect::AddEsp { .. }));
+    let mut delta = 0i64;
+    for (i, insn) in insns[..insns.len() - 1].iter().enumerate() {
+        let Some(f) = flow(insn, p.syscall_eax) else {
+            return false;
+        };
+        let writes_esp = insn.ops[..f.dsts.min(insn.ops.len())].contains(&esp)
+            || f.writes & bit(Reg32::Esp) != 0;
+        delta += match (insn.mnemonic, insn.ops.get(1)) {
+            (M::Alu(AluOp::Add), Some(Operand::Imm(v))) if insn.ops[0] == esp => *v,
+            (M::Alu(AluOp::Sub), Some(Operand::Imm(v))) if insn.ops[0] == esp => -v,
+            _ if writes_esp => {
+                if !(pivot && i + 2 == insns.len()) {
+                    return false;
+                }
+                0
+            }
+            (M::Pushad, _) => -32,
+            (M::Popad, _) => 32,
+            _ if f.push => -4,
+            _ if f.pop => 4,
+            _ => 0,
+        };
+        if delta % 4 != 0 || delta < -STACK_FLOOR {
+            return false;
+        }
     }
-    match (insn.mnemonic, insn.ops.get(1)) {
-        (M::Alu(AluOp::Add | AluOp::Sub), Some(Operand::Imm(v))) => v % 4 == 0,
-        (M::Inc | M::Dec | M::Lea, _) => false,
-        _ => true,
-    }
+    true
 }
 
 /// Effect liveness is tracked in a `u64` bitmask. The classifier emits
@@ -332,19 +654,19 @@ const fn gf2_apply(m: &[u64; 64], x: u64) -> u64 {
     r
 }
 
-/// The xorshift state update is linear over GF(2), so [`SCRATCH_DRAWS`]
-/// steps of it are one matrix: its columns, by squaring the one-step
-/// matrix log₂([`SCRATCH_DRAWS`]) times.
-const SCRATCH_SKIP: [u64; 64] = {
-    assert!(SCRATCH_DRAWS.is_power_of_two());
+/// The xorshift state update is linear over GF(2), so `steps` steps of
+/// it are one matrix: its columns, by squaring the one-step matrix
+/// log₂(`steps`) times.
+const fn skip_matrix(steps: usize) -> [u64; 64] {
+    assert!(steps.is_power_of_two());
     let mut m = [0u64; 64];
     let mut i = 0;
     while i < 64 {
         m[i] = xorshift(1 << i);
         i += 1;
     }
-    let mut steps = 1;
-    while steps < SCRATCH_DRAWS {
+    let mut done = 1;
+    while done < steps {
         let mut sq = [0u64; 64];
         let mut i = 0;
         while i < 64 {
@@ -352,15 +674,60 @@ const SCRATCH_SKIP: [u64; 64] = {
             i += 1;
         }
         m = sq;
-        steps *= 2;
+        done *= 2;
     }
     m
-};
+}
+
+/// [`SCRATCH_DRAWS`] steps of the PRNG: all eight windows' draws.
+const SCRATCH_SKIP: [u64; 64] = skip_matrix(SCRATCH_DRAWS);
+
+/// [`SCRATCH_WORDS`] steps of the PRNG: one window's draws.
+const WINDOW_SKIP: [u64; 64] = skip_matrix(SCRATCH_WORDS);
 
 /// Advances `seed` past the scratch draws of a probe that need not
 /// write them, as [`SCRATCH_DRAWS`] calls of [`prng`] would.
 fn skip_scratch_draws(seed: &mut u64) {
     *seed = gf2_apply(&SCRATCH_SKIP, *seed);
+}
+
+/// Advances `seed` past one window's draws, as [`SCRATCH_WORDS`] calls
+/// of [`prng`] would.
+fn skip_window_draws(seed: &mut u64) {
+    *seed = gf2_apply(&WINDOW_SKIP, *seed);
+}
+
+/// The scratch windows every probe of `p` fills, as a bit set by
+/// encoding. A probe reaches a window through an access, a push or a
+/// pop. None when no register holds a scratch pointer (no explicit
+/// access is then rooted in the block, and [`stays_near_chain`] keeps
+/// the stack words away from it too, or its access faults or starts
+/// outside it). Only its scratch registers' own windows when every
+/// access it makes lands, exactly, in the window of the register it is
+/// rooted at or outside the block, none goes unresolved, and esp stays
+/// clear of the block. All eight otherwise, as the `legacy` oracle
+/// always does. A window left out would hold the pristine stack
+/// region's bytes instead of the oracle's draws, which no access of
+/// such a proposal reads.
+fn windows_to_fill(p: &Proposal, regs: &[Option<u32>; 8]) -> u8 {
+    let scratch = scratch_regs(p);
+    let window = -0x200..=0x200 - 4;
+    let outside = |a: u32| !in_scratch_block(a) && !in_scratch_block(a.wrapping_add(3));
+    let own = !p.unresolved_access
+        && stays_near_chain(p)
+        && p.accesses.iter().all(|a| match *a {
+            MemLoc::Reg(r, off, exact) => {
+                exact
+                    && regs[r.encoding() as usize] == Some(scratch_pointer(r))
+                    && window.contains(&off)
+            }
+            MemLoc::Stack(off) => outside(PROBE_ESP.wrapping_add(off as u32)),
+        });
+    match scratch {
+        0 => 0,
+        _ if own => scratch,
+        _ => u8::MAX,
+    }
 }
 
 /// Counters for probe-VM validation work, exported to traces as
@@ -382,14 +749,17 @@ pub struct ProbeStats {
     pub second_trials: u64,
     /// Proposals rejected without a run, because an access of theirs
     /// can only land on unmapped memory or their syscall number is one
-    /// the VM does not define ([`prejudged`]).
+    /// the VM does not define ([`prejudged`]), or because they claim no
+    /// effect.
     pub prejudged: u64,
     /// Probe executions the legacy per-(effect, trial) loop, which runs
     /// both trials of every effect trial 1 keeps, would have performed
     /// *in addition to* `runs`.
     pub runs_saved: u64,
-    /// Scratch words written into the probe VM: all eight regions, on
-    /// every run of a proposal that holds a scratch pointer.
+    /// Scratch words written into the probe VM on every run of a
+    /// proposal that holds a scratch pointer: the windows of its scratch
+    /// registers, or all eight when an access may land elsewhere
+    /// (`windows_to_fill`).
     pub reseed_words: u64,
     /// Copy-on-write page copies the probe VM made: each page a
     /// proposal writes is copied once, then dropped by the reset.
@@ -414,8 +784,9 @@ impl ProbeStats {
 /// the PRNG words are generated straight into it, and each region is
 /// seeded from it with a single `write_bytes`.
 struct ScratchPre {
-    /// Region start addresses (scratch pointer − 0x200 each).
-    bases: [u32; 8],
+    /// Region start addresses (scratch pointer − 0x200 each), `None`
+    /// for a region the run did not fill.
+    bases: [Option<u32>; 8],
     /// `SCRATCH_WORDS * 4` bytes per region.
     words: Vec<u8>,
 }
@@ -423,16 +794,19 @@ struct ScratchPre {
 impl ScratchPre {
     fn empty() -> ScratchPre {
         ScratchPre {
-            bases: [0; 8],
+            bases: [None; 8],
             words: Vec::with_capacity(8 * SCRATCH_WORDS * 4),
         }
     }
 
     /// The snapshotted word at `addr`, if `addr` is a word-aligned
-    /// offset inside any scratch region (regions are 0x1000 apart, so
-    /// they never overlap).
+    /// offset inside any filled scratch region (regions are 0x1000
+    /// apart, so they never overlap).
     fn get(&self, addr: u32) -> Option<u32> {
-        for (i, &b) in self.bases.iter().enumerate() {
+        for (i, b) in self.bases.iter().enumerate() {
+            let Some(b) = *b else {
+                continue;
+            };
             let off = addr.wrapping_sub(b);
             if off < (SCRATCH_WORDS as u32) * 4 && off % 4 == 0 {
                 let at = i * SCRATCH_WORDS * 4 + off as usize;
@@ -448,11 +822,13 @@ impl ScratchPre {
 /// Buffers reused across proposals so probe setup performs no per-probe
 /// heap allocation: [`ProbeVm`] owns one set for its whole lifetime.
 struct ProbeBufs {
-    /// The registers that hold scratch pointers ([`scratch_regs`]) and
-    /// the initial register file ([`probe_registers`]), computed once
-    /// per proposal.
+    /// The registers that hold scratch pointers ([`scratch_regs`]), the
+    /// initial register file ([`probe_registers`]) and the scratch
+    /// windows each run fills ([`windows_to_fill`]), computed once per
+    /// proposal.
     scratch: u8,
     regs: [Option<u32>; 8],
+    fill: u8,
     /// Chain canary values for the current run.
     canaries: Vec<u32>,
     /// Scratch snapshot/fill slab for the current run.
@@ -467,6 +843,7 @@ impl ProbeBufs {
         ProbeBufs {
             scratch: 0,
             regs: [None; 8],
+            fill: 0,
             canaries: Vec::new(),
             pre: ScratchPre::empty(),
             strayed: false,
@@ -527,23 +904,23 @@ fn run_probe(
     vm.cpu.flags.sf = prng(seed) & 1 != 0;
     vm.cpu.flags.of = prng(seed) & 1 != 0;
 
-    // A probe can only address scratch through a register that holds a
-    // scratch pointer, and only `bufs.scratch` registers ever do: a
-    // proposal without memory operands cannot observe scratch contents,
-    // so its runs skip the draws in one jump of the PRNG state (keeping
-    // the canaries at the oracle's point of the stream) and write
-    // nothing. Otherwise fill scratch
-    // memory with random words and snapshot them, region by region.
-    if bufs.scratch == 0 {
-        // Empty the snapshot so stale lookups from a previous proposal
-        // cannot resolve.
-        bufs.pre.bases = [0; 8];
-        bufs.pre.words.clear();
+    // Fill the windows `windows_to_fill` names with random words and
+    // snapshot them, region by region, and skip the draws of the others
+    // with a jump of the PRNG state, so each filled window holds the
+    // oracle's words and the canaries come from the oracle's point of
+    // the stream. A probe fills nothing when it cannot observe scratch.
+    if bufs.fill == 0 {
+        bufs.pre.bases = [None; 8];
         skip_scratch_draws(seed);
     } else {
-        bufs.pre.bases = scratch.map(|s| s - 0x200);
         bufs.pre.words.resize(SCRATCH_DRAWS * 4, 0);
         for (i, s) in scratch.iter().enumerate() {
+            if bufs.fill >> i & 1 == 0 {
+                bufs.pre.bases[i] = None;
+                skip_window_draws(seed);
+                continue;
+            }
+            bufs.pre.bases[i] = Some(s - 0x200);
             let span = i * SCRATCH_WORDS * 4..(i + 1) * SCRATCH_WORDS * 4;
             let region = &mut bufs.pre.words[span.clone()];
             for chunk in region.chunks_exact_mut(4) {
@@ -553,7 +930,7 @@ fn run_probe(
                 .write_bytes(s - 0x200, &bufs.pre.words[span])
                 .ok()?;
         }
-        stats.reseed_words += SCRATCH_DRAWS as u64;
+        stats.reseed_words += u64::from(bufs.fill.count_ones()) * SCRATCH_WORDS as u64;
     }
 
     // Lay out the probe chain: `slots` canaries, then the sentinel,
@@ -717,13 +1094,14 @@ fn validate_shared(
     stats.proposals += 1;
     bufs.strayed = false;
     let ne = p.effects.len();
-    if ne == 0 || ne > MAX_SHARED_EFFECTS {
+    if ne > MAX_SHARED_EFFECTS {
         return None;
     }
 
     // The legacy loop would have run each effect's first trial, and
-    // every one faults.
-    if prejudged(vm.mem(), p) {
+    // every one faults; a proposal that claims no effect (the
+    // classifier withdrew an overwritten store) it does not run at all.
+    if ne == 0 || prejudged(vm.mem(), p) {
         stats.prejudged += 1;
         stats.runs_saved += ne as u64;
         return None;
@@ -733,6 +1111,7 @@ fn validate_shared(
     // legacy path recomputes it per probe).
     bufs.scratch = scratch_regs(p);
     bufs.regs = probe_registers(p);
+    bufs.fill = windows_to_fill(p, &bufs.regs);
 
     let tag = content_tag(vm, p);
     let mut alive: u64 = if ne == 64 { u64::MAX } else { (1 << ne) - 1 };
@@ -747,7 +1126,7 @@ fn validate_shared(
         // this path runs the trial.
         legacy_runs += u64::from(alive.count_ones());
         if trial == 1 {
-            if one_trial_settles(p, alive, &bufs.regs) {
+            if one_trial_settles(p, alive, &bufs.regs, bufs.strayed) {
                 break;
             }
             stats.second_trials += 1;
@@ -939,7 +1318,7 @@ pub mod legacy {
         vm.cpu.flags.of = prng(seed) & 1 != 0;
 
         let mut pre_mem = ScratchPre::empty();
-        pre_mem.bases = scratch.map(|s| s - 0x200);
+        pre_mem.bases = scratch.map(|s| Some(s - 0x200));
         for s in scratch {
             let start = pre_mem.words.len();
             for _ in 0..SCRATCH_WORDS {
@@ -1055,16 +1434,23 @@ mod tests {
     use crate::scan::scan;
 
     /// A scratch pointer's low byte is not 0, so `mov [eax], ebx; add
-    /// byte [eax], al; add esp, 4; ret`, which adds eax's low byte into
-    /// the word it just stored, fails the store check.
+    /// byte [edx-0x2000], al; add esp, 4; ret`, which adds eax's low byte
+    /// into the word it just stored (edx's scratch pointer lies 0x2000
+    /// above eax's), fails the store check. The classifier does not see
+    /// the alias and claims the store.
     #[test]
     fn a_store_that_adds_al_into_its_word_is_rejected() {
         use parallax_image::Program;
         use parallax_x86::{Asm, Mem};
         assert_ne!(scratch_pointer(Reg32::Eax) & 0xff, 0);
+        assert_eq!(
+            scratch_pointer(Reg32::Edx) - 0x2000,
+            scratch_pointer(Reg32::Eax)
+        );
         let mut a = Asm::new();
         a.mov_mr(Mem::base(Reg32::Eax), Reg32::Ebx);
-        a.db(&[0x00, 0x00, 0x83, 0xc4, 0x04]); // add [eax], al; add esp, 4
+        // add byte [edx-0x2000], al; add esp, 4
+        a.db(&[0x00, 0x82, 0x00, 0xe0, 0xff, 0xff, 0x83, 0xc4, 0x04]);
         a.ret();
         let mut prog = Program::new();
         prog.add_func("main", a.finish().unwrap());
@@ -1072,7 +1458,7 @@ mod tests {
         let img = prog.link().unwrap();
         let cand = scan(&img.text, img.text_base)
             .into_iter()
-            .find(|c| c.disasm().starts_with("mov [eax],ebx; add byte [eax],al"))
+            .find(|c| c.vaddr == img.entry && c.insns.len() == 4)
             .unwrap();
         let p = classify(&cand).unwrap();
         let store = Effect::StoreMem {
@@ -1259,7 +1645,7 @@ mod tests {
             .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
             .expect("main is one candidate");
         let p = classify(&cand).expect("classified");
-        let settled = one_trial_settles(&p, u64::MAX, &probe_registers(&p));
+        let settled = one_trial_settles(&p, u64::MAX, &probe_registers(&p), false);
         let mut probe = ProbeVm::new(&img);
         probe.validate(&p);
         let stats = probe.stats();
@@ -1270,31 +1656,21 @@ mod tests {
         (p, settled, stats.second_trials)
     }
 
-    /// Full-width moves, ALU operations, pops and stores through a
-    /// pinned scratch pointer are settled by trial 1: one run.
-    #[test]
-    fn full_width_gadgets_on_pinned_addresses_take_one_trial() {
-        for bytes in [
-            &[0x58, 0xc3][..],                           // pop eax
-            &[0x01, 0xd8, 0xc3],                         // add eax, ebx
-            &[0x89, 0x03, 0x83, 0xc4, 0x04, 0xc3],       // mov [ebx], eax; add esp, 4
-            &[0x8b, 0x41, 0x08, 0xc1, 0xe0, 0x03, 0xc3], // mov eax, [ecx+8]; shl eax, 3
-            &[0xf7, 0xe3, 0xf8, 0x5d, 0xc3],             // mul ebx; clc; pop ebp
-            &[0x83, 0xe8, 0x09, 0xcd, 0x80, 0xc3],       // sub eax, 9; int 0x80
-        ] {
-            let (p, settled, _) = settles(bytes);
-            assert!(settled, "{}", p.cand.disasm());
-        }
-    }
-
-    /// A second write to memory keeps trial 2: the classifier claims the
-    /// first of two writes to one word, and a listed operation can
+    /// A second write to memory keeps trial 2: the classifier does not
+    /// see that `[edx+0x1000]` is `[ebx]` (the scratch pointers lie 0x1000
+    /// apart), so it claims the first write, and a listed operation can
     /// narrow what the second adds to one random bit. One write, even a
     /// masking one, is settled by trial 1.
     #[test]
     fn a_second_memory_write_takes_two_trials() {
-        // mov [ebx], eax; and ecx, 1; add [ebx], ecx
-        let (p, settled, _) = settles(&[0x89, 0x03, 0x83, 0xe1, 0x01, 0x01, 0x0b, 0xc3]);
+        assert_eq!(
+            scratch_pointer(Reg32::Edx) + 0x1000,
+            scratch_pointer(Reg32::Ebx)
+        );
+        // mov [ebx], eax; and ecx, 1; add [edx+0x1000], ecx
+        let (p, settled, _) = settles(&[
+            0x89, 0x03, 0x83, 0xe1, 0x01, 0x01, 0x8a, 0x00, 0x10, 0x00, 0x00, 0xc3,
+        ]);
         assert!(p.effects.contains(&Effect::StoreMem {
             addr: Reg32::Ebx,
             off: 0,
@@ -1304,16 +1680,26 @@ mod tests {
         // Whether trial 2 runs depends on trial 1's bit; across these
         // narrowings of ecx, some trial 1 passes the wrong store.
         let mut second_trials = 0;
+        let add_ecx = [0x01, 0x8a, 0x00, 0x10, 0x00, 0x00]; // add [edx+0x1000], ecx
         for bytes in [
-            &[0x89, 0x03, 0xc1, 0xe1, 0x1f, 0x01, 0x0b, 0xc3][..], // mov [ebx], eax; shl ecx, 31; add [ebx], ecx
-            // mov [ebx], eax; imul ecx, ecx, 0x80000000; add [ebx], ecx
-            &[0x89, 0x03, 0x69, 0xc9, 0, 0, 0, 0x80, 0x01, 0x0b, 0xc3],
-            // mov [ebx], eax; and ecx, 0x100; add [ebx], ecx
-            &[0x89, 0x03, 0x81, 0xe1, 0, 1, 0, 0, 0x01, 0x0b, 0xc3],
-            &[0x89, 0x03, 0x81, 0x0b, 0x00, 0x01, 0x00, 0x00, 0x58, 0xc3], // mov [ebx], eax; or dword [ebx], 0x100; pop eax
-            &[0x89, 0x03, 0x21, 0x0b, 0x58, 0xc3], // mov [ebx], eax; and [ebx], ecx; pop eax
+            [&[0x89, 0x03, 0xc1, 0xe1, 0x1f][..], &add_ecx, &[0xc3]].concat(), // mov [ebx], eax; shl ecx, 31
+            // mov [ebx], eax; imul ecx, ecx, 0x80000000
+            [
+                &[0x89, 0x03, 0x69, 0xc9, 0, 0, 0, 0x80][..],
+                &add_ecx,
+                &[0xc3],
+            ]
+            .concat(),
+            // mov [ebx], eax; and ecx, 0x100
+            [&[0x89, 0x03, 0x81, 0xe1, 0, 1, 0, 0][..], &add_ecx, &[0xc3]].concat(),
+            // mov [ebx], eax; or dword [edx+0x1000], 0x100; pop eax
+            vec![
+                0x89, 0x03, 0x81, 0x8a, 0, 0x10, 0, 0, 0, 1, 0, 0, 0x58, 0xc3,
+            ],
+            // mov [ebx], eax; and [edx+0x1000], ecx; pop eax
+            vec![0x89, 0x03, 0x21, 0x8a, 0x00, 0x10, 0x00, 0x00, 0x58, 0xc3],
         ] {
-            let (p, settled, second) = settles(bytes);
+            let (p, settled, second) = settles(&bytes);
             assert!(!settled, "{}", p.cand.disasm());
             second_trials += second;
         }
@@ -1341,63 +1727,6 @@ mod tests {
             let (p, settled, _) = settles(bytes);
             assert!(!settled, "{}", p.cand.disasm());
         }
-    }
-
-    /// An instruction that reads a flag, each a 1-bit draw per trial,
-    /// keeps trial 2: `adc`, `sbb`, `setcc`, `cmovcc`.
-    #[test]
-    fn a_flag_reader_takes_two_trials() {
-        for bytes in [
-            &[0x89, 0x03, 0x83, 0x13, 0x00, 0xc3][..], // mov [ebx], eax; adc [ebx], 0
-            &[0x19, 0xca, 0x58, 0xc3],                 // sbb edx, ecx; pop eax
-            &[0x0f, 0x94, 0xc1, 0x58, 0xc3],           // sete cl; pop eax
-            &[0x0f, 0x42, 0xca, 0x58, 0xc3],           // cmovb ecx, edx; pop eax
-        ] {
-            let (p, settled, second) = settles(bytes);
-            assert!(!settled && second == 1, "{}", p.cand.disasm());
-        }
-    }
-
-    /// A shift by `cl` (a 5-bit count) keeps trial 2, and so does a live
-    /// `ShiftCl` effect.
-    #[test]
-    fn a_shift_by_cl_takes_two_trials() {
-        let (p, settled, second) = settles(&[0xd3, 0xe0, 0xc3]); // shl eax, cl
-        assert!(!settled && second == 1);
-        let shift_cl = p
-            .effects
-            .iter()
-            .position(|e| matches!(e, Effect::ShiftCl { .. }));
-        let only_shift = 1 << shift_cl.expect("a ShiftCl effect");
-        assert!(!one_trial_settles(&p, only_shift, &probe_registers(&p)));
-    }
-
-    /// An 8-bit operand (one random byte) keeps trial 2: a byte move, a
-    /// byte ALU operation into memory, and a live `MovLow8` effect.
-    #[test]
-    fn an_eight_bit_operand_takes_two_trials() {
-        let (p, settled, second) = settles(&[0x88, 0xd8, 0xc3]); // mov al, bl
-        assert!(!settled && second == 1);
-        assert!(p
-            .effects
-            .iter()
-            .any(|e| matches!(e, Effect::MovLow8 { .. })));
-        for bytes in [
-            &[0x08, 0x0b, 0x58, 0xc3][..],   // or [ebx], cl; pop eax
-            &[0x80, 0x03, 0x01, 0x58, 0xc3], // add byte [ebx], 1; pop eax
-        ] {
-            let (p, settled, second) = settles(bytes);
-            assert!(!settled && second == 1, "{}", p.cand.disasm());
-        }
-    }
-
-    /// A scaled index builds an address from drawn values: even in a
-    /// `lea`, which touches no memory, it keeps trial 2.
-    #[test]
-    fn a_scaled_index_takes_two_trials() {
-        // lea ecx, [ebx+edx*4]; pop eax
-        let (p, settled, second) = settles(&[0x8d, 0x0c, 0x93, 0x58, 0xc3]);
-        assert!(!settled && second == 1, "{}", p.cand.disasm());
     }
 
     /// An access whose root had its low byte replaced (`Patch8`, not
@@ -1430,19 +1759,224 @@ mod tests {
         assert!(!settled && second == 0);
     }
 
-    /// A mnemonic the allowlist does not name keeps trial 2: `cdq`
-    /// (edx from eax's sign bit). `div` never reaches the probe: the
-    /// classifier rejects it.
+    /// Full-width moves, ALU operations, pops and stores through a
+    /// pinned scratch pointer are settled by trial 1: one run.
+    #[test]
+    fn full_width_gadgets_on_pinned_addresses_take_one_trial() {
+        for bytes in [
+            &[0x58, 0xc3][..],                           // pop eax
+            &[0x01, 0xd8, 0xc3],                         // add eax, ebx
+            &[0x89, 0x03, 0x83, 0xc4, 0x04, 0xc3],       // mov [ebx], eax; add esp, 4
+            &[0x8b, 0x41, 0x08, 0xc1, 0xe0, 0x03, 0xc3], // mov eax, [ecx+8]; shl eax, 3
+            &[0xf7, 0xe3, 0xf8, 0x5d, 0xc3],             // mul ebx; clc; pop ebp
+            &[0x83, 0xc0, 0x1d, 0xcd, 0x80, 0xc3],       // add eax, 29; int 0x80 (42)
+        ] {
+            let (p, settled, _) = settles(bytes);
+            assert!(settled, "{}", p.cand.disasm());
+        }
+    }
+
+    /// A flag reader, an 8-bit lane, a shift by `cl`, an unlisted
+    /// mnemonic or a scaled index whose result no check reads is settled
+    /// by trial 1: it writes a clobber, or a scratch word no claim reads.
+    #[test]
+    fn a_narrowed_value_no_check_reads_takes_one_trial() {
+        for bytes in [
+            &[0x00, 0x00, 0x5f, 0xc3][..], // add byte [eax], al; pop edi
+            &[0x00, 0xd3, 0xf8, 0xc3],     // add bl, dl; clc
+            // or byte [eax-0x48], dl; imul eax, ecx
+            &[0x08, 0x50, 0xb8, 0x0f, 0xaf, 0xc1, 0xc3],
+            &[0xd0, 0xc3, 0x89, 0xc3, 0xc3], // rol bl, 1; mov ebx, eax
+            &[0x08, 0x0b, 0x58, 0xc3],       // or [ebx], cl; pop eax
+            &[0x80, 0x03, 0x01, 0x58, 0xc3], // add byte [ebx], 1; pop eax
+            &[0x0f, 0x94, 0xc1, 0x58, 0xc3], // sete cl; pop eax
+            &[0x19, 0xca, 0x58, 0xc3],       // sbb edx, ecx; pop eax
+            &[0x0f, 0x42, 0xca, 0x58, 0xc3], // cmovb ecx, edx; pop eax
+            &[0xf5, 0x58, 0xc3],             // cmc; pop eax
+            &[0x99, 0x58, 0xc3],             // cdq; pop eax
+            &[0xd3, 0x23, 0x58, 0xc3],       // shl dword [ebx], cl; pop eax
+            &[0x8d, 0x0c, 0x93, 0x58, 0xc3], // lea ecx, [ebx+edx*4]; pop eax
+            &[0x0f, 0x94, 0xc1, 0x89, 0xd1, 0xc3], // sete cl; mov ecx, edx
+        ] {
+            let (p, settled, _) = settles(bytes);
+            assert!(settled, "{}", p.cand.disasm());
+        }
+    }
+
+    /// `op [ebx+disp32]` followed by `tail`, with the displacement
+    /// putting the access, through ebx's scratch pointer, on the chain
+    /// word `k` words above the probe's first slot (`k = -1`: the word a
+    /// push writes). The classifier takes it for a scratch word.
+    fn on_chain_word(op: &[u8], k: i32, tail: &[u8]) -> Vec<u8> {
+        let at = PROBE_ESP.wrapping_add((4 * k) as u32);
+        let mut bytes = op.to_vec();
+        bytes.extend_from_slice(&at.wrapping_sub(scratch_pointer(Reg32::Ebx)).to_le_bytes());
+        bytes.extend_from_slice(tail);
+        bytes
+    }
+
+    /// A flag reader keeps trial 2 when its result reaches a claim:
+    /// `adc` adds the carry into the chain word `pop eax` loads.
+    #[test]
+    fn a_flag_reader_takes_two_trials() {
+        let (p, settled, _) = settles(&on_chain_word(&[0x83, 0x93], 0, &[0x00, 0x58, 0xc3]));
+        assert!(p.effects.contains(&Effect::LoadConst {
+            dst: Reg32::Eax,
+            slot: 0
+        }));
+        assert!(!settled, "{}", p.cand.disasm());
+    }
+
+    /// A shift by `cl` (a 5-bit count) keeps trial 2 when its result
+    /// reaches a claim: a live `ShiftCl` effect, or a shifted chain word.
+    #[test]
+    fn a_shift_by_cl_takes_two_trials() {
+        let (p, settled, second) = settles(&[0xd3, 0xe0, 0xc3]); // shl eax, cl
+        assert!(!settled && second == 1);
+        let shift_cl = p
+            .effects
+            .iter()
+            .position(|e| matches!(e, Effect::ShiftCl { .. }));
+        let only_shift = 1 << shift_cl.expect("a ShiftCl effect");
+        assert!(!one_trial_settles(
+            &p,
+            only_shift,
+            &probe_registers(&p),
+            false
+        ));
+        // shl dword [ebx+disp], cl; pop eax
+        let (p, settled, _) = settles(&on_chain_word(&[0xd3, 0xa3], 0, &[0x58, 0xc3]));
+        assert!(!settled, "{}", p.cand.disasm());
+    }
+
+    /// An 8-bit operand (one random byte) keeps trial 2 when it reaches
+    /// a claim: a live `MovLow8` effect, or a byte written into the chain
+    /// words, where the classifier does not see it.
+    #[test]
+    fn an_eight_bit_operand_takes_two_trials() {
+        let (p, settled, second) = settles(&[0x88, 0xd8, 0xc3]); // mov al, bl
+        assert!(!settled && second == 1);
+        assert!(p
+            .effects
+            .iter()
+            .any(|e| matches!(e, Effect::MovLow8 { .. })));
+        // or byte [ebx+disp], cl; pop eax
+        let (p, settled, _) = settles(&on_chain_word(&[0x08, 0x8b], 0, &[0x58, 0xc3]));
+        assert!(p.effects.contains(&Effect::LoadConst {
+            dst: Reg32::Eax,
+            slot: 0
+        }));
+        assert!(!settled, "{}", p.cand.disasm());
+    }
+
+    /// A narrowed value pushed and then popped into a claimed register
+    /// keeps trial 2: `push ecx; or byte [ebx+disp], al; pop eax` is
+    /// claimed as eax = ecx, and al's bits land in the pushed word.
+    #[test]
+    fn a_pushed_and_popped_narrowed_value_takes_two_trials() {
+        let (p, settled, _) = settles(&on_chain_word(&[0x51, 0x08, 0x83], -1, &[0x58, 0xc3]));
+        assert!(p.effects.contains(&Effect::MovReg {
+            dst: Reg32::Eax,
+            src: Reg32::Ecx
+        }));
+        assert!(!settled, "{}", p.cand.disasm());
+    }
+
+    /// A scaled index builds a value from two draws; it keeps trial 2
+    /// when that value reaches a claim, here through a chain word.
+    #[test]
+    fn a_scaled_index_takes_two_trials() {
+        // lea ecx, [edx+ecx*2]; mov [ebx+disp], ecx; pop eax
+        let (p, settled, _) = settles(&on_chain_word(
+            &[0x8d, 0x0c, 0x4a, 0x89, 0x8b],
+            0,
+            &[0x58, 0xc3],
+        ));
+        assert!(!settled, "{}", p.cand.disasm());
+    }
+
+    /// A mnemonic outside the list keeps trial 2 when its result reaches
+    /// a claim: `cdq`'s edx added into a chain word. `div` never reaches
+    /// the probe: the classifier rejects it.
     #[test]
     fn an_unlisted_mnemonic_takes_two_trials() {
-        let (p, settled, second) = settles(&[0x99, 0x58, 0xc3]); // cdq; pop eax
-        assert!(!settled && second == 1, "{}", p.cand.disasm());
+        // cdq; add [ebx+disp], edx; pop eax
+        let (p, settled, _) = settles(&on_chain_word(&[0x99, 0x01, 0x93], 0, &[0x58, 0xc3]));
+        assert!(!settled, "{}", p.cand.disasm());
         let img = image_of(&[0xf7, 0xf3, 0x58, 0xc3]); // div ebx; pop eax
         let div = scan(&img.text, img.text_base)
             .into_iter()
             .find(|c| c.vaddr == img.entry)
             .expect("main is a candidate");
         assert!(classify(&div).is_none(), "{}", div.disasm());
+    }
+
+    /// The walk does not take its write sets from the classifier: a
+    /// claim a classifier that overlooked an instruction would make
+    /// still keeps trial 2 when a narrowed value reaches it.
+    #[test]
+    fn a_claim_on_a_narrowed_location_takes_two_trials() {
+        let claim = |bytes: &[u8], edit: &dyn Fn(&mut Proposal)| {
+            let img = image_of(bytes);
+            let cand = scan(&img.text, img.text_base)
+                .into_iter()
+                .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
+                .expect("main is one candidate");
+            let mut p = classify(&cand).expect("classified");
+            let before = one_trial_settles(&p, u64::MAX, &probe_registers(&p), false);
+            edit(&mut p);
+            (
+                before,
+                one_trial_settles(&p, u64::MAX, &probe_registers(&p), false),
+            )
+        };
+        // sete cl; push ecx; pop eax: claimed as eax = ecx.
+        let pushed = claim(&[0x0f, 0x94, 0xc1, 0x51, 0x58, 0xc3], &|p| {
+            p.effects = vec![Effect::MovReg {
+                dst: Reg32::Eax,
+                src: Reg32::Ecx,
+            }];
+        });
+        assert!(!pushed.1);
+        // sete bl; mov eax, [ebx]; pop ecx: the root taken as exact.
+        let root = claim(&[0x0f, 0x94, 0xc3, 0x8b, 0x03, 0x59, 0xc3], &|p| {
+            p.accesses = vec![MemLoc::Reg(Reg32::Ebx, 0, true)];
+        });
+        assert!(!root.1);
+        // add bl, dl; clc: a Nop that keeps ebx.
+        let nop = claim(&[0x00, 0xd3, 0xf8, 0xc3], &|p| p.clobbers.clear());
+        assert_eq!(nop, (true, false));
+    }
+
+    /// A write through a register root followed by a read of the same
+    /// word keeps trial 2: the classifier claims the word the read sees
+    /// is the one before the write, and `or` changes one bit of it.
+    #[test]
+    fn a_read_after_a_write_takes_two_trials() {
+        // or dword [edx], 0x100; mov eax, [edx]
+        let (p, settled, _) = settles(&[0x81, 0x0a, 0x00, 0x01, 0x00, 0x00, 0x8b, 0x02, 0xc3]);
+        assert_eq!(
+            p.effects,
+            vec![Effect::LoadMem {
+                dst: Reg32::Eax,
+                addr: Reg32::Edx,
+                off: 0
+            }]
+        );
+        assert!(!settled);
+    }
+
+    /// A `write` syscall keeps trial 2: whether it faults depends on the
+    /// length it is passed, which a listed operation can narrow to one
+    /// random bit (0 or 2³¹ bytes from ecx's scratch pointer).
+    #[test]
+    fn a_write_syscall_takes_two_trials() {
+        // shl edx, 31; cmp [ecx], eax; sub eax, 9; int 0x80
+        let (p, settled, _) = settles(&[
+            0xc1, 0xe2, 0x1f, 0x39, 0x01, 0x83, 0xe8, 0x09, 0xcd, 0x80, 0xc3,
+        ]);
+        assert_eq!(p.syscall_eax, SyscallEax::Fixed(SYS_WRITE));
+        assert!(!settled);
     }
 
     /// Skipping the scratch draws lands on the state the draws reach.
@@ -1455,7 +1989,54 @@ mod tests {
             }
             skip_scratch_draws(&mut skipped);
             assert_eq!(skipped, drawn, "{start:#x}");
+            let (mut drawn, mut skipped) = (start, start);
+            for _ in 0..SCRATCH_WORDS {
+                prng(&mut drawn);
+            }
+            skip_window_draws(&mut skipped);
+            assert_eq!(skipped, drawn, "{start:#x}");
         }
+    }
+
+    /// A probe fills the windows of its scratch registers when every
+    /// access lands in its own register's window, and all eight when
+    /// one may land in another's; it writes 256 words per window.
+    #[test]
+    fn a_probe_fills_the_windows_its_accesses_reach() {
+        let fill = |bytes: &[u8]| {
+            let img = image_of(bytes);
+            let cand = scan(&img.text, img.text_base)
+                .into_iter()
+                .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
+                .expect("main is one candidate");
+            let p = classify(&cand).expect("classified");
+            let mut probe = ProbeVm::new(&img);
+            probe.validate(&p);
+            let stats = probe.stats();
+            let fill = windows_to_fill(&p, &probe_registers(&p));
+            let words = u64::from(fill.count_ones()) * SCRATCH_WORDS as u64;
+            assert_eq!(
+                stats.reseed_words,
+                stats.runs * words,
+                "{}",
+                p.cand.disasm()
+            );
+            fill
+        };
+        let (ecx, edx) = (bit(Reg32::Ecx), bit(Reg32::Edx));
+        assert_eq!(fill(&[0x58, 0xc3]), 0); // pop eax
+        assert_eq!(fill(&[0x8b, 0x41, 0x08, 0xc3]), ecx); // mov eax, [ecx+8]
+                                                          // mov eax, [ecx+8]; add [edx-0x1fc], eax
+        assert_eq!(
+            fill(&[0x8b, 0x41, 0x08, 0x01, 0x82, 0x04, 0xfe, 0xff, 0xff, 0xc3]),
+            ecx | edx
+        );
+        // mov eax, [ecx+0x1000]: edx's window
+        assert_eq!(fill(&[0x8b, 0x81, 0x00, 0x10, 0x00, 0x00, 0xc3]), u8::MAX);
+        // mul dword [ecx]: not resolved
+        assert_eq!(fill(&[0xf7, 0x21, 0x8b, 0x41, 0x08, 0xc3]), u8::MAX);
+        // mov ah, 0x16; add [eax], al: a patched root
+        assert_eq!(fill(&[0xb4, 0x16, 0x00, 0x00, 0xc3]), u8::MAX);
     }
 
     /// A tag equal to the seed constants would cancel them to 0, the

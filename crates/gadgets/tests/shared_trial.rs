@@ -16,11 +16,11 @@ use proptest::prelude::*;
 use parallax_compiler::compile_module;
 use parallax_core::ChainMode;
 use parallax_gadgets::scan::scan;
-use parallax_gadgets::validate::{legacy, MAX_SHARED_EFFECTS};
+use parallax_gadgets::validate::{legacy, scratch_pointer, MAX_SHARED_EFFECTS, PROBE_ESP};
 use parallax_gadgets::{classify, ProbeStats, ProbeVm};
 use parallax_image::{LinkedImage, Program};
 use parallax_vm::{Vm, VmOptions};
-use parallax_x86::Asm;
+use parallax_x86::{Asm, Reg32};
 
 use common::{fixpoint_pairs, large_module, MORE_LARGE_SEEDS};
 
@@ -260,6 +260,115 @@ fn adversarial_image(gadgets: &[Vec<(bool, usize)>]) -> LinkedImage {
     p.link().unwrap()
 }
 
+/// Instructions outside the one-trial list, each of which writes a
+/// value one trial may not tell from the claimed one: 8-bit lanes,
+/// flag readers, shifts by `cl`, `cdq`, `pushfd`, through registers,
+/// scratch words and (through [`on_chain_word`]) the chain words that a
+/// `pop` loads or a `push` writes, where the classifier does not see
+/// them.
+const OPAQUE: [&[u8]; 18] = [
+    &[0x00, 0x03],       // add [ebx], al
+    &[0x08, 0x0b],       // or [ebx], cl
+    &[0x08, 0x53, 0x04], // or [ebx+4], dl
+    &[0x00, 0xd1],       // add cl, dl
+    &[0xd0, 0xc1],       // rol cl, 1
+    &[0x88, 0xc1],       // mov cl, al
+    &[0x0f, 0x94, 0xc1], // sete cl
+    &[0x0f, 0x92, 0x03], // setb byte [ebx]
+    &[0x83, 0xd1, 0x00], // adc ecx, 0
+    &[0x19, 0xc1],       // sbb ecx, eax
+    &[0x0f, 0x42, 0xca], // cmovb ecx, edx
+    &[0xd3, 0xe1],       // shl ecx, cl
+    &[0xd3, 0x2b],       // shr dword [ebx], cl
+    &[0x83, 0x13, 0x00], // adc dword [ebx], 0
+    &[0x0f, 0xb6, 0xc9], // movzx ecx, cl
+    &[0x99],             // cdq
+    &[0xf5],             // cmc
+    &[0x9c],             // pushfd
+];
+
+/// Opaque writes of a chain word, as `(opcode and ModR/M, word, tail)`
+/// for [`on_chain_word`]: word 0 is the one the first `pop` loads, -1
+/// the one a first `push` writes.
+const ON_CHAIN: [(&[u8], i32, &[u8]); 4] = [
+    (&[0x08, 0x8b], 0, &[]),     // or [ebx+disp], cl
+    (&[0x83, 0x93], 0, &[0x00]), // adc dword [ebx+disp], 0
+    (&[0x08, 0x83], -1, &[]),    // or [ebx+disp], al
+    (&[0xd3, 0xa3], -1, &[]),    // shl dword [ebx+disp], cl
+];
+
+/// `op [ebx+disp32] tail` with the displacement putting the access,
+/// through ebx's scratch pointer, on the chain word `word` words above
+/// the probe's first slot.
+fn on_chain_word(op: &[u8], word: i32, tail: &[u8]) -> Vec<u8> {
+    let at = PROBE_ESP.wrapping_add((4 * word) as u32);
+    let mut bytes = op.to_vec();
+    bytes.extend_from_slice(&at.wrapping_sub(scratch_pointer(Reg32::Ebx)).to_le_bytes());
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+/// Listed instructions that make, move or read the claims [`OPAQUE`]
+/// ones can break: pops, pushes, full-width moves and ALU operations
+/// (some of ecx, which the opaque ones narrow), stores, loads and
+/// read-modify-writes through ebx and esp, among them masking ones
+/// whose result a later load of the word reads.
+const FOLLOWED: [&[u8]; 20] = [
+    &[0x58],                               // pop eax
+    &[0x59],                               // pop ecx
+    &[0x5a],                               // pop edx
+    &[0x50],                               // push eax
+    &[0x51],                               // push ecx
+    &[0x89, 0xc8],                         // mov eax, ecx
+    &[0x89, 0xca],                         // mov edx, ecx
+    &[0x01, 0xc8],                         // add eax, ecx
+    &[0x31, 0xc2],                         // xor edx, eax
+    &[0x89, 0x03],                         // mov [ebx], eax
+    &[0x89, 0x0b],                         // mov [ebx], ecx
+    &[0x01, 0x0b],                         // add [ebx], ecx
+    &[0x8b, 0x03],                         // mov eax, [ebx]
+    &[0x89, 0x0c, 0x24],                   // mov [esp], ecx
+    &[0x8b, 0x04, 0x24],                   // mov eax, [esp]
+    &[0x83, 0xe1, 0x01],                   // and ecx, 1
+    &[0x81, 0x0b, 0x00, 0x01, 0x00, 0x00], // or dword [ebx], 0x100
+    &[0x83, 0x23, 0xfe],                   // and dword [ebx], -2
+    &[0x83, 0x33, 0x01],                   // xor dword [ebx], 1
+    &[0x8b, 0x0b],                         // mov ecx, [ebx]
+];
+
+/// Links one gadget per entry of `gadgets` into `main`, each followed
+/// by a `ret`: fragment picks `(kind, index)`, kind 0 an [`OPAQUE`]
+/// instruction, 1 an [`ON_CHAIN`] write, anything else a [`FOLLOWED`]
+/// one.
+fn opaque_mix_image(gadgets: &[Vec<(u8, usize)>]) -> LinkedImage {
+    let mut a = Asm::new();
+    for g in gadgets {
+        for &(kind, i) in g {
+            match kind {
+                0 => a.db(OPAQUE[i % OPAQUE.len()]),
+                1 => {
+                    let (op, word, tail) = ON_CHAIN[i % ON_CHAIN.len()];
+                    a.db(&on_chain_word(op, word, tail));
+                }
+                _ => a.db(FOLLOWED[i % FOLLOWED.len()]),
+            }
+        }
+        a.ret();
+    }
+    let mut p = Program::new();
+    p.add_func("main", a.finish().unwrap());
+    p.set_entry("main");
+    p.link().unwrap()
+}
+
+/// Gadgets of one to four fragments, about a third opaque.
+fn opaque_mix() -> impl Strategy<Value = Vec<Vec<(u8, usize)>>> {
+    prop::collection::vec(
+        prop::collection::vec(((0u8..6).prop_map(|k| k.min(2)), 0usize..64), 1..5),
+        1..8,
+    )
+}
+
 /// Both fixpoint passes of a protect-large-sized module: the shared
 /// verdicts equal the legacy oracle's. Returns how many proposals were
 /// validated and how many took a second trial.
@@ -363,6 +472,15 @@ proptest! {
         assert_shared_matches_legacy(&adversarial_image(&gadgets), "unsettled stream");
     }
 
+    /// Gadgets that mix instructions outside the one-trial list with
+    /// the pops, pushes, full-width claims and stores whose claims their
+    /// values can reach: every shared verdict, one trial or two, equals
+    /// the legacy oracle's, which runs both trials of every effect.
+    #[test]
+    fn shared_trial_verdicts_match_legacy_on_opaque_mix(gadgets in opaque_mix()) {
+        assert_shared_matches_legacy(&opaque_mix_image(&gadgets), "opaque mix");
+    }
+
     /// Gadgets that claim a word or register, narrow ecx with listed
     /// operations, then carry ecx into the claimed place: a second
     /// write the claim may miss, whose error one trial sees with a
@@ -376,5 +494,17 @@ proptest! {
         ),
     ) {
         assert_shared_matches_legacy(&narrowed_image(&gadgets), "narrowed stream");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// [`shared_trial_verdicts_match_legacy_on_opaque_mix`] over 4,096
+    /// cases; CI's release step runs it with `--ignored`.
+    #[test]
+    #[ignore]
+    fn shared_trial_verdicts_match_legacy_on_a_long_opaque_mix(gadgets in opaque_mix()) {
+        assert_shared_matches_legacy(&opaque_mix_image(&gadgets), "long opaque mix");
     }
 }

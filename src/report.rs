@@ -349,7 +349,7 @@ fn validation_table(out: &mut String, tf: &TraceFile) {
     );
     let _ = writeln!(
         out,
-        "  proposals prejudged (unmapped access, undefined syscall): {} (no probe run)",
+        "  proposals prejudged (unmapped access, undefined syscall, no effect): {} (no probe run)",
         get("vm.probe.prejudged")
     );
     let _ = writeln!(
@@ -769,7 +769,7 @@ mod tests {
             "decodes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
             "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)   second trials: 455",
-            "proposals prejudged (unmapped access, undefined syscall): 40 (no probe run)",
+            "proposals prejudged (unmapped access, undefined syscall, no effect): 40 (no probe run)",
             "verdicts reused from the previous pass: 120 (no probe run)",
             "verdicts shared by same-content copies: 4200 (no probe run)",
             "scratch reseed: 12800 words   probe VMs: 2 built (1.500 ms)",
