@@ -89,12 +89,12 @@ pub struct Proposal {
     /// Register bases of incidental memory accesses; these must point
     /// into scratch memory when the gadget executes.
     pub mem_preconditions: Vec<Reg32>,
-    /// Every explicit memory access the classifier resolved, each once,
-    /// in the order the gadget first makes it.
-    pub accesses: Vec<MemLoc>,
+    /// Every explicit memory operand the classifier resolved, one per
+    /// instruction, in instruction order.
+    pub accesses: Vec<Access>,
     /// Set when an instruction has a memory operand the classifier does
-    /// not resolve (`mul [m]`): no entry of `accesses` records where it
-    /// lands.
+    /// not resolve (an absolute or scaled `mul [m]`): no entry of
+    /// `accesses` records where it lands.
     pub unresolved_access: bool,
     /// What eax holds at the gadget's `int 0x80` instructions.
     pub syscall_eax: SyscallEax,
@@ -150,7 +150,7 @@ impl Proposal {
             .then(|| insns.len() - 2);
         let int_ok = self.syscall_eax == SyscallEax::Pinned;
         !self.unresolved_access
-            && self.accesses.iter().all(|a| a.relink_invariant(&regs))
+            && self.accesses.iter().all(|a| a.loc.relink_invariant(&regs))
             && insns
                 .iter()
                 .enumerate()
@@ -208,8 +208,11 @@ struct St {
     /// Set when the instruction being interpreted resolved an explicit
     /// memory operand.
     accessed: bool,
-    /// The distinct accesses resolved so far ([`Proposal::accesses`]).
-    accesses: Vec<MemLoc>,
+    /// The instruction being interpreted, by index in the candidate.
+    insn: usize,
+    /// The accesses resolved so far ([`Proposal::accesses`]), each with
+    /// its root's value when that is a `Patch8`.
+    accesses: Vec<(Access, Option<V>)>,
     /// See [`Proposal::unresolved_access`].
     unresolved_access: bool,
 }
@@ -238,6 +241,7 @@ impl St {
             ints_see_initial_eax: true,
             dead: false,
             accessed: false,
+            insn: 0,
             accesses: Vec::new(),
             unresolved_access: false,
         }
@@ -315,23 +319,33 @@ impl St {
 
     /// Resolves a memory operand to either a stack offset or a
     /// `(base, off)` pair, or kills the gadget (`None`). Records the
-    /// access in [`Proposal::accesses`].
+    /// access in [`Proposal::accesses`], once per instruction.
     fn resolve_mem(&mut self, m: &Mem) -> Option<MemLoc> {
         if m.index.is_some() {
             return None; // scaled accesses are not chain-controllable
         }
-        let loc = match m.base {
-            Some(Reg32::Esp) if self.esp_sym.is_none() => MemLoc::Stack(self.esp_delta + m.disp),
+        let (loc, patch) = match m.base {
+            Some(Reg32::Esp) if self.esp_sym.is_none() => {
+                (MemLoc::Stack(self.esp_delta + m.disp), None)
+            }
             Some(base) => match self.reg(base) {
-                V::Esp(d) => MemLoc::Stack(d + m.disp),
-                v => root_init(&v).map(|(r, exact)| MemLoc::Reg(r, m.disp, exact))?,
+                V::Esp(d) => (MemLoc::Stack(d + m.disp), None),
+                v => {
+                    let (r, exact) = root_init(&v)?;
+                    (MemLoc::Reg(r, m.disp, exact), (!exact).then_some(v))
+                }
             },
             None => return None, // absolute addresses not supported in gadgets
         };
-        self.accessed = true;
-        if !self.accesses.contains(&loc) {
-            self.accesses.push(loc);
+        if !self.accessed {
+            let access = Access {
+                insn: self.insn,
+                loc,
+                patched: None,
+            };
+            self.accesses.push((access, patch));
         }
+        self.accessed = true;
         Some(loc)
     }
 
@@ -385,6 +399,37 @@ impl St {
                 true
             }
             None => false,
+        }
+    }
+}
+
+/// An explicit memory operand the classifier resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The instruction that makes it, by index in the candidate.
+    pub insn: usize,
+    /// Where it points.
+    pub loc: MemLoc,
+    /// For a `Patch8` root (`MemLoc::Reg` with `exact` false): the value
+    /// the root holds at the access in every probe of the proposal, when
+    /// the patched bytes are constants there (`mov al, 0x16`, or `add
+    /// al, 8` on a register the probe pins); `None` otherwise.
+    pub patched: Option<u32>,
+}
+
+impl Access {
+    /// The one address this access starts at in every probe whose
+    /// initial register file is `regs`: [`MemLoc::starts`]'s single
+    /// address for an exact root, the patched value plus the
+    /// displacement for a `Patch8` root whose bytes are constants
+    /// there, and `None` for any other root.
+    pub(crate) fn at(&self, regs: &[Option<u32>; 8]) -> Option<u32> {
+        match (self.loc, self.patched) {
+            (MemLoc::Reg(_, off, false), patched) => patched.map(|v| v.wrapping_add(off as u32)),
+            (loc, _) => match loc.starts(regs) {
+                (lo, hi) if lo == hi => Some(lo as u32),
+                _ => None,
+            },
         }
     }
 }
@@ -829,16 +874,9 @@ fn step(st: &mut St, insn: &Insn) -> bool {
                     return false;
                 }
             }
-            _ => {
-                // one-operand form writes edx:eax
-                st.set_reg(Reg32::Eax, V::Unknown);
-                st.set_reg(Reg32::Edx, V::Unknown);
-            }
+            _ => mul_edx_eax(st, insn),
         },
-        M::Mul => {
-            st.set_reg(Reg32::Eax, V::Unknown);
-            st.set_reg(Reg32::Edx, V::Unknown);
-        }
+        M::Mul => mul_edx_eax(st, insn),
         M::Div | M::Idiv => return false, // can fault; never chain-usable
         M::Shift(op) => match (&insn.ops[0], insn.size) {
             (Operand::Reg(Reg::R32(r)), OpSize::Dword) => {
@@ -991,18 +1029,30 @@ fn step(st: &mut St, insn: &Insn) -> bool {
     !st.dead
 }
 
+/// The one-operand `mul`/`imul`, which writes edx:eax. Its memory
+/// operand is recorded as an access where it resolves, but its root is
+/// not a precondition: the probe's register file does not depend on it.
+fn mul_edx_eax(st: &mut St, insn: &Insn) {
+    if let Some(Operand::Mem(m)) = insn.ops.first() {
+        st.resolve_mem(m);
+    }
+    st.set_reg(Reg32::Eax, V::Unknown);
+    st.set_reg(Reg32::Edx, V::Unknown);
+}
+
 /// Classifies a candidate into a [`Proposal`], or `None` if it matches
 /// no usable pattern.
 pub fn classify(cand: &Candidate) -> Option<Proposal> {
     let mut st = St::new();
     let n = cand.insns.len();
-    for insn in &cand.insns[..n - 1] {
+    for (i, insn) in cand.insns[..n - 1].iter().enumerate() {
+        st.insn = i;
         st.accessed = false;
         if !step(&mut st, insn) {
             return None;
         }
-        // A memory operand the interpreter does not read (`mul [m]`)
-        // reaches an address no access records.
+        // A memory operand the interpreter does not resolve (`mul
+        // [abs]`) reaches an address no access records.
         if !st.accessed
             && insn.mnemonic != Mnemonic::Lea
             && insn.ops.iter().any(|op| matches!(op, Operand::Mem(_)))
@@ -1035,17 +1085,20 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         }
         let slots = st.max_slot.max(0) as u32;
         let clobbers = collect_clobbers(&st, &[]);
-        return Some(Proposal {
-            cand: cand.clone(),
-            slots,
-            effects,
-            clobbers,
-            mem_preconditions: mem_preconds(&st),
-            // No `Syscall` effect, so the probe draws eax.
-            syscall_eax: syscall_eax(&st, None),
-            accesses: st.accesses,
-            unresolved_access: st.unresolved_access,
-        });
+        return Some(with_accesses(
+            Proposal {
+                cand: cand.clone(),
+                slots,
+                effects,
+                clobbers,
+                mem_preconditions: mem_preconds(&st),
+                // No `Syscall` effect, so the probe draws eax.
+                syscall_eax: syscall_eax(&st, None),
+                accesses: Vec::new(),
+                unresolved_access: st.unresolved_access,
+            },
+            st.accesses,
+        ));
     }
 
     // Normal gadgets: esp must be at a non-negative, aligned delta, and
@@ -1194,17 +1247,35 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
     }
 
     let clobbers = collect_clobbers(&st, &effect_dsts);
-    Some(Proposal {
-        cand: cand.clone(),
-        slots,
-        effects,
-        clobbers,
-        mem_preconditions: mem_preconds(&st),
-        // Any `int 0x80` made a `Syscall` effect: the probe pins eax.
-        syscall_eax: syscall_eax(&st, Some(PROBE_SYSCALL)),
-        accesses: st.accesses,
-        unresolved_access: st.unresolved_access,
-    })
+    Some(with_accesses(
+        Proposal {
+            cand: cand.clone(),
+            slots,
+            effects,
+            clobbers,
+            mem_preconditions: mem_preconds(&st),
+            // Any `int 0x80` made a `Syscall` effect: the probe pins eax.
+            syscall_eax: syscall_eax(&st, Some(PROBE_SYSCALL)),
+            accesses: Vec::new(),
+            unresolved_access: st.unresolved_access,
+        },
+        st.accesses,
+    ))
+}
+
+/// `p` with its accesses, each `Patch8` root's value evaluated in the
+/// register file every probe of `p` starts from ([`probe_registers`],
+/// which does not read the accesses).
+fn with_accesses(mut p: Proposal, accesses: Vec<(Access, Option<V>)>) -> Proposal {
+    let regs = probe_registers(&p);
+    p.accesses = accesses
+        .into_iter()
+        .map(|(a, patch)| Access {
+            patched: patch.and_then(|v| eval(&v, &regs)),
+            ..a
+        })
+        .collect();
+    p
 }
 
 /// The effect a dword write claims: a store of an initial register, or
@@ -1239,48 +1310,51 @@ fn write_effect(w: &Write) -> Option<Effect> {
 /// [`Proposal::syscall_eax`] for a probe that starts eax at `eax0`
 /// (`None` when it draws eax at random).
 fn syscall_eax(st: &St, eax0: Option<u32>) -> SyscallEax {
+    let mut regs = [None; 8];
+    regs[Reg32::Eax.encoding() as usize] = eax0;
     match &st.int_eax {
         None => SyscallEax::NoInt,
         Some(_) if st.ints_see_initial_eax && eax0.is_some() => SyscallEax::Pinned,
-        Some(v) => eval(v, eax0).map_or(SyscallEax::Unknown, SyscallEax::Fixed),
+        Some(v) => eval(v, &regs).map_or(SyscallEax::Unknown, SyscallEax::Fixed),
     }
 }
 
-/// The concrete value of `v` in a state whose eax starts at `eax0`,
+/// The concrete value of `v` in a state whose registers start at
+/// `regs` (by encoding; `None` where a register is not a constant),
 /// when `v` depends on nothing else.
-fn eval(v: &V, eax0: Option<u32>) -> Option<u32> {
+fn eval(v: &V, regs: &[Option<u32>; 8]) -> Option<u32> {
     match v {
-        V::Init(Reg32::Eax) => eax0,
+        V::Init(r) => regs[r.encoding() as usize],
         V::Const(c) => Some(*c),
         // Two constants fold to a constant.
         V::Bin(op, a, b) => {
-            match const_fold(*op, &V::Const(eval(a, eax0)?), &V::Const(eval(b, eax0)?)) {
+            match const_fold(*op, &V::Const(eval(a, regs)?), &V::Const(eval(b, regs)?)) {
                 V::Const(c) => Some(c),
                 _ => None,
             }
         }
-        V::Un(UnKind::Neg, a) => eval(a, eax0).map(u32::wrapping_neg),
-        V::Un(UnKind::Not, a) => eval(a, eax0).map(|x| !x),
+        V::Un(UnKind::Neg, a) => eval(a, regs).map(u32::wrapping_neg),
+        V::Un(UnKind::Not, a) => eval(a, regs).map(|x| !x),
         V::Patch8(inner, high, b) => {
             let shift = if *high { 8 } else { 0 };
-            let byte = eval8(b, eax0)?;
-            Some(eval(inner, eax0)? & !(0xff << shift) | u32::from(byte) << shift)
+            let byte = eval8(b, regs)?;
+            Some(eval(inner, regs)? & !(0xff << shift) | u32::from(byte) << shift)
         }
         _ => None,
     }
 }
 
 /// [`eval`] for a byte.
-fn eval8(v: &V8, eax0: Option<u32>) -> Option<u8> {
+fn eval8(v: &V8, regs: &[Option<u32>; 8]) -> Option<u8> {
     match v {
         V8::Const8(c) => Some(*c),
-        V8::Low(a) => eval(a, eax0).map(|x| x as u8),
-        V8::High(a) => eval(a, eax0).map(|x| (x >> 8) as u8),
+        V8::Low(a) => eval(a, regs).map(|x| x as u8),
+        V8::High(a) => eval(a, regs).map(|x| (x >> 8) as u8),
         V8::Bin8(op, a, b) => {
             match const_fold8(
                 *op,
-                &V8::Const8(eval8(a, eax0)?),
-                &V8::Const8(eval8(b, eax0)?),
+                &V8::Const8(eval8(a, regs)?),
+                &V8::Const8(eval8(b, regs)?),
             ) {
                 V8::Const8(c) => Some(c),
                 _ => None,

@@ -13,19 +13,23 @@
 //! one run per trial serves every effect of the proposal. Effects that
 //! fail trial 1 drop out of a liveness mask. Survivors are re-checked
 //! against a second trial's run only when trial 1 could have passed a
-//! wrong claim by chance ([`one_trial_settles`], DESIGN.md §16). Every
-//! address a settled proposal touches is a constant of the proposal,
-//! and no live effect's check reads a location that an instruction
-//! outside the one-trial list (a flag reader, an 8-bit lane, a shift by
-//! `cl`) may have written, directly or through the listed instructions,
-//! pushes and pops after it: [`taint`] follows those marks with write
-//! sets from x86 semantics ([`flow`]), not from the classifier. Memory
-//! effects settle only when every instruction is listed and at most
-//! one writes memory. Each run fills only the scratch windows its
-//! accesses can reach ([`windows_to_fill`]), with the words the oracle
-//! draws there. The legacy one-probe-per-(effect, trial) path, which
-//! always runs both trials and fills all eight windows, is preserved in
-//! [`legacy`] as the differential oracle.
+//! wrong claim by chance ([`one_trial_settles`], DESIGN.md §16). A
+//! trial redraws values, never addresses: every access of a settled
+//! proposal starts at one address that is a constant of the proposal
+//! (`Access::at`, from the classifier's roots and the registers the
+//! probe pins), so the bytes each access reaches are known. [`taint`]
+//! marks what an instruction outside the one-trial list (a flag reader,
+//! an 8-bit lane, a shift by `cl`) may have written, with write sets
+//! from x86 semantics ([`flow`]), not from the classifier, and carries
+//! the marks through listed instructions, pushes, pops and reads of
+//! bytes a write reached; a register that holds a constant of the
+//! proposal carries none. Trial 2 runs when a live effect's check reads
+//! a mark, or another write reaches the word a memory claim names. Each
+//! run fills only the scratch windows its accesses can reach
+//! ([`windows_to_fill`]), with the words the oracle draws there. The
+//! legacy one-probe-per-(effect, trial) path, which always runs both
+//! trials and fills all eight windows, is preserved in [`legacy`] as
+//! the differential oracle.
 //!
 //! A proposal the probe must reject without looking at its effects is
 //! rejected without a run: when one of its memory accesses can only
@@ -34,7 +38,7 @@
 use parallax_image::LinkedImage;
 use parallax_vm::{Memory, Vm, VmOptions, CALL_SENTINEL, STACK_SIZE, STACK_TOP};
 use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand};
-use parallax_x86::{Reg, Reg32};
+use parallax_x86::{Reg, Reg32, Reg8, ShiftOp};
 
 use crate::classify::{MemLoc, Proposal, SyscallEax};
 use crate::types::{Effect, GBinOp, Gadget};
@@ -149,7 +153,7 @@ pub fn prejudged(mem: &Memory, p: &Proposal) -> bool {
         (STACK_TOP - STACK_SIZE, STACK_TOP),
     ];
     p.accesses.iter().any(|a| {
-        let (lo, hi) = a.starts(&regs);
+        let (lo, hi) = a.loc.starts(&regs);
         hi < 1 << 32
             && regions
                 .iter()
@@ -162,50 +166,58 @@ pub fn prejudged(mem: &Memory, p: &Proposal) -> bool {
 /// is the register file the probe starts from ([`probe_registers`]);
 /// `strayed` is set when trial 1 ran text outside the candidate.
 ///
-/// A trial redraws values, never addresses: every address a settled
-/// proposal touches, and every pinned register, is a constant of the
-/// proposal, the same in both trials, while each unpinned register
-/// draws 24 random bits and each scratch word and canary 32. A wrong
-/// claim passes a trial only when the claimed and the actual value
-/// coincide on its draw. When they differ by a full-width function of
-/// the draws, that is a chance of about 2⁻²⁴, below the 2⁻¹⁶ that two
-/// trials give the byte compares they accept. Trial 2 is kept wherever
-/// the difference can be narrower:
+/// A trial redraws values, never addresses: each unpinned register
+/// draws 24 random bits and each scratch word and canary 32, while
+/// every pinned register is a constant of the proposal, the same in
+/// both trials. A wrong claim passes a trial only when the claimed and
+/// the actual value coincide on its draw. When they differ by a
+/// full-width function of the draws, that is a chance of about 2⁻²⁴,
+/// below the 2⁻¹⁶ that two trials give the byte compares they accept.
+/// Trial 2 is kept wherever the difference can be narrower, or an
+/// address can move:
 ///
+/// - Every explicit access starts at one constant address
+///   ([`Access::at`](crate::classify::Access::at): esp's, a pinned
+///   register's, or that of a `Patch8` of one whose bytes are constants,
+///   plus the displacement), none goes unresolved, no access has a
+///   marked root, and esp moves by whole words ([`stays_near_chain`]).
+///   So each access reaches the same bytes in both trials, and [`taint`]
+///   knows which.
 /// - A value an instruction outside the list computes ([`Flow::listed`]:
 ///   a flag reader, an 8-bit lane, a shift by `cl`) can be a narrow
 ///   function of the draws. [`taint`] marks every location such an
-///   instruction can write ([`flow`], from x86 semantics) and carries
-///   the mark forward through listed instructions, pushes and pops.
-///   Trial 2 runs when a live effect's check reads a marked location
-///   ([`check_reads`]): its destination, each register outside the
-///   clobbers for a `Nop`, and esp and the return slot for every effect.
-///   A listed operation can narrow a value too (`and r, 1`), but the
-///   classifier follows registers and esp-rooted words through every
-///   listed operation, so such a value that reaches a claim changes the
-///   claim with it.
-/// - The classifier does not follow a write through a register root
-///   into a later explicit read, nor into a stack word the write
-///   aliases. So after any explicit write, a later explicit read is
-///   marked, and a write the classifier does not follow (an unlisted
-///   one, a second one, or one through a register root) marks the
-///   stack unless it lands in the scratch block, away from every stack
-///   word. The esp tracking stays clear of the block too
-///   ([`stays_near_chain`]).
-/// - A memory effect's check reads the word it claims, which a second
-///   write through another root may alias: it settles only when every
-///   instruction is listed, at most one writes memory explicitly, and
-///   the word lies in the scratch block. A trial 1 that strayed ran
-///   instructions the walk did not see; it settles on the same terms.
-/// - Every access the classifier resolved starts at a word-aligned
-///   stack offset or exactly at a pinned register's value plus a
-///   multiple of 4, none goes unresolved, no access has a marked root,
-///   and esp moves by whole words ([`stays_near_chain`]). So no
-///   address is built from drawn values, and no word is
-///   read or written across a word another access claims (`mov
-///   [esp+3],ecx; pop eax` claims eax = the slot, whose top byte holds
-///   ecx's low byte).
-/// - No live effect is a `MovLow8` or a `ShiftCl`.
+///   instruction can write ([`flow`], from x86 semantics), unless it
+///   computes a constant of the proposal (from immediates and registers
+///   that hold one, reading neither a flag nor memory), and carries the
+///   mark forward through listed instructions, pushes, pops and reads.
+///   An 8-bit operation that writes its lane back unchanged (`add al,
+///   0`, `and al, 0xff`) marks nothing. Trial 2 runs when a live
+///   effect's check reads a marked location ([`check_reads`]): its
+///   destination, each register outside the clobbers for a `Nop`, and
+///   esp and the return slot for every effect. A listed operation can
+///   narrow a value too (`and r, 1`), but the classifier follows
+///   registers and esp-rooted words through every listed operation, so
+///   such a value that reaches a claim changes the claim with it.
+/// - The classifier does not follow a write into a later explicit read
+///   of the bytes it reached, nor into a stack word the write aliases or
+///   crosses. So a read of bytes an earlier write reached is marked, and
+///   a write the classifier does not follow (an unlisted one, a second
+///   one, one through a register root or one off a word boundary) marks
+///   the stack unless it lies in the scratch block, away from every
+///   stack word.
+/// - A memory effect's check reads the word it claims, which must lie
+///   in the scratch block. A store or add claim settles only when
+///   exactly one write reaches that word, covering it exactly with an
+///   unmarked value: a second write through another root, or one that a
+///   listed operation narrowed, changes the word where the classifier
+///   does not look ([`claimed_word_settles`]). A trial 1 that strayed ran
+///   instructions the walk did not see; it settles only when every
+///   instruction is listed and at most one writes memory.
+/// - A live `MovLow8` settles only as an identity (`al ← al`), whose
+///   check compares the whole parent register. A live `ShiftCl` settles
+///   only when its own `shl`/`shr`/`sar`/`rol`/`ror r, cl` ran on
+///   unmarked `r` and ecx and nothing wrote `r` after it: the check then
+///   computes what the instruction computed, whatever the 5-bit count.
 fn one_trial_settles(p: &Proposal, alive: u64, regs: &[Option<u32>; 8], strayed: bool) -> bool {
     let live = || {
         p.effects
@@ -214,40 +226,49 @@ fn one_trial_settles(p: &Proposal, alive: u64, regs: &[Option<u32>; 8], strayed:
             .filter(move |&(i, _)| alive >> i & 1 == 1)
             .map(|(_, e)| e)
     };
-    let constant_accesses = !p.unresolved_access
-        && p.accesses.iter().all(|a| match *a {
-            MemLoc::Stack(off) => off % 4 == 0,
-            MemLoc::Reg(r, off, exact) => {
-                off % 4 == 0 && exact && regs[r.encoding() as usize].is_some()
-            }
-        });
-    if !constant_accesses
-        || !stays_near_chain(p)
-        || live().any(|e| matches!(e, Effect::MovLow8 { .. } | Effect::ShiftCl { .. }))
+    if !stays_near_chain(p)
+        || live().any(|e| matches!(e, Effect::MovLow8 { dst, src } if dst != src))
     {
         return false;
     }
     let Some(t) = taint(p, regs) else {
         return false;
     };
-    // The word a live memory effect claims, when its root is pinned.
-    let word = |e: &Effect| match *e {
-        Effect::LoadMem { addr, off, .. }
-        | Effect::StoreMem { addr, off, .. }
-        | Effect::AddMem { addr, off, .. } => {
-            Some(regs[addr.encoding() as usize].map(|v| v.wrapping_add(off as u32)))
-        }
-        _ => None,
-    };
-    let whole_proposal = !t.opaque && t.writes <= 1;
-    if (strayed || live().any(|e| word(e).is_some())) && !whole_proposal
-        || !live()
-            .filter_map(word)
-            .all(|a| a.is_some_and(in_scratch_block))
-    {
+    if t.stack || strayed && (t.opaque || t.written.len() > 1) {
         return false;
     }
-    !t.stack && live().all(|e| check_reads(e, p) & t.regs == 0)
+    live().all(|e| {
+        let exact_shift = match *e {
+            Effect::ShiftCl { op, dst } if t.shifted[dst.encoding() as usize] == Some(op) => {
+                bit(dst)
+            }
+            _ => 0,
+        };
+        check_reads(e, p) & t.regs & !exact_shift == 0 && claimed_word_settles(e, regs, &t.written)
+    })
+}
+
+/// Whether the word a memory effect `e` claims (true for any other
+/// effect) lies in the scratch block, at its root's pinned value plus
+/// the displacement, and, for a store or add claim, exactly one write of
+/// `written` reaches it, covering the whole word with an unmarked value.
+fn claimed_word_settles(e: &Effect, regs: &[Option<u32>; 8], written: &[Written]) -> bool {
+    let (addr, off, stored) = match *e {
+        Effect::LoadMem { addr, off, .. } => (addr, off, false),
+        Effect::StoreMem { addr, off, .. } | Effect::AddMem { addr, off, .. } => (addr, off, true),
+        _ => return true,
+    };
+    let Some(word) =
+        regs[addr.encoding() as usize].map(|v| Span::new(v.wrapping_add(off as u32), 4))
+    else {
+        return false;
+    };
+    let mut reach = written.iter().filter(|w| w.span.overlaps(word));
+    let one_whole_unmarked = match (reach.next(), reach.next()) {
+        (Some(w), None) => w.span == word && !w.marked,
+        _ => false,
+    };
+    word.in_scratch_block() && (!stored || one_whole_unmarked)
 }
 
 /// Bit of `r` in a register set by encoding.
@@ -260,6 +281,35 @@ const fn bit(r: Reg32) -> u8 {
 /// a probe of a proposal that [`stays_near_chain`] touches.
 fn in_scratch_block(a: u32) -> bool {
     (SCRATCH_BLOCK..SCRATCH_BLOCK + 0x1_0000).contains(&a)
+}
+
+/// The bytes `lo..hi` an explicit access touches, counted past the top
+/// of the address space rather than wrapped.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Span {
+    lo: u64,
+    hi: u64,
+}
+
+impl Span {
+    /// `len` bytes from `at`.
+    fn new(at: u32, len: u32) -> Span {
+        Span {
+            lo: u64::from(at),
+            hi: u64::from(at) + u64::from(len),
+        }
+    }
+
+    fn overlaps(self, other: Span) -> bool {
+        self.lo < other.hi && other.lo < self.hi
+    }
+
+    /// Whether every byte lies in the scratch block.
+    fn in_scratch_block(self) -> bool {
+        self.hi <= 1 << 32
+            && in_scratch_block(self.lo as u32)
+            && in_scratch_block((self.hi - 1) as u32)
+    }
 }
 
 /// The registers the check of `e` reads after a trial, as a bit set by
@@ -297,9 +347,10 @@ struct Flow {
     /// `pop`, `inc`, `dec`, `neg`, `not`, `add`/`or`/`and`/`sub`/`xor`/
     /// `cmp`, `test`, `mul`, `imul`, shift by an immediate, `leave`,
     /// `nop`, `pushad`, `popad`, `clc`, `stc` or `int`, with no 8-bit
-    /// register and no scaled index. None of these reads a flag (1
-    /// random bit) or a `cl` shift count (5 bits), and none works on an
-    /// 8-bit lane.
+    /// register and no scaled index, or an 8-bit operation that writes
+    /// its lane back unchanged (`add al, 0`), which writes no register.
+    /// None of these reads a flag (1 random bit) or a `cl` shift count
+    /// (5 bits), and none changes an 8-bit lane.
     listed: bool,
     /// Its first `dsts` operands are destinations.
     dsts: usize,
@@ -311,6 +362,8 @@ struct Flow {
     /// It pushes words below esp, or pops words at esp.
     push: bool,
     pop: bool,
+    /// It reads a flag.
+    flags: bool,
 }
 
 /// The `write` syscall: whether it faults depends on the length and
@@ -337,12 +390,19 @@ fn flow(insn: &Insn, syscall_eax: SyscallEax) -> Option<Flow> {
         rmw,
         ..Flow::default()
     };
+    // An 8-bit operation that writes its lane back unchanged changes no
+    // register, only flags, and every flag reader is off the list.
+    if writes_lane_back(insn) {
+        return Some(none(true));
+    }
+    let flags = |f| Flow { flags: true, ..f };
     let f = match insn.mnemonic {
         M::Alu(AluOp::Cmp) | M::Test | M::Nop | M::Clc | M::Stc => none(true),
-        M::Cmc => none(false),
+        M::Cmc => flags(none(false)),
         M::Mov | M::Lea => dst(true, false),
-        M::Movzx | M::Movsx | M::Setcc(_) => dst(false, false),
-        M::Alu(AluOp::Adc | AluOp::Sbb) | M::Cmovcc(_) => dst(false, true),
+        M::Movzx | M::Movsx => dst(false, false),
+        M::Setcc(_) => flags(dst(false, false)),
+        M::Alu(AluOp::Adc | AluOp::Sbb) | M::Cmovcc(_) => flags(dst(false, true)),
         M::Alu(_) | M::Inc | M::Dec | M::Neg | M::Not => dst(true, true),
         M::Shift(_) => dst(matches!(insn.ops.get(1), Some(Operand::Imm(_))), true),
         M::Imul if insn.ops.len() == 3 => dst(true, false),
@@ -373,6 +433,7 @@ fn flow(insn: &Insn, syscall_eax: SyscallEax) -> Option<Flow> {
         },
         M::Pushfd => Flow {
             push: true,
+            flags: true,
             ..none(false)
         },
         M::Pushad => Flow {
@@ -434,9 +495,29 @@ fn flow(insn: &Insn, syscall_eax: SyscallEax) -> Option<Flow> {
     })
 }
 
+/// Whether `insn` is an 8-bit operation that writes a register's lane
+/// back unchanged: `add`/`sub`/`or`/`xor r8, 0` or `and r8, 0xff`.
+fn writes_lane_back(insn: &Insn) -> bool {
+    match (insn.mnemonic, insn.ops.as_slice()) {
+        (Mnemonic::Alu(op), [Operand::Reg(Reg::R8(_)), Operand::Imm(v)]) => match op {
+            AluOp::Add | AluOp::Sub | AluOp::Or | AluOp::Xor => *v as u8 == 0,
+            AluOp::And => *v as u8 == 0xff,
+            AluOp::Adc | AluOp::Sbb | AluOp::Cmp => false,
+        },
+        _ => false,
+    }
+}
+
 /// The registers a memory operand's address is built from.
 fn address_regs(m: &Mem) -> u8 {
     m.base.map_or(0, bit) | m.index.map_or(0, |(r, _)| bit(r))
+}
+
+/// An explicit write [`taint`] saw: the bytes it reached, and whether
+/// its value is marked.
+struct Written {
+    span: Span,
+    marked: bool,
 }
 
 /// What [`taint`] found at the candidate's return.
@@ -445,99 +526,163 @@ struct Taint {
     /// Registers, by encoding, whose value may be a narrow function of
     /// the draws.
     regs: u8,
+    /// Registers, by encoding, that hold a constant of the proposal:
+    /// the same value in both trials, never marked.
+    constants: u8,
     /// Set once a stack word may hold such a value, or one the
     /// classifier did not follow there.
     stack: bool,
-    /// Set once an explicit write may have changed a word a later
-    /// explicit read sees.
-    mem: bool,
     /// Set when an instruction is not on the list ([`Flow::listed`]).
     opaque: bool,
-    /// Instructions that write an explicit memory operand.
-    writes: u32,
-    /// Registers an instruction has written.
-    moved: u8,
+    /// The explicit writes, in order.
+    written: Vec<Written>,
+    /// For each register, by encoding, the op of the shift by `cl` that
+    /// wrote it last, when that shift read an unmarked register and
+    /// ecx.
+    shifted: [Option<ShiftOp>; 8],
 }
 
 impl Taint {
-    /// Whether `op`, read as a source, may carry a marked value.
-    fn reads(&self, op: &Operand, lea: bool) -> bool {
+    /// Whether `op`, read as a source, may carry a marked value; `mem`
+    /// is whether the instruction's explicit access reads marked bytes.
+    fn reads(&self, op: &Operand, lea: bool, mem: bool) -> bool {
         match op {
             Operand::Reg(r) => self.regs & bit(r.parent()) != 0,
             Operand::Mem(m) if lea => self.regs & address_regs(m) != 0,
-            Operand::Mem(_) => self.mem || self.stack,
+            Operand::Mem(_) => mem,
             Operand::Imm(_) | Operand::Rel(_) => false,
         }
     }
 
-    /// Writes a value, marked when `v`, to the registers in `set`. A
-    /// listed instruction writes all 32 bits; an unlisted one is always
-    /// marked.
-    fn write_regs(&mut self, set: u8, v: bool) {
-        if v {
+    /// Whether `op`, read as a source, is a constant of the proposal.
+    fn constant(&self, op: &Operand, lea: bool) -> bool {
+        match op {
+            Operand::Reg(r) => self.constants & bit(r.parent()) != 0,
+            Operand::Mem(m) if lea => address_regs(m) & !self.constants == 0,
+            Operand::Mem(_) | Operand::Rel(_) => false,
+            Operand::Imm(_) => true,
+        }
+    }
+
+    /// Writes a value to the registers in `set`: a constant when `c`,
+    /// otherwise one that is marked when `v`. A listed instruction
+    /// writes all 32 bits; an unlisted one that computes no constant is
+    /// always marked.
+    fn write_regs(&mut self, set: u8, v: bool, c: bool) {
+        if c {
+            self.constants |= set;
+        } else {
+            self.constants &= !set;
+        }
+        if v && !c {
             self.regs |= set;
         } else {
             self.regs &= !set;
         }
-        self.moved |= set;
+        for (i, s) in self.shifted.iter_mut().enumerate() {
+            if set >> i & 1 == 1 {
+                *s = None;
+            }
+        }
     }
 
-    /// Writes a value, marked when `v`, to the explicit operand `m`.
-    /// Only the first write of a listed instruction through esp is one
-    /// the classifier follows into the stack words; any other marks them
-    /// unless its address, a pinned register that no instruction has
-    /// written plus the displacement, lies in the scratch block.
-    fn write_mem(&mut self, m: &Mem, v: bool, listed: bool, regs: &[Option<u32>; 8]) {
-        self.writes += 1;
-        self.mem = true;
-        let scratch = match (m.base, m.index) {
-            (Some(b), None) if b != Reg32::Esp && self.moved & bit(b) == 0 => regs
-                [b.encoding() as usize]
-                .is_some_and(|v| in_scratch_block(v.wrapping_add(m.disp as u32))),
-            _ => false,
-        };
-        let followed = listed && self.writes == 1 && m.base == Some(Reg32::Esp);
-        if !scratch {
+    /// Whether an explicit read of `span` may see a marked value: bytes
+    /// an earlier write reached, or, once the stack is marked, bytes
+    /// outside the scratch block.
+    fn reads_span(&self, span: Span) -> bool {
+        self.written.iter().any(|w| w.span.overlaps(span)) || self.stack && !span.in_scratch_block()
+    }
+
+    /// Writes a value, marked when `v`, to `span`. Only the first write,
+    /// by a listed instruction through esp (`esp`), of a whole word at a
+    /// word boundary, is one the classifier follows into the stack
+    /// words; any other marks them unless `span` lies in the scratch
+    /// block.
+    fn write_mem(&mut self, span: Span, v: bool, esp: bool) {
+        let followed =
+            esp && self.written.is_empty() && span.lo.is_multiple_of(4) && span.hi - span.lo == 4;
+        if !span.in_scratch_block() {
             self.stack |= v || !followed;
         }
+        self.written.push(Written { span, marked: v });
     }
 }
 
 /// Walks `p`'s instructions up to its return, marking the locations
 /// that may hold a narrow function of the draws (see
 /// [`one_trial_settles`]). `None` when an instruction has no row in
-/// [`flow`], an explicit access has a marked root, or esp is marked:
-/// an address that is not a constant of the proposal.
+/// [`flow`], an explicit access has no constant address
+/// ([`Access::at`](crate::classify::Access::at)) or a marked root, or
+/// esp is marked.
 fn taint(p: &Proposal, regs: &[Option<u32>; 8]) -> Option<Taint> {
-    let mut t = Taint::default();
+    let mut t = Taint {
+        constants: Reg32::ALL
+            .into_iter()
+            .filter(|r| regs[r.encoding() as usize].is_some())
+            .fold(0, |set, r| set | bit(r)),
+        ..Taint::default()
+    };
     let insns = &p.cand.insns;
-    for insn in &insns[..insns.len() - 1] {
+    for (i, insn) in insns[..insns.len() - 1].iter().enumerate() {
         let f = flow(insn, p.syscall_eax)?;
-        let listed = f.listed;
         let lea = insn.mnemonic == Mnemonic::Lea;
-        let roots = insn.ops.iter().fold(0, |set, op| match op {
-            Operand::Mem(m) if !lea => set | address_regs(m),
-            _ => set,
-        });
-        if t.regs & roots != 0 {
-            return None;
-        }
+        let access = match insn.ops.iter().find_map(|op| match op {
+            Operand::Mem(m) if !lea => Some(m),
+            _ => None,
+        }) {
+            Some(m) => {
+                if t.regs & address_regs(m) != 0 {
+                    return None;
+                }
+                let at = p.accesses.iter().find(|a| a.insn == i)?.at(regs)?;
+                Some((m, Span::new(at, insn.size.bytes() as u32)))
+            }
+            None => None,
+        };
+        let mem = access.is_some_and(|(_, span)| t.reads_span(span));
         let (dsts, srcs) = insn.ops.split_at(f.dsts.min(insn.ops.len()));
-        let v = !listed
-            || srcs.iter().any(|op| t.reads(op, lea))
-            || f.rmw && dsts.iter().any(|op| t.reads(op, lea))
+        let sources = || srcs.iter().chain(dsts.iter().filter(|_| f.rmw));
+        let v = !f.listed
+            || sources().any(|op| t.reads(op, lea, mem))
             || t.regs & f.reads != 0
             || f.pop && t.stack;
-        t.opaque |= !listed;
+        // A constant stays one through listed instructions and through
+        // an 8-bit operation on its own lane with immediate operands.
+        let lane_imm = matches!(dsts, [Operand::Reg(Reg::R8(_))])
+            && srcs.iter().all(|op| matches!(op, Operand::Imm(_)));
+        let c = (f.listed || lane_imm)
+            && !f.flags
+            && !f.pop
+            && t.constants & f.reads == f.reads
+            && sources().all(|op| t.constant(op, lea));
+        let shift_cl = match (insn.mnemonic, insn.ops.as_slice()) {
+            (Mnemonic::Shift(op), [Operand::Reg(Reg::R32(r)), Operand::Reg(Reg::R8(Reg8::Cl))])
+                if t.regs & (bit(*r) | bit(Reg32::Ecx)) == 0 =>
+            {
+                Some((op, *r))
+            }
+            _ => None,
+        };
+        t.opaque |= !f.listed;
         for op in dsts {
             match op {
-                Operand::Reg(r) => t.write_regs(bit(r.parent()), v),
-                Operand::Mem(m) => t.write_mem(m, v, listed, regs),
+                // An 8-bit write keeps the rest of its register.
+                Operand::Reg(r) => {
+                    let rest = matches!(r, Reg::R32(_)) || t.constants & bit(r.parent()) != 0;
+                    t.write_regs(bit(r.parent()), v, c && rest);
+                }
+                Operand::Mem(m) => {
+                    let (_, span) = access?;
+                    t.write_mem(span, v, f.listed && m.base == Some(Reg32::Esp));
+                }
                 Operand::Imm(_) | Operand::Rel(_) => {}
             }
         }
-        t.write_regs(f.writes, v);
+        t.write_regs(f.writes, v, false);
         t.stack |= f.push && v;
+        if let Some((op, r)) = shift_cl {
+            t.shifted[r.encoding() as usize] = Some(op);
+        }
         if t.regs & bit(Reg32::Esp) != 0 {
             return None;
         }
@@ -715,7 +860,7 @@ fn windows_to_fill(p: &Proposal, regs: &[Option<u32>; 8]) -> u8 {
     let outside = |a: u32| !in_scratch_block(a) && !in_scratch_block(a.wrapping_add(3));
     let own = !p.unresolved_access
         && stays_near_chain(p)
-        && p.accesses.iter().all(|a| match *a {
+        && p.accesses.iter().all(|a| match a.loc {
             MemLoc::Reg(r, off, exact) => {
                 exact
                     && regs[r.encoding() as usize] == Some(scratch_pointer(r))
@@ -1474,6 +1619,11 @@ mod tests {
         );
     }
 
+    /// Where each access of `p` points.
+    fn locs(p: &Proposal) -> Vec<MemLoc> {
+        p.accesses.iter().map(|a| a.loc).collect()
+    }
+
     /// A program whose `main` is `bytes`, linked.
     fn image_of(bytes: &[u8]) -> LinkedImage {
         let mut a = parallax_x86::Asm::new();
@@ -1531,7 +1681,7 @@ mod tests {
         let (p, unrun) = rejected_unrun(&[0x8b, 0x08, 0xcd, 0x80, 0xc3]);
         assert!(p.effects.contains(&Effect::Syscall), "{:?}", p.effects);
         assert!(p.mem_preconditions.contains(&Reg32::Eax));
-        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Eax, 0, true)]);
+        assert_eq!(locs(&p), vec![MemLoc::Reg(Reg32::Eax, 0, true)]);
         assert!(unrun);
         // Through the scratch pointer the read would have been mapped.
         let stack = STACK_TOP - STACK_SIZE..STACK_TOP;
@@ -1559,7 +1709,7 @@ mod tests {
     fn an_add_esp_source_starts_at_64() {
         let (p, unrun) = rejected_unrun(&[0x8b, 0x41, 0x10, 0x01, 0xcc, 0xc3]);
         assert_eq!(p.effects, vec![Effect::AddEsp { src: Reg32::Ecx }]);
-        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Ecx, 0x10, true)]);
+        assert_eq!(locs(&p), vec![MemLoc::Reg(Reg32::Ecx, 0x10, true)]);
         assert!(unrun);
     }
 
@@ -1606,7 +1756,7 @@ mod tests {
         let block = scratch_pointer(Reg32::Eax) & !0xffff;
         let disp = (STACK_TOP - STACK_SIZE).wrapping_sub(block + 0xffff) as i32;
         let (p, unrun) = rejected_unrun(&patched_load(disp));
-        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Eax, disp, false)]);
+        assert_eq!(locs(&p), vec![MemLoc::Reg(Reg32::Eax, disp, false)]);
         assert!(!unrun);
         let (_, unrun) = rejected_unrun(&patched_load(disp - 1));
         assert!(unrun);
@@ -1619,19 +1769,37 @@ mod tests {
         let block = scratch_pointer(Reg32::Eax) & !0xffff;
         let disp = 0xffff_8000u32.wrapping_sub(block) as i32;
         let (p, unrun) = rejected_unrun(&patched_load(disp));
-        let (lo, hi) = p.accesses[0].starts(&probe_registers(&p));
+        let (lo, hi) = p.accesses[0].loc.starts(&probe_registers(&p));
         assert!(lo < 1 << 32 && hi >= 1 << 32, "{lo:#x}..={hi:#x}");
         assert!(!unrun);
     }
 
-    /// `mul dword [ecx+0x40000000]; ret` reads far from anything mapped,
-    /// but the classifier does not resolve `mul`'s operand, so no
-    /// access records it and the probe runs.
+    /// `mul dword [0x40000000]; ret` reads far from anything mapped, but
+    /// the classifier does not resolve an absolute operand, so no access
+    /// records it and the probe runs.
     #[test]
     fn an_unresolved_operand_is_probed() {
-        let (p, unrun) = rejected_unrun(&[0xf7, 0xa1, 0x00, 0x00, 0x00, 0x40, 0xc3]);
+        let (p, unrun) = rejected_unrun(&[0xf7, 0x25, 0x00, 0x00, 0x00, 0x40, 0xc3]);
         assert!(p.unresolved_access && p.accesses.is_empty());
         assert!(!unrun);
+    }
+
+    /// A one-operand `mul` or `imul` records its operand as an access
+    /// without making its root a precondition: ecx and esi keep their
+    /// draws, so `imul byte [ecx-0x3b7c0001]; ret` and `mul dword
+    /// [esi-0x3b7c0001]; ret` can only read above the stack region, and
+    /// are rejected without a run.
+    #[test]
+    fn a_mul_operand_on_a_drawn_root_is_rejected_unrun() {
+        for (bytes, root) in [
+            (&[0xf6, 0xa9, 0xff, 0xff, 0x83, 0xc4, 0xc3][..], Reg32::Ecx),
+            (&[0xf7, 0xa6, 0xff, 0xff, 0x83, 0xc4, 0xc3], Reg32::Esi),
+        ] {
+            let (p, unrun) = rejected_unrun(bytes);
+            assert_eq!(locs(&p), vec![MemLoc::Reg(root, -0x3b7c_0001, true)]);
+            assert!(!p.unresolved_access && p.mem_preconditions.is_empty());
+            assert!(unrun, "{}", p.cand.disasm());
+        }
     }
 
     /// The proposal for the whole of `main` when `main` is `bytes`,
@@ -1698,6 +1866,12 @@ mod tests {
             ],
             // mov [ebx], eax; and [edx+0x1000], ecx; pop eax
             vec![0x89, 0x03, 0x21, 0x8a, 0x00, 0x10, 0x00, 0x00, 0x58, 0xc3],
+            // mov [ebx], eax; or eax, 1; mov [edx+0x1000], eax: the second
+            // write carries no mark, and half the draws leave the word as
+            // claimed.
+            vec![
+                0x89, 0x03, 0x83, 0xc8, 0x01, 0x89, 0x82, 0x00, 0x10, 0x00, 0x00, 0xc3,
+            ],
         ] {
             let (p, settled, second) = settles(&bytes);
             assert!(!settled, "{}", p.cand.disasm());
@@ -1729,21 +1903,56 @@ mod tests {
         }
     }
 
-    /// An access whose root had its low byte replaced (`Patch8`, not
-    /// exact) may land anywhere in a 64 KiB block: it keeps trial 2.
+    /// An access whose root had its low byte replaced by a drawn byte
+    /// may land anywhere in a 64 KiB block: it keeps trial 2.
     #[test]
-    fn a_patched_root_takes_two_trials() {
-        // mov al, 0x16; mov ebx, [eax]
-        let (p, settled, second) = settles(&[0xb0, 0x16, 0x8b, 0x18, 0xc3]);
-        assert_eq!(p.accesses, vec![MemLoc::Reg(Reg32::Eax, 0, false)]);
+    fn a_root_patched_from_a_draw_takes_two_trials() {
+        // mov al, bl; mov ecx, [eax]; mov al, 0x16
+        let (p, settled, second) = settles(&[0x88, 0xd8, 0x8b, 0x08, 0xb0, 0x16, 0xc3]);
+        assert_eq!(locs(&p), vec![MemLoc::Reg(Reg32::Eax, 0, false)]);
+        assert_eq!(p.accesses[0].patched, None);
         assert!(!settled && second == 1);
+    }
+
+    /// A `Patch8` root whose bytes are constants of the proposal (an
+    /// 8-bit immediate on a register the probe pins) starts at one
+    /// address: `add al, 0x8; mov eax, [eax+0x4]; ret`, seen in every
+    /// protect-large image, takes one run. A drawn register that an
+    /// 8-bit immediate patches holds no constant: a claim that reads it
+    /// keeps trial 2.
+    #[test]
+    fn a_pinned_patched_root_takes_one_trial() {
+        let pinned = scratch_pointer(Reg32::Eax);
+        for (bytes, at) in [
+            (&[0x04, 0x08, 0x8b, 0x40, 0x04, 0xc3][..], (pinned + 8) + 4),
+            // mov al, 0x16; mov ebx, [eax]
+            (&[0xb0, 0x16, 0x8b, 0x18, 0xc3], pinned & !0xff | 0x16),
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert_eq!(
+                p.accesses[0].at(&probe_registers(&p)),
+                Some(at),
+                "{}",
+                p.cand.disasm()
+            );
+            assert!(settled && second == 0, "{}", p.cand.disasm());
+        }
+        // add al, 8; pop ecx, claimed as a `Nop` that keeps eax.
+        let nop = claim(&[0x04, 0x08, 0x59, 0xc3], &|p| {
+            p.effects = vec![Effect::Nop];
+            p.clobbers.clear();
+        });
+        assert_eq!(nop, (true, false));
     }
 
     /// A memory operand the classifier does not resolve keeps trial 2.
     #[test]
     fn an_unresolved_access_takes_two_trials() {
-        // mul dword [esp+0x40]; pop ebx
-        let (p, settled, second) = settles(&[0xf7, 0x64, 0x24, 0x40, 0x5b, 0xc3]);
+        // mul dword [TEXT_BASE]; pop ebx
+        let mut bytes = vec![0xf7, 0x25];
+        bytes.extend_from_slice(&parallax_image::TEXT_BASE.to_le_bytes());
+        bytes.extend_from_slice(&[0x5b, 0xc3]);
+        let (p, settled, second) = settles(&bytes);
         assert!(p.unresolved_access, "{}", p.cand.disasm());
         assert!(!settled && second == 1);
     }
@@ -1803,12 +2012,31 @@ mod tests {
         }
     }
 
+    /// Whether [`one_trial_settles`] holds for every effect of the
+    /// proposal for the whole of `main` when `main` is `bytes`, before
+    /// and after `edit` changes the proposal as a classifier that
+    /// overlooked an instruction would.
+    fn claim(bytes: &[u8], edit: &dyn Fn(&mut Proposal)) -> (bool, bool) {
+        let img = image_of(bytes);
+        let cand = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
+            .expect("main is one candidate");
+        let mut p = classify(&cand).expect("classified");
+        let before = one_trial_settles(&p, u64::MAX, &probe_registers(&p), false);
+        edit(&mut p);
+        (
+            before,
+            one_trial_settles(&p, u64::MAX, &probe_registers(&p), false),
+        )
+    }
+
     /// `op [ebx+disp32]` followed by `tail`, with the displacement
-    /// putting the access, through ebx's scratch pointer, on the chain
-    /// word `k` words above the probe's first slot (`k = -1`: the word a
-    /// push writes). The classifier takes it for a scratch word.
-    fn on_chain_word(op: &[u8], k: i32, tail: &[u8]) -> Vec<u8> {
-        let at = PROBE_ESP.wrapping_add((4 * k) as u32);
+    /// putting the access, through ebx's scratch pointer, `offset` bytes
+    /// above the probe's first slot (-4: the word a push writes). The
+    /// classifier takes it for a scratch word.
+    fn on_chain_word(op: &[u8], offset: i32, tail: &[u8]) -> Vec<u8> {
+        let at = PROBE_ESP.wrapping_add(offset as u32);
         let mut bytes = op.to_vec();
         bytes.extend_from_slice(&at.wrapping_sub(scratch_pointer(Reg32::Ebx)).to_le_bytes());
         bytes.extend_from_slice(tail);
@@ -1828,24 +2056,194 @@ mod tests {
     }
 
     /// A shift by `cl` (a 5-bit count) keeps trial 2 when its result
-    /// reaches a claim: a live `ShiftCl` effect, or a shifted chain word.
+    /// reaches a claim the shift itself does not decide: a `ShiftCl`
+    /// whose ecx an 8-bit write marked first (`mov ch, 5` leaves cl as
+    /// it was, but the walk does not look at lanes), `ShiftCl` claims a
+    /// classifier that overlooked a write of ecx before the shift or of
+    /// the shifted register after it, or took `shr` for `shl`, would
+    /// make, and a shifted chain word.
     #[test]
     fn a_shift_by_cl_takes_two_trials() {
-        let (p, settled, second) = settles(&[0xd3, 0xe0, 0xc3]); // shl eax, cl
+        // mov ch, 5; shl eax, cl
+        let (p, settled, second) = settles(&[0xb5, 0x05, 0xd3, 0xe0, 0xc3]);
+        assert!(p.effects.contains(&Effect::ShiftCl {
+            op: ShiftOp::Shl,
+            dst: Reg32::Eax
+        }));
         assert!(!settled && second == 1);
-        let shift_cl = p
-            .effects
-            .iter()
-            .position(|e| matches!(e, Effect::ShiftCl { .. }));
-        let only_shift = 1 << shift_cl.expect("a ShiftCl effect");
-        assert!(!one_trial_settles(
-            &p,
-            only_shift,
-            &probe_registers(&p),
-            false
-        ));
+        let shl_eax = |p: &mut Proposal| {
+            p.effects = vec![Effect::ShiftCl {
+                op: ShiftOp::Shl,
+                dst: Reg32::Eax,
+            }];
+        };
+        for bytes in [
+            &[0xb1, 0x03, 0xd3, 0xe0, 0xc3][..], // mov cl, 3; shl eax, cl
+            &[0xd3, 0xe0, 0x04, 0x01, 0xc3],     // shl eax, cl; add al, 1
+            &[0xd3, 0xe8, 0xc3],                 // shr eax, cl
+        ] {
+            let (_, after) = claim(bytes, &shl_eax);
+            assert!(!after, "{bytes:x?}");
+        }
         // shl dword [ebx+disp], cl; pop eax
         let (p, settled, _) = settles(&on_chain_word(&[0xd3, 0xa3], 0, &[0x58, 0xc3]));
+        assert!(!settled, "{}", p.cand.disasm());
+    }
+
+    /// A `ShiftCl` whose own `shl`/`shr`/`sar r, cl` ran on unmarked `r`
+    /// and ecx, with no write of `r` after it, is exactly what its check
+    /// computes for every count: `shl eax, cl; ret`, seen in every
+    /// protect-large image, takes one run.
+    #[test]
+    fn a_shift_by_cl_on_unmarked_inputs_takes_one_trial() {
+        for (bytes, op, dst) in [
+            (&[0xd3, 0xe0, 0xc3][..], ShiftOp::Shl, Reg32::Eax),
+            (&[0xd3, 0xfa, 0x58, 0xc3], ShiftOp::Sar, Reg32::Edx), // sar edx, cl; pop eax
+            (&[0xd3, 0xeb, 0x59, 0xc3], ShiftOp::Shr, Reg32::Ebx), // shr ebx, cl; pop ecx
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(
+                p.effects.contains(&Effect::ShiftCl { op, dst }),
+                "{:?}",
+                p.effects
+            );
+            assert!(settled && second == 0, "{}", p.cand.disasm());
+        }
+    }
+
+    /// An 8-bit immediate that writes its lane back unchanged marks
+    /// nothing, and the identity `MovLow8 { al ← al }` it leaves is
+    /// checked on the whole of eax: `add al, 0x0; pop esi; ret`, seen in
+    /// every protect-large image, takes one run. The identity keeps
+    /// trial 2 when its lane went through another register, and claims a
+    /// classifier that overlooked an instruction would make keep it too:
+    /// an identity after `add al, 1`, a move of another lane after
+    /// `add al, 0`.
+    #[test]
+    fn an_identity_lane_write_takes_one_trial() {
+        let (p, settled, second) = settles(&[0x04, 0x00, 0x5e, 0xc3]);
+        let identity = Effect::MovLow8 {
+            dst: Reg8::Al,
+            src: Reg8::Al,
+        };
+        assert!(p.effects.contains(&identity), "{:?}", p.effects);
+        assert!(settled && second == 0);
+        for bytes in [
+            &[0x80, 0xe1, 0xff, 0x5e, 0xc3][..], // and cl, 0xff; pop esi
+            &[0x80, 0xf3, 0x00, 0x5e, 0xc3],     // xor bl, 0; pop esi
+            &[0x80, 0xea, 0x00, 0x5e, 0xc3],     // sub dl, 0; pop esi
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(settled && second == 0, "{}", p.cand.disasm());
+        }
+        // mov cl, al; mov al, cl; pop esi
+        let (p, settled, second) = settles(&[0x88, 0xc1, 0x88, 0xc8, 0x5e, 0xc3]);
+        assert!(p.effects.contains(&identity), "{:?}", p.effects);
+        assert!(!settled && second == 1);
+        let moved = |src| {
+            move |p: &mut Proposal| {
+                p.effects = vec![Effect::MovLow8 { dst: Reg8::Al, src }];
+            }
+        };
+        assert_eq!(
+            claim(&[0x04, 0x01, 0x5e, 0xc3], &moved(Reg8::Al)),
+            (true, false)
+        );
+        assert_eq!(
+            claim(&[0x04, 0x00, 0x5e, 0xc3], &moved(Reg8::Cl)),
+            (true, false)
+        );
+    }
+
+    /// Byte accesses off a word boundary at constant addresses settle
+    /// when their bytes stay clear of every claimed word: `or byte
+    /// [eax-0x75], dl; inc ebp; or byte [eax-0x48], dl; ret`, seen in
+    /// every protect-large image, takes one run, and so does a byte
+    /// written beside a claimed word through another root. A byte written
+    /// into the claimed word through another root (edx's scratch pointer
+    /// lies 0x1000 below ebx's), or beside a chain slot the return or a
+    /// `pop` reads, keeps trial 2.
+    #[test]
+    fn bytes_off_a_word_boundary_clear_of_every_claim_take_one_trial() {
+        assert_eq!(
+            scratch_pointer(Reg32::Edx) + 0x1000,
+            scratch_pointer(Reg32::Ebx)
+        );
+        for bytes in [
+            &[0x08, 0x50, 0x8b, 0x45, 0x08, 0x50, 0xb8, 0xc3][..],
+            // mov [ebx], eax; or byte [edx+0x1004], cl
+            &[0x89, 0x03, 0x08, 0x8a, 0x04, 0x10, 0x00, 0x00, 0xc3],
+            // mov ecx, [ebx+2]; mov [ebx+5], al; pop eax
+            &[0x8b, 0x4b, 0x02, 0x88, 0x43, 0x05, 0x58, 0xc3],
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(settled && second == 0, "{}", p.cand.disasm());
+        }
+        // mov [ebx], eax; or byte [edx+0x1002], cl
+        let (p, settled, _) = settles(&[0x89, 0x03, 0x08, 0x8a, 0x02, 0x10, 0x00, 0x00, 0xc3]);
+        assert!(p.effects.contains(&Effect::StoreMem {
+            addr: Reg32::Ebx,
+            off: 0,
+            src: Reg32::Eax,
+        }));
+        assert!(!settled, "{}", p.cand.disasm());
+        // mov byte [ebx+disp], al; pop eax: the byte below slot 0, and
+        // or byte [ebx+disp], cl; pop eax: slot 0's top byte.
+        for (op, offset) in [(&[0x88, 0x83][..], -1), (&[0x08, 0x8b], 3)] {
+            let (p, settled, _) = settles(&on_chain_word(op, offset, &[0x58, 0xc3]));
+            assert!(!settled, "{}", p.cand.disasm());
+        }
+    }
+
+    /// A memory claim settles beside an instruction off the list that
+    /// writes no byte of its word: `rol bl, 0x1; mov eax, [ecx]; ret`,
+    /// seen in every protect-large image, takes one run, and so does a
+    /// store beside a flag reader. A second write of the claimed word,
+    /// even an unmarked one through another root, keeps trial 2 (see
+    /// [`a_second_memory_write_takes_two_trials`]).
+    #[test]
+    fn a_memory_claim_beside_an_unlisted_instruction_takes_one_trial() {
+        for (bytes, claim) in [
+            (
+                &[0xd0, 0xc3, 0x8b, 0x01, 0xc3][..],
+                Effect::LoadMem {
+                    dst: Reg32::Eax,
+                    addr: Reg32::Ecx,
+                    off: 0,
+                },
+            ),
+            (
+                &[0x89, 0x03, 0x0f, 0x94, 0xc1, 0xc3], // mov [ebx], eax; sete cl
+                Effect::StoreMem {
+                    addr: Reg32::Ebx,
+                    off: 0,
+                    src: Reg32::Eax,
+                },
+            ),
+        ] {
+            let (p, settled, second) = settles(bytes);
+            assert!(p.effects.contains(&claim), "{:?}", p.effects);
+            assert!(settled && second == 0, "{}", p.cand.disasm());
+        }
+    }
+
+    /// A read whose bytes no earlier write reached sees the word the
+    /// classifier names: the loader's pivot `mov [eax], esp; mov eax,
+    /// [esp+0x24]; mov esp, eax; ret`, in every protected image, takes
+    /// one run. A read of the word a write through another root reached
+    /// keeps trial 2 (and [`a_read_after_a_write_takes_two_trials`]).
+    #[test]
+    fn a_read_clear_of_every_write_takes_one_trial() {
+        let (p, settled, second) = settles(&[0x89, 0x20, 0x8b, 0x44, 0x24, 0x24, 0x89, 0xc4, 0xc3]);
+        assert_eq!(p.effects, vec![Effect::PopEsp]);
+        assert!(settled && second == 0);
+        // mov [edx+0x1000], ecx; mov eax, [ebx]
+        let (p, settled, _) = settles(&[0x89, 0x8a, 0x00, 0x10, 0x00, 0x00, 0x8b, 0x03, 0xc3]);
+        assert!(p.effects.contains(&Effect::LoadMem {
+            dst: Reg32::Eax,
+            addr: Reg32::Ebx,
+            off: 0,
+        }));
         assert!(!settled, "{}", p.cand.disasm());
     }
 
@@ -1874,7 +2272,7 @@ mod tests {
     /// claimed as eax = ecx, and al's bits land in the pushed word.
     #[test]
     fn a_pushed_and_popped_narrowed_value_takes_two_trials() {
-        let (p, settled, _) = settles(&on_chain_word(&[0x51, 0x08, 0x83], -1, &[0x58, 0xc3]));
+        let (p, settled, _) = settles(&on_chain_word(&[0x51, 0x08, 0x83], -4, &[0x58, 0xc3]));
         assert!(p.effects.contains(&Effect::MovReg {
             dst: Reg32::Eax,
             src: Reg32::Ecx
@@ -1916,20 +2314,6 @@ mod tests {
     /// still keeps trial 2 when a narrowed value reaches it.
     #[test]
     fn a_claim_on_a_narrowed_location_takes_two_trials() {
-        let claim = |bytes: &[u8], edit: &dyn Fn(&mut Proposal)| {
-            let img = image_of(bytes);
-            let cand = scan(&img.text, img.text_base)
-                .into_iter()
-                .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
-                .expect("main is one candidate");
-            let mut p = classify(&cand).expect("classified");
-            let before = one_trial_settles(&p, u64::MAX, &probe_registers(&p), false);
-            edit(&mut p);
-            (
-                before,
-                one_trial_settles(&p, u64::MAX, &probe_registers(&p), false),
-            )
-        };
         // sete cl; push ecx; pop eax: claimed as eax = ecx.
         let pushed = claim(&[0x0f, 0x94, 0xc1, 0x51, 0x58, 0xc3], &|p| {
             p.effects = vec![Effect::MovReg {
@@ -1940,12 +2324,21 @@ mod tests {
         assert!(!pushed.1);
         // sete bl; mov eax, [ebx]; pop ecx: the root taken as exact.
         let root = claim(&[0x0f, 0x94, 0xc3, 0x8b, 0x03, 0x59, 0xc3], &|p| {
-            p.accesses = vec![MemLoc::Reg(Reg32::Ebx, 0, true)];
+            p.accesses[0].loc = MemLoc::Reg(Reg32::Ebx, 0, true);
         });
         assert!(!root.1);
         // add bl, dl; clc: a Nop that keeps ebx.
         let nop = claim(&[0x00, 0xd3, 0xf8, 0xc3], &|p| p.clobbers.clear());
         assert_eq!(nop, (true, false));
+        // sete al; mov [ecx], eax: a store of the narrowed eax.
+        let store = claim(&[0x0f, 0x94, 0xc0, 0x89, 0x01, 0xc3], &|p| {
+            p.effects = vec![Effect::StoreMem {
+                addr: Reg32::Ecx,
+                off: 0,
+                src: Reg32::Eax,
+            }];
+        });
+        assert_eq!(store, (true, false));
     }
 
     /// A write through a register root followed by a read of the same
@@ -2033,8 +2426,13 @@ mod tests {
         );
         // mov eax, [ecx+0x1000]: edx's window
         assert_eq!(fill(&[0x8b, 0x81, 0x00, 0x10, 0x00, 0x00, 0xc3]), u8::MAX);
-        // mul dword [ecx]: not resolved
-        assert_eq!(fill(&[0xf7, 0x21, 0x8b, 0x41, 0x08, 0xc3]), u8::MAX);
+        // mul dword [ecx], in ecx's window
+        assert_eq!(fill(&[0xf7, 0x21, 0x8b, 0x41, 0x08, 0xc3]), ecx);
+        // mul dword [0x40000000]: not resolved
+        assert_eq!(
+            fill(&[0xf7, 0x25, 0, 0, 0, 0x40, 0x8b, 0x41, 0x08, 0xc3]),
+            u8::MAX
+        );
         // mov ah, 0x16; add [eax], al: a patched root
         assert_eq!(fill(&[0xb4, 0x16, 0x00, 0x00, 0xc3]), u8::MAX);
     }

@@ -16,7 +16,7 @@ use parallax_gadgets::validate::{legacy, prejudged};
 use parallax_image::{LinkedImage, Program};
 use parallax_vm::syscall::is_defined;
 use parallax_vm::{Vm, VmOptions};
-use parallax_x86::Asm;
+use parallax_x86::{Asm, Insn, Mnemonic, Operand};
 
 use common::{
     fixpoint_pairs, generated_heap_edge, generated_heap_edge_write, large_module, LARGE_SEEDS,
@@ -24,18 +24,29 @@ use common::{
 };
 
 /// How many prejudged proposals the oracle rejected too: all of them,
-/// and those whose syscall number the VM does not define.
+/// those whose syscall number the VM does not define, and those with a
+/// one-operand `mul` or `imul` of memory.
 #[derive(Default)]
 struct Checked {
     all: usize,
     syscalls: usize,
+    muls: usize,
 }
 
 impl std::ops::AddAssign for Checked {
     fn add_assign(&mut self, other: Checked) {
         self.all += other.all;
         self.syscalls += other.syscalls;
+        self.muls += other.muls;
     }
+}
+
+/// Whether `insn` is a one-operand `mul` or `imul` of memory, whose
+/// operand the classifier records without making its root a
+/// precondition.
+fn mul_of_memory(insn: &Insn) -> bool {
+    matches!(insn.mnemonic, Mnemonic::Mul | Mnemonic::Imul)
+        && matches!(insn.ops.as_slice(), [Operand::Mem(_)])
 }
 
 /// Probes every candidate of `img` that `prejudged` rejects with the
@@ -63,6 +74,9 @@ fn assert_prejudged_sound(img: &LinkedImage, label: &str) -> Checked {
         checked.all += 1;
         if matches!(p.syscall_eax, SyscallEax::Fixed(nr) if !is_defined(nr)) {
             checked.syscalls += 1;
+        }
+        if p.cand.insns.iter().any(mul_of_memory) {
+            checked.muls += 1;
         }
     }
     checked
@@ -162,6 +176,60 @@ fn undefined_syscall_numbers_fail_the_oracle() {
     assert_eq!(assert_prejudged_sound(&img, "syscalls").syscalls, 4);
 }
 
+/// One-operand `mul` and `imul` of memory whose root the probe draws
+/// (`0x01xx_xxxx`): generated code leaves `imul byte [ecx-0x3b7c0001];
+/// ret` and `mul dword [esi-0x3b7c0001]; ret` behind, which can only
+/// read above the stack region, so they are rejected without a run,
+/// and the oracle, which runs them, rejects them too. The same operand
+/// at a displacement that reaches the data is probed.
+#[test]
+fn mul_operands_on_drawn_roots_fail_the_oracle() {
+    let gadgets: [(&[u8], &str, bool); 4] = [
+        (
+            &[0xf6, 0xa9, 0xff, 0xff, 0x83, 0xc4, 0xc3],
+            "imul byte [ecx-0x3b7c0001]",
+            true,
+        ),
+        (
+            &[0xf7, 0xa6, 0xff, 0xff, 0x83, 0xc4, 0xc3],
+            "mul [esi-0x3b7c0001]",
+            true,
+        ),
+        (
+            &[0xf7, 0x6c, 0x24, 0x40, 0x5b, 0xc3],
+            "imul [esp+0x40]; pop ebx",
+            false,
+        ),
+        (
+            &[0xf7, 0xa6, 0x00, 0x00, 0x00, 0x07, 0xc3],
+            "mul [esi+0x7000000]",
+            false,
+        ),
+    ];
+    let mut main = Asm::new();
+    for (bytes, _, _) in gadgets {
+        main.db(bytes);
+    }
+    let mut prog = Program::new();
+    prog.add_func("main", main.finish().expect("assembles"));
+    prog.set_entry("main");
+    let img = prog.link().expect("links");
+    let mem = Vm::with_options(&img, VmOptions::default()).mem().clone();
+    let mut at = img.text_base;
+    for (bytes, what, unmapped) in gadgets {
+        let cand = scan(&img.text, img.text_base)
+            .into_iter()
+            .find(|c| c.vaddr == at && c.len as usize == bytes.len())
+            .expect("the whole gadget is a candidate");
+        at += bytes.len() as u32;
+        assert!(cand.disasm().starts_with(what), "{}", cand.disasm());
+        let p = classify(&cand).expect("classified");
+        assert!(p.mem_preconditions.is_empty() && !p.unresolved_access);
+        assert_eq!(prejudged(&mem, &p), unmapped, "{}", cand.disasm());
+    }
+    assert!(assert_prejudged_sound(&img, "muls").muls >= 2);
+}
+
 /// Both passes of a protect-large-sized module.
 fn assert_large_prejudged_sound(seed: u64) -> Checked {
     let module = large_module(seed);
@@ -191,11 +259,16 @@ fn prejudged_proposals_fail_the_oracle_on_large_modules() {
 #[test]
 #[ignore]
 fn prejudged_proposals_fail_the_oracle_on_large_modules_more_seeds() {
-    let mut syscalls = 0;
+    let mut checked = Checked::default();
     for seed in MORE_LARGE_SEEDS {
-        syscalls += assert_large_prejudged_sound(2 * seed + 1).syscalls;
+        checked += assert_large_prejudged_sound(2 * seed + 1);
     }
     // Generated code holds a few `add eax, imm32; int 0x80; ret` whose
-    // number the VM does not define (16 over these seeds).
-    assert!(syscalls > 0, "no undefined syscall number was prejudged");
+    // number the VM does not define (16 over these seeds), and a few
+    // `mul`s of memory whose drawn root can only reach unmapped memory.
+    assert!(
+        checked.syscalls > 0,
+        "no undefined syscall number was prejudged"
+    );
+    assert!(checked.muls > 0, "no mul of unmapped memory was prejudged");
 }

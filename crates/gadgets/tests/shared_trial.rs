@@ -14,7 +14,7 @@ mod common;
 use proptest::prelude::*;
 
 use parallax_compiler::compile_module;
-use parallax_core::ChainMode;
+use parallax_core::{protect, ChainMode, ProtectConfig};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::{legacy, scratch_pointer, MAX_SHARED_EFFECTS, PROBE_ESP};
 use parallax_gadgets::{classify, ProbeStats, ProbeVm};
@@ -80,6 +80,55 @@ fn shared_trial_verdicts_match_legacy_across_corpus() {
     }
 }
 
+/// Contents every protect-large image holds that trial 1 settles from
+/// the probe's constant addresses: an 8-bit immediate that writes its
+/// lane back unchanged, a `Patch8` root on a pinned register, byte
+/// accesses off a word boundary clear of every claim, a load beside an
+/// 8-bit rotate, the loader's pivot, whose read no write reaches, and a
+/// shift by `cl` on unmarked inputs.
+const ONE_TRIAL_CONTENTS: [&str; 6] = [
+    "add al,0x0; pop esi; ret",
+    "add al,0x8; mov eax,[eax+0x4]; ret",
+    "or byte [eax-0x75],dl; inc ebp; or byte [eax-0x48],dl; ret",
+    "rol bl,0x1; mov eax,[ecx]; ret",
+    "mov [eax],esp; mov eax,[esp+0x24]; mov esp,eax; ret",
+    "shl eax,cl; ret",
+];
+
+/// Each of [`ONE_TRIAL_CONTENTS`] sits in some protected corpus image,
+/// and no copy of one takes a second trial.
+#[test]
+fn runtime_contents_with_constant_addresses_take_one_trial() {
+    let mut seen = [0; ONE_TRIAL_CONTENTS.len()];
+    for w in parallax_corpus::all() {
+        let cfg = ProtectConfig {
+            verify_funcs: vec![w.verify_func.to_owned()],
+            ..ProtectConfig::default()
+        };
+        let img = protect(&(w.module)(), &cfg).expect("protects").image;
+        let mut probe = ProbeVm::new(&img);
+        for cand in scan(&img.text, img.text_base) {
+            let disasm = cand.disasm();
+            let Some(k) = ONE_TRIAL_CONTENTS.iter().position(|c| *c == disasm) else {
+                continue;
+            };
+            let proposal = classify(&cand).expect("classified");
+            let before = probe.stats();
+            assert!(probe.validate(&proposal).is_some(), "{}: {disasm}", w.name);
+            let after = probe.stats();
+            assert_eq!(
+                (after.runs - before.runs, after.second_trials),
+                (1, before.second_trials),
+                "{} {:#x}: {disasm}",
+                w.name,
+                cand.vaddr
+            );
+            seen[k] += 1;
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+}
+
 #[test]
 fn shared_trial_verdicts_match_legacy_on_tampered_images() {
     // Byte-flip the text at spread positions — the fault-injection
@@ -127,38 +176,65 @@ fn byte_soup(bytes: &[u8], stride: usize) -> LinkedImage {
 /// (`adc`, `sbb`, `setcc`, `cmovcc`), `div`, `cdq`, scaled-index
 /// accesses, `Patch8`-rooted accesses, accesses and esp moves off a
 /// word boundary, and a syscall whose number comes from a chain slot.
-const UNSETTLED: [&[u8]; 31] = [
-    &[0x00, 0x03],             // add [ebx], al
-    &[0x08, 0x0b],             // or [ebx], cl
-    &[0x20, 0x53, 0x01],       // and [ebx+1], dl
-    &[0x30, 0x43, 0x03],       // xor [ebx+3], al
-    &[0x80, 0x0b, 0x01],       // or byte [ebx], 1
-    &[0x88, 0xd8],             // mov al, bl
-    &[0x88, 0xe1],             // mov cl, ah
-    &[0x8a, 0xf8],             // mov bh, al
-    &[0xd3, 0xe0],             // shl eax, cl
-    &[0xd3, 0xcb],             // ror ebx, cl
-    &[0xd3, 0x23],             // shl dword [ebx], cl
-    &[0x11, 0xc8],             // adc eax, ecx
-    &[0x83, 0x13, 0x00],       // adc dword [ebx], 0
-    &[0x83, 0x1b, 0x00],       // sbb dword [ebx], 0
-    &[0x80, 0x53, 0x03, 0x00], // adc byte [ebx+3], 0
-    &[0x0f, 0x92, 0xc1],       // setb cl
-    &[0x0f, 0x94, 0x03],       // sete byte [ebx]
-    &[0x0f, 0x42, 0xc1],       // cmovb eax, ecx
-    &[0x0f, 0x4c, 0x03],       // cmovl eax, [ebx]
-    &[0xf7, 0xf1],             // div ecx
-    &[0x99],                   // cdq
-    &[0x8b, 0x04, 0x8b],       // mov eax, [ebx+ecx*4]
-    &[0x8d, 0x04, 0x4a],       // lea eax, [edx+ecx*2]
-    &[0xb3, 0x10],             // mov bl, 0x10: [ebx] is Patch8-rooted
-    &[0x88, 0xcf],             // mov bh, cl
-    &[0x58, 0xcd, 0x80],       // pop eax; int 0x80
-    &[0xf5],                   // cmc
-    &[0x89, 0x4c, 0x24, 0x03], // mov [esp+3], ecx
-    &[0x89, 0x43, 0x02],       // mov [ebx+2], eax
-    &[0x83, 0xc4, 0x02],       // add esp, 2
-    &[0x44],                   // inc esp
+/// Then the fragments whose addresses and values are constants of the
+/// proposal, which trial 1 settles only where their bytes stay clear
+/// of what a claim reads: 8-bit immediates that write their lane back
+/// unchanged or not, 8-bit immediates on ebx that move the later
+/// `[ebx]` accesses to another constant address, byte writes beside
+/// the claimed `[ebx]` word, writes and reads of that word through
+/// edx (whose scratch pointer lies 0x1000 below ebx's), and shifts by
+/// `cl` with ecx or the shifted register changed before or after.
+const UNSETTLED: [&[u8]; 50] = [
+    &[0x00, 0x03],                         // add [ebx], al
+    &[0x08, 0x0b],                         // or [ebx], cl
+    &[0x20, 0x53, 0x01],                   // and [ebx+1], dl
+    &[0x30, 0x43, 0x03],                   // xor [ebx+3], al
+    &[0x80, 0x0b, 0x01],                   // or byte [ebx], 1
+    &[0x88, 0xd8],                         // mov al, bl
+    &[0x88, 0xe1],                         // mov cl, ah
+    &[0x8a, 0xf8],                         // mov bh, al
+    &[0xd3, 0xe0],                         // shl eax, cl
+    &[0xd3, 0xcb],                         // ror ebx, cl
+    &[0xd3, 0x23],                         // shl dword [ebx], cl
+    &[0x11, 0xc8],                         // adc eax, ecx
+    &[0x83, 0x13, 0x00],                   // adc dword [ebx], 0
+    &[0x83, 0x1b, 0x00],                   // sbb dword [ebx], 0
+    &[0x80, 0x53, 0x03, 0x00],             // adc byte [ebx+3], 0
+    &[0x0f, 0x92, 0xc1],                   // setb cl
+    &[0x0f, 0x94, 0x03],                   // sete byte [ebx]
+    &[0x0f, 0x42, 0xc1],                   // cmovb eax, ecx
+    &[0x0f, 0x4c, 0x03],                   // cmovl eax, [ebx]
+    &[0xf7, 0xf1],                         // div ecx
+    &[0x99],                               // cdq
+    &[0x8b, 0x04, 0x8b],                   // mov eax, [ebx+ecx*4]
+    &[0x8d, 0x04, 0x4a],                   // lea eax, [edx+ecx*2]
+    &[0xb3, 0x10],                         // mov bl, 0x10: [ebx] is Patch8-rooted
+    &[0x88, 0xcf],                         // mov bh, cl
+    &[0x58, 0xcd, 0x80],                   // pop eax; int 0x80
+    &[0xf5],                               // cmc
+    &[0x89, 0x4c, 0x24, 0x03],             // mov [esp+3], ecx
+    &[0x89, 0x43, 0x02],                   // mov [ebx+2], eax
+    &[0x83, 0xc4, 0x02],                   // add esp, 2
+    &[0x44],                               // inc esp
+    &[0x04, 0x00],                         // add al, 0
+    &[0x80, 0xeb, 0x00],                   // sub bl, 0
+    &[0x80, 0xe3, 0xff],                   // and bl, 0xff
+    &[0x80, 0xf1, 0x00],                   // xor cl, 0
+    &[0x04, 0x01],                         // add al, 1
+    &[0x80, 0xc3, 0x08],                   // add bl, 8
+    &[0x80, 0xcf, 0x01],                   // or bh, 1
+    &[0x80, 0xe3, 0xf0],                   // and bl, 0xf0
+    &[0x08, 0x4b, 0x03],                   // or [ebx+3], cl
+    &[0x88, 0x43, 0x05],                   // mov [ebx+5], al
+    &[0x00, 0x53, 0xff],                   // add [ebx-1], dl
+    &[0x89, 0x8a, 0x00, 0x10, 0x00, 0x00], // mov [edx+0x1000], ecx
+    &[0x08, 0x8a, 0x02, 0x10, 0x00, 0x00], // or [edx+0x1002], cl
+    &[0x8b, 0x82, 0x00, 0x10, 0x00, 0x00], // mov eax, [edx+0x1000]
+    &[0xd3, 0xfa],                         // sar edx, cl
+    &[0xd3, 0xe8],                         // shr eax, cl
+    &[0xb5, 0x05],                         // mov ch, 5
+    &[0x41],                               // inc ecx
+    &[0x92],                               // xchg eax, edx
 ];
 
 /// Fragments one trial settles on their own, which set up the claims
@@ -192,8 +268,9 @@ const SETTLED: [&[u8]; 20] = [
 ];
 
 /// First writes of a claimed word or register, for [`CARRY`] to change.
-const CLAIMS: [&[u8]; 5] = [
+const CLAIMS: [&[u8]; 6] = [
     &[0x89, 0x03],       // mov [ebx], eax
+    &[0x89, 0x0b],       // mov [ebx], ecx
     &[0x01, 0x03],       // add [ebx], eax
     &[0x89, 0x04, 0x24], // mov [esp], eax
     &[0x89, 0xd0],       // mov eax, edx
@@ -201,23 +278,26 @@ const CLAIMS: [&[u8]; 5] = [
 ];
 
 /// Listed operations that narrow ecx to one random bit (or to the
-/// chance of an `and` of two draws).
-const NARROW: [&[u8]; 5] = [
+/// chance of an `and` of two draws), or change one bit of it.
+const NARROW: [&[u8]; 6] = [
     &[0x83, 0xe1, 0x01],                   // and ecx, 1
     &[0xc1, 0xe1, 0x1f],                   // shl ecx, 31
     &[0x69, 0xc9, 0x00, 0x00, 0x00, 0x80], // imul ecx, ecx, 0x80000000
     &[0x81, 0xe1, 0x00, 0x01, 0x00, 0x00], // and ecx, 0x100
     &[0x21, 0xd1],                         // and ecx, edx
+    &[0x83, 0xe1, 0xfe],                   // and ecx, -2
 ];
 
-/// Second writes that carry ecx into a [`CLAIMS`] word or register.
-const CARRY: [&[u8]; 6] = [
-    &[0x01, 0x0b],       // add [ebx], ecx
-    &[0x31, 0x0b],       // xor [ebx], ecx
-    &[0x29, 0x0b],       // sub [ebx], ecx
-    &[0x09, 0x0b],       // or [ebx], ecx
-    &[0x01, 0x0c, 0x24], // add [esp], ecx
-    &[0x01, 0xc8],       // add eax, ecx
+/// Second writes that carry ecx into a [`CLAIMS`] word or register,
+/// the last through edx, whose scratch pointer lies 0x1000 below ebx's.
+const CARRY: [&[u8]; 7] = [
+    &[0x01, 0x0b],                         // add [ebx], ecx
+    &[0x31, 0x0b],                         // xor [ebx], ecx
+    &[0x29, 0x0b],                         // sub [ebx], ecx
+    &[0x09, 0x0b],                         // or [ebx], ecx
+    &[0x01, 0x0c, 0x24],                   // add [esp], ecx
+    &[0x01, 0xc8],                         // add eax, ecx
+    &[0x89, 0x8a, 0x00, 0x10, 0x00, 0x00], // mov [edx+0x1000], ecx
 ];
 
 /// Links one gadget per `(claim, narrowings, carry)` of `gadgets` into
@@ -265,8 +345,10 @@ fn adversarial_image(gadgets: &[Vec<(bool, usize)>]) -> LinkedImage {
 /// flag readers, shifts by `cl`, `cdq`, `pushfd`, through registers,
 /// scratch words and (through [`on_chain_word`]) the chain words that a
 /// `pop` loads or a `push` writes, where the classifier does not see
-/// them.
-const OPAQUE: [&[u8]; 18] = [
+/// them. Then 8-bit immediates, which write a constant into a pinned
+/// register (ebx, moving its later accesses) or write the lane back
+/// unchanged, and a change of ch before a shift by `cl`.
+const OPAQUE: [&[u8]; 25] = [
     &[0x00, 0x03],       // add [ebx], al
     &[0x08, 0x0b],       // or [ebx], cl
     &[0x08, 0x53, 0x04], // or [ebx+4], dl
@@ -285,23 +367,34 @@ const OPAQUE: [&[u8]; 18] = [
     &[0x99],             // cdq
     &[0xf5],             // cmc
     &[0x9c],             // pushfd
+    &[0x80, 0xc1, 0x00], // add cl, 0
+    &[0x80, 0xe1, 0xff], // and cl, 0xff
+    &[0x80, 0xc9, 0x01], // or cl, 1
+    &[0x80, 0xc3, 0x04], // add bl, 4
+    &[0xb3, 0x40],       // mov bl, 0x40
+    &[0xb5, 0x05],       // mov ch, 5
+    &[0xd3, 0xe0],       // shl eax, cl
 ];
 
-/// Opaque writes of a chain word, as `(opcode and ModR/M, word, tail)`
-/// for [`on_chain_word`]: word 0 is the one the first `pop` loads, -1
-/// the one a first `push` writes.
-const ON_CHAIN: [(&[u8], i32, &[u8]); 4] = [
+/// Opaque writes of the chain words, as `(opcode and ModR/M, offset,
+/// tail)` for [`on_chain_word`]: offset 0 starts the word the first
+/// `pop` loads, -4 the one a first `push` writes; the others are byte
+/// writes off a word boundary beside those slots.
+const ON_CHAIN: [(&[u8], i32, &[u8]); 7] = [
     (&[0x08, 0x8b], 0, &[]),     // or [ebx+disp], cl
     (&[0x83, 0x93], 0, &[0x00]), // adc dword [ebx+disp], 0
-    (&[0x08, 0x83], -1, &[]),    // or [ebx+disp], al
-    (&[0xd3, 0xa3], -1, &[]),    // shl dword [ebx+disp], cl
+    (&[0x08, 0x83], -4, &[]),    // or [ebx+disp], al
+    (&[0xd3, 0xa3], -4, &[]),    // shl dword [ebx+disp], cl
+    (&[0x08, 0x8b], 3, &[]),     // or [ebx+disp], cl
+    (&[0x88, 0x83], -1, &[]),    // mov [ebx+disp], al
+    (&[0x08, 0x93], 5, &[]),     // or [ebx+disp], dl
 ];
 
 /// `op [ebx+disp32] tail` with the displacement putting the access,
-/// through ebx's scratch pointer, on the chain word `word` words above
-/// the probe's first slot.
-fn on_chain_word(op: &[u8], word: i32, tail: &[u8]) -> Vec<u8> {
-    let at = PROBE_ESP.wrapping_add((4 * word) as u32);
+/// through ebx's scratch pointer, `offset` bytes above the probe's
+/// first slot.
+fn on_chain_word(op: &[u8], offset: i32, tail: &[u8]) -> Vec<u8> {
+    let at = PROBE_ESP.wrapping_add(offset as u32);
     let mut bytes = op.to_vec();
     bytes.extend_from_slice(&at.wrapping_sub(scratch_pointer(Reg32::Ebx)).to_le_bytes());
     bytes.extend_from_slice(tail);
@@ -312,8 +405,9 @@ fn on_chain_word(op: &[u8], word: i32, tail: &[u8]) -> Vec<u8> {
 /// ones can break: pops, pushes, full-width moves and ALU operations
 /// (some of ecx, which the opaque ones narrow), stores, loads and
 /// read-modify-writes through ebx and esp, among them masking ones
-/// whose result a later load of the word reads.
-const FOLLOWED: [&[u8]; 20] = [
+/// whose result a later load of the word reads, and a store and a load
+/// of `[ebx]` through edx, whose scratch pointer lies 0x1000 below.
+const FOLLOWED: [&[u8]; 22] = [
     &[0x58],                               // pop eax
     &[0x59],                               // pop ecx
     &[0x5a],                               // pop edx
@@ -334,6 +428,8 @@ const FOLLOWED: [&[u8]; 20] = [
     &[0x83, 0x23, 0xfe],                   // and dword [ebx], -2
     &[0x83, 0x33, 0x01],                   // xor dword [ebx], 1
     &[0x8b, 0x0b],                         // mov ecx, [ebx]
+    &[0x89, 0x8a, 0x00, 0x10, 0x00, 0x00], // mov [edx+0x1000], ecx
+    &[0x8b, 0x82, 0x00, 0x10, 0x00, 0x00], // mov eax, [edx+0x1000]
 ];
 
 /// Links one gadget per entry of `gadgets` into `main`, each followed
@@ -347,8 +443,8 @@ fn opaque_mix_image(gadgets: &[Vec<(u8, usize)>]) -> LinkedImage {
             match kind {
                 0 => a.db(OPAQUE[i % OPAQUE.len()]),
                 1 => {
-                    let (op, word, tail) = ON_CHAIN[i % ON_CHAIN.len()];
-                    a.db(&on_chain_word(op, word, tail));
+                    let (op, offset, tail) = ON_CHAIN[i % ON_CHAIN.len()];
+                    a.db(&on_chain_word(op, offset, tail));
                 }
                 _ => a.db(FOLLOWED[i % FOLLOWED.len()]),
             }
@@ -489,7 +585,7 @@ proptest! {
     #[test]
     fn shared_trial_verdicts_match_legacy_on_narrowed_second_writes(
         gadgets in prop::collection::vec(
-            (0usize..5, prop::collection::vec(0usize..5, 1..3), 0usize..6),
+            (0usize..6, prop::collection::vec(0usize..6, 1..3), 0usize..7),
             1..6,
         ),
     ) {
