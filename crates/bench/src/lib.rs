@@ -15,7 +15,7 @@ use parallax_compiler::compile_module;
 use parallax_core::{protect, ChainMode, ProtectConfig, Protected};
 use parallax_corpus::Workload;
 use parallax_rewrite::analyze;
-use parallax_vm::{Exit, Vm, VmOptions};
+use parallax_vm::{Exit, Profiler, Vm, VmOptions};
 
 /// One row of the Figure-6 reproduction (protectable code bytes).
 #[derive(Debug, Clone)]
@@ -97,8 +97,18 @@ pub fn run_cycles(img: &parallax_image::LinkedImage, input: &[u8]) -> u64 {
 /// zero-overhead overlap rules still apply to them).
 pub const HOT_FUNC_THRESHOLD: f64 = 0.10;
 
-/// Profiles a workload and returns its hot functions.
-pub fn hot_functions(w: &Workload) -> Vec<String> {
+/// The hot functions of a profiled run: those at or above
+/// [`HOT_FUNC_THRESHOLD`] of its cycles.
+pub fn hot_functions_in(prof: &Profiler) -> Vec<String> {
+    prof.iter()
+        .filter(|(name, _)| prof.fraction(name) >= HOT_FUNC_THRESHOLD)
+        .map(|(name, _)| name.to_owned())
+        .collect()
+}
+
+/// Compiles `w` and runs it on its input with the flat profiler on;
+/// returns the VM, its run finished.
+fn profiled_base_run(w: &Workload) -> Vm {
     let img = compile_module(&(w.module)())
         .expect("compiles")
         .link()
@@ -112,18 +122,24 @@ pub fn hot_functions(w: &Workload) -> Vec<String> {
     );
     vm.set_input(&(w.input)());
     assert!(matches!(vm.run(), Exit::Exited(_)));
-    let prof = vm.profiler().unwrap();
-    prof.iter()
-        .filter(|(name, _)| prof.fraction(name) >= HOT_FUNC_THRESHOLD)
-        .map(|(name, _)| name.to_owned())
-        .collect()
+    vm
+}
+
+/// Profiles a workload and returns its hot functions.
+pub fn hot_functions(w: &Workload) -> Vec<String> {
+    hot_functions_in(profiled_base_run(w).profiler().expect("profiled"))
 }
 
 /// Protects `w` with the given mode using its designated §VII-B
 /// verification function and profile-guided splitting placement.
 pub fn protect_workload(w: &Workload, mode: ChainMode) -> Protected {
+    protect_excluding(w, mode, hot_functions(w))
+}
+
+/// [`protect_workload`] with the hot functions already known.
+fn protect_excluding(w: &Workload, mode: ChainMode, hot: Vec<String>) -> Protected {
     let rewrite = parallax_rewrite::RewriteConfig {
-        imm_exclude: hot_functions(w),
+        imm_exclude: hot,
         ..Default::default()
     };
     protect(
@@ -143,28 +159,18 @@ pub fn fig5_row(w: &Workload, mode: ChainMode) -> Fig5Row {
     let input = (w.input)();
 
     // Unprotected run with a profile: per-call cost and call count of
-    // the verification function.
-    let base_img = compile_module(&(w.module)())
-        .expect("compiles")
-        .link()
-        .expect("links");
-    let mut vm = Vm::with_options(
-        &base_img,
-        VmOptions {
-            profile: true,
-            ..VmOptions::default()
-        },
-    );
-    vm.set_input(&input);
-    assert!(matches!(vm.run(), Exit::Exited(_)));
+    // the verification function, and the hot functions protection
+    // leaves out of immediate splitting.
+    let vm = profiled_base_run(w);
     let base_cycles = vm.cycles();
-    let prof = vm.profiler().unwrap().func(w.verify_func).unwrap();
+    let profile = vm.profiler().expect("profiled");
+    let prof = profile.func(w.verify_func).unwrap();
     let calls = prof.calls.max(1);
     let native_per_call = prof.cycles as f64 / calls as f64;
 
     // Protected run.
     let mode_name = mode.name();
-    let protected = protect_workload(w, mode);
+    let protected = protect_excluding(w, mode, hot_functions_in(profile));
     let prot_cycles = run_cycles(&protected.image, &input);
 
     // The chain's per-call cost is the whole-program delta spread over

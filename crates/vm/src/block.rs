@@ -15,20 +15,28 @@
 //! leaving the rest of the cache hot.
 //!
 //! Each predecoded instruction also carries a [`FastOp`]: a
-//! pre-extracted micro-op for the handful of forms that dominate ROP
-//! chain execution (`ret`, `pop r32`, `push r32`, `mov`/ALU on dword
-//! registers). These skip operand-`Vec` matching and the memory-operand
-//! cost scan entirely; everything else takes the full [`Insn`]
-//! interpreter, so semantics, cycle costs, and tracing hooks stay
-//! bit-identical either way.
+//! pre-extracted micro-op for the forms that dominate execution (`ret`,
+//! `pop`/`push`, `mov`/ALU on dword registers, `movzx`, `setcc`,
+//! direct branches and calls). These skip operand-`Vec` matching and
+//! the memory-operand cost scan entirely; everything else takes the
+//! full [`Insn`] interpreter, so semantics, cycle costs, and tracing
+//! hooks stay bit-identical either way.
+//!
+//! A block also carries what lets the engine run it as one unit: an
+//! upper bound on its cycle cost, so one check at entry can stand for
+//! the per-instruction cycle-limit checks, and each instruction's
+//! profile slot, resolved once here, so a block inside one function is
+//! charged with a single profile entry (DESIGN.md §10).
 
 use std::rc::Rc;
 
-use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand};
-use parallax_x86::{decode, Reg, Reg32};
+use parallax_x86::insn::{AluOp, Cond, Insn, Mem, Mnemonic, OpSize, Operand, ShiftOp};
+use parallax_x86::{decode, Reg, Reg32, Reg8};
 
+use crate::cost::CostModel;
 use crate::error::{Fault, FaultKind};
 use crate::mem::Memory;
+use crate::profile::{Profiler, NO_FUNC};
 
 /// Maximum instructions predecoded into a single block. Bounds the
 /// work wasted when a block is invalidated or its tail never runs.
@@ -73,6 +81,10 @@ pub(crate) enum FastOp {
     LoadRM(Reg32, Option<Reg32>, i32),
     /// `mov [base + disp], r32` (dword store, no index register).
     StoreMR(Option<Reg32>, i32, Reg32),
+    /// `mov [base + index*scale + disp], r32` (indexed dword store).
+    StoreIdx(Mem, Reg32),
+    /// `mov byte [mem], r8`.
+    StoreB(Mem, Reg8),
     /// `lea r32, [mem]` — address arithmetic only, never touches
     /// memory (and pays no memory-cycle cost, matching `exec_insn`'s
     /// explicit `Lea` cost exemption).
@@ -87,21 +99,63 @@ pub(crate) enum FastOp {
     PushM(Mem),
     /// `pop dword [mem]`.
     PopM(Mem),
+    /// `movzx r32, r8`.
+    MovzxRR(Reg32, Reg8),
+    /// `movzx r32, byte [mem]`.
+    MovzxRM(Reg32, Mem),
+    /// `setcc r8`.
+    SetccR(Cond, Reg8),
+    /// Two-operand `imul r32, r32`.
+    ImulRR(Reg32, Reg32),
+    /// Dword shift or rotate `op r32, r8` (the count register).
+    ShiftRR(ShiftOp, Reg32, Reg8),
+    /// `leave`.
+    Leave,
+    /// `jmp rel` to its resolved target.
+    Jmp(u32),
+    /// `jcc rel`: the condition and the resolved taken target.
+    Jcc(Cond, u32),
+    /// `call rel`: the resolved target and the profile slot of the
+    /// function entered there ([`NO_FUNC`] when none is, or when the
+    /// VM is not profiling).
+    Call(u32, u32),
     /// Everything else: execute via the full interpreter.
     Slow,
 }
 
-/// One predecoded instruction inside a block.
-#[derive(Debug)]
-pub(crate) struct Predecoded {
+impl FastOp {
+    /// True if the op can write memory — and therefore dirty code when
+    /// W⊕X is disabled. `Slow` ops are assumed to.
+    #[inline]
+    pub(crate) fn may_write(self) -> bool {
+        matches!(
+            self,
+            FastOp::StoreMR(..)
+                | FastOp::StoreIdx(..)
+                | FastOp::StoreB(..)
+                | FastOp::PushR(_)
+                | FastOp::PushI(_)
+                | FastOp::PushM(_)
+                | FastOp::PopM(_)
+                | FastOp::Call(..)
+                | FastOp::Slow
+        )
+    }
+}
+
+/// One predecoded instruction: its micro-op, its addresses, and the
+/// profile slot of the function containing it ([`NO_FUNC`] when no
+/// function does, or when the VM is not profiling).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Op {
+    /// Fast-path micro-op, or `Slow`.
+    pub fast: FastOp,
     /// Address of the instruction.
     pub eip: u32,
     /// Address of the following instruction (`eip + len`).
     pub next: u32,
-    /// Fast-path micro-op, or `Slow`.
-    pub fast: FastOp,
-    /// The decoded instruction (authoritative semantics).
-    pub insn: Insn,
+    /// Profile slot of the instruction's function.
+    pub func: u32,
 }
 
 /// Maximum body micro-ops (before the trailing `ret`) a gadget block
@@ -110,31 +164,22 @@ pub(crate) struct Predecoded {
 /// header a small fixed-size copy.
 pub const MAX_FUSED_OPS: usize = 4;
 
-/// One body micro-op of a fused gadget, with its addresses.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FusedOp {
-    /// The pre-extracted micro-op (never `Slow` in a fused header).
-    pub op: FastOp,
-    /// Address of the instruction.
-    pub eip: u32,
-    /// Address of the following instruction.
-    pub next: u32,
-}
-
 /// The fully-inlined form of an `op…; ret` gadget — the shape every
 /// ROP dispatch takes, from the classic two-instruction `pop r; ret`
 /// up to [`MAX_FUSED_OPS`]-instruction bodies. Stored in the
 /// [`Block`] header so execution reads one allocation and never
-/// touches the `insns` vector (or clones the `Rc`) on the hot path.
+/// touches the `ops` vector (or clones the `Rc`) on the hot path.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FusedGadget {
-    /// The leading micro-ops; slots past `len` are `Slow` filler.
-    pub ops: [FusedOp; MAX_FUSED_OPS],
+    /// The leading micro-ops (never `Slow`); slots past `len` are
+    /// `Slow` filler.
+    pub ops: [Op; MAX_FUSED_OPS],
     /// Number of live body ops (1..=MAX_FUSED_OPS).
     pub len: u8,
-    /// Addresses of the trailing plain `ret`.
-    pub ret_eip: u32,
-    pub ret_next: u32,
+    /// The trailing plain `ret`.
+    pub ret: Op,
+    /// Upper bound on the gadget's cycle cost.
+    pub max_cost: u64,
 }
 
 /// How a block is executed: generically, instruction by instruction,
@@ -150,12 +195,25 @@ pub(crate) enum BlockKind {
 pub(crate) struct Block {
     /// Entry address — the cache key.
     pub entry: u32,
-    /// Exclusive end of the byte span covered by the block.
+    /// Exclusive end of the byte span covered by the block: the
+    /// fall-through `eip` after its last instruction.
     pub end: u32,
     /// Gadget fast-path classification.
     pub kind: BlockKind,
-    /// The instructions, in address order. Never empty.
-    pub insns: Vec<Predecoded>,
+    /// The micro-ops, in address order. Never empty.
+    pub ops: Vec<Op>,
+    /// The decoded instructions (authoritative semantics), parallel to
+    /// `ops`; `Slow` ops execute from here.
+    pub insns: Vec<Insn>,
+    /// Upper bound on the cycles the whole block can be charged:
+    /// its length times [`CostModel::insn_bound`].
+    pub max_cost: u64,
+    /// The one profile slot every op attributes to, or `None` when the
+    /// block straddles two functions and is charged op by op.
+    pub func: Option<u32>,
+    /// True if the last instruction is a control transfer, which sets
+    /// `eip` itself; otherwise the block falls through to `end`.
+    pub transfers: bool,
 }
 
 /// True if `m` ends a straight-line run. Syscalls (`Int`) terminate
@@ -184,11 +242,19 @@ fn reg32_of(op: &Operand) -> Option<Reg32> {
     }
 }
 
-/// Classifies `insn` into a [`FastOp`]. Only forms whose cost and
-/// semantics the fast arms reproduce exactly may be promoted; anything
-/// with a memory operand, sub-dword size, or flag subtleties stays
-/// `Slow`.
-fn fast_of(insn: &Insn) -> FastOp {
+/// The taken target of a relative branch or call whose successor is
+/// `next`.
+fn rel_target(insn: &Insn, next: u32) -> Option<u32> {
+    match insn.ops.first() {
+        Some(Operand::Rel(r)) => Some(next.wrapping_add(*r as u32)),
+        _ => None,
+    }
+}
+
+/// Classifies `insn`, whose successor is `next`, into a [`FastOp`].
+/// Only forms whose cost and semantics the fast arms reproduce exactly
+/// may be promoted; anything else stays `Slow`.
+fn fast_of(insn: &Insn, next: u32, prof: Option<&Profiler>) -> FastOp {
     match insn.mnemonic {
         Mnemonic::Ret if insn.ops.is_empty() => FastOp::Ret,
         Mnemonic::Pop => match insn.ops.first() {
@@ -212,9 +278,14 @@ fn fast_of(insn: &Insn) -> FastOp {
                 (Operand::Mem(m), Operand::Reg(Reg::R32(s))) if m.index.is_none() => {
                     FastOp::StoreMR(m.base, m.disp, *s)
                 }
+                (Operand::Mem(m), Operand::Reg(Reg::R32(s))) => FastOp::StoreIdx(*m, *s),
                 _ => FastOp::Slow,
             }
         }
+        Mnemonic::Mov if insn.ops.len() == 2 => match (&insn.ops[0], &insn.ops[1]) {
+            (Operand::Mem(m), Operand::Reg(Reg::R8(s))) => FastOp::StoreB(*m, *s),
+            _ => FastOp::Slow,
+        },
         Mnemonic::Alu(op) if insn.size == OpSize::Dword && insn.ops.len() == 2 => {
             match (reg32_of(&insn.ops[0]), &insn.ops[1]) {
                 (Some(d), Operand::Reg(Reg::R32(s))) => FastOp::AluRR(op, d, *s),
@@ -239,6 +310,33 @@ fn fast_of(insn: &Insn) -> FastOp {
                 _ => FastOp::Slow,
             }
         }
+        Mnemonic::Movzx if insn.ops.len() == 2 => match (reg32_of(&insn.ops[0]), &insn.ops[1]) {
+            (Some(d), Operand::Reg(Reg::R8(s))) => FastOp::MovzxRR(d, *s),
+            (Some(d), Operand::Mem(m)) => FastOp::MovzxRM(d, *m),
+            _ => FastOp::Slow,
+        },
+        Mnemonic::Setcc(c) => match insn.ops.first() {
+            Some(Operand::Reg(Reg::R8(r))) => FastOp::SetccR(c, *r),
+            _ => FastOp::Slow,
+        },
+        Mnemonic::Imul if insn.ops.len() == 2 => {
+            match (reg32_of(&insn.ops[0]), reg32_of(&insn.ops[1])) {
+                (Some(d), Some(s)) => FastOp::ImulRR(d, s),
+                _ => FastOp::Slow,
+            }
+        }
+        Mnemonic::Shift(op) if insn.size == OpSize::Dword && insn.ops.len() == 2 => {
+            match (reg32_of(&insn.ops[0]), &insn.ops[1]) {
+                (Some(d), Operand::Reg(Reg::R8(c))) => FastOp::ShiftRR(op, d, *c),
+                _ => FastOp::Slow,
+            }
+        }
+        Mnemonic::Leave => FastOp::Leave,
+        Mnemonic::Jmp => rel_target(insn, next).map_or(FastOp::Slow, FastOp::Jmp),
+        Mnemonic::Jcc(c) => rel_target(insn, next).map_or(FastOp::Slow, |t| FastOp::Jcc(c, t)),
+        Mnemonic::Call => rel_target(insn, next).map_or(FastOp::Slow, |t| {
+            FastOp::Call(t, prof.map_or(NO_FUNC, |p| p.entry_slot(t)))
+        }),
         _ => FastOp::Slow,
     }
 }
@@ -249,15 +347,24 @@ fn fast_of(insn: &Insn) -> FastOp {
 /// same fault the stepping interpreter would raise. A decode problem
 /// later in the run simply ends the block early: the next block lookup
 /// at that address reports the fault at the precise `eip`, matching the
-/// reference path.
-pub(crate) fn build_block(mem: &Memory, entry: u32, max_insns: usize) -> Result<Block, Fault> {
+/// reference path. `cost` bounds the block's cycles; `prof`, when
+/// profiling, resolves each op's profile slot.
+pub(crate) fn build_block(
+    mem: &Memory,
+    entry: u32,
+    max_insns: usize,
+    cost: &CostModel,
+    prof: Option<&Profiler>,
+) -> Result<Block, Fault> {
+    let mut ops = Vec::new();
     let mut insns = Vec::new();
     let mut pos = entry;
+    let mut transfers = false;
     loop {
         let bytes = match mem.fetch(pos) {
             Ok(b) => b,
             Err(f) => {
-                if insns.is_empty() {
+                if ops.is_empty() {
                     return Err(f);
                 }
                 break;
@@ -266,58 +373,60 @@ pub(crate) fn build_block(mem: &Memory, entry: u32, max_insns: usize) -> Result<
         let insn = match decode(bytes) {
             Ok(i) => i,
             Err(_) => {
-                if insns.is_empty() {
+                if ops.is_empty() {
                     return Err(Fault::new(pos, FaultKind::InvalidInstruction));
                 }
                 break;
             }
         };
         let next = pos.wrapping_add(insn.len as u32);
-        let term = is_terminator(&insn.mnemonic);
-        insns.push(Predecoded {
+        transfers = is_terminator(&insn.mnemonic);
+        ops.push(Op {
+            fast: fast_of(&insn, next, prof),
             eip: pos,
             next,
-            fast: fast_of(&insn),
-            insn,
+            func: prof.map_or(NO_FUNC, |p| p.slot_of(pos)),
         });
+        insns.push(insn);
         pos = next;
-        if term || insns.len() >= max_insns {
+        if transfers || ops.len() >= max_insns {
             break;
         }
     }
-    let kind = match insns.as_slice() {
+    let max_cost = |n: usize| cost.insn_bound().saturating_mul(n as u64);
+    let kind = match ops.as_slice() {
         [body @ .., ret]
             if !body.is_empty()
                 && body.len() <= MAX_FUSED_OPS
                 && matches!(ret.fast, FastOp::Ret)
                 && body.iter().all(|p| !matches!(p.fast, FastOp::Slow)) =>
         {
-            let mut ops = [FusedOp {
-                op: FastOp::Slow,
+            let mut fused = [Op {
+                fast: FastOp::Slow,
                 eip: 0,
                 next: 0,
+                func: NO_FUNC,
             }; MAX_FUSED_OPS];
-            for (slot, p) in ops.iter_mut().zip(body) {
-                *slot = FusedOp {
-                    op: p.fast,
-                    eip: p.eip,
-                    next: p.next,
-                };
-            }
+            fused[..body.len()].copy_from_slice(body);
             BlockKind::Fused(FusedGadget {
-                ops,
+                ops: fused,
                 len: body.len() as u8,
-                ret_eip: ret.eip,
-                ret_next: ret.next,
+                ret: *ret,
+                max_cost: max_cost(ops.len()),
             })
         }
         _ => BlockKind::Generic,
     };
+    let func = Some(ops[0].func).filter(|&f| ops.iter().all(|op| op.func == f));
     Ok(Block {
         entry,
         end: pos,
         kind,
+        max_cost: max_cost(ops.len()),
+        ops,
         insns,
+        func,
+        transfers,
     })
 }
 
@@ -445,22 +554,26 @@ mod tests {
         Memory::new(text, 0x1000, &[0; 16], 0x2000, 0)
     }
 
+    fn build(m: &Memory, entry: u32) -> Result<Block, Fault> {
+        build_block(m, entry, MAX_BLOCK_INSNS, &CostModel::default(), None)
+    }
+
     #[test]
     fn block_ends_at_control_transfer() {
         // mov eax,1; pop ecx; ret; pop edx; ret
         let m = mem(vec![0xb8, 1, 0, 0, 0, 0x59, 0xc3, 0x5a, 0xc3]);
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
+        let b = build(&m, 0x1000).unwrap();
         assert_eq!(b.insns.len(), 3);
         assert_eq!(b.entry, 0x1000);
         assert_eq!(b.end, 0x1007);
-        assert_eq!(b.insns[2].eip, 0x1006);
+        assert_eq!(b.ops[2].eip, 0x1006);
     }
 
     #[test]
     fn decode_failure_mid_run_truncates_block() {
         // nop; then 0x0f 0xff (undecodable in this subset)
         let m = mem(vec![0x90, 0x0f, 0xff, 0x90]);
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
+        let b = build(&m, 0x1000).unwrap();
         assert_eq!(b.insns.len(), 1);
         assert_eq!(b.end, 0x1001);
     }
@@ -468,7 +581,7 @@ mod tests {
     #[test]
     fn decode_failure_at_entry_faults() {
         let m = mem(vec![0x0f, 0xff]);
-        let f = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap_err();
+        let f = build(&m, 0x1000).unwrap_err();
         assert_eq!(f.kind, FaultKind::InvalidInstruction);
         assert_eq!(f.vaddr, 0x1000);
     }
@@ -476,7 +589,7 @@ mod tests {
     #[test]
     fn fetch_outside_text_faults() {
         let m = mem(vec![0x90]);
-        let f = build_block(&m, 0x5000, MAX_BLOCK_INSNS).unwrap_err();
+        let f = build(&m, 0x5000).unwrap_err();
         assert_eq!(f.kind, FaultKind::ExecOutsideText);
     }
 
@@ -484,8 +597,8 @@ mod tests {
     fn invalidate_range_is_overlap_based() {
         let m = mem(vec![0x90, 0xc3, 0x90, 0xc3]);
         let mut cache = BlockCache::new();
-        let a = Rc::new(build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap()); // spans [0x1000, 0x1002)
-        let b = Rc::new(build_block(&m, 0x1002, MAX_BLOCK_INSNS).unwrap()); // spans [0x1002, 0x1004)
+        let a = Rc::new(build(&m, 0x1000).unwrap()); // spans [0x1000, 0x1002)
+        let b = Rc::new(build(&m, 0x1002).unwrap()); // spans [0x1002, 0x1004)
         cache.insert(a);
         cache.insert(b);
         cache.invalidate_range(0x1003, 0x1004);
@@ -500,16 +613,16 @@ mod tests {
     #[test]
     fn fast_classification_covers_chain_ops() {
         let m = mem(vec![0x58, 0xc3]); // pop eax; ret
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
-        assert!(matches!(b.insns[0].fast, FastOp::PopR(Reg32::Eax)));
-        assert!(matches!(b.insns[1].fast, FastOp::Ret));
+        let b = build(&m, 0x1000).unwrap();
+        assert!(matches!(b.ops[0].fast, FastOp::PopR(Reg32::Eax)));
+        assert!(matches!(b.ops[1].fast, FastOp::Ret));
     }
 
     #[test]
     fn ret_imm_is_not_fast() {
         let m = mem(vec![0xc2, 0x08, 0x00]); // ret 8
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
-        assert!(matches!(b.insns[0].fast, FastOp::Slow));
+        let b = build(&m, 0x1000).unwrap();
+        assert!(matches!(b.ops[0].fast, FastOp::Slow));
     }
 
     #[test]
@@ -525,30 +638,71 @@ mod tests {
         a.ret();
         let code = a.finish().unwrap().bytes;
         let m = mem(code);
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
-        assert!(matches!(b.insns[0].fast, FastOp::LeaRM(Reg32::Eax, _)));
+        let b = build(&m, 0x1000).unwrap();
+        assert!(matches!(b.ops[0].fast, FastOp::LeaRM(Reg32::Eax, _)));
         assert!(matches!(
-            b.insns[1].fast,
+            b.ops[1].fast,
             FastOp::XchgRR(Reg32::Ecx, Reg32::Edx)
         ));
         assert!(matches!(
-            b.insns[2].fast,
+            b.ops[2].fast,
             FastOp::TestRR(Reg32::Eax, Reg32::Ecx)
         ));
-        assert!(matches!(b.insns[3].fast, FastOp::TestRI(Reg32::Edx, 0x40)));
-        assert!(matches!(b.insns[4].fast, FastOp::PushM(_)));
-        assert!(matches!(b.insns[5].fast, FastOp::PopM(_)));
+        assert!(matches!(b.ops[3].fast, FastOp::TestRI(Reg32::Edx, 0x40)));
+        assert!(matches!(b.ops[4].fast, FastOp::PushM(_)));
+        assert!(matches!(b.ops[5].fast, FastOp::PopM(_)));
+    }
+
+    #[test]
+    fn compiled_code_forms_are_fast() {
+        use parallax_x86::{Asm, ShiftOp};
+        let mut a = Asm::new();
+        let top = a.here();
+        a.movzx_rr8(Reg32::Eax, Reg8::Bl);
+        a.movzx_rm8(Reg32::Ecx, Mem::base_disp(Reg32::Esi, 2));
+        a.setcc(Cond::L, Reg8::Dl);
+        a.imul_rr(Reg32::Eax, Reg32::Ecx);
+        a.mov_mr(
+            Mem {
+                base: Some(Reg32::Ebx),
+                index: Some((Reg32::Ecx, 4)),
+                disp: 8,
+            },
+            Reg32::Eax,
+        );
+        a.mov_mr8(Mem::base(Reg32::Edi), Reg8::Al);
+        a.shift_r_cl(ShiftOp::Shr, Reg32::Edx);
+        a.leave();
+        a.jcc(Cond::Ne, top);
+        let m = mem(a.finish().unwrap().bytes);
+        let b = build(&m, 0x1000).unwrap();
+        let ops: Vec<FastOp> = b.ops.iter().map(|o| o.fast).collect();
+        assert!(matches!(ops[0], FastOp::MovzxRR(Reg32::Eax, Reg8::Bl)));
+        assert!(matches!(ops[1], FastOp::MovzxRM(Reg32::Ecx, _)));
+        assert!(matches!(ops[2], FastOp::SetccR(Cond::L, Reg8::Dl)));
+        assert!(matches!(ops[3], FastOp::ImulRR(Reg32::Eax, Reg32::Ecx)));
+        assert!(matches!(ops[4], FastOp::StoreIdx(_, Reg32::Eax)));
+        assert!(matches!(ops[5], FastOp::StoreB(_, Reg8::Al)));
+        assert!(matches!(
+            ops[6],
+            FastOp::ShiftRR(ShiftOp::Shr, Reg32::Edx, Reg8::Cl)
+        ));
+        assert!(matches!(ops[7], FastOp::Leave));
+        assert!(matches!(ops[8], FastOp::Jcc(Cond::Ne, 0x1000)));
+        assert!(b.transfers, "a jcc sets eip itself");
+        assert_eq!(b.func, Some(NO_FUNC), "unprofiled blocks have one slot");
+        assert_eq!(b.max_cost, 9 * CostModel::default().insn_bound());
     }
 
     #[test]
     fn two_insn_gadget_still_fuses() {
         let m = mem(vec![0x58, 0xc3]); // pop eax; ret
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
+        let b = build(&m, 0x1000).unwrap();
         match b.kind {
             BlockKind::Fused(f) => {
                 assert_eq!(f.len, 1);
-                assert!(matches!(f.ops[0].op, FastOp::PopR(Reg32::Eax)));
-                assert_eq!(f.ret_eip, 0x1001);
+                assert!(matches!(f.ops[0].fast, FastOp::PopR(Reg32::Eax)));
+                assert_eq!(f.ret.eip, 0x1001);
             }
             BlockKind::Generic => panic!("pop r; ret must fuse"),
         }
@@ -564,16 +718,19 @@ mod tests {
         a.mov_rr(Reg32::Ecx, Reg32::Esi);
         a.ret();
         let m = mem(a.finish().unwrap().bytes);
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
+        let b = build(&m, 0x1000).unwrap();
         match b.kind {
             BlockKind::Fused(f) => {
                 assert_eq!(f.len, 3);
-                assert!(matches!(f.ops[0].op, FastOp::PopR(Reg32::Eax)));
+                assert!(matches!(f.ops[0].fast, FastOp::PopR(Reg32::Eax)));
                 assert!(matches!(
-                    f.ops[1].op,
+                    f.ops[1].fast,
                     FastOp::AluRR(AluOp::Add, Reg32::Esi, Reg32::Eax)
                 ));
-                assert!(matches!(f.ops[2].op, FastOp::MovRR(Reg32::Ecx, Reg32::Esi)));
+                assert!(matches!(
+                    f.ops[2].fast,
+                    FastOp::MovRR(Reg32::Ecx, Reg32::Esi)
+                ));
             }
             BlockKind::Generic => panic!("3-op gadget body must fuse"),
         }
@@ -588,7 +745,7 @@ mod tests {
         a.mul_r(Reg32::Ecx);
         a.ret();
         let m = mem(a.finish().unwrap().bytes);
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
+        let b = build(&m, 0x1000).unwrap();
         assert!(matches!(b.kind, BlockKind::Generic));
         // A body longer than MAX_FUSED_OPS stays generic too.
         let mut a = Asm::new();
@@ -597,7 +754,7 @@ mod tests {
         }
         a.ret();
         let m = mem(a.finish().unwrap().bytes);
-        let b = build_block(&m, 0x1000, MAX_BLOCK_INSNS).unwrap();
+        let b = build(&m, 0x1000).unwrap();
         assert!(matches!(b.kind, BlockKind::Generic));
     }
 }

@@ -57,6 +57,31 @@ impl Default for CostModel {
     }
 }
 
+impl CostModel {
+    /// An upper bound on the cycles any one instruction is charged:
+    /// every class cost, summed. The block engine multiplies it by a
+    /// block's length to decide, at block entry, that no instruction of
+    /// the block can reach the cycle limit (DESIGN.md §10).
+    pub(crate) fn insn_bound(&self) -> u64 {
+        [
+            self.alu,
+            self.mem,
+            self.mem,
+            self.branch_not_taken,
+            self.branch_taken,
+            self.call,
+            self.ret_predicted,
+            self.ret_mispredict,
+            self.mul,
+            self.div,
+            self.syscall,
+            self.pushad,
+        ]
+        .into_iter()
+        .fold(0, u64::saturating_add)
+    }
+}
+
 /// Depth of the simulated return-stack buffer. Matches common
 /// microarchitectures (16 entries).
 pub const RSB_DEPTH: usize = 16;

@@ -26,21 +26,6 @@ use crate::syscall::{self, SyscallState};
 /// silently succeeding.
 pub const CALL_SENTINEL: u32 = 0xffff_fff0;
 
-/// True if a fast op can write memory — and therefore dirty code when
-/// W⊕X is disabled. Stores, pushes, and memory pops; everything else
-/// fast only touches registers or reads.
-#[inline]
-fn op_writes_memory(op: FastOp) -> bool {
-    matches!(
-        op,
-        FastOp::StoreMR(..)
-            | FastOp::PushR(_)
-            | FastOp::PushI(_)
-            | FastOp::PushM(_)
-            | FastOp::PopM(_)
-    )
-}
-
 /// Construction options for a [`Vm`].
 #[derive(Debug, Clone)]
 pub struct VmOptions {
@@ -353,7 +338,13 @@ impl Vm {
         } else {
             MAX_BLOCK_INSNS
         };
-        let b = Rc::new(build_block(&self.mem, eip, cap)?);
+        let b = Rc::new(build_block(
+            &self.mem,
+            eip,
+            cap,
+            &self.cost,
+            self.profiler.as_ref(),
+        )?);
         self.blocks.insert(Rc::clone(&b));
         Ok(b)
     }
@@ -362,8 +353,10 @@ impl Vm {
     /// when the run is over, `None` to continue with the next block.
     ///
     /// Limit semantics match the stepping loop exactly: the cycle
-    /// budget is checked before *every* instruction. The output budget
-    /// only moves at a syscall, and syscalls terminate blocks, so the
+    /// budget is checked before *every* instruction, but a block whose
+    /// cycle bound fits under the budget at entry cannot reach it, so
+    /// it runs with no per-instruction checks. The output budget only
+    /// moves at a syscall, and syscalls terminate blocks, so the
     /// block-entry check covers it.
     fn exec_block(&mut self) -> Option<Exit> {
         if self.cycles >= self.cycle_limit {
@@ -374,9 +367,7 @@ impl Vm {
         }
         self.sync_code_writes();
         // Fused `op; ret` gadgets — the ROP dispatch shape — execute
-        // straight from the cache slot: no `Rc` clone, no instruction
-        // vector. The interleaved limit and dirty-code checks are the
-        // same ones the generic loop performs.
+        // straight from the cache slot: no `Rc` clone, no op vector.
         if let Some(f) = self.blocks.fused_at(self.cpu.eip) {
             return self.exec_fused(f);
         }
@@ -384,110 +375,184 @@ impl Vm {
             Ok(b) => b,
             Err(f) => return Some(Exit::Fault(f)),
         };
-        for (idx, p) in block.insns.iter().enumerate() {
-            if idx > 0 {
-                if self.cycles >= self.cycle_limit {
-                    return Some(Exit::CycleLimit);
-                }
-                if self.mem.has_dirty_code() {
-                    // An instruction in this block patched code (W⊕X
-                    // off). Bail out so the rest re-decodes fresh.
-                    return None;
-                }
-            }
-            let r = match p.fast {
-                FastOp::Slow => self.exec_insn(&p.insn, p.eip, p.next),
-                fast => self.exec_fast(fast, p.eip, p.next).map(|()| None),
-            };
-            match r {
-                Ok(None) => {}
-                Ok(Some(status)) => return Some(Exit::Exited(status)),
-                Err(f) => return Some(Exit::Fault(f)),
-            }
+        if self.cycles.saturating_add(block.max_cost) < self.cycle_limit {
+            self.exec_ops::<false>(&block)
+        } else {
+            self.exec_ops::<true>(&block)
         }
-        None
     }
 
-    /// Executes a fused `body…; ret` gadget block (up to
-    /// [`crate::block::MAX_FUSED_OPS`] body ops). Mirrors one pass of
-    /// the generic loop in [`Vm::exec_block`] exactly, including the
-    /// between-instruction cycle-limit checks. The dirty-code check is
-    /// elided after ops that cannot write memory — only a store, push,
-    /// or memory pop landing in text with W⊕X off can dirty code, and
-    /// `sync_code_writes` already drained at block entry.
-    #[inline]
-    fn exec_fused(&mut self, f: FusedGadget) -> Option<Exit> {
-        let len = f.len as usize;
-        for idx in 0..len {
-            let op = f.ops[idx];
-            if idx > 0 {
-                if self.cycles >= self.cycle_limit {
-                    return Some(Exit::CycleLimit);
+    /// Runs a generic block as one unit. The cycle count stays in a
+    /// local and the instruction count is the number of ops retired;
+    /// both are written back once, when the block ends or stops early,
+    /// and every hook an op calls is handed the exact cycle count of
+    /// its instruction. So is `eip`: only control transfers and slow
+    /// ops set it, and an early stop sets it to where the reference
+    /// path would have left it. A block inside one function adds one
+    /// profile entry for all its cycles; a block straddling two adds
+    /// one per op, to the slot resolved at build time.
+    ///
+    /// `CHECKED` keeps the per-instruction cycle-limit checks, for a
+    /// block that could reach the limit. The dirty-code check follows
+    /// only the ops that can write memory: nothing else can dirty code
+    /// once `sync_code_writes` drained at block entry.
+    ///
+    /// Kept out of line: inlined into `exec_block` beside the fused
+    /// path, its loop lost registers to spills and ran the corpus ~14%
+    /// slower.
+    #[inline(never)]
+    fn exec_ops<const CHECKED: bool>(&mut self, block: &Block) -> Option<Exit> {
+        let start = self.cycles;
+        let mut cycles = start;
+        let split = block.func.is_none();
+        let mut wrote = false;
+        let (retired, exit) = 'run: {
+            for (idx, op) in block.ops.iter().enumerate() {
+                if idx > 0 {
+                    if CHECKED && cycles >= self.cycle_limit {
+                        self.cpu.eip = op.eip;
+                        break 'run (idx, Some(Exit::CycleLimit));
+                    }
+                    if wrote && self.mem.has_dirty_code() {
+                        // An instruction in this block patched code
+                        // (W⊕X off). Bail out so the rest re-decodes.
+                        self.cpu.eip = op.eip;
+                        break 'run (idx, None);
+                    }
                 }
-                if op_writes_memory(f.ops[idx - 1].op) && self.mem.has_dirty_code() {
-                    // A body op patched code (W⊕X off). Bail out so the
-                    // rest re-decodes fresh.
-                    return None;
-                }
-            }
-            // The final `pop r32; ret` — two adjacent stack reads,
-            // resolved once. `pop esp` pivots the stack, so its ret
-            // target lives at the *new* esp, not esp+4: that shape
-            // takes the sequential path.
-            if idx + 1 == len {
-                if let FastOp::PopR(r) = op.op {
-                    if r != Reg32::Esp {
-                        let esp = self.cpu.esp();
-                        if let Ok((v, target)) = self.mem.read32_pair(esp) {
-                            self.instructions += 1;
-                            self.cpu.set_reg(r, v);
-                            self.cpu.set_esp(esp.wrapping_add(4));
-                            let pop_cost = self.cost.alu + self.cost.mem;
-                            self.cycles += pop_cost;
-                            if let Some(p) = self.profiler.as_mut() {
-                                p.record(op.eip, pop_cost);
-                            }
-                            if self.cycles >= self.cycle_limit {
-                                self.cpu.eip = f.ret_eip;
-                                return Some(Exit::CycleLimit);
-                            }
-                            self.instructions += 1;
-                            let predicted = self.rsb.pop_and_check(target);
-                            let ret_cost = if predicted {
-                                self.cost.ret_predicted
-                            } else {
-                                self.cost.ret_mispredict
-                            };
-                            if let Some(ct) = self.chain_tracer.as_mut() {
-                                ct.note_ret(target, self.cycles + ret_cost);
-                            }
-                            self.cpu.set_esp(esp.wrapping_add(8));
-                            self.cpu.eip = target;
-                            self.cycles += ret_cost;
-                            if let Some(p) = self.profiler.as_mut() {
-                                p.record(f.ret_eip, ret_cost);
-                            }
-                            return None;
+                wrote = op.fast.may_write();
+                let r = match op.fast {
+                    FastOp::Slow => self.exec_insn(&block.insns[idx], op.eip, op.next, cycles),
+                    fast => self.exec_fast(fast, op.next, cycles).map(|c| (c, None)),
+                };
+                match r {
+                    Ok((cost, status)) => {
+                        cycles += cost;
+                        if split {
+                            self.charge(op.func, cost);
                         }
-                        // Pair read failed (region boundary / fault):
-                        // take the exact sequential path below.
+                        if let Some(status) = status {
+                            break 'run (idx + 1, Some(Exit::Exited(status)));
+                        }
+                    }
+                    Err(f) => {
+                        self.cpu.eip = op.next;
+                        break 'run (idx + 1, Some(Exit::Fault(f)));
                     }
                 }
             }
-            if let Err(fault) = self.exec_fast(op.op, op.eip, op.next) {
-                return Some(Exit::Fault(fault));
+            if !block.transfers {
+                self.cpu.eip = block.end;
             }
+            (block.ops.len(), None)
+        };
+        self.instructions += retired as u64;
+        self.cycles = cycles;
+        if let Some(slot) = block.func {
+            self.charge(slot, cycles - start);
         }
-        if self.cycles >= self.cycle_limit {
-            return Some(Exit::CycleLimit);
+        exit
+    }
+
+    /// Executes a fused `body…; ret` gadget block (up to
+    /// [`crate::block::MAX_FUSED_OPS`] body ops) with the same hot-state
+    /// discipline as [`Vm::exec_ops`], charging the profile op by op
+    /// (each to its own resolved slot: a gadget may straddle two
+    /// functions). The cycle limit is checked before each instruction
+    /// only when the gadget's bound does not fit under it at entry.
+    #[inline]
+    fn exec_fused(&mut self, f: FusedGadget) -> Option<Exit> {
+        let start = self.cycles;
+        let mut cycles = start;
+        let checked = start.saturating_add(f.max_cost) >= self.cycle_limit;
+        let len = f.len as usize;
+        let (retired, exit) = 'run: {
+            for idx in 0..len {
+                let op = f.ops[idx];
+                if idx > 0 {
+                    if checked && cycles >= self.cycle_limit {
+                        self.cpu.eip = op.eip;
+                        break 'run (idx, Some(Exit::CycleLimit));
+                    }
+                    if f.ops[idx - 1].fast.may_write() && self.mem.has_dirty_code() {
+                        self.cpu.eip = op.eip;
+                        break 'run (idx, None);
+                    }
+                }
+                // The final `pop r32; ret` — two adjacent stack reads,
+                // resolved once. `pop esp` pivots the stack, so its ret
+                // target lives at the *new* esp, not esp+4: that shape
+                // takes the sequential path. So does a pair read that
+                // fails (region boundary or fault).
+                if idx + 1 == len {
+                    if let FastOp::PopR(r) = op.fast {
+                        let esp = self.cpu.esp();
+                        let pair = if r == Reg32::Esp {
+                            None
+                        } else {
+                            self.mem.read32_pair(esp).ok()
+                        };
+                        if let Some((v, target)) = pair {
+                            self.cpu.set_reg(r, v);
+                            self.cpu.set_esp(esp.wrapping_add(4));
+                            let pop_cost = self.cost.alu + self.cost.mem;
+                            cycles += pop_cost;
+                            self.charge(op.func, pop_cost);
+                            if checked && cycles >= self.cycle_limit {
+                                self.cpu.eip = f.ret.eip;
+                                break 'run (len, Some(Exit::CycleLimit));
+                            }
+                            let ret_cost = self.ret_cost(target, cycles);
+                            self.cpu.set_esp(esp.wrapping_add(8));
+                            self.cpu.eip = target;
+                            cycles += ret_cost;
+                            self.charge(f.ret.func, ret_cost);
+                            break 'run (len + 1, None);
+                        }
+                    }
+                }
+                match self.exec_fast(op.fast, op.next, cycles) {
+                    Ok(cost) => {
+                        cycles += cost;
+                        self.charge(op.func, cost);
+                    }
+                    Err(fault) => {
+                        self.cpu.eip = op.next;
+                        break 'run (idx + 1, Some(Exit::Fault(fault)));
+                    }
+                }
+            }
+            if checked && cycles >= self.cycle_limit {
+                self.cpu.eip = f.ret.eip;
+                break 'run (len, Some(Exit::CycleLimit));
+            }
+            if f.ops[len - 1].fast.may_write() && self.mem.has_dirty_code() {
+                self.cpu.eip = f.ret.eip;
+                break 'run (len, None);
+            }
+            match self.exec_fast(FastOp::Ret, f.ret.next, cycles) {
+                Ok(cost) => {
+                    cycles += cost;
+                    self.charge(f.ret.func, cost);
+                    (len + 1, None)
+                }
+                Err(fault) => {
+                    self.cpu.eip = f.ret.next;
+                    (len + 1, Some(Exit::Fault(fault)))
+                }
+            }
+        };
+        self.instructions += retired as u64;
+        self.cycles = cycles;
+        exit
+    }
+
+    /// Adds `cycles` to a resolved profile slot, when profiling.
+    #[inline]
+    fn charge(&mut self, slot: u32, cycles: u64) {
+        if let Some(p) = self.profiler.as_mut() {
+            p.add(slot, cycles);
         }
-        if op_writes_memory(f.ops[len - 1].op) && self.mem.has_dirty_code() {
-            return None;
-        }
-        if let Err(fault) = self.exec_fast(FastOp::Ret, f.ret_eip, f.ret_next) {
-            return Some(Exit::Fault(fault));
-        }
-        None
     }
 
     /// The legacy decode front-end: one `HashMap` probe and `Rc` clone
@@ -505,15 +570,23 @@ impl Vm {
     }
 
     /// Executes one instruction via the per-instruction reference
-    /// path. Semantics are identical to [`Vm::step`]; only the decode
-    /// front-end differs.
+    /// path: every instruction goes through [`Vm::exec_insn`], and its
+    /// cycles go to the profile by a range lookup of its `eip`.
+    /// Semantics are identical to [`Vm::step`]; only the decode
+    /// front-end and the accounting differ.
     #[cfg(feature = "oracle")]
     pub fn step_reference(&mut self) -> Result<Option<i32>, Fault> {
         self.sync_code_writes();
         let eip = self.cpu.eip;
         let insn = self.decode_at_reference(eip)?;
         let next = eip.wrapping_add(insn.len as u32);
-        self.exec_insn(&insn, eip, next)
+        self.instructions += 1;
+        let (cost, exited) = self.exec_insn(&insn, eip, next, self.cycles)?;
+        self.cycles += cost;
+        if let Some(p) = self.profiler.as_mut() {
+            p.record(eip, cost);
+        }
+        Ok(exited)
     }
 
     /// Executes one instruction. `Ok(Some(status))` means the program
@@ -523,34 +596,74 @@ impl Vm {
     pub fn step(&mut self) -> Result<Option<i32>, Fault> {
         self.sync_code_writes();
         let block = self.block_at(self.cpu.eip)?;
-        let p = &block.insns[0];
-        match p.fast {
-            FastOp::Slow => self.exec_insn(&p.insn, p.eip, p.next),
-            fast => self.exec_fast(fast, p.eip, p.next).map(|()| None),
-        }
+        let op = block.ops[0];
+        self.instructions += 1;
+        let (cost, exited) = match op.fast {
+            FastOp::Slow => self.exec_insn(&block.insns[0], op.eip, op.next, self.cycles)?,
+            fast => {
+                self.cpu.eip = op.next;
+                (self.exec_fast(fast, op.next, self.cycles)?, None)
+            }
+        };
+        self.cycles += cost;
+        self.charge(op.func, cost);
+        Ok(exited)
     }
 
-    /// The fast-path micro-op interpreter. Each arm reproduces the
-    /// corresponding [`Vm::exec_insn`] arm exactly — effects, cycle
-    /// cost, RSB, and tracer hooks included.
+    /// The cost of a `ret` to `target` at cycle count `cycles`: pops the
+    /// RSB's prediction and notes the return for the chain tracer.
     #[inline]
-    fn exec_fast(&mut self, op: FastOp, eip: u32, next: u32) -> Result<(), Fault> {
-        self.cpu.eip = next;
-        self.instructions += 1;
-        let cost = match op {
+    fn ret_cost(&mut self, target: u32, cycles: u64) -> u64 {
+        let cost = if self.rsb.pop_and_check(target) {
+            self.cost.ret_predicted
+        } else {
+            self.cost.ret_mispredict
+        };
+        if let Some(ct) = self.chain_tracer.as_mut() {
+            ct.note_ret(target, cycles + cost);
+        }
+        cost
+    }
+
+    /// The fast-path micro-op interpreter: executes `op`, whose
+    /// successor is `next`, at cycle count `cycles`, and returns its
+    /// cost. Each arm reproduces the corresponding [`Vm::exec_insn`]
+    /// arm exactly — effects, cycle cost, RSB, and tracer hooks
+    /// included. Only control transfers set `eip`; the caller keeps it
+    /// for everything else.
+    #[inline(always)]
+    fn exec_fast(&mut self, op: FastOp, next: u32, cycles: u64) -> Result<u64, Fault> {
+        Ok(match op {
             FastOp::Ret => {
                 let target = self.pop()?;
-                let predicted = self.rsb.pop_and_check(target);
-                let cost = if predicted {
-                    self.cost.ret_predicted
-                } else {
-                    self.cost.ret_mispredict
-                };
-                if let Some(ct) = self.chain_tracer.as_mut() {
-                    ct.note_ret(target, self.cycles + cost);
-                }
+                let cost = self.ret_cost(target, cycles);
                 self.cpu.eip = target;
                 cost
+            }
+            FastOp::Jmp(target) => {
+                self.cpu.eip = target;
+                self.cost.branch_taken
+            }
+            FastOp::Jcc(c, target) => {
+                if self.cpu.flags.cond(c) {
+                    self.cpu.eip = target;
+                    self.cost.branch_taken
+                } else {
+                    self.cpu.eip = next;
+                    self.cost.branch_not_taken
+                }
+            }
+            FastOp::Call(target, callee) => {
+                self.push(next)?;
+                self.rsb.push(next);
+                if let Some(p) = self.profiler.as_mut() {
+                    p.add_call(callee);
+                }
+                if let Some(ct) = self.chain_tracer.as_mut() {
+                    ct.note_call(target, cycles);
+                }
+                self.cpu.eip = target;
+                self.cost.call
             }
             FastOp::PopR(r) => {
                 let v = self.pop()?;
@@ -608,6 +721,16 @@ impl Vm {
                 self.mem.write32(ea, self.cpu.reg(s))?;
                 self.cost.alu + self.cost.mem
             }
+            FastOp::StoreIdx(m, s) => {
+                let ea = self.ea(&m);
+                self.mem.write32(ea, self.cpu.reg(s))?;
+                self.cost.alu + self.cost.mem
+            }
+            FastOp::StoreB(m, s) => {
+                let v = self.cpu.reg8(s);
+                self.mem.write8(self.ea(&m), v)?;
+                self.cost.alu + self.cost.mem
+            }
             // `lea` computes an address without touching memory, so
             // like `exec_insn` it charges no memory cost.
             FastOp::LeaRM(d, m) => {
@@ -651,21 +774,62 @@ impl Vm {
                 self.mem.write32(ea, v)?;
                 self.cost.alu + self.cost.mem + self.cost.mem
             }
+            FastOp::MovzxRR(d, s) => {
+                let v = self.cpu.reg8(s) as u32;
+                self.cpu.set_reg(d, v);
+                self.cost.alu
+            }
+            FastOp::MovzxRM(d, m) => {
+                let v = self.mem.read8(self.ea(&m))? as u32;
+                self.cpu.set_reg(d, v);
+                self.cost.alu + self.cost.mem
+            }
+            FastOp::SetccR(c, r) => {
+                let v = self.cpu.flags.cond(c) as u8;
+                self.cpu.set_reg8(r, v);
+                self.cost.alu
+            }
+            FastOp::ImulRR(d, s) => {
+                let p = (self.cpu.reg(d) as i32 as i64) * (self.cpu.reg(s) as i32 as i64);
+                self.cpu.set_reg(d, p as u32);
+                let fits = p == (p as i32) as i64;
+                self.cpu.flags.cf = !fits;
+                self.cpu.flags.of = !fits;
+                self.cost.alu + self.cost.mul
+            }
+            FastOp::ShiftRR(op, d, c) => {
+                let n = self.cpu.reg8(c) as u32 & 31;
+                let r = self.shift(op, self.cpu.reg(d), n, OpSize::Dword);
+                self.cpu.set_reg(d, r);
+                self.cost.alu
+            }
+            // esp moves to ebp before the pop, so a faulting pop leaves
+            // it there, as `exec_insn` does.
+            FastOp::Leave => {
+                self.cpu.set_esp(self.cpu.reg(Reg32::Ebp));
+                let v = self.pop()?;
+                self.cpu.set_reg(Reg32::Ebp, v);
+                self.cost.alu + self.cost.mem
+            }
             FastOp::Slow => unreachable!("Slow ops take the exec_insn path"),
-        };
-        self.cycles += cost;
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(eip, cost);
-        }
-        Ok(())
+        })
     }
 
     /// Executes one decoded instruction at `eip` whose successor is
-    /// `next`. The single authority for instruction semantics — both
-    /// the block engine and the reference path land here.
-    fn exec_insn(&mut self, insn: &Insn, eip: u32, next: u32) -> Result<Option<i32>, Fault> {
+    /// `next`, at cycle count `cycles`, and returns its cost and, if
+    /// the program invoked `exit`, its status. The single authority for
+    /// instruction semantics — both the block engine and the reference
+    /// path land here. It sets `eip` (to `next` before anything else,
+    /// so a fault leaves it there) but leaves the cycle and instruction
+    /// counts and the profile to its caller.
+    fn exec_insn(
+        &mut self,
+        insn: &Insn,
+        eip: u32,
+        next: u32,
+        cycles: u64,
+    ) -> Result<(u64, Option<i32>), Fault> {
         self.cpu.eip = next;
-        self.instructions += 1;
 
         let mut cost = self.cost.alu;
         if insn.ops.iter().any(|o| matches!(o, Operand::Mem(_))) && insn.mnemonic != Mnemonic::Lea {
@@ -1000,7 +1164,7 @@ impl Vm {
                     p.record_call(target);
                 }
                 if let Some(ct) = self.chain_tracer.as_mut() {
-                    ct.note_call(target, self.cycles);
+                    ct.note_call(target, cycles);
                 }
                 self.cpu.eip = target;
             }
@@ -1013,7 +1177,7 @@ impl Vm {
                     p.record_call(target);
                 }
                 if let Some(ct) = self.chain_tracer.as_mut() {
-                    ct.note_call(target, self.cycles);
+                    ct.note_call(target, cycles);
                 }
                 self.cpu.eip = target;
             }
@@ -1023,15 +1187,7 @@ impl Vm {
                     let esp = self.cpu.esp();
                     self.cpu.set_esp(esp.wrapping_add(*n as u32));
                 }
-                let predicted = self.rsb.pop_and_check(target);
-                cost = if predicted {
-                    self.cost.ret_predicted
-                } else {
-                    self.cost.ret_mispredict
-                };
-                if let Some(ct) = self.chain_tracer.as_mut() {
-                    ct.note_ret(target, self.cycles + cost);
-                }
+                cost = self.ret_cost(target, cycles);
                 self.cpu.eip = target;
             }
             Mnemonic::Retf => {
@@ -1044,7 +1200,7 @@ impl Vm {
                 // Far returns are never RSB-predicted.
                 cost = self.cost.ret_mispredict;
                 if let Some(ct) = self.chain_tracer.as_mut() {
-                    ct.note_ret(target, self.cycles + cost);
+                    ct.note_ret(target, cycles + cost);
                 }
                 self.cpu.eip = target;
             }
@@ -1064,14 +1220,10 @@ impl Vm {
             Mnemonic::Hlt => return Err(Fault::new(eip, FaultKind::Halted)),
         }
 
-        self.cycles += cost;
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(eip, cost);
-        }
-        Ok(exited)
+        Ok((cost, exited))
     }
 
-    #[inline]
+    #[inline(always)]
     fn push(&mut self, v: u32) -> Result<(), Fault> {
         let esp = self.cpu.esp().wrapping_sub(4);
         self.mem.write32(esp, v)?;
@@ -1079,7 +1231,7 @@ impl Vm {
         Ok(())
     }
 
-    #[inline]
+    #[inline(always)]
     fn pop(&mut self) -> Result<u32, Fault> {
         let esp = self.cpu.esp();
         let v = self.mem.read32(esp)?;
@@ -1138,7 +1290,9 @@ impl Vm {
     }
 
     /// Performs a group-1 ALU operation, setting flags, and returns the
-    /// (masked) result.
+    /// (masked) result. Always inlined, so each fast arm's constant
+    /// operation and size fold away.
+    #[inline(always)]
     fn alu(&mut self, op: AluOp, a: u32, b: u32, size: OpSize) -> u32 {
         let (mask, sign): (u32, u32) = match size {
             OpSize::Dword => (0xffff_ffff, 0x8000_0000),

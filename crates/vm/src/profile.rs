@@ -5,11 +5,19 @@
 //! what fraction of total execution time it accounts for. The profiler
 //! attributes each retired instruction's cycles to the function whose
 //! range contains `eip` (flat profile, no call-graph accumulation).
+//!
+//! The block engine resolves each predecoded instruction's function
+//! once, when it builds the block, and then charges a whole block's
+//! cycles with one entry when all of its instructions fall in the same
+//! function (DESIGN.md §10).
 
 use std::collections::HashMap;
 
+/// The profile slot of an address no known function covers.
+pub(crate) const NO_FUNC: u32 = u32::MAX;
+
 /// Per-function profile counters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FuncProfile {
     /// Cycles retired while `eip` was inside the function.
     pub cycles: u64,
@@ -30,10 +38,6 @@ pub struct Profiler {
     pub other_cycles: u64,
     /// Total cycles observed.
     pub total_cycles: u64,
-    /// Cache of the last range hit (instruction streams are local),
-    /// stored as a *position* into the sorted `ranges` vec so the
-    /// hot-path re-check is a single O(1) indexed comparison.
-    last: Option<usize>,
 }
 
 impl Profiler {
@@ -51,40 +55,48 @@ impl Profiler {
         p
     }
 
-    fn lookup(&mut self, eip: u32) -> Option<usize> {
-        if let Some(pos) = self.last {
-            let (s, e, idx) = self.ranges[pos];
-            if eip >= s && eip < e {
-                return Some(idx);
-            }
-        }
-        // Binary search over the start-sorted ranges: the candidate is
-        // the last range starting at or below eip.
+    /// The slot of the function containing `eip`, or [`NO_FUNC`]: the
+    /// last range starting at or below `eip`, if it reaches `eip`.
+    pub(crate) fn slot_of(&self, eip: u32) -> u32 {
         let pos = self.ranges.partition_point(|&(s, _, _)| s <= eip);
-        if pos > 0 {
-            let (s, e, idx) = self.ranges[pos - 1];
-            if eip >= s && eip < e {
-                self.last = Some(pos - 1);
-                return Some(idx);
-            }
+        match pos.checked_sub(1).map(|p| self.ranges[p]) {
+            Some((_, e, idx)) if eip < e => idx as u32,
+            _ => NO_FUNC,
         }
-        None
     }
 
-    /// Attributes `cycles` to the function containing `eip`.
-    pub fn record(&mut self, eip: u32, cycles: u64) {
+    /// The slot of the function whose entry point is `entry`, or
+    /// [`NO_FUNC`].
+    pub(crate) fn entry_slot(&self, entry: u32) -> u32 {
+        self.entry_of.get(&entry).map_or(NO_FUNC, |&idx| idx as u32)
+    }
+
+    /// Attributes `cycles` to a resolved slot.
+    #[inline]
+    pub(crate) fn add(&mut self, slot: u32, cycles: u64) {
         self.total_cycles += cycles;
-        match self.lookup(eip) {
-            Some(idx) => self.stats[idx].cycles += cycles,
+        match self.stats.get_mut(slot as usize) {
+            Some(f) => f.cycles += cycles,
             None => self.other_cycles += cycles,
         }
     }
 
+    /// Counts a call into a resolved slot.
+    #[inline]
+    pub(crate) fn add_call(&mut self, slot: u32) {
+        if let Some(f) = self.stats.get_mut(slot as usize) {
+            f.calls += 1;
+        }
+    }
+
+    /// Attributes `cycles` to the function containing `eip`.
+    pub fn record(&mut self, eip: u32, cycles: u64) {
+        self.add(self.slot_of(eip), cycles);
+    }
+
     /// Records a call whose target is `entry`.
     pub fn record_call(&mut self, entry: u32) {
-        if let Some(&idx) = self.entry_of.get(&entry) {
-            self.stats[idx].calls += 1;
-        }
+        self.add_call(self.entry_slot(entry));
     }
 
     /// Profile for a function by name.
@@ -162,8 +174,8 @@ mod tests {
     #[test]
     fn adjacent_ranges_attribute_exactly() {
         // b starts exactly where a ends: the shared boundary address
-        // belongs to b, and bouncing between the two (defeating the
-        // one-entry cache every time) still attributes correctly.
+        // belongs to b, and bouncing between the two attributes
+        // correctly.
         let mut p = Profiler::new(vec![
             ("a".to_owned(), 0x1000, 0x10),
             ("b".to_owned(), 0x1010, 0x10),
@@ -181,15 +193,14 @@ mod tests {
     fn zero_size_function_occupies_one_byte() {
         // A zero-size symbol gets a 1-byte range (size.max(1)): its
         // entry address attributes to it, the next byte does not. The
-        // ranges here are sorted differently from insertion order, so
-        // this also exercises the position-based cache after sort.
+        // ranges here are sorted differently from insertion order.
         let mut p = Profiler::new(vec![
             ("after".to_owned(), 0x2001, 0x10),
             ("empty".to_owned(), 0x2000, 0),
         ]);
         p.record(0x2000, 5);
-        p.record(0x2000, 2); // cache hit path
-        p.record(0x2001, 7); // adjacent range, cache miss path
+        p.record(0x2000, 2);
+        p.record(0x2001, 7); // adjacent range
         p.record(0x1fff, 1); // below every range
         assert_eq!(p.func("empty").unwrap().cycles, 7);
         assert_eq!(p.func("after").unwrap().cycles, 7);

@@ -437,3 +437,74 @@ fn retf_pops_code_segment_slot() {
     // Both slots were consumed by the retf.
     assert_eq!(vm.cpu.esp(), initial_esp);
 }
+
+/// Runs `img` with profiling on both engines and asserts they agree on
+/// the exit, the counts and every profile entry. Returns the block
+/// engine's VM.
+fn profiled_agree(img: &parallax_image::LinkedImage) -> Vm {
+    let opts = VmOptions {
+        profile: true,
+        ..VmOptions::default()
+    };
+    let mut blocked = Vm::with_options(img, opts.clone());
+    let mut reference = Vm::with_options(img, opts);
+    assert_eq!(blocked.run(), reference.run_reference());
+    assert_eq!(blocked.cycles(), reference.cycles());
+    assert_eq!(blocked.instructions, reference.instructions);
+    let (a, b) = (blocked.profiler().unwrap(), reference.profiler().unwrap());
+    assert!(a.iter().eq(b.iter()), "profiles differ");
+    assert_eq!(
+        (a.other_cycles, a.total_cycles),
+        (b.other_cycles, b.total_cycles)
+    );
+    blocked
+}
+
+#[test]
+fn block_straddling_two_functions_is_profiled_per_instruction() {
+    // `main` has no terminator, so execution falls through into `tail`:
+    // one predecoded block spans both functions, and its cycles must
+    // split between them exactly as per-instruction attribution does.
+    let mut main = Asm::new();
+    main.mov_ri(Reg32::Ebx, 3);
+    main.alu_ri(AluOp::Add, Reg32::Ebx, 4);
+    let mut tail = Asm::new();
+    tail.mov_ri(Reg32::Eax, 1);
+    tail.int(0x80);
+    let img = link(
+        vec![
+            ("main", main.finish().unwrap()),
+            ("tail", tail.finish().unwrap()),
+        ],
+        "main",
+    );
+    let vm = profiled_agree(&img);
+    let p = vm.profiler().unwrap();
+    assert_eq!(p.func("main").unwrap().cycles, 2);
+    assert_eq!(p.func("tail").unwrap().cycles, 1 + 150);
+    assert_eq!(p.total_cycles, vm.cycles());
+}
+
+#[test]
+fn direct_calls_count_against_their_callee() {
+    // Three direct calls of `f` from a loop: the call's callee is
+    // resolved when its block is built, once, and counted per call.
+    let mut main = Asm::new();
+    main.mov_ri(Reg32::Ecx, 3);
+    let top = main.here();
+    main.call_sym("f");
+    main.dec_r(Reg32::Ecx);
+    main.jcc(Cond::Ne, top);
+    emit_exit(&mut main, 0);
+    let mut f = Asm::new();
+    f.alu_ri(AluOp::Add, Reg32::Esi, 1);
+    f.ret();
+    let img = link(
+        vec![("main", main.finish().unwrap()), ("f", f.finish().unwrap())],
+        "main",
+    );
+    let vm = profiled_agree(&img);
+    let p = vm.profiler().unwrap();
+    assert_eq!(p.func("f").unwrap().calls, 3);
+    assert_eq!(p.func("main").unwrap().calls, 0);
+}

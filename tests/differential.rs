@@ -207,46 +207,123 @@ fn three_way_interpreter_native_chain() {
 // ---------------------------------------------------------------------
 // Block-engine differentials: the predecoded basic-block execution path
 // must be observationally identical to the retained per-instruction
-// reference interpreter — exits, output, cycle counts, instruction
-// counts, and chain-tracer episodes.
+// reference interpreter — exits, output, cycle and instruction counts,
+// eip, registers, flags, the flat profile, and chain-tracer dispatches
+// and episodes. Both engines profile, so a block's single profile entry
+// is checked against the reference's per-instruction range lookups.
 
+use parallax::image::LinkedImage;
+use parallax::vm::{Dispatch, Episode, Flags, FuncProfile};
+use parallax::x86::{Mnemonic, Reg32};
 use proptest::prelude::*;
 
-/// Runs `img` through both engines on fresh VMs and asserts full
-/// observable equality. Returns the shared exit for further checks.
-fn assert_engines_agree(img: &parallax::image::LinkedImage, input: &[u8], label: &str) -> Exit {
-    let mut blocked = Vm::new(img);
-    let mut reference = Vm::new(img);
-    blocked.set_input(input);
-    reference.set_input(input);
+/// Everything a run leaves observable.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    exit: Exit,
+    output: Vec<u8>,
+    cycles: u64,
+    instructions: u64,
+    eip: u32,
+    regs: Vec<u32>,
+    flags: Flags,
+    profile: Vec<(String, FuncProfile)>,
+    other_cycles: u64,
+    total_cycles: u64,
+    chains: Option<(Vec<Dispatch>, Vec<Episode>)>,
+}
+
+fn observe(vm: &mut Vm, exit: Exit) -> Observed {
+    let prof = vm.profiler().expect("both engines profile").clone();
+    Observed {
+        exit,
+        output: vm.take_output(),
+        cycles: vm.cycles(),
+        instructions: vm.instructions,
+        eip: vm.cpu.eip,
+        regs: Reg32::ALL.iter().map(|&r| vm.cpu.reg(r)).collect(),
+        flags: vm.cpu.flags,
+        profile: prof
+            .iter()
+            .map(|(n, f)| (n.to_owned(), f.clone()))
+            .collect(),
+        other_cycles: prof.other_cycles,
+        total_cycles: prof.total_cycles,
+        chains: vm
+            .take_chain_tracer()
+            .map(|t| (t.dispatches().to_vec(), t.episodes().to_vec())),
+    }
+}
+
+/// Runs `img` through both engines on fresh profiling VMs under
+/// `cycle_limit`, each prepared by `setup` (input, chain tracer, code
+/// patches), and asserts full observable equality. Returns what the
+/// block engine observed.
+fn engines_agree(
+    img: &LinkedImage,
+    cycle_limit: u64,
+    setup: &dyn Fn(&mut Vm),
+    label: &str,
+) -> Observed {
+    let opts = VmOptions {
+        profile: true,
+        cycle_limit,
+        ..VmOptions::default()
+    };
+    let mut blocked = Vm::with_options(img, opts.clone());
+    let mut reference = Vm::with_options(img, opts);
+    setup(&mut blocked);
+    setup(&mut reference);
     let a = blocked.run();
     let b = reference.run_reference();
-    assert_eq!(a, b, "{label}: exit differs between engines");
-    assert_eq!(
-        blocked.take_output(),
-        reference.take_output(),
-        "{label}: output differs between engines"
-    );
-    assert_eq!(
-        blocked.cycles(),
-        reference.cycles(),
-        "{label}: cycle count differs between engines"
-    );
-    assert_eq!(
-        blocked.instructions, reference.instructions,
-        "{label}: instruction count differs between engines"
-    );
+    let (a, b) = (observe(&mut blocked, a), observe(&mut reference, b));
+    assert_eq!(a, b, "{label}: engines differ");
     a
+}
+
+/// [`engines_agree`] over a whole run on `input`. Returns the shared
+/// exit for further checks.
+fn assert_engines_agree(img: &LinkedImage, input: &[u8], label: &str) -> Exit {
+    let input = input.to_vec();
+    engines_agree(img, u64::MAX, &|vm| vm.set_input(&input), label).exit
+}
+
+fn corpus_image(w: &parallax_corpus::Workload) -> LinkedImage {
+    parallax::compiler::compile_module(&(w.module)())
+        .unwrap()
+        .link()
+        .unwrap()
+}
+
+/// The four chain modes of the paper's Figure 5.
+fn chain_modes() -> [ChainMode; 4] {
+    [
+        ChainMode::Cleartext,
+        ChainMode::XorEncrypted { key: 0x5eed_0042 },
+        ChainMode::Rc4Encrypted { key: *b"parallax" },
+        ChainMode::Probabilistic {
+            variants: 6,
+            seed: 0xfeed,
+        },
+    ]
+}
+
+fn protect_in(w: &parallax_corpus::Workload, mode: ChainMode) -> parallax::core::Protected {
+    protect(
+        &(w.module)(),
+        &ProtectConfig {
+            verify_funcs: vec![w.verify_func.to_owned()],
+            mode,
+            ..ProtectConfig::default()
+        },
+    )
+    .unwrap()
 }
 
 #[test]
 fn block_engine_matches_reference_on_corpus() {
     for w in parallax_corpus::all() {
-        let img = parallax::compiler::compile_module(&(w.module)())
-            .unwrap()
-            .link()
-            .unwrap();
-        let exit = assert_engines_agree(&img, &(w.input)(), w.name);
+        let exit = assert_engines_agree(&corpus_image(&w), &(w.input)(), w.name);
         assert!(matches!(exit, Exit::Exited(_)), "{}: did not exit", w.name);
     }
 }
@@ -255,32 +332,24 @@ fn block_engine_matches_reference_on_corpus() {
 fn block_engine_matches_reference_on_protected_chains() {
     // Protected images execute ROP chains — the workload the block
     // cache exists for. Chain-tracer episodes must match dispatch for
-    // dispatch, proving per-instruction hook fidelity.
+    // dispatch, proving per-instruction hook fidelity, in every mode.
     let w = parallax_corpus::by_name("bzip2").unwrap();
-    let protected = protect(
-        &(w.module)(),
-        &ProtectConfig {
-            verify_funcs: vec![w.verify_func.to_owned()],
-            ..ProtectConfig::default()
-        },
-    )
-    .unwrap();
-
-    let mut blocked = Vm::new(&protected.image);
-    let mut reference = Vm::new(&protected.image);
-    blocked.set_chain_tracer(parallax::core::chain_tracer_for(&protected));
-    reference.set_chain_tracer(parallax::core::chain_tracer_for(&protected));
-    blocked.set_input(&(w.input)());
-    reference.set_input(&(w.input)());
-    let a = blocked.run();
-    let b = reference.run_reference();
-    assert_eq!(a, b, "exit differs");
-    assert_eq!(blocked.cycles(), reference.cycles(), "cycles differ");
-    let ta = blocked.take_chain_tracer().unwrap();
-    let tb = reference.take_chain_tracer().unwrap();
-    assert_eq!(ta.dispatches(), tb.dispatches(), "dispatch streams differ");
-    assert_eq!(ta.episodes(), tb.episodes(), "episodes differ");
-    assert!(!ta.episodes().is_empty(), "chains should have executed");
+    let input = (w.input)();
+    for mode in chain_modes() {
+        let protected = protect_in(&w, mode.clone());
+        let setup = |vm: &mut Vm| {
+            vm.set_chain_tracer(parallax::core::chain_tracer_for(&protected));
+            vm.set_input(&input);
+        };
+        let seen = engines_agree(&protected.image, u64::MAX, &setup, mode.name());
+        assert!(matches!(seen.exit, Exit::Exited(_)), "{}", mode.name());
+        let (_, episodes) = seen.chains.unwrap();
+        assert!(
+            !episodes.is_empty(),
+            "{}: chains should have executed",
+            mode.name()
+        );
+    }
 }
 
 #[test]
@@ -319,4 +388,144 @@ proptest! {
         let img = parallax::compiler::compile_module(&m).unwrap().link().unwrap();
         assert_engines_agree(&img, &[], &format!("seed {seed}"));
     }
+}
+
+// ---------------------------------------------------------------------
+// Mid-block exits: the block engine checks the cycle limit once per
+// block when the block's bound fits under it, and writes its cycle and
+// instruction counts, eip and profile back only when the block ends.
+// A run stopped inside a block — by the cycle limit or by a fault —
+// must still leave exactly the reference's state.
+
+/// Cycle limits in tier-1: this many limits over each program's
+/// start, and this many dispatches of each protected image, each with
+/// a few limits inside the gadget it enters. The ignored sweep takes
+/// every limit.
+const TIER1_LIMITS: u64 = 12;
+
+/// Sweeps cycle limits over the start of each corpus program, where
+/// generic blocks run, and into the gadgets of one protected image per
+/// chain mode, where fused gadgets run. A dispatch's `at_cycles` is
+/// the count when its gadget starts; the dispatches come from the
+/// second chain episode on, when the gadgets' blocks are cached and run
+/// fused (a block's first run is a generic one).
+fn sweep_cycle_limits(full: bool) {
+    let (width, step) = if full {
+        (600, 1)
+    } else {
+        (240, 240 / TIER1_LIMITS)
+    };
+    for w in parallax_corpus::all() {
+        let img = corpus_image(&w);
+        let input = (w.input)();
+        for limit in (1..=width).step_by(step as usize) {
+            let seen = engines_agree(
+                &img,
+                limit,
+                &|vm| vm.set_input(&input),
+                &format!("{} limit {limit}", w.name),
+            );
+            assert_eq!(seen.exit, Exit::CycleLimit, "{} limit {limit}", w.name);
+        }
+    }
+    let (dispatches, offsets): (usize, &[u64]) = if full {
+        (48, &[1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 28])
+    } else {
+        (TIER1_LIMITS as usize / 3, &[1, 4, 8])
+    };
+    let w = parallax_corpus::by_name("gzip").unwrap();
+    let input = (w.input)();
+    for mode in chain_modes() {
+        let protected = protect_in(&w, mode.clone());
+        let setup = |vm: &mut Vm| {
+            vm.set_chain_tracer(parallax::core::chain_tracer_for(&protected));
+            vm.set_input(&input);
+        };
+        let whole = engines_agree(&protected.image, u64::MAX, &setup, mode.name());
+        let (seen_dispatches, _) = whole.chains.unwrap();
+        let again = seen_dispatches.iter().filter(|d| d.episode > 0);
+        for d in again.take(dispatches) {
+            for off in offsets {
+                let limit = d.at_cycles + off;
+                let label = format!("{} limit {limit}", mode.name());
+                let seen = engines_agree(&protected.image, limit, &setup, &label);
+                assert_eq!(seen.exit, Exit::CycleLimit, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mid_block_cycle_limits_match_reference() {
+    sweep_cycle_limits(false);
+}
+
+#[test]
+#[ignore = "full sweep; CI runs it in the release test step"]
+fn mid_block_cycle_limits_match_reference_full_sweep() {
+    sweep_cycle_limits(true);
+}
+
+#[test]
+fn mid_block_faults_match_reference() {
+    // Make an instruction inside a straight-line run of each corpus
+    // program's verification function fault: flip the opcode byte of a
+    // `mov eax, imm32` whose immediate lies below text (b8 → a1 turns
+    // it into a load from that unmapped address), or else overwrite
+    // the instruction with a load from address 0 padded with `nop`s.
+    // The run faults mid-block, and both engines must stop with the
+    // same counts, eip, registers and profile.
+    let mut a = parallax::x86::Asm::new();
+    a.mov_rm(Reg32::Eax, parallax::x86::Mem::abs(0));
+    let load = a.finish().unwrap().bytes;
+    let (mut faulted, mut flips_faulted) = (0, 0);
+    for w in parallax_corpus::all() {
+        let img = corpus_image(&w);
+        let input = (w.input)();
+        let f = img.funcs().find(|s| s.name == w.verify_func).unwrap();
+        let text = |va: u32| &img.text[(va - img.text_base) as usize..];
+        let mut at = f.vaddr;
+        let mut prev_ends_run = true;
+        let mut patched = 0;
+        while at < f.vaddr + f.size && patched < 3 {
+            let Ok(insn) = parallax::x86::decode(text(at)) else {
+                break;
+            };
+            let len = insn.len as usize;
+            let code = &text(at)[..len];
+            let low_imm = code[0] == 0xb8
+                && u32::from_le_bytes(code[1..5].try_into().unwrap()) < img.text_base;
+            let patch = if prev_ends_run {
+                None
+            } else if low_imm {
+                Some(vec![0xa1])
+            } else if len >= load.len() {
+                let mut bytes = load.clone();
+                bytes.resize(len, 0x90);
+                Some(bytes)
+            } else {
+                None
+            };
+            if let Some(bytes) = patch {
+                let setup = |vm: &mut Vm| {
+                    vm.set_input(&input);
+                    vm.write_code(at, &bytes).unwrap();
+                };
+                let label = format!("{} fault at {at:#x}", w.name);
+                let seen = engines_agree(&img, u64::MAX, &setup, &label);
+                let fault = matches!(seen.exit, Exit::Fault(_)) as usize;
+                faulted += fault;
+                flips_faulted += fault * low_imm as usize;
+                patched += 1;
+            }
+            prev_ends_run = insn.is_terminator()
+                || matches!(
+                    insn.mnemonic,
+                    Mnemonic::Call | Mnemonic::CallInd | Mnemonic::Int | Mnemonic::Int3
+                );
+            at += len as u32;
+        }
+    }
+    assert!(faulted > 0, "no patch faulted");
+    assert!(flips_faulted > 0, "no one-byte flip faulted");
 }
