@@ -722,26 +722,29 @@ fn run_pipeline(
     drop(load_block);
 
     // 4. Fixpoint pass 1: discover chain sizes (stages: Link,
-    // GadgetScan, Map, ChainCompile).
-    let img1 = ctx.timed(Stage::Link, || prog.link())?;
-    let (map1, memo1) = scan_gadgets(&img1, ctx, jobs, None)?;
-    let ranges1 = target_ranges(&img1, &targets);
-    let chain1_block = ctx.stage(Stage::ChainCompile);
-    let scratch1 = symbol_vaddr(&img1, "__plx_scratch")?;
-    let guards1 = guard_addrs(&img1, &map1, &cfg.guard_funcs);
-    let mut sizes = Vec::new();
-    for (i, (f, _)) in gens.iter().enumerate() {
-        let func = get_impl(f)?;
-        let frame = symbol_vaddr(&img1, &format!("__plx_frame_{f}"))?;
-        let policy = policy_for(cfg, &ranges1, i as u64, 0);
-        let words =
-            compile_chain_traced(func, &map1, &img1, frame, scratch1, policy, &guards1, trace)
-                .map_err(|e| ProtectError::chain_for(f, e))?
-                .chain
-                .len();
-        sizes.push(words);
-    }
-    drop(chain1_block);
+    // GadgetScan, Map, ChainCompile). Only the sizes and the scan memo
+    // outlive it: its image and gadget map are freed before pass 2.
+    let (sizes, memo1) = {
+        let img1 = ctx.timed(Stage::Link, || prog.link())?;
+        let (map1, memo1) = scan_gadgets(&img1, ctx, jobs, None, true)?;
+        let ranges1 = target_ranges(&img1, &targets);
+        let _chain1_block = ctx.stage(Stage::ChainCompile);
+        let scratch1 = symbol_vaddr(&img1, "__plx_scratch")?;
+        let guards1 = guard_addrs(&img1, &map1, &cfg.guard_funcs);
+        let mut sizes = Vec::new();
+        for (i, (f, _)) in gens.iter().enumerate() {
+            let func = get_impl(f)?;
+            let frame = symbol_vaddr(&img1, &format!("__plx_frame_{f}"))?;
+            let policy = policy_for(cfg, &ranges1, i as u64, 0);
+            let words =
+                compile_chain_traced(func, &map1, &img1, frame, scratch1, policy, &guards1, trace)
+                    .map_err(|e| ProtectError::chain_for(f, e))?
+                    .chain
+                    .len();
+            sizes.push(words);
+        }
+        (sizes, memo1)
+    };
 
     // Size the per-chain data objects (stage: Map).
     let map_block = ctx.stage(Stage::Map);
@@ -768,9 +771,10 @@ fn run_pipeline(
 
     // 5. Fixpoint pass 2: final layout; recompile, serialize, install.
     // Only data sizes changed, so the text differs from pass 1's in its
-    // relocated fields: the scan rescans incrementally from pass 1's memo.
+    // relocated fields: the scan rescans incrementally from pass 1's memo,
+    // and leaves no memo of its own.
     let img2 = ctx.timed(Stage::Link, || prog.link())?;
-    let (map2, _) = scan_gadgets(&img2, ctx, jobs, memo1)?;
+    let (map2, _) = scan_gadgets(&img2, ctx, jobs, memo1, false)?;
     let ranges2 = target_ranges(&img2, &targets);
     let range_index = RangeSet::new(&ranges2);
     let chain2_block = ctx.stage(Stage::ChainCompile);
@@ -954,12 +958,13 @@ impl<'a> Ctx<'a> {
 /// whose pipelines link a byte-identical intermediate image (e.g. the
 /// same program protected under different seeds) share one scan. A
 /// fresh scan reuses `prev`, the previous pass's memo, and returns its
-/// own; a cached one returns none.
+/// own when `next_pass` will use it; a cached one returns none.
 fn scan_gadgets(
     img: &LinkedImage,
     ctx: &Ctx<'_>,
     jobs: usize,
     prev: Option<PassMemo>,
+    next_pass: bool,
 ) -> Result<(GadgetMap, Option<PassMemo>), ProtectError> {
     let block = ctx.stage(Stage::GadgetScan);
     let mut memo = None;
@@ -969,9 +974,14 @@ fn scan_gadgets(
         match ctx.store.cached_scan(img) {
             Some(cached) if !cached.is_empty() => cached,
             _ => {
-                let (fresh, stats, vstats, next) =
-                    parallax_gadgets::find_gadgets_reusing(img, jobs, prev);
-                memo = Some(next);
+                let (fresh, stats, vstats) = if next_pass {
+                    let (fresh, stats, vstats, next) =
+                        parallax_gadgets::find_gadgets_reusing(img, jobs, prev);
+                    memo = Some(next);
+                    (fresh, stats, vstats)
+                } else {
+                    parallax_gadgets::find_gadgets_instrumented(img, jobs, prev)
+                };
                 if let Some(t) = ctx.tracer {
                     // Cache hits never report: no decoding happened.
                     // `once` counts decodes performed, `reused` those

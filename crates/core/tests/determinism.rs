@@ -4,10 +4,13 @@
 //! reproducibility claims rest on — so any hidden iteration-order or
 //! ambient-state dependency fails here, not in a flaky cache hit.
 
+use std::sync::Mutex;
+
 use parallax_bench::fig5_modes;
-use parallax_compiler::parse_module;
-use parallax_core::{protect, protect_traced, ChainMode, ProtectConfig};
-use parallax_image::format;
+use parallax_compiler::{compile_module, parse_module};
+use parallax_core::{protect, protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
+use parallax_gadgets::{serialize_gadgets, Gadget};
+use parallax_image::{format, LinkedImage};
 use parallax_trace::Tracer;
 
 const SRC: &str = r#"
@@ -121,6 +124,19 @@ fn job_count_never_changes_the_image() {
     }
 }
 
+/// Serializes every gadget list `protect()` scans, pass 1 then pass 2.
+#[derive(Default)]
+struct GadgetLists(Mutex<Vec<Vec<u8>>>);
+
+impl ArtifactStore for GadgetLists {
+    fn store_scan(&self, _img: &LinkedImage, gadgets: &[Gadget]) {
+        self.0
+            .lock()
+            .expect("no scan panicked")
+            .push(serialize_gadgets(gadgets));
+    }
+}
+
 #[test]
 fn probe_work_repeats_at_any_job_count() {
     // Each probe starts from a VM reset to its pristine pages, so the
@@ -131,6 +147,9 @@ fn probe_work_repeats_at_any_job_count() {
     // count either. Nor does which proposals are rejected without a
     // run: that reads only the proposal and the image's regions, nor
     // which need a second trial: that reads the proposal and trial 1.
+    // Both passes' gadget lists serialize to the same bytes too: a
+    // content's record, which whichever worker reaches the content
+    // first builds, holds nothing of that copy but its content.
     const COUNTERS: [&str; 5] = [
         "vm.mem.pages_copied",
         "vm.probe.runs",
@@ -154,11 +173,25 @@ fn probe_work_repeats_at_any_job_count() {
                     ..ProtectConfig::default()
                 };
                 let tracer = Tracer::new();
-                protect_traced(&module, &cfg, &tracer)
+                let lists = GadgetLists::default();
+                let ctx = Ctx {
+                    store: &lists,
+                    tracer: Some(&tracer),
+                    ..Ctx::default()
+                };
+                let impls = cfg
+                    .verify_impls(&module)
+                    .expect("verification function exists");
+                let prog = compile_module(&module).expect("corpus compiles");
+                protect_with(prog, &impls, &cfg, &ctx)
                     .unwrap_or_else(|e| panic!("{} {mode:?} (jobs={jobs}): {e}", w.name));
-                COUNTERS.map(|c| tracer.counter(c))
+                (
+                    COUNTERS.map(|c| tracer.counter(c)),
+                    lists.0.into_inner().expect("no scan panicked"),
+                )
             };
-            let one = work(1);
+            let (one, lists) = work(1);
+            assert_eq!(lists.len(), 2, "{} {mode:?}: one list per pass", w.name);
             for (c, n) in COUNTERS.iter().zip(one) {
                 if *c == "vm.probe.second_trials" {
                     second_trials += n;
@@ -166,7 +199,13 @@ fn probe_work_repeats_at_any_job_count() {
                     assert!(n > 0, "{} {mode:?}: {c} is 0", w.name);
                 }
             }
-            assert_eq!(one, work(2), "{} {mode:?}: {COUNTERS:?} at jobs=2", w.name);
+            let (two, lists2) = work(2);
+            assert_eq!(one, two, "{} {mode:?}: {COUNTERS:?} at jobs=2", w.name);
+            assert!(
+                lists == lists2,
+                "{} {mode:?}: gadget lists differ at jobs=2",
+                w.name
+            );
         }
     }
     assert!(second_trials > 0, "no second trial in the corpus");

@@ -13,7 +13,7 @@ use parallax_x86::{Reg, Reg32, Reg8};
 
 use parallax_vm::{STACK_SIZE, STACK_TOP};
 
-use crate::scan::Candidate;
+use crate::scan::CandidateRef;
 use crate::types::{Effect, GBinOp};
 use crate::validate::{probe_registers, DRAW_BASE, DRAW_MASK, PROBE_SYSCALL};
 
@@ -77,9 +77,9 @@ struct Write {
 
 /// The classification result for one candidate.
 #[derive(Debug, Clone)]
-pub struct Proposal {
+pub struct Proposal<'a> {
     /// The candidate this proposal describes.
-    pub cand: Candidate,
+    pub cand: CandidateRef<'a>,
     /// Stack slots consumed (excluding the return target).
     pub slots: u32,
     /// Proposed typed effects (to be validated concretely).
@@ -123,7 +123,7 @@ pub enum SyscallEax {
 /// place never depends on the image.
 const STACK_REACH: i64 = 0x1000;
 
-impl Proposal {
+impl Proposal<'_> {
     /// True when the probe's verdict cannot depend on where the image's
     /// text, data and heap sit (DESIGN.md §17): no instruction reaches
     /// VM state beyond memory, except an `int 0x80` the probe pins to
@@ -142,7 +142,7 @@ impl Proposal {
         // (nothing else may follow it), and the probe pins where it
         // lands: every chain slot holds the landing for `PopEsp`, the
         // source holds 64 for `AddEsp`.
-        let insns = &self.cand.insns;
+        let insns = self.cand.insns();
         let pivot = self
             .effects
             .iter()
@@ -1041,11 +1041,14 @@ fn mul_edx_eax(st: &mut St, insn: &Insn) {
 }
 
 /// Classifies a candidate into a [`Proposal`], or `None` if it matches
-/// no usable pattern.
-pub fn classify(cand: &Candidate) -> Option<Proposal> {
+/// no usable pattern. The proposal borrows the candidate's instructions,
+/// which live in an owned [`Candidate`](crate::Candidate) or in a
+/// decode table.
+pub fn classify<'a>(cand: impl Into<CandidateRef<'a>>) -> Option<Proposal<'a>> {
+    let cand = cand.into();
     let mut st = St::new();
-    let n = cand.insns.len();
-    for (i, insn) in cand.insns[..n - 1].iter().enumerate() {
+    let insns = cand.insns();
+    for (i, insn) in insns[..insns.len() - 1].iter().enumerate() {
         st.insn = i;
         st.accessed = false;
         if !step(&mut st, insn) {
@@ -1087,7 +1090,7 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
         let clobbers = collect_clobbers(&st, &[]);
         return Some(with_accesses(
             Proposal {
-                cand: cand.clone(),
+                cand,
                 slots,
                 effects,
                 clobbers,
@@ -1249,7 +1252,7 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
     let clobbers = collect_clobbers(&st, &effect_dsts);
     Some(with_accesses(
         Proposal {
-            cand: cand.clone(),
+            cand,
             slots,
             effects,
             clobbers,
@@ -1266,7 +1269,7 @@ pub fn classify(cand: &Candidate) -> Option<Proposal> {
 /// `p` with its accesses, each `Patch8` root's value evaluated in the
 /// register file every probe of `p` starts from ([`probe_registers`],
 /// which does not read the accesses).
-fn with_accesses(mut p: Proposal, accesses: Vec<(Access, Option<V>)>) -> Proposal {
+fn with_accesses<'a>(mut p: Proposal<'a>, accesses: Vec<(Access, Option<V>)>) -> Proposal<'a> {
     let regs = probe_registers(&p);
     p.accesses = accesses
         .into_iter()
@@ -1390,10 +1393,16 @@ fn mem_preconds(st: &St) -> Vec<Reg32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::scan;
+    use crate::scan::{scan, Candidate};
 
-    fn classify_bytes(bytes: &[u8]) -> Vec<Proposal> {
-        scan(bytes, 0x1000).iter().filter_map(classify).collect()
+    /// The proposals of every candidate in `bytes`. They borrow the
+    /// candidates, which live to the end of the test run.
+    fn classify_bytes(bytes: &[u8]) -> Vec<Proposal<'static>> {
+        scan(bytes, 0x1000)
+            .leak()
+            .iter()
+            .filter_map(classify)
+            .collect()
     }
 
     fn find_effect(props: &[Proposal], pred: impl Fn(&Effect) -> bool) -> bool {
@@ -1512,7 +1521,7 @@ mod tests {
         // proposal is from the bare ret; the full candidate is dropped.
         // It still counts as a *potential* gadget site for coverage
         // purposes (tested in the rewrite crate).
-        assert!(props.iter().any(|p| p.cand.insns.len() == 1));
+        assert!(props.iter().any(|p| p.cand.insns().len() == 1));
     }
 
     #[test]
@@ -1576,13 +1585,14 @@ mod tests {
     /// return). Sequences the classifier drops get a bare proposal with
     /// no preconditions and no resolved access, so the instruction rule
     /// is what gets judged.
-    fn whole(bytes: &[u8]) -> Proposal {
+    fn whole(bytes: &[u8]) -> Proposal<'static> {
         let cand = scan(bytes, 0x1000)
             .into_iter()
             .find(|c| c.vaddr == 0x1000 && c.len as usize == bytes.len())
             .expect("whole sequence is a candidate");
-        classify(&cand).unwrap_or(Proposal {
-            cand,
+        let cand: &'static Candidate = Box::leak(Box::new(cand));
+        classify(cand).unwrap_or(Proposal {
+            cand: cand.into(),
             slots: 0,
             effects: Vec::new(),
             clobbers: Vec::new(),

@@ -43,13 +43,15 @@ pub mod validate;
 pub use classify::{classify, Proposal};
 pub use mapping::{GadgetMap, RangeSet, TypeKey};
 pub use scan::{
-    scan, scan_with_stats, Candidate, DecodeTable, ScanStats, MAX_GADGET_BYTES, MAX_GADGET_INSNS,
+    scan, scan_with_stats, Candidate, CandidateRef, DecodeTable, ScanStats, MAX_GADGET_BYTES,
+    MAX_GADGET_INSNS,
 };
 pub use serialize::{deserialize_gadgets, serialize_gadgets};
-pub use types::{Effect, GBinOp, Gadget};
+pub use types::{Effect, GBinOp, Gadget, GadgetRecord};
 pub use validate::{validate, validate_with, ProbeStats, ProbeVm};
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use parallax_image::LinkedImage;
 
@@ -61,8 +63,8 @@ pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
 
 /// A candidate's content: its text bytes and return kind. Within one
 /// pass, a probe that stays inside the candidate's bytes depends on
-/// nothing else, so every copy of a content shares one verdict
-/// (DESIGN.md §18).
+/// nothing else, so every copy of a content shares one verdict and one
+/// [`GadgetRecord`] (DESIGN.md §18).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Content {
     far: bool,
@@ -70,15 +72,10 @@ struct Content {
     bytes: [u8; MAX_GADGET_BYTES + 1],
 }
 
-/// The text bytes a candidate spans.
-fn text_of<'a>(img: &'a LinkedImage, cand: &Candidate) -> &'a [u8] {
-    let off = (cand.vaddr - img.text_base) as usize;
-    &img.text[off..off + cand.len as usize]
-}
-
 impl Content {
-    fn of(img: &LinkedImage, cand: &Candidate) -> Content {
-        let src = text_of(img, cand);
+    fn of(img: &LinkedImage, cand: &CandidateRef) -> Content {
+        let off = (cand.vaddr - img.text_base) as usize;
+        let src = &img.text[off..off + cand.len as usize];
         let mut bytes = [0; MAX_GADGET_BYTES + 1];
         bytes[..src.len()].copy_from_slice(src);
         Content {
@@ -109,12 +106,42 @@ fn below_stack(img: &LinkedImage) -> bool {
 /// verdicts of its [layout-independent](Proposal::layout_independent)
 /// proposals keyed by content. A pass given the memo decodes again only
 /// the slots whose own bytes changed and serves those verdicts wherever
-/// their bytes now sit; it probes only contents it has no verdict for.
+/// their bytes now sit, sharing their records; it probes only contents
+/// it has no verdict for.
 pub struct PassMemo {
     text_base: u32,
     text: Vec<u8>,
     slots: scan::Slots,
-    verdicts: HashMap<Content, Option<Gadget>>,
+    verdicts: HashMap<Content, Option<Arc<GadgetRecord>>>,
+}
+
+impl PassMemo {
+    /// The memo of a pass over `img`: its table's `slots` and, when the
+    /// image fits below the stack, its groups' layout-independent
+    /// verdicts, inherited ones included.
+    fn new(img: &LinkedImage, slots: scan::Slots, groups: Groups) -> PassMemo {
+        let fits = below_stack(img);
+        let verdicts = groups
+            .into_iter()
+            .filter(|_| fits)
+            .filter_map(
+                |(content, group)| match Arc::into_inner(group)?.into_inner()? {
+                    Rep::Probed {
+                        record,
+                        independent: true,
+                    }
+                    | Rep::Inherited(record) => Some((content, record)),
+                    _ => None,
+                },
+            )
+            .collect();
+        PassMemo {
+            text_base: img.text_base,
+            text: img.text.clone(),
+            slots,
+            verdicts,
+        }
+    }
 }
 
 /// Telemetry from the classify/validate fan-out of one
@@ -148,13 +175,13 @@ pub struct ValidateStats {
 /// `scan.decode.*` counters) and [`ValidateStats`]: probe-VM
 /// construction time (`vm.probe.build_ns` in traces), the serial merge
 /// cost, and the validation pool's scheduling counters. It is
-/// [`find_gadgets_reusing`] without the memo it returns.
+/// [`find_gadgets_reusing`] without building the memo it would return.
 pub fn find_gadgets_instrumented(
     img: &LinkedImage,
     jobs: usize,
     prev: Option<PassMemo>,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats) {
-    let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, jobs, prev);
+    let (gadgets, stats, vstats, ()) = gadget_pass(img, jobs, prev, |_, _| ());
     (gadgets, stats, vstats)
 }
 
@@ -165,15 +192,19 @@ enum Rep {
     /// Probed in this pass; `independent` when the proposal is
     /// layout-independent, so the verdict also holds in a later pass.
     Probed {
-        gadget: Option<Gadget>,
+        record: Option<Arc<GadgetRecord>>,
         independent: bool,
     },
     /// Served from the previous pass's memo.
-    Inherited(Option<Gadget>),
+    Inherited(Option<Arc<GadgetRecord>>),
     /// The probe left the candidate's bytes, so its verdict depends on
     /// the text it reached: every copy probes on its own.
     Strayed,
 }
+
+/// One verdict slot per content, filled by whichever candidate reaches
+/// it first.
+type Groups = HashMap<Content, Arc<OnceLock<Rep>>>;
 
 /// One chunk's share of a validation pass.
 #[derive(Default)]
@@ -195,33 +226,44 @@ struct ChunkOut {
 /// a pristine snapshot before each proposal and seeds its PRNG from the
 /// candidate's bytes. So the first candidate of each content is
 /// classified and probed, and every later copy takes its verdict with
-/// its own vaddr, unless that probe strayed. Any job count returns the
-/// exact sequential gadget order.
+/// its own vaddr, pointing at the same [`GadgetRecord`], unless that
+/// probe strayed. Any job count returns the exact sequential gadget
+/// order.
 pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
     prev: Option<PassMemo>,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats, PassMemo) {
+    gadget_pass(img, jobs, prev, |slots, groups| {
+        PassMemo::new(img, slots, groups)
+    })
+}
+
+/// One gadget pass over `img`, handing its decode table's slots and its
+/// content groups to `memo` once the gadget list is built.
+fn gadget_pass<M>(
+    img: &LinkedImage,
+    jobs: usize,
+    prev: Option<PassMemo>,
+    memo: impl FnOnce(scan::Slots, Groups) -> M,
+) -> (Vec<Gadget>, ScanStats, ValidateStats, M) {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Mutex, OnceLock};
     let fits = below_stack(img);
     let prev = prev.filter(|m| m.text_base == img.text_base && m.text.len() == img.text.len());
     let (old_text, old_slots, old_verdicts) = match prev {
         Some(m) => (m.text, Some(m.slots), m.verdicts),
         None => (Vec::new(), None, HashMap::new()),
     };
-    let (cands, stats, slots) = scan::scan_reusing(
-        &img.text,
-        img.text_base,
-        old_slots.map(|s| (&old_text[..], s)),
-    );
-    // One verdict slot per content, filled by whichever candidate
-    // reaches it first; the previous pass's verdicts start filled.
-    let groups: Mutex<HashMap<Content, Arc<OnceLock<Rep>>>> = Mutex::new(
+    let table = DecodeTable::reusing(&img.text, old_slots.map(|s| (&old_text[..], s)));
+    drop(old_text);
+    // Candidates borrow their instructions from the table's slots.
+    let (cands, stats) = table.candidates(img.text_base);
+    // The previous pass's verdicts start filled.
+    let groups: Mutex<Groups> = Mutex::new(
         old_verdicts
             .into_iter()
             .filter(|_| fits)
-            .map(|(content, g)| (content, Arc::new(OnceLock::from(Rep::Inherited(g)))))
+            .map(|(content, record)| (content, Arc::new(OnceLock::from(Rep::Inherited(record)))))
             .collect(),
     );
     let probe_builds = AtomicU64::new(0);
@@ -239,42 +281,47 @@ pub fn find_gadgets_reusing(
         probe_build_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         probe
     };
-    // A content's verdict as the gadget at `vaddr`.
-    let at = |g: &Option<Gadget>, vaddr: u32| g.as_ref().map(|g| Gadget { vaddr, ..g.clone() });
-    let validate_chunk = |probe: &mut ProbeVm, chunk: &[Candidate]| {
+    let validate_chunk = |probe: &mut ProbeVm, chunk: &[CandidateRef]| {
         let mut out = ChunkOut::default();
         for cand in chunk {
             let content = Content::of(img, cand);
             let group = Arc::clone(groups.lock().unwrap().entry(content).or_default());
             let mut own = None;
             let rep = group.get_or_init(|| {
-                let Some(p) = classify(cand) else {
+                let Some(p) = classify(*cand) else {
                     return Rep::Unclassified;
                 };
                 let g = probe.validate(&p);
+                let record = g.as_ref().map(|g| Arc::clone(&g.record));
+                own = Some(g);
                 if probe.strayed() {
-                    own = Some(g);
                     return Rep::Strayed;
                 }
-                own = Some(g.clone());
                 Rep::Probed {
-                    gadget: g,
+                    record,
                     independent: p.layout_independent(),
                 }
             });
+            // A content's verdict as the gadget at this candidate's vaddr.
+            let copy = |record: &Option<Arc<GadgetRecord>>| {
+                record.as_ref().map(|r| Gadget {
+                    vaddr: cand.vaddr,
+                    record: Arc::clone(r),
+                })
+            };
             let g = match (own, rep) {
                 (Some(g), _) => g,
                 (None, Rep::Unclassified) => continue,
-                (None, Rep::Probed { gadget, .. }) => {
+                (None, Rep::Probed { record, .. }) => {
                     out.shared += 1;
-                    at(gadget, cand.vaddr)
+                    copy(record)
                 }
-                (None, Rep::Inherited(gadget)) => {
+                (None, Rep::Inherited(record)) => {
                     out.reused += 1;
-                    at(gadget, cand.vaddr)
+                    copy(record)
                 }
                 (None, Rep::Strayed) => {
-                    let p = classify(cand).expect("a copy of a classified content classifies");
+                    let p = classify(*cand).expect("a copy of a classified content classifies");
                     probe.validate(&p)
                 }
             };
@@ -289,13 +336,15 @@ pub fn find_gadgets_reusing(
     // building each worker's probe VM needs that much validation work
     // to pay off.
     const CHUNK: usize = 64;
-    let chunks: Vec<&[Candidate]> = cands.chunks(CHUNK).collect();
+    let chunks: Vec<&[CandidateRef]> = cands.chunks(CHUNK).collect();
     let (parts, pool) = parallax_pool::scoped_map_init(
         parallax_pool::effective_workers_for(jobs, cands.len(), CHUNK),
         chunks.len(),
         |_w| build_probe(),
         |probe, i, _w| validate_chunk(probe, chunks[i]),
     );
+    drop(chunks);
+    drop(cands);
     let t0 = std::time::Instant::now();
     let mut gadgets = Vec::new();
     let (mut reused, mut shared) = (0, 0);
@@ -313,30 +362,7 @@ pub fn find_gadgets_reusing(
         reused,
         shared,
     };
-    // Layout-independent verdicts, inherited ones included, still hold
-    // for the next pass wherever their bytes sit.
-    let verdicts = groups
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .filter(|_| fits)
-        .filter_map(
-            |(content, group)| match Arc::into_inner(group)?.into_inner()? {
-                Rep::Probed {
-                    gadget,
-                    independent: true,
-                }
-                | Rep::Inherited(gadget) => Some((content, gadget)),
-                _ => None,
-            },
-        )
-        .collect();
-    let memo = PassMemo {
-        text_base: img.text_base,
-        text: img.text.clone(),
-        slots,
-        verdicts,
-    };
+    let memo = memo(table.into_slots(), groups.into_inner().unwrap());
     (gadgets, stats, vstats, memo)
 }
 

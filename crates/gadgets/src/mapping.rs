@@ -203,19 +203,22 @@ impl RangeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::GadgetRecord;
 
     fn g(vaddr: u32, effects: Vec<Effect>) -> Gadget {
-        Gadget {
+        Gadget::new(
             vaddr,
-            len: 2,
-            far: false,
-            slots: 1,
-            effects,
-            clobbers: vec![],
-            mem_preconditions: vec![],
-            disasm: String::new(),
-            insn_count: 2,
-        }
+            GadgetRecord {
+                len: 2,
+                far: false,
+                slots: 1,
+                effects,
+                clobbers: vec![],
+                mem_preconditions: vec![],
+                disasm: String::new(),
+                insn_count: 2,
+            },
+        )
     }
 
     #[test]

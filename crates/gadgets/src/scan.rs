@@ -17,6 +17,7 @@
 //! the table-driven scanner emits an identical candidate stream.
 
 use std::cell::{Cell, OnceCell};
+use std::fmt;
 use std::sync::LazyLock;
 
 use parallax_x86::insn::{Insn, Mnemonic};
@@ -45,11 +46,80 @@ pub struct Candidate {
 impl Candidate {
     /// Renders the candidate as `insn; insn; ...`.
     pub fn disasm(&self) -> String {
-        self.insns
+        CandidateRef::from(self).disasm()
+    }
+}
+
+/// A candidate whose instructions are borrowed: from the slots of the
+/// [`DecodeTable`] its walk read, or from an owned [`Candidate`]. A
+/// gadget pass classifies and probes these, so no candidate copies its
+/// instructions.
+#[derive(Clone, Copy)]
+pub struct CandidateRef<'a> {
+    /// Virtual address of the first instruction.
+    pub vaddr: u32,
+    /// Total byte length.
+    pub len: u32,
+    /// Terminates in `retf`.
+    pub far: bool,
+    /// The first `n` are the sequence; the rest repeat the return.
+    insns: [&'a Insn; MAX_GADGET_INSNS],
+    n: u8,
+}
+
+impl<'a> CandidateRef<'a> {
+    /// The instruction sequence; the last element is the return.
+    pub fn insns(&self) -> &[&'a Insn] {
+        &self.insns[..usize::from(self.n)]
+    }
+
+    /// Renders the candidate as `insn; insn; ...`.
+    pub fn disasm(&self) -> String {
+        self.insns()
             .iter()
             .map(|i| i.to_string())
             .collect::<Vec<_>>()
             .join("; ")
+    }
+
+    /// An owned copy, its instructions cloned.
+    pub fn to_owned(&self) -> Candidate {
+        Candidate {
+            vaddr: self.vaddr,
+            insns: self.insns().iter().map(|&i| i.clone()).collect(),
+            len: self.len,
+            far: self.far,
+        }
+    }
+}
+
+impl<'a> From<&'a Candidate> for CandidateRef<'a> {
+    /// Borrows `cand`, which holds 1 to [`MAX_GADGET_INSNS`]
+    /// instructions, as every scanner emits.
+    fn from(cand: &'a Candidate) -> CandidateRef<'a> {
+        let n = cand.insns.len();
+        assert!(
+            (1..=MAX_GADGET_INSNS).contains(&n),
+            "a candidate holds 1 to {MAX_GADGET_INSNS} instructions, not {n}"
+        );
+        CandidateRef {
+            vaddr: cand.vaddr,
+            len: cand.len,
+            far: cand.far,
+            insns: std::array::from_fn(|k| &cand.insns[k.min(n - 1)]),
+            n: n as u8,
+        }
+    }
+}
+
+impl fmt::Debug for CandidateRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CandidateRef")
+            .field("vaddr", &self.vaddr)
+            .field("insns", &self.insns())
+            .field("len", &self.len)
+            .field("far", &self.far)
+            .finish()
     }
 }
 
@@ -217,6 +287,13 @@ impl<'t> DecodeTable<'t> {
     /// the stream [`scan`] returns, with the pass's [`ScanStats`].
     /// Slots filled before the call count as reused.
     pub fn scan(&self, base: u32) -> (Vec<Candidate>, ScanStats) {
+        let (cands, stats) = self.candidates(base);
+        (cands.iter().map(CandidateRef::to_owned).collect(), stats)
+    }
+
+    /// [`DecodeTable::scan`] with each candidate's instructions borrowed
+    /// from the table.
+    pub fn candidates(&self, base: u32) -> (Vec<CandidateRef<'_>>, ScanStats) {
         let before = self.decodes.get();
         let mut stats = ScanStats {
             offsets: self.text.len() as u64,
@@ -272,7 +349,12 @@ impl<'t> DecodeTable<'t> {
     /// differs from the table's text: a step that ends at or before it
     /// read none of it, and a step that would read it fails the walk
     /// with or without the plant (DESIGN.md §20).
-    pub fn planted_candidate(&self, base: u32, start: usize, ret_at: usize) -> Option<Candidate> {
+    pub fn planted_candidate(
+        &self,
+        base: u32,
+        start: usize,
+        ret_at: usize,
+    ) -> Option<CandidateRef<'_>> {
         let at = |pos| {
             if pos == ret_at {
                 &*BARE_RET
@@ -285,39 +367,35 @@ impl<'t> DecodeTable<'t> {
 
     /// One candidate walk from `start` to the return at `ret_at`, with
     /// the reference scanner's rejection rules and candidate shape,
-    /// reading each step's slot from `at`. The walk records slot offsets
-    /// and clones instructions only once it has landed on the return:
-    /// most walks fail, and cloning at every step would cost many times
-    /// the decodes themselves.
+    /// reading each step's slot from `at`. The candidate borrows its
+    /// instructions from the slots the walk read.
     fn walk<'s>(
         base: u32,
         start: usize,
         ret_at: usize,
         at: impl Fn(usize) -> &'s Slot,
         steps: &mut u64,
-    ) -> Option<Candidate> {
-        let mut path = [0usize; MAX_GADGET_INSNS];
+    ) -> Option<CandidateRef<'s>> {
+        let mut path: [Option<&'s Insn>; MAX_GADGET_INSNS] = [None; MAX_GADGET_INSNS];
         let mut n = 0;
         let mut pos = start;
         while pos <= ret_at {
             *steps += 1;
             let slot = at(pos);
-            slot.insn.as_ref()?;
+            let insn = slot.insn.as_ref()?;
             if n == MAX_GADGET_INSNS {
                 return None;
             }
-            path[n] = pos;
+            path[n] = Some(insn);
             n += 1;
             if pos == ret_at {
                 let far = slot.ret?;
-                return Some(Candidate {
+                return Some(CandidateRef {
                     vaddr: base + start as u32,
-                    insns: path[..n]
-                        .iter()
-                        .filter_map(|&p| at(p).insn.clone())
-                        .collect(),
                     len: (ret_at + 1 - start) as u32,
                     far,
+                    insns: path.map(|i| i.unwrap_or(insn)),
+                    n: n as u8,
                 });
             }
             if !slot.interior_ok {
@@ -346,20 +424,6 @@ pub fn scan(text: &[u8], base: u32) -> Vec<Candidate> {
 /// [`scan`], also returning the pass's [`ScanStats`].
 pub fn scan_with_stats(text: &[u8], base: u32) -> (Vec<Candidate>, ScanStats) {
     DecodeTable::new(text).scan(base)
-}
-
-/// [`scan_with_stats`], also returning the pass's decode table. With
-/// `prev` — the previous pass's text, of the same length, and its
-/// table's slots — only the slots whose decode read a changed byte are
-/// decoded again; every other slot moves over as is.
-pub(crate) fn scan_reusing(
-    text: &[u8],
-    base: u32,
-    prev: Option<(&[u8], Slots)>,
-) -> (Vec<Candidate>, ScanStats, Slots) {
-    let table = DecodeTable::reusing(text, prev);
-    let (cands, stats) = table.scan(base);
-    (cands, stats, table.into_slots())
 }
 
 /// The original decode-per-walk-step scanner, kept as the differential
@@ -431,6 +495,18 @@ pub fn has_syscall(insns: &[Insn]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`scan_with_stats`] over a table that reuses `prev`, also
+    /// returning the table's slots.
+    fn scan_reusing(
+        text: &[u8],
+        base: u32,
+        prev: Option<(&[u8], Slots)>,
+    ) -> (Vec<Candidate>, ScanStats, Slots) {
+        let table = DecodeTable::reusing(text, prev);
+        let (cands, stats) = table.scan(base);
+        (cands, stats, table.into_slots())
+    }
 
     #[test]
     fn finds_aligned_and_unaligned() {

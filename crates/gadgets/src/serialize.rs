@@ -10,7 +10,7 @@
 
 use parallax_x86::{Reg32, Reg8, ShiftOp};
 
-use crate::types::{Effect, GBinOp, Gadget};
+use crate::types::{Effect, GBinOp, Gadget, GadgetRecord};
 
 const MAGIC: &[u8; 4] = b"PGS\x01";
 
@@ -276,17 +276,19 @@ pub fn deserialize_gadgets(bytes: &[u8]) -> Option<Vec<Gadget>> {
         for _ in 0..n_pre {
             mem_preconditions.push(r.reg32()?);
         }
-        out.push(Gadget {
+        out.push(Gadget::new(
             vaddr,
-            len,
-            far,
-            slots,
-            effects,
-            clobbers,
-            mem_preconditions,
-            disasm,
-            insn_count,
-        });
+            GadgetRecord {
+                len,
+                far,
+                slots,
+                effects,
+                clobbers,
+                mem_preconditions,
+                disasm,
+                insn_count,
+            },
+        ));
     }
     // Trailing garbage means the container was not written by us.
     (r.pos == bytes.len()).then_some(out)
@@ -298,52 +300,56 @@ mod tests {
 
     fn sample() -> Vec<Gadget> {
         vec![
-            Gadget {
-                vaddr: 0x1000,
-                len: 3,
-                far: false,
-                slots: 1,
-                effects: vec![
-                    Effect::LoadConst {
-                        dst: Reg32::Eax,
-                        slot: 0,
-                    },
-                    Effect::Binary {
-                        op: GBinOp::Xor,
-                        dst: Reg32::Esi,
-                        src: Reg32::Eax,
-                    },
-                ],
-                clobbers: vec![Reg32::Ecx],
-                mem_preconditions: vec![],
-                disasm: "pop eax; ret".into(),
-                insn_count: 2,
-            },
-            Gadget {
-                vaddr: 0x2004,
-                len: 6,
-                far: true,
-                slots: 2,
-                effects: vec![
-                    Effect::StoreMem {
-                        addr: Reg32::Ebx,
-                        off: -8,
-                        src: Reg32::Edx,
-                    },
-                    Effect::ShiftCl {
-                        op: ShiftOp::Shr,
-                        dst: Reg32::Edx,
-                    },
-                    Effect::MovLow8 {
-                        dst: Reg8::Al,
-                        src: Reg8::Ch,
-                    },
-                ],
-                clobbers: vec![],
-                mem_preconditions: vec![Reg32::Ebx],
-                disasm: "mov [ebx-8], edx; retf".into(),
-                insn_count: 2,
-            },
+            Gadget::new(
+                0x1000,
+                GadgetRecord {
+                    len: 3,
+                    far: false,
+                    slots: 1,
+                    effects: vec![
+                        Effect::LoadConst {
+                            dst: Reg32::Eax,
+                            slot: 0,
+                        },
+                        Effect::Binary {
+                            op: GBinOp::Xor,
+                            dst: Reg32::Esi,
+                            src: Reg32::Eax,
+                        },
+                    ],
+                    clobbers: vec![Reg32::Ecx],
+                    mem_preconditions: vec![],
+                    disasm: "pop eax; ret".into(),
+                    insn_count: 2,
+                },
+            ),
+            Gadget::new(
+                0x2004,
+                GadgetRecord {
+                    len: 6,
+                    far: true,
+                    slots: 2,
+                    effects: vec![
+                        Effect::StoreMem {
+                            addr: Reg32::Ebx,
+                            off: -8,
+                            src: Reg32::Edx,
+                        },
+                        Effect::ShiftCl {
+                            op: ShiftOp::Shr,
+                            dst: Reg32::Edx,
+                        },
+                        Effect::MovLow8 {
+                            dst: Reg8::Al,
+                            src: Reg8::Ch,
+                        },
+                    ],
+                    clobbers: vec![],
+                    mem_preconditions: vec![Reg32::Ebx],
+                    disasm: "mov [ebx-8], edx; retf".into(),
+                    insn_count: 2,
+                },
+            ),
         ]
     }
 

@@ -1,6 +1,8 @@
 //! Gadget representation and typed effects.
 
 use core::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use parallax_x86::{Reg32, Reg8, ShiftOp};
 
@@ -148,11 +150,11 @@ impl fmt::Display for Effect {
     }
 }
 
-/// A discovered gadget.
-#[derive(Debug, Clone)]
-pub struct Gadget {
-    /// Virtual address of the first instruction.
-    pub vaddr: u32,
+/// What a gadget is apart from where it sits: a function of its
+/// content (text bytes and return kind), so every copy of one content
+/// shares one record (DESIGN.md §18).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GadgetRecord {
     /// Total encoded length in bytes, including the terminating return.
     pub len: u32,
     /// Ends in `retf` (the chain must supply a dummy code-segment slot).
@@ -172,7 +174,33 @@ pub struct Gadget {
     pub insn_count: u32,
 }
 
+/// A discovered gadget: its address and its content's shared record,
+/// whose fields it derefs to.
+#[derive(Debug, Clone)]
+pub struct Gadget {
+    /// Virtual address of the first instruction.
+    pub vaddr: u32,
+    /// The record every copy of this gadget's content points at.
+    pub record: Arc<GadgetRecord>,
+}
+
+impl Deref for Gadget {
+    type Target = GadgetRecord;
+
+    fn deref(&self) -> &GadgetRecord {
+        &self.record
+    }
+}
+
 impl Gadget {
+    /// The gadget at `vaddr` with a record of its own.
+    pub fn new(vaddr: u32, record: GadgetRecord) -> Gadget {
+        Gadget {
+            vaddr,
+            record: Arc::new(record),
+        }
+    }
+
     /// End address (exclusive) of the gadget bytes.
     pub fn end(&self) -> u32 {
         self.vaddr + self.len
@@ -211,17 +239,19 @@ mod tests {
 
     #[test]
     fn overlap_logic() {
-        let g = Gadget {
-            vaddr: 100,
-            len: 5,
-            far: false,
-            slots: 0,
-            effects: vec![Effect::Nop],
-            clobbers: vec![],
-            mem_preconditions: vec![],
-            disasm: "nop; ret".into(),
-            insn_count: 2,
-        };
+        let g = Gadget::new(
+            100,
+            GadgetRecord {
+                len: 5,
+                far: false,
+                slots: 0,
+                effects: vec![Effect::Nop],
+                clobbers: vec![],
+                mem_preconditions: vec![],
+                disasm: "nop; ret".into(),
+                insn_count: 2,
+            },
+        );
         assert!(g.overlaps(100, 101));
         assert!(g.overlaps(104, 105));
         assert!(!g.overlaps(105, 110));

@@ -41,7 +41,7 @@ use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand};
 use parallax_x86::{Reg, Reg32, Reg8, ShiftOp};
 
 use crate::classify::{MemLoc, Proposal, SyscallEax};
-use crate::types::{Effect, GBinOp, Gadget};
+use crate::types::{Effect, GBinOp, Gadget, GadgetRecord};
 
 /// Maximum instructions a gadget probe may execute.
 const PROBE_STEPS: usize = 64;
@@ -622,7 +622,7 @@ fn taint(p: &Proposal, regs: &[Option<u32>; 8]) -> Option<Taint> {
             .fold(0, |set, r| set | bit(r)),
         ..Taint::default()
     };
-    let insns = &p.cand.insns;
+    let insns = p.cand.insns();
     for (i, insn) in insns[..insns.len() - 1].iter().enumerate() {
         let f = flow(insn, p.syscall_eax)?;
         let lea = insn.mnemonic == Mnemonic::Lea;
@@ -705,7 +705,7 @@ const STACK_FLOOR: i64 = (PROBE_ESP - SCRATCH_BLOCK - 0x1_1000) as i64;
 fn stays_near_chain(p: &Proposal) -> bool {
     use Mnemonic as M;
     let esp = Operand::Reg(Reg::R32(Reg32::Esp));
-    let insns = &p.cand.insns;
+    let insns = p.cand.insns();
     let pivot = p
         .effects
         .iter()
@@ -1308,17 +1308,24 @@ fn validate_shared(
         .filter(|&(i, _)| alive >> i & 1 == 1)
         .map(|(_, e)| *e)
         .collect();
-    Some(Gadget {
-        vaddr: p.cand.vaddr,
-        len: p.cand.len,
-        far: p.cand.far,
-        slots: p.slots,
-        effects: surviving,
-        clobbers: p.clobbers.clone(),
-        mem_preconditions: p.mem_preconditions.clone(),
-        disasm: p.cand.disasm(),
-        insn_count: p.cand.insns.len() as u32,
-    })
+    Some(validated(p, surviving))
+}
+
+/// The gadget `p` describes, keeping the effects that survived.
+fn validated(p: &Proposal, effects: Vec<Effect>) -> Gadget {
+    Gadget::new(
+        p.cand.vaddr,
+        GadgetRecord {
+            len: p.cand.len,
+            far: p.cand.far,
+            slots: p.slots,
+            effects,
+            clobbers: p.clobbers.clone(),
+            mem_preconditions: p.mem_preconditions.clone(),
+            disasm: p.cand.disasm(),
+            insn_count: p.cand.insns().len() as u32,
+        },
+    )
 }
 
 /// Concretely validates a proposal against a reusable probe VM loaded
@@ -1552,17 +1559,7 @@ pub mod legacy {
         if surviving.is_empty() {
             return None;
         }
-        Some(Gadget {
-            vaddr: p.cand.vaddr,
-            len: p.cand.len,
-            far: p.cand.far,
-            slots: p.slots,
-            effects: surviving,
-            clobbers: p.clobbers.clone(),
-            mem_preconditions: p.mem_preconditions.clone(),
-            disasm: p.cand.disasm(),
-            insn_count: p.cand.insns.len() as u32,
-        })
+        Some(validated(p, surviving))
     }
 
     /// Legacy validation on a fresh VM.
@@ -1576,7 +1573,7 @@ pub mod legacy {
 mod tests {
     use super::*;
     use crate::classify::{classify, MemLoc};
-    use crate::scan::scan;
+    use crate::scan::{scan, Candidate};
 
     /// A scratch pointer's low byte is not 0, so `mov [eax], ebx; add
     /// byte [edx-0x2000], al; add esp, 4; ret`, which adds eax's low byte
@@ -1634,17 +1631,23 @@ mod tests {
         prog.link().unwrap()
     }
 
-    /// The proposal for the whole of `main` when `main` is `bytes`
-    /// (ending in a return), and whether a probe VM rejected it without
-    /// a run (after checking that the legacy oracle, which runs every
-    /// probe, rejects it too).
-    fn rejected_unrun(bytes: &[u8]) -> (Proposal, bool) {
-        let img = image_of(bytes);
+    /// The candidate for the whole of `main`, `bytes` long in `img`. It
+    /// lives to the end of the test run, so proposals can borrow it.
+    fn main_candidate(img: &LinkedImage, bytes: &[u8]) -> &'static Candidate {
         let cand = scan(&img.text, img.text_base)
             .into_iter()
             .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
             .expect("main is one candidate");
-        let p = classify(&cand).expect("classified");
+        Box::leak(Box::new(cand))
+    }
+
+    /// The proposal for the whole of `main` when `main` is `bytes`
+    /// (ending in a return), and whether a probe VM rejected it without
+    /// a run (after checking that the legacy oracle, which runs every
+    /// probe, rejects it too).
+    fn rejected_unrun(bytes: &[u8]) -> (Proposal<'static>, bool) {
+        let img = image_of(bytes);
+        let p = classify(main_candidate(&img, bytes)).expect("classified");
         let mut probe = ProbeVm::new(&img);
         let g = probe.validate(&p);
         let stats = probe.stats();
@@ -1806,13 +1809,9 @@ mod tests {
     /// whether [`one_trial_settles`] holds for all of its effects, and
     /// how many second trials a probe VM ran for it: one exactly when
     /// the predicate does not hold and an effect survives trial 1.
-    fn settles(bytes: &[u8]) -> (Proposal, bool, u64) {
+    fn settles(bytes: &[u8]) -> (Proposal<'static>, bool, u64) {
         let img = image_of(bytes);
-        let cand = scan(&img.text, img.text_base)
-            .into_iter()
-            .find(|c| c.vaddr == img.entry && c.len as usize == bytes.len())
-            .expect("main is one candidate");
-        let p = classify(&cand).expect("classified");
+        let p = classify(main_candidate(&img, bytes)).expect("classified");
         let settled = one_trial_settles(&p, u64::MAX, &probe_registers(&p), false);
         let mut probe = ProbeVm::new(&img);
         probe.validate(&p);

@@ -8,7 +8,7 @@ use parallax_compiler::{compile_module, Module};
 use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::scratch_pointer;
-use parallax_gadgets::{classify, Gadget, ProbeVm, Proposal};
+use parallax_gadgets::{Candidate, Gadget, ProbeVm};
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{AluOp, Asm, Mem, Reg32};
 
@@ -99,9 +99,9 @@ pub fn shifted_pair(mut prog: Program, grow: usize) -> (LinkedImage, LinkedImage
 /// A protect-large-sized generated program with one more function,
 /// `cmp eax, [ecx+disp]; ret`, whose access lands on the first byte
 /// past the heap, in the unmapped gap below the stack region. Returns
-/// the gadget's proposal, that image, and the image relinked with its
+/// the gadget's candidate, that image, and the image relinked with its
 /// last data item grown by a page, whose heap holds that byte.
-pub fn generated_heap_edge(seed: u64) -> (Proposal, LinkedImage, LinkedImage) {
+pub fn generated_heap_edge(seed: u64) -> (Candidate, LinkedImage, LinkedImage) {
     heap_edge_fixture(seed, "cmp eax,", |f, disp| {
         f.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base_disp(Reg32::Ecx, disp));
         f.ret();
@@ -113,7 +113,7 @@ pub fn generated_heap_edge(seed: u64) -> (Proposal, LinkedImage, LinkedImage) {
 /// disp; mov eax, 4; mov edx, 1; int 0x80; ret` writes the one byte
 /// past the heap from a scratch-rooted ecx. `write` faults on the
 /// unmapped byte and returns once the heap holds it.
-pub fn generated_heap_edge_write(seed: u64) -> (Proposal, LinkedImage, LinkedImage) {
+pub fn generated_heap_edge_write(seed: u64) -> (Candidate, LinkedImage, LinkedImage) {
     heap_edge_fixture(seed, "cmp eax,[ecx]; add ecx,", |f, disp| {
         f.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base(Reg32::Ecx));
         f.alu_ri32(AluOp::Add, Reg32::Ecx, disp);
@@ -133,7 +133,7 @@ fn heap_edge_fixture(
     seed: u64,
     prefix: &str,
     body: impl Fn(&mut Asm, i32),
-) -> (Proposal, LinkedImage, LinkedImage) {
+) -> (Candidate, LinkedImage, LinkedImage) {
     let prog = |disp: i32| {
         let mut prog = compile_module(&large_module(seed)).expect("randprog compiles");
         let mut f = Asm::new();
@@ -158,5 +158,5 @@ fn heap_edge_fixture(
         .into_iter()
         .find(|c| c.vaddr == at && c.disasm().starts_with(prefix))
         .expect("fixture scanned");
-    (classify(&cand).expect("classified"), img1, img2)
+    (cand, img1, img2)
 }

@@ -4,11 +4,12 @@
 //! vaddr. The list it returns must equal, in order, a per-candidate
 //! oracle that probes every classified candidate, and its counters
 //! must show one probe per content — except where that probe strayed,
-//! which makes every copy probe on its own.
+//! which makes every copy probe on its own. Every copy a content's
+//! verdict serves points at that content's one record.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
@@ -142,6 +143,112 @@ proptest! {
             assert_grouped_matches_oracle(&img, &format!("randprog {seed}"));
         }
     }
+}
+
+/// The content of the gadget `g` of `img`.
+fn content_of(img: &LinkedImage, g: &Gadget) -> (Vec<u8>, bool) {
+    let off = (g.vaddr - img.text_base) as usize;
+    (img.text[off..off + g.len as usize].to_vec(), g.far)
+}
+
+/// The candidates of `img` by `(vaddr, len, far)`.
+fn candidates(img: &LinkedImage) -> HashMap<(u32, u32, bool), Candidate> {
+    scan(&img.text, img.text_base)
+        .into_iter()
+        .map(|c| ((c.vaddr, c.len, c.far), c))
+        .collect()
+}
+
+/// Whether the candidate behind `g`, one of `cands` of `img`, strays,
+/// and whether its proposal is layout-independent.
+fn probed_alone(
+    img: &LinkedImage,
+    cands: &HashMap<(u32, u32, bool), Candidate>,
+    g: &Gadget,
+) -> (bool, bool) {
+    let cand = &cands[&(g.vaddr, g.len, g.far)];
+    let p = classify(cand).expect("a gadget's candidate classifies");
+    let mut probe = ProbeVm::new(img);
+    probe.validate(&p);
+    (probe.strayed(), p.layout_independent())
+}
+
+/// Each content's record in `gadgets`, the list of a pass over `img`:
+/// every copy points at one record, unless the content's probe strays,
+/// when each copy probes on its own. Returns a gadget of each content
+/// whose copies share a record, and how many gadgets point at a record
+/// another gadget of the list points at too.
+fn records_by_content(
+    img: &LinkedImage,
+    gadgets: &[Gadget],
+    label: &str,
+) -> (HashMap<(Vec<u8>, bool), Gadget>, usize) {
+    let mut records: HashMap<(Vec<u8>, bool), Vec<&Gadget>> = HashMap::new();
+    for g in gadgets {
+        records.entry(content_of(img, g)).or_default().push(g);
+    }
+    let cands = candidates(img);
+    let mut shared = 0;
+    let mut out = HashMap::new();
+    for (content, copies) in records {
+        let first = copies[0];
+        if copies.iter().all(|g| Arc::ptr_eq(&g.record, &first.record)) {
+            shared += copies.len() - 1;
+            out.insert(content, first.clone());
+        } else {
+            assert!(
+                probed_alone(img, &cands, first).0,
+                "{label}: copies of {} hold {} records",
+                first.disasm,
+                copies.len()
+            );
+        }
+    }
+    (out, shared)
+}
+
+/// One record per content: every copy that content sharing or the pass
+/// memo serves points at its content's single record, at one and two
+/// workers, in both passes of each fixpoint `protect()` links. Pass 2's
+/// copies of a content whose layout-independent verdict it inherits
+/// point at pass 1's record.
+#[test]
+fn copies_share_their_contents_record() {
+    let (mut shared, mut inherited) = (0, 0);
+    for w in parallax_corpus::all() {
+        for mode in fig5_modes() {
+            let module = (w.module)();
+            let prog = compile_module(&module).expect("corpus compiles");
+            let images = scanned_images(prog, w.verify_func, &module, mode.clone());
+            for pair in images.chunks_exact(2) {
+                let (img1, img2) = (&pair[0], &pair[1]);
+                for jobs in [1, 2] {
+                    let label = format!("{} {mode:?} jobs={jobs}", w.name);
+                    let (first, _, _, memo) = find_gadgets_reusing(img1, jobs, None);
+                    let (second, _, _) = find_gadgets_instrumented(img2, jobs, Some(memo));
+                    let (pass1, s1) = records_by_content(img1, &first, &label);
+                    let (pass2, s2) = records_by_content(img2, &second, &label);
+                    shared += s1 + s2;
+                    let cands1 = candidates(img1);
+                    for (content, after) in &pass2 {
+                        let Some(before) = pass1.get(content) else {
+                            continue;
+                        };
+                        let (strayed, independent) = probed_alone(img1, &cands1, before);
+                        if independent && !strayed {
+                            assert!(
+                                Arc::ptr_eq(&before.record, &after.record),
+                                "{label}: pass 2 copied {} instead of sharing pass 1's record",
+                                after.disasm
+                            );
+                            inherited += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(shared > 0 && inherited > 0, "({shared}, {inherited})");
 }
 
 /// `main` exits, then `gadget` is emitted twice: right after the exit

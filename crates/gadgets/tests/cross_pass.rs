@@ -211,9 +211,9 @@ fn large_fixpoints_carry_only_verdicts_a_fresh_probe_repeats_more_seeds() {
 }
 
 /// `main` as a lone `cmp eax, [ecx+disp]; ret` and a 4-byte data item;
-/// returns the gadget's proposal, the image, and the image relinked
+/// returns the gadget's candidate, the image, and the image relinked
 /// with the data grown by a page.
-fn cmp_fixture(disp: i32) -> (parallax_gadgets::Proposal, LinkedImage, LinkedImage) {
+fn cmp_fixture(disp: i32) -> (Candidate, LinkedImage, LinkedImage) {
     let mut prog = Program::new();
     let mut main = Asm::new();
     main.alu_rm(AluOp::Cmp, Reg32::Eax, Mem::base_disp(Reg32::Ecx, disp));
@@ -229,7 +229,7 @@ fn cmp_fixture(disp: i32) -> (parallax_gadgets::Proposal, LinkedImage, LinkedIma
         .into_iter()
         .find(|c| c.disasm().starts_with("cmp eax,"))
         .expect("cmp gadget scanned");
-    (classify(&cand).expect("classified"), img1, img2)
+    (cand, img1, img2)
 }
 
 /// Pass 1 on `img1`, then pass 2 on `img2` with pass 1's memo; returns
@@ -337,7 +337,8 @@ fn protected_images_carry_their_standard_pivots_into_pass_two() {
 /// the data size. The rescan serves the pass-1 verdict from the memo.
 #[test]
 fn scratch_verdicts_ignore_the_heap_base() {
-    let (p, img1, img2) = cmp_fixture(-0x3000);
+    let (cand, img1, img2) = cmp_fixture(-0x3000);
+    let p = classify(&cand).expect("classified");
     assert!(p.layout_independent());
     assert_ne!(
         ProbeVm::new(&img1).heap_base(),
@@ -367,7 +368,8 @@ fn accesses_below_the_stack_region_are_probed_again() {
         probe.heap_base() + parallax_vm::HEAP_SIZE
     };
     let disp = heap_end.wrapping_sub(scratch_pointer(Reg32::Ecx)) as i32;
-    let (p, img1, img2) = cmp_fixture(disp);
+    let (cand, img1, img2) = cmp_fixture(disp);
+    let p = classify(&cand).expect("classified");
     assert_eq!(img1.text.len(), probe_img.text.len());
     assert!(!p.layout_independent());
     let before = ProbeVm::new(&img1).validate(&p);
@@ -391,7 +393,8 @@ fn accesses_below_the_stack_region_are_probed_again() {
 /// direction.
 #[test]
 fn a_generated_heap_edge_verdict_flips_and_is_not_carried() {
-    let (p, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
+    let (cand, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
+    let p = classify(&cand).expect("classified");
     let mut probe = ProbeVm::new(&gap);
     assert!(probe.validate(&p).is_none());
     assert_eq!(
@@ -410,7 +413,8 @@ fn a_generated_heap_edge_verdict_flips_and_is_not_carried() {
 /// every `int 0x80` would carry the first verdict into the second.
 #[test]
 fn a_generated_syscall_write_verdict_flips_and_is_not_carried() {
-    let (p, gap, heap) = generated_heap_edge_write(LARGE_SEEDS[0]);
+    let (cand, gap, heap) = generated_heap_edge_write(LARGE_SEEDS[0]);
+    let p = classify(&cand).expect("classified");
     assert_eq!(p.syscall_eax, SyscallEax::Fixed(4));
     let mut probe = ProbeVm::new(&gap);
     assert!(probe.validate(&p).is_none());

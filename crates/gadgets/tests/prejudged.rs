@@ -75,7 +75,7 @@ fn assert_prejudged_sound(img: &LinkedImage, label: &str) -> Checked {
         if matches!(p.syscall_eax, SyscallEax::Fixed(nr) if !is_defined(nr)) {
             checked.syscalls += 1;
         }
-        if p.cand.insns.iter().any(mul_of_memory) {
+        if p.cand.insns().iter().copied().any(mul_of_memory) {
             checked.muls += 1;
         }
     }
@@ -111,7 +111,8 @@ fn prejudged_proposals_fail_the_oracle_across_corpus_and_modes() {
 /// candidate of the generated programs alone sits.
 #[test]
 fn prejudged_proposals_fail_the_oracle_at_the_heap_edge() {
-    let (p, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
+    let (cand, gap, heap) = generated_heap_edge(LARGE_SEEDS[0]);
+    let p = classify(&cand).expect("classified");
     assert!(assert_prejudged_sound(&gap, "gap").all > 0);
     assert_prejudged_sound(&heap, "heap");
     let mem = |img| Vm::with_options(img, VmOptions::default()).mem().clone();
@@ -124,7 +125,8 @@ fn prejudged_proposals_fail_the_oracle_at_the_heap_edge() {
 /// the heap covers the byte.
 #[test]
 fn a_syscall_write_at_the_heap_edge_is_probed() {
-    let (p, gap, heap) = generated_heap_edge_write(LARGE_SEEDS[0]);
+    let (cand, gap, heap) = generated_heap_edge_write(LARGE_SEEDS[0]);
+    let p = classify(&cand).expect("classified");
     let mem = |img| Vm::with_options(img, VmOptions::default()).mem().clone();
     assert!(!prejudged(&mem(&gap), &p) && !prejudged(&mem(&heap), &p));
     let mut vm = Vm::with_options(&heap, VmOptions::default());

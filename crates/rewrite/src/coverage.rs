@@ -111,7 +111,7 @@ fn planted_gadget_span(table: &DecodeTable, ret_at: usize, work: &mut Work) -> (
     for start in ret_at.saturating_sub(MAX_GADGET_BYTES)..ret_at {
         work.walks += 1;
         if let Some(cand) = table.planted_candidate(0, start, ret_at) {
-            if classify(&cand).is_some() {
+            if classify(cand).is_some() {
                 return (start, ret_at + 1);
             }
         }
@@ -169,9 +169,9 @@ fn measure(
     let mut near: HashSet<u32> = HashSet::new();
     let mut far: HashSet<u32> = HashSet::new();
 
-    let (cands, _) = table.scan(img.text_base);
+    let (cands, _) = table.candidates(img.text_base);
     for cand in cands {
-        if classify(&cand).is_none() {
+        if classify(cand).is_none() {
             continue;
         }
         let set = if cand.far { &mut far } else { &mut near };

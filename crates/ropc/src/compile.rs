@@ -308,7 +308,7 @@ impl<'a> Ctx<'a> {
         live: &[Reg32],
     ) -> Result<(), ChainError> {
         let idx = self.select(key, live)?;
-        let g = self.map.get(idx).clone();
+        let g = self.map.get(idx);
 
         // Preparatory scratch loads for preconditions on registers
         // whose pre-state the chain has not established. The prep
@@ -323,7 +323,7 @@ impl<'a> Ctx<'a> {
         for p in extra {
             let prep_live = live.to_vec();
             let prep_idx = self.select_inner(TypeKey::LoadConst(p), &prep_live, true)?;
-            let pg = self.map.get(prep_idx).clone();
+            let pg = self.map.get(prep_idx);
             self.push_gadget_word(pg.vaddr);
             let vslot = match self.map.effect_of(prep_idx, TypeKey::LoadConst(p)) {
                 Some(Effect::LoadConst { slot, .. }) => *slot,
@@ -756,7 +756,7 @@ impl<'a> Ctx<'a> {
         // A pivot gadget's single slot carries the new esp; the pivot
         // must be clean (no scratch preconditions can be prepped here).
         let idx = self.select_inner(TypeKey::PopEsp, &[EAX, ECX], true)?;
-        let g = self.map.get(idx).clone();
+        let g = self.map.get(idx);
         self.push_gadget_word(g.vaddr);
         // Pivot gadgets are pop esp; ret shaped: every slot must be the
         // new esp (only slot 0 is actually consumed for 1-slot pivots).
@@ -777,7 +777,7 @@ impl<'a> Ctx<'a> {
             let Some(idx) = self.map.index_of_vaddr(va) else {
                 continue;
             };
-            let g = self.map.get(idx).clone();
+            let g = self.map.get(idx);
             // Pivots, esp arithmetic, and syscalls cannot run blindly.
             let unsafe_effect = g
                 .effects
@@ -802,7 +802,7 @@ impl<'a> Ctx<'a> {
             }
             for r in addr_regs {
                 let prep_idx = self.select_inner(TypeKey::LoadConst(r), &[], true)?;
-                let pg = self.map.get(prep_idx).clone();
+                let pg = self.map.get(prep_idx);
                 self.push_gadget_word(pg.vaddr);
                 let vslot = match self.map.effect_of(prep_idx, TypeKey::LoadConst(r)) {
                     Some(Effect::LoadConst { slot, .. }) => *slot,
@@ -839,7 +839,7 @@ impl<'a> Ctx<'a> {
         self.flush_far()?;
         let delta_slot = {
             let idx = self.select_inner(TypeKey::LoadConst(EAX), &[], true)?;
-            let g = self.map.get(idx).clone();
+            let g = self.map.get(idx);
             self.push_gadget_word(g.vaddr);
             let value_slot = match self.map.effect_of(idx, TypeKey::LoadConst(EAX)) {
                 Some(Effect::LoadConst { slot, .. }) => *slot,
@@ -862,7 +862,7 @@ impl<'a> Ctx<'a> {
         };
         // add esp, eax
         let idx = self.select(TypeKey::AddEsp(EAX), &[EAX])?;
-        let g = self.map.get(idx).clone();
+        let g = self.map.get(idx);
         self.push_gadget_word(g.vaddr);
         for _ in 0..g.slots {
             self.chain.push(Word::Junk);
@@ -882,7 +882,7 @@ impl<'a> Ctx<'a> {
         // eax = mask & delta
         let delta_slot = {
             let idx = self.select_inner(TypeKey::LoadConst(ECX), &[EAX], true)?;
-            let g = self.map.get(idx).clone();
+            let g = self.map.get(idx);
             self.push_gadget_word(g.vaddr);
             let value_slot = match self.map.effect_of(idx, TypeKey::LoadConst(ECX)) {
                 Some(Effect::LoadConst { slot, .. }) => *slot,
@@ -907,7 +907,7 @@ impl<'a> Ctx<'a> {
         self.flush_far()?;
         // add esp, eax
         let idx = self.select(TypeKey::AddEsp(EAX), &[EAX])?;
-        let g = self.map.get(idx).clone();
+        let g = self.map.get(idx);
         self.push_gadget_word(g.vaddr);
         for _ in 0..g.slots {
             self.chain.push(Word::Junk);

@@ -8,23 +8,27 @@
 
 use parallax_compiler::ir::build::*;
 use parallax_compiler::Function;
-use parallax_gadgets::{Effect, GBinOp, Gadget, GadgetMap};
+use std::sync::Arc;
+
+use parallax_gadgets::{Effect, GBinOp, Gadget, GadgetMap, GadgetRecord};
 use parallax_image::LinkedImage;
 use parallax_ropc::{compile_chain, install_runtime, ChainError, Policy, Word};
 use parallax_x86::Reg32;
 
 fn gadget(vaddr: u32, slots: u32, effects: Vec<Effect>, clobbers: Vec<Reg32>) -> Gadget {
-    Gadget {
+    Gadget::new(
         vaddr,
-        len: 2,
-        far: false,
-        slots,
-        effects,
-        clobbers,
-        mem_preconditions: vec![],
-        disasm: format!("fab@{vaddr:#x}"),
-        insn_count: 2,
-    }
+        GadgetRecord {
+            len: 2,
+            far: false,
+            slots,
+            effects,
+            clobbers,
+            mem_preconditions: vec![],
+            disasm: format!("fab@{vaddr:#x}"),
+            insn_count: 2,
+        },
+    )
 }
 
 /// A minimal runtime-bearing image (the chain compiler needs the cell
@@ -286,9 +290,9 @@ fn far_gadgets_get_cs_slots_and_pivots_stay_near() {
         }],
         vec![],
     );
-    far_add.far = true;
+    Arc::make_mut(&mut far_add.record).far = true;
     let mut far_pivot = gadget(0x402, 0, vec![Effect::PopEsp], vec![]);
-    far_pivot.far = true;
+    Arc::make_mut(&mut far_pivot.record).far = true;
     let mut gs = full_map(vec![far_add, far_pivot]).gadgets().to_vec();
     gs.retain(|g| g.vaddr != 0x108); // remove the near add
     let map = GadgetMap::new(gs);

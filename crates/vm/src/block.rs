@@ -55,6 +55,8 @@ pub struct BlockStats {
     pub misses: u64,
     /// Blocks evicted because a code write overlapped their span.
     pub invalidated: u64,
+    /// Instructions predecoded into the blocks the misses built.
+    pub decoded: u64,
 }
 
 /// Pre-extracted micro-op for the hottest instruction forms. `Slow`
@@ -504,6 +506,7 @@ impl BlockCache {
 
     pub fn insert(&mut self, block: Rc<Block>) {
         self.stats.misses += 1;
+        self.stats.decoded += block.ops.len() as u64;
         self.max_span = self.max_span.max(block.end.saturating_sub(block.entry));
         let slot = (block.entry & self.mask) as usize;
         self.slots[slot] = Some(block);

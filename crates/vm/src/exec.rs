@@ -325,18 +325,19 @@ impl Vm {
         }
     }
 
-    /// Looks up (or predecodes) the block entered at `eip`. Entries
-    /// whose blocks keep getting invalidated (self-modifying hot
-    /// spots) are rebuilt one instruction at a time so repeated
-    /// patches don't pay a full predecode per iteration.
-    fn block_at(&mut self, eip: u32) -> Result<Rc<Block>, Fault> {
+    /// Looks up the block entered at `eip`, or predecodes one of at
+    /// most `max_insns` instructions. Entries whose blocks keep getting
+    /// invalidated (self-modifying hot spots) are rebuilt one
+    /// instruction at a time so repeated patches don't pay a full
+    /// predecode per iteration.
+    fn block_at(&mut self, eip: u32, max_insns: usize) -> Result<Rc<Block>, Fault> {
         if let Some(b) = self.blocks.lookup(eip) {
             return Ok(b);
         }
         let cap = if self.blocks.thrashing(eip) {
             1
         } else {
-            MAX_BLOCK_INSNS
+            max_insns
         };
         let b = Rc::new(build_block(
             &self.mem,
@@ -371,7 +372,7 @@ impl Vm {
         if let Some(f) = self.blocks.fused_at(self.cpu.eip) {
             return self.exec_fused(f);
         }
-        let block = match self.block_at(self.cpu.eip) {
+        let block = match self.block_at(self.cpu.eip, MAX_BLOCK_INSNS) {
             Ok(b) => b,
             Err(f) => return Some(Exit::Fault(f)),
         };
@@ -592,10 +593,12 @@ impl Vm {
     /// Executes one instruction. `Ok(Some(status))` means the program
     /// invoked `exit`. Served from the block-translation cache, so
     /// single-stepping (probe VMs, `--trace`) shares the predecoded
-    /// blocks with [`Vm::run`].
+    /// blocks with [`Vm::run`]. On a miss it predecodes only the
+    /// instruction it runs: a step entering a gadget at each of its
+    /// instructions in turn decodes each once, not each tail again.
     pub fn step(&mut self) -> Result<Option<i32>, Fault> {
         self.sync_code_writes();
-        let block = self.block_at(self.cpu.eip)?;
+        let block = self.block_at(self.cpu.eip, 1)?;
         let op = block.ops[0];
         self.instructions += 1;
         let (cost, exited) = match op.fast {

@@ -291,3 +291,41 @@ fn self_modifying_code_via_write_code_between_calls() {
         assert_eq!(vm.call_function(fv, &[]), Ok(round * 11));
     }
 }
+
+/// A step predecodes only the instruction it runs. Stepping through a
+/// k-instruction gadget from its first instruction enters a block at
+/// each of its instructions; predecoding each entry up to the `ret`
+/// would decode k(k+1)/2 instructions, one per entry decodes k.
+#[test]
+fn stepping_a_gadget_decodes_each_instruction_once() {
+    let mut g = Asm::new();
+    g.pop_r(Reg32::Eax);
+    g.pop_r(Reg32::Ecx);
+    g.alu_rr(AluOp::Add, Reg32::Eax, Reg32::Ecx);
+    g.pop_r(Reg32::Edx);
+    g.ret();
+    let k = 5;
+    let mut main = Asm::new();
+    emit_exit(&mut main, 0);
+    let img = link(
+        vec![("main", main.finish().unwrap()), ("g", g.finish().unwrap())],
+        "main",
+    );
+    let mut vm = Vm::new(&img);
+    let esp = vm.cpu.reg(Reg32::Esp);
+    for (i, v) in [3u32, 4, 9, 0].into_iter().enumerate() {
+        vm.mem_mut()
+            .write32(esp + 4 * i as u32, v)
+            .expect("stack is mapped");
+    }
+    vm.cpu.eip = func_vaddr(&img, "g");
+    for _ in 0..k {
+        assert_eq!(vm.step(), Ok(None));
+    }
+    assert_eq!(
+        (vm.cpu.reg(Reg32::Eax), vm.cpu.reg(Reg32::Edx), vm.cpu.eip),
+        (7, 9, 0)
+    );
+    let stats = vm.block_stats();
+    assert_eq!((stats.misses, stats.decoded), (k, k), "{stats:?}");
+}
