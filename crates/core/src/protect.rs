@@ -984,11 +984,14 @@ fn scan_gadgets(
                 };
                 if let Some(t) = ctx.tracer {
                     // Cache hits never report: no decoding happened.
-                    // `once` counts decodes performed, `reused` those
-                    // carried over from the previous pass, `skipped`
-                    // the offsets no walk reached.
+                    // `shape` counts shape decodes of the offsets the
+                    // scan reached, `reused` the shapes carried over
+                    // from the previous pass, `skipped` the offsets no
+                    // candidate can start at; `once` counts the full
+                    // decodes of candidate-path offsets.
                     t.count("scan.decode.offsets", stats.offsets);
                     t.count("scan.decode.once", stats.decoded);
+                    t.count("scan.decode.shape", stats.shapes);
                     t.count("scan.decode.reused", stats.reused);
                     t.count("scan.decode.skipped", stats.skipped);
                     t.count("scan.decode.memo_hit", stats.memo_hits);

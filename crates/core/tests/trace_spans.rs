@@ -172,6 +172,7 @@ fn fresh_scans_count_decode_work() {
     for name in [
         "scan.decode.offsets",
         "scan.decode.once",
+        "scan.decode.shape",
         "scan.decode.skipped",
         "scan.decode.memo_hit",
     ] {
@@ -179,6 +180,9 @@ fn fresh_scans_count_decode_work() {
     }
     assert!(tf.counters["scan.decode.offsets"] >= 1);
     assert!(tf.counters["scan.decode.once"] >= 1);
+    // Only candidate paths are decoded in full, and each of their
+    // offsets is one the scan reached.
+    assert!(tf.counters["scan.decode.once"] < tf.counters["scan.decode.shape"]);
 }
 
 /// Pass 2 rescans pass 1's text incrementally: most decodes and some
@@ -196,10 +200,12 @@ fn second_pass_reuses_decodes_and_verdicts() {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
     assert!(get("scan.decode.reused") > 0);
     assert!(get("vm.probe.reused") > 0);
+    // Shape slots: each offset is read, carried over or skipped.
     assert_eq!(
-        get("scan.decode.once") + get("scan.decode.reused") + get("scan.decode.skipped"),
+        get("scan.decode.shape") + get("scan.decode.reused") + get("scan.decode.skipped"),
         get("scan.decode.offsets")
     );
+    assert!(get("scan.decode.once") <= get("scan.decode.shape"));
     // Offsets count both passes: pass 2 reuses most of its half.
     assert!(get("scan.decode.reused") > get("scan.decode.offsets") / 4);
 }

@@ -7,10 +7,14 @@
 //! candidates longer than six instructions are discarded, as are
 //! sequences containing control flow before the final return.
 //!
-//! Walks read a [`DecodeTable`]: each text offset a walk reaches is
-//! decoded once, and offsets more than [`MAX_GADGET_BYTES`] before
-//! every return are never decoded. A rescan
-//! of a text that differs in a few bytes takes the previous table and
+//! The scan reads a [`DecodeTable`]. Each text offset at most
+//! [`MAX_GADGET_BYTES`] before a return gets one cheap shape decode
+//! (the bytes it reads, whether it decodes, whether it may sit inside a
+//! gadget, whether it is a plain return); one right-to-left pass links
+//! each of those offsets to the return its instruction chain lands on;
+//! and only the offsets on a candidate's path are decoded in full.
+//! Offsets farther from every return are never decoded. A rescan of a
+//! text that differs in a few bytes takes the previous table and
 //! decodes again only the slots whose own bytes changed (DESIGN.md §17,
 //! §20). The naive decode-per-walk-step scanner is kept, behind the
 //! `oracle` feature, as `scan_reference`: a differential oracle proving
@@ -18,10 +22,11 @@
 
 use std::cell::{Cell, OnceCell};
 use std::fmt;
+use std::ops::Range;
 use std::sync::LazyLock;
 
 use parallax_x86::insn::{Insn, Mnemonic};
-use parallax_x86::{decode_read, Operand};
+use parallax_x86::{decode, decode_read, decode_shape, Operand};
 
 /// Maximum gadget length in instructions, including the return
 /// (the paper limits considered gadgets to six instructions).
@@ -51,9 +56,9 @@ impl Candidate {
 }
 
 /// A candidate whose instructions are borrowed: from the slots of the
-/// [`DecodeTable`] its walk read, or from an owned [`Candidate`]. A
-/// gadget pass classifies and probes these, so no candidate copies its
-/// instructions.
+/// [`DecodeTable`] its path runs through, or from an owned
+/// [`Candidate`]. A gadget pass classifies and probes these, so no
+/// candidate copies its instructions.
 #[derive(Clone, Copy)]
 pub struct CandidateRef<'a> {
     /// Virtual address of the first instruction.
@@ -123,10 +128,11 @@ impl fmt::Debug for CandidateRef<'_> {
     }
 }
 
-/// True if `insn` may appear *before* the final return of a gadget.
-fn allowed_interior(insn: &Insn) -> bool {
+/// True if an instruction of mnemonic `mn` may appear *before* the
+/// final return of a gadget.
+fn allowed_interior(mn: Mnemonic) -> bool {
     !matches!(
-        insn.mnemonic,
+        mn,
         Mnemonic::Jmp
             | Mnemonic::JmpInd
             | Mnemonic::Jcc(_)
@@ -139,6 +145,7 @@ fn allowed_interior(insn: &Insn) -> bool {
     )
 }
 
+#[cfg(feature = "oracle")]
 fn is_plain_ret(insn: &Insn) -> Option<bool> {
     match insn.mnemonic {
         // `ret imm16` releases caller stack; unusable for chains.
@@ -149,27 +156,33 @@ fn is_plain_ret(insn: &Insn) -> Option<bool> {
 }
 
 /// Statistics from one scan pass, exported as `scan.decode.*` trace
-/// counters. `decoded + reused + skipped == offsets`: the walks from a
-/// return read every offset up to [`MAX_GADGET_BYTES`] before it, each
-/// read slot is decoded at most once, and no other offset is decoded.
+/// counters. `shapes + reused + skipped == offsets`: the scan reads the
+/// shape of every offset up to [`MAX_GADGET_BYTES`] before a return,
+/// fills each shape slot at most once, and reads no other offset. Full
+/// decodes are made only on candidate paths, at most once per table,
+/// so `decoded <= shapes + reused`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Text offsets considered (one potential decode start per byte).
     pub offsets: u64,
-    /// `decode()` invocations performed: one per offset a walk reached
-    /// whose slot was still empty.
+    /// Full decodes ([`decode_read`]) performed: one per offset on a
+    /// candidate's path whose instruction the table did not hold yet.
     pub decoded: u64,
-    /// Offsets a walk reached whose decode was already in the table:
+    /// Shape decodes ([`decode_shape`]) performed: one per offset the
+    /// scan reached whose shape slot was still empty.
+    pub shapes: u64,
+    /// Offsets the scan reached whose shape was already in the table:
     /// carried over from the previous pass, or filled by an earlier
     /// read of the same table.
     pub reused: u64,
-    /// Offsets no walk reached: more than [`MAX_GADGET_BYTES`] before
-    /// every return. They are never decoded.
+    /// Offsets the scan did not reach: more than [`MAX_GADGET_BYTES`]
+    /// before every return. They are never decoded.
     pub skipped: u64,
-    /// Successor-table lookups served from the memo during candidate
-    /// walks; under the naive scanner each would have been a decode.
+    /// Link and assembly steps served from the table: one per reached
+    /// offset whose link is read off its successor's, and one per
+    /// instruction of each candidate emitted.
     pub memo_hits: u64,
-    /// `ret`/`retf` opcode bytes anchoring backward walks.
+    /// `ret`/`retf` opcode bytes anchoring candidates.
     pub rets: u64,
     /// Candidates emitted.
     pub candidates: u64,
@@ -180,57 +193,201 @@ pub struct ScanStats {
 /// `c - 14 ..= c`.
 const DECODE_WINDOW: usize = 15;
 
-/// One memoized decode: everything a candidate walk needs to know
-/// about the instruction starting at this offset.
-pub(crate) struct Slot {
-    insn: Option<Insn>,
-    /// The bytes the decode read ([`decode_read`]): the instruction's
-    /// length, or for a failed decode the bytes read before the error.
-    /// The decode depends on these bytes and no others.
-    len: u8,
-    interior_ok: bool,
+/// The shape of the decode at one text offset, in one byte: the bytes
+/// it read ([`decode_shape`]) in the low nibble, 0 while the slot is
+/// empty, and above them whether it decodes, whether it may sit inside
+/// a gadget, and whether it is a plain `ret` or `retf`. The decode
+/// depends on the bytes it read and no others.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct Shape(u8);
+
+impl Shape {
+    const EMPTY: Shape = Shape(0);
+    const DECODES: u8 = 0x10;
+    const INTERIOR: u8 = 0x20;
+    const RET: u8 = 0x40;
+    const FAR: u8 = 0x80;
+
+    /// The shape of the decode of `bytes`, which are not empty.
+    fn of(bytes: &[u8]) -> Shape {
+        let (mnemonic, read) = decode_shape(bytes);
+        debug_assert!((1..=DECODE_WINDOW).contains(&read));
+        let mut bits = read as u8;
+        if let Ok(mn) = mnemonic {
+            bits |= Shape::DECODES;
+            if allowed_interior(mn) {
+                bits |= Shape::INTERIOR;
+            }
+        }
+        // A plain return is its opcode byte alone: `c3` and `cb` always
+        // decode, to a `ret` or `retf` without an immediate.
+        match bytes[0] {
+            0xc3 => bits |= Shape::RET,
+            0xcb => bits |= Shape::RET | Shape::FAR,
+            _ => {}
+        }
+        Shape(bits)
+    }
+
+    fn is_filled(self) -> bool {
+        self != Shape::EMPTY
+    }
+
+    /// The bytes the decode read: the instruction's length, or for a
+    /// failed decode the bytes read before the error.
+    fn len(self) -> usize {
+        usize::from(self.0 & 0xf)
+    }
+
+    fn decodes(self) -> bool {
+        self.0 & Shape::DECODES != 0
+    }
+
+    /// Decodes to an instruction that may sit before a gadget's return.
+    fn interior(self) -> bool {
+        self.0 & Shape::INTERIOR != 0
+    }
+
     /// `Some(far)` when this decode is a bare `ret`/`retf`.
-    ret: Option<bool>,
-}
-
-/// The slots of a [`DecodeTable`], kept between passes.
-pub(crate) type Slots = Vec<OnceCell<Slot>>;
-
-fn decode_slot(bytes: &[u8]) -> Slot {
-    let (insn, read) = decode_read(bytes);
-    Slot {
-        len: read as u8,
-        interior_ok: insn.as_ref().is_ok_and(allowed_interior),
-        ret: insn.as_ref().ok().and_then(is_plain_ret),
-        insn: insn.ok(),
+    fn ret(self) -> Option<bool> {
+        (self.0 & Shape::RET != 0).then_some(self.0 & Shape::FAR != 0)
     }
 }
 
-/// The slot a planted bare near `ret` decodes to.
-static BARE_RET: LazyLock<Slot> = LazyLock::new(|| decode_slot(&[0xc3]));
+/// Where an offset's instruction chain lands, in one byte: the distance
+/// to the plain return it reaches and the instructions on the way, the
+/// return included, or none when the chain fails, meets another control
+/// transfer first, or lands too far away to form a candidate.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Link(u8);
 
-/// The decodes of one text, filled lazily: a slot is decoded the first
-/// time something reads it, and is read from the table ever after.
+impl Link {
+    const NONE: Link = Link(0);
+    /// A plain return lands on itself in one instruction.
+    const RET: Link = Link(1 << 5);
+
+    /// The link of an interior instruction `len` bytes long whose
+    /// successor has this link.
+    fn behind(self, len: usize) -> Link {
+        let (dist, count) = (self.dist() + len, self.count() + 1);
+        if self == Link::NONE || dist > MAX_GADGET_BYTES || count > MAX_GADGET_INSNS {
+            return Link::NONE;
+        }
+        Link(dist as u8 | (count as u8) << 5)
+    }
+
+    /// Bytes from the offset to its landing return.
+    fn dist(self) -> usize {
+        usize::from(self.0 & 0x1f)
+    }
+
+    /// Instructions from the offset to its landing return, inclusive.
+    fn count(self) -> usize {
+        usize::from(self.0 >> 5)
+    }
+}
+
+/// Instructions per block of the [`Slots`] arena.
+const BLOCK: usize = 256;
+
+/// The slots of a [`DecodeTable`], kept between passes: a shape per
+/// text offset, and beside it the full instructions materialised so
+/// far. Those live in an append-only arena of fixed-size blocks, so an
+/// instruction never moves while the table is borrowed, and an offset
+/// without one costs its 4-byte index.
+pub(crate) struct Slots {
+    shapes: Vec<Cell<Shape>>,
+    /// Per offset, 1 + the arena index of its instruction, or 0.
+    index: Vec<Cell<u32>>,
+    blocks: Vec<OnceCell<Box<[OnceCell<Insn>]>>>,
+    /// Arena entries handed out so far.
+    used: Cell<usize>,
+}
+
+impl Slots {
+    fn new(len: usize) -> Slots {
+        let mut slots = Slots {
+            shapes: vec![Cell::new(Shape::EMPTY); len],
+            index: vec![Cell::new(0); len],
+            blocks: Vec::new(),
+            used: Cell::new(0),
+        };
+        slots.reserve();
+        slots
+    }
+
+    /// Makes room for one more instruction per text offset: a table
+    /// materialises each offset's at most once.
+    fn reserve(&mut self) {
+        let entries = self.used.get() + self.shapes.len();
+        self.blocks
+            .resize_with(entries.div_ceil(BLOCK), OnceCell::new);
+    }
+
+    /// The instruction materialised for text offset `i`, if any.
+    fn get(&self, i: usize) -> Option<&Insn> {
+        let k = self.index[i].get().checked_sub(1)? as usize;
+        self.blocks[k / BLOCK].get()?[k % BLOCK].get()
+    }
+
+    /// Stores `insn` as the instruction of text offset `i`, which has
+    /// none.
+    fn put(&self, i: usize, insn: Insn) -> &Insn {
+        let k = self.used.get();
+        self.used.set(k + 1);
+        self.index[i].set(k as u32 + 1);
+        let block =
+            self.blocks[k / BLOCK].get_or_init(|| (0..BLOCK).map(|_| OnceCell::new()).collect());
+        block[k % BLOCK].get_or_init(|| insn)
+    }
+
+    /// Empties the slot of text offset `i`: its shape, and its
+    /// instruction if it has one.
+    fn clear(&mut self, i: usize) {
+        self.shapes[i].set(Shape::EMPTY);
+        let Some(k) = self.index[i].replace(0).checked_sub(1) else {
+            return;
+        };
+        let k = k as usize;
+        if let Some(block) = self.blocks[k / BLOCK].get_mut() {
+            block[k % BLOCK].take();
+        }
+    }
+}
+
+/// The instruction a planted bare near `ret` decodes to.
+static BARE_RET: LazyLock<Insn> = LazyLock::new(|| decode(&[0xc3]).expect("`c3` decodes to `ret`"));
+
+/// The decodes of one text, filled lazily at two levels: an offset's
+/// shape the first time something reads it, and its full instruction
+/// the first time a candidate path or [`DecodeTable::insn`] needs it.
+/// Both are read from the table ever after.
 ///
 /// The x86 decoder reads an instruction's bytes in order and no
 /// further, so a decode that succeeds at `i` depends only on the `len`
 /// bytes `text[i..i + len]`, and one that fails only on the bytes it
-/// read before the error, which its slot records. That read extent is
+/// read before the error, which its shape records. That read extent is
 /// what lets a rescan keep every slot whose own bytes did not change,
 /// and a planted-return walk use the decodes of the unmodified text
 /// (DESIGN.md §20).
 pub struct DecodeTable<'t> {
     text: &'t [u8],
     slots: Slots,
+    shapes: Cell<u64>,
     decodes: Cell<u64>,
 }
 
 impl<'t> DecodeTable<'t> {
     /// An empty table over `text`: nothing is decoded yet.
     pub fn new(text: &'t [u8]) -> DecodeTable<'t> {
+        DecodeTable::with_slots(text, Slots::new(text.len()))
+    }
+
+    fn with_slots(text: &'t [u8], slots: Slots) -> DecodeTable<'t> {
         DecodeTable {
             text,
-            slots: (0..text.len()).map(|_| OnceCell::new()).collect(),
+            slots,
+            shapes: Cell::new(0),
             decodes: Cell::new(0),
         }
     }
@@ -241,23 +398,21 @@ impl<'t> DecodeTable<'t> {
     /// another length is ignored.
     pub(crate) fn reusing(text: &'t [u8], prev: Option<(&[u8], Slots)>) -> DecodeTable<'t> {
         let Some((old, mut slots)) =
-            prev.filter(|(old, slots)| old.len() == text.len() && slots.len() == text.len())
+            prev.filter(|(old, slots)| old.len() == text.len() && slots.shapes.len() == text.len())
         else {
             return DecodeTable::new(text);
         };
         for c in (0..text.len()).filter(|&c| old[c] != text[c]) {
             let lo = c.saturating_sub(DECODE_WINDOW - 1);
-            for (i, slot) in (lo..).zip(&mut slots[lo..=c]) {
-                if slot.get().is_some_and(|s| i + usize::from(s.len) > c) {
-                    slot.take();
+            for i in lo..=c {
+                let shape = slots.shapes[i].get();
+                if shape.is_filled() && i + shape.len() > c {
+                    slots.clear(i);
                 }
             }
         }
-        DecodeTable {
-            text,
-            slots,
-            decodes: Cell::new(0),
-        }
+        slots.reserve();
+        DecodeTable::with_slots(text, slots)
     }
 
     /// The table's slots, for a later [`DecodeTable::reusing`].
@@ -265,20 +420,36 @@ impl<'t> DecodeTable<'t> {
         self.slots
     }
 
-    fn slot(&self, i: usize) -> &Slot {
-        self.slots[i].get_or_init(|| {
-            self.decodes.set(self.decodes.get() + 1);
-            decode_slot(&self.text[i..])
-        })
+    /// The shape at text offset `i`, decoded on first read.
+    fn shape(&self, i: usize) -> Shape {
+        let cell = &self.slots.shapes[i];
+        if !cell.get().is_filled() {
+            self.shapes.set(self.shapes.get() + 1);
+            cell.set(Shape::of(&self.text[i..]));
+        }
+        cell.get()
+    }
+
+    /// The full instruction at text offset `i`, whose shape decodes,
+    /// decoded on first need.
+    fn full(&self, i: usize) -> &Insn {
+        if let Some(insn) = self.slots.get(i) {
+            return insn;
+        }
+        self.decodes.set(self.decodes.get() + 1);
+        let (insn, read) = decode_read(&self.text[i..]);
+        debug_assert_eq!(read, self.shape(i).len());
+        let insn = insn.expect("an offset whose shape decodes decodes");
+        self.slots.put(i, insn)
     }
 
     /// The instruction at text offset `i`, decoded on first read;
     /// `None` when the bytes there do not decode.
     pub fn insn(&self, i: usize) -> Option<&Insn> {
-        self.slot(i).insn.as_ref()
+        self.shape(i).decodes().then(|| self.full(i))
     }
 
-    /// `decode()` calls this table has made so far.
+    /// Full decodes this table has made so far.
     pub fn decodes(&self) -> u64 {
         self.decodes.get()
     }
@@ -294,7 +465,7 @@ impl<'t> DecodeTable<'t> {
     /// [`DecodeTable::scan`] with each candidate's instructions borrowed
     /// from the table.
     pub fn candidates(&self, base: u32) -> (Vec<CandidateRef<'_>>, ScanStats) {
-        let before = self.decodes.get();
+        let (shapes, decodes) = (self.shapes.get(), self.decodes.get());
         let mut stats = ScanStats {
             offsets: self.text.len() as u64,
             ..ScanStats::default()
@@ -306,39 +477,63 @@ impl<'t> DecodeTable<'t> {
                 .filter(|&(_, &b)| b == 0xc3 || b == 0xcb)
                 .map(|(i, _)| i)
         };
-        // Every walk reads its start first, so the walks from a return
-        // at `i` read exactly `i - MAX_GADGET_BYTES ..= i`. Those slots
-        // are filled first, in one forward sweep apart from the walks:
-        // decodes interleaved with walks measured slower on text dense
-        // in returns.
-        let (mut reached, mut reached_end) = (0, 0);
+        // A candidate starts at most MAX_GADGET_BYTES before its return,
+        // and every instruction on its path starts between the two, so
+        // the scan reads the offsets `i - MAX_GADGET_BYTES ..= i` of each
+        // return `i`: a few disjoint ranges, their shapes filled in one
+        // forward sweep.
+        let mut reached: Vec<Range<usize>> = Vec::new();
         for i in rets() {
-            for k in i.saturating_sub(MAX_GADGET_BYTES).max(reached_end)..=i {
-                self.slot(k);
-                reached += 1;
+            let lo = i.saturating_sub(MAX_GADGET_BYTES);
+            match reached.last_mut() {
+                Some(last) if last.end >= lo => last.end = i + 1,
+                _ => reached.push(lo..i + 1),
             }
-            reached_end = i + 1;
         }
-        let at = |pos| self.slot(pos);
+        for i in reached.iter().cloned().flatten() {
+            self.shape(i);
+        }
+        // Landing links, right to left: an offset lands where its
+        // successor lands, one instruction and `len` bytes further back.
+        // A walk from `start` to a return `i` succeeds exactly when
+        // `start`'s chain lands on `i`: it fails at the first offset
+        // that does not decode or is a control transfer, plain returns
+        // included, and at one that would step over `i`.
+        let mut links = vec![Link::NONE; self.text.len()];
+        for i in reached.iter().rev().flat_map(|r| r.clone().rev()) {
+            let shape = self.shape(i);
+            links[i] = if shape.ret().is_some() {
+                Link::RET
+            } else if shape.interior() {
+                stats.memo_hits += 1;
+                links
+                    .get(i + shape.len())
+                    .map_or(Link::NONE, |next| next.behind(shape.len()))
+            } else {
+                Link::NONE
+            };
+        }
         let mut out = Vec::new();
         for i in rets() {
             stats.rets += 1;
-            // Candidate starts: walk back, resolving each step from the
-            // table instead of re-decoding.
-            for back in 1..=MAX_GADGET_BYTES.min(i) {
-                if let Some(c) = Self::walk(base, i - back, i, at, &mut stats.memo_hits) {
-                    out.push(c);
-                }
-            }
-            // The bare return itself is also a (trivial) candidate, useful
-            // as a chain NOP.
-            if let Some(c) = Self::walk(base, i, i, at, &mut stats.memo_hits) {
-                out.push(c);
+            let (ret, far) = (self.full(i), self.shape(i).ret() == Some(true));
+            // Candidate starts in the walk order: 1 to MAX_GADGET_BYTES
+            // bytes back, then the bare return itself (a trivial
+            // candidate, useful as a chain NOP).
+            let starts = (1..=MAX_GADGET_BYTES.min(i))
+                .map(|back| (i - back, links[i - back]))
+                .filter(|&(start, link)| link != Link::NONE && start + link.dist() == i)
+                .chain([(i, Link::RET)]);
+            for (start, link) in starts {
+                out.push(self.assemble(base, start, link.count(), ret, far));
+                stats.memo_hits += link.count() as u64;
             }
         }
-        stats.decoded = self.decodes.get() - before;
-        stats.reused = reached - stats.decoded;
-        stats.skipped = stats.offsets - reached;
+        stats.shapes = self.shapes.get() - shapes;
+        stats.decoded = self.decodes.get() - decodes;
+        let reached: usize = reached.iter().map(ExactSizeIterator::len).sum();
+        stats.reused = reached as u64 - stats.shapes;
+        stats.skipped = stats.offsets - reached as u64;
         stats.candidates = out.len() as u64;
         (out, stats)
     }
@@ -355,60 +550,42 @@ impl<'t> DecodeTable<'t> {
         start: usize,
         ret_at: usize,
     ) -> Option<CandidateRef<'_>> {
-        let at = |pos| {
-            if pos == ret_at {
-                &*BARE_RET
-            } else {
-                self.slot(pos)
+        let (mut pos, mut n) = (start, 1);
+        while pos < ret_at {
+            let shape = self.shape(pos);
+            if !shape.interior() || n == MAX_GADGET_INSNS {
+                return None;
             }
-        };
-        Self::walk(base, start, ret_at, at, &mut 0)
+            pos += shape.len();
+            n += 1;
+        }
+        (pos == ret_at).then(|| self.assemble(base, start, n, &BARE_RET, false))
     }
 
-    /// One candidate walk from `start` to the return at `ret_at`, with
-    /// the reference scanner's rejection rules and candidate shape,
-    /// reading each step's slot from `at`. The candidate borrows its
-    /// instructions from the slots the walk read.
-    fn walk<'s>(
+    /// The candidate of the `n` instructions from `start` whose last is
+    /// `ret`, the return its chain lands on: the first `n - 1` are
+    /// materialised from the table, and the candidate borrows them.
+    fn assemble<'a>(
+        &'a self,
         base: u32,
         start: usize,
-        ret_at: usize,
-        at: impl Fn(usize) -> &'s Slot,
-        steps: &mut u64,
-    ) -> Option<CandidateRef<'s>> {
-        let mut path: [Option<&'s Insn>; MAX_GADGET_INSNS] = [None; MAX_GADGET_INSNS];
-        let mut n = 0;
+        n: usize,
+        ret: &'a Insn,
+        far: bool,
+    ) -> CandidateRef<'a> {
+        let mut insns = [ret; MAX_GADGET_INSNS];
         let mut pos = start;
-        while pos <= ret_at {
-            *steps += 1;
-            let slot = at(pos);
-            let insn = slot.insn.as_ref()?;
-            if n == MAX_GADGET_INSNS {
-                return None;
-            }
-            path[n] = Some(insn);
-            n += 1;
-            if pos == ret_at {
-                let far = slot.ret?;
-                return Some(CandidateRef {
-                    vaddr: base + start as u32,
-                    len: (ret_at + 1 - start) as u32,
-                    far,
-                    insns: path.map(|i| i.unwrap_or(insn)),
-                    n: n as u8,
-                });
-            }
-            if !slot.interior_ok {
-                return None;
-            }
-            // The sequence must land exactly on the return byte.
-            let next = pos + slot.len as usize;
-            if next > ret_at {
-                return None;
-            }
-            pos = next;
+        for insn in &mut insns[..n - 1] {
+            *insn = self.full(pos);
+            pos += self.shape(pos).len();
         }
-        None
+        CandidateRef {
+            vaddr: base + start as u32,
+            len: (pos + 1 - start) as u32,
+            far,
+            insns,
+            n: n as u8,
+        }
     }
 }
 
@@ -472,7 +649,7 @@ fn try_sequence(text: &[u8], base: u32, start: usize, ret_at: usize) -> Option<C
                 far,
             });
         }
-        if !allowed_interior(&insn) || insns.len() + 1 > MAX_GADGET_INSNS {
+        if !allowed_interior(insn.mnemonic) || insns.len() + 1 > MAX_GADGET_INSNS {
             return None;
         }
         // The sequence must land exactly on the return byte.
@@ -494,6 +671,8 @@ pub fn has_syscall(insns: &[Insn]) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     /// [`scan_with_stats`] over a table that reuses `prev`, also
@@ -559,9 +738,39 @@ mod tests {
         assert!(cands.iter().any(|c| c.far && c.insns.len() == 2));
     }
 
+    /// The distinct text offsets on the candidates' paths: each
+    /// candidate's start and the start of every later instruction.
+    fn path_offsets(cands: &[Candidate], base: u32) -> BTreeSet<usize> {
+        let mut out = BTreeSet::new();
+        for c in cands {
+            let mut pos = (c.vaddr - base) as usize;
+            for insn in &c.insns {
+                out.insert(pos);
+                pos += usize::from(insn.len);
+            }
+        }
+        out
+    }
+
+    /// The full decodes a rescan of `new` over the table of a scan of
+    /// `old` must make: the offsets on `new`'s candidate paths that were
+    /// not on `old`'s, or whose decode read a byte that changed.
+    fn stale_path_offsets(old: &[u8], new: &[u8], base: u32) -> u64 {
+        let held = path_offsets(&scan_reference(old, base), base);
+        let stale = |i: usize| {
+            let read = decode_read(&old[i..]).1;
+            old[i..i + read] != new[i..i + read]
+        };
+        path_offsets(&scan_reference(new, base), base)
+            .into_iter()
+            .filter(|&i| !held.contains(&i) || stale(i))
+            .count() as u64
+    }
+
     /// The memoized scanner must emit the reference scanner's stream
-    /// exactly — same candidates, same order.
-    fn assert_equivalent(text: &[u8], base: u32, decoded: u64) {
+    /// exactly — same candidates, same order — with one shape decode per
+    /// offset it reaches and one full decode per candidate-path offset.
+    fn assert_equivalent(text: &[u8], base: u32, reached_offsets: u64) {
         let (memo, stats) = scan_with_stats(text, base);
         let naive = scan_reference(text, base);
         assert_eq!(memo.len(), naive.len());
@@ -572,19 +781,24 @@ mod tests {
             assert_eq!(m.insns, n.insns);
         }
         assert_eq!(
-            stats.decoded, decoded,
-            "one decode per offset a walk reaches"
+            stats.shapes, reached_offsets,
+            "one shape decode per offset the scan reaches"
         );
-        assert_eq!(decoded, reached(text));
+        assert_eq!(reached_offsets, reached(text));
         assert_eq!(
             (stats.reused, stats.skipped),
-            (0, text.len() as u64 - decoded)
+            (0, text.len() as u64 - reached_offsets)
+        );
+        assert_eq!(
+            stats.decoded,
+            path_offsets(&memo, base).len() as u64,
+            "one full decode per candidate-path offset"
         );
         assert_eq!(stats.candidates, memo.len() as u64);
     }
 
     /// Offsets at most [`MAX_GADGET_BYTES`] before a return byte — the
-    /// ones a walk reads — counted without a table.
+    /// ones the scan reads — counted without a table.
     fn reached(text: &[u8]) -> u64 {
         (0..text.len())
             .filter(|&i| {
@@ -637,6 +851,7 @@ mod tests {
         let (cands, stats, _) = scan_reusing(&new, 0x1000, Some((&old, table)));
         let fresh = scan_reference(&new, 0x1000);
         assert_eq!(format!("{cands:?}"), format!("{fresh:?}"));
+        assert_eq!(stats.decoded, stale_path_offsets(&old, &new, 0x1000));
         // Both passes reach the same 500 offsets: no change makes or
         // removes a return. 18 of them lie within 14 bytes before a
         // change (14..=17 and 1988..=2001), and 3 of those decodes read
@@ -648,13 +863,14 @@ mod tests {
         // each read only its own opcode byte, which did not change; the
         // 1-byte decode at 16 ends before byte 17, and the longest other
         // decode, 1992's 5-byte `call`, ends at 1996.
-        assert_eq!((stats.decoded, stats.reused, stats.skipped), (3, 497, 3596));
-        assert_eq!(stats.decoded + stats.reused + stats.skipped, stats.offsets);
+        assert_eq!((stats.shapes, stats.reused, stats.skipped), (3, 497, 3596));
+        assert_eq!(stats.shapes + stats.reused + stats.skipped, stats.offsets);
         // A table for another length is ignored: every reached offset
         // of the shorter text is decoded afresh.
         let (_, _, table) = scan_reusing(&old, 0x1000, None);
-        let (_, stats, _) = scan_reusing(&new[1..], 0x1000, Some((&old, table)));
-        assert_eq!((stats.decoded, stats.reused, stats.skipped), (500, 0, 3595));
+        let (cands, stats, _) = scan_reusing(&new[1..], 0x1000, Some((&old, table)));
+        assert_eq!((stats.shapes, stats.reused, stats.skipped), (500, 0, 3595));
+        assert_eq!(stats.decoded, path_offsets(&cands, 0x1000).len() as u64);
     }
 
     /// A slot is stale exactly when a changed byte lies inside the
@@ -673,7 +889,11 @@ mod tests {
         );
         // Stale: the 5-byte mov at 0 and the 2-byte adds at 3 and 4,
         // which read byte 4. The adds at 1 and 2 end before it.
-        assert_eq!((stats.decoded, stats.reused, stats.skipped), (3, 3, 0));
+        assert_eq!((stats.shapes, stats.reused, stats.skipped), (3, 3, 0));
+        // Both passes' candidate paths start at 0, 1, 3 and 5: only the
+        // stale 0 and 3 are decoded in full again.
+        assert_eq!(stats.decoded, 2);
+        assert_eq!(stats.decoded, stale_path_offsets(&old, &new, 0x1000));
     }
 
     #[test]

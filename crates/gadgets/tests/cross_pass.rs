@@ -6,7 +6,7 @@
 
 mod common;
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -20,12 +20,43 @@ use parallax_gadgets::{
     classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm, Proposal,
 };
 use parallax_image::{LinkedImage, Program};
-use parallax_x86::{AluOp, Asm, Mem, Reg32};
+use parallax_x86::{decode_read, AluOp, Asm, Mem, Reg32};
 
 use common::{
     fixpoint_pairs, generated_heap_edge, generated_heap_edge_write, large_module, shifted_pair,
     LARGE_SEEDS, MORE_LARGE_SEEDS,
 };
+
+/// The distinct text offsets on the candidates' paths: each
+/// candidate's start and the start of every later instruction.
+fn path_offsets(img: &LinkedImage) -> BTreeSet<usize> {
+    let mut out = BTreeSet::new();
+    for c in scan(&img.text, img.text_base) {
+        let mut pos = (c.vaddr - img.text_base) as usize;
+        for insn in &c.insns {
+            out.insert(pos);
+            pos += usize::from(insn.len);
+        }
+    }
+    out
+}
+
+/// The full decodes a pass 2 over `img2` with pass 1's memo must make:
+/// the offsets on its candidate paths whose instruction pass 1 never
+/// materialised (they were on no pass-1 path) or whose decode read a
+/// byte that changed.
+fn stale_path_offsets(img1: &LinkedImage, img2: &LinkedImage) -> u64 {
+    let held = path_offsets(img1);
+    let (old, new) = (&img1.text, &img2.text);
+    let stale = |i: usize| {
+        let read = decode_read(&old[i..]).1;
+        old[i..i + read] != new[i..i + read]
+    };
+    path_offsets(img2)
+        .into_iter()
+        .filter(|&i| !held.contains(&i) || stale(i))
+        .count() as u64
+}
 
 /// Pass 2 with pass 1's memo equals a fresh pass 2. Returns how many
 /// verdicts were reused.
@@ -36,15 +67,27 @@ fn assert_rescan_matches_fresh(img1: &LinkedImage, img2: &LinkedImage, label: &s
     assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{label}");
     assert_eq!(stats.candidates, fresh_stats.candidates, "{label}");
     assert_eq!(
-        stats.decoded + stats.reused + stats.skipped,
+        stats.shapes + stats.reused + stats.skipped,
         stats.offsets,
         "{label}"
     );
     assert_eq!(
-        (stats.reused + stats.decoded, stats.skipped),
-        (fresh_stats.decoded, fresh_stats.skipped),
-        "{label}: a rescan reaches the offsets a fresh scan decodes"
+        (stats.reused + stats.shapes, stats.skipped),
+        (fresh_stats.shapes, fresh_stats.skipped),
+        "{label}: a rescan reaches the offsets a fresh scan reaches"
     );
+    assert_eq!(
+        fresh_stats.decoded,
+        path_offsets(img2).len() as u64,
+        "{label}: a fresh scan decodes its candidate paths in full"
+    );
+    if img1.text_base == img2.text_base && img1.text.len() == img2.text.len() {
+        assert_eq!(
+            stats.decoded,
+            stale_path_offsets(img1, img2),
+            "{label}: a rescan decodes in full only stale or new path offsets"
+        );
+    }
     vstats.reused
 }
 
@@ -486,7 +529,7 @@ fn memo_for_another_text_falls_back_to_a_full_scan() {
         let (_, _, _, memo) = find_gadgets_reusing(&img1, 1, None);
         let (gadgets, stats, vstats, _) = find_gadgets_reusing(img, 1, Some(memo));
         assert_eq!((stats.reused, vstats.reused), (0, 0), "{label}");
-        assert_eq!(stats.decoded + stats.skipped, stats.offsets, "{label}");
+        assert_eq!(stats.shapes + stats.skipped, stats.offsets, "{label}");
         let (fresh, _, _) = find_gadgets_instrumented(img, 1, None);
         assert_eq!(format!("{gadgets:?}"), format!("{fresh:?}"), "{label}");
     }

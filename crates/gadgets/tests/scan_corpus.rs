@@ -1,8 +1,11 @@
 //! Corpus-level guarantees for the table-driven scanner: every text
-//! offset a walk reaches is decoded exactly once and no other offset is
-//! decoded (asserted via the `ScanStats` counters behind
+//! offset the scan reaches gets exactly one shape decode, every offset
+//! on a candidate's path exactly one full decode, and no other offset
+//! is decoded (asserted via the `ScanStats` counters behind
 //! `scan.decode.*`), and the candidate stream — and therefore
 //! `find_gadgets` — is identical to the retained reference scanner.
+
+use std::collections::BTreeSet;
 
 use parallax_compiler::compile_module;
 use parallax_gadgets::scan::{scan_reference, scan_with_stats};
@@ -42,17 +45,34 @@ fn largest_corpus_binary_decodes_each_offset_at_most_once() {
         })
         .count() as u64;
     assert_eq!(
-        stats.decoded, reached,
-        "{name}: exactly one decode per offset a walk reaches"
+        stats.shapes, reached,
+        "{name}: exactly one shape decode per offset the scan reaches"
     );
     assert_eq!(stats.reused, 0, "{name}: a fresh table reuses nothing");
-    assert_eq!(stats.decoded + stats.skipped, stats.offsets, "{name}");
-    // The memo absorbs the walks the naive scanner would have decoded:
-    // every walk step is a table hit, and there are far more of them
-    // than decodes once rets are dense.
+    assert_eq!(stats.shapes + stats.skipped, stats.offsets, "{name}");
+    // Full decodes: exactly the offsets on a candidate's path.
+    let mut paths = BTreeSet::new();
+    for c in &cands {
+        let mut pos = (c.vaddr - img.text_base) as usize;
+        for insn in &c.insns {
+            paths.insert(pos);
+            pos += usize::from(insn.len);
+        }
+    }
+    assert_eq!(
+        stats.decoded,
+        paths.len() as u64,
+        "{name}: exactly one full decode per candidate-path offset"
+    );
+    assert!(stats.decoded < stats.shapes, "{name}");
+    // The links and the candidates' assembly are served from the table:
+    // one link step per reached interior offset, one assembly step per
+    // candidate instruction.
+    let insns: u64 = cands.iter().map(|c| c.insns.len() as u64).sum();
     assert!(
-        stats.memo_hits > 0,
-        "{name}: candidate walks served from the memo"
+        (insns..=insns + reached).contains(&stats.memo_hits),
+        "{name}: {} table steps",
+        stats.memo_hits
     );
     assert_eq!(stats.candidates, cands.len() as u64);
     assert!(stats.rets > 0, "{name}: corpus text contains rets");

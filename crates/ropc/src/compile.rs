@@ -160,17 +160,35 @@ impl<'a> Ctx<'a> {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    /// Registers that hold a *chain-controlled pointer* when a gadget
-    /// for `key` executes: only the address operand of the memory
-    /// effects qualifies. A memory precondition on such a register is
+    /// The register that holds a *chain-controlled pointer* when a
+    /// gadget for `key` executes: only the address operand of the memory
+    /// effects qualifies. A memory precondition on that register is
     /// satisfied by construction; a precondition on any other register
     /// (an arbitrary value, or a yet-unwritten destination) needs a
     /// preparatory scratch load first.
-    fn pre_set_regs(key: TypeKey) -> Vec<Reg32> {
+    fn pre_set_reg(key: TypeKey) -> Option<Reg32> {
         match key {
-            TypeKey::LoadMem(_, a) | TypeKey::StoreMem(a, _) | TypeKey::AddMem(a, _) => vec![a],
-            _ => vec![],
+            TypeKey::LoadMem(_, a) | TypeKey::StoreMem(a, _) | TypeKey::AddMem(a, _) => Some(a),
+            _ => None,
         }
+    }
+
+    /// Whether gadget `i` overlaps a range [`Policy::PreferOverlapping`]
+    /// protects.
+    fn overlaps_protected(&self, i: usize) -> bool {
+        let g = self.map.get(i);
+        (self.overlap_index.as_ref()).is_some_and(|set| set.overlaps(g.vaddr, g.end()))
+    }
+
+    /// The chain shape of gadget `i` used for `key`: its slot count,
+    /// whether it is far, and the slot a `LoadConst` reads its value from.
+    fn chain_shape(&self, i: usize, key: TypeKey) -> (u32, bool, u32) {
+        let g = self.map.get(i);
+        let slot = match self.map.effect_of(i, key) {
+            Some(Effect::LoadConst { slot, .. }) => *slot,
+            _ => 0,
+        };
+        (g.slots, g.far, slot)
     }
 
     /// Selects a gadget for `key` whose side effects are compatible
@@ -188,7 +206,7 @@ impl<'a> Ctx<'a> {
         live: &[Reg32],
         clean_only: bool,
     ) -> Result<usize, ChainError> {
-        let operand_regs = Self::pre_set_regs(key);
+        let operand_reg = Self::pre_set_reg(key);
         let shape_stable = matches!(self.policy, Policy::Grouped { .. });
         let eligible: Vec<usize> = self
             .map
@@ -226,18 +244,14 @@ impl<'a> Ctx<'a> {
                 // Preconditions outside the operand registers need prep
                 // loads; those regs must be dead, and in shape-stable
                 // mode we forbid prep entirely.
-                let extra: Vec<_> = g
+                let mut extra = g
                     .mem_preconditions
                     .iter()
-                    .filter(|p| !operand_regs.contains(p))
-                    .collect();
-                if (shape_stable || clean_only) && !extra.is_empty() {
-                    return false;
+                    .filter(|&&p| Some(p) != operand_reg);
+                if shape_stable || clean_only {
+                    return extra.next().is_none();
                 }
-                if extra.iter().any(|p| live.contains(p)) {
-                    return false;
-                }
-                true
+                !extra.any(|p| live.contains(p))
             })
             .collect();
         if eligible.is_empty() {
@@ -246,54 +260,55 @@ impl<'a> Ctx<'a> {
 
         let choice = match &self.policy {
             Policy::First => eligible[0],
-            Policy::PreferOverlapping { ranges, .. } => {
-                let index = &self.overlap_index;
-                let preferred: Vec<usize> = eligible
+            Policy::PreferOverlapping { .. } => {
+                // The pool is the overlapping eligible gadgets, in
+                // eligible order, or every eligible one when none
+                // overlaps; the draw picks its n-th member.
+                let preferred = eligible
                     .iter()
-                    .copied()
-                    .filter(|&i| {
-                        let g = self.map.get(i);
-                        match index {
-                            Some(set) => set.overlaps(g.vaddr, g.end()),
-                            None => ranges.iter().any(|&(s, e)| g.overlaps(s, e)),
-                        }
-                    })
-                    .collect();
-                let pool = if preferred.is_empty() {
+                    .filter(|&&i| self.overlaps_protected(i))
+                    .count();
+                if preferred == 0 {
                     self.picks_other += 1;
-                    &eligible
+                    eligible[(self.rand() as usize) % eligible.len()]
                 } else {
                     self.picks_overlapping += 1;
-                    &preferred
-                };
-                pool[(self.rand() as usize) % pool.len()]
+                    let n = (self.rand() as usize) % preferred;
+                    let mut pool = eligible
+                        .iter()
+                        .copied()
+                        .filter(|&i| self.overlaps_protected(i));
+                    pool.nth(n).expect("n < preferred")
+                }
             }
             Policy::Grouped { .. } => {
-                // Group by chain shape; pick the largest group, then a
-                // random member.
-                use std::collections::HashMap;
-                let mut groups: HashMap<(u32, bool, u32), Vec<usize>> = HashMap::new();
+                // Group by chain shape; pick the largest group, the
+                // smallest shape among the largest, then a random member
+                // in eligible order.
+                let mut groups: Vec<((u32, bool, u32), usize)> = Vec::new();
                 for &i in &eligible {
-                    let g = self.map.get(i);
-                    let slot = match self.map.effect_of(i, key) {
-                        Some(Effect::LoadConst { slot, .. }) => *slot,
-                        _ => 0,
-                    };
-                    groups.entry((g.slots, g.far, slot)).or_default().push(i);
-                }
-                type GroupEntry<'g> = (&'g (u32, bool, u32), &'g Vec<usize>);
-                let mut best: Option<GroupEntry<'_>> = None;
-                for (k, v) in &groups {
-                    let replace = match best {
-                        None => true,
-                        Some((bk, bv)) => v.len() > bv.len() || (v.len() == bv.len() && k < bk),
-                    };
-                    if replace {
-                        best = Some((k, v));
+                    let shape = self.chain_shape(i, key);
+                    match groups.iter_mut().find(|(k, _)| *k == shape) {
+                        Some((_, members)) => *members += 1,
+                        None => groups.push((shape, 1)),
                     }
                 }
-                let pool = best.expect("eligible non-empty").1;
-                pool[(self.rand() as usize) % pool.len()]
+                let (shape, members) = groups
+                    .into_iter()
+                    .reduce(|best, g| {
+                        if g.1 > best.1 || (g.1 == best.1 && g.0 < best.0) {
+                            g
+                        } else {
+                            best
+                        }
+                    })
+                    .expect("eligible non-empty");
+                let n = (self.rand() as usize) % members;
+                let mut pool = eligible
+                    .iter()
+                    .copied()
+                    .filter(|&i| self.chain_shape(i, key) == shape);
+                pool.nth(n).expect("n < members")
             }
         };
         Ok(choice)
@@ -313,12 +328,12 @@ impl<'a> Ctx<'a> {
         // Preparatory scratch loads for preconditions on registers
         // whose pre-state the chain has not established. The prep
         // itself must use clean gadgets (no further preconditions).
-        let pre_set = Self::pre_set_regs(key);
+        let pre_set = Self::pre_set_reg(key);
         let extra: Vec<Reg32> = g
             .mem_preconditions
             .iter()
             .copied()
-            .filter(|p| !pre_set.contains(p))
+            .filter(|&p| Some(p) != pre_set)
             .collect();
         for p in extra {
             let prep_live = live.to_vec();

@@ -7,8 +7,8 @@
 //!
 //! Threading model (all `std`, no runtime):
 //!
-//! * the **accept loop** (the thread inside [`Server::run`]) polls a
-//!   non-blocking listener and spawns one thread per connection;
+//! * the **accept loop** (the thread inside [`Server::run`]) blocks in
+//!   `accept` and spawns one thread per connection;
 //! * **connection threads** frame and decode requests, answer
 //!   status/report inline, and push protect/verify work through the
 //!   [`AdmissionQueue`] — refusals are answered immediately with a
@@ -18,17 +18,18 @@
 //!   thread is waiting on.
 //!
 //! Graceful drain: a shutdown request (or [`ServerHandle::shutdown`])
-//! stops the accept loop, flips the queue into draining — queued and
-//! in-flight jobs complete and are answered, new submissions are
-//! refused with [`ShedReason::Shutdown`], also on connections still in
-//! the listener's backlog — and `run` returns once the queue is idle.
-//! Admitted work is never dropped.
+//! stops the accept loop, waking its blocked `accept` with a connection
+//! of its own that is neither served nor counted. It flips the queue
+//! into draining — queued and in-flight jobs complete and are answered,
+//! new submissions are refused with [`ShedReason::Shutdown`], also on
+//! connections still in the listener's backlog — and `run` returns once
+//! the queue is idle. Admitted work is never dropped.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use parallax_compiler::parse_module;
@@ -160,13 +161,56 @@ struct Shared {
     tracer: Arc<Tracer>,
     flight: FlightRecorder,
     shutdown: AtomicBool,
+    /// The listener's address, which a shutdown connects to.
+    local_addr: SocketAddr,
+    /// The local address of the connection that woke the accept loop
+    /// for shutdown; locked from before the flag is set until it is
+    /// known.
+    waker: Mutex<Option<SocketAddr>>,
     started: Instant,
     next_id: AtomicU64,
-    conns: AtomicUsize,
+    /// Connection threads still running, and their last one's signal.
+    conns: Mutex<usize>,
+    conns_idle: Condvar,
     requests: AtomicU64,
 }
 
+/// Locks `m`, also after a panic on another thread while holding it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl Shared {
+    /// Requests a graceful drain: stops the accept loop, and refuses
+    /// new submissions while admitted work completes. The accept loop
+    /// blocks in `accept`, so this wakes it with a connection of its own,
+    /// whose address it records for the loop to drop the connection
+    /// uncounted. A second request does nothing.
+    fn request_shutdown(&self) {
+        let mut waker = lock(&self.waker);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.queue.drain();
+        let mut addr = self.local_addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // Without the wake-up the loop leaves `accept` at its next
+        // connection; a listener that is gone needs none.
+        *waker = TcpStream::connect_timeout(&addr, Duration::from_secs(1))
+            .and_then(|s| s.local_addr())
+            .ok();
+    }
+
+    /// Whether the connection from `peer` is the shutdown's wake-up.
+    fn is_waker(&self, peer: SocketAddr) -> bool {
+        self.shutdown.load(Ordering::SeqCst) && *lock(&self.waker) == Some(peer)
+    }
+
     /// Counts one refused job in the `serve.shed.<reason>` namespace.
     fn count_shed(&self, reason: ShedReason) {
         self.tracer.count(&format!("serve.shed.{reason}"), 1);
@@ -388,8 +432,7 @@ impl ServerHandle {
     /// Requests a graceful drain: stop accepting, finish admitted
     /// work, then return from [`Server::run`].
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.drain();
+        self.shared.request_shutdown();
     }
 
     /// Whether shutdown has been requested.
@@ -411,7 +454,6 @@ impl Server {
     pub fn bind(opts: ServeOptions) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let engine = Engine::new(EngineOptions {
             workers: 1, // each request is one job; parallelism comes from the worker pool
             cache_capacity: opts.cache_capacity,
@@ -427,9 +469,12 @@ impl Server {
             tracer: Arc::new(Tracer::new()),
             flight: FlightRecorder::new(opts.flight.clone()),
             shutdown: AtomicBool::new(false),
+            local_addr,
+            waker: Mutex::new(None),
             started: Instant::now(),
             next_id: AtomicU64::new(0),
-            conns: AtomicUsize::new(0),
+            conns: Mutex::new(0),
+            conns_idle: Condvar::new(),
             requests: AtomicU64::new(0),
             opts,
         });
@@ -472,10 +517,8 @@ impl Server {
 
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
-                Ok((stream, _peer)) => self.serve_conn(stream),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+                Ok((stream, peer)) => self.admit(stream, peer),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -486,8 +529,9 @@ impl Server {
         // accepted yet still gets an answer: accept the backlog once.
         // The queue is draining, so its jobs get the typed `Shutdown`
         // refusal rather than a reset socket.
-        while let Ok((stream, _peer)) = self.listener.accept() {
-            self.serve_conn(stream);
+        self.listener.set_nonblocking(true)?;
+        while let Ok((stream, peer)) = self.listener.accept() {
+            self.admit(stream, peer);
         }
         self.shared.queue.await_idle();
         for w in workers {
@@ -496,9 +540,17 @@ impl Server {
         // Give connection threads a bounded window to flush their last
         // responses; they die with the process either way.
         let deadline = Instant::now() + self.shared.opts.read_timeout + Duration::from_secs(1);
-        while self.shared.conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        let mut conns = lock(&self.shared.conns);
+        while *conns > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            conns = (self.shared.conns_idle.wait_timeout(conns, left))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
+        drop(conns);
 
         let (admitted, shed) = self.shared.admission_totals();
         Ok(ServeSummary {
@@ -510,16 +562,24 @@ impl Server {
         })
     }
 
-    /// Serves one accepted connection on its own thread.
-    fn serve_conn(&self, stream: TcpStream) {
+    /// Serves one accepted connection from `peer` on its own thread,
+    /// unless it is the shutdown's wake-up, which is dropped uncounted.
+    fn admit(&self, stream: TcpStream, peer: SocketAddr) {
+        if self.shared.is_waker(peer) {
+            return;
+        }
         self.shared.tracer.count("serve.conn.accepted", 1);
-        self.shared.conns.fetch_add(1, Ordering::SeqCst);
+        *lock(&self.shared.conns) += 1;
         let shared = Arc::clone(&self.shared);
         let _ = std::thread::Builder::new()
             .name("plx-serve-conn".to_string())
             .spawn(move || {
                 handle_conn(&shared, stream);
-                shared.conns.fetch_sub(1, Ordering::SeqCst);
+                let mut conns = lock(&shared.conns);
+                *conns -= 1;
+                if *conns == 0 {
+                    shared.conns_idle.notify_all();
+                }
             });
     }
 }
@@ -736,8 +796,7 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream) {
             Request::Status => shared.status_response(),
             Request::Report => shared.report_response(),
             Request::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.queue.drain();
+                shared.request_shutdown();
                 Response::ShuttingDown
             }
             Request::Protect { .. } | Request::Verify { .. } => {

@@ -180,6 +180,32 @@ fn backlogged_connection_is_refused_typed_at_drain() {
     assert_eq!((summary.admitted, summary.shed), (0, 1));
 }
 
+/// The accept loop blocks in `accept`: `shutdown()` wakes a server
+/// that has no client with a connection of its own, `run` returns, and
+/// the wake-up is neither served nor counted as a connection.
+#[test]
+fn shutdown_wakes_an_idle_server_and_the_wake_up_is_not_counted() {
+    let server = Server::bind(ServeOptions::default()).expect("bind loopback");
+    let (handle, tracer) = (server.handle(), server.tracer());
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let t = std::thread::spawn(move || {
+        let summary = server.run().expect("server runs");
+        let _ = done_tx.send(());
+        summary
+    });
+    // Give `run` time to block in `accept`.
+    std::thread::sleep(Duration::from_millis(100));
+    handle.shutdown();
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("run returns after shutdown");
+    let summary = t.join().expect("no panic");
+    assert_eq!(
+        (summary.requests, summary.admitted, summary.shed),
+        (0, 0, 0)
+    );
+    assert_eq!(tracer.counter("serve.conn.accepted"), 0);
+}
+
 #[test]
 fn overload_sheds_typed_and_never_drops_admitted_jobs() {
     // One worker, a one-slot queue, and a burst of concurrent distinct

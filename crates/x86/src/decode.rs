@@ -51,11 +51,29 @@ pub type Result<T> = core::result::Result<T, DecodeError>;
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Whether the decode builds operands. A shape decode
+    /// ([`decode_shape`]) reads the same bytes in the same order and
+    /// leaves every [`Insn::ops`] empty.
+    operands: bool,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
+    fn new(bytes: &'a [u8], operands: bool) -> Cursor<'a> {
+        Cursor {
+            bytes,
+            pos: 0,
+            operands,
+        }
+    }
+
+    /// The operand list of the instruction being decoded: `ops`, or an
+    /// empty list, which allocates nothing, under a shape decode.
+    fn ops<const N: usize>(&self, ops: [Operand; N]) -> Vec<Operand> {
+        if self.operands {
+            Vec::from(ops)
+        } else {
+            Vec::new()
+        }
     }
 
     fn u8(&mut self) -> Result<u8> {
@@ -224,9 +242,20 @@ pub fn decode(bytes: &[u8]) -> Result<Insn> {
 /// The decoder reads bytes in order through one cursor and looks at
 /// nothing else, so the outcome depends on exactly those bytes.
 pub fn decode_read(bytes: &[u8]) -> (Result<Insn>, usize) {
-    let mut cur = Cursor::new(bytes);
+    let mut cur = Cursor::new(bytes, true);
     let insn = decode_insn(&mut cur);
     (insn, cur.pos)
+}
+
+/// The shape of the decode [`decode_read`] makes of `bytes`: its
+/// mnemonic or error, and how many bytes it read, without building
+/// operands. It runs the same decoder body, reading the same bytes in
+/// the same order, so both always agree; only the operand list is
+/// skipped, and with it every allocation.
+pub fn decode_shape(bytes: &[u8]) -> (Result<Mnemonic>, usize) {
+    let mut cur = Cursor::new(bytes, false);
+    let mnemonic = decode_insn(&mut cur).map(|insn| insn.mnemonic);
+    (mnemonic, cur.pos)
 }
 
 fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
@@ -247,25 +276,25 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0x40..=0x47 => Ok(fixed(
             cur,
             Mnemonic::Inc,
-            vec![reg_op(OpSize::Dword, opcode - 0x40)],
+            cur.ops([reg_op(OpSize::Dword, opcode - 0x40)]),
             OpSize::Dword,
         )),
         0x48..=0x4f => Ok(fixed(
             cur,
             Mnemonic::Dec,
-            vec![reg_op(OpSize::Dword, opcode - 0x48)],
+            cur.ops([reg_op(OpSize::Dword, opcode - 0x48)]),
             OpSize::Dword,
         )),
         0x50..=0x57 => Ok(fixed(
             cur,
             Mnemonic::Push,
-            vec![reg_op(OpSize::Dword, opcode - 0x50)],
+            cur.ops([reg_op(OpSize::Dword, opcode - 0x50)]),
             OpSize::Dword,
         )),
         0x58..=0x5f => Ok(fixed(
             cur,
             Mnemonic::Pop,
-            vec![reg_op(OpSize::Dword, opcode - 0x58)],
+            cur.ops([reg_op(OpSize::Dword, opcode - 0x58)]),
             OpSize::Dword,
         )),
         0x60 => Ok(fixed(cur, Mnemonic::Pushad, vec![], OpSize::Dword)),
@@ -273,7 +302,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0x68 => {
             let off = cur.pos as u8;
             let imm = cur.i32()? as i64;
-            let mut i = fixed(cur, Mnemonic::Push, vec![Operand::Imm(imm)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Push,
+                cur.ops([Operand::Imm(imm)]),
+                OpSize::Dword,
+            );
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -293,7 +327,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Imul,
-                vec![dst, rm.op, Operand::Imm(imm)],
+                cur.ops([dst, rm.op, Operand::Imm(imm)]),
                 OpSize::Dword,
             );
             i.disp_loc = rm.disp_loc;
@@ -303,7 +337,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0x6a => {
             let off = cur.pos as u8;
             let imm = cur.i8()? as i64;
-            let mut i = fixed(cur, Mnemonic::Push, vec![Operand::Imm(imm)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Push,
+                cur.ops([Operand::Imm(imm)]),
+                OpSize::Dword,
+            );
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 1,
@@ -317,7 +356,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Jcc(cond),
-                vec![Operand::Rel(rel)],
+                cur.ops([Operand::Rel(rel)]),
                 OpSize::Dword,
             );
             i.rel_loc = Some(FieldLoc {
@@ -343,7 +382,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Alu(alu),
-                vec![rm.op, Operand::Imm(imm)],
+                cur.ops([rm.op, Operand::Imm(imm)]),
                 size,
             );
             i.disp_loc = rm.disp_loc;
@@ -358,7 +397,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             };
             let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
-            let mut i = fixed(cur, Mnemonic::Test, vec![rm.op, reg], size);
+            let mut i = fixed(cur, Mnemonic::Test, cur.ops([rm.op, reg]), size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -370,7 +409,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             };
             let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
-            let mut i = fixed(cur, Mnemonic::Xchg, vec![rm.op, reg], size);
+            let mut i = fixed(cur, Mnemonic::Xchg, cur.ops([rm.op, reg]), size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -383,9 +422,9 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
             let ops = if opcode < 0x8a {
-                vec![rm.op, reg] // mov rm, r
+                cur.ops([rm.op, reg]) // mov rm, r
             } else {
-                vec![reg, rm.op] // mov r, rm
+                cur.ops([reg, rm.op]) // mov r, rm
             };
             let mut i = fixed(cur, Mnemonic::Mov, ops, size);
             i.disp_loc = rm.disp_loc;
@@ -398,7 +437,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
                 return Err(DecodeError::InvalidOpcode(opcode));
             }
             let dst = reg_op(OpSize::Dword, rm.reg);
-            let mut i = fixed(cur, Mnemonic::Lea, vec![dst, rm.op], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Lea, cur.ops([dst, rm.op]), OpSize::Dword);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -410,7 +449,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
                     ext: rm.reg,
                 });
             }
-            let mut i = fixed(cur, Mnemonic::Pop, vec![rm.op], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Pop, cur.ops([rm.op]), OpSize::Dword);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -418,10 +457,10 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0x91..=0x97 => Ok(fixed(
             cur,
             Mnemonic::Xchg,
-            vec![
+            cur.ops([
                 reg_op(OpSize::Dword, 0),
                 reg_op(OpSize::Dword, opcode - 0x90),
-            ],
+            ]),
             OpSize::Dword,
         )),
         0x98 => Ok(fixed(cur, Mnemonic::Cwde, vec![], OpSize::Dword)),
@@ -439,9 +478,9 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mem = Operand::Mem(Mem::abs(addr));
             let acc = reg_op(size, 0);
             let ops = if opcode < 0xa2 {
-                vec![acc, mem]
+                cur.ops([acc, mem])
             } else {
-                vec![mem, acc]
+                cur.ops([mem, acc])
             };
             let mut i = fixed(cur, Mnemonic::Mov, ops, size);
             i.disp_loc = Some(FieldLoc {
@@ -465,7 +504,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Test,
-                vec![reg_op(size, 0), Operand::Imm(imm)],
+                cur.ops([reg_op(size, 0), Operand::Imm(imm)]),
                 size,
             );
             i.imm_loc = Some(FieldLoc { offset: off, width });
@@ -477,7 +516,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Mov,
-                vec![reg_op(OpSize::Byte, opcode - 0xb0), Operand::Imm(imm)],
+                cur.ops([reg_op(OpSize::Byte, opcode - 0xb0), Operand::Imm(imm)]),
                 OpSize::Byte,
             );
             i.imm_loc = Some(FieldLoc {
@@ -492,7 +531,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Mov,
-                vec![reg_op(OpSize::Dword, opcode - 0xb8), Operand::Imm(imm)],
+                cur.ops([reg_op(OpSize::Dword, opcode - 0xb8), Operand::Imm(imm)]),
                 OpSize::Dword,
             );
             i.imm_loc = Some(FieldLoc {
@@ -517,7 +556,7 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Shift(op),
-                vec![rm.op, Operand::Imm(imm)],
+                cur.ops([rm.op, Operand::Imm(imm)]),
                 size,
             );
             i.disp_loc = rm.disp_loc;
@@ -530,7 +569,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0xc2 => {
             let off = cur.pos as u8;
             let n = cur.u16()? as i64;
-            let mut i = fixed(cur, Mnemonic::Ret, vec![Operand::Imm(n)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Ret,
+                cur.ops([Operand::Imm(n)]),
+                OpSize::Dword,
+            );
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 2,
@@ -557,7 +601,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             } else {
                 (cur.u32()? as i64, 4)
             };
-            let mut i = fixed(cur, Mnemonic::Mov, vec![rm.op, Operand::Imm(imm)], size);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Mov,
+                cur.ops([rm.op, Operand::Imm(imm)]),
+                size,
+            );
             i.disp_loc = rm.disp_loc;
             i.imm_loc = Some(FieldLoc { offset: off, width });
             Ok(i)
@@ -566,7 +615,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0xca => {
             let off = cur.pos as u8;
             let n = cur.u16()? as i64;
-            let mut i = fixed(cur, Mnemonic::Retf, vec![Operand::Imm(n)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Retf,
+                cur.ops([Operand::Imm(n)]),
+                OpSize::Dword,
+            );
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 2,
@@ -578,7 +632,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0xcd => {
             let off = cur.pos as u8;
             let n = cur.u8()? as i64;
-            let mut i = fixed(cur, Mnemonic::Int, vec![Operand::Imm(n)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Int,
+                cur.ops([Operand::Imm(n)]),
+                OpSize::Dword,
+            );
             i.imm_loc = Some(FieldLoc {
                 offset: off,
                 width: 1,
@@ -601,14 +660,19 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
             } else {
                 Operand::Reg(Reg::R8(Reg8::Cl))
             };
-            let mut i = fixed(cur, Mnemonic::Shift(op), vec![rm.op, amount], size);
+            let mut i = fixed(cur, Mnemonic::Shift(op), cur.ops([rm.op, amount]), size);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
         0xe8 => {
             let off = cur.pos as u8;
             let rel = cur.i32()?;
-            let mut i = fixed(cur, Mnemonic::Call, vec![Operand::Rel(rel)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Call,
+                cur.ops([Operand::Rel(rel)]),
+                OpSize::Dword,
+            );
             i.rel_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -618,7 +682,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0xe9 => {
             let off = cur.pos as u8;
             let rel = cur.i32()?;
-            let mut i = fixed(cur, Mnemonic::Jmp, vec![Operand::Rel(rel)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Jmp,
+                cur.ops([Operand::Rel(rel)]),
+                OpSize::Dword,
+            );
             i.rel_loc = Some(FieldLoc {
                 offset: off,
                 width: 4,
@@ -628,7 +697,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
         0xeb => {
             let off = cur.pos as u8;
             let rel = cur.i8()? as i32;
-            let mut i = fixed(cur, Mnemonic::Jmp, vec![Operand::Rel(rel)], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Jmp,
+                cur.ops([Operand::Rel(rel)]),
+                OpSize::Dword,
+            );
             i.rel_loc = Some(FieldLoc {
                 offset: off,
                 width: 1,
@@ -652,7 +726,12 @@ fn decode_insn(cur: &mut Cursor<'_>) -> Result<Insn> {
                     } else {
                         (cur.i32()? as i64, 4)
                     };
-                    let mut i = fixed(cur, Mnemonic::Test, vec![rm.op, Operand::Imm(imm)], size);
+                    let mut i = fixed(
+                        cur,
+                        Mnemonic::Test,
+                        cur.ops([rm.op, Operand::Imm(imm)]),
+                        size,
+                    );
                     i.disp_loc = rm.disp_loc;
                     i.imm_loc = Some(FieldLoc { offset: off, width });
                     Ok(i)
@@ -699,7 +778,12 @@ fn decode_0f(cur: &mut Cursor<'_>) -> Result<Insn> {
             let cond = Cond::from_encoding(op2 & 0xf);
             let rm = decode_modrm(cur, OpSize::Dword)?;
             let dst = reg_op(OpSize::Dword, rm.reg);
-            let mut i = fixed(cur, Mnemonic::Cmovcc(cond), vec![dst, rm.op], OpSize::Dword);
+            let mut i = fixed(
+                cur,
+                Mnemonic::Cmovcc(cond),
+                cur.ops([dst, rm.op]),
+                OpSize::Dword,
+            );
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -710,7 +794,7 @@ fn decode_0f(cur: &mut Cursor<'_>) -> Result<Insn> {
             let mut i = fixed(
                 cur,
                 Mnemonic::Jcc(cond),
-                vec![Operand::Rel(rel)],
+                cur.ops([Operand::Rel(rel)]),
                 OpSize::Dword,
             );
             i.rel_loc = Some(FieldLoc {
@@ -725,14 +809,14 @@ fn decode_0f(cur: &mut Cursor<'_>) -> Result<Insn> {
             if rm.reg != 0 {
                 // setcc formally ignores /r but tools emit /0; accept any.
             }
-            let mut i = fixed(cur, Mnemonic::Setcc(cond), vec![rm.op], OpSize::Byte);
+            let mut i = fixed(cur, Mnemonic::Setcc(cond), cur.ops([rm.op]), OpSize::Byte);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
         0xaf => {
             let rm = decode_modrm(cur, OpSize::Dword)?;
             let dst = reg_op(OpSize::Dword, rm.reg);
-            let mut i = fixed(cur, Mnemonic::Imul, vec![dst, rm.op], OpSize::Dword);
+            let mut i = fixed(cur, Mnemonic::Imul, cur.ops([dst, rm.op]), OpSize::Dword);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -745,7 +829,7 @@ fn decode_0f(cur: &mut Cursor<'_>) -> Result<Insn> {
             } else {
                 Mnemonic::Movsx
             };
-            let mut i = fixed(cur, mn, vec![dst, rm.op], OpSize::Byte);
+            let mut i = fixed(cur, mn, cur.ops([dst, rm.op]), OpSize::Byte);
             i.disp_loc = rm.disp_loc;
             Ok(i)
         }
@@ -764,9 +848,9 @@ fn decode_alu_family(cur: &mut Cursor<'_>, mn: Mnemonic, form: u8) -> Result<Ins
             let rm = decode_modrm(cur, size)?;
             let reg = reg_op(size, rm.reg);
             let ops = if form < 2 {
-                vec![rm.op, reg]
+                cur.ops([rm.op, reg])
             } else {
-                vec![reg, rm.op]
+                cur.ops([reg, rm.op])
             };
             let mut i = fixed(cur, mn, ops, size);
             i.disp_loc = rm.disp_loc;
@@ -778,7 +862,7 @@ fn decode_alu_family(cur: &mut Cursor<'_>, mn: Mnemonic, form: u8) -> Result<Ins
             let mut i = fixed(
                 cur,
                 mn,
-                vec![reg_op(OpSize::Byte, 0), Operand::Imm(imm)],
+                cur.ops([reg_op(OpSize::Byte, 0), Operand::Imm(imm)]),
                 OpSize::Byte,
             );
             i.imm_loc = Some(FieldLoc {
@@ -793,7 +877,7 @@ fn decode_alu_family(cur: &mut Cursor<'_>, mn: Mnemonic, form: u8) -> Result<Ins
             let mut i = fixed(
                 cur,
                 mn,
-                vec![reg_op(OpSize::Dword, 0), Operand::Imm(imm)],
+                cur.ops([reg_op(OpSize::Dword, 0), Operand::Imm(imm)]),
                 OpSize::Dword,
             );
             i.imm_loc = Some(FieldLoc {
@@ -807,7 +891,7 @@ fn decode_alu_family(cur: &mut Cursor<'_>, mn: Mnemonic, form: u8) -> Result<Ins
 }
 
 fn group_un(cur: &Cursor<'_>, mn: Mnemonic, rm: RmOperand, size: OpSize) -> Result<Insn> {
-    let mut i = fixed(cur, mn, vec![rm.op], size);
+    let mut i = fixed(cur, mn, cur.ops([rm.op]), size);
     i.disp_loc = rm.disp_loc;
     Ok(i)
 }

@@ -44,7 +44,7 @@ pub mod encode;
 pub mod insn;
 pub mod reg;
 
-pub use decode::{decode, decode_read, decode_run, DecodeError};
+pub use decode::{decode, decode_read, decode_run, decode_shape, DecodeError};
 pub use encode::{Asm, AsmError, Assembled, Label, RelocKind, SymReloc};
 pub use insn::{AluOp, Cond, FieldLoc, Insn, Mem, Mnemonic, OpSize, Operand, ShiftOp};
 pub use reg::{Reg, Reg32, Reg8};

@@ -286,13 +286,14 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
         get("vm.block.miss"),
         get("vm.block.invalidate"),
     );
-    let (offsets, decoded, skipped, memo) = (
+    let (offsets, shapes, decoded, skipped, memo) = (
         get("scan.decode.offsets"),
+        get("scan.decode.shape"),
         get("scan.decode.once"),
         get("scan.decode.skipped"),
         get("scan.decode.memo_hit"),
     );
-    if hits + misses == 0 && decoded == 0 {
+    if hits + misses == 0 && shapes + decoded == 0 {
         return;
     }
     let _ = writeln!(out, "execution engine:");
@@ -303,17 +304,16 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
             pct(hits, hits + misses)
         );
     }
-    if decoded > 0 {
-        let amort = memo as f64 / decoded as f64;
+    if shapes + decoded > 0 {
         let _ = writeln!(
             out,
-            "  gadget scan: {decoded} decodes over {offsets} text offsets \
-             ({skipped} reached by no walk), \
-             {memo} memoized walk steps ({amort:.1}x amortization)"
+            "  gadget scan: {shapes} shape decodes and {decoded} full decodes \
+             over {offsets} text offsets ({skipped} reached by no candidate), \
+             {memo} link and assembly steps"
         );
         let _ = writeln!(
             out,
-            "  decodes reused from the previous pass: {}",
+            "  shapes reused from the previous pass: {}",
             get("scan.decode.reused")
         );
     }
@@ -522,9 +522,10 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     // rejected without a run, and what the incremental second pass and
     // same-content copies reused instead.
     let work = [
-        ("decodes", "scan.decode.once"),
-        ("decodes reused", "scan.decode.reused"),
-        ("decodes skipped", "scan.decode.skipped"),
+        ("full decodes", "scan.decode.once"),
+        ("shape decodes", "scan.decode.shape"),
+        ("shapes reused", "scan.decode.reused"),
+        ("shapes skipped", "scan.decode.skipped"),
         ("probe runs", "vm.probe.runs"),
         ("second trials", "vm.probe.second_trials"),
         ("prejudged", "vm.probe.prejudged"),
@@ -710,7 +711,8 @@ mod tests {
         t.count("vm.block.miss", 100);
         t.count("vm.block.invalidate", 3);
         t.count("scan.decode.offsets", 9000);
-        t.count("scan.decode.once", 5000);
+        t.count("scan.decode.once", 1500);
+        t.count("scan.decode.shape", 5000);
         t.count("scan.decode.reused", 3000);
         t.count("scan.decode.skipped", 1000);
         t.count("scan.decode.memo_hit", 20000);
@@ -764,9 +766,10 @@ mod tests {
             "4.00x parallel speedup",
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
-            "5000 decodes over 9000 text offsets (1000 reached by no walk)",
-            "4.0x amortization",
-            "decodes reused from the previous pass: 3000",
+            "5000 shape decodes and 1500 full decodes over 9000 text offsets \
+             (1000 reached by no candidate)",
+            "20000 link and assembly steps",
+            "shapes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
             "proposals: 486   probe runs: 941 (1.94 per proposal)   runs saved: 59 (5.9%)   second trials: 455",
             "proposals prejudged (unmapped access, undefined syscall, no effect): 40 (no probe run)",
@@ -822,7 +825,7 @@ mod tests {
         );
         assert!(diff.contains("gadget work (b - a):"), "{diff}");
         assert!(
-            diff.contains("decodes reused        3000 ->      3000 (+0)"),
+            diff.contains("shapes reused         3000 ->      3000 (+0)"),
             "{diff}"
         );
         assert!(
