@@ -147,15 +147,21 @@ fn probe_work_repeats_at_any_job_count() {
     // count either. Nor does which proposals are rejected without a
     // run: that reads only the proposal and the image's regions, nor
     // which need a second trial: that reads the proposal and trial 1.
-    // Both passes' gadget lists serialize to the same bytes too: a
-    // content's record, which whichever worker reaches the content
-    // first builds, holds nothing of that copy but its content.
-    const COUNTERS: [&str; 5] = [
+    // Which candidate represents a content is chosen serially, in scan
+    // order, before any worker starts: so the full decodes the pass
+    // makes on the representatives' paths, and the copies their
+    // verdicts serve, do not depend on the job count either. Both
+    // passes' gadget lists serialize to the same bytes too: a content's
+    // record, which its representative's probe builds, holds nothing of
+    // that copy but its content.
+    const COUNTERS: [&str; 7] = [
         "vm.mem.pages_copied",
         "vm.probe.runs",
         "vm.probe.second_trials",
         "vm.probe.reused",
         "vm.probe.prejudged",
+        "vm.probe.shared",
+        "scan.decode.once",
     ];
     // Second trials are rare enough that some programs take none: that
     // counter must be non-zero over the corpus, every other one on each

@@ -43,47 +43,23 @@ pub mod validate;
 pub use classify::{classify, Proposal};
 pub use mapping::{GadgetMap, RangeSet, TypeKey};
 pub use scan::{
-    scan, scan_with_stats, Candidate, CandidateRef, DecodeTable, ScanStats, MAX_GADGET_BYTES,
-    MAX_GADGET_INSNS,
+    scan, scan_with_stats, Candidate, CandidateRef, DecodeTable, ScanStats, Span, Spans,
+    MAX_GADGET_BYTES, MAX_GADGET_INSNS,
 };
 pub use serialize::{deserialize_gadgets, serialize_gadgets};
 pub use types::{Effect, GBinOp, Gadget, GadgetRecord};
 pub use validate::{validate, validate_with, ProbeStats, ProbeVm};
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use parallax_image::LinkedImage;
+use scan::Content;
 
 /// Runs the full pipeline over an image's text section: scan, classify,
 /// and concretely validate. Returns only usable gadgets.
 pub fn find_gadgets(img: &LinkedImage) -> Vec<Gadget> {
     find_gadgets_instrumented(img, 1, None).0
-}
-
-/// A candidate's content: its text bytes and return kind. Within one
-/// pass, a probe that stays inside the candidate's bytes depends on
-/// nothing else, so every copy of a content shares one verdict and one
-/// [`GadgetRecord`] (DESIGN.md §18).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-struct Content {
-    far: bool,
-    len: u8,
-    bytes: [u8; MAX_GADGET_BYTES + 1],
-}
-
-impl Content {
-    fn of(img: &LinkedImage, cand: &CandidateRef) -> Content {
-        let off = (cand.vaddr - img.text_base) as usize;
-        let src = &img.text[off..off + cand.len as usize];
-        let mut bytes = [0; MAX_GADGET_BYTES + 1];
-        bytes[..src.len()].copy_from_slice(src);
-        Content {
-            far: cand.far,
-            len: src.len() as u8,
-            bytes,
-        }
-    }
 }
 
 /// Whether the image's text, and its data, BSS and heap, end below
@@ -106,8 +82,8 @@ fn below_stack(img: &LinkedImage) -> bool {
 /// verdicts of its [layout-independent](Proposal::layout_independent)
 /// proposals keyed by content. A pass given the memo decodes again only
 /// the slots whose own bytes changed and serves those verdicts wherever
-/// their bytes now sit, sharing their records; it probes only contents
-/// it has no verdict for.
+/// their bytes now sit, sharing their records; it neither assembles nor
+/// probes the contents it has a verdict for.
 pub struct PassMemo {
     text_base: u32,
     text: Vec<u8>,
@@ -117,23 +93,21 @@ pub struct PassMemo {
 
 impl PassMemo {
     /// The memo of a pass over `img`: its table's `slots` and, when the
-    /// image fits below the stack, its groups' layout-independent
+    /// image fits below the stack, its contents' layout-independent
     /// verdicts, inherited ones included.
-    fn new(img: &LinkedImage, slots: scan::Slots, groups: Groups) -> PassMemo {
+    fn new(img: &LinkedImage, slots: scan::Slots, verdicts: Vec<(Content, Verdict)>) -> PassMemo {
         let fits = below_stack(img);
-        let verdicts = groups
+        let verdicts = verdicts
             .into_iter()
             .filter(|_| fits)
-            .filter_map(
-                |(content, group)| match Arc::into_inner(group)?.into_inner()? {
-                    Rep::Probed {
-                        record,
-                        independent: true,
-                    }
-                    | Rep::Inherited(record) => Some((content, record)),
-                    _ => None,
-                },
-            )
+            .filter_map(|(content, verdict)| match verdict {
+                Verdict::Probed {
+                    record,
+                    independent: true,
+                }
+                | Verdict::Inherited(record) => Some((content, record)),
+                _ => None,
+            })
             .collect();
         PassMemo {
             text_base: img.text_base,
@@ -154,8 +128,8 @@ pub struct ValidateStats {
     /// Total nanoseconds spent constructing probe VMs — per-worker
     /// setup cost that parallelism multiplies instead of amortizing.
     pub probe_build_ns: u64,
-    /// Nanoseconds spent concatenating per-chunk gadget vectors back
-    /// into sequential order (serial, on the caller's thread).
+    /// Nanoseconds spent handing each content's verdict to its copies
+    /// in scan order (serial, on the caller's thread).
     pub merge_ns: u64,
     /// Scheduling statistics of the validation pool run.
     pub pool: parallax_pool::PoolStats,
@@ -166,8 +140,9 @@ pub struct ValidateStats {
     /// Candidates served from the previous pass's [`PassMemo`] instead
     /// of the probe.
     pub reused: u64,
-    /// Candidates served by the verdict of an earlier candidate with
-    /// the same content in this pass, with no probe run.
+    /// Candidates served by the verdict of their content's
+    /// representative, an earlier candidate of this pass, with no probe
+    /// run.
     pub shared: u64,
 }
 
@@ -185,8 +160,8 @@ pub fn find_gadgets_instrumented(
     (gadgets, stats, vstats)
 }
 
-/// The verdict the first candidate of a content found, for the others.
-enum Rep {
+/// What a content's representative found, for every copy.
+enum Verdict {
     /// The content does not classify.
     Unclassified,
     /// Probed in this pass; `independent` when the proposal is
@@ -198,20 +173,9 @@ enum Rep {
     /// Served from the previous pass's memo.
     Inherited(Option<Arc<GadgetRecord>>),
     /// The probe left the candidate's bytes, so its verdict depends on
-    /// the text it reached: every copy probes on its own.
-    Strayed,
-}
-
-/// One verdict slot per content, filled by whichever candidate reaches
-/// it first.
-type Groups = HashMap<Content, Arc<OnceLock<Rep>>>;
-
-/// One chunk's share of a validation pass.
-#[derive(Default)]
-struct ChunkOut {
-    gadgets: Vec<Gadget>,
-    reused: u64,
-    shared: u64,
+    /// the text it reached: every copy probed on its own, and these are
+    /// their gadgets in scan order.
+    Strayed(std::vec::IntoIter<Option<Gadget>>),
 }
 
 /// Runs the full pipeline, reusing `prev` — the [`PassMemo`] of an
@@ -220,52 +184,68 @@ struct ChunkOut {
 /// [`find_gadgets_instrumented`] would return; a `prev` for another
 /// text base or length is ignored.
 ///
-/// The classify/validate pass fans fixed-size chunks of candidates out
-/// over `jobs` workers, each with its own [`ProbeVm`]. A verdict is a
-/// pure function of the candidate's content: the probe VM rolls back to
-/// a pristine snapshot before each proposal and seeds its PRNG from the
-/// candidate's bytes. So the first candidate of each content is
-/// classified and probed, and every later copy takes its verdict with
-/// its own vaddr, pointing at the same [`GadgetRecord`], unless that
-/// probe strayed. Any job count returns the exact sequential gadget
-/// order.
+/// A verdict is a pure function of the candidate's content: the probe
+/// VM rolls back to a pristine snapshot before each proposal and seeds
+/// its PRNG from the candidate's bytes. So the scan groups the
+/// candidates by content, in scan order, and only the first candidate
+/// of each content, its representative, is assembled, classified and
+/// probed; contents the memo holds a verdict for are not even
+/// assembled. The representatives fan out in fixed-size chunks over
+/// `jobs` workers, each with its own [`ProbeVm`]. Then every candidate,
+/// in scan order, takes its content's verdict with its own vaddr,
+/// pointing at the same [`GadgetRecord`], unless the representative's
+/// probe strayed: then each copy was probed on its own. Any job count
+/// returns the exact sequential gadget order and the same counters.
 pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
     prev: Option<PassMemo>,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats, PassMemo) {
-    gadget_pass(img, jobs, prev, |slots, groups| {
-        PassMemo::new(img, slots, groups)
+    gadget_pass(img, jobs, prev, |slots, verdicts| {
+        PassMemo::new(img, slots, verdicts)
     })
 }
 
 /// One gadget pass over `img`, handing its decode table's slots and its
-/// content groups to `memo` once the gadget list is built.
+/// contents' verdicts to `memo` once the gadget list is built.
 fn gadget_pass<M>(
     img: &LinkedImage,
     jobs: usize,
     prev: Option<PassMemo>,
-    memo: impl FnOnce(scan::Slots, Groups) -> M,
+    memo: impl FnOnce(scan::Slots, Vec<(Content, Verdict)>) -> M,
 ) -> (Vec<Gadget>, ScanStats, ValidateStats, M) {
     use std::sync::atomic::{AtomicU64, Ordering};
     let fits = below_stack(img);
     let prev = prev.filter(|m| m.text_base == img.text_base && m.text.len() == img.text.len());
-    let (old_text, old_slots, old_verdicts) = match prev {
+    let (old_text, old_slots, mut old_verdicts) = match prev {
         Some(m) => (m.text, Some(m.slots), m.verdicts),
         None => (Vec::new(), None, HashMap::new()),
     };
     let table = DecodeTable::reusing(&img.text, old_slots.map(|s| (&old_text[..], s)));
     drop(old_text);
-    // Candidates borrow their instructions from the table's slots.
-    let (cands, stats) = table.candidates(img.text_base);
-    // The previous pass's verdicts start filled.
-    let groups: Mutex<Groups> = Mutex::new(
-        old_verdicts
-            .into_iter()
-            .filter(|_| fits)
-            .map(|(content, record)| (content, Arc::new(OnceLock::from(Rep::Inherited(record)))))
-            .collect(),
-    );
+    let spans = table.spans();
+    let contents: Vec<Content> = spans
+        .reps
+        .iter()
+        .map(|&rep| Content::of(&img.text, rep))
+        .collect();
+    // The previous pass's verdicts serve their contents as they are;
+    // the other representatives are assembled, decoding their paths.
+    let mut verdicts: Vec<Option<Verdict>> = contents
+        .iter()
+        .map(|c| {
+            old_verdicts
+                .remove(c)
+                .filter(|_| fits)
+                .map(Verdict::Inherited)
+        })
+        .collect();
+    drop(old_verdicts);
+    let todo: Vec<(usize, CandidateRef)> = (0..contents.len())
+        .filter(|&k| verdicts[k].is_none())
+        .map(|k| (k, table.assemble(img.text_base, spans.reps[k])))
+        .collect();
+    let stats = table.stats();
     let probe_builds = AtomicU64::new(0);
     let probe_build_ns = AtomicU64::new(0);
     let probe_stats = Mutex::new(ProbeStats::default());
@@ -281,77 +261,82 @@ fn gadget_pass<M>(
         probe_build_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         probe
     };
-    let validate_chunk = |probe: &mut ProbeVm, chunk: &[CandidateRef]| {
-        let mut out = ChunkOut::default();
-        for cand in chunk {
-            let content = Content::of(img, cand);
-            let group = Arc::clone(groups.lock().unwrap().entry(content).or_default());
-            let mut own = None;
-            let rep = group.get_or_init(|| {
-                let Some(p) = classify(*cand) else {
-                    return Rep::Unclassified;
-                };
-                let g = probe.validate(&p);
-                let record = g.as_ref().map(|g| Arc::clone(&g.record));
-                own = Some(g);
-                if probe.strayed() {
-                    return Rep::Strayed;
-                }
-                Rep::Probed {
-                    record,
-                    independent: p.layout_independent(),
-                }
-            });
-            // A content's verdict as the gadget at this candidate's vaddr.
-            let copy = |record: &Option<Arc<GadgetRecord>>| {
-                record.as_ref().map(|r| Gadget {
-                    vaddr: cand.vaddr,
-                    record: Arc::clone(r),
-                })
+    let decide = |probe: &mut ProbeVm, k: usize, rep: CandidateRef| {
+        let Some(p) = classify(rep) else {
+            return Verdict::Unclassified;
+        };
+        let g = probe.validate(&p);
+        if !probe.strayed() {
+            return Verdict::Probed {
+                record: g.map(|g| g.record),
+                independent: p.layout_independent(),
             };
-            let g = match (own, rep) {
-                (Some(g), _) => g,
-                (None, Rep::Unclassified) => continue,
-                (None, Rep::Probed { record, .. }) => {
-                    out.shared += 1;
-                    copy(record)
-                }
-                (None, Rep::Inherited(record)) => {
-                    out.reused += 1;
-                    copy(record)
-                }
-                (None, Rep::Strayed) => {
-                    let p = classify(*cand).expect("a copy of a classified content classifies");
-                    probe.validate(&p)
-                }
-            };
-            out.gadgets.extend(g);
         }
+        // Every copy holds the representative's instructions.
+        let mut own = vec![g];
+        for copy in spans.all.iter().filter(|s| s.content as usize == k).skip(1) {
+            let p = classify(rep.at(img.text_base + copy.start))
+                .expect("a copy of a classified content classifies");
+            own.push(probe.validate(&p));
+        }
+        Verdict::Strayed(own.into_iter())
+    };
+    let validate_chunk = |probe: &mut ProbeVm, chunk: &[(usize, CandidateRef)]| {
+        let out: Vec<(usize, Verdict)> = chunk
+            .iter()
+            .map(|&(k, rep)| (k, decide(probe, k, rep)))
+            .collect();
         // Drain this chunk's probe counters into the shared total (a
         // handful of lock acquisitions per scan — uncontended).
         probe_stats.lock().unwrap().merge(&probe.take_stats());
         out
     };
-    // Fixed-size chunks, and CHUNK candidates per worker at minimum:
-    // building each worker's probe VM needs that much validation work
-    // to pay off.
-    const CHUNK: usize = 64;
-    let chunks: Vec<&[CandidateRef]> = cands.chunks(CHUNK).collect();
+    // Fixed-size chunks of representatives, and MIN_PER_WORKER per
+    // worker at minimum: building each worker's probe VM needs that
+    // much validation work to pay off.
+    const CHUNK: usize = 8;
+    const MIN_PER_WORKER: usize = 16;
+    let chunks: Vec<&[(usize, CandidateRef)]> = todo.chunks(CHUNK).collect();
     let (parts, pool) = parallax_pool::scoped_map_init(
-        parallax_pool::effective_workers_for(jobs, cands.len(), CHUNK),
+        parallax_pool::effective_workers_for(jobs, todo.len(), MIN_PER_WORKER),
         chunks.len(),
         |_w| build_probe(),
         |probe, i, _w| validate_chunk(probe, chunks[i]),
     );
     drop(chunks);
-    drop(cands);
+    drop(todo);
+    for (k, verdict) in parts.into_iter().flatten() {
+        verdicts[k] = Some(verdict);
+    }
+    let mut verdicts: Vec<Verdict> = verdicts
+        .into_iter()
+        .map(|v| v.expect("the pool decided every content the memo did not serve"))
+        .collect();
+    // Every candidate, in scan order, takes its content's verdict.
     let t0 = std::time::Instant::now();
     let mut gadgets = Vec::new();
     let (mut reused, mut shared) = (0, 0);
-    for part in parts {
-        gadgets.extend(part.gadgets);
-        reused += part.reused;
-        shared += part.shared;
+    for span in &spans.all {
+        let k = span.content as usize;
+        let record = match &mut verdicts[k] {
+            Verdict::Unclassified => continue,
+            Verdict::Probed { record, .. } => {
+                shared += u64::from(*span != spans.reps[k]);
+                record
+            }
+            Verdict::Inherited(record) => {
+                reused += 1;
+                record
+            }
+            Verdict::Strayed(own) => {
+                gadgets.extend(own.next().flatten());
+                continue;
+            }
+        };
+        gadgets.extend(record.as_ref().map(|r| Gadget {
+            vaddr: img.text_base + span.start,
+            record: Arc::clone(r),
+        }));
     }
     let vstats = ValidateStats {
         probe_builds: probe_builds.into_inner(),
@@ -362,7 +347,10 @@ fn gadget_pass<M>(
         reused,
         shared,
     };
-    let memo = memo(table.into_slots(), groups.into_inner().unwrap());
+    let memo = memo(
+        table.into_slots(),
+        contents.into_iter().zip(verdicts).collect(),
+    );
     (gadgets, stats, vstats, memo)
 }
 

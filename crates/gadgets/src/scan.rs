@@ -10,9 +10,14 @@
 //! The scan reads a [`DecodeTable`]. Each text offset at most
 //! [`MAX_GADGET_BYTES`] before a return gets one cheap shape decode
 //! (the bytes it reads, whether it decodes, whether it may sit inside a
-//! gadget, whether it is a plain return); one right-to-left pass links
-//! each of those offsets to the return its instruction chain lands on;
-//! and only the offsets on a candidate's path are decoded in full.
+//! gadget, whether it is a plain return), and one right-to-left pass
+//! links each of those offsets to the return its instruction chain
+//! lands on. That yields every candidate as a [`Span`], grouped by
+//! content (text bytes and return kind) in scan order, with nothing
+//! decoded in full. [`DecodeTable::assemble`] materialises a span,
+//! decoding in full each offset on its path the table does not hold
+//! yet; a gadget pass assembles one representative per content, so a
+//! full decode is paid once per content, not once per candidate.
 //! Offsets farther from every return are never decoded. A rescan of a
 //! text that differs in a few bytes takes the previous table and
 //! decodes again only the slots whose own bytes changed (DESIGN.md §17,
@@ -21,7 +26,9 @@
 //! the table-driven scanner emits an identical candidate stream.
 
 use std::cell::{Cell, OnceCell};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::LazyLock;
 
@@ -87,6 +94,13 @@ impl<'a> CandidateRef<'a> {
             .join("; ")
     }
 
+    /// The copy of this candidate's content that starts at `vaddr`. A
+    /// decode reads only the bytes it decodes, so every copy of a
+    /// content holds the same instructions.
+    pub fn at(self, vaddr: u32) -> CandidateRef<'a> {
+        CandidateRef { vaddr, ..self }
+    }
+
     /// An owned copy, its instructions cloned.
     pub fn to_owned(&self) -> Candidate {
         Candidate {
@@ -128,6 +142,66 @@ impl fmt::Debug for CandidateRef<'_> {
     }
 }
 
+/// A candidate the scan found, none of its instructions decoded in full
+/// yet: [`DecodeTable::assemble`] materialises it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Text offset of the first instruction. No two candidates of one
+    /// text start at the same offset.
+    pub start: u32,
+    /// Total byte length, the return included.
+    pub len: u8,
+    /// Instructions, the return included.
+    pub insns: u8,
+    /// Terminates in `retf`.
+    pub far: bool,
+    /// Its content's index in [`Spans::reps`].
+    pub content: u32,
+}
+
+/// A scan's candidates grouped by content: text bytes and return kind.
+#[derive(Debug, Default)]
+pub struct Spans {
+    /// Every candidate, in the order [`scan`] emits them.
+    pub all: Vec<Span>,
+    /// Each content's first span in `all`, its representative, in the
+    /// order they appear there.
+    pub reps: Vec<Span>,
+}
+
+/// A candidate's content: its text bytes and return kind. Every copy of
+/// a content decodes to the same instructions, so it classifies alike;
+/// within one pass, a probe that stays inside the candidate's bytes
+/// depends on nothing else, so every copy shares one verdict and one
+/// record (DESIGN.md §18).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Content {
+    /// The return kind (1 for `retf`), the length, then the bytes.
+    key: [u8; MAX_GADGET_BYTES + 3],
+}
+
+impl Content {
+    /// The content of `span`, a candidate of `text`.
+    pub(crate) fn of(text: &[u8], span: Span) -> Content {
+        let start = span.start as usize;
+        let src = &text[start..start + usize::from(span.len)];
+        let mut key = [0; MAX_GADGET_BYTES + 3];
+        key[0] = u8::from(span.far);
+        key[1] = span.len;
+        key[2..2 + src.len()].copy_from_slice(src);
+        Content { key }
+    }
+}
+
+impl Hash for Content {
+    /// One write of the whole key: the scan hashes a content per
+    /// candidate, and a write per field made that several times as
+    /// costly.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.key);
+    }
+}
+
 /// True if an instruction of mnemonic `mn` may appear *before* the
 /// final return of a gadget.
 fn allowed_interior(mn: Mnemonic) -> bool {
@@ -156,17 +230,21 @@ fn is_plain_ret(insn: &Insn) -> Option<bool> {
 }
 
 /// Statistics from one scan pass, exported as `scan.decode.*` trace
-/// counters. `shapes + reused + skipped == offsets`: the scan reads the
-/// shape of every offset up to [`MAX_GADGET_BYTES`] before a return,
-/// fills each shape slot at most once, and reads no other offset. Full
-/// decodes are made only on candidate paths, at most once per table,
-/// so `decoded <= shapes + reused`.
+/// counters ([`DecodeTable::stats`]). `shapes + reused + skipped ==
+/// offsets`: the scan reads the shape of every offset up to
+/// [`MAX_GADGET_BYTES`] before a return, fills each shape slot at most
+/// once, and reads no other offset. Full decodes are made only on the
+/// paths of the candidates assembled, at most once per offset and
+/// table, so `decoded <= shapes + reused`; a gadget pass assembles one
+/// candidate per content, so it pays a full decode once per content,
+/// not once per candidate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// Text offsets considered (one potential decode start per byte).
     pub offsets: u64,
-    /// Full decodes ([`decode_read`]) performed: one per offset on a
-    /// candidate's path whose instruction the table did not hold yet.
+    /// Full decodes ([`decode_read`]) the table performed: one per
+    /// offset on an assembled candidate's path whose instruction the
+    /// table did not hold yet.
     pub decoded: u64,
     /// Shape decodes ([`decode_shape`]) performed: one per offset the
     /// scan reached whose shape slot was still empty.
@@ -180,7 +258,7 @@ pub struct ScanStats {
     pub skipped: u64,
     /// Link and assembly steps served from the table: one per reached
     /// offset whose link is read off its successor's, and one per
-    /// instruction of each candidate emitted.
+    /// instruction of each candidate assembled.
     pub memo_hits: u64,
     /// `ret`/`retf` opcode bytes anchoring candidates.
     pub rets: u64,
@@ -360,8 +438,9 @@ static BARE_RET: LazyLock<Insn> = LazyLock::new(|| decode(&[0xc3]).expect("`c3` 
 
 /// The decodes of one text, filled lazily at two levels: an offset's
 /// shape the first time something reads it, and its full instruction
-/// the first time a candidate path or [`DecodeTable::insn`] needs it.
-/// Both are read from the table ever after.
+/// the first time an assembled candidate's path or
+/// [`DecodeTable::insn`] needs it. Both are read from the table ever
+/// after.
 ///
 /// The x86 decoder reads an instruction's bytes in order and no
 /// further, so a decode that succeeds at `i` depends only on the `len`
@@ -375,6 +454,10 @@ pub struct DecodeTable<'t> {
     slots: Slots,
     shapes: Cell<u64>,
     decodes: Cell<u64>,
+    /// Assembly steps: one per instruction of each candidate assembled.
+    steps: Cell<u64>,
+    /// The counters of the last [`DecodeTable::spans`].
+    scanned: Cell<ScanStats>,
 }
 
 impl<'t> DecodeTable<'t> {
@@ -389,6 +472,8 @@ impl<'t> DecodeTable<'t> {
             slots,
             shapes: Cell::new(0),
             decodes: Cell::new(0),
+            steps: Cell::new(0),
+            scanned: Cell::new(ScanStats::default()),
         }
     }
 
@@ -449,23 +534,34 @@ impl<'t> DecodeTable<'t> {
         self.shape(i).decodes().then(|| self.full(i))
     }
 
-    /// Full decodes this table has made so far.
-    pub fn decodes(&self) -> u64 {
-        self.decodes.get()
+    /// The table's counters: those of its last [`DecodeTable::spans`],
+    /// with every full decode and assembly step it has made.
+    pub fn stats(&self) -> ScanStats {
+        let mut stats = self.scanned.get();
+        stats.decoded = self.decodes.get();
+        stats.memo_hits += self.steps.get();
+        stats
     }
 
     /// Scans the table's text, mapped at `base`, for gadget candidates:
-    /// the stream [`scan`] returns, with the pass's [`ScanStats`].
-    /// Slots filled before the call count as reused.
+    /// the stream [`scan`] returns, every candidate assembled, with the
+    /// table's [`ScanStats`]. Slots filled before the call count as
+    /// reused.
     pub fn scan(&self, base: u32) -> (Vec<Candidate>, ScanStats) {
-        let (cands, stats) = self.candidates(base);
-        (cands.iter().map(CandidateRef::to_owned).collect(), stats)
+        let spans = self.spans();
+        let cands = spans
+            .all
+            .iter()
+            .map(|&span| self.assemble(base, span).to_owned())
+            .collect();
+        (cands, self.stats())
     }
 
-    /// [`DecodeTable::scan`] with each candidate's instructions borrowed
-    /// from the table.
-    pub fn candidates(&self, base: u32) -> (Vec<CandidateRef<'_>>, ScanStats) {
-        let (shapes, decodes) = (self.shapes.get(), self.decodes.get());
+    /// Finds every candidate of the table's text from the shapes and
+    /// landing links alone, and groups them by content in scan order.
+    /// Nothing is decoded in full.
+    pub fn spans(&self) -> Spans {
+        let shapes = self.shapes.get();
         let mut stats = ScanStats {
             offsets: self.text.len() as u64,
             ..ScanStats::default()
@@ -513,10 +609,11 @@ impl<'t> DecodeTable<'t> {
                 Link::NONE
             };
         }
-        let mut out = Vec::new();
+        let mut out = Spans::default();
+        let mut contents: HashMap<Content, u32> = HashMap::new();
         for i in rets() {
             stats.rets += 1;
-            let (ret, far) = (self.full(i), self.shape(i).ret() == Some(true));
+            let far = self.shape(i).ret() == Some(true);
             // Candidate starts in the walk order: 1 to MAX_GADGET_BYTES
             // bytes back, then the bare return itself (a trivial
             // candidate, useful as a chain NOP).
@@ -525,17 +622,37 @@ impl<'t> DecodeTable<'t> {
                 .filter(|&(start, link)| link != Link::NONE && start + link.dist() == i)
                 .chain([(i, Link::RET)]);
             for (start, link) in starts {
-                out.push(self.assemble(base, start, link.count(), ret, far));
-                stats.memo_hits += link.count() as u64;
+                let next = out.reps.len() as u32;
+                let mut span = Span {
+                    start: start as u32,
+                    len: (i + 1 - start) as u8,
+                    insns: link.count() as u8,
+                    far,
+                    content: next,
+                };
+                span.content = *contents.entry(Content::of(self.text, span)).or_insert(next);
+                if span.content == next {
+                    out.reps.push(span);
+                }
+                out.all.push(span);
             }
         }
         stats.shapes = self.shapes.get() - shapes;
-        stats.decoded = self.decodes.get() - decodes;
         let reached: usize = reached.iter().map(ExactSizeIterator::len).sum();
         stats.reused = reached as u64 - stats.shapes;
         stats.skipped = stats.offsets - reached as u64;
-        stats.candidates = out.len() as u64;
-        (out, stats)
+        stats.candidates = out.all.len() as u64;
+        self.scanned.set(stats);
+        out
+    }
+
+    /// The candidate `span` of the table's text, mapped at `base`: its
+    /// instructions are materialised from the table, decoded in full
+    /// where the table does not hold them yet, and borrowed.
+    pub fn assemble(&self, base: u32, span: Span) -> CandidateRef<'_> {
+        let start = span.start as usize;
+        let ret = self.full(start + usize::from(span.len) - 1);
+        self.walk(base, start, usize::from(span.insns), ret, span.far)
     }
 
     /// The candidate a walk from `start` (mapped at `base + start`)
@@ -559,13 +676,13 @@ impl<'t> DecodeTable<'t> {
             pos += shape.len();
             n += 1;
         }
-        (pos == ret_at).then(|| self.assemble(base, start, n, &BARE_RET, false))
+        (pos == ret_at).then(|| self.walk(base, start, n, &BARE_RET, false))
     }
 
     /// The candidate of the `n` instructions from `start` whose last is
     /// `ret`, the return its chain lands on: the first `n - 1` are
     /// materialised from the table, and the candidate borrows them.
-    fn assemble<'a>(
+    fn walk<'a>(
         &'a self,
         base: u32,
         start: usize,
@@ -573,6 +690,7 @@ impl<'t> DecodeTable<'t> {
         ret: &'a Insn,
         far: bool,
     ) -> CandidateRef<'a> {
+        self.steps.set(self.steps.get() + n as u64);
         let mut insns = [ret; MAX_GADGET_INSNS];
         let mut pos = start;
         for insn in &mut insns[..n - 1] {

@@ -370,3 +370,49 @@ fn pass_two_reuses_a_verdict_whose_bytes_moved() {
     assert_eq!(vstats.reused, 2, "{vstats:?}");
     assert_eq!(vstats.probe.runs, 0, "{vstats:?}");
 }
+
+/// `main` exits, then `pop ecx; pop edx; ret` is emitted `n` times, each
+/// after int3 padding that no candidate path crosses.
+fn copies_image(n: usize) -> LinkedImage {
+    let mut a = Asm::new();
+    a.mov_ri(Reg32::Eax, 1);
+    a.int(0x80);
+    for _ in 0..n {
+        a.db(&[0xcc; 8]);
+        a.pop_r(Reg32::Ecx);
+        a.pop_r(Reg32::Edx);
+        a.ret();
+    }
+    link_main(a)
+}
+
+/// A pass assembles one candidate per content: `n` copies of a content
+/// decode its instructions once, and every copy's gadget points at the
+/// one record its representative's probe built.
+#[test]
+fn copies_of_a_content_decode_it_once() {
+    const N: usize = 40;
+    let img = copies_image(N);
+    let (gadgets, stats, vstats) = find_gadgets_instrumented(&img, 1, None);
+    // Three contents (`pop ecx; pop edx; ret`, `pop edx; ret` and
+    // `ret`), N copies each. Their representatives lie on the first
+    // copy's path: `pop ecx`, `pop edx` and `ret`, one decode each.
+    assert_eq!(stats.candidates, 3 * N as u64);
+    assert_eq!(stats.decoded, 3);
+    assert_eq!(
+        find_gadgets_instrumented(&copies_image(1), 1, None)
+            .1
+            .decoded,
+        3
+    );
+    assert_eq!(vstats.probe.proposals, 3, "{vstats:?}");
+    assert_eq!(vstats.shared, 3 * (N as u64 - 1), "{vstats:?}");
+    let pops: Vec<&Gadget> = gadgets
+        .iter()
+        .filter(|g| g.disasm == "pop ecx; pop edx; ret")
+        .collect();
+    assert_eq!(pops.len(), N, "{gadgets:?}");
+    assert!(pops.iter().all(|g| Arc::ptr_eq(&g.record, &pops[0].record)));
+    let (two, _, _) = find_gadgets_instrumented(&img, 2, None);
+    assert_eq!(format!("{two:?}"), format!("{gadgets:?}"));
+}

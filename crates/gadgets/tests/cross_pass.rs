@@ -27,11 +27,25 @@ use common::{
     LARGE_SEEDS, MORE_LARGE_SEEDS,
 };
 
-/// The distinct text offsets on the candidates' paths: each
-/// candidate's start and the start of every later instruction.
-fn path_offsets(img: &LinkedImage) -> BTreeSet<usize> {
+/// Each content's first candidate in scan order, its representative:
+/// the one candidate of the content a gadget pass assembles.
+fn representatives(img: &LinkedImage) -> Vec<(Content, Candidate)> {
+    let mut seen = HashSet::new();
+    scan(&img.text, img.text_base)
+        .into_iter()
+        .map(|c| (content_of(img, &c), c))
+        .filter(|(content, _)| seen.insert(content.clone()))
+        .collect()
+}
+
+/// The distinct text offsets on the paths of `cands`, candidates of
+/// `img`: each one's start and the start of every later instruction.
+fn path_offsets<'a>(
+    img: &LinkedImage,
+    cands: impl IntoIterator<Item = &'a Candidate>,
+) -> BTreeSet<usize> {
     let mut out = BTreeSet::new();
-    for c in scan(&img.text, img.text_base) {
+    for c in cands {
         let mut pos = (c.vaddr - img.text_base) as usize;
         for insn in &c.insns {
             out.insert(pos);
@@ -42,17 +56,24 @@ fn path_offsets(img: &LinkedImage) -> BTreeSet<usize> {
 }
 
 /// The full decodes a pass 2 over `img2` with pass 1's memo must make:
-/// the offsets on its candidate paths whose instruction pass 1 never
-/// materialised (they were on no pass-1 path) or whose decode read a
-/// byte that changed.
+/// the offsets on the paths of its representatives of contents the
+/// memo holds no verdict for, whose instruction pass 1 never
+/// materialised (they were on no pass-1 representative's path) or
+/// whose decode read a byte that changed.
 fn stale_path_offsets(img1: &LinkedImage, img2: &LinkedImage) -> u64 {
-    let held = path_offsets(img1);
+    let held = path_offsets(img1, representatives(img1).iter().map(|(_, c)| c));
+    let inherited = carried(img1);
+    let reps2 = representatives(img2);
     let (old, new) = (&img1.text, &img2.text);
     let stale = |i: usize| {
         let read = decode_read(&old[i..]).1;
         old[i..i + read] != new[i..i + read]
     };
-    path_offsets(img2)
+    let assembled = reps2
+        .iter()
+        .filter(|(content, _)| !inherited.contains_key(content))
+        .map(|(_, c)| c);
+    path_offsets(img2, assembled)
         .into_iter()
         .filter(|&i| !held.contains(&i) || stale(i))
         .count() as u64
@@ -78,14 +99,15 @@ fn assert_rescan_matches_fresh(img1: &LinkedImage, img2: &LinkedImage, label: &s
     );
     assert_eq!(
         fresh_stats.decoded,
-        path_offsets(img2).len() as u64,
-        "{label}: a fresh scan decodes its candidate paths in full"
+        path_offsets(img2, representatives(img2).iter().map(|(_, c)| c)).len() as u64,
+        "{label}: a fresh pass decodes its representatives' paths in full"
     );
     if img1.text_base == img2.text_base && img1.text.len() == img2.text.len() {
         assert_eq!(
             stats.decoded,
             stale_path_offsets(img1, img2),
-            "{label}: a rescan decodes in full only stale or new path offsets"
+            "{label}: a rescan decodes in full only the stale or new offsets on the paths \
+             of the contents it inherits no verdict for"
         );
     }
     vstats.reused
@@ -128,31 +150,33 @@ fn content_of(img: &LinkedImage, cand: &Candidate) -> Content {
     (img.text[off..off + cand.len as usize].to_vec(), cand.far)
 }
 
-/// Every verdict pass 2 may carry over from pass 1 equals a fresh probe
-/// of the pass-2 image. Pass 1 carries the verdict of each classified
-/// content whose proposal is layout-independent and whose probe did
-/// not stray; pass 2 serves it to every copy of that content, wherever
-/// the copy now sits. Returns how many carried contents pass 2 holds.
-fn assert_carried_verdicts_hold(img1: &LinkedImage, img2: &LinkedImage, label: &str) -> usize {
-    let mut probe1 = ProbeVm::new(img1);
-    let mut carried: HashMap<Content, Option<Gadget>> = HashMap::new();
-    let mut seen = HashSet::new();
-    for cand in scan(&img1.text, img1.text_base) {
-        let content = content_of(img1, &cand);
-        if !seen.insert(content.clone()) {
-            continue;
-        }
+/// The verdicts a pass over `img` carries to the next, keyed by
+/// content, with vaddr 0: each classified content whose proposal is
+/// layout-independent and whose representative's probe did not stray.
+fn carried(img: &LinkedImage) -> HashMap<Content, Option<Gadget>> {
+    let mut probe = ProbeVm::new(img);
+    let mut carried = HashMap::new();
+    for (content, cand) in representatives(img) {
         let Some(p) = classify(&cand) else {
             continue;
         };
         if !p.layout_independent() {
             continue;
         }
-        let verdict = probe1.validate(&p);
-        if !probe1.strayed() {
+        let verdict = probe.validate(&p);
+        if !probe.strayed() {
             carried.insert(content, verdict.map(|g| Gadget { vaddr: 0, ..g }));
         }
     }
+    carried
+}
+
+/// Every verdict pass 2 may carry over from pass 1 equals a fresh probe
+/// of the pass-2 image. Pass 1 carries the verdicts [`carried`] lists;
+/// pass 2 serves each to every copy of that content, wherever the copy
+/// now sits. Returns how many carried contents pass 2 holds.
+fn assert_carried_verdicts_hold(img1: &LinkedImage, img2: &LinkedImage, label: &str) -> usize {
+    let mut carried = carried(img1);
     let mut probe2 = ProbeVm::new(img2);
     let mut compared = 0;
     for cand in scan(&img2.text, img2.text_base) {

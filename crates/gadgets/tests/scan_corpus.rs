@@ -1,15 +1,17 @@
 //! Corpus-level guarantees for the table-driven scanner: every text
-//! offset the scan reaches gets exactly one shape decode, every offset
-//! on a candidate's path exactly one full decode, and no other offset
-//! is decoded (asserted via the `ScanStats` counters behind
-//! `scan.decode.*`), and the candidate stream — and therefore
+//! offset the scan reaches gets exactly one shape decode; a scan that
+//! assembles every candidate decodes each offset on a candidate's path
+//! exactly once, and a gadget pass, which assembles one representative
+//! per content, each offset on a representative's path exactly once;
+//! no other offset is decoded (asserted via the `ScanStats` counters
+//! behind `scan.decode.*`). The candidate stream — and therefore
 //! `find_gadgets` — is identical to the retained reference scanner.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 
 use parallax_compiler::compile_module;
 use parallax_gadgets::scan::{scan_reference, scan_with_stats};
-use parallax_gadgets::MAX_GADGET_BYTES;
+use parallax_gadgets::{find_gadgets_instrumented, Candidate, MAX_GADGET_BYTES};
 use parallax_image::LinkedImage;
 
 fn link(name: &str) -> LinkedImage {
@@ -28,6 +30,20 @@ fn largest() -> (String, LinkedImage) {
         .map(|w| (w.name.to_owned(), link(w.name)))
         .max_by_key(|(_, img)| img.text.len())
         .expect("corpus is non-empty")
+}
+
+/// The distinct text offsets on the paths of `cands`, candidates of
+/// `img`: each one's start and the start of every later instruction.
+fn path_offsets<'a>(img: &LinkedImage, cands: impl IntoIterator<Item = &'a Candidate>) -> u64 {
+    let mut out = BTreeSet::new();
+    for c in cands {
+        let mut pos = (c.vaddr - img.text_base) as usize;
+        for insn in &c.insns {
+            out.insert(pos);
+            pos += usize::from(insn.len);
+        }
+    }
+    out.len() as u64
 }
 
 #[test]
@@ -50,21 +66,33 @@ fn largest_corpus_binary_decodes_each_offset_at_most_once() {
     );
     assert_eq!(stats.reused, 0, "{name}: a fresh table reuses nothing");
     assert_eq!(stats.shapes + stats.skipped, stats.offsets, "{name}");
-    // Full decodes: exactly the offsets on a candidate's path.
-    let mut paths = BTreeSet::new();
-    for c in &cands {
-        let mut pos = (c.vaddr - img.text_base) as usize;
-        for insn in &c.insns {
-            paths.insert(pos);
-            pos += usize::from(insn.len);
-        }
-    }
+    // Full decodes of a scan that assembles every candidate: exactly
+    // the offsets on a candidate's path.
     assert_eq!(
         stats.decoded,
-        paths.len() as u64,
+        path_offsets(&img, &cands),
         "{name}: exactly one full decode per candidate-path offset"
     );
     assert!(stats.decoded < stats.shapes, "{name}");
+    // A gadget pass assembles only each content's first candidate, so
+    // its full decodes are exactly the offsets on those paths.
+    let mut seen = HashSet::new();
+    let reps = cands.iter().filter(|c| {
+        let off = (c.vaddr - img.text_base) as usize;
+        seen.insert((&img.text[off..off + c.len as usize], c.far))
+    });
+    let (_, pass, _) = find_gadgets_instrumented(&img, 1, None);
+    assert_eq!(
+        pass.decoded,
+        path_offsets(&img, reps),
+        "{name}: exactly one full decode per representative-path offset"
+    );
+    assert!(pass.decoded < stats.decoded, "{name}");
+    assert_eq!(
+        (pass.shapes, pass.candidates),
+        (stats.shapes, stats.candidates),
+        "{name}"
+    );
     // The links and the candidates' assembly are served from the table:
     // one link step per reached interior offset, one assembly step per
     // candidate instruction.

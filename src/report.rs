@@ -308,8 +308,8 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
         let _ = writeln!(
             out,
             "  gadget scan: {shapes} shape decodes and {decoded} full decodes \
-             over {offsets} text offsets ({skipped} reached by no candidate), \
-             {memo} link and assembly steps"
+             (paid once per content) over {offsets} text offsets \
+             ({skipped} reached by no candidate), {memo} link and assembly steps"
         );
         let _ = writeln!(
             out,
@@ -520,7 +520,8 @@ pub fn render_diff(a: &TraceFile, b: &TraceFile) -> String {
     // Gadget-pass work: decodes, probe runs (and how many were second
     // trials) and probe-VM page copies performed, the proposals
     // rejected without a run, and what the incremental second pass and
-    // same-content copies reused instead.
+    // same-content copies reused instead. A full decode is paid once per
+    // content, on its representative's path, not once per candidate.
     let work = [
         ("full decodes", "scan.decode.once"),
         ("shape decodes", "scan.decode.shape"),
@@ -766,8 +767,8 @@ mod tests {
             "4.00x parallel speedup",
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
-            "5000 shape decodes and 1500 full decodes over 9000 text offsets \
-             (1000 reached by no candidate)",
+            "5000 shape decodes and 1500 full decodes (paid once per content) \
+             over 9000 text offsets (1000 reached by no candidate)",
             "20000 link and assembly steps",
             "shapes reused from the previous pass: 3000",
             "gadget validation (shared-trial probes):",
