@@ -1,10 +1,17 @@
 //! Typed payload codecs for the artifact cache.
 //!
 //! Gadget scans have their own codec in `parallax-gadgets`
-//! (`serialize_gadgets`); this module covers the engine-specific
-//! artifacts — one function's pass-1 rewrite and the full protected
-//! result — in the same hand-rolled little-endian style. Decoders are
-//! total: malformed bytes yield `None` (a cache miss), never a panic.
+//! (`serialize_gadgets`): it writes each distinct gadget record once
+//! and each gadget as its vaddr and a record index, so a scan payload
+//! costs per content, not per copy, and a scan-cache hit hands the
+//! pipeline copies that share their content's record, as a fresh scan
+//! does. A scan payload of another container version (`PGS\x01` files
+//! an older build left in a cache directory) decodes as `None` and is
+//! rescanned. This module covers the engine-specific artifacts — one
+//! function's pass-1 rewrite and the full protected result — in the
+//! same hand-rolled little-endian style. Decoders are total: malformed
+//! bytes yield `None` (a cache miss), never a panic. The cache keeps
+//! every payload at its exact length (see `cache`).
 
 use parallax_core::ProtectReport;
 use parallax_image::program::FuncItem;

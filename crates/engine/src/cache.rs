@@ -11,6 +11,10 @@
 //!   the CLI) that persists artifacts across processes, written
 //!   atomically via a temp-file rename.
 //!
+//! A resident payload is kept at its exact length, with none of its
+//! encoder's `Vec` growth slack: a long-running server holds its
+//! entries for good.
+//!
 //! Every stored payload carries its own content hash. Both layers
 //! re-verify the hash on every fetch, so a corrupted entry — bit-rot,
 //! a torn write, or the deliberate poisoning of the fault-injection
@@ -224,7 +228,10 @@ impl ArtifactCache {
         self.insert_mem(key, payload);
     }
 
-    fn insert_mem(&self, key: Key, payload: Vec<u8>) {
+    fn insert_mem(&self, key: Key, mut payload: Vec<u8>) {
+        // A resident entry holds its exact length: an encoder's growth
+        // slack would otherwise stay allocated for the entry's lifetime.
+        payload.shrink_to_fit();
         let payload_hash = hash128(&payload);
         let mut inner = self.lock();
         inner.tick += 1;
@@ -417,6 +424,16 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
+    }
+
+    #[test]
+    fn resident_payloads_keep_no_growth_slack() {
+        let c = ArtifactCache::new(2, None);
+        let mut payload = Vec::with_capacity(1024);
+        payload.extend_from_slice(b"scan");
+        c.store(key(4), payload);
+        assert_eq!(c.lock().map[&key(4)].payload.capacity(), 4);
+        assert!(matches!(c.fetch(key(4)), Fetch::Hit(v) if v == b"scan"));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use parallax_engine::{
     hash128, ArtifactCache, ArtifactKind, Engine, EngineEvent, EngineOptions, Fetch, Job,
     JobSource, Key, ProvenanceRecord,
 };
+use parallax_gadgets::{deserialize_gadgets, Gadget};
 
 const SRC: &str = r#"
     fn vf(x) { return x * 5 + 3; }
@@ -172,6 +173,107 @@ fn restamped_protected_entry_fails_image_verification_and_recomputes() {
     let third = engine.run(vec![one_job()], |_| {}).expect("third run");
     assert!(third.results[0].cached, "cache must heal after recompute");
     assert_eq!(third.results[0].image, clean_image);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A scan payload in the per-gadget `PGS\x01` container older builds
+/// wrote: a count, then each gadget with all of its record's fields.
+/// The effect lists are left empty, which that container allowed.
+fn per_gadget_container(gadgets: &[Gadget]) -> Vec<u8> {
+    fn u32(out: &mut Vec<u8>, v: u32) {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut out = b"PGS\x01".to_vec();
+    u32(&mut out, gadgets.len() as u32);
+    for g in gadgets {
+        u32(&mut out, g.vaddr);
+        u32(&mut out, g.len);
+        out.push(u8::from(g.far));
+        u32(&mut out, g.slots);
+        u32(&mut out, g.insn_count);
+        u32(&mut out, g.disasm.len() as u32);
+        out.extend_from_slice(g.disasm.as_bytes());
+        out.extend_from_slice(&[0, 0, 0]);
+    }
+    out
+}
+
+/// Every on-disk entry of `kind` under `dir`.
+fn entry_paths(dir: &PathBuf, kind: &str) -> Vec<PathBuf> {
+    let mut found: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("cache dir exists")
+        .flatten()
+        .map(|f| f.path())
+        .filter(|p| {
+            let name = p.file_name().unwrap_or_default().to_string_lossy();
+            name.starts_with(kind) && name.ends_with(".plxc")
+        })
+        .collect();
+    found.sort();
+    found
+}
+
+/// A scan entry an older build left in the cache directory passes the
+/// self-hash but is not this build's container: the engine reads it as
+/// a miss, rescans, and overwrites it with the current container.
+#[test]
+fn old_container_scan_entry_is_rescanned_not_served() {
+    let dir = temp_dir("old-scan");
+    let opts = || EngineOptions {
+        cache_dir: Some(dir.clone()),
+        ..EngineOptions::default()
+    };
+    let cold = Engine::new(opts())
+        .run(vec![one_job()], |_| {})
+        .expect("cold run");
+    assert!(cold.all_clean());
+    let clean_image = cold.results[0].image.clone();
+
+    // Replace every scan payload with its old-container form under a
+    // valid self-hash, and drop the protected result so the next run
+    // protects again and fetches the scans.
+    let scans = entry_paths(&dir, "scan");
+    assert!(!scans.is_empty());
+    for path in &scans {
+        let bytes = std::fs::read(path).expect("entry readable");
+        let gadgets = deserialize_gadgets(&bytes[20..]).expect("a current scan payload");
+        let old = per_gadget_container(&gadgets);
+        assert!(deserialize_gadgets(&old).is_none());
+        let mut planted = bytes[..4].to_vec();
+        planted.extend_from_slice(&hash128(&old).to_le_bytes());
+        planted.extend_from_slice(&old);
+        std::fs::write(path, planted).expect("entry writable");
+    }
+    std::fs::remove_file(entry_path(&dir, "protected")).expect("protected entry removed");
+
+    let events = Mutex::new(Vec::new());
+    let second = Engine::new(opts())
+        .run(vec![one_job()], |ev| {
+            if let Ok(mut v) = events.lock() {
+                v.push(ev.clone());
+            }
+        })
+        .expect("second run");
+    assert!(second.all_clean());
+    assert!(!second.results[0].cached);
+    assert_eq!(second.results[0].image, clean_image);
+    let events = events.into_inner().expect("no poisoned lock");
+    assert!(
+        events.iter().any(|ev| matches!(
+            ev,
+            EngineEvent::CacheHit {
+                kind: ArtifactKind::Scan,
+                ..
+            }
+        )),
+        "the planted entries must have been fetched"
+    );
+    // The rescan stored the current container over each old entry.
+    assert_eq!(entry_paths(&dir, "scan"), scans);
+    for path in &scans {
+        let bytes = std::fs::read(path).expect("entry readable");
+        assert!(deserialize_gadgets(&bytes[20..]).is_some(), "{path:?}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

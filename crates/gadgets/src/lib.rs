@@ -78,23 +78,27 @@ fn below_stack(img: &LinkedImage) -> bool {
 
 /// What one gadget pass leaves for a rescan of the same image relinked
 /// with other data sizes (the second pass of `protect()`'s fixpoint):
-/// the text it scanned, that text's decode table, and the probe
-/// verdicts of its [layout-independent](Proposal::layout_independent)
-/// proposals keyed by content. A pass given the memo decodes again only
-/// the slots whose own bytes changed and serves those verdicts wherever
-/// their bytes now sit, sharing their records; it neither assembles nor
-/// probes the contents it has a verdict for.
+/// the text it scanned, that text's decode table, the contents that do
+/// not classify, and the probe verdicts of its
+/// [layout-independent](Proposal::layout_independent) proposals, both
+/// keyed by content. A pass given the memo decodes again only the slots
+/// whose own bytes changed and serves those verdicts wherever their
+/// bytes now sit, sharing their records; it neither assembles nor
+/// classifies nor probes the contents it has a verdict for.
 pub struct PassMemo {
     text_base: u32,
     text: Vec<u8>,
     slots: scan::Slots,
-    verdicts: HashMap<Content, Option<Arc<GadgetRecord>>>,
+    /// [`Verdict::Unclassified`] or [`Verdict::Inherited`] per content.
+    verdicts: HashMap<Content, Verdict>,
 }
 
 impl PassMemo {
     /// The memo of a pass over `img`: its table's `slots` and, when the
-    /// image fits below the stack, its contents' layout-independent
-    /// verdicts, inherited ones included.
+    /// image fits below the stack, its unclassified contents and its
+    /// contents' layout-independent verdicts, inherited ones included.
+    /// Classification reads only a content's bytes, so it holds at any
+    /// vaddr.
     fn new(img: &LinkedImage, slots: scan::Slots, verdicts: Vec<(Content, Verdict)>) -> PassMemo {
         let fits = below_stack(img);
         let verdicts = verdicts
@@ -104,8 +108,8 @@ impl PassMemo {
                 Verdict::Probed {
                     record,
                     independent: true,
-                }
-                | Verdict::Inherited(record) => Some((content, record)),
+                } => Some((content, Verdict::Inherited(record))),
+                Verdict::Inherited(_) | Verdict::Unclassified => Some((content, verdict)),
                 _ => None,
             })
             .collect();
@@ -162,7 +166,8 @@ pub fn find_gadgets_instrumented(
 
 /// What a content's representative found, for every copy.
 enum Verdict {
-    /// The content does not classify.
+    /// The content does not classify, in this pass or, through the
+    /// memo, in the previous one.
     Unclassified,
     /// Probed in this pass; `independent` when the proposal is
     /// layout-independent, so the verdict also holds in a later pass.
@@ -170,7 +175,7 @@ enum Verdict {
         record: Option<Arc<GadgetRecord>>,
         independent: bool,
     },
-    /// Served from the previous pass's memo.
+    /// A probed verdict served from the previous pass's memo.
     Inherited(Option<Arc<GadgetRecord>>),
     /// The probe left the candidate's bytes, so its verdict depends on
     /// the text it reached: every copy probed on its own, and these are
@@ -189,13 +194,14 @@ enum Verdict {
 /// its PRNG from the candidate's bytes. So the scan groups the
 /// candidates by content, in scan order, and only the first candidate
 /// of each content, its representative, is assembled, classified and
-/// probed; contents the memo holds a verdict for are not even
-/// assembled. The representatives fan out in fixed-size chunks over
-/// `jobs` workers, each with its own [`ProbeVm`]. Then every candidate,
-/// in scan order, takes its content's verdict with its own vaddr,
-/// pointing at the same [`GadgetRecord`], unless the representative's
-/// probe strayed: then each copy was probed on its own. Any job count
-/// returns the exact sequential gadget order and the same counters.
+/// probed; contents the memo holds a verdict for, that they do not
+/// classify included, are not even assembled. The representatives fan
+/// out in fixed-size chunks over `jobs` workers, each with its own
+/// [`ProbeVm`]. Then every candidate, in scan order, takes its content's
+/// verdict with its own vaddr, pointing at the same [`GadgetRecord`],
+/// unless the representative's probe strayed: then each copy was probed
+/// on its own. Any job count returns the exact sequential gadget order
+/// and the same counters.
 pub fn find_gadgets_reusing(
     img: &LinkedImage,
     jobs: usize,
@@ -233,12 +239,7 @@ fn gadget_pass<M>(
     // the other representatives are assembled, decoding their paths.
     let mut verdicts: Vec<Option<Verdict>> = contents
         .iter()
-        .map(|c| {
-            old_verdicts
-                .remove(c)
-                .filter(|_| fits)
-                .map(Verdict::Inherited)
-        })
+        .map(|c| old_verdicts.remove(c).filter(|_| fits))
         .collect();
     drop(old_verdicts);
     let todo: Vec<(usize, CandidateRef)> = (0..contents.len())

@@ -153,7 +153,7 @@ impl fmt::Display for Effect {
 /// What a gadget is apart from where it sits: a function of its
 /// content (text bytes and return kind), so every copy of one content
 /// shares one record (DESIGN.md §18).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GadgetRecord {
     /// Total encoded length in bytes, including the terminating return.
     pub len: u32,

@@ -16,20 +16,23 @@ use proptest::prelude::*;
 use parallax_bench::fig5_modes;
 use parallax_compiler::compile_module;
 use parallax_core::{protect_with, ArtifactStore, ChainMode, Ctx, ProtectConfig};
+use parallax_engine::{ArtifactCache, CacheHooks};
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::{
-    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm,
+    classify, deserialize_gadgets, find_gadgets_instrumented, find_gadgets_reusing,
+    serialize_gadgets, Candidate, Gadget, ProbeVm,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{Asm, Mem, Reg32};
 
-/// Records every image `protect()` scans.
+/// Records every image `protect()` scans, with the gadget list it
+/// hands the store.
 #[derive(Default)]
-struct ScannedImages(Mutex<Vec<LinkedImage>>);
+struct Scans(Mutex<Vec<(LinkedImage, Vec<Gadget>)>>);
 
-impl ArtifactStore for ScannedImages {
-    fn store_scan(&self, img: &LinkedImage, _gadgets: &[Gadget]) {
-        self.0.lock().unwrap().push(img.clone());
+impl ArtifactStore for Scans {
+    fn store_scan(&self, img: &LinkedImage, gadgets: &[Gadget]) {
+        self.0.lock().unwrap().push((img.clone(), gadgets.to_vec()));
     }
 }
 
@@ -40,12 +43,26 @@ fn scanned_images(
     module: &parallax_compiler::Module,
     mode: ChainMode,
 ) -> Vec<LinkedImage> {
+    scans(prog, verify, module, mode)
+        .into_iter()
+        .map(|(img, _)| img)
+        .collect()
+}
+
+/// Every scan of one protection run, both fixpoint passes: the image
+/// and the gadget list `protect()` would store for it.
+fn scans(
+    prog: Program,
+    verify: &str,
+    module: &parallax_compiler::Module,
+    mode: ChainMode,
+) -> Vec<(LinkedImage, Vec<Gadget>)> {
     let cfg = ProtectConfig {
         verify_funcs: vec![verify.to_owned()],
         mode,
         ..ProtectConfig::default()
     };
-    let store = ScannedImages::default();
+    let store = Scans::default();
     let impls = cfg
         .verify_impls(module)
         .expect("verification function exists");
@@ -249,6 +266,41 @@ fn copies_share_their_contents_record() {
         }
     }
     assert!(shared > 0 && inherited > 0, "({shared}, {inherited})");
+}
+
+/// A scan served from the artifact cache, by a serialize → deserialize
+/// round trip or by an engine scan-cache hit, is the list `protect()`
+/// stored: the same vaddrs and records in order, and every copy of a
+/// content points at one record, as the copies of the fresh scan do.
+/// (The container records equal records once, so copies whose probes
+/// strayed but found the same record share it too.) Corpus ×
+/// `fig5_modes()`, both passes.
+#[test]
+fn cached_scans_share_records_like_fresh_ones() {
+    let mut shared = 0;
+    for w in parallax_corpus::all() {
+        for mode in fig5_modes() {
+            let module = (w.module)();
+            let prog = compile_module(&module).expect("corpus compiles");
+            for (img, fresh) in scans(prog, w.verify_func, &module, mode.clone()) {
+                let label = format!("{} {mode:?}", w.name);
+                let (_, want) = records_by_content(&img, &fresh, &label);
+                let round_trip =
+                    deserialize_gadgets(&serialize_gadgets(&fresh)).expect("the payload reads");
+                let cache = ArtifactCache::new(4, None);
+                let hooks = CacheHooks::new(0, &cache, None);
+                hooks.store_scan(&img, &fresh);
+                let hit = hooks.cached_scan(&img).expect("a scan-cache hit");
+                for (how, back) in [("round trip", round_trip), ("cache hit", hit)] {
+                    assert_eq!(format!("{back:?}"), format!("{fresh:?}"), "{label} {how}");
+                    let (_, got) = records_by_content(&img, &back, &format!("{label} {how}"));
+                    assert!(got >= want, "{label} {how}: {got} shared copies of {want}");
+                    shared += got;
+                }
+            }
+        }
+    }
+    assert!(shared > 0);
 }
 
 /// `main` exits, then `gadget` is emitted twice: right after the exit

@@ -17,7 +17,8 @@ use parallax_gadgets::classify::SyscallEax;
 use parallax_gadgets::scan::scan;
 use parallax_gadgets::validate::scratch_pointer;
 use parallax_gadgets::{
-    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, Gadget, ProbeVm, Proposal,
+    classify, find_gadgets_instrumented, find_gadgets_reusing, Candidate, CandidateRef, Gadget,
+    ProbeVm, Proposal,
 };
 use parallax_image::{LinkedImage, Program};
 use parallax_x86::{decode_read, AluOp, Asm, Mem, Reg32};
@@ -57,12 +58,14 @@ fn path_offsets<'a>(
 
 /// The full decodes a pass 2 over `img2` with pass 1's memo must make:
 /// the offsets on the paths of its representatives of contents the
-/// memo holds no verdict for, whose instruction pass 1 never
-/// materialised (they were on no pass-1 representative's path) or
-/// whose decode read a byte that changed.
+/// memo holds no verdict for — neither a carried probe verdict nor
+/// "does not classify" — whose instruction pass 1 never materialised
+/// (they were on no pass-1 representative's path) or whose decode read
+/// a byte that changed.
 fn stale_path_offsets(img1: &LinkedImage, img2: &LinkedImage) -> u64 {
     let held = path_offsets(img1, representatives(img1).iter().map(|(_, c)| c));
     let inherited = carried(img1);
+    let unclassified = unclassified(img1);
     let reps2 = representatives(img2);
     let (old, new) = (&img1.text, &img2.text);
     let stale = |i: usize| {
@@ -71,7 +74,7 @@ fn stale_path_offsets(img1: &LinkedImage, img2: &LinkedImage) -> u64 {
     };
     let assembled = reps2
         .iter()
-        .filter(|(content, _)| !inherited.contains_key(content))
+        .filter(|(content, _)| !inherited.contains_key(content) && !unclassified.contains(content))
         .map(|(_, c)| c);
     path_offsets(img2, assembled)
         .into_iter()
@@ -169,6 +172,66 @@ fn carried(img: &LinkedImage) -> HashMap<Content, Option<Gadget>> {
         }
     }
     carried
+}
+
+/// The contents of `img` that do not classify: the memo carries them
+/// to the next pass, which neither assembles nor classifies them again.
+fn unclassified(img: &LinkedImage) -> HashSet<Content> {
+    representatives(img)
+        .into_iter()
+        .filter(|(_, cand)| classify(cand).is_none())
+        .map(|(content, _)| content)
+        .collect()
+}
+
+/// What `classify` says of a candidate, apart from the candidate itself.
+fn classification(cand: CandidateRef) -> Option<String> {
+    classify(cand).map(|p| {
+        format!(
+            "{} {:?} {:?} {:?} {:?} {} {:?}",
+            p.slots,
+            p.effects,
+            p.clobbers,
+            p.mem_preconditions,
+            p.accesses,
+            p.unresolved_access,
+            p.syscall_eax
+        )
+    })
+}
+
+/// Classification reads a content's bytes and return kind, not where
+/// it sits, so the memo may carry "does not classify" to the next pass
+/// wherever the content now lies: every representative of both images
+/// of each fixpoint `protect()` links classifies alike at its own vaddr
+/// and at another.
+#[test]
+fn a_content_classifies_alike_at_two_vaddrs() {
+    let (mut classified, mut unclassified) = (0, 0);
+    for w in parallax_corpus::all() {
+        for mode in fig5_modes() {
+            let module = (w.module)();
+            let prog = compile_module(&module).expect("corpus compiles");
+            for (img1, img2) in fixpoint_pairs(prog, w.verify_func, &module, mode.clone()) {
+                for (_, cand) in representatives(&img1)
+                    .into_iter()
+                    .chain(representatives(&img2))
+                {
+                    let here = classification(CandidateRef::from(&cand));
+                    let moved = CandidateRef::from(&cand).at(cand.vaddr.wrapping_add(0x0012_3450));
+                    assert_eq!(here, classification(moved), "{}", cand.disasm());
+                    match here {
+                        Some(_) => classified += 1,
+                        None => unclassified += 1,
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        classified > 0 && unclassified > 0,
+        "({classified}, {unclassified})"
+    );
 }
 
 /// Every verdict pass 2 may carry over from pass 1 equals a fresh probe
