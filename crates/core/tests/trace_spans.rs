@@ -280,3 +280,106 @@ fn every_degradation_is_one_instant_and_one_count() {
     }
     assert_eq!(tf.counters["pipeline.degradations"], degr.len() as u64);
 }
+
+/// An FNV-1a digest of everything [`parallax_vm::ChainTracer::export_to`]
+/// writes: the cycle lane's spans and `gadget` instants (with their
+/// args), the `vf.*` and `vm.dispatch.*` counters and the `vm.verify.*`
+/// histograms.
+fn chain_lane_digest(snap: &parallax_trace::TraceSnapshot) -> u64 {
+    let mut text = String::new();
+    for e in &snap.events {
+        match e {
+            Event::Span {
+                name,
+                cat,
+                tid,
+                start_us,
+                dur_us,
+                ..
+            } => {
+                text += &format!(
+                    "S {name} {cat} {} {start_us} {dur_us}\n",
+                    snap.thread_names[*tid]
+                )
+            }
+            Event::Instant {
+                name,
+                cat,
+                tid,
+                ts_us,
+                args,
+            } => {
+                text += &format!("I {name} {cat} {} {ts_us}", snap.thread_names[*tid]);
+                for (k, v) in args {
+                    match v {
+                        ArgValue::U64(n) => text += &format!(" {k}={n}"),
+                        ArgValue::Str(s) => text += &format!(" {k}={s:?}"),
+                    }
+                }
+                text += "\n";
+            }
+        }
+    }
+    for (k, v) in &snap.counters {
+        if k.starts_with("vf.") || k.starts_with("vm.dispatch.") {
+            text += &format!("C {k} {v}\n");
+        }
+    }
+    for (k, h) in &snap.hists {
+        if k.starts_with("vm.verify.") {
+            text += &format!(
+                "H {k} {} {} {} {} {:?}\n",
+                h.count, h.sum, h.min, h.max, h.buckets
+            );
+        }
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The exported chain lane of gzip and gcc (40 episodes a run), in all
+/// four Figure-5 modes, is pinned: a change to how the tracer stores
+/// dispatches must not move a span, an instant, a counter or a
+/// histogram.
+#[test]
+fn exported_chain_lane_is_pinned() {
+    let pinned = [
+        ("gzip", "cleartext", 0xce88_c7ac_8f13_550a),
+        ("gzip", "xor", 0x49d4_cf0a_1463_03d2),
+        ("gzip", "rc4", 0x6a73_e382_e61d_2702),
+        ("gzip", "probabilistic", 0xcc90_d687_a8c7_0ff8),
+        ("gcc", "cleartext", 0x8e41_baa6_058a_fd0b),
+        ("gcc", "xor", 0xc031_2c5a_fa26_7398),
+        ("gcc", "rc4", 0xf310_5466_ab43_3ad4),
+        ("gcc", "probabilistic", 0x8d21_31b8_19d5_0a5b),
+    ];
+    assert_eq!(std::mem::size_of::<parallax_vm::Dispatch>(), 8);
+    let mut seen = Vec::new();
+    for name in ["gzip", "gcc"] {
+        let w = parallax_corpus::by_name(name).expect("corpus program");
+        for mode in parallax_bench::fig5_modes() {
+            let mode_name = mode.name();
+            let cfg = ProtectConfig {
+                verify_funcs: vec![w.verify_func.to_owned()],
+                mode,
+                ..ProtectConfig::default()
+            };
+            let protected = parallax_core::protect(&(w.module)(), &cfg).expect("protect succeeds");
+            let mut vm = parallax_vm::Vm::new(&protected.image);
+            vm.set_input(&(w.input)());
+            vm.set_chain_tracer(parallax_core::chain_tracer_for(&protected));
+            assert!(
+                matches!(vm.run(), parallax_vm::Exit::Exited(_)),
+                "{name} {mode_name}"
+            );
+            let ct = vm.take_chain_tracer().expect("tracer installed");
+            // A taken tracer's log holds no growth slack.
+            assert_eq!(ct.log_bytes(), std::mem::size_of_val(ct.dispatches()));
+            let tracer = Tracer::new();
+            ct.export_to(&tracer);
+            seen.push((name, mode_name, chain_lane_digest(&tracer.snapshot())));
+        }
+    }
+    assert_eq!(seen, pinned);
+}

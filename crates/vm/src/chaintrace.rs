@@ -10,8 +10,15 @@
 //! * a `call` into a registered **verification entry** opens an
 //!   *episode* attributed to that protected function;
 //! * every `ret` landing on a registered **gadget address** while an
-//!   episode is open is one *dispatch*, carrying the gadget's vaddr,
-//!   kind, and the cycles since the previous dispatch.
+//!   episode is open is one *dispatch*.
+//!
+//! The tracer runs on every `ret`, so a dispatch costs 8 bytes of log:
+//! the gadget's vaddr and the cycles since the episode's previous
+//! dispatch ([`Dispatch`]). Everything else is derived by
+//! [`ChainTracer::events`]: each episode's dispatches are contiguous in
+//! the log, so the episode follows from the [`Episode::dispatches`]
+//! counts, the kind from the gadget's registration, and the cycle
+//! stamp from the episode's start plus the running gaps.
 //!
 //! Episodes and dispatches are cycle-stamped, and VM cycles are
 //! deterministic — so [`ChainTracer::export_to`] can lay the whole
@@ -26,10 +33,26 @@ use std::collections::HashMap;
 
 use parallax_trace::Tracer;
 
-/// One gadget dispatch observed during a verification episode.
+/// The [`Dispatch::gap`] of a dispatch whose gap does not fit in a
+/// `u32`: the exact gap is the next entry of the tracer's side list.
+const WIDE: u32 = u32::MAX;
+
+/// One gadget dispatch as the log stores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatch {
-    /// Episode index this dispatch belongs to.
+    /// The gadget's virtual address (the `ret` target).
+    pub vaddr: u32,
+    /// Cycles since the episode's previous dispatch (or its start), or
+    /// [`WIDE`].
+    gap: u32,
+}
+
+/// One gadget dispatch with its derived fields, as
+/// [`ChainTracer::events`] reconstructs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DispatchEvent {
+    /// Episode index this dispatch belongs to (the open episode's is
+    /// `episodes().len()`).
     pub episode: usize,
     /// The gadget's virtual address (the `ret` target).
     pub vaddr: u32,
@@ -79,10 +102,14 @@ pub struct ChainTracer {
     gadget_kind: HashMap<u32, usize>,
     /// Interned gadget-kind names (e.g. `"LoadConst"`, `"StoreMem"`).
     pub kinds: Vec<String>,
-    verify_entry: HashMap<u32, usize>,
+    /// `(entry, index into funcs)`; a program has a few verification
+    /// functions, so a scan beats hashing on every `call`.
+    verify_entry: Vec<(u32, usize)>,
     funcs: Vec<String>,
     episodes: Vec<Episode>,
     dispatches: Vec<Dispatch>,
+    /// The exact gaps of the [`WIDE`] dispatches, in log order.
+    wide_gaps: Vec<u64>,
     open: Option<OpenEpisode>,
 }
 
@@ -114,12 +141,15 @@ impl ChainTracer {
                 self.funcs.len() - 1
             }
         };
-        self.verify_entry.insert(entry, idx);
+        match self.verify_entry.iter_mut().find(|(e, _)| *e == entry) {
+            Some(slot) => slot.1 = idx,
+            None => self.verify_entry.push((entry, idx)),
+        }
     }
 
     /// VM hook: a `call` retired with the given target.
     pub fn note_call(&mut self, target: u32, cycles: u64) {
-        if let Some(&func) = self.verify_entry.get(&target) {
+        if let Some(&(_, func)) = self.verify_entry.iter().find(|(e, _)| *e == target) {
             self.close_open();
             self.open = Some(OpenEpisode {
                 func,
@@ -132,20 +162,21 @@ impl ChainTracer {
 
     /// VM hook: a `ret` (near or far) retired with the given target.
     pub fn note_ret(&mut self, target: u32, cycles: u64) {
-        let Some(&kind) = self.gadget_kind.get(&target) else {
-            return;
-        };
         let Some(open) = self.open.as_mut() else {
             return;
         };
-        let delta = cycles.saturating_sub(open.last_cycles);
-        self.dispatches.push(Dispatch {
-            episode: self.episodes.len(),
-            vaddr: target,
-            kind,
-            at_cycles: cycles,
-            cycles: delta,
-        });
+        if !self.gadget_kind.contains_key(&target) {
+            return;
+        }
+        let gap = cycles.saturating_sub(open.last_cycles);
+        let gap = match u32::try_from(gap) {
+            Ok(g) if g != WIDE => g,
+            _ => {
+                self.wide_gaps.push(gap);
+                WIDE
+            }
+        };
+        self.dispatches.push(Dispatch { vaddr: target, gap });
         open.last_cycles = cycles;
         open.dispatches += 1;
     }
@@ -161,9 +192,12 @@ impl ChainTracer {
         }
     }
 
-    /// Closes any episode still open (call after the VM exits).
+    /// Closes any episode still open and trims the log to its length
+    /// (call after the VM exits).
     pub fn finish(&mut self) {
         self.close_open();
+        self.dispatches.shrink_to_fit();
+        self.wide_gaps.shrink_to_fit();
     }
 
     /// Completed episodes, in execution order.
@@ -176,13 +210,44 @@ impl ChainTracer {
         &self.dispatches
     }
 
+    /// Heap bytes the dispatch log holds: its capacity, plus the side
+    /// list of gaps too wide for a [`Dispatch`].
+    pub fn log_bytes(&self) -> usize {
+        self.dispatches.capacity() * std::mem::size_of::<Dispatch>()
+            + self.wide_gaps.capacity() * std::mem::size_of::<u64>()
+    }
+
+    /// Every dispatch with its episode, kind and cycle stamp, in
+    /// execution order.
+    pub fn events(&self) -> impl Iterator<Item = DispatchEvent> + '_ {
+        DispatchEvents {
+            ct: self,
+            next: 0,
+            episodes: 0,
+            left: 0,
+            at_cycles: 0,
+            wide: 0,
+        }
+    }
+
+    /// Episode `i`'s function, start cycle and dispatch count; `i ==
+    /// episodes().len()` is the open episode, if any.
+    fn episode(&self, i: usize) -> Option<(&str, u64, u64)> {
+        match self.episodes.get(i) {
+            Some(e) => Some((&e.func, e.start_cycles, e.dispatches)),
+            None if i == self.episodes.len() => self
+                .open
+                .as_ref()
+                .map(|o| (self.funcs[o.func].as_str(), o.start_cycles, o.dispatches)),
+            None => None,
+        }
+    }
+
     /// Total dispatches attributed to `func`.
     pub fn dispatches_for(&self, func: &str) -> u64 {
-        self.episodes
-            .iter()
-            .filter(|e| e.func == func)
-            .map(|e| e.dispatches)
-            .sum()
+        self.events()
+            .filter(|d| self.episode(d.episode).is_some_and(|(f, ..)| f == func))
+            .count() as u64
     }
 
     /// Lays the recorded chain executions out on `tracer`:
@@ -198,7 +263,9 @@ impl ChainTracer {
     ///   (per verification invocation).
     pub fn export_to(&self, tracer: &Tracer) {
         let lane = tracer.lane("vm-chain (cycles)");
-        for (i, ep) in self.episodes.iter().enumerate() {
+        let mut events = self.events();
+        let mut per_kind = vec![0u64; self.kinds.len()];
+        for ep in &self.episodes {
             tracer.span_at(
                 &format!("chain:{}", ep.func),
                 "vm",
@@ -211,7 +278,8 @@ impl ChainTracer {
             tracer.count(&format!("vf.{}.dispatches", ep.func), ep.dispatches);
             tracer.record("vm.verify.cycles", ep.cycles());
             tracer.record("vm.verify.dispatches", ep.dispatches);
-            for d in self.dispatches.iter().filter(|d| d.episode == i) {
+            for d in events.by_ref().take(ep.dispatches as usize) {
+                per_kind[d.kind] += 1;
                 tracer.instant_at(
                     "gadget",
                     "vm",
@@ -226,10 +294,62 @@ impl ChainTracer {
                 );
             }
         }
-        tracer.count("vm.dispatch.count", self.dispatches.len() as u64);
-        for d in &self.dispatches {
-            tracer.count(&format!("vm.dispatch.kind.{}", self.kinds[d.kind]), 1);
+        // The open episode's dispatches, when exported mid-run.
+        for d in events {
+            per_kind[d.kind] += 1;
         }
+        tracer.count("vm.dispatch.count", self.dispatches.len() as u64);
+        for (kind, &n) in self.kinds.iter().zip(&per_kind) {
+            if n > 0 {
+                tracer.count(&format!("vm.dispatch.kind.{kind}"), n);
+            }
+        }
+    }
+}
+
+/// The iterator [`ChainTracer::events`] returns.
+struct DispatchEvents<'a> {
+    ct: &'a ChainTracer,
+    /// Log index of the next dispatch.
+    next: usize,
+    /// Episodes entered so far; the current one is `episodes - 1`.
+    episodes: usize,
+    /// Dispatches of the current episode not yet yielded.
+    left: u64,
+    /// Cycle stamp of the current episode's previous dispatch (or its
+    /// start).
+    at_cycles: u64,
+    /// Index of the next entry of the wide-gap side list.
+    wide: usize,
+}
+
+impl Iterator for DispatchEvents<'_> {
+    type Item = DispatchEvent;
+
+    fn next(&mut self) -> Option<DispatchEvent> {
+        let d = *self.ct.dispatches.get(self.next)?;
+        while self.left == 0 {
+            let (_, start, n) = self.ct.episode(self.episodes)?;
+            self.episodes += 1;
+            self.at_cycles = start;
+            self.left = n;
+        }
+        let cycles = if d.gap == WIDE {
+            self.wide += 1;
+            self.ct.wide_gaps[self.wide - 1]
+        } else {
+            u64::from(d.gap)
+        };
+        self.next += 1;
+        self.left -= 1;
+        self.at_cycles += cycles;
+        Some(DispatchEvent {
+            episode: self.episodes - 1,
+            vaddr: d.vaddr,
+            kind: self.ct.gadget_kind[&d.vaddr],
+            at_cycles: self.at_cycles,
+            cycles,
+        })
     }
 }
 
@@ -258,9 +378,73 @@ mod tests {
         assert_eq!(ep.dispatches, 2);
         assert_eq!(ep.cycles(), 10); // 10 → 20
         assert_eq!(ct.dispatches().len(), 2);
-        assert_eq!(ct.dispatches()[0].cycles, 4);
-        assert_eq!(ct.dispatches()[1].cycles, 6);
+        let events: Vec<DispatchEvent> = ct.events().collect();
+        assert_eq!(events[0].cycles, 4);
+        assert_eq!(events[1].cycles, 6);
         assert_eq!(ct.dispatches_for("vf"), 2);
+    }
+
+    #[test]
+    fn events_derive_episode_kind_and_stamp() {
+        let mut ct = ChainTracer::new();
+        ct.register_gadget(0x100, "LoadConst");
+        ct.register_gadget(0x200, "StoreMem");
+        ct.register_verify(0x5000, "vf");
+        ct.register_verify(0x6000, "vg");
+        ct.note_call(0x5000, 10);
+        ct.note_ret(0x100, 14);
+        ct.note_call(0x6000, 30); // an episode with no dispatches
+        ct.note_call(0x5000, 40);
+        ct.note_ret(0x200, 41);
+        ct.note_ret(0x100, 50);
+        ct.note_call(0x6000, 60);
+        ct.note_ret(0x200, 70);
+        // Mid-run, the tail of the log belongs to the open episode.
+        let open: Vec<DispatchEvent> = ct.events().collect();
+        assert_eq!(open.len(), 4);
+        assert_eq!(open[3].episode, 3);
+        assert_eq!(open[3].at_cycles, 70);
+        assert_eq!(ct.dispatches_for("vg"), 1);
+        ct.finish();
+        let got: Vec<(usize, u32, &str, u64, u64)> = ct
+            .events()
+            .map(|d| {
+                let kind = ct.kinds[d.kind].as_str();
+                (d.episode, d.vaddr, kind, d.at_cycles, d.cycles)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0x100, "LoadConst", 14, 4),
+                (2, 0x200, "StoreMem", 41, 1),
+                (2, 0x100, "LoadConst", 50, 9),
+                (3, 0x200, "StoreMem", 70, 10),
+            ]
+        );
+        assert_eq!(ct.dispatches_for("vf"), 3);
+        assert_eq!(ct.dispatches_for("vg"), 1);
+    }
+
+    #[test]
+    fn gaps_past_u32_stay_exact() {
+        let mut ct = ChainTracer::new();
+        ct.register_gadget(0x100, "Nop");
+        ct.register_verify(0x5000, "vf");
+        let wide = u64::from(u32::MAX);
+        ct.note_call(0x5000, 1);
+        ct.note_ret(0x100, 1 + wide - 1); // fits
+        ct.note_ret(0x100, 1 + 2 * wide - 1); // exactly u32::MAX
+        ct.note_ret(0x100, u64::MAX - 1); // far past u32
+        ct.note_ret(0x100, u64::MAX);
+        ct.finish();
+        assert_eq!(std::mem::size_of::<Dispatch>(), 8);
+        let gaps: Vec<u64> = ct.events().map(|d| d.cycles).collect();
+        assert_eq!(gaps, [wide - 1, wide, u64::MAX - 1 - 2 * wide, 1]);
+        let last = ct.events().last().unwrap();
+        assert_eq!(last.at_cycles, u64::MAX);
+        assert_eq!(ct.episodes()[0].cycles(), u64::MAX - 1);
+        assert_eq!(ct.log_bytes(), 4 * 8 + 2 * 8);
     }
 
     #[test]

@@ -32,8 +32,10 @@ pub struct VmOptions {
     /// Cycle budget before [`Exit::CycleLimit`] (default 2 × 10⁹).
     pub cycle_limit: u64,
     /// Bytes of syscall output before [`Exit::MemLimit`] (default
-    /// 64 MiB). Syscall output is the only unbounded allocation in the
-    /// VM, so this caps total memory growth of a runaway writer.
+    /// 64 MiB). Syscall output and an installed [`ChainTracer`]'s log
+    /// (8 bytes a gadget dispatch, bounded only by the cycle limit) are
+    /// the only allocations in the VM that grow with a run; this caps
+    /// the first, so a runaway writer cannot grow memory without bound.
     pub output_limit: usize,
     /// Collect a per-function flat profile.
     pub profile: bool,
@@ -204,7 +206,8 @@ impl Vm {
     }
 
     /// Removes and returns the chain tracer, closing any episode
-    /// still open at the current cycle count.
+    /// still open at the current cycle count and trimming its log to
+    /// its length.
     pub fn take_chain_tracer(&mut self) -> Option<ChainTracer> {
         let mut ct = self.chain_tracer.take()?;
         ct.finish();

@@ -48,7 +48,7 @@ pub mod profile;
 pub mod syscall;
 
 pub use block::{BlockStats, BLOCK_CACHE_SLOTS, MAX_BLOCK_INSNS, MAX_FUSED_OPS};
-pub use chaintrace::{ChainTracer, Dispatch, Episode};
+pub use chaintrace::{ChainTracer, Dispatch, DispatchEvent, Episode};
 pub use cost::{CostModel, ReturnStackBuffer, RSB_DEPTH};
 pub use cpu::{Cpu, Flags};
 pub use error::{Exit, Fault, FaultKind};

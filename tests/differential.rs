@@ -213,7 +213,7 @@ fn three_way_interpreter_native_chain() {
 // is checked against the reference's per-instruction range lookups.
 
 use parallax::image::LinkedImage;
-use parallax::vm::{Dispatch, Episode, Flags, FuncProfile};
+use parallax::vm::{DispatchEvent, Episode, Flags, FuncProfile};
 use parallax::x86::{Mnemonic, Reg32};
 use proptest::prelude::*;
 
@@ -230,7 +230,7 @@ struct Observed {
     profile: Vec<(String, FuncProfile)>,
     other_cycles: u64,
     total_cycles: u64,
-    chains: Option<(Vec<Dispatch>, Vec<Episode>)>,
+    chains: Option<(Vec<DispatchEvent>, Vec<Episode>)>,
 }
 
 fn observe(vm: &mut Vm, exit: Exit) -> Observed {
@@ -251,7 +251,7 @@ fn observe(vm: &mut Vm, exit: Exit) -> Observed {
         total_cycles: prof.total_cycles,
         chains: vm
             .take_chain_tracer()
-            .map(|t| (t.dispatches().to_vec(), t.episodes().to_vec())),
+            .map(|t| (t.events().collect(), t.episodes().to_vec())),
     }
 }
 
@@ -408,7 +408,9 @@ const TIER1_LIMITS: u64 = 12;
 /// chain mode, where fused gadgets run. A dispatch's `at_cycles` is
 /// the count when its gadget starts; the dispatches come from the
 /// second chain episode on, when the gadgets' blocks are cached and run
-/// fused (a block's first run is a generic one).
+/// fused (a block's first run is a generic one). The gadget limits are
+/// pinned by count and FNV-1a digest, so the dispatch stamps they are
+/// taken from cannot drift unseen.
 fn sweep_cycle_limits(full: bool) {
     let (width, step) = if full {
         (600, 1)
@@ -428,11 +430,20 @@ fn sweep_cycle_limits(full: bool) {
             assert_eq!(seen.exit, Exit::CycleLimit, "{} limit {limit}", w.name);
         }
     }
-    let (dispatches, offsets): (usize, &[u64]) = if full {
-        (48, &[1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 28])
+    let (dispatches, offsets, pinned): (usize, &[u64], _) = if full {
+        (
+            48,
+            &[1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 28],
+            (2688, 0x66c8_056d_789a_1306),
+        )
     } else {
-        (TIER1_LIMITS as usize / 3, &[1, 4, 8])
+        (
+            TIER1_LIMITS as usize / 3,
+            &[1, 4, 8],
+            (48, 0x94a6_9f13_4c08_3419),
+        )
     };
+    let mut limits = Vec::new();
     let w = parallax_corpus::by_name("gzip").unwrap();
     let input = (w.input)();
     for mode in chain_modes() {
@@ -450,9 +461,17 @@ fn sweep_cycle_limits(full: bool) {
                 let label = format!("{} limit {limit}", mode.name());
                 let seen = engines_agree(&protected.image, limit, &setup, &label);
                 assert_eq!(seen.exit, Exit::CycleLimit, "{label}");
+                limits.push(limit);
             }
         }
     }
+    let digest = limits
+        .iter()
+        .flat_map(|l| l.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!((limits.len(), digest), pinned, "gadget limits moved");
 }
 
 #[test]
