@@ -535,6 +535,7 @@ impl Engine {
                 t.count("vm.block.hit", bs.hits);
                 t.count("vm.block.miss", bs.misses);
                 t.count("vm.block.invalidate", bs.invalidated);
+                t.count("vm.block.checked", bs.checked);
             }
             (Some(classify_outcome(exit, &output, &baseline)), cycles)
         } else {

@@ -24,9 +24,11 @@
 //!
 //! A block also carries what lets the engine run it as one unit: an
 //! upper bound on its cycle cost, so one check at entry can stand for
-//! the per-instruction cycle-limit checks, and each instruction's
-//! profile slot, resolved once here, so a block inside one function is
-//! charged with a single profile entry (DESIGN.md §10).
+//! the per-instruction cycle-limit checks; each instruction's profile
+//! slot, resolved once here, so a block inside one function is charged
+//! with a single profile entry; and the fixed cycle costs of its fast
+//! ops, summed once here, so the engine need not add them op by op
+//! (DESIGN.md §10).
 
 use std::rc::Rc;
 
@@ -57,6 +59,11 @@ pub struct BlockStats {
     pub invalidated: u64,
     /// Instructions predecoded into the blocks the misses built.
     pub decoded: u64,
+    /// Generic blocks run on the per-instruction checked path: those
+    /// that could reach the cycle limit, straddle two functions, or run
+    /// with W⊕X off. Every other generic block runs at its precomputed
+    /// cost.
+    pub checked: u64,
 }
 
 /// Pre-extracted micro-op for the hottest instruction forms. `Slow`
@@ -143,11 +150,49 @@ impl FastOp {
                 | FastOp::Slow
         )
     }
+
+    /// The op's cycle cost when it does not depend on run-time state:
+    /// the terms `Vm::exec_fast` charges it, as `Vm::exec_insn` charges
+    /// the instruction (a unit test pins the three together). `None`
+    /// for `Ret` (predicted or not) and `Jcc` (taken or not), whose
+    /// costs are decided when they run, and for `Slow`, which
+    /// `exec_insn` prices.
+    #[inline]
+    pub(crate) fn static_cost(self, c: &CostModel) -> Option<u64> {
+        Some(match self {
+            FastOp::Ret | FastOp::Jcc(..) | FastOp::Slow => return None,
+            FastOp::Jmp(_) => c.branch_taken,
+            FastOp::Call(..) => c.call,
+            FastOp::MovRI(..)
+            | FastOp::MovRR(..)
+            | FastOp::AluRR(..)
+            | FastOp::AluRI(..)
+            | FastOp::LeaRM(..)
+            | FastOp::XchgRR(..)
+            | FastOp::TestRR(..)
+            | FastOp::TestRI(..)
+            | FastOp::MovzxRR(..)
+            | FastOp::SetccR(..)
+            | FastOp::ShiftRR(..) => c.alu,
+            FastOp::PopR(_)
+            | FastOp::PushR(_)
+            | FastOp::PushI(_)
+            | FastOp::LoadRM(..)
+            | FastOp::StoreMR(..)
+            | FastOp::StoreIdx(..)
+            | FastOp::StoreB(..)
+            | FastOp::MovzxRM(..)
+            | FastOp::Leave => c.alu + c.mem,
+            FastOp::PushM(_) | FastOp::PopM(_) => c.alu + c.mem + c.mem,
+            FastOp::ImulRR(..) => c.alu + c.mul,
+        })
+    }
 }
 
-/// One predecoded instruction: its micro-op, its addresses, and the
+/// One predecoded instruction: its micro-op, its addresses, the
 /// profile slot of the function containing it ([`NO_FUNC`] when no
-/// function does, or when the VM is not profiling).
+/// function does, or when the VM is not profiling), and the fixed cost
+/// of the block's ops before it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Op {
     /// Fast-path micro-op, or `Slow`.
@@ -158,6 +203,10 @@ pub(crate) struct Op {
     pub next: u32,
     /// Profile slot of the instruction's function.
     pub func: u32,
+    /// Sum of [`FastOp::static_cost`] over the ops before this one in
+    /// its block: the cycles they retire, less what their `Slow` ops
+    /// cost, which is known only when they run.
+    pub at: u32,
 }
 
 /// Maximum body micro-ops (before the trailing `ret`) a gadget block
@@ -210,6 +259,9 @@ pub(crate) struct Block {
     /// Upper bound on the cycles the whole block can be charged:
     /// its length times [`CostModel::insn_bound`].
     pub max_cost: u64,
+    /// Sum of [`FastOp::static_cost`] over the body: every op but a
+    /// control-transfer terminator. The lean path adds it once.
+    pub body_cost: u64,
     /// The one profile slot every op attributes to, or `None` when the
     /// block straddles two functions and is charged op by op.
     pub func: Option<u32>,
@@ -349,8 +401,11 @@ fn fast_of(insn: &Insn, next: u32, prof: Option<&Profiler>) -> FastOp {
 /// same fault the stepping interpreter would raise. A decode problem
 /// later in the run simply ends the block early: the next block lookup
 /// at that address reports the fault at the precise `eip`, matching the
-/// reference path. `cost` bounds the block's cycles; `prof`, when
-/// profiling, resolves each op's profile slot.
+/// reference path. `cost` bounds the block's cycles and prices its fast
+/// ops; `prof`, when profiling, resolves each op's profile slot. A block
+/// also ends where the fixed cost of its ops would overflow the next
+/// [`Op::at`], which only a cost model of billions of cycles an
+/// instruction can reach.
 pub(crate) fn build_block(
     mem: &Memory,
     entry: u32,
@@ -362,6 +417,7 @@ pub(crate) fn build_block(
     let mut insns = Vec::new();
     let mut pos = entry;
     let mut transfers = false;
+    let mut at = 0u64;
     loop {
         let bytes = match mem.fetch(pos) {
             Ok(b) => b,
@@ -382,16 +438,21 @@ pub(crate) fn build_block(
             }
         };
         let next = pos.wrapping_add(insn.len as u32);
+        let fast = fast_of(&insn, next, prof);
         transfers = is_terminator(&insn.mnemonic);
         ops.push(Op {
-            fast: fast_of(&insn, next, prof),
+            fast,
             eip: pos,
             next,
             func: prof.map_or(NO_FUNC, |p| p.slot_of(pos)),
+            at: at as u32,
         });
         insns.push(insn);
+        if !transfers {
+            at += fast.static_cost(cost).unwrap_or(0);
+        }
         pos = next;
-        if transfers || ops.len() >= max_insns {
+        if transfers || ops.len() >= max_insns || at > u64::from(u32::MAX) {
             break;
         }
     }
@@ -408,6 +469,7 @@ pub(crate) fn build_block(
                 eip: 0,
                 next: 0,
                 func: NO_FUNC,
+                at: 0,
             }; MAX_FUSED_OPS];
             fused[..body.len()].copy_from_slice(body);
             BlockKind::Fused(FusedGadget {
@@ -425,6 +487,7 @@ pub(crate) fn build_block(
         end: pos,
         kind,
         max_cost: max_cost(ops.len()),
+        body_cost: at,
         ops,
         insns,
         func,
@@ -473,35 +536,29 @@ impl BlockCache {
         self.recent_evicts.contains(&eip)
     }
 
-    /// Probe for a fused `op…; ret` gadget block: hit data is copied
-    /// out of the header, so the caller pays no `Rc` clone and no
-    /// `insns` dereference. Returns `None` for generic blocks *without*
-    /// counting a hit — the caller falls back to [`BlockCache::lookup`],
-    /// which counts it.
+    /// The block entered at `eip`, if cached, without counting a hit:
+    /// an array index and one compare, no hashing. A caller that runs
+    /// the block counts the hit with [`BlockCache::hit`].
     #[inline]
-    pub fn fused_at(&mut self, eip: u32) -> Option<FusedGadget> {
+    pub fn peek(&self, eip: u32) -> Option<&Rc<Block>> {
         match &self.slots[(eip & self.mask) as usize] {
-            Some(b) if b.entry == eip => match b.kind {
-                BlockKind::Fused(f) => {
-                    self.stats.hits += 1;
-                    Some(f)
-                }
-                BlockKind::Generic => None,
-            },
+            Some(b) if b.entry == eip => Some(b),
             _ => None,
         }
     }
 
-    /// Cache probe: an array index and one compare, no hashing.
+    /// Counts a lookup served from the cache.
+    #[inline]
+    pub fn hit(&mut self) {
+        self.stats.hits += 1;
+    }
+
+    /// Cache probe that counts a hit.
     #[inline]
     pub fn lookup(&mut self, eip: u32) -> Option<Rc<Block>> {
-        match &self.slots[(eip & self.mask) as usize] {
-            Some(b) if b.entry == eip => {
-                self.stats.hits += 1;
-                Some(Rc::clone(b))
-            }
-            _ => None,
-        }
+        let b = Rc::clone(self.peek(eip)?);
+        self.hit();
+        Some(b)
     }
 
     pub fn insert(&mut self, block: Rc<Block>) {
@@ -695,6 +752,34 @@ mod tests {
         assert!(b.transfers, "a jcc sets eip itself");
         assert_eq!(b.func, Some(NO_FUNC), "unprofiled blocks have one slot");
         assert_eq!(b.max_cost, 9 * CostModel::default().insn_bound());
+        // The body is every op but the `jcc`; `at` is its running cost.
+        let c = CostModel::default();
+        let costs = [c.alu, c.alu + c.mem, c.alu, c.alu + c.mul];
+        let ats: Vec<u64> = b.ops.iter().map(|o| u64::from(o.at)).collect();
+        assert_eq!(ats[..5], [0, 1, 5, 6, 11]);
+        assert_eq!(costs.iter().sum::<u64>(), ats[4]);
+        let fixed: u64 = b.ops[..8]
+            .iter()
+            .map(|o| o.fast.static_cost(&c).unwrap())
+            .sum();
+        assert_eq!(b.body_cost, fixed);
+        assert_eq!(u64::from(b.ops[8].at), fixed);
+    }
+
+    #[test]
+    fn slow_ops_add_nothing_to_the_fixed_prefix() {
+        use parallax_x86::Asm;
+        // mov eax, 1; mul ecx; mov ecx, eax; ret
+        let mut a = Asm::new();
+        a.mov_ri(Reg32::Eax, 1);
+        a.mul_r(Reg32::Ecx);
+        a.mov_rr(Reg32::Ecx, Reg32::Eax);
+        a.ret();
+        let m = mem(a.finish().unwrap().bytes);
+        let b = build(&m, 0x1000).unwrap();
+        let ats: Vec<u32> = b.ops.iter().map(|o| o.at).collect();
+        assert_eq!(ats, [0, 1, 1, 2]);
+        assert_eq!(b.body_cost, 2);
     }
 
     #[test]

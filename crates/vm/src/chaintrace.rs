@@ -68,8 +68,9 @@ pub struct DispatchEvent {
 /// function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Episode {
-    /// The verification function invoked.
-    pub func: String,
+    /// The verification function invoked, as an index into the
+    /// tracer's interned names ([`ChainTracer::func_name`]).
+    pub func: usize,
     /// VM cycle count when the function was called.
     pub start_cycles: u64,
     /// VM cycle count at the last dispatch (== `start_cycles` when the
@@ -184,7 +185,7 @@ impl ChainTracer {
     fn close_open(&mut self) {
         if let Some(open) = self.open.take() {
             self.episodes.push(Episode {
-                func: self.funcs[open.func].clone(),
+                func: open.func,
                 start_cycles: open.start_cycles,
                 end_cycles: open.last_cycles,
                 dispatches: open.dispatches,
@@ -203,6 +204,11 @@ impl ChainTracer {
     /// Completed episodes, in execution order.
     pub fn episodes(&self) -> &[Episode] {
         &self.episodes
+    }
+
+    /// The name of the verification function `episode` invoked.
+    pub fn func_name(&self, episode: &Episode) -> &str {
+        &self.funcs[episode.func]
     }
 
     /// All gadget dispatches, in execution order.
@@ -230,23 +236,26 @@ impl ChainTracer {
         }
     }
 
-    /// Episode `i`'s function, start cycle and dispatch count; `i ==
-    /// episodes().len()` is the open episode, if any.
-    fn episode(&self, i: usize) -> Option<(&str, u64, u64)> {
+    /// Episode `i`'s function index, start cycle and dispatch count;
+    /// `i == episodes().len()` is the open episode, if any.
+    fn episode(&self, i: usize) -> Option<(usize, u64, u64)> {
         match self.episodes.get(i) {
-            Some(e) => Some((&e.func, e.start_cycles, e.dispatches)),
+            Some(e) => Some((e.func, e.start_cycles, e.dispatches)),
             None if i == self.episodes.len() => self
                 .open
                 .as_ref()
-                .map(|o| (self.funcs[o.func].as_str(), o.start_cycles, o.dispatches)),
+                .map(|o| (o.func, o.start_cycles, o.dispatches)),
             None => None,
         }
     }
 
     /// Total dispatches attributed to `func`.
     pub fn dispatches_for(&self, func: &str) -> u64 {
+        let Some(idx) = self.funcs.iter().position(|f| f == func) else {
+            return 0;
+        };
         self.events()
-            .filter(|d| self.episode(d.episode).is_some_and(|(f, ..)| f == func))
+            .filter(|d| self.episode(d.episode).is_some_and(|(f, ..)| f == idx))
             .count() as u64
     }
 
@@ -266,16 +275,17 @@ impl ChainTracer {
         let mut events = self.events();
         let mut per_kind = vec![0u64; self.kinds.len()];
         for ep in &self.episodes {
+            let func = self.func_name(ep);
             tracer.span_at(
-                &format!("chain:{}", ep.func),
+                &format!("chain:{func}"),
                 "vm",
                 lane,
                 ep.start_cycles,
                 ep.cycles().max(1),
             );
-            tracer.count(&format!("vf.{}.invocations", ep.func), 1);
-            tracer.count(&format!("vf.{}.cycles", ep.func), ep.cycles());
-            tracer.count(&format!("vf.{}.dispatches", ep.func), ep.dispatches);
+            tracer.count(&format!("vf.{func}.invocations"), 1);
+            tracer.count(&format!("vf.{func}.cycles"), ep.cycles());
+            tracer.count(&format!("vf.{func}.dispatches"), ep.dispatches);
             tracer.record("vm.verify.cycles", ep.cycles());
             tracer.record("vm.verify.dispatches", ep.dispatches);
             for d in events.by_ref().take(ep.dispatches as usize) {
@@ -289,7 +299,7 @@ impl ChainTracer {
                         ("vaddr".to_string(), u64::from(d.vaddr).into()),
                         ("kind".to_string(), self.kinds[d.kind].as_str().into()),
                         ("cycles".to_string(), d.cycles.into()),
-                        ("func".to_string(), ep.func.as_str().into()),
+                        ("func".to_string(), func.into()),
                     ],
                 );
             }
@@ -374,7 +384,7 @@ mod tests {
 
         assert_eq!(ct.episodes().len(), 1);
         let ep = &ct.episodes()[0];
-        assert_eq!(ep.func, "vf");
+        assert_eq!(ct.func_name(ep), "vf");
         assert_eq!(ep.dispatches, 2);
         assert_eq!(ep.cycles(), 10); // 10 → 20
         assert_eq!(ct.dispatches().len(), 2);

@@ -11,7 +11,7 @@ use parallax_x86::insn::{AluOp, Insn, Mem, Mnemonic, OpSize, Operand, ShiftOp};
 use parallax_x86::{Reg, Reg32, Reg8};
 
 use crate::block::{
-    build_block, Block, BlockCache, BlockStats, FastOp, FusedGadget, MAX_BLOCK_INSNS,
+    build_block, Block, BlockCache, BlockKind, BlockStats, FastOp, FusedGadget, MAX_BLOCK_INSNS,
 };
 use crate::chaintrace::ChainTracer;
 use crate::cost::{CostModel, ReturnStackBuffer};
@@ -260,10 +260,15 @@ impl Vm {
     /// predecoded blocks are evicted (range-based), and the legacy
     /// reference decode cache, when built, has no span metadata and is
     /// flushed wholesale, exactly as the pre-block-cache VM did.
+    #[inline]
     fn sync_code_writes(&mut self) {
-        if !self.mem.has_dirty_code() {
-            return;
+        if self.mem.has_dirty_code() {
+            self.evict_written_code();
         }
+    }
+
+    #[inline(never)]
+    fn evict_written_code(&mut self) {
         #[cfg(feature = "oracle")]
         self.ref_decode_cache.clear();
         for (start, end) in self.mem.take_dirty_code() {
@@ -337,6 +342,12 @@ impl Vm {
         if let Some(b) = self.blocks.lookup(eip) {
             return Ok(b);
         }
+        self.build_at(eip, max_insns)
+    }
+
+    /// Predecodes and caches the block entered at `eip` (a cache miss).
+    #[inline(never)]
+    fn build_at(&mut self, eip: u32, max_insns: usize) -> Result<Rc<Block>, Fault> {
         let cap = if self.blocks.thrashing(eip) {
             1
         } else {
@@ -358,10 +369,13 @@ impl Vm {
     ///
     /// Limit semantics match the stepping loop exactly: the cycle
     /// budget is checked before *every* instruction, but a block whose
-    /// cycle bound fits under the budget at entry cannot reach it, so
-    /// it runs with no per-instruction checks. The output budget only
-    /// moves at a syscall, and syscalls terminate blocks, so the
-    /// block-entry check covers it.
+    /// cycle bound fits under the budget at entry cannot reach it. The
+    /// output budget only moves at a syscall, and syscalls terminate
+    /// blocks, so the block-entry check covers it.
+    ///
+    /// A generic block takes the lean path ([`Vm::exec_lean`]) when
+    /// [`Vm::lean_slot`] allows it. Any other takes the per-instruction
+    /// checked path ([`Vm::exec_checked`]).
     fn exec_block(&mut self) -> Option<Exit> {
         if self.cycles >= self.cycle_limit {
             return Some(Exit::CycleLimit);
@@ -370,42 +384,186 @@ impl Vm {
             return Some(Exit::MemLimit);
         }
         self.sync_code_writes();
-        // Fused `op; ret` gadgets — the ROP dispatch shape — execute
-        // straight from the cache slot: no `Rc` clone, no op vector.
-        if let Some(f) = self.blocks.fused_at(self.cpu.eip) {
-            return self.exec_fused(f);
-        }
-        let block = match self.block_at(self.cpu.eip, MAX_BLOCK_INSNS) {
-            Ok(b) => b,
-            Err(f) => return Some(Exit::Fault(f)),
+        let eip = self.cpu.eip;
+        let block = match self.blocks.peek(eip) {
+            Some(b) => {
+                let b = match b.kind {
+                    // Fused `op; ret` gadgets — the ROP dispatch shape —
+                    // execute from a copy of the slot's header: no `Rc`
+                    // clone, no op vector.
+                    BlockKind::Fused(f) => {
+                        self.blocks.hit();
+                        return self.exec_fused(f);
+                    }
+                    BlockKind::Generic => Rc::clone(b),
+                };
+                self.blocks.hit();
+                b
+            }
+            None => match self.build_at(eip, MAX_BLOCK_INSNS) {
+                Ok(b) => b,
+                Err(f) => return Some(Exit::Fault(f)),
+            },
         };
-        if self.cycles.saturating_add(block.max_cost) < self.cycle_limit {
-            self.exec_ops::<false>(&block)
-        } else {
-            self.exec_ops::<true>(&block)
+        match self.lean_slot(&block) {
+            Some(slot) => self.exec_lean(block, slot),
+            None => {
+                self.blocks.stats.checked += 1;
+                self.exec_checked(&block)
+            }
         }
     }
 
-    /// Runs a generic block as one unit. The cycle count stays in a
-    /// local and the instruction count is the number of ops retired;
-    /// both are written back once, when the block ends or stops early,
-    /// and every hook an op calls is handed the exact cycle count of
-    /// its instruction. So is `eip`: only control transfers and slow
-    /// ops set it, and an early stop sets it to where the reference
-    /// path would have left it. A block inside one function adds one
-    /// profile entry for all its cycles; a block straddling two adds
-    /// one per op, to the slot resolved at build time.
+    /// The profile slot `block` is charged to when it may take the lean
+    /// path: it lies inside one function, its cycle bound fits under the
+    /// limit, and W⊕X holds, so no op can dirty code. `None` sends it
+    /// to the checked path.
+    #[inline]
+    fn lean_slot(&self, block: &Block) -> Option<u32> {
+        block.func.filter(|_| {
+            self.mem.w_xor_x && self.cycles.saturating_add(block.max_cost) < self.cycle_limit
+        })
+    }
+
+    /// Runs `block`, and the generic blocks that follow it while each
+    /// may take the lean path too, each at its precomputed cost (see
+    /// [`Vm::lean_block`]). Returns `None` at the first block it does
+    /// not take, which [`Vm::exec_block`] then runs: a fused gadget, a
+    /// block that is not cached yet or must take the checked path, or
+    /// any address (`CALL_SENTINEL`, say) with no block. Between blocks
+    /// it makes `exec_block`'s entry checks: the output budget, pending
+    /// code writes, and, through [`Vm::lean_slot`], the cycle budget.
+    /// Each block it takes counts one cache hit, as `exec_block` would.
     ///
-    /// `CHECKED` keeps the per-instruction cycle-limit checks, for a
-    /// block that could reach the limit. The dirty-code check follows
-    /// only the ops that can write memory: nothing else can dirty code
-    /// once `sync_code_writes` drained at block entry.
-    ///
-    /// Kept out of line: inlined into `exec_block` beside the fused
-    /// path, its loop lost registers to spills and ran the corpus ~14%
-    /// slower.
+    /// Kept out of line, like [`Vm::exec_checked`], so neither loop
+    /// competes for registers with the fused path in `exec_block`.
     #[inline(never)]
-    fn exec_ops<const CHECKED: bool>(&mut self, block: &Block) -> Option<Exit> {
+    fn exec_lean(&mut self, mut block: Rc<Block>, mut slot: u32) -> Option<Exit> {
+        loop {
+            if let Some(exit) = self.lean_block(&block, slot) {
+                return Some(exit);
+            }
+            if self.sys.output.len() > self.output_limit || self.mem.has_dirty_code() {
+                return None;
+            }
+            let next = self.blocks.peek(self.cpu.eip)?;
+            if !matches!(next.kind, BlockKind::Generic) {
+                return None;
+            }
+            slot = self.lean_slot(next)?;
+            block = Rc::clone(next);
+            self.blocks.hit();
+        }
+    }
+
+    /// Runs one block at its precomputed cost: the block lies inside
+    /// one function (profile `slot`), cannot reach the cycle limit, and
+    /// runs under W⊕X. So no op needs a cycle add, a limit check, a
+    /// dirty-code check or a profile entry of its own: the body's fixed
+    /// cost ([`Block::body_cost`]) is added once, and only `Slow` ops,
+    /// whose cost `exec_insn` decides, and the terminator add theirs.
+    /// Every hook and `exec_insn` call is still handed the exact cycle
+    /// count of its instruction: the entry count plus the op's fixed
+    /// prefix ([`crate::block::Op::at`]) plus the cost of the `Slow`
+    /// ops before it. A fault inside the body stops with the same
+    /// count, so exits are as exact as on the checked path.
+    #[inline(always)]
+    fn lean_block(&mut self, block: &Block, slot: u32) -> Option<Exit> {
+        let start = self.cycles;
+        let (body, term) = match block.ops.split_last() {
+            Some((last, body)) if block.transfers => (body, Some(last)),
+            _ => (block.ops.as_slice(), None),
+        };
+        // The entry count plus the cost of the `Slow` ops run so far.
+        let mut base = start;
+        // The loop carries only the op cursor: an op's index and cycle
+        // count are derived when a `Slow` op or an exit needs them.
+        let mut ops = body.iter();
+        let stop = loop {
+            let Some(op) = ops.next() else {
+                break None;
+            };
+            let fault = if let FastOp::Slow = op.fast {
+                let idx = body.len() - ops.len() - 1;
+                let now = base + u64::from(op.at);
+                match self.exec_insn(&block.insns[idx], op.eip, op.next, now) {
+                    Ok((cost, None)) => {
+                        base += cost;
+                        continue;
+                    }
+                    Ok((cost, Some(status))) => {
+                        break Some((idx + 1, now + cost, Exit::Exited(status)));
+                    }
+                    Err(f) => f,
+                }
+            } else {
+                match self.exec_data(op.fast) {
+                    Ok(_) => continue,
+                    Err(f) => f,
+                }
+            };
+            self.cpu.eip = op.next;
+            let retired = body.len() - ops.len();
+            break Some((retired, base + u64::from(op.at), Exit::Fault(fault)));
+        };
+        let (retired, cycles, exit) = match stop {
+            Some((retired, cycles, exit)) => (retired, cycles, Some(exit)),
+            None => {
+                let now = base + block.body_cost;
+                match term {
+                    None => {
+                        self.cpu.eip = block.end;
+                        (body.len(), now, None)
+                    }
+                    Some(op) => match self.exec_jump(op.fast, op.next) {
+                        Some(cost) => (block.ops.len(), now + cost, None),
+                        None => {
+                            let (cost, exit) = self.exec_terminator(block, now);
+                            (block.ops.len(), now + cost, exit)
+                        }
+                    },
+                }
+            }
+        };
+        self.instructions += retired as u64;
+        self.cycles = cycles;
+        self.charge(slot, cycles - start);
+        exit
+    }
+
+    /// Runs the last op of `block`, a control transfer, at cycle count
+    /// `cycles`, for [`Vm::lean_block`]: returns the cycles it retired
+    /// and its exit, if any. Out of line, so the body loop keeps its
+    /// registers.
+    #[inline(never)]
+    fn exec_terminator(&mut self, block: &Block, cycles: u64) -> (u64, Option<Exit>) {
+        let idx = block.ops.len() - 1;
+        match self.exec_op(block, idx, cycles) {
+            Ok((cost, status)) => (cost, status.map(Exit::Exited)),
+            Err(f) => {
+                self.cpu.eip = block.ops[idx].next;
+                (0, Some(Exit::Fault(f)))
+            }
+        }
+    }
+
+    /// Runs a block instruction by instruction, for the blocks the lean
+    /// path cannot take. The cycle count stays in a local and the
+    /// instruction count is the number of ops retired; both are written
+    /// back once, when the block ends or stops early, and every hook an
+    /// op calls is handed the exact cycle count of its instruction. So
+    /// is `eip`: only control transfers and slow ops set it, and an
+    /// early stop sets it to where the reference path would have left
+    /// it. A block inside one function adds one profile entry for all
+    /// its cycles; a block straddling two adds one per op, to the slot
+    /// resolved at build time.
+    ///
+    /// The cycle limit is checked before every instruction. The
+    /// dirty-code check follows only the ops that can write memory:
+    /// nothing else can dirty code once `sync_code_writes` drained at
+    /// block entry.
+    #[inline(never)]
+    fn exec_checked(&mut self, block: &Block) -> Option<Exit> {
         let start = self.cycles;
         let mut cycles = start;
         let split = block.func.is_none();
@@ -413,7 +571,7 @@ impl Vm {
         let (retired, exit) = 'run: {
             for (idx, op) in block.ops.iter().enumerate() {
                 if idx > 0 {
-                    if CHECKED && cycles >= self.cycle_limit {
+                    if cycles >= self.cycle_limit {
                         self.cpu.eip = op.eip;
                         break 'run (idx, Some(Exit::CycleLimit));
                     }
@@ -425,11 +583,7 @@ impl Vm {
                     }
                 }
                 wrote = op.fast.may_write();
-                let r = match op.fast {
-                    FastOp::Slow => self.exec_insn(&block.insns[idx], op.eip, op.next, cycles),
-                    fast => self.exec_fast(fast, op.next, cycles).map(|c| (c, None)),
-                };
-                match r {
+                match self.exec_op(block, idx, cycles) {
                     Ok((cost, status)) => {
                         cycles += cost;
                         if split {
@@ -458,17 +612,37 @@ impl Vm {
         exit
     }
 
+    /// Executes op `idx` of `block` at cycle count `cycles`: a fast op
+    /// through [`Vm::exec_fast`], a `Slow` one through [`Vm::exec_insn`].
+    /// Returns its cost and, if it invoked `exit`, the status.
+    #[inline(always)]
+    fn exec_op(
+        &mut self,
+        block: &Block,
+        idx: usize,
+        cycles: u64,
+    ) -> Result<(u64, Option<i32>), Fault> {
+        let op = block.ops[idx];
+        match op.fast {
+            FastOp::Slow => self.exec_insn(&block.insns[idx], op.eip, op.next, cycles),
+            fast => self.exec_fast(fast, op.next, cycles).map(|c| (c, None)),
+        }
+    }
+
     /// Executes a fused `body…; ret` gadget block (up to
     /// [`crate::block::MAX_FUSED_OPS`] body ops) with the same hot-state
-    /// discipline as [`Vm::exec_ops`], charging the profile op by op
+    /// discipline as [`Vm::exec_checked`], charging the profile op by op
     /// (each to its own resolved slot: a gadget may straddle two
     /// functions). The cycle limit is checked before each instruction
-    /// only when the gadget's bound does not fit under it at entry.
+    /// only when the gadget's bound does not fit under it at entry, and
+    /// the dirty-code check only runs with W⊕X off.
     #[inline]
     fn exec_fused(&mut self, f: FusedGadget) -> Option<Exit> {
         let start = self.cycles;
         let mut cycles = start;
         let checked = start.saturating_add(f.max_cost) >= self.cycle_limit;
+        // Under W⊕X no body op can dirty code.
+        let watch = !self.mem.w_xor_x;
         let len = f.len as usize;
         let (retired, exit) = 'run: {
             for idx in 0..len {
@@ -478,7 +652,7 @@ impl Vm {
                         self.cpu.eip = op.eip;
                         break 'run (idx, Some(Exit::CycleLimit));
                     }
-                    if f.ops[idx - 1].fast.may_write() && self.mem.has_dirty_code() {
+                    if watch && f.ops[idx - 1].fast.may_write() && self.mem.has_dirty_code() {
                         self.cpu.eip = op.eip;
                         break 'run (idx, None);
                     }
@@ -530,7 +704,7 @@ impl Vm {
                 self.cpu.eip = f.ret.eip;
                 break 'run (len, Some(Exit::CycleLimit));
             }
-            if f.ops[len - 1].fast.may_write() && self.mem.has_dirty_code() {
+            if watch && f.ops[len - 1].fast.may_write() && self.mem.has_dirty_code() {
                 self.cpu.eip = f.ret.eip;
                 break 'run (len, None);
             }
@@ -636,7 +810,8 @@ impl Vm {
     /// cost. Each arm reproduces the corresponding [`Vm::exec_insn`]
     /// arm exactly — effects, cycle cost, RSB, and tracer hooks
     /// included. Only control transfers set `eip`; the caller keeps it
-    /// for everything else.
+    /// for everything else. Every op but a control transfer runs in
+    /// [`Vm::exec_data`].
     #[inline(always)]
     fn exec_fast(&mut self, op: FastOp, next: u32, cycles: u64) -> Result<u64, Fault> {
         Ok(match op {
@@ -646,6 +821,30 @@ impl Vm {
                 self.cpu.eip = target;
                 cost
             }
+            FastOp::Jmp(_) | FastOp::Jcc(..) => self.exec_jump(op, next).unwrap_or(0),
+            FastOp::Call(target, callee) => {
+                self.push(next)?;
+                self.rsb.push(next);
+                if let Some(p) = self.profiler.as_mut() {
+                    p.add_call(callee);
+                }
+                if let Some(ct) = self.chain_tracer.as_mut() {
+                    ct.note_call(target, cycles);
+                }
+                self.cpu.eip = target;
+                self.cost.call
+            }
+            data => self.exec_data(data)?,
+        })
+    }
+
+    /// Executes a direct jump (`Jmp` or `Jcc`) whose successor is
+    /// `next`: sets `eip` and returns the cost. `None`, doing nothing,
+    /// for every other op. The lean path runs a block ending in one
+    /// without a call, and [`Vm::exec_fast`] runs them here.
+    #[inline(always)]
+    fn exec_jump(&mut self, op: FastOp, next: u32) -> Option<u64> {
+        Some(match op {
             FastOp::Jmp(target) => {
                 self.cpu.eip = target;
                 self.cost.branch_taken
@@ -659,18 +858,18 @@ impl Vm {
                     self.cost.branch_not_taken
                 }
             }
-            FastOp::Call(target, callee) => {
-                self.push(next)?;
-                self.rsb.push(next);
-                if let Some(p) = self.profiler.as_mut() {
-                    p.add_call(callee);
-                }
-                if let Some(ct) = self.chain_tracer.as_mut() {
-                    ct.note_call(target, cycles);
-                }
-                self.cpu.eip = target;
-                self.cost.call
-            }
+            _ => return None,
+        })
+    }
+
+    /// Executes a fast op that is not a control transfer, the ops a
+    /// block's body holds, and returns its cost. Each arm has the
+    /// effects and cost of the corresponding [`Vm::exec_insn`] arm
+    /// exactly. The cost is the op's [`FastOp::static_cost`], which the
+    /// lean path adds once per block and so discards here.
+    #[inline(always)]
+    fn exec_data(&mut self, op: FastOp) -> Result<u64, Fault> {
+        Ok(match op {
             FastOp::PopR(r) => {
                 let v = self.pop()?;
                 self.cpu.set_reg(r, v);
@@ -817,7 +1016,9 @@ impl Vm {
                 self.cpu.set_reg(Reg32::Ebp, v);
                 self.cost.alu + self.cost.mem
             }
-            FastOp::Slow => unreachable!("Slow ops take the exec_insn path"),
+            FastOp::Ret | FastOp::Jmp(_) | FastOp::Jcc(..) | FastOp::Call(..) | FastOp::Slow => {
+                unreachable!("control transfers and Slow ops run elsewhere")
+            }
         })
     }
 
@@ -1451,5 +1652,81 @@ fn rel_of(insn: &Insn) -> i32 {
     match insn.ops.first() {
         Some(Operand::Rel(r)) => *r,
         _ => unreachable!("relative branch without Rel operand"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use parallax_image::Program;
+    use parallax_x86::{Asm, Cond, Mem, Reg32, Reg8, ShiftOp};
+
+    use super::*;
+
+    #[test]
+    fn static_costs_match_exec_insn() {
+        // Every fast form with a fixed cost, on operands in the stack.
+        let mut a = Asm::new();
+        a.mov_rr(Reg32::Ebp, Reg32::Esp);
+        a.mov_ri(Reg32::Ecx, 0);
+        a.push_r(Reg32::Eax);
+        a.push_i(5);
+        a.pop_r(Reg32::Edx);
+        a.alu_rr(AluOp::Add, Reg32::Eax, Reg32::Edx);
+        a.alu_ri(AluOp::Cmp, Reg32::Eax, 3);
+        a.mov_rm(Reg32::Eax, Mem::base_disp(Reg32::Esp, 4));
+        a.mov_mr(Mem::base_disp(Reg32::Esp, 4), Reg32::Eax);
+        a.mov_mr(
+            Mem {
+                base: Some(Reg32::Esp),
+                index: Some((Reg32::Ecx, 4)),
+                disp: 0,
+            },
+            Reg32::Eax,
+        );
+        a.mov_mr8(Mem::base(Reg32::Esp), Reg8::Al);
+        a.lea(Reg32::Ebx, Mem::base_disp(Reg32::Esp, 8));
+        a.xchg_rr(Reg32::Ebx, Reg32::Edx);
+        a.test_rr(Reg32::Eax, Reg32::Edx);
+        a.test_ri(Reg32::Eax, 0x40);
+        a.push_m(Mem::base(Reg32::Esp));
+        a.pop_m(Mem::base_disp(Reg32::Esp, 4));
+        a.movzx_rr8(Reg32::Eax, Reg8::Dl);
+        a.movzx_rm8(Reg32::Eax, Mem::base(Reg32::Esp));
+        a.setcc(Cond::L, Reg8::Dl);
+        a.imul_rr(Reg32::Eax, Reg32::Edx);
+        a.shift_r_cl(ShiftOp::Shl, Reg32::Eax);
+        a.leave();
+        let next = a.label();
+        a.call_label(next);
+        a.bind(next);
+        let next = a.label();
+        a.jmp(next);
+        a.bind(next);
+        a.int(0x80);
+        let mut p = Program::new();
+        p.add_func("main", a.finish().unwrap());
+        p.set_entry("main");
+        // `vm` runs each instruction through `exec_insn`, `fast` through
+        // `exec_fast`, in lockstep.
+        let img = p.link().unwrap();
+        let (mut vm, mut fast) = (Vm::new(&img), Vm::new(&img));
+        let mut priced = 0;
+        loop {
+            let eip = vm.cpu.eip;
+            let b = build_block(&vm.mem, eip, 1, &vm.cost, None).unwrap();
+            let (op, insn) = (b.ops[0], &b.insns[0]);
+            if insn.mnemonic == Mnemonic::Int {
+                break;
+            }
+            let (cost, _) = vm.exec_insn(insn, op.eip, op.next, 0).unwrap();
+            fast.cpu.eip = op.next;
+            let fast_cost = fast.exec_fast(op.fast, op.next, 0).unwrap();
+            let fixed = op.fast.static_cost(&vm.cost);
+            assert_eq!(fixed, Some(cost), "{:?} at {eip:#x}", op.fast);
+            assert_eq!(fast_cost, cost, "{:?} at {eip:#x}", op.fast);
+            assert_eq!(fast.cpu.eip, vm.cpu.eip, "{:?} at {eip:#x}", op.fast);
+            priced += 1;
+        }
+        assert_eq!(priced, 25);
     }
 }

@@ -232,6 +232,7 @@ fn count_block_stats(tracer: &Tracer, bs: parallax_vm::BlockStats) {
     tracer.count("vm.block.hit", bs.hits);
     tracer.count("vm.block.miss", bs.misses);
     tracer.count("vm.block.invalidate", bs.invalidated);
+    tracer.count("vm.block.checked", bs.checked);
 }
 
 fn load_image(path: &str) -> Result<LinkedImage> {

@@ -281,10 +281,11 @@ fn gadget_table(out: &mut String, tf: &TraceFile) {
 /// execution engine served the traced runs.
 fn engine_table(out: &mut String, tf: &TraceFile) {
     let get = |k: &str| tf.counters.get(k).copied().unwrap_or(0);
-    let (hits, misses, inval) = (
+    let (hits, misses, inval, checked) = (
         get("vm.block.hit"),
         get("vm.block.miss"),
         get("vm.block.invalidate"),
+        get("vm.block.checked"),
     );
     let (offsets, shapes, decoded, skipped, memo) = (
         get("scan.decode.offsets"),
@@ -302,6 +303,11 @@ fn engine_table(out: &mut String, tf: &TraceFile) {
             out,
             "  block cache: {hits} hits, {misses} misses ({:.1}% hit rate), {inval} invalidations",
             pct(hits, hits + misses)
+        );
+        let _ = writeln!(
+            out,
+            "  checked blocks: {checked} (run op by op: near the cycle limit, \
+             across two functions, or with W⊕X off)"
         );
     }
     if shapes + decoded > 0 {
@@ -711,6 +717,7 @@ mod tests {
         t.count("vm.block.hit", 900);
         t.count("vm.block.miss", 100);
         t.count("vm.block.invalidate", 3);
+        t.count("vm.block.checked", 7);
         t.count("scan.decode.offsets", 9000);
         t.count("scan.decode.once", 1500);
         t.count("scan.decode.shape", 5000);
@@ -767,6 +774,8 @@ mod tests {
             "4.00x parallel speedup",
             "func cache: 3 hits, 1 misses (75.0% hit rate)",
             "block cache: 900 hits, 100 misses (90.0% hit rate), 3 invalidations",
+            "checked blocks: 7 (run op by op: near the cycle limit, \
+             across two functions, or with W⊕X off)",
             "5000 shape decodes and 1500 full decodes (paid once per content) \
              over 9000 text offsets (1000 reached by no candidate)",
             "20000 link and assembly steps",

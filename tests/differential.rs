@@ -548,3 +548,68 @@ fn mid_block_faults_match_reference() {
     assert!(faulted > 0, "no patch faulted");
     assert!(flips_faulted > 0, "no one-byte flip faulted");
 }
+
+/// Links `main`, which calls `f` and exits with its result, around the
+/// body `f` emits, ending it with `ret`.
+fn with_callee(f: impl Fn(&mut parallax::x86::Asm)) -> LinkedImage {
+    use parallax::x86::Asm;
+    let mut main = Asm::new();
+    main.call_sym("f");
+    main.mov_rr(Reg32::Ebx, Reg32::Eax);
+    main.mov_ri(Reg32::Eax, 1);
+    main.int(0x80);
+    let mut callee = Asm::new();
+    f(&mut callee);
+    callee.ret();
+    let mut p = parallax::image::Program::new();
+    p.add_func("main", main.finish().unwrap());
+    p.add_func("f", callee.finish().unwrap());
+    p.set_entry("main");
+    p.link().unwrap()
+}
+
+#[test]
+fn mid_block_faults_after_slow_ops_match_reference() {
+    // A block inside one function runs at its precomputed cost, which
+    // leaves out its `Slow` ops: they add what `exec_insn` charges as
+    // they run. A fault later in the same block must stop with exactly
+    // the cycles retired, the `Slow` ones included. `mul`, `cdq` and
+    // `div` are `Slow` with three different costs; the fault is a fast
+    // load from unmapped memory, or a `Slow` divide by zero.
+    use parallax::x86::{Asm, Mem};
+    let slow_then = |fault: &dyn Fn(&mut Asm)| {
+        with_callee(|a| {
+            a.mov_ri(Reg32::Ecx, 3);
+            a.mov_ri(Reg32::Eax, 7);
+            a.mul_r(Reg32::Ecx);
+            a.push_r(Reg32::Eax);
+            a.cdq();
+            a.div_r(Reg32::Ecx);
+            a.pop_r(Reg32::Edx);
+            fault(a);
+            a.mov_ri(Reg32::Eax, 0);
+        })
+    };
+    let load = slow_then(&|a| a.mov_rm(Reg32::Eax, Mem::abs(0)));
+    let divide = slow_then(&|a| {
+        a.mov_ri(Reg32::Ecx, 0);
+        a.div_r(Reg32::Ecx);
+    });
+    for (label, img) in [("fast load", load), ("slow divide", divide)] {
+        let seen = engines_agree(&img, u64::MAX, &|_| {}, label);
+        assert!(
+            matches!(seen.exit, Exit::Fault(_)),
+            "{label}: {:?}",
+            seen.exit
+        );
+        let mut vm = Vm::with_options(
+            &img,
+            VmOptions {
+                profile: true,
+                ..VmOptions::default()
+            },
+        );
+        vm.run();
+        assert_eq!(vm.block_stats().checked, 0, "{label}: a checked block ran");
+    }
+}
